@@ -3,7 +3,7 @@
 Subcommands: cf, trace, sweep, verify, profile2warp.
 Exit codes: 0 ok, 2 invalid or ill-posed input, 3 integration failure,
 4 not converged.  A flat JSON config file may supply any option; explicit
-flags override the file.  SG_THREADS caps internal parallelism.
+flags override the file.
 """
 from __future__ import annotations
 

@@ -4,8 +4,6 @@ geodesic of the link."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,8 +24,8 @@ from .errors import IntegrationError, NonOscillationError, QuadratureError
 from .geodesic_flow import (
     Trajectory,
     integrate_winding,
-    log_eta_rate,
     normalized_winding_length,
+    reparametrize_tau,
 )
 from .warp_profiles import (
     WarpingFunction,
@@ -52,18 +50,6 @@ __all__ = [
     "run_comparison_campaign",
     "closed_form_winding_length",
 ]
-
-
-def thread_count(n_tasks: int) -> int:
-    cap = os.environ.get("SG_THREADS", "")
-    try:
-        cap_val = int(cap) if cap else 0
-    except ValueError:
-        cap_val = 0
-    avail = os.cpu_count() or 1
-    if cap_val > 0:
-        avail = min(avail, cap_val)
-    return max(1, min(avail, n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +132,7 @@ def delta_sweep(
         length = float(traj.tau[-1] - traj.tau[0])
         return length, norm
 
-    workers = thread_count(len(deltas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, deltas))
-    else:
-        results = [one(d) for d in deltas]
+    results = [one(d) for d in deltas]
     lengths = np.array([rr[0] for rr in results])
     normalized = np.array([rr[1] for rr in results])
 
@@ -234,10 +215,8 @@ def verify_radial_bounds(
     ok = worst_lower <= slack and worst_upper <= slack
 
     # eta bounds, in log form: |log(|eta| / f(delta))| <= c (r - delta)
-    ctx = traj._ctx
-    log_fd = ctx.get("log_fd")
-    if log_fd is not None and np.all(traj.eta_norm > 0):
-        excess = np.abs(np.log(traj.eta_norm) - log_fd) - c_bound * (traj.r - delta)
+    if np.all(traj.eta_norm > 0):
+        excess = np.abs(np.log(traj.eta_norm) - traj.log_fd) - c_bound * (traj.r - delta)
         worst_eta = float(np.max(excess))
     else:
         worst_eta = 0.0
@@ -294,7 +273,7 @@ def comparison_test(
                            dense_nodes=128)
     t_span = min(-lo.t[0], lo.t[-1], -hi.t[0], hi.t[-1])
     ts = np.linspace(-t_span, t_span, n_nodes)
-    gaps = np.array([hi.r_of_t(tv) - lo.r_of_t(tv) for tv in ts])
+    gaps = hi.r_of_t(ts) - lo.r_of_t(ts)
     i = int(np.argmin(gaps))
     return ComparisonReport(
         passed=bool(np.all(gaps > 0.0)),
@@ -351,15 +330,15 @@ def limit_geodesic_test(
         hi = min(tau_window[1], float(traj.tau[-1]) - 1e-9)
         if lo > tau_window[0] or hi < tau_window[1]:
             note = f"window clipped to [{lo:.3g}, {hi:.3g}] at delta={delta:g}"
+        rp = reparametrize_tau(traj, n=n_nodes, window=(lo, hi))
         taus = np.linspace(lo, hi, n_nodes)
         worst = 0.0
-        for tv in taus:
-            st = traj.state_at(traj.t_of_tau(tv))
+        for tv, y, chart in zip(taus, rp.y, rp.chart_ids):
             ref = base_geodesic(cs, y0, v0, tv)
             if isinstance(cs, SphereSection):
-                d = cs.h0_distance(st.y, ref, chart1=st.chart, chart2=0)
+                d = cs.h0_distance(y, ref, chart1=int(chart), chart2=0)
             else:
-                d = cs.h0_distance(st.y, ref)
+                d = cs.h0_distance(y, ref)
             worst = max(worst, d)
         sups.append(worst)
     sups = np.asarray(sups)

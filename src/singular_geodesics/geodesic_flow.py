@@ -7,7 +7,7 @@ State variables are (r, theta, y, eta) with sin(theta) = rdot; the flow is
     ydot     = eta^sharp / f^2
     etadot   = sharp^T (d_y h) sharp / (2 f^2)
 
-Two execution paths share one interface: a reduced 3-state system in
+Two systems share one trajectory representation: a reduced 3-state system in
 (r, theta, tau) for unperturbed circle sections, evaluated in log space so
 the exponential cusp families work far below double-precision range of f,
 and a full phase-space system with chart switching for everything else.
@@ -15,16 +15,14 @@ Backward time is obtained from the symmetry (t, theta, eta) -> (-t, -theta, -eta
 """
 from __future__ import annotations
 
-import bisect
+import copy
 import csv
-import json
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .cross_sections import (
     CHART_BAND_HI,
@@ -53,6 +51,9 @@ __all__ = [
 
 RADIAL_ETA_FACTOR = 1e-14
 SHELL_DRIFT_LIMIT = 1e-6
+# |dr/dt| <= 1, so steps of at most R/4 keep every trial stage of the full
+# system inside the 1.25 R margin that vector_field tolerates
+FULL_MAX_STEP_FRACTION = 0.25
 
 
 @dataclass
@@ -121,34 +122,112 @@ def vector_field(wf: WarpingFunction, cs: CrossSection, state: GeodesicState):
 
 
 # ---------------------------------------------------------------------------
-# branch bookkeeping
+# dense branches
 
 
-class _Leg:
-    __slots__ = ("sol", "t0", "t1", "chart")
+class States(NamedTuple):
+    """Decoded trajectory states, one entry (or row) per query time."""
 
-    def __init__(self, sol, t0, t1, chart):
-        self.sol, self.t0, self.t1, self.chart = sol, t0, t1, chart
+    r: np.ndarray
+    theta: np.ndarray
+    y: np.ndarray
+    eta: np.ndarray
+    chart: np.ndarray
+    tau_scaled: np.ndarray
 
 
-class _Branch:
-    """One time direction, stored as a forward run of the mirrored system."""
+class DenseBranch:
+    """One time direction of a trajectory, stored as a forward run of the
+    mirrored system in s = |t|.
 
-    def __init__(self, sign: int):
+    Segment k of the piecewise dense solution covers [ts[k], ts[k+1]] in
+    chart ``charts[k]``; ``leg_starts`` holds the first segment of each
+    stepper run.  ``decode(x, chart, sign)`` maps the mirrored states ``x``
+    (one column per query) to ``States``; it is the only part that differs
+    between the reduced, full and radial systems.
+    """
+
+    def __init__(self, sign: int, decode):
         self.sign = sign
-        self.legs: List[_Leg] = []
-        self.t_end = 0.0
+        self.decode = decode
+        self.ts = np.zeros(1)
+        self.interpolants: list = []
+        self.charts = np.zeros(0, dtype=int)
+        self.leg_starts = np.zeros(0, dtype=int)
         self.exited = False
         self.stopped_by_tau = False
 
-    def leg_at(self, s: float) -> _Leg:
-        idx = bisect.bisect_right([leg.t0 for leg in self.legs], s) - 1
-        idx = max(0, min(idx, len(self.legs) - 1))
-        return self.legs[idx]
+    @property
+    def t_end(self) -> float:
+        return float(self.ts[-1])
 
-    def eval(self, s: float) -> Tuple[np.ndarray, int]:
-        leg = self.leg_at(min(s, self.t_end))
-        return leg.sol(min(max(s, leg.t0), leg.t1)), leg.chart
+    def add_leg(self, ts, interpolants, chart: int):
+        """Append one stepper run that starts where the previous one ended."""
+        self.leg_starts = np.append(self.leg_starts, len(self.interpolants))
+        self.ts = np.concatenate([self.ts, np.asarray(ts, dtype=float)[1:]])
+        self.interpolants.extend(interpolants)
+        self.charts = np.append(self.charts, np.full(len(interpolants), chart))
+
+    def mirrored(self) -> "DenseBranch":
+        """The same dense solution serving the other time direction."""
+        other = copy.copy(self)
+        other.sign = -self.sign
+        return other
+
+    def evaluate(self, s: np.ndarray) -> States:
+        """Decoded states at the points ``s`` in [0, t_end] (a 1-D array)."""
+        # inside a leg a step point takes the earlier segment, as scipy's
+        # OdeSolution does; a leg boundary takes the later leg, whose start
+        # state may already be in the other chart
+        seg = np.searchsorted(self.ts, s, side="left") - 1
+        leg = np.searchsorted(self.ts[self.leg_starts], s, side="right") - 1
+        seg = np.maximum(seg, self.leg_starts[leg])
+        order = np.argsort(seg, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(seg[order])) + 1)
+        by_segment = np.hstack([self.interpolants[seg[idx[0]]](s[idx]) for idx in groups])
+        x = np.empty_like(by_segment)
+        x[:, order] = by_segment
+        return self.decode(x, self.charts[seg], self.sign)
+
+
+class _Line:
+    """Dense output of the radial flow in the mirrored time s: r0 + slope*s."""
+
+    def __init__(self, r0: float, slope: float):
+        self.r0, self.slope = r0, slope
+
+    def __call__(self, s):
+        return (self.r0 + self.slope * np.asarray(s))[None, :]
+
+
+def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
+    def decode(x, chart, sign):
+        n = x.shape[1]
+        tau_scaled = sign * x[2]
+        if fpd > 0.0:
+            y = y0 + wind * tau_scaled / (fpd * scale)
+        else:
+            # the unwrapped angle overflows double range; only scaled
+            # quantities are meaningful here
+            y = np.full(n, math.nan)
+        return States(x[0], sign * x[1], y[:, None], np.full((n, 1), eta_comp),
+                      chart, tau_scaled)
+    return decode
+
+
+def _full_decode(dim: int, fpd: float):
+    def decode(x, chart, sign):
+        return States(x[0], sign * x[1], x[2:2 + dim].T, sign * x[2 + dim:2 + 2 * dim].T,
+                      chart, sign * x[-1] * fpd)
+    return decode
+
+
+def _radial_decode(start: GeodesicState):
+    def decode(x, chart, sign):
+        n = x.shape[1]
+        return States(x[0], np.full(n, start.theta), np.tile(start.y, (n, 1)),
+                      np.zeros((n, len(start.y))), chart, np.zeros(n))
+    return decode
 
 
 # ---------------------------------------------------------------------------
@@ -156,99 +235,118 @@ class _Branch:
 
 
 class Trajectory:
-    """Sampled lifted geodesic with per-sample diagnostics.
+    """Lifted geodesic: one DenseBranch per time direction and samples of it.
 
-    Arrays are aligned with ``t`` (sorted, containing the minimum t=0 for
-    winding launches).  ``tau_scaled`` is f'(delta) * tau, which stays finite
-    for warps whose absolute winding length overflows double precision.
+    ``forward`` serves t >= 0 and ``backward`` t < 0; either may be None.
+    Sample arrays are aligned with ``t`` (sorted, containing the minimum t=0
+    for winding launches).  ``tau_scaled`` is f'(delta) * tau, which stays
+    finite for warps whose absolute winding length overflows double
+    precision.  The dense queries ``r_of_t``, ``tau_of_t``,
+    ``tau_scaled_of_t`` and ``t_of_tau`` take a scalar or an array and raise
+    ValueError outside the integrated span; ``state_at`` takes a scalar.
     """
 
-    def __init__(self, *, t, r, theta, y, eta, chart_ids, hamiltonian, clairaut,
-                 clairaut_rel, eta_norm, speed_Y, tau, tau_scaled, rho, u,
-                 exit_events, classification, delta, meta, ctx):
-        self.t = t
-        self.r = r
-        self.theta = theta
-        self.y = y
-        self.eta = eta
-        self.chart_ids = chart_ids
-        self.hamiltonian = hamiltonian
-        self.clairaut = clairaut
-        self.clairaut_rel = clairaut_rel
-        self.eta_norm = eta_norm
-        self.speed_Y = speed_Y
-        self.tau = tau
-        self.tau_scaled = tau_scaled
-        self.rho = rho
-        self.u = u
-        self.exit_events = exit_events
-        self.classification = classification
+    def __init__(self, wf: WarpingFunction, cs: CrossSection,
+                 forward: Optional[DenseBranch], backward: Optional[DenseBranch],
+                 delta: Optional[float], log_fd: Optional[float], fpd: float,
+                 wind_sign: int, meta: dict):
+        self.wf, self.cs = wf, cs
+        self.forward, self.backward = forward, backward
         self.delta = delta
+        self.log_fd = log_fd  # log f(delta); None for radial trajectories
+        self.fpd = fpd
+        self.wind_sign = wind_sign
         self.meta = meta
-        self._ctx = ctx
+        self.classification = "radial" if delta is None else "winding"
+        self.t_min = -backward.t_end if backward is not None else 0.0
+        self.t_max = forward.t_end if forward is not None else 0.0
+        self.exit_events = {
+            "t_min": None if delta is None else 0.0,
+            "t_exit_forward": self.t_max if forward is not None and forward.exited else None,
+            "t_exit_backward": self.t_min if backward is not None and backward.exited else None,
+            "truncated_by_tau": any(b.stopped_by_tau for b in (forward, backward)
+                                    if b is not None),
+        }
 
     # -- dense evaluation ---------------------------------------------------
 
-    def _branch(self, t: float) -> _Branch:
-        branches = self._ctx["branches"]
-        for b in branches:
-            if b.sign == (1 if t >= 0 else -1):
-                return b
-        return branches[0]
+    def _evaluate(self, t: np.ndarray) -> States:
+        if not np.all((t >= self.t_min) & (t <= self.t_max)):
+            raise ValueError(
+                f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
+        n, dim = len(t), self.cs.dim
+        out = States(np.empty(n), np.empty(n), np.empty((n, dim)), np.empty((n, dim)),
+                     np.zeros(n, dtype=int), np.empty(n))
+        fwd = t >= 0 if self.forward is not None else np.zeros(n, dtype=bool)
+        for branch, mask in ((self.forward, fwd), (self.backward, ~fwd)):
+            if mask.any():
+                for dst, src in zip(out, branch.evaluate(np.abs(t[mask]))):
+                    dst[mask] = src
+        return out
 
-    def r_of_t(self, t: float) -> float:
-        if self._ctx["kind"] == "radial":
-            return self._radial_r(t)
-        x, _ = self._branch(t).eval(abs(t))
-        return float(x[0])
+    def _query(self, t, pick):
+        arr = np.asarray(t, dtype=float)
+        values = pick(self._evaluate(arr.reshape(-1)))
+        return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
-    def tau_scaled_of_t(self, t: float) -> float:
-        sign = 1.0 if t >= 0 else -1.0
-        if self._ctx["kind"] == "reduced":
-            x, _ = self._branch(t).eval(abs(t))
-            return sign * float(x[2])
-        x, _ = self._branch(t).eval(abs(t))
-        return sign * float(x[-1]) * self._ctx["fpd"]
+    def _tau(self, tau_scaled: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self.fpd > 0.0:
+                return tau_scaled / self.fpd
+            return np.where(tau_scaled != 0.0, np.copysign(math.inf, tau_scaled), 0.0)
 
-    def tau_of_t(self, t: float) -> float:
-        return self.tau_scaled_of_t(t) / self._ctx["fpd"]
+    def r_of_t(self, t):
+        return self._query(t, lambda st: st.r)
 
-    def t_of_tau(self, tau: float) -> float:
-        """Invert the strictly increasing map t -> tau."""
-        b = self._branch(tau)  # tau and t share sign
-        lo, hi = 0.0, b.t_end
-        target = abs(tau)
-        end = abs(self.tau_of_t(b.sign * b.t_end))
-        if target > end * (1.0 + 1e-12):
-            raise ValueError(f"tau={tau:g} beyond available range {end:g}")
-        s = brentq(
-            lambda sv: abs(self.tau_of_t(b.sign * sv)) - target, lo, hi,
-            xtol=1e-14, rtol=8.9e-16,
-        )
-        return b.sign * s
+    def tau_scaled_of_t(self, t):
+        return self._query(t, lambda st: st.tau_scaled)
 
-    def _radial_r(self, t: float) -> float:
-        r0 = self._ctx["r0"]
-        sgn = self._ctx["theta_sign"]
-        return r0 + sgn * t
+    def tau_of_t(self, t):
+        return self._query(t, lambda st: self._tau(st.tau_scaled))
+
+    def t_of_tau(self, tau):
+        """Invert the strictly increasing map t -> tau.
+
+        Each root is bracketed between neighbouring samples and bisected, all
+        targets at once, until its bracket holds no double in between: near
+        the lowest point dtau/dt = f(delta)/f(r)^2 is large, so a looser
+        stop in t would show as an error in tau.
+        """
+        arr = np.asarray(tau, dtype=float)
+        targets = arr.reshape(-1)
+        if not (np.all((targets >= self.tau[0]) & (targets <= self.tau[-1]))
+                and math.isfinite(self.tau[0]) and math.isfinite(self.tau[-1])):
+            raise ValueError(
+                f"tau beyond available range [{self.tau[0]:g}, {self.tau[-1]:g}]")
+        k = np.clip(np.searchsorted(self.tau, targets), 1, len(self.t) - 1)
+        lo, hi = self.t[k - 1], self.t[k]
+        below, above = targets - self.tau[k - 1], self.tau[k] - targets
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = np.flatnonzero((below > 0) & (above > 0) & (mid > lo) & (mid < hi))
+            if len(live) == 0:
+                break
+            gap = self._tau(self._evaluate(mid[live]).tau_scaled) - targets[live]
+            rises = gap >= 0.0
+            up, down = live[rises], live[~rises]
+            hi[up], above[up] = mid[up], gap[rises]
+            lo[down], below[down] = mid[down], -gap[~rises]
+        out = np.where(below <= above, lo, hi)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def state_at(self, t: float) -> GeodesicState:
-        kind = self._ctx["kind"]
-        if kind == "radial":
-            return GeodesicState(t, self._radial_r(t), self.theta[0],
-                                 self.y[0], self.eta[0])
-        sign = 1.0 if t >= 0 else -1.0
-        x, chart = self._branch(t).eval(abs(t))
-        if kind == "reduced":
-            ctx = self._ctx
-            phi = ctx["y0"][0] + ctx["dir"] * sign * x[2] / (ctx["fpd"] * ctx["scale"])
-            return GeodesicState(t, float(x[0]), sign * float(x[1]),
-                                 np.array([phi]), np.array([ctx["eta_comp"]]),
-                                 chart=0, wind_sign=ctx["dir"])
-        dim = self._ctx["dim"]
-        return GeodesicState(t, float(x[0]), sign * float(x[1]),
-                             x[2:2 + dim].copy(), sign * x[2 + dim:2 + 2 * dim],
-                             chart=chart)
+        st = self._evaluate(np.array([float(t)]))
+        return GeodesicState(t, float(st.r[0]), float(st.theta[0]), st.y[0], st.eta[0],
+                             chart=int(st.chart[0]), wind_sign=self.wind_sign)
+
+    def _resample(self, t: np.ndarray):
+        """Set every per-sample array from the dense solution at times ``t``."""
+        st = self._evaluate(t)
+        self.t = t
+        self.r, self.theta, self.y, self.eta, self.chart_ids, self.tau_scaled = st
+        self.tau = self._tau(st.tau_scaled)
+        (self.hamiltonian, self.clairaut, self.clairaut_rel, self.eta_norm,
+         self.speed_Y, self.rho, self.u) = _diagnostics(self.wf, self.cs, self.log_fd, st)
 
     # -- export -------------------------------------------------------------
 
@@ -275,6 +373,51 @@ class Trajectory:
         return dict(self.meta)
 
 
+def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
+                 st: States):
+    """Per-sample (hamiltonian, clairaut, clairaut_rel, eta_norm, speed_Y,
+    rho, u) of decoded states."""
+    r, theta, y, eta, chart_ids, _ = st
+    n = len(r)
+    log_f_r = np.array([wf.log_f(x) if x > 0 else -math.inf for x in r])
+    rho = np.where(log_f_r > -745, np.exp(np.maximum(log_f_r, -745)), 0.0)
+    if log_fd is None:  # radial: eta = 0 and there is no lowest point
+        zeros = np.zeros(n)
+        return np.ones(n), zeros, zeros, zeros, zeros, rho, zeros
+
+    if _is_reduced(cs):
+        with np.errstate(over="ignore"):
+            log_eta = np.full(n, log_fd)
+            eta_norm = np.where(log_eta > -745, np.exp(np.maximum(log_eta, -745)), 0.0)
+            ratio2 = np.exp(2.0 * (log_fd - log_f_r))
+            hamiltonian = np.sin(theta) ** 2 + ratio2
+            # conservation holds in the product f(r)*cos(theta), so take the
+            # log first: both factors can individually leave double range
+            clairaut_rel = np.expm1(
+                log_f_r - log_fd + np.log(np.maximum(np.cos(theta), 1e-300))
+            )
+            clairaut = rho * np.cos(theta)
+            speed_Y = np.exp(np.minimum(log_fd - 2.0 * log_f_r, 709.0))
+    else:
+        if _round_sphere(cs):
+            sp = np.sin(y[:, 0])
+            eta_norm = np.sqrt(eta[:, 0] ** 2 + (eta[:, 1] / sp) ** 2)
+        else:
+            eta_norm = np.array([cs.eta_norm(r[i], y[i], eta[i], int(chart_ids[i]))
+                                 for i in range(n)])
+        hamiltonian = np.sin(theta) ** 2 + (eta_norm / rho) ** 2
+        clairaut = rho * np.cos(theta)
+        clairaut_rel = clairaut / math.exp(log_fd) - 1.0
+        speed_Y = eta_norm / rho**2
+
+    u = np.empty(n)
+    for i in range(n):
+        sth = math.sin(theta[i])
+        la = log_f_r[i] + (math.log(abs(sth)) if abs(sth) > 0 else -math.inf)
+        u[i] = 0.0 if la <= -745 else math.copysign(wf.F(math.exp(la)), sth)
+    return hamiltonian, clairaut, clairaut_rel, eta_norm, speed_Y, rho, u
+
+
 # ---------------------------------------------------------------------------
 # the integrator
 
@@ -291,9 +434,7 @@ def _first_step(wf: WarpingFunction, r0: float) -> float:
     return min(1e-3, 0.1 / max(wf.d_log_f(r0), 1.0))
 
 
-def _run_reduced_branch(wf, delta, log_fd, log_fpd, rtol, atol, tau_stop):
-    """Forward run of (r, theta, tau_scaled) from the lowest point."""
-    R = wf.domain_radius
+def _reduced_rhs(wf, log_fd, log_fpd):
     L0 = log_fpd + log_fd
 
     def rhs(_, s):
@@ -301,36 +442,7 @@ def _run_reduced_branch(wf, delta, log_fd, log_fpd, rtol, atol, tau_stop):
         return [math.sin(th),
                 wf.d_log_f(r) * math.cos(th),
                 math.exp(L0 - 2.0 * wf.log_f(r))]
-
-    def exit_event(_, s):
-        return s[0] - R
-    exit_event.terminal = True
-    exit_event.direction = 1.0
-    events = [exit_event]
-    fpd = math.exp(log_fpd) if log_fpd > -745 else 0.0
-    if tau_stop is not None and fpd > 0.0:
-        def tau_event(_, s):
-            return s[2] - tau_stop * fpd
-        tau_event.terminal = True
-        events.append(tau_event)
-    else:
-        tau_stop = None
-
-    sol = solve_ivp(
-        rhs, (0.0, 2.0 * R + 1.0), [delta, 0.0, 0.0], method="DOP853",
-        rtol=rtol, atol=atol, dense_output=True, events=events,
-        first_step=_first_step(wf, delta),
-    )
-    if not sol.success and sol.status != 1:
-        raise IntegrationError(f"stepper failed: {sol.message}")
-    branch = _Branch(1)
-    branch.legs = [_Leg(sol.sol, 0.0, sol.t[-1], 0)]
-    branch.t_end = float(sol.t[-1])
-    branch.exited = len(sol.t_events[0]) > 0
-    branch.stopped_by_tau = tau_stop is not None and len(sol.t_events[1]) > 0
-    if not branch.exited and not branch.stopped_by_tau:
-        raise IntegrationError("trajectory truncated before exit at r=R")
-    return branch, sol.t
+    return rhs
 
 
 def _full_rhs_factory(wf, cs, chart):
@@ -366,14 +478,13 @@ def _full_rhs_factory(wf, cs, chart):
     return rhs
 
 
-def _run_full_branch(wf, cs, start: GeodesicState, rtol, atol, tau_stop):
-    """Forward run of the full system, switching sphere charts as needed."""
+def _run_branch(wf, cs, rhs_of_chart, x0, chart, branch, rtol, atol, tau_stop,
+                max_step):
+    """Forward run of the mirrored system from the lowest point until r = R
+    or until the last state component (tau) reaches ``tau_stop``, switching
+    sphere charts as needed."""
     R = wf.domain_radius
-    dim = cs.dim
-    chart = start.chart
     t0 = 0.0
-    state = np.concatenate([[start.r, start.theta], start.y, start.eta, [0.0]])
-    branch = _Branch(1)
     band_lo, band_hi = CHART_BAND_LO, CHART_BAND_HI
 
     for _ in range(4096):
@@ -394,14 +505,14 @@ def _run_full_branch(wf, cs, start: GeodesicState, rtol, atol, tau_stop):
             events.append(band_event)
 
         sol = solve_ivp(
-            _full_rhs_factory(wf, cs, chart), (t0, 2.0 * R + 1.0), state,
-            method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-            events=events, first_step=_first_step(wf, state[0]) if t0 == 0.0 else None,
+            rhs_of_chart(chart), (t0, 2.0 * R + 1.0), x0,
+            method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events,
+            first_step=_first_step(wf, x0[0]) if t0 == 0.0 else None,
+            max_step=max_step,
         )
         if not sol.success and sol.status != 1:
             raise IntegrationError(f"stepper failed: {sol.message}")
-        branch.legs.append(_Leg(sol.sol, t0, float(sol.t[-1]), chart))
-        branch.t_end = float(sol.t[-1])
+        branch.add_leg(sol.sol.ts, sol.sol.interpolants, chart)
         if len(sol.t_events[0]) > 0:
             branch.exited = True
             return branch
@@ -413,16 +524,17 @@ def _run_full_branch(wf, cs, start: GeodesicState, rtol, atol, tau_stop):
 
         # hit the chart band edge: move to the rotated chart when it is
         # strictly more interior, otherwise widen the working band once
-        state = sol.y[:, -1]
+        x0 = sol.y[:, -1]
         t0 = float(sol.t[-1])
-        y_cur, eta_cur = state[2:2 + dim], state[2 + dim:2 + 2 * dim]
+        dim = cs.dim
+        y_cur, eta_cur = x0[2:2 + dim], x0[2 + dim:2 + 2 * dim]
         other = 1 - chart
         y_new, eta_new = switch_chart(chart, y_cur, eta_cur, other)
         margin_cur = abs(math.cos(y_cur[0]))
         margin_new = abs(math.cos(y_new[0]))
         if margin_new < margin_cur - 1e-12:
             chart = other
-            state = np.concatenate([state[:2], y_new, eta_new, state[-1:]])
+            x0 = np.concatenate([x0[:2], y_new, eta_new, x0[-1:]])
             band_lo, band_hi = CHART_BAND_LO, CHART_BAND_HI
         else:
             if band_lo < CHART_BAND_LO - 0.05:
@@ -451,6 +563,10 @@ def integrate(
     """
     if direction not in ("forward", "backward", "both"):
         raise ValueError(f"unknown direction {direction!r}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"{name}={tol!r} must be finite and positive")
+    signs = {"forward": (1,), "backward": (-1,), "both": (1, -1)}[direction]
     R = wf.domain_radius
     if not 0.0 < start.r < R:
         raise IntegrationError(f"start r={start.r:g} outside (0, R)")
@@ -465,14 +581,14 @@ def integrate(
         raise IntegrationError("state with eta=0 must be radial (|sin theta| = 1)")
 
     if is_radial:
-        return _radial_trajectory(wf, cs, start, direction, dense_nodes)
+        return _radial_trajectory(wf, cs, start, signs, dense_nodes)
 
-    delta = start.r if launched_winding else None
-    if delta is None:
+    if not launched_winding:
         raise IntegrationError(
             "integrate expects either a radial state or a lowest-point state "
             "from launch_winding (theta = 0)"
         )
+    delta = start.r
     log_fd = wf.log_f(delta)
     # f'(delta) = f(delta) * (log f)'(delta): assemble its log from pieces so
     # the exponential families survive far below double-precision range
@@ -486,225 +602,75 @@ def integrate(
             "sections support this regime"
         )
 
-    branches: List[_Branch] = []
-    step_times: List[np.ndarray] = []
     if reduced:
-        fwd, times = _run_reduced_branch(wf, delta, log_fd, log_fpd, rtol, atol, tau_stop)
+        fd = math.exp(log_fd) if log_fd > -745 else 0.0
+        decode = _reduced_decode(start.y[0], start.wind_sign, fpd, cs.scale,
+                                 start.wind_sign * cs.scale * fd)
+        rhs = _reduced_rhs(wf, log_fd, log_fpd)
+        # the reduced system integrates tau_scaled, so scale the stop with it
+        stop = tau_stop * fpd if tau_stop is not None and fpd > 0.0 else None
+        fwd = _run_branch(wf, cs, lambda chart: rhs, [delta, 0.0, 0.0], 0,
+                          DenseBranch(1, decode), rtol, atol, stop, math.inf)
         # the reduced system is identical under time reversal, so both
         # branches share one forward run
-        if direction in ("forward", "both"):
-            branches.append(fwd)
-            step_times.append(times)
-        if direction in ("backward", "both"):
-            bwd = _Branch(-1)
-            bwd.legs, bwd.t_end = fwd.legs, fwd.t_end
-            bwd.exited, bwd.stopped_by_tau = fwd.exited, fwd.stopped_by_tau
-            branches.append(bwd)
-            step_times.append(times)
+        branches = {sign: fwd if sign > 0 else fwd.mirrored() for sign in signs}
     else:
-        if direction in ("forward", "both"):
-            b = _run_full_branch(wf, cs, start, rtol, atol, tau_stop)
-            branches.append(b)
-            step_times.append(_branch_times(b))
-        if direction in ("backward", "both"):
-            mirrored = GeodesicState(0.0, start.r, -start.theta, start.y.copy(),
-                                     -start.eta, chart=start.chart)
-            b = _run_full_branch(wf, cs, mirrored, rtol, atol, tau_stop)
-            b.sign = -1
-            branches.append(b)
-            step_times.append(_branch_times(b))
+        decode = _full_decode(cs.dim, fpd)
+        branches = {}
+        for sign in signs:
+            x0 = np.concatenate([[start.r, sign * start.theta], start.y,
+                                 sign * start.eta, [0.0]])
+            branches[sign] = _run_branch(
+                wf, cs, lambda chart: _full_rhs_factory(wf, cs, chart), x0, start.chart,
+                DenseBranch(sign, decode), rtol, atol, tau_stop,
+                FULL_MAX_STEP_FRACTION * R)
 
-    ctx = {
-        "kind": "reduced" if reduced else "full",
-        "branches": branches,
-        "wf": wf,
-        "cs": cs,
-        "dim": cs.dim,
-        "fpd": fpd,
-        "log_fd": log_fd,
-        "log_fpd": log_fpd,
-        "y0": start.y.copy(),
-        "dir": start.wind_sign,
-        "scale": getattr(cs, "scale", 1.0),
-        "eta_comp": (start.wind_sign * getattr(cs, "scale", 1.0)
-                     * (math.exp(log_fd) if log_fd > -745 else 0.0)),
+    meta = {
+        "warp": wf.label,
+        "delta": delta,
+        "R": R,
+        "c_bound": cs.c_bound,
+        "rtol": rtol,
+        "atol": atol,
+        "tau_stop": tau_stop,
+        "path": "reduced" if reduced else "full",
     }
-    return _assemble(wf, cs, ctx, branches, step_times, delta, dense_nodes,
-                     rtol, atol, tau_stop)
+    traj = Trajectory(wf, cs, branches.get(1), branches.get(-1), delta, log_fd, fpd,
+                      start.wind_sign, meta)
+    parts = [np.linspace(traj.t_min, traj.t_max, dense_nodes), np.array([0.0])]
+    parts += [b.sign * b.ts for b in branches.values()]
+    traj._resample(np.unique(np.concatenate(parts)))
+
+    shell_drift = float(np.max(np.abs(traj.hamiltonian - 1.0)))
+    if shell_drift > SHELL_DRIFT_LIMIT:
+        raise IntegrationError(
+            f"unit-speed shell drift {shell_drift:.3g} exceeds {SHELL_DRIFT_LIMIT:g}"
+        )
+    meta["shell_drift"] = shell_drift
+    return traj
 
 
 def integrate_winding(wf, cs, delta, y0, v0, **kwargs) -> Trajectory:
     return integrate(wf, cs, launch_winding(wf, cs, delta, y0, v0), **kwargs)
 
 
-def _branch_times(branch: _Branch) -> np.ndarray:
-    # accepted-step times are not retained by solve_ivp's dense solution
-    # individually per leg, so sample each leg at its interpolant nodes
-    times = []
-    for leg in branch.legs:
-        ts = getattr(leg.sol, "ts", None)
-        if ts is not None:
-            times.append(np.asarray(ts))
-        else:
-            times.append(np.linspace(leg.t0, leg.t1, 64))
-    return np.unique(np.concatenate(times))
-
-
-def _radial_trajectory(wf, cs, start, direction, dense_nodes):
+def _radial_trajectory(wf, cs, start, signs, dense_nodes):
+    """A radial line r = r0 + t*sin(theta), from r = 0 or R to r = R or 0."""
     R = wf.domain_radius
     sgn = 1.0 if math.sin(start.theta) > 0 else -1.0
-    r0 = start.r
-    # forward/backward extents until r reaches R or 0
-    t_hi = (R - r0) / sgn if sgn > 0 else r0 / 1.0
-    t_lo = -(r0 if sgn > 0 else (R - r0))
-    if direction == "forward":
-        t_lo = 0.0
-    elif direction == "backward":
-        t_hi = 0.0
-    t = np.linspace(t_lo, t_hi, max(dense_nodes, 2))
-    r = np.clip(r0 + sgn * t, 0.0, R)
-    n = len(t)
-    dim = cs.dim
-    zeros = np.zeros(n)
-    rho = np.array([math.exp(wf.log_f(x)) if x > 0 else 0.0 for x in r])
-    ctx = {"kind": "radial", "branches": [], "r0": r0, "theta_sign": sgn,
-           "wf": wf, "cs": cs, "dim": dim, "fpd": 1.0}
-    return Trajectory(
-        t=t, r=r, theta=np.full(n, start.theta),
-        y=np.tile(start.y, (n, 1)), eta=np.zeros((n, dim)),
-        chart_ids=np.full(n, start.chart, dtype=int),
-        hamiltonian=np.ones(n), clairaut=zeros, clairaut_rel=zeros,
-        eta_norm=zeros, speed_Y=zeros, tau=zeros, tau_scaled=zeros,
-        rho=rho, u=zeros,
-        exit_events={"t_min": None, "t_exit_forward": t_hi if sgn > 0 else None,
-                     "t_exit_backward": None},
-        classification="radial", delta=None,
-        meta={"warp": wf.label, "radial": True}, ctx=ctx,
-    )
-
-
-def _assemble(wf, cs, ctx, branches, step_times, delta, dense_nodes, rtol, atol,
-              tau_stop):
-    t_min = min((-b.t_end if b.sign < 0 else 0.0) for b in branches)
-    t_max = max((b.t_end if b.sign > 0 else 0.0) for b in branches)
-    parts = [np.linspace(t_min, t_max, dense_nodes), np.array([0.0])]
-    for b, times in zip(branches, step_times):
-        parts.append(b.sign * times)
-    t_all = np.unique(np.concatenate(parts))
-    t_all = t_all[(t_all >= t_min - 1e-15) & (t_all <= t_max + 1e-15)]
-
-    n = len(t_all)
-    dim = ctx["dim"]
-    r = np.empty(n)
-    theta = np.empty(n)
-    y = np.empty((n, dim))
-    eta = np.empty((n, dim))
-    chart_ids = np.zeros(n, dtype=int)
-    tau_scaled = np.empty(n)
-
-    for b in branches:
-        mask = (t_all >= 0) if b.sign > 0 else (t_all < 0)
-        idxs = np.nonzero(mask)[0]
-        for i in idxs:
-            s = abs(t_all[i])
-            x, chart = b.eval(s)
-            sgn = 1.0 if t_all[i] >= 0 else -1.0
-            r[i] = x[0]
-            theta[i] = sgn * x[1]
-            chart_ids[i] = chart
-            if ctx["kind"] == "reduced":
-                tau_scaled[i] = sgn * x[2]
-                if ctx["fpd"] > 0.0:
-                    y[i, 0] = ctx["y0"][0] + ctx["dir"] * tau_scaled[i] / (
-                        ctx["fpd"] * ctx["scale"])
-                else:
-                    # the unwrapped angle overflows double range; only scaled
-                    # quantities are meaningful here
-                    y[i, 0] = math.nan
-                eta[i, 0] = ctx["eta_comp"]
-            else:
-                y[i] = x[2:2 + dim]
-                eta[i] = sgn * x[2 + dim:2 + 2 * dim]
-                tau_scaled[i] = sgn * x[-1] * ctx["fpd"]
-
-    fpd = ctx["fpd"]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if fpd > 0.0:
-            tau = tau_scaled / fpd
-        else:
-            tau = np.array([math.copysign(math.inf, v) if v != 0.0 else 0.0
-                            for v in tau_scaled])
-    log_fd = ctx["log_fd"]
-    log_f_r = np.array([wf.log_f(x) for x in r])
-    rho = np.where(log_f_r > -745, np.exp(np.maximum(log_f_r, -745)), 0.0)
-
-    if ctx["kind"] == "reduced":
-        with np.errstate(over="ignore"):
-            log_eta = np.full(n, log_fd)
-            eta_norm = np.where(log_eta > -745, np.exp(np.maximum(log_eta, -745)), 0.0)
-            ratio2 = np.exp(2.0 * (log_fd - log_f_r))
-            hamiltonian = np.sin(theta) ** 2 + ratio2
-            # conservation holds in the product f(r)*cos(theta), so take the
-            # log first: both factors can individually leave double range
-            clairaut_rel = np.expm1(
-                log_f_r - log_fd + np.log(np.maximum(np.cos(theta), 1e-300))
-            )
-            clairaut = rho * np.cos(theta)
-            speed_Y = np.exp(np.minimum(log_fd - 2.0 * log_f_r, 709.0))
-    else:
-        eta_norm = np.empty(n)
-        if _round_sphere(cs):
-            sp = np.sin(y[:, 0])
-            eta_norm = np.sqrt(eta[:, 0] ** 2 + (eta[:, 1] / sp) ** 2)
-        else:
-            for i in range(n):
-                eta_norm[i] = cs.eta_norm(r[i], y[i], eta[i], int(chart_ids[i]))
-        hamiltonian = np.sin(theta) ** 2 + (eta_norm / rho) ** 2
-        clairaut = rho * np.cos(theta)
-        clairaut_rel = clairaut / math.exp(log_fd) - 1.0
-        speed_Y = eta_norm / rho**2
-
-    shell_drift = float(np.max(np.abs(hamiltonian - 1.0)))
-    if shell_drift > SHELL_DRIFT_LIMIT:
-        raise IntegrationError(
-            f"unit-speed shell drift {shell_drift:.3g} exceeds {SHELL_DRIFT_LIMIT:g}"
-        )
-
-    u = np.empty(n)
-    for i in range(n):
-        sth = math.sin(theta[i])
-        la = log_f_r[i] + (math.log(abs(sth)) if abs(sth) > 0 else -math.inf)
-        if la <= -745:
-            u[i] = 0.0
-        else:
-            u[i] = math.copysign(wf.F(math.exp(la)), sth)
-
-    fwd = next((b for b in branches if b.sign > 0), None)
-    bwd = next((b for b in branches if b.sign < 0), None)
-    exit_events = {
-        "t_min": 0.0,
-        "t_exit_forward": fwd.t_end if (fwd and fwd.exited) else None,
-        "t_exit_backward": -bwd.t_end if (bwd and bwd.exited) else None,
-        "truncated_by_tau": any(b.stopped_by_tau for b in branches),
-    }
-    meta = {
-        "warp": wf.label,
-        "delta": delta,
-        "R": wf.domain_radius,
-        "c_bound": cs.c_bound,
-        "rtol": rtol,
-        "atol": atol,
-        "tau_stop": tau_stop,
-        "shell_drift": shell_drift,
-        "path": ctx["kind"],
-    }
-    return Trajectory(
-        t=t_all, r=r, theta=theta, y=y, eta=eta, chart_ids=chart_ids,
-        hamiltonian=hamiltonian, clairaut=clairaut, clairaut_rel=clairaut_rel,
-        eta_norm=eta_norm, speed_Y=speed_Y, tau=tau, tau_scaled=tau_scaled,
-        rho=rho, u=u, exit_events=exit_events, classification="winding",
-        delta=delta, meta=meta, ctx=ctx,
-    )
+    decode = _radial_decode(start)
+    branches = {}
+    for sign in signs:
+        slope = sign * sgn
+        branch = DenseBranch(sign, decode)
+        branch.add_leg([0.0, R - start.r if slope > 0 else start.r],
+                       [_Line(start.r, slope)], start.chart)
+        branch.exited = slope > 0
+        branches[sign] = branch
+    traj = Trajectory(wf, cs, branches.get(1), branches.get(-1), None, None, 1.0,
+                      start.wind_sign, {"warp": wf.label, "radial": True})
+    traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +681,7 @@ def classify(traj: Trajectory) -> str:
     """Radial iff eta vanishes (relative to f(r)) at every sample."""
     if len(traj.t) == 0:
         raise ValueError("empty trajectory")
-    if traj._ctx["kind"] == "reduced" and traj._ctx["log_fd"] <= -745:
+    if traj.log_fd is not None and traj.log_fd <= -745:
         # |eta| = f(delta) is positive but below double range; still winding
         return "winding"
     # floor applied after the multiply: the product underflows where rho = 0
@@ -727,22 +693,25 @@ def classify(traj: Trajectory) -> str:
     return "winding"
 
 
-def winding_length(traj: Trajectory) -> float:
-    """Total angular length: final tau minus initial tau, as integrated."""
-    if traj.classification != "winding":
-        raise ValueError("winding_length requires a winding trajectory")
+def _require_entry_to_exit(traj: Trajectory):
     if traj.exit_events.get("truncated_by_tau"):
         raise IntegrationError("trajectory truncated before exit; no full length")
     if traj.exit_events.get("t_exit_forward") is None or \
             traj.exit_events.get("t_exit_backward") is None:
         raise IntegrationError("trajectory does not span entry to exit")
+
+
+def winding_length(traj: Trajectory) -> float:
+    """Total angular length: final tau minus initial tau, as integrated."""
+    if traj.classification != "winding":
+        raise ValueError("winding_length requires a winding trajectory")
+    _require_entry_to_exit(traj)
     return float(traj.tau[-1] - traj.tau[0])
 
 
 def normalized_winding_length(traj: Trajectory) -> float:
     """f'(delta) times the winding length, finite even when the length is not."""
-    if traj.exit_events.get("truncated_by_tau"):
-        raise IntegrationError("trajectory truncated before exit; no full length")
+    _require_entry_to_exit(traj)
     return float(traj.tau_scaled[-1] - traj.tau_scaled[0])
 
 
@@ -750,8 +719,9 @@ def reparametrize_tau(traj: Trajectory, n: int = 512,
                       window: Optional[Tuple[float, float]] = None) -> Trajectory:
     """Resample a winding trajectory on a uniform tau grid.
 
-    The result carries ``eta_bar`` = eta / f(delta) and has ``tau`` as the
-    primary uniform coordinate; ``t`` holds the matching times.
+    The result carries ``eta_bar`` = eta / f(delta); its ``t`` holds the
+    times t_of_tau of the grid and every other array is sampled there, so
+    ``tau`` is uniform to the tolerance of the inversion.
     """
     if traj.classification != "winding":
         raise ValueError("reparametrize_tau requires a winding trajectory")
@@ -759,55 +729,16 @@ def reparametrize_tau(traj: Trajectory, n: int = 512,
     hi = traj.tau[-1] if window is None else window[1]
     lo = max(lo, float(traj.tau[0]))
     hi = min(hi, float(traj.tau[-1]))
-    taus = np.linspace(lo, hi, n)
-    ts = np.array([traj.t_of_tau(tv) for tv in taus])
-
-    dim = traj._ctx["dim"]
-    r = np.empty(n)
-    theta = np.empty(n)
-    y = np.empty((n, dim))
-    eta = np.empty((n, dim))
-    chart_ids = np.zeros(n, dtype=int)
-    for i, tv in enumerate(ts):
-        st = traj.state_at(tv)
-        r[i], theta[i], y[i], eta[i], chart_ids[i] = st.r, st.theta, st.y, st.eta, st.chart
-
-    wf = traj._ctx["wf"]
-    log_fd = traj._ctx["log_fd"]
-    fd = math.exp(log_fd) if log_fd > -745 else 0.0
-    if traj._ctx["kind"] == "reduced":
-        cs = traj._ctx["cs"]
-        eta_bar = np.full((n, 1), traj._ctx["dir"] * cs.scale)
-    else:
-        eta_bar = eta / fd
-    log_f_r = np.array([wf.log_f(x) for x in r])
-    rho = np.where(log_f_r > -745, np.exp(np.maximum(log_f_r, -745)), 0.0)
-
-    out = Trajectory(
-        t=ts, r=r, theta=theta, y=y, eta=eta, chart_ids=chart_ids,
-        hamiltonian=np.sin(theta) ** 2 + np.exp(2.0 * (log_fd - log_f_r))
-        if traj._ctx["kind"] == "reduced" else np.interp(ts, traj.t, traj.hamiltonian),
-        clairaut=rho * np.cos(theta),
-        clairaut_rel=np.exp(log_f_r - log_fd) * np.cos(theta) - 1.0
-        if traj._ctx["kind"] == "reduced" else np.interp(ts, traj.t, traj.clairaut_rel),
-        eta_norm=np.interp(ts, traj.t, traj.eta_norm),
-        speed_Y=np.interp(ts, traj.t, traj.speed_Y),
-        tau=taus, tau_scaled=taus * traj._ctx["fpd"], rho=rho,
-        u=np.interp(ts, traj.t, traj.u),
-        exit_events=dict(traj.exit_events),
-        classification="winding", delta=traj.delta,
-        meta={**traj.meta, "parametrization": "tau"}, ctx=traj._ctx,
-    )
-    out.eta_bar = eta_bar
+    out = copy.copy(traj)
+    out._resample(traj.t_of_tau(np.linspace(lo, hi, n)))
+    out.meta = {**traj.meta, "parametrization": "tau"}
+    out.eta_bar = out.eta / math.exp(traj.log_fd)
     return out
 
 
 def log_eta_rate(traj: Trajectory, i: int) -> float:
     """d/dt log|eta| at sample i, from the metric data (not finite differences)."""
-    cs = traj._ctx["cs"]
-    wf = traj._ctx["wf"]
-    if traj._ctx["kind"] == "reduced":
-        return 0.0
+    cs = traj.cs
     r, yv, ev, chart = traj.r[i], traj.y[i], traj.eta[i], int(traj.chart_ids[i])
     h = cs.metric(r, yv, chart)
     hinv = np.linalg.inv(h)

@@ -70,8 +70,8 @@ class WarpingFunction:
     d_log_f: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.domain_radius <= 0:
-            raise ValueError("domain_radius must be positive")
+        if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
+            raise ValueError("domain_radius must be finite and positive")
         if self.log_f is None:
             f = self.f
             object.__setattr__(self, "log_f", lambda x: math.log(f(x)))
@@ -143,12 +143,11 @@ def grid_concave(fn, lo: float, hi: float, n: int = 512, tol: float = 1e-10) -> 
 
 def make_power_warp(alpha: float, R: float = 1.5) -> WarpingFunction:
     """f(x) = x**alpha, the model conical (alpha=1) or cuspidal family."""
-    if alpha < 1.0:
+    if not (math.isfinite(alpha) and alpha >= 1.0):
         raise ValueError(
-            "alpha must be >= 1; use make_concave_sqrt_warp for the concave experiment"
+            "alpha must be finite and >= 1; use make_concave_sqrt_warp for the "
+            "concave experiment"
         )
-    if R <= 0:
-        raise ValueError("R must be positive")
     inv = 1.0 / alpha
     return WarpingFunction(
         domain_radius=R,

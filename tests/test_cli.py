@@ -75,6 +75,14 @@ class TestTrace:
         assert rows[0][0] == "t"
         assert len(rows) > 100
 
+    @pytest.mark.parametrize("flags", [("--warp", "power:nan"), ("--warp", "power:inf"),
+                                       ("--R", "nan"), ("--rtol", "-1"), ("--atol", "nan")])
+    def test_non_finite_or_negative_input_exits_2(self, tmp_path, capsys, flags):
+        code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.3",
+                           "--outdir", str(tmp_path), *flags)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_bad_delta_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "trace", "--warp", "power:1",
                            "--delta", "7.0", "--outdir", str(tmp_path))

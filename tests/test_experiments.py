@@ -11,7 +11,6 @@ from singular_geodesics.experiments import (
     limit_geodesic_test,
     run_bounds_campaign,
     run_comparison_campaign,
-    thread_count,
 )
 
 
@@ -169,13 +168,3 @@ class TestFigureData:
         with pytest.raises(ValueError):
             sg.figure1_data("plane")
 
-
-class TestThreadCount:
-    def test_env_cap(self, monkeypatch):
-        import os
-        monkeypatch.setenv("SG_THREADS", "2")
-        assert thread_count(8) == min(2, os.cpu_count() or 1)
-        monkeypatch.setenv("SG_THREADS", "not-a-number")
-        assert thread_count(1) == 1
-        monkeypatch.setenv("SG_THREADS", "1")
-        assert thread_count(64) == 1

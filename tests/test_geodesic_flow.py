@@ -1,8 +1,12 @@
+import bisect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import OdeSolution, quad
+from scipy.optimize import brentq
 
 import singular_geodesics as sg
 from singular_geodesics import IntegrationError
@@ -56,6 +60,37 @@ class TestTrajectory:
             flat_circle.eta_norm(st.r, st.y, st.eta) / cusp_warp.f(st.r)) ** 2
         assert h == pytest.approx(1.0, abs=1e-9)
 
+    def test_query_beyond_exit_raises(self, cusp_warp, flat_circle):
+        traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
+        with pytest.raises(ValueError, match="integrated span"):
+            traj.r_of_t(50.0)
+        with pytest.raises(ValueError, match="integrated span"):
+            traj.r_of_t(np.array([0.0, 50.0]))
+
+    def test_forward_only_rejects_negative_time(self, cusp_warp, flat_circle):
+        traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0],
+                                    direction="forward")
+        assert traj.r_of_t(0.5) > 0.2
+        with pytest.raises(ValueError, match="integrated span"):
+            traj.r_of_t(-0.5)
+
+    def test_backward_only_covers_lowest_point(self, cusp_warp, flat_circle):
+        traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0],
+                                    direction="backward")
+        assert traj.t[-1] == 0.0
+        assert traj.r[-1] == 0.2
+        assert traj.r_of_t(0.0) == 0.2
+        with pytest.raises(ValueError, match="integrated span"):
+            traj.r_of_t(0.5)
+
+    def test_scalar_in_scalar_out(self, cusp_warp, flat_circle):
+        traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
+        for query in (traj.r_of_t, traj.tau_of_t, traj.tau_scaled_of_t):
+            assert isinstance(query(0.3), float)
+            assert query(np.array([0.3, -0.3])).shape == (2,)
+        assert isinstance(traj.t_of_tau(0.5), float)
+        assert traj.t_of_tau(np.array([[0.5, -0.5]])).shape == (1, 2)
+
     def test_csv_and_metadata(self, cone_warp, flat_circle, tmp_path):
         traj = sg.integrate_winding(cone_warp, flat_circle, 0.3, [0.0], [1.0])
         path = tmp_path / "traj.csv"
@@ -104,6 +139,12 @@ class TestWindingLength:
         assert norm == pytest.approx(
             cusp_warp.f_prime(0.05) * sg.winding_length(traj), rel=1e-10)
 
+    def test_normalized_needs_both_exits(self, flat_circle):
+        traj = sg.integrate_winding(sg.make_power_warp(2.0), flat_circle, 0.2, [0.0],
+                                    [1.0], direction="forward")
+        with pytest.raises(IntegrationError, match="entry to exit"):
+            sg.normalized_winding_length(traj)
+
     def test_truncated_raises(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.1, [0.0], [1.0],
                                     tau_stop=0.5)
@@ -147,6 +188,9 @@ class TestDiagnostics:
         norm = sg.normalized_winding_length(traj)
         assert np.isfinite(norm)
         assert 2.0 < norm < math.pi + 0.5
+        # tau itself overflows, so it cannot be inverted
+        with pytest.raises(ValueError, match="available range"):
+            traj.t_of_tau(1.0)
 
 
 class TestVectorField:
@@ -160,3 +204,91 @@ class TestVectorField:
         assert dth == pytest.approx(fp_over_f * math.cos(0.4), rel=1e-12)
         # flat circle: eta is conserved along the flow
         assert np.allclose(deta, 0.0)
+
+
+def _scalar_loop(traj):
+    """Reference evaluation, one sample at a time: the last leg starting at
+    or before s = |t|, then scipy's OdeSolution of that leg at the scalar s."""
+    rows = []
+    for t in traj.t:
+        b = traj.forward if t >= 0 else traj.backward
+        s = abs(float(t))
+        starts = list(b.leg_starts) + [len(b.interpolants)]
+        leg = bisect.bisect_right([b.ts[k] for k in starts[:-1]], s) - 1
+        lo, hi = starts[leg], starts[leg + 1]
+        x = OdeSolution(b.ts[lo:hi + 1], b.interpolants[lo:hi])(s)
+        rows.append(b.decode(x[:, None], b.charts[lo:lo + 1], b.sign))
+    return [np.concatenate(col) for col in zip(*rows)]
+
+
+class TestDenseEvaluation:
+    @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "perturbed_sphere"])
+    def test_array_matches_scalar_loop(self, case):
+        wf = sg.make_power_warp(2.0)
+        if case == "reduced":
+            cs, y0, v0 = sg.circle_section(2 * math.pi), [0.3], [1.0]
+        elif case == "perturbed_circle":
+            cs, y0, v0 = sg.circle_section(2 * math.pi, (0.08, None)), [0.3], [1.0]
+        else:
+            cs = sg.sphere_section((0.05, None))
+            y0, v0 = [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]
+        traj = sg.integrate_winding(wf, cs, 0.1, y0, v0, dense_nodes=256)
+        if case == "perturbed_sphere":
+            assert set(traj.chart_ids.tolist()) == {0, 1}
+            assert len(traj.forward.leg_starts) > 1
+        r, theta, y, eta, chart, tau_scaled = _scalar_loop(traj)
+        assert np.array_equal(traj.r, r)
+        assert np.array_equal(traj.theta, theta)
+        assert np.array_equal(traj.y, y)
+        assert np.array_equal(traj.eta, eta)
+        assert np.array_equal(traj.chart_ids, chart)
+        assert np.array_equal(traj.tau_scaled, tau_scaled)
+        assert np.array_equal(traj.r_of_t(traj.t), r)
+        assert [traj.r_of_t(t) for t in traj.t[::37]] == list(r[::37])
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.floats(1.0, 3.0), delta=st.floats(0.03, 0.5),
+           fractions=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4))
+    def test_radius_matches_time_quadrature(self, alpha, delta, fractions):
+        # |t| = int_delta^r dr / sqrt(1 - (f(delta)/f(r))^2) for f = r^alpha,
+        # with r = delta + s^2 removing the endpoint singularity
+        R = 1.5
+        wf = sg.make_power_warp(alpha, R=R)
+        traj = sg.integrate_winding(wf, sg.circle_section(2 * math.pi), delta,
+                                    [0.0], [1.0], dense_nodes=64)
+
+        def time_to(r):
+            def integrand(s):
+                return 2.0 * s / math.sqrt(-math.expm1(-2.0 * alpha * math.log1p(s * s / delta)))
+            return quad(integrand, 0.0, math.sqrt(r - delta), epsabs=1e-14, epsrel=1e-13,
+                        limit=200)[0]
+
+        t_exit = traj.exit_events["t_exit_forward"]
+        ts = np.array([sign * fr * t_exit for fr in fractions for sign in (1.0, -1.0)])
+        expected = np.array([delta if t == 0.0 else
+                             brentq(lambda r: time_to(r) - abs(t), delta, R, xtol=1e-14)
+                             for t in ts])
+        assert np.max(np.abs(traj.r_of_t(ts) - expected)) < 1e-8
+        assert max(abs(traj.r_of_t(t) - e) for t, e in zip(ts, expected)) < 1e-8
+
+
+class TestStepBound:
+    @pytest.mark.parametrize("case", ["perturbed_circle", "perturbed_sphere"])
+    def test_trial_stages_stay_in_domain(self, case):
+        # both inputs once raised "r=1.87... outside (0, R)" from a trial stage
+        if case == "perturbed_circle":
+            wf = sg.make_power_warp(2.2225985511992663)
+            cs = sg.circle_section(2 * math.pi, (0.06, None), 1.5)
+            delta, y0, v0 = 0.05004512407958504, [5.3771830937406575], [1.0]
+        else:
+            wf = sg.make_power_warp(2.297884890634525)
+            cs = sg.sphere_section((0.05, None), 1.5)
+            delta = 0.054695143352470395
+            y0 = [math.pi / 2, 3.377491565096624]
+            v0 = [-0.2607924512447339, 0.9653948919347787]
+        traj = sg.integrate_winding(wf, cs, delta, y0, v0, rtol=1e-9, dense_nodes=256)
+        assert traj.exit_events["t_exit_forward"] is not None
+        assert traj.exit_events["t_exit_backward"] is not None
+        assert traj.r[0] == pytest.approx(1.5, abs=1e-9)
+        assert traj.r[-1] == pytest.approx(1.5, abs=1e-9)
+        assert traj.meta["shell_drift"] < 1e-8
