@@ -1,9 +1,13 @@
 """Cross-section metric families h_r on the link Y of the singularity.
 
 Supported links: a circle of prescribed circumference and the round unit
-2-sphere, each optionally deformed by a conformal factor (1 + a*w(r, y))^2.
-The factor is defined through the embedding of Y (angle for the circle,
-unit vector for the sphere) so that its value does not depend on the chart.
+2-sphere, each optionally deformed by a conformal factor, so every section is
+h_r = q(r, y)^2 h0(y) with q = 1 + a*w(r, y) and a diagonal h0.  A section
+exposes q with its partials (``conformal``) and the diagonal of h0 with its
+derivative (``h0_diagonal``); ``cometric`` turns them into everything the
+geodesic flow needs.  The factor is defined through the embedding of Y
+(angle for the circle, unit vector for the sphere) so that its value does not
+depend on the chart.
 """
 from __future__ import annotations
 
@@ -13,6 +17,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from .errors import IntegrationError
 
 __all__ = [
     "CircleShape",
@@ -154,7 +160,9 @@ CHART_BAND_HI = 3.0 * math.pi / 4.0
 
 
 class CrossSection:
-    """Common interface: r-dependent metric matrices on Y plus chart data.
+    """Common interface: a conformal metric h_r = q(r, y)^2 h0(y) on Y with a
+    diagonal h0, given as ``conformal`` (q, q_r, q_y) and ``h0_diagonal``,
+    plus chart data.
 
     Coordinates are stored unwrapped (cumulative angles); wrapping happens
     inside trigonometric evaluation only, so winding counts read directly.
@@ -166,43 +174,45 @@ class CrossSection:
     domain_radius: float
     amplitude: float
 
-    # -- conformal factor ---------------------------------------------------
-
-    def conformal(self, r: float, y: np.ndarray, chart: int = 0):
-        """Return (1 + a*w, d_r of it, d_y of it as an array)."""
+    def conformal(self, r: float, y, chart: int = 0):
+        """Return (q, d_r q, d_y q as a sequence) with q = 1 + a*w."""
         raise NotImplementedError
 
-    def round_metric(self, y: np.ndarray, chart: int = 0) -> np.ndarray:
+    def h0_diagonal(self, y):
+        """Diagonal of h0 at y and its derivative in y[0]; h0 depends on no
+        other coordinate and is the same in every chart."""
         raise NotImplementedError
-
-    def d_y_round_metric(self, y: np.ndarray, k: int, chart: int = 0) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- spec'd matrix accessors --------------------------------------------
 
     def metric(self, r: float, y, chart: int = 0) -> np.ndarray:
+        """The matrix of h_r at y."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         q, _, _ = self.conformal(r, y, chart)
-        return q * q * self.round_metric(y, chart)
+        return q * q * np.diag(self.h0_diagonal(y)[0])
 
-    def d_r_metric(self, r: float, y, chart: int = 0) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        q, dq_r, _ = self.conformal(r, y, chart)
-        return 2.0 * q * dq_r * self.round_metric(y, chart)
+    def cometric(self, r: float, y, eta, chart: int = 0):
+        """(sharp, |eta|^2, q_r/q, force) of a covector ``eta`` at (r, y).
 
-    def d_y_metric(self, r: float, y, k: int, chart: int = 0) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        q, _, dq_y = self.conformal(r, y, chart)
-        h0 = self.round_metric(y, chart)
-        return 2.0 * q * dq_y[k] * h0 + q * q * self.d_y_round_metric(y, k, chart)
-
-    # -- helpers ------------------------------------------------------------
+        sharp = h^-1 eta and force_k = sharp . d_k h . sharp / 2, which for
+        h = q^2 h0 reads (q_k/q)|eta|^2 + q^2/2 sum_j d_k h0_j sharp_j^2.
+        ``y`` and ``eta`` are sequences of length ``dim``; float lists are
+        the fast case.
+        """
+        q, q_r, q_y = self.conformal(r, y, chart)
+        h0, dh0 = self.h0_diagonal(y)
+        q2 = q * q
+        sharp = []
+        norm2 = bend = 0.0
+        for e, h, d in zip(eta, h0, dh0):
+            s = e / (q2 * h)
+            sharp.append(s)
+            norm2 += e * s
+            bend += d * s * s
+        force = [qk / q * norm2 for qk in q_y]
+        force[0] += 0.5 * q2 * bend
+        return sharp, norm2, q_r / q, force
 
     def eta_norm(self, r: float, y, eta, chart: int = 0) -> float:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        hinv = np.linalg.inv(self.metric(r, y, chart))
-        return math.sqrt(max(float(eta @ hinv @ eta), 0.0))
+        return math.sqrt(self.cometric(r, np.atleast_1d(y), np.atleast_1d(eta), chart)[1])
 
     def h0_distance(self, y1, y2) -> float:
         raise NotImplementedError
@@ -223,8 +233,8 @@ class CircleSection(CrossSection):
         shape: Optional[CircleShape] = None,
         domain_radius: float = 1.5,
     ):
-        if circumference <= 0:
-            raise ValueError("circumference must be positive")
+        if not (math.isfinite(circumference) and circumference > 0):
+            raise ValueError("circumference must be finite and positive")
         if amplitude != 0.0 and shape is None:
             shape = default_circle_shape
         self.dim = 1
@@ -259,20 +269,13 @@ class CircleSection(CrossSection):
 
     def conformal(self, r, y, chart=0):
         if self.amplitude == 0.0 or self.shape is None:
-            return 1.0, 0.0, np.zeros(1)
+            return 1.0, 0.0, (0.0,)
         phi = float(y[0])
         a, w = self.amplitude, self.shape
-        return (
-            1.0 + a * w.value(r, phi),
-            a * w.d_r(r, phi),
-            np.array([a * w.d_phi(r, phi)]),
-        )
+        return 1.0 + a * w.value(r, phi), a * w.d_r(r, phi), (a * w.d_phi(r, phi),)
 
-    def round_metric(self, y, chart=0):
-        return np.array([[self.scale * self.scale]])
-
-    def d_y_round_metric(self, y, k, chart=0):
-        return np.zeros((1, 1))
+    def h0_diagonal(self, y):
+        return (self.scale * self.scale,), (0.0,)
 
     def h0_distance(self, y1, y2) -> float:
         d = abs(float(np.atleast_1d(y1)[0]) - float(np.atleast_1d(y2)[0]))
@@ -330,23 +333,17 @@ class SphereSection(CrossSection):
 
     def conformal(self, r, y, chart=0):
         if self.amplitude == 0.0 or self.shape is None:
-            return 1.0, 0.0, np.zeros(2)
+            return 1.0, 0.0, (0.0, 0.0)
         a, w = self.amplitude, self.shape
         psi, phi = float(y[0]), float(y[1])
         n = chart_point(chart, psi, phi)
         J = chart_jacobian(chart, psi, phi)
         g = w.grad(r, n)
-        return 1.0 + a * w.value(r, n), a * w.d_r(r, n), a * (g @ J)
+        return 1.0 + a * w.value(r, n), a * w.d_r(r, n), (a * (g @ J)).tolist()
 
-    def round_metric(self, y, chart=0):
-        sp = math.sin(float(y[0]))
-        return np.array([[1.0, 0.0], [0.0, sp * sp]])
-
-    def d_y_round_metric(self, y, k, chart=0):
-        if k == 1:
-            return np.zeros((2, 2))
-        psi = float(y[0])
-        return np.array([[0.0, 0.0], [0.0, 2.0 * math.sin(psi) * math.cos(psi)]])
+    def h0_diagonal(self, y):
+        sp, cp = math.sin(y[0]), math.cos(y[0])
+        return (1.0, sp * sp), (0.0, 2.0 * sp * cp)
 
     def embed(self, y, chart: int = 0) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -414,18 +411,12 @@ def _numeric_base_geodesic(cs: CrossSection, y0: np.ndarray, v0: np.ndarray, tau
     """Hamiltonian integration of the unit-speed geodesic of h_0 = h(0, .)."""
     dim = cs.dim
     chart = 0
-    h0 = cs.metric(0.0, y0, chart)
-    p = h0 @ v0
+    p = cs.metric(0.0, y0, chart) @ v0
 
     def rhs(_, state, ch):
-        y, pp = state[:dim], state[dim:]
-        hinv = np.linalg.inv(cs.metric(0.0, y, ch))
-        dy = hinv @ pp
-        dp = np.empty(dim)
-        for k in range(dim):
-            dh = cs.d_y_metric(0.0, y, k, ch)
-            dp[k] = 0.5 * float(dy @ dh @ dy)
-        return np.concatenate([dy, dp])
+        y_p = state.tolist()
+        sharp, _, _, force = cs.cometric(0.0, y_p[:dim], y_p[dim:], ch)
+        return sharp + force
 
     t0 = 0.0
     state = np.concatenate([np.asarray(y0, dtype=float), p])
@@ -444,7 +435,7 @@ def _numeric_base_geodesic(cs: CrossSection, y0: np.ndarray, v0: np.ndarray, tau
             dense_output=False,
         )
         if not sol.success:
-            raise RuntimeError(f"reference geodesic integration failed: {sol.message}")
+            raise IntegrationError(f"reference geodesic integration failed: {sol.message}")
         state = sol.y[:, -1]
         remaining -= abs(sol.t[-1] - t0)
         t0 = sol.t[-1]
@@ -485,9 +476,7 @@ def base_geodesic(cs: CrossSection, y0, v0, tau: float):
 
 
 def mean_curvature_scalar(cs: CrossSection, wf, r: float, y, chart: int = 0) -> float:
-    """Scalar mean curvature of the level {r} x Y inside the warped space."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    h = cs.metric(r, y, chart)
-    dh = cs.d_r_metric(r, y, chart)
-    trace = float(np.trace(np.linalg.solve(h, dh)))
-    return -cs.dim * wf.f_prime(r) / wf.f(r) - 0.5 * trace
+    """Scalar mean curvature of the level {r} x Y inside the warped space,
+    -dim (f'/f + q_r/q) since h_r^-1 d_r h_r = 2 q_r/q."""
+    q, q_r, _ = cs.conformal(r, np.atleast_1d(y), chart)
+    return -cs.dim * (wf.f_prime(r) / wf.f(r) + q_r / q)

@@ -3,9 +3,11 @@
 State variables are (r, theta, y, eta) with sin(theta) = rdot; the flow is
 
     rdot     = sin(theta)
-    thetadot = (f'/f - d_r|eta|/|eta|) cos(theta)
+    thetadot = (f'/f + q_r/q) cos(theta)
     ydot     = eta^sharp / f^2
     etadot   = sharp^T (d_y h) sharp / (2 f^2)
+
+for h_r = q^2 h0 (see ``CrossSection.cometric``).
 
 Two systems share one trajectory representation: a reduced 3-state system in
 (r, theta, tau) for unperturbed circle sections, evaluated in log space so
@@ -30,6 +32,9 @@ from .cross_sections import (
     CircleSection,
     CrossSection,
     SphereSection,
+    chart_jacobian,
+    chart_point,
+    point_to_chart,
     switch_chart,
 )
 from .errors import IntegrationError
@@ -77,48 +82,42 @@ def launch_winding(
     """State at the lowest point of a winding geodesic: t=0, r=delta, theta=0.
 
     eta is the h_delta-dual of f(delta) times the normalized direction, so
-    |eta| = f(delta) and the unit-speed shell holds by construction.
+    |eta| = f(delta) and the unit-speed shell holds by construction.  On the
+    sphere ``y0`` and ``v0`` are chart-0 data; a start outside chart 0's band
+    (near its poles, where h degenerates) is moved to chart 1.
     """
     if not 0.0 < delta < wf.domain_radius:
         raise ValueError(f"delta={delta:g} outside (0, R={wf.domain_radius:g})")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    h = cs.metric(delta, y0, 0)
+    if not y0.shape == v0.shape == (cs.dim,):
+        raise ValueError(f"y0 and v0 need {cs.dim} components each")
+    if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(v0))):
+        raise ValueError("y0 and v0 must be finite")
+    chart = 0
+    if isinstance(cs, SphereSection) and not CHART_BAND_LO <= y0[0] <= CHART_BAND_HI:
+        chart = 1
+        V = chart_jacobian(0, y0[0], y0[1]) @ v0
+        y0 = np.array(point_to_chart(chart, chart_point(0, y0[0], y0[1])))
+        J = chart_jacobian(chart, y0[0], y0[1])
+        v0 = np.array([J[:, 0] @ V, J[:, 1] @ V / math.sin(y0[0]) ** 2])
+    h = cs.metric(delta, y0, chart)
     norm = math.sqrt(float(v0 @ h @ v0))
     if norm == 0.0:
         raise ValueError("v0 must be nonzero")
     fd = math.exp(wf.log_f(delta)) if wf.log_f(delta) > -745 else 0.0
     eta = (fd / norm) * (h @ v0)
     sign = 1 if (v0[-1] >= 0 or cs.dim > 1) else -1
-    return GeodesicState(t=0.0, r=delta, theta=0.0, y=y0, eta=eta, wind_sign=sign)
+    return GeodesicState(t=0.0, r=delta, theta=0.0, y=y0, eta=eta, chart=chart,
+                         wind_sign=sign)
 
 
 def vector_field(wf: WarpingFunction, cs: CrossSection, state: GeodesicState):
     """(dr, dtheta, dy, deta) of the lifted flow at a phase-space point."""
-    r, th = state.r, state.theta
-    # adaptive steppers probe trial points slightly past the exit event, so
-    # tolerate a margin beyond R before declaring the state out of domain
-    if not 0.0 < r <= 1.25 * wf.domain_radius:
-        raise IntegrationError(f"r={r:g} outside (0, R)")
-    h = cs.metric(r, state.y, state.chart)
-    hinv = np.linalg.inv(h)
-    sharp = hinv @ state.eta
-    norm2 = float(state.eta @ sharp)
-    f = wf.f(r)
-    dlf = wf.d_log_f(r)
-    if norm2 <= 0.0:
-        pert = 0.0
-    else:
-        dh = cs.d_r_metric(r, state.y, state.chart)
-        pert = -float(sharp @ dh @ sharp) / (2.0 * norm2)
-    dr = math.sin(th)
-    dth = (dlf - pert) * math.cos(th)
-    dy = sharp / (f * f)
-    deta = np.empty(cs.dim)
-    for k in range(cs.dim):
-        dhk = cs.d_y_metric(r, state.y, k, state.chart)
-        deta[k] = float(sharp @ dhk @ sharp) / (2.0 * f * f)
-    return dr, dth, dy, deta
+    dim = cs.dim
+    x = np.concatenate([[state.r, state.theta], state.y, state.eta, [0.0]])
+    dx = _full_rhs(wf, cs, state.chart)(state.t, x)
+    return dx[0], dx[1], np.array(dx[2:2 + dim]), np.array(dx[2 + dim:2 + 2 * dim])
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +398,8 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
             clairaut = rho * np.cos(theta)
             speed_Y = np.exp(np.minimum(log_fd - 2.0 * log_f_r, 709.0))
     else:
-        if _round_sphere(cs):
-            sp = np.sin(y[:, 0])
-            eta_norm = np.sqrt(eta[:, 0] ** 2 + (eta[:, 1] / sp) ** 2)
-        else:
-            eta_norm = np.array([cs.eta_norm(r[i], y[i], eta[i], int(chart_ids[i]))
-                                 for i in range(n)])
+        eta_norm = np.sqrt([cs.cometric(*row)[1] for row in zip(
+            r.tolist(), y.tolist(), eta.tolist(), chart_ids.tolist())])
         hamiltonian = np.sin(theta) ** 2 + (eta_norm / rho) ** 2
         clairaut = rho * np.cos(theta)
         clairaut_rel = clairaut / math.exp(log_fd) - 1.0
@@ -426,10 +421,6 @@ def _is_reduced(cs: CrossSection) -> bool:
     return isinstance(cs, CircleSection) and cs.amplitude == 0.0
 
 
-def _round_sphere(cs: CrossSection) -> bool:
-    return isinstance(cs, SphereSection) and cs.amplitude == 0.0
-
-
 def _first_step(wf: WarpingFunction, r0: float) -> float:
     return min(1e-3, 0.1 / max(wf.d_log_f(r0), 1.0))
 
@@ -445,35 +436,24 @@ def _reduced_rhs(wf, log_fd, log_fpd):
     return rhs
 
 
-def _full_rhs_factory(wf, cs, chart):
+def _full_rhs(wf, cs, chart):
+    """Right-hand side of the full system in (r, theta, y, eta, tau)."""
     dim = cs.dim
-    if _round_sphere(cs):
-        def rhs(_, s):
-            r, th, psi = s[0], s[1], s[2]
-            ep, ef = s[4], s[5]
-            f = wf.f(r)
-            f2 = f * f
-            sp = math.sin(psi)
-            cp = math.cos(psi)
-            inv_sp2 = 1.0 / (sp * sp)
-            norm2 = ep * ep + ef * ef * inv_sp2
-            return [
-                math.sin(th),
-                wf.d_log_f(r) * math.cos(th),
-                ep / f2,
-                ef * inv_sp2 / f2,
-                ef * ef * cp * inv_sp2 / (sp * f2),
-                0.0,
-                math.sqrt(norm2) / f2,
-            ]
-        return rhs
+    r_max = 1.25 * wf.domain_radius
 
     def rhs(_, s):
-        state = GeodesicState(0.0, s[0], s[1], s[2:2 + dim], s[2 + dim:2 + 2 * dim],
-                              chart=chart)
-        dr, dth, dy, deta = vector_field(wf, cs, state)
-        dtau = cs.eta_norm(s[0], state.y, state.eta, chart) / wf.f(s[0]) ** 2
-        return [dr, dth, *dy, *deta, dtau]
+        x = s.tolist()
+        r, th = x[0], x[1]
+        # adaptive steppers probe trial points slightly past the exit event,
+        # so tolerate a margin beyond R before declaring the state out of domain
+        if not 0.0 < r <= r_max:
+            raise IntegrationError(f"r={r:g} outside (0, R)")
+        sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + dim], x[2 + dim:2 + 2 * dim],
+                                                chart)
+        f = wf.f(r)
+        f2 = f * f
+        return [math.sin(th), (wf.d_log_f(r) + qr_q) * math.cos(th),
+                *[v / f2 for v in sharp + force], math.sqrt(norm2) / f2]
 
     return rhs
 
@@ -621,7 +601,7 @@ def integrate(
             x0 = np.concatenate([[start.r, sign * start.theta], start.y,
                                  sign * start.eta, [0.0]])
             branches[sign] = _run_branch(
-                wf, cs, lambda chart: _full_rhs_factory(wf, cs, chart), x0, start.chart,
+                wf, cs, lambda chart: _full_rhs(wf, cs, chart), x0, start.chart,
                 DenseBranch(sign, decode), rtol, atol, tau_stop,
                 FULL_MAX_STEP_FRACTION * R)
 
@@ -737,14 +717,7 @@ def reparametrize_tau(traj: Trajectory, n: int = 512,
 
 
 def log_eta_rate(traj: Trajectory, i: int) -> float:
-    """d/dt log|eta| at sample i, from the metric data (not finite differences)."""
-    cs = traj.cs
-    r, yv, ev, chart = traj.r[i], traj.y[i], traj.eta[i], int(traj.chart_ids[i])
-    h = cs.metric(r, yv, chart)
-    hinv = np.linalg.inv(h)
-    sharp = hinv @ ev
-    norm2 = float(ev @ sharp)
-    if norm2 == 0.0:
-        return 0.0
-    dh = cs.d_r_metric(r, yv, chart)
-    return -math.sin(traj.theta[i]) * float(sharp @ dh @ sharp) / (2.0 * norm2)
+    """d/dt log|eta| = -sin(theta) q_r/q at sample i, from the metric data
+    (not finite differences)."""
+    qr_q = traj.cs.cometric(traj.r[i], traj.y[i], traj.eta[i], int(traj.chart_ids[i]))[2]
+    return -math.sin(traj.theta[i]) * qr_q

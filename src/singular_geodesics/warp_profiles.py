@@ -182,8 +182,8 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
     """
     if family == "log_power":
         mu = param
-        if mu <= 1.0:
-            raise ValueError("log_power requires mu > 1")
+        if not (math.isfinite(mu) and mu > 1.0):
+            raise ValueError("log_power requires a finite mu > 1")
         r_max = _logpow_max_R(mu)
         if R is None:
             R = 0.9 * r_max
@@ -220,8 +220,8 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         )
     if family == "exp_inverse_power":
         beta = param
-        if beta <= 0.0:
-            raise ValueError("exp_inverse_power requires beta > 0")
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError("exp_inverse_power requires a finite beta > 0")
         r_max = _expinv_max_R(beta)
         if R is None:
             R = r_max

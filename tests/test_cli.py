@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from singular_geodesics.cli import RunConfig, main
+from singular_geodesics.experiments import closed_form_winding_length
+from singular_geodesics.warp_profiles import make_power_warp
 
 
 def run(capsys, *argv):
@@ -76,12 +78,38 @@ class TestTrace:
         assert len(rows) > 100
 
     @pytest.mark.parametrize("flags", [("--warp", "power:nan"), ("--warp", "power:inf"),
-                                       ("--R", "nan"), ("--rtol", "-1"), ("--atol", "nan")])
+                                       ("--R", "nan"), ("--rtol", "-1"), ("--atol", "nan"),
+                                       ("--y0", "nan"), ("--v0", "nan"),
+                                       ("--section", "circle:nan"), ("--warp", "expinv:nan"),
+                                       ("--warp", "logpow:nan")])
     def test_non_finite_or_negative_input_exits_2(self, tmp_path, capsys, flags):
         code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.3",
                            "--outdir", str(tmp_path), *flags)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flags", [("--section", "sphere"),
+                                       ("--section", "sphere", "--y0", "1.5", "--v0", "1,0"),
+                                       ("--y0", "0,1")])
+    def test_wrong_dimension_exits_2(self, tmp_path, capsys, flags):
+        # the default y0 and v0 have one component, a sphere point needs two
+        code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.3",
+                           "--outdir", str(tmp_path), *flags)
+        assert code == 2
+        assert "components" in err
+
+    @pytest.mark.parametrize("section", ["sphere", "sphere:pert=0.05"])
+    def test_sphere_launch_at_pole(self, tmp_path, capsys, section):
+        # chart 0 degenerates at its pole; the launch must start in chart 1
+        code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.1",
+                           "--section", section, "--y0", "0,0", "--v0", "1,0",
+                           "--outdir", str(tmp_path))
+        assert code == 0, err
+        if section == "sphere":
+            meta = json.loads((tmp_path / "trace.json").read_text())
+            assert meta["max_shell_residual"] < 1e-6
+            expected = closed_form_winding_length(make_power_warp(2.0), 0.1)
+            assert meta["winding_length"] == pytest.approx(expected, rel=1e-6)
 
     def test_bad_delta_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "trace", "--warp", "power:1",

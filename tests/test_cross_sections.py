@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import singular_geodesics as sg
+from singular_geodesics import IntegrationError, cross_sections
 from singular_geodesics.cross_sections import (
     chart_jacobian,
     chart_point,
@@ -134,6 +136,68 @@ class TestBaseGeodesic:
         b = sg.base_geodesic(cs_ref, y0, v0, tau)
         assert cs_ref.h0_distance(a, b) == pytest.approx(0.0, abs=1e-7)
 
+    def test_numeric_failure_raises_integration_error(self, monkeypatch):
+        def failed(*args, **kwargs):
+            return SimpleNamespace(success=False, message="forced failure")
+        monkeypatch.setattr(cross_sections, "solve_ivp", failed)
+        cs = sg.sphere_section(perturbation=(0.1, static_sphere_bump))
+        with pytest.raises(IntegrationError, match="forced failure"):
+            sg.base_geodesic(cs, [math.pi / 2, 0.0], [0.3, math.sqrt(1 - 0.09)], 1.0)
+
+
+def _h0_matrix(cs, y):
+    """h0 as a matrix and its partials d_k h0, written out per section."""
+    if cs.dim == 1:
+        return np.array([[cs.scale ** 2]]), [np.zeros((1, 1))]
+    sp, cp = math.sin(y[0]), math.cos(y[0])
+    return np.diag([1.0, sp * sp]), [np.diag([0.0, 2.0 * sp * cp]), np.zeros((2, 2))]
+
+
+def _dense_oracle(cs, r, y, eta, chart):
+    """sharp, |eta|^2, q_r/q and force from h = q^2 h0 as a matrix, its
+    inverse and the analytic partials d_k h = 2 q q_k h0 + q^2 d_k h0."""
+    q, q_r, q_y = cs.conformal(r, y, chart)
+    h0, dh0 = _h0_matrix(cs, y)
+    sharp = np.linalg.inv(q * q * h0) @ eta
+    norm2 = float(eta @ sharp)
+    d_r = 2.0 * q * q_r * h0
+    force = [0.5 * sharp @ (2.0 * q * q_y[k] * h0 + q * q * dh0[k]) @ sharp
+             for k in range(cs.dim)]
+    return sharp, norm2, float(sharp @ d_r @ sharp) / (2.0 * norm2), np.array(force)
+
+
+_KERNEL_SECTIONS = {
+    "perturbed_circle": sg.circle_section(3.0, (0.1, None)),
+    "round_sphere": sg.sphere_section(),
+    "perturbed_sphere": sg.sphere_section((0.05, None)),
+    "static_bump": sg.sphere_section((0.1, static_sphere_bump)),
+}
+
+
+class TestCometric:
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SECTIONS))
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.0, 1.5, allow_subnormal=False), psi=st.floats(0.2, math.pi - 0.2),
+           phi=st.floats(-7.0, 7.0, allow_subnormal=False), chart=st.integers(0, 1),
+           eta=st.lists(st.floats(0.01, 3.0) | st.floats(-3.0, -0.01),
+                        min_size=2, max_size=2))
+    def test_matches_dense_matrix_formula(self, name, r, psi, phi, chart, eta):
+        cs = _KERNEL_SECTIONS[name]
+        if cs.dim == 1:
+            y, eta, chart = np.array([phi]), np.array(eta[:1]), 0
+        else:
+            y, eta = np.array([psi, phi]), np.array(eta)
+        sharp, norm2, qr_q, force = cs.cometric(r, y.tolist(), eta.tolist(), chart)
+        ref_sharp, ref_norm2, ref_qr_q, ref_force = _dense_oracle(cs, r, y, eta, chart)
+        assert np.allclose(sharp, ref_sharp, rtol=1e-13, atol=0.0)
+        assert norm2 == pytest.approx(ref_norm2, rel=1e-13)
+        assert cs.eta_norm(r, y, eta, chart) == pytest.approx(math.sqrt(ref_norm2), rel=1e-13)
+        assert qr_q == pytest.approx(ref_qr_q, rel=1e-13)
+        # the two force terms may cancel; measure the error against their size,
+        # and only absolutely once it falls below the smallest normal double
+        scale = np.abs(ref_force).max() + norm2 * max(abs(v) for v in cs.conformal(r, y, chart)[2])
+        assert np.max(np.abs(np.array(force) - ref_force)) <= 1e-13 * scale + np.finfo(float).tiny
+
 
 class TestParseSectionSpec:
     def test_specs(self):
@@ -165,3 +229,15 @@ class TestMeanCurvature:
         h_cusp = sg.mean_curvature_scalar(flat_circle, cusp_warp, 0.1, [0.0])
         h_cone = sg.mean_curvature_scalar(flat_circle, sg.make_power_warp(1.0), 0.1, [0.0])
         assert h_cusp < h_cone < 0.0
+
+    def test_perturbed_matches_metric_trace(self, cusp_warp):
+        # old formula: -dim f'/f - trace(h^-1 d_r h) / 2
+        for cs, y in ((sg.circle_section(3.0, (0.1, None)), [0.7]),
+                      (sg.sphere_section((0.05, None)), [1.1, 0.4])):
+            for r in (0.2, 0.9):
+                q, q_r, _ = cs.conformal(r, y)
+                h0, _ = _h0_matrix(cs, y)
+                trace = np.trace(np.linalg.inv(q * q * h0) @ (2.0 * q * q_r * h0))
+                expected = -cs.dim * cusp_warp.f_prime(r) / cusp_warp.f(r) - 0.5 * trace
+                assert sg.mean_curvature_scalar(cs, cusp_warp, r, y) == \
+                    pytest.approx(expected, rel=1e-13)
