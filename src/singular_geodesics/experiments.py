@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .cross_sections import (
-    CircleSection,
     CrossSection,
     SphereSection,
     base_geodesic,
@@ -32,7 +31,6 @@ from .warp_profiles import (
     WarpKind,
     compute_Cf,
     make_power_warp,
-    profile_to_warp,
 )
 
 __all__ = [

@@ -52,16 +52,9 @@ def load_profile_csv(path: str, z_max: Optional[float] = None,
         raise ValueError(f"{path}: s column must be strictly increasing")
 
     interp = PchipInterpolator(z, s, extrapolate=False)
-    deriv = interp.derivative()
     top = float(z[-1]) if z_max is None else min(z_max, float(z[-1]))
-
-    def s_fn(zz: float) -> float:
-        return float(interp(min(max(zz, 0.0), z[-1])))
-
-    def sp_fn(zz: float) -> float:
-        return float(deriv(min(max(zz, 0.0), z[-1])))
-
-    return profile_to_warp(s_fn, sp_fn, top, grid=grid, label=f"profile:{path}")
+    return profile_to_warp(interp, interp.derivative(), top, grid=grid,
+                           label=f"profile:{path}")
 
 
 def write_warp_table(wf: WarpingFunction, path: str, n: int = 256):

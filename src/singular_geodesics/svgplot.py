@@ -5,7 +5,7 @@ Deterministic output: fixed float formatting, no timestamps, no ids.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

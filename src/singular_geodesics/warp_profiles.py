@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -343,6 +345,52 @@ def make_concave_sqrt_warp(R: float = 1.0) -> WarpingFunction:
 # profile curves -> warping functions
 
 
+class _C1Table:
+    """The C^1 piecewise cubic through knots (x_i, y_i) with slopes m_i,
+    continued past the last knot by its tangent line, and its exact inverse."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
+        h, d = np.diff(x), np.diff(y) / np.diff(x)
+        # cell i is y_i + t (m_i + t (c2_i + t c3_i)) with t = x - x_i; the
+        # cell past the last knot is the tangent line (c2 = c3 = 0)
+        self.x, self.y, self.m = array("d", x), array("d", y), array("d", m)
+        self.c2 = array("d", np.append((3.0 * d - 2.0 * m[:-1] - m[1:]) / h, 0.0))
+        self.c3 = array("d", np.append((m[:-1] + m[1:] - 2.0 * d) / (h * h), 0.0))
+
+    def _cell(self, x: float) -> int:
+        if not x >= 0.0:
+            raise ValueError(f"radius {x!r} is not a number >= 0")
+        return bisect_right(self.x, x) - 1
+
+    def _at(self, i: int, x: float) -> float:
+        t = x - self.x[i]
+        return self.y[i] + t * (self.m[i] + t * (self.c2[i] + t * self.c3[i]))
+
+    def value(self, x: float) -> float:
+        return self._at(self._cell(x), x)
+
+    def slope(self, x: float) -> float:
+        i = self._cell(x)
+        t = x - self.x[i]
+        return self.m[i] + t * (2.0 * self.c2[i] + 3.0 * t * self.c3[i])
+
+    def inverse(self, y: float) -> float:
+        """The least x with value(x) >= y: bisection inside the one cell whose
+        knot values bracket y, until no double lies between the bracket ends."""
+        if not 0.0 <= y < math.inf:
+            raise ValueError(f"warp value {y!r} is not a finite number >= 0")
+        i = bisect_right(self.y, y) - 1
+        if y == self.y[i]:
+            return self.x[i]
+        if i == len(self.x) - 1:
+            return self.x[i] + (y - self.y[i]) / self.m[i]
+        lo, hi = self.x[i], self.x[i + 1]
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if self._at(i, mid) < y else (lo, mid)
+        return hi
+
+
 def profile_to_warp(
     s: Callable[[float], float],
     s_prime: Callable[[float], float],
@@ -354,7 +402,9 @@ def profile_to_warp(
     """Convert an embedded profile curve into the intrinsic warping function.
 
     The radial coordinate is arc length along the generating curve,
-    r(z) = integral of sqrt(1 + s'(w)^2); the warp is s re-expressed in r.
+    r(z) = integral of sqrt(1 + s'(w)^2); the warp is s re-expressed in r,
+    tabulated by r, s and the exact df/dr on a geometric ladder in z joined
+    with the breakpoints ``s.x`` of a piecewise polynomial s.
     ``power_alpha`` declares the s(z) = z**alpha fixture with alpha in
     (0, 2/3], whose derivative blows up at 0 but stays arc-length integrable.
     """
@@ -367,80 +417,38 @@ def profile_to_warp(
         raise ValueError("power profile with undefined slope needs alpha in (0, 2/3]")
 
     zs = np.concatenate([[0.0], np.geomspace(z_max * 1e-12, z_max, grid - 1)])
-    svals = np.array([s(z) for z in zs[1:]])
+    # a cell across a breakpoint, where s'' jumps, would cost accuracy
+    breaks = np.asarray(getattr(s, "x", ()), dtype=float)
+    zs = np.union1d(zs, breaks[(breaks > 0.0) & (breaks < z_max)])
+    svals = np.array([float(s(z)) for z in zs[1:]])
     if np.any(svals <= 0) or np.any(np.diff(svals) <= 0):
         raise ValueError("profile must be positive and strictly increasing on (0, z_max]")
-
-    def speed(w: float) -> float:
-        return math.hypot(1.0, s_prime(w))
+    # the slope df/dr = s'/sqrt(1 + s'^2) = sin(atan(s')); at the tip its
+    # limit, 1 for a power profile, whose s' is infinite there
+    sp = [math.inf if power_alpha is not None else float(s_prime(0.0))]
+    m = np.sin(np.arctan(sp + [float(s_prime(z)) for z in zs[1:]]))
 
     # cumulative arc length on the node ladder; each cell integrated
     # adaptively (relative 1e-12 is sometimes unreachable on interpolated
     # profiles, but the absolute cell error stays negligible)
-    seg = np.empty(grid - 1)
+    seg = np.empty(len(zs) - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        for i in range(grid - 1):
-            seg[i], _ = quad(speed, zs[i], zs[i + 1], epsabs=0.0, epsrel=1e-12,
-                             limit=100)
+        for i in range(len(seg)):
+            seg[i], _ = quad(lambda w: math.hypot(1.0, s_prime(w)), zs[i], zs[i + 1],
+                             epsabs=0.0, epsrel=1e-12, limit=100)
     r_nodes = np.concatenate([[0.0], np.cumsum(seg)])
     if np.any(np.diff(r_nodes) <= 0):
         raise RuntimeError("internal error: non-monotone arc length")  # pragma: no cover
-    R = float(r_nodes[-1])
 
-    def r_of_z(z: float) -> float:
-        i = int(np.searchsorted(zs, z) - 1)
-        i = max(0, min(i, grid - 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            tail, _ = quad(speed, zs[i], z, epsabs=0.0, epsrel=1e-12, limit=100)
-        return float(r_nodes[i] + tail)
-
-    def z_of_r(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        i = int(np.searchsorted(r_nodes, r) - 1)
-        i = max(0, min(i, grid - 2))
-        lo, hi = zs[i], zs[i + 1]
-        if r >= r_nodes[-1]:
-            return float(zs[-1])
-        return brentq(lambda z: r_of_z(z) - r, lo, hi, xtol=1e-300, rtol=8.9e-16)
-
-    def f(r: float) -> float:
-        return float(s(z_of_r(r)))
-
-    def f_prime(r: float) -> float:
-        sp = s_prime(z_of_r(r))
-        return float(sp / math.hypot(1.0, sp))
-
-    s_top = float(s(z_max))
-
-    def s_inv(rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        i = int(np.searchsorted(svals, rho))
-        lo = zs[i] if i > 0 else 0.0
-        hi = zs[min(i + 1, grid - 1)]
-        return brentq(lambda z: s(z) - rho, lo, hi, xtol=1e-300, rtol=8.9e-16)
-
-    def F(rho: float) -> float:
-        return r_of_z(s_inv(min(rho, s_top)))
-
-    def F_prime(rho: float) -> float:
-        return 1.0 / f_prime(F(rho))
-
-    if power_alpha is not None and power_alpha < 1.0:
-        kind = WarpKind.CONICAL
-    else:
-        sp0 = s_prime(z_max * 1e-9)
-        kind = WarpKind.CUSPIDAL if abs(sp0) < 1e-6 else WarpKind.CONICAL
+    table = _C1Table(r_nodes, np.concatenate([[0.0], svals]), m)
     return WarpingFunction(
-        domain_radius=R,
-        f=f,
-        f_prime=f_prime,
-        F=F,
-        F_prime=F_prime,
-        kind=kind,
+        domain_radius=float(r_nodes[-1]),
+        f=table.value,
+        f_prime=table.slope,
+        F=table.inverse,
+        F_prime=lambda rho: 1.0 / table.slope(table.inverse(rho)),
+        kind=WarpKind.CUSPIDAL if abs(m[0]) < 1e-6 else WarpKind.CONICAL,
         label=label,
     )
 

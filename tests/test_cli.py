@@ -7,7 +7,7 @@ import pytest
 
 from singular_geodesics.cli import RunConfig, main
 from singular_geodesics.experiments import closed_form_winding_length
-from singular_geodesics.warp_profiles import make_power_warp
+from singular_geodesics.warp_profiles import make_power_warp, parse_warp_spec
 
 
 def run(capsys, *argv):
@@ -110,6 +110,21 @@ class TestTrace:
             assert meta["max_shell_residual"] < 1e-6
             expected = closed_form_winding_length(make_power_warp(2.0), 0.1)
             assert meta["winding_length"] == pytest.approx(expected, rel=1e-6)
+
+    def test_profile_warp(self, tmp_path, capsys):
+        # a 200-row parabola CSV: the warp table must make this a seconds-long run
+        src = tmp_path / "parabola.csv"
+        with open(src, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["z", "s"])
+            w.writerows((z, z * z) for z in np.linspace(0.0, 1.0, 200))
+        code, _, err = run(capsys, "trace", "--warp", f"profile:{src}", "--delta", "0.2",
+                           "--outdir", str(tmp_path / "run"))
+        assert code == 0, err
+        meta = json.loads((tmp_path / "run" / "trace.json").read_text())
+        assert meta["max_shell_residual"] < 1e-6
+        expected = closed_form_winding_length(parse_warp_spec(f"profile:{src}"), 0.2)
+        assert meta["winding_length"] == pytest.approx(expected, abs=1e-6)
 
     def test_bad_delta_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "trace", "--warp", "power:1",

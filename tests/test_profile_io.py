@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 import singular_geodesics as sg
 from singular_geodesics.profile_io import write_warp_table
@@ -31,6 +33,22 @@ class TestLoadProfile:
         assert wf.f(0.01) == pytest.approx(1e-4, rel=1e-2)
         assert wf.f(0.5) == pytest.approx(
             sg.profile_to_warp(lambda z: z * z, lambda z: 2 * z, 1.0).f(0.5), rel=1e-4)
+
+    def test_table_follows_interpolant_next_to_its_nodes(self, tmp_path):
+        # the warp's node ladder contains the CSV's nodes, where the PCHIP
+        # curve's s'' jumps; a cell across one would leave ~1e-5 errors in f
+        zs = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 60)])
+        path = tmp_path / "geometric.csv"
+        write_profile(path, [(z, z * z) for z in zs])
+        wf = sg.load_profile_csv(str(path))
+        s = PchipInterpolator(zs, zs * zs)
+        ds = s.derivative()
+        for z in np.concatenate([zs[2:-1] * 0.997, zs[2:-1] * 1.003]):
+            r, _ = quad(lambda w: math.hypot(1.0, ds(w)), 0.0, z, points=zs[1:][zs[1:] < z],
+                        epsabs=0.0, epsrel=1e-13, limit=500)
+            slope = ds(z) / math.hypot(1.0, ds(z))
+            assert wf.f(r) == pytest.approx(s(z), rel=1e-8)
+            assert wf.f_prime(r) == pytest.approx(slope, rel=1e-5)
 
     def test_z_max_clamps(self, parabola_csv):
         wf = sg.load_profile_csv(parabola_csv, z_max=0.5)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -207,6 +208,77 @@ class TestProfileToWarp:
         with pytest.raises(ValueError):
             sg.profile_to_warp(lambda z: math.sin(5 * z), lambda z: 5 * math.cos(5 * z),
                                1.0)  # not increasing
+
+
+@pytest.fixture(scope="module")
+def profile_warps(tmp_path_factory):
+    """A 200-row parabola CSV and the z, z^2 and z^(1/2) lambda profiles."""
+    path = tmp_path_factory.mktemp("profile") / "parabola.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["z", "s"])
+        w.writerows((z, z * z) for z in np.linspace(0.0, 1.0, 200))
+    return {
+        "csv": sg.load_profile_csv(str(path)),
+        "line": sg.profile_to_warp(lambda z: z, lambda z: 1.0, 1.0),
+        "parabola": sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0),
+        "sqrt": sg.profile_to_warp(lambda z: math.sqrt(z), lambda z: 0.5 / math.sqrt(z),
+                                   1.0, power_alpha=0.5),
+    }
+
+
+PROFILES = ["csv", "line", "parabola", "sqrt"]
+
+
+class TestProfileTable:
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_tangent_line_past_R(self, profile_warps, name):
+        # no clamp at R: f continues as its tangent line, F inverts that line
+        wf = profile_warps[name]
+        R = wf.domain_radius
+        fR, fpR = wf.f(R), wf.f_prime(R)
+        assert wf.f_prime(R * (1.0 - 1e-12)) == pytest.approx(fpR, rel=1e-9)
+        for r in (1.01 * R, 1.1 * R, 1.2 * R):
+            assert wf.f(r) == pytest.approx(fR + fpR * (r - R), rel=1e-15)
+            assert wf.f_prime(r) == fpR
+            assert wf.F(wf.f(r)) == pytest.approx(r, abs=1e-13)
+        # an exit sample's exp(log f(R)) may round above f(R)
+        assert wf.F(math.nextafter(fR, math.inf)) == pytest.approx(R, abs=1e-13)
+        assert wf.F(math.exp(wf.log_f(R))) == pytest.approx(R, abs=1e-13)
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_rejects_negative_or_non_finite(self, profile_warps, name):
+        wf = profile_warps[name]
+        for bad in (-1e-300, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                wf.F(bad)
+        for bad in (-1e-300, math.nan):
+            with pytest.raises(ValueError):
+                wf.f(bad)
+            with pytest.raises(ValueError):
+                wf.f_prime(bad)
+        assert wf.F(0.0) == 0.0 and wf.f(0.0) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(PROFILES),
+           frac=st.one_of(st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+                          st.floats(1.0, 1.2, exclude_min=True)))
+    def test_inverse_round_trip(self, profile_warps, name, frac):
+        wf = profile_warps[name]
+        r = frac * wf.domain_radius
+        assert abs(wf.F(wf.f(r)) - r) <= 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(PROFILES), data=st.data())
+    def test_central_difference_across_knots(self, profile_warps, name, data):
+        # the reduced right-hand side takes f' for the derivative of f
+        wf = profile_warps[name]
+        knots = wf.f.__self__.x  # f is a bound method of the warp's table
+        knot = knots[data.draw(st.integers(1, len(knots) - 1), label="knot")]
+        h = 1e-7 * knot
+        r = knot + 0.5 * h * data.draw(st.floats(-1.0, 1.0), label="offset")
+        central = (wf.f(r + h) - wf.f(r - h)) / (2.0 * h)
+        assert central == pytest.approx(wf.f_prime(r), rel=1e-6)
 
 
 class TestParseWarpSpec:
