@@ -34,7 +34,7 @@ class RunConfig:
 
     warp: str = "power:1"
     section: str = "circle:6.283185307179586"
-    R: float = 1.5
+    R: Optional[float] = None  # None: the warp family's own radius
     delta: float = 0.3
     deltas: Optional[List[float]] = None
     y0: List[float] = field(default_factory=lambda: [0.0])
@@ -90,7 +90,7 @@ def _build(cfg: RunConfig):
 
 def cmd_cf(args) -> int:
     cfg = _merge_config(args)
-    wf = parse_warp_spec(cfg.warp, R=None if cfg.R == RunConfig.R else cfg.R)
+    wf = parse_warp_spec(cfg.warp, R=cfg.R)
     value, err = warp_profiles.compute_Cf_detailed(wf, tol=cfg.tol)
     print(f"C_f({wf.label}) = {value:.12g}  (quadrature error estimate {err:.3g})")
     return EXIT_OK
@@ -180,64 +180,46 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+VERIFY_SECTIONS = {"default": ("flat_circle",), "perturbed": ("perturbed_circle",)}
+
+
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
-    suite = args.suite or "default"
-    slack = args.slack if args.slack is not None else 1e-8
-    n_bounds = args.bounds_cases if args.bounds_cases is not None else 25
-    n_compare = args.compare_cases if args.compare_cases is not None else 15
-    failures = 0
+    if args.bounds_cases < 1 or args.compare_cases < 1:
+        raise ValueError("--bounds-cases and --compare-cases must be at least 1")
+    if not math.isfinite(args.slack):
+        raise ValueError(f"--slack={args.slack!r} must be finite")
+    passed = []
 
-    def report(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-        if not ok:
-            failures += 1
+    def report(name: str, ok: bool, detail: str):
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        passed.append(ok)
 
-    rng_note = f"seed={cfg.seed}"
-    bounds = []
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(n_bounds):
-        alpha = float(rng.uniform(1.0, 2.5))
-        delta = float(rng.uniform(0.05, 0.3))
-        if suite == "perturbed":
-            from .cross_sections import circle_section, default_circle_shape
-            cs = circle_section(2.0 * math.pi, (0.1, default_circle_shape), 1.5)
-        else:
-            from .cross_sections import circle_section
-            cs = circle_section(2.0 * math.pi, domain_radius=1.5)
-        wf = warp_profiles.make_power_warp(alpha, R=1.5)
-        traj = geodesic_flow.integrate_winding(wf, cs, delta, 0.0, 1.0,
-                                               rtol=cfg.rtol, dense_nodes=256)
-        rep = experiments.verify_radial_bounds(traj, slack=slack)
-        bounds.append(rep)
-        if suite == "perturbed":
-            c = cs.c_bound
-            worst = max(abs(geodesic_flow.log_eta_rate(traj, i))
-                        - c * abs(math.sin(traj.theta[i])) for i in range(len(traj.t)))
-            if worst > 1e-6:
-                bounds.append(experiments.BoundsReport(False, 0, 0, worst, None,
-                                                       "log-eta rate bound"))
-    report(f"radial bounds x{n_bounds} ({suite}, {rng_note})",
-           all(b.passed for b in bounds))
+    bounds = experiments.run_bounds_campaign(
+        args.bounds_cases, seed=cfg.seed, rtol=cfg.rtol,
+        sections=VERIFY_SECTIONS[args.suite], slack=args.slack)
+    worst = max(max(b.worst_lower, b.worst_upper, b.worst_eta, b.worst_eta_rate)
+                for b in bounds)
+    report(f"radial bounds x{len(bounds)} ({args.suite}, seed={cfg.seed})",
+           all(b.passed for b in bounds), f"{sum(b.passed for b in bounds)}/{len(bounds)} "
+           f"passed, worst excess {worst:.3g} (slack {args.slack:g})")
 
-    comps = experiments.run_comparison_campaign(n_compare, seed=cfg.seed + 1)
-    report(f"comparison principle x{n_compare}", all(c.passed for c in comps))
+    comps = experiments.run_comparison_campaign(args.compare_cases, seed=cfg.seed + 1)
+    report(f"comparison principle x{len(comps)}", all(c.passed for c in comps),
+           f"{sum(c.passed for c in comps)}/{len(comps)} passed, min radial gap "
+           f"{min(c.min_gap for c in comps):.3g}")
 
-    wf2 = warp_profiles.make_power_warp(2.0, R=1.5)
-    if suite == "perturbed":
-        cs_lim = sphere_section((0.05, None), domain_radius=1.5)
-    else:
-        cs_lim = sphere_section(domain_radius=1.5)
+    cs_lim = sphere_section((0.05, None) if args.suite == "perturbed" else None,
+                            domain_radius=1.5)
     lim = experiments.limit_geodesic_test(
-        wf2, cs_lim, [0.1, 0.03, 0.01],
+        warp_profiles.make_power_warp(2.0, R=1.5), cs_lim, [0.1, 0.03, 0.01],
         np.array([math.pi / 2.0, 0.0]), np.array([math.sin(0.5), math.cos(0.5)]),
         tau_window=(-1.5, 1.5),
     )
     report("limit geodesic (sphere, f=r^2)", lim.passed,
            f"sup distances {np.array2string(lim.sup_distances, precision=3)}")
 
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if all(passed) else 1
 
 
 def cmd_profile2warp(args) -> int:
@@ -255,20 +237,20 @@ def cmd_profile2warp(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat JSON config file; flags override it")
-    p.add_argument("--warp", help="warp spec, e.g. power:2.0, expinv:1, sqrt")
-    p.add_argument("--section", help="section spec, e.g. circle:6.2832, sphere")
-    p.add_argument("--R", type=float, help="domain radius")
-    p.add_argument("--delta", type=float, help="lowest-approach distance")
-    p.add_argument("--deltas", type=_parse_floats, help="comma-separated ladder")
-    p.add_argument("--y0", type=_parse_floats, help="start point on Y")
-    p.add_argument("--v0", type=_parse_floats, help="start direction on Y")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--tol", type=float, help="quadrature tolerance")
-    p.add_argument("--outdir")
-    p.add_argument("--seed", type=int)
+_FLAGS = {
+    "warp": dict(help="warp spec, e.g. power:2.0, expinv:1, sqrt"),
+    "section": dict(help="section spec, e.g. circle:6.2832, sphere"),
+    "R": dict(type=float, help="domain radius (default: the warp family's own)"),
+    "delta": dict(type=float, help="lowest-approach distance"),
+    "deltas": dict(type=_parse_floats, help="comma-separated ladder"),
+    "y0": dict(type=_parse_floats, help="start point on Y"),
+    "v0": dict(type=_parse_floats, help="start direction on Y"),
+    "rtol": dict(type=float),
+    "atol": dict(type=float),
+    "tol": dict(type=float, help="quadrature tolerance"),
+    "outdir": dict(),
+    "seed": dict(type=int),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,33 +260,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cf", help="compute the universal length constant")
-    _add_common(p)
-    p.set_defaults(func=cmd_cf)
+    def command(name, func, summary, *flags):
+        """A subcommand with ``--config`` and the named common flags: only
+        those it reads, spelled out in full (so ``--delta`` is not taken for
+        ``--deltas``)."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="flat JSON config file; flags override it")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("trace", help="integrate one geodesic and export it")
-    _add_common(p)
+    command("cf", cmd_cf, "compute the universal length constant", "warp", "R", "tol")
+    p = command("trace", cmd_trace, "integrate one geodesic and export it", "warp",
+                "section", "R", "delta", "y0", "v0", "rtol", "atol", "outdir")
     p.add_argument("--svg", action="store_true", default=None)
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("sweep", help="delta sweep of normalized winding lengths")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run verification campaigns")
-    _add_common(p)
-    p.add_argument("--suite", choices=["default", "perturbed"])
-    p.add_argument("--slack", type=float, help="bound slack (negative to force failure)")
-    p.add_argument("--bounds-cases", type=int, dest="bounds_cases")
-    p.add_argument("--compare-cases", type=int, dest="compare_cases")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("profile2warp", help="convert a profile CSV to a warp table")
-    _add_common(p)
+    command("sweep", cmd_sweep, "delta sweep of normalized winding lengths", "warp",
+            "section", "R", "deltas", "y0", "v0", "rtol", "atol", "outdir")
+    p = command("verify", cmd_verify, "run verification campaigns", "rtol", "seed")
+    p.add_argument("--suite", choices=list(VERIFY_SECTIONS), default="default")
+    p.add_argument("--slack", type=float, default=1e-8,
+                   help="bound slack (negative to force failure)")
+    p.add_argument("--bounds-cases", type=int, default=25)
+    p.add_argument("--compare-cases", type=int, default=15)
+    p = command("profile2warp", cmd_profile2warp, "convert a profile CSV to a warp table",
+                "outdir")
     p.add_argument("--profile", required=True, help="two-column CSV (z, s)")
     p.add_argument("--out", help="output table path")
-    p.set_defaults(func=cmd_profile2warp)
-
     return parser
 
 

@@ -184,6 +184,7 @@ class BoundsReport:
     worst_lower: float
     worst_upper: float
     worst_eta: float
+    worst_eta_rate: float
     strict_margin: Optional[float]
     note: str = ""
 
@@ -196,9 +197,10 @@ def verify_radial_bounds(
     slack: float = 1e-8,
 ) -> BoundsReport:
     """Check (1 - C*delta)|t| <= r(t) <= |t| + delta with C = c*exp(c*R),
-    the two-sided exponential eta bounds, and strict r > |t| for warped data."""
+    the two-sided exponential eta bounds, the rate bound
+    |d/dt log|eta|| <= c|sin(theta)|, and strict r > |t| for warped data."""
     if traj.classification == "radial":
-        return BoundsReport(True, 0.0, 0.0, 0.0, None,
+        return BoundsReport(True, 0.0, 0.0, 0.0, 0.0, None,
                             note="radial trajectory: bounds degenerate, skipped")
     delta = traj.delta if delta is None else delta
     c_bound = traj.meta.get("c_bound", 0.0) if c_bound is None else c_bound
@@ -218,7 +220,10 @@ def verify_radial_bounds(
         worst_eta = float(np.max(excess))
     else:
         worst_eta = 0.0
-    ok = ok and worst_eta <= slack
+    # d/dt log|eta| = -sin(theta) q_r/q, with |q_r/q| <= c
+    sin_theta = np.abs(np.sin(traj.theta))
+    worst_eta_rate = float(np.max(np.abs(traj.qr_q) * sin_theta - c_bound * sin_theta))
+    ok = ok and worst_eta <= slack and worst_eta_rate <= slack
 
     strict_margin = None
     note = ""
@@ -228,7 +233,8 @@ def verify_radial_bounds(
         if strict_margin <= 0.0:
             ok = False
             note = "warped strict bound r > |t| violated"
-    return BoundsReport(ok, worst_lower, worst_upper, worst_eta, strict_margin, note)
+    return BoundsReport(ok, worst_lower, worst_upper, worst_eta, worst_eta_rate,
+                        strict_margin, note)
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +355,34 @@ def limit_geodesic_test(
 # randomized campaigns (drive acceptance-scale suites and the CLI verify)
 
 
+BOUNDS_SECTIONS = ("flat_circle", "perturbed_circle", "round_sphere")
+
+
 def run_bounds_campaign(n_cases: int = 200, seed: int = 20240817,
-                        rtol: float = 1e-9) -> List[BoundsReport]:
+                        rtol: float = 1e-9, sections: Sequence[str] = BOUNDS_SECTIONS,
+                        slack: float = 1e-8) -> List[BoundsReport]:
+    """Radial bounds of random winding geodesics of f = r^alpha, each on a
+    section class drawn uniformly from ``sections`` (names of BOUNDS_SECTIONS)."""
+    if not sections or not set(sections) <= set(BOUNDS_SECTIONS):
+        raise ValueError(f"bounds sections must be drawn from {BOUNDS_SECTIONS}")
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(n_cases):
         alpha = float(rng.uniform(1.0, 2.5))
         delta = float(rng.uniform(0.05, 0.3))
-        style = int(rng.integers(0, 3))
+        section = sections[int(rng.integers(0, len(sections)))]
         wf = make_power_warp(alpha, R=1.5)
-        if style == 0:
-            cs = circle_section(2.0 * math.pi, domain_radius=1.5)
-            y0, v0 = np.array([float(rng.uniform(0, 2 * math.pi))]), np.array([1.0])
-        elif style == 1:
-            amp = float(rng.uniform(0.02, 0.1))
-            cs = circle_section(2.0 * math.pi, (amp, default_circle_shape), 1.5)
-            y0, v0 = np.array([float(rng.uniform(0, 2 * math.pi))]), np.array([1.0])
-        else:
+        if section == "round_sphere":
             cs = sphere_section(domain_radius=1.5)
             y0 = np.array([math.pi / 2.0, float(rng.uniform(0, 2 * math.pi))])
             ang = float(rng.uniform(-0.6, 0.6))
             v0 = np.array([math.sin(ang), math.cos(ang)])
+        else:
+            amp = float(rng.uniform(0.02, 0.1)) if section == "perturbed_circle" else 0.0
+            cs = circle_section(2.0 * math.pi, (amp, default_circle_shape), 1.5)
+            y0, v0 = np.array([float(rng.uniform(0, 2 * math.pi))]), np.array([1.0])
         traj = integrate_winding(wf, cs, delta, y0, v0, rtol=rtol, dense_nodes=256)
-        reports.append(verify_radial_bounds(traj))
+        reports.append(verify_radial_bounds(traj, slack=slack))
     return reports
 
 

@@ -345,7 +345,7 @@ class Trajectory:
         self.r, self.theta, self.y, self.eta, self.chart_ids, self.tau_scaled = st
         self.tau = self._tau(st.tau_scaled)
         (self.hamiltonian, self.clairaut, self.clairaut_rel, self.eta_norm,
-         self.speed_Y, self.rho, self.u) = _diagnostics(self.wf, self.cs, self.log_fd, st)
+         self.qr_q, self.rho, self.u) = _diagnostics(self.wf, self.cs, self.log_fd, st)
 
     # -- export -------------------------------------------------------------
 
@@ -374,8 +374,8 @@ class Trajectory:
 
 def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
                  st: States):
-    """Per-sample (hamiltonian, clairaut, clairaut_rel, eta_norm, speed_Y,
-    rho, u) of decoded states."""
+    """Per-sample (hamiltonian, clairaut, clairaut_rel, eta_norm, qr_q, rho, u)
+    of decoded states; ``qr_q`` is q_r/q, zero on the reduced and radial paths."""
     r, theta, y, eta, chart_ids, _ = st
     n = len(r)
     log_f_r = np.array([wf.log_f(x) if x > 0 else -math.inf for x in r])
@@ -385,6 +385,7 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
         return np.ones(n), zeros, zeros, zeros, zeros, rho, zeros
 
     if _is_reduced(cs):
+        qr_q = np.zeros(n)
         with np.errstate(over="ignore"):
             log_eta = np.full(n, log_fd)
             eta_norm = np.where(log_eta > -745, np.exp(np.maximum(log_eta, -745)), 0.0)
@@ -396,21 +397,20 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
                 log_f_r - log_fd + np.log(np.maximum(np.cos(theta), 1e-300))
             )
             clairaut = rho * np.cos(theta)
-            speed_Y = np.exp(np.minimum(log_fd - 2.0 * log_f_r, 709.0))
     else:
-        eta_norm = np.sqrt([cs.cometric(*row)[1] for row in zip(
-            r.tolist(), y.tolist(), eta.tolist(), chart_ids.tolist())])
+        norm2, qr_q = np.array([cs.cometric(*row)[1:3] for row in zip(
+            r.tolist(), y.tolist(), eta.tolist(), chart_ids.tolist())]).T
+        eta_norm = np.sqrt(norm2)
         hamiltonian = np.sin(theta) ** 2 + (eta_norm / rho) ** 2
         clairaut = rho * np.cos(theta)
         clairaut_rel = clairaut / math.exp(log_fd) - 1.0
-        speed_Y = eta_norm / rho**2
 
     u = np.empty(n)
     for i in range(n):
         sth = math.sin(theta[i])
         la = log_f_r[i] + (math.log(abs(sth)) if abs(sth) > 0 else -math.inf)
         u[i] = 0.0 if la <= -745 else math.copysign(wf.F(math.exp(la)), sth)
-    return hamiltonian, clairaut, clairaut_rel, eta_norm, speed_Y, rho, u
+    return hamiltonian, clairaut, clairaut_rel, eta_norm, qr_q, rho, u
 
 
 # ---------------------------------------------------------------------------
@@ -719,5 +719,4 @@ def reparametrize_tau(traj: Trajectory, n: int = 512,
 def log_eta_rate(traj: Trajectory, i: int) -> float:
     """d/dt log|eta| = -sin(theta) q_r/q at sample i, from the metric data
     (not finite differences)."""
-    qr_q = traj.cs.cometric(traj.r[i], traj.y[i], traj.eta[i], int(traj.chart_ids[i]))[2]
-    return -math.sin(traj.theta[i]) * qr_q
+    return -math.sin(traj.theta[i]) * traj.qr_q[i]

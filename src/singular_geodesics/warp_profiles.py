@@ -85,11 +85,6 @@ class WarpingFunction:
     def is_convex_kind(self) -> bool:
         return self.kind in (WarpKind.CONICAL, WarpKind.CUSPIDAL)
 
-    def sample_grid(self, n: int = 512, span: float = 1e-6) -> np.ndarray:
-        """Log-spaced grid inside (0, R), avoiding both endpoints."""
-        R = self.domain_radius
-        return np.geomspace(R * span, R * (1.0 - 1e-9), n)
-
 
 @dataclass(frozen=True)
 class FrakFEstimate:
@@ -614,12 +609,18 @@ def check_Cf_monotonicity(
 
 def parse_warp_spec(spec: str, R: Optional[float] = None) -> WarpingFunction:
     """Parse family strings like "power:2.0", "logpow:1.5", "expinv:1.0",
-    "osc:0.5:9.0", "sqrt", "profile:<path>"."""
+    "osc:0.5:9.0", "sqrt", "profile:<path>".
+
+    ``R=None`` takes the family's own radius; ``osc`` and ``profile`` warps
+    fix their radius from their curve and refuse an explicit one."""
     parts = spec.split(":")
     head = parts[0]
     needed = {"power": 2, "logpow": 2, "expinv": 2, "osc": 3, "sqrt": 1}
     if head in needed and len(parts) < needed[head]:
         raise ValueError(f"warp spec {spec!r} is missing parameters")
+    if head in ("osc", "profile") and R is not None:
+        raise ValueError(f"{head}: warps take their radius from their curve; "
+                         f"R={R:g} cannot be set")
     if head == "power":
         return make_power_warp(float(parts[1]), R if R is not None else 1.5)
     if head == "logpow":

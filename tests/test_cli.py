@@ -166,6 +166,85 @@ class TestVerify:
         assert code == 1
         assert "[FAIL]" in out
 
+    def test_perturbed_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "perturbed", "--bounds-cases", "2",
+                           "--compare-cases", "1")
+        assert code == 0, out
+        assert "radial bounds x2 (perturbed" in out
+
+    def test_lines_report_counts_and_margins(self, capsys):
+        code, out, _ = run(capsys, "verify", "--bounds-cases", "2", "--compare-cases", "2")
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln.startswith(("[PASS]", "[FAIL]"))]
+        assert len(lines) == 3
+        assert "2/2 passed, worst excess " in lines[0]
+        assert "2/2 passed, min radial gap " in lines[1]
+        gap = float(lines[1].split("min radial gap ")[1])
+        assert gap > 0.0
+
+    @pytest.mark.parametrize("flags", [("--bounds-cases", "0"), ("--bounds-cases", "-2"),
+                                       ("--compare-cases", "0"), ("--slack", "nan"),
+                                       ("--slack", "inf")])
+    def test_invalid_counts_or_slack_exit_2(self, capsys, flags):
+        # the last occurrence of a flag wins
+        code, out, err = run(capsys, "verify", "--bounds-cases", "1", "--compare-cases", "1",
+                             *flags)
+        assert code == 2
+        assert "[PASS]" not in out
+        assert err.startswith("error:")
+
+
+class TestRadiusDefault:
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--warp", "expinv:1", "--delta", "0.1"),
+        ("sweep", "--warp", "logpow:1.5", "--deltas", "0.1,0.05,0.02"),
+    ])
+    def test_family_radius_used_when_R_absent(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--outdir", str(tmp_path))
+        assert code == 0, err
+
+    def test_sqrt_trace_runs_on_library_radius(self, tmp_path, capsys):
+        code, _, err = run(capsys, "trace", "--warp", "sqrt", "--delta", "0.3",
+                           "--outdir", str(tmp_path))
+        assert code == 0, err
+        meta = json.loads((tmp_path / "trace.json").read_text())
+        assert meta["R"] == 1.0
+        assert meta["config"]["R"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", "--warp", "expinv:1", "--R", "1.5"),
+        ("cf", "--warp", "expinv:1", "--R", "1.4"),
+        ("trace", "--warp", "osc:0.5:9", "--R", "0.4", "--delta", "0.1"),
+        ("trace", "--warp", "profile:curve.csv", "--R", "1.0", "--delta", "0.1"),
+    ])
+    def test_explicit_R_checked_exits_2(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, *(("--outdir", str(tmp_path))
+                                            if argv[0] == "trace" else ()))
+        assert code == 2
+        assert "too large" in err or "cannot be set" in err
+
+
+IGNORED_FLAGS = {
+    "cf": ["--section", "--delta", "--deltas", "--y0", "--v0", "--rtol", "--atol",
+           "--outdir", "--seed"],
+    "trace": ["--deltas", "--tol", "--seed"],
+    "sweep": ["--delta", "--tol", "--seed"],
+    "verify": ["--warp", "--section", "--R", "--delta", "--deltas", "--y0", "--v0",
+               "--atol", "--tol", "--outdir"],
+    "profile2warp": ["--warp", "--section", "--R", "--delta", "--deltas", "--y0", "--v0",
+                     "--rtol", "--atol", "--tol", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in IGNORED_FLAGS.items()
+                                          for f in flags])
+def test_flag_a_command_does_not_read_is_refused(capsys, command, flag):
+    required = ["--profile", "curve.csv"] if command == "profile2warp" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestProfile2Warp:
     def test_convert(self, tmp_path, capsys):

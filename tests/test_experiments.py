@@ -91,6 +91,23 @@ class TestRadialBounds:
         assert rep.passed
         assert rep.worst_eta <= 1e-8
 
+    def test_eta_rate_bound_is_checked(self):
+        cs = sg.circle_section(2 * math.pi, perturbation=(0.08, None))
+        traj = sg.integrate_winding(sg.make_power_warp(1.5), cs, 0.15, [0.3], [1.0])
+        rep = sg.verify_radial_bounds(traj, c_bound=0.0)
+        # with c = 0 the rate bound reads |sin(theta) q_r/q| <= 0
+        rates = [abs(math.sin(th) * cs.cometric(r, y, eta, int(chart))[2])
+                 for r, th, y, eta, chart in zip(traj.r, traj.theta, traj.y, traj.eta,
+                                                 traj.chart_ids)]
+        assert rep.worst_eta_rate == pytest.approx(max(rates), rel=1e-14)
+        assert rep.worst_eta_rate > 0.0
+        assert not rep.passed
+        # a slack that every other check meets: the rate bound alone fails
+        others = max(rep.worst_lower, rep.worst_upper, rep.worst_eta)
+        assert others < rep.worst_eta_rate
+        slack = 0.5 * (others + rep.worst_eta_rate)
+        assert not sg.verify_radial_bounds(traj, c_bound=0.0, slack=slack).passed
+
     def test_radial_skipped(self, cone_warp, flat_circle):
         st = sg.GeodesicState(t=0.0, r=0.4, theta=math.pi / 2,
                               y=np.array([0.0]), eta=np.array([0.0]))
@@ -138,6 +155,16 @@ class TestCampaigns:
         reports = run_bounds_campaign(n_cases=12, seed=7)
         assert len(reports) == 12
         assert all(r.passed for r in reports)
+
+    def test_perturbed_circle_campaign_meets_rate_bound(self):
+        reports = run_bounds_campaign(n_cases=4, seed=11, sections=["perturbed_circle"],
+                                      slack=1e-10)
+        assert all(r.passed for r in reports)
+        assert max(r.worst_eta_rate for r in reports) <= 1e-10
+
+    def test_unknown_section_class_rejected(self):
+        with pytest.raises(ValueError, match="bounds sections"):
+            run_bounds_campaign(n_cases=1, sections=["torus"])
 
     def test_small_comparison_campaign(self):
         reports = run_comparison_campaign(n_cases=8, seed=7)

@@ -1,7 +1,11 @@
-"""Every name a module under src/ imports is used in that module.
+"""Every name a module under src/ imports is used in that module, and every
+import sits at module level.
 
-The package's ``__init__`` is left out: re-exporting what it imports is its
-job.  No linter is needed; the check walks each module's syntax tree."""
+The package's ``__init__`` is left out of the first check: re-exporting what
+it imports is its job.  The one import inside a function is the cycle-breaker
+in ``warp_profiles.parse_warp_spec`` (``profile_io`` imports
+``warp_profiles``).  No linter is needed; the checks walk each module's
+syntax tree."""
 import ast
 import pathlib
 
@@ -33,6 +37,32 @@ def unused_imports(source: str) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# (module, function) pairs allowed an import in their body
+FUNCTION_IMPORTS = {("warp_profiles.py", "parse_warp_spec")}
+
+
+def function_imports(source: str) -> list:
+    tree = ast.parse(source)
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{func.name} (line {node.lineno})" for node in ast.walk(func)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    found = function_imports(path.read_text())
+    allowed = {f for module, f in FUNCTION_IMPORTS if module == path.name}
+    assert [f for f in found if f.split(" ")[0] not in allowed] == []
+
+
+def test_detects_an_import_inside_a_function():
+    source = "import math\n\ndef f():\n    def g():\n        from os import sep\n    return g\n"
+    assert function_imports(source) == ["f (line 5)", "g (line 5)"]
 
 
 def test_detects_an_unused_name():
