@@ -2,12 +2,16 @@
 
 Supported links: a circle of prescribed circumference and the round unit
 2-sphere, each optionally deformed by a conformal factor, so every section is
-h_r = q(r, y)^2 h0(y) with q = 1 + a*w(r, y) and a diagonal h0.  A section
-exposes q with its partials (``conformal``) and the diagonal of h0 with its
-derivative (``h0_diagonal``); ``cometric`` turns them into everything the
-geodesic flow needs.  The factor is defined through the embedding of Y
-(angle for the circle, unit vector for the sphere) so that its value does not
-depend on the chart.
+h_r = q(r, y)^2 h0(y) with q = 1 + a*w(r, y).  A section exposes q with its
+partials (``conformal``) and turns them into everything the geodesic flow
+needs (``cometric``).
+
+The circle is stored in its unwrapped angle phi with the covector eta.  The
+sphere is stored in its embedding: a point n in R^3 and the angular momentum
+L = n x p of its covector p; every sphere formula evaluates at n/|n|, and
+|n|^2 - 1 and n.L are invariants of the flow (``ambient_residual``).  Input
+on the sphere is given as spherical angles (psi, phi) and converted once
+(``embed``).
 """
 from __future__ import annotations
 
@@ -34,10 +38,6 @@ __all__ = [
     "default_circle_shape",
     "default_sphere_shape",
     "static_sphere_bump",
-    "chart_point",
-    "chart_jacobian",
-    "point_to_chart",
-    "switch_chart",
 ]
 
 
@@ -59,8 +59,9 @@ class CircleShape:
 class SphereShape:
     """Scalar field w(r, n) on [0, R] x S^2, n the unit embedding vector.
 
-    ``grad`` is the ambient gradient in R^3; only its tangential part enters
-    via the chain rule with chart Jacobians, so any smooth extension works.
+    ``grad`` is the ambient gradient in R^3.  Only its tangential part enters
+    the flow (the normal part drops out of the cross product n x grad), so
+    any smooth extension off the sphere works.
     """
 
     label: str
@@ -94,127 +95,56 @@ static_sphere_bump = SphereShape(
 
 
 # ---------------------------------------------------------------------------
-# sphere charts
-
-# chart 0: polar axis e_z, azimuth measured from e_x toward e_y;
-# chart 1: rotated frame with polar axis e_x (X=e_y, Y=e_z, Z=e_x).
-_CHART_FRAMES = (
-    (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])),
-    (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])),
-)
-
-
-def chart_point(chart: int, psi: float, phi: float) -> np.ndarray:
-    X, Y, Z = _CHART_FRAMES[chart]
-    sp = math.sin(psi)
-    return sp * math.cos(phi) * X + sp * math.sin(phi) * Y + math.cos(psi) * Z
-
-
-def chart_jacobian(chart: int, psi: float, phi: float) -> np.ndarray:
-    """3x2 matrix of (d n/d psi, d n/d phi)."""
-    X, Y, Z = _CHART_FRAMES[chart]
-    cp, sp = math.cos(psi), math.sin(psi)
-    ca, sa = math.cos(phi), math.sin(phi)
-    d_psi = cp * ca * X + cp * sa * Y - sp * Z
-    d_phi = sp * (-sa * X + ca * Y)
-    return np.column_stack([d_psi, d_phi])
-
-
-def point_to_chart(chart: int, n: np.ndarray) -> Tuple[float, float]:
-    X, Y, Z = _CHART_FRAMES[chart]
-    psi = math.acos(max(-1.0, min(1.0, float(n @ Z))))
-    phi = math.atan2(float(n @ Y), float(n @ X))
-    return psi, phi
-
-
-def switch_chart(
-    chart_from: int, y: np.ndarray, eta: np.ndarray, chart_to: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-express a point and a covector in the other rotation chart.
-
-    Covector components transform with the coordinate vectors of the target
-    chart expressed in the source chart, independently of any metric.
-    """
-    psi, phi = float(y[0]), float(y[1])
-    n = chart_point(chart_from, psi, phi)
-    psi2, phi2 = point_to_chart(chart_to, n)
-    J_from = chart_jacobian(chart_from, psi, phi)
-    J_to = chart_jacobian(chart_to, psi2, phi2)
-    sp2 = math.sin(psi)
-    eta_to = np.empty(2)
-    for a in range(2):
-        E = J_to[:, a]
-        w_psi = float(E @ J_from[:, 0])
-        w_phi = float(E @ J_from[:, 1]) / (sp2 * sp2)
-        eta_to[a] = eta[0] * w_psi + eta[1] * w_phi
-    return np.array([psi2, phi2]), eta_to
-
-
-# thresholds: a chart is abandoned when its polar angle leaves this band
-CHART_BAND_LO = math.pi / 4.0
-CHART_BAND_HI = 3.0 * math.pi / 4.0
-
-
-# ---------------------------------------------------------------------------
 # cross sections
 
 
 class CrossSection:
-    """Common interface: a conformal metric h_r = q(r, y)^2 h0(y) on Y with a
-    diagonal h0, given as ``conformal`` (q, q_r, q_y) and ``h0_diagonal``,
-    plus chart data.
+    """Common interface: a conformal metric h_r = q(r, y)^2 h0(y) on Y, given
+    as ``conformal`` (q, q_r, dq) and ``cometric``.
 
-    Coordinates are stored unwrapped (cumulative angles); wrapping happens
-    inside trigonometric evaluation only, so winding counts read directly.
+    ``dim`` is the dimension of Y; the stored point ``y`` and covector
+    ``eta`` may have more components (the sphere's live in R^3).  The
+    defaults below serve sections stored in intrinsic coordinates.
     """
 
     dim: int
-    chart: str
     c_bound: float
     domain_radius: float
     amplitude: float
 
-    def conformal(self, r: float, y, chart: int = 0):
-        """Return (q, d_r q, d_y q as a sequence) with q = 1 + a*w."""
+    def conformal(self, r: float, y):
+        """Return (q, d_r q, the gradient of q in y as a sequence), q = 1 + a*w."""
         raise NotImplementedError
 
-    def h0_diagonal(self, y):
-        """Diagonal of h0 at y and its derivative in y[0]; h0 depends on no
-        other coordinate and is the same in every chart."""
+    def cometric(self, r: float, y, eta):
+        """(sharp, |eta|^2, q_r/q, force) of the stored covector ``eta`` at
+        (r, y): the flow of ``geodesic_flow`` is ydot = sharp/f^2 and
+        etadot = force/f^2.  ``y`` and ``eta`` are sequences; float lists are
+        the fast case."""
         raise NotImplementedError
 
-    def metric(self, r: float, y, chart: int = 0) -> np.ndarray:
-        """The matrix of h_r at y."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        q, _, _ = self.conformal(r, y, chart)
-        return q * q * np.diag(self.h0_diagonal(y)[0])
+    def metric(self, r: float, y) -> np.ndarray:
+        """The matrix of h_r at y, acting on vectors in the stored coordinates."""
+        raise NotImplementedError
 
-    def cometric(self, r: float, y, eta, chart: int = 0):
-        """(sharp, |eta|^2, q_r/q, force) of a covector ``eta`` at (r, y).
+    def eta_norm(self, r: float, y, eta) -> float:
+        return math.sqrt(self.cometric(r, np.atleast_1d(y), np.atleast_1d(eta))[1])
 
-        sharp = h^-1 eta and force_k = sharp . d_k h . sharp / 2, which for
-        h = q^2 h0 reads (q_k/q)|eta|^2 + q^2/2 sum_j d_k h0_j sharp_j^2.
-        ``y`` and ``eta`` are sequences of length ``dim``; float lists are
-        the fast case.
-        """
-        q, q_r, q_y = self.conformal(r, y, chart)
-        h0, dh0 = self.h0_diagonal(y)
-        q2 = q * q
-        sharp = []
-        norm2 = bend = 0.0
-        for e, h, d in zip(eta, h0, dh0):
-            s = e / (q2 * h)
-            sharp.append(s)
-            norm2 += e * s
-            bend += d * s * s
-        force = [qk / q * norm2 for qk in q_y]
-        force[0] += 0.5 * q2 * bend
-        return sharp, norm2, q_r / q, force
+    def embed(self, y0, v0) -> Tuple[np.ndarray, np.ndarray]:
+        """Stored point and vector of the input coordinates ``y0``, ``v0``."""
+        return (np.atleast_1d(np.asarray(y0, dtype=float)),
+                np.atleast_1d(np.asarray(v0, dtype=float)))
 
-    def eta_norm(self, r: float, y, eta, chart: int = 0) -> float:
-        return math.sqrt(self.cometric(r, np.atleast_1d(y), np.atleast_1d(eta), chart)[1])
+    def covector(self, y, p) -> np.ndarray:
+        """Stored covector of the covector ``p = metric(r, y) @ v``."""
+        return p
 
-    def h0_distance(self, y1, y2) -> float:
+    def ambient_residual(self, y: np.ndarray, eta: np.ndarray) -> float:
+        """Largest drift of the constraints of the stored coordinates over the
+        rows of ``y`` and ``eta``; intrinsic coordinates have none."""
+        return 0.0
+
+    def h0_distance(self, y1, y2):
         raise NotImplementedError
 
     def _check_admissible(self):
@@ -226,6 +156,9 @@ class CrossSection:
 
 
 class CircleSection(CrossSection):
+    """Circle of the given circumference in its angle phi (period 2*pi),
+    stored unwrapped, so winding counts read directly; h0 = scale^2."""
+
     def __init__(
         self,
         circumference: float,
@@ -243,7 +176,6 @@ class CircleSection(CrossSection):
         self.amplitude = amplitude
         self.shape = shape
         self.domain_radius = domain_radius
-        self.chart = "circle angle phi, period 2*pi, unwrapped"
         self._grid_checks()
         self._check_admissible()
 
@@ -267,20 +199,29 @@ class CircleSection(CrossSection):
         self.c_bound = 1.25 * worst
         self.h0_is_flat = max(abs(w.value(0.0, p)) for p in phis) < 1e-15
 
-    def conformal(self, r, y, chart=0):
+    def conformal(self, r, y):
         if self.amplitude == 0.0 or self.shape is None:
             return 1.0, 0.0, (0.0,)
         phi = float(y[0])
         a, w = self.amplitude, self.shape
         return 1.0 + a * w.value(r, phi), a * w.d_r(r, phi), (a * w.d_phi(r, phi),)
 
-    def h0_diagonal(self, y):
-        return (self.scale * self.scale,), (0.0,)
+    def cometric(self, r, y, eta):
+        """sharp = eta/(q^2 scale^2) and force = (q_phi/q)|eta|^2."""
+        q, q_r, (q_phi,) = self.conformal(r, y)
+        sharp = eta[0] / (q * q * (self.scale * self.scale))
+        norm2 = eta[0] * sharp
+        return [sharp], norm2, q_r / q, [q_phi / q * norm2]
 
-    def h0_distance(self, y1, y2) -> float:
-        d = abs(float(np.atleast_1d(y1)[0]) - float(np.atleast_1d(y2)[0]))
-        d = math.fmod(d, 2.0 * math.pi)
-        return self.scale * min(d, 2.0 * math.pi - d)
+    def metric(self, r, y):
+        q = self.conformal(r, y)[0]
+        return q * q * np.array([[self.scale * self.scale]])
+
+    def h0_distance(self, y1, y2):
+        """Distance along the circle of the points (rows) ``y1`` and ``y2``."""
+        d = np.abs(np.asarray(y1, dtype=float)[..., 0] - np.asarray(y2, dtype=float)[..., 0])
+        d = np.fmod(d, 2.0 * math.pi)
+        return self.scale * np.minimum(d, 2.0 * math.pi - d)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -291,7 +232,16 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
+def _unit(y) -> Tuple[float, float, float]:
+    n0, n1, n2 = y
+    inv = 1.0 / math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    return n0 * inv, n1 * inv, n2 * inv
+
+
 class SphereSection(CrossSection):
+    """Unit 2-sphere stored as a point n in R^3 and the angular momentum
+    L = n x p of its covector p."""
+
     def __init__(
         self,
         amplitude: float = 0.0,
@@ -304,10 +254,6 @@ class SphereSection(CrossSection):
         self.amplitude = amplitude
         self.shape = shape
         self.domain_radius = domain_radius
-        self.chart = (
-            "two rotation charts (polar/azimuth), polar axes e_z and e_x, "
-            f"switch band [{CHART_BAND_LO:.4f}, {CHART_BAND_HI:.4f}]"
-        )
         self._grid_checks()
         self._check_admissible()
 
@@ -331,30 +277,60 @@ class SphereSection(CrossSection):
         self.c_bound = 1.25 * worst
         self.h0_is_round = max(abs(w.value(0.0, n)) for n in nodes) < 1e-15
 
-    def conformal(self, r, y, chart=0):
+    def conformal(self, r, y):
+        """q, q_r and the ambient gradient a*grad w, all at n/|n|."""
         if self.amplitude == 0.0 or self.shape is None:
-            return 1.0, 0.0, (0.0, 0.0)
+            return 1.0, 0.0, (0.0, 0.0, 0.0)
         a, w = self.amplitude, self.shape
-        psi, phi = float(y[0]), float(y[1])
-        n = chart_point(chart, psi, phi)
-        J = chart_jacobian(chart, psi, phi)
-        g = w.grad(r, n)
-        return 1.0 + a * w.value(r, n), a * w.d_r(r, n), (a * (g @ J)).tolist()
+        n = _unit(y)
+        return (1.0 + a * w.value(r, n), a * w.d_r(r, n),
+                [a * g for g in w.grad(r, n).tolist()])
 
-    def h0_diagonal(self, y):
-        sp, cp = math.sin(y[0]), math.cos(y[0])
-        return (1.0, sp * sp), (0.0, 2.0 * sp * cp)
+    def cometric(self, r, y, eta):
+        """With n the unit vector of ``y`` and L = ``eta``: p = L x n,
+        sharp = p/q^2, |eta|^2 = |p|^2/q^2 and force = (|eta|^2/q) n x grad q."""
+        n0, n1, n2 = _unit(y)
+        l0, l1, l2 = eta
+        q, q_r, (g0, g1, g2) = self.conformal(r, y)
+        q2 = q * q
+        p0, p1, p2 = l1 * n2 - l2 * n1, l2 * n0 - l0 * n2, l0 * n1 - l1 * n0
+        norm2 = (p0 * p0 + p1 * p1 + p2 * p2) / q2
+        k = norm2 / q
+        return ([p0 / q2, p1 / q2, p2 / q2], norm2, q_r / q,
+                [k * (n1 * g2 - n2 * g1), k * (n2 * g0 - n0 * g2), k * (n0 * g1 - n1 * g0)])
 
-    def embed(self, y, chart: int = 0) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return chart_point(chart, float(y[0]), float(y[1]))
+    def metric(self, r, y):
+        """q^2 times the projection onto the tangent plane at n."""
+        n = np.array(_unit(y))
+        q = self.conformal(r, n)[0]
+        return q * q * (np.eye(3) - np.outer(n, n))
 
-    def h0_distance(self, y1, y2, chart1: int = 0, chart2: int = 0) -> float:
-        n1 = self.embed(y1, chart1)
-        n2 = self.embed(y2, chart2)
-        # chord-based angle: accurate near zero, unlike acos of the dot product
-        chord = float(np.linalg.norm(n1 - n2))
-        return 2.0 * math.asin(min(1.0, 0.5 * chord))
+    def embed(self, y0, v0):
+        """n and the velocity in R^3 of spherical angles y0 = (psi, phi) (psi
+        from e_z, phi from e_x toward e_y) moving at v0 = (dpsi, dphi)."""
+        psi, phi = float(y0[0]), float(y0[1])
+        sp, cp, sa, ca = math.sin(psi), math.cos(psi), math.sin(phi), math.cos(phi)
+        n = np.array([sp * ca, sp * sa, cp])
+        v = v0[0] * np.array([cp * ca, cp * sa, -sp]) + v0[1] * np.array([-sp * sa, sp * ca, 0.0])
+        return n, v
+
+    def covector(self, y, p):
+        return np.cross(y, p)
+
+    def ambient_residual(self, y, eta):
+        """max over rows of ||n|^2 - 1| and |n.L|/(|n||L|)."""
+        n2 = np.einsum("ij,ij->i", y, y)
+        dot = np.einsum("ij,ij->i", y, eta)
+        l2 = np.einsum("ij,ij->i", eta, eta)
+        return float(max(np.max(np.abs(n2 - 1.0)), np.max(np.abs(dot) / np.sqrt(n2 * l2))))
+
+    def h0_distance(self, y1, y2):
+        """Great-circle distance of the points (rows) ``y1`` and ``y2``, by the
+        chord: accurate near zero, unlike acos of the dot product."""
+        n1, n2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+        chord = np.linalg.norm(n1 / np.linalg.norm(n1, axis=-1, keepdims=True)
+                               - n2 / np.linalg.norm(n2, axis=-1, keepdims=True), axis=-1)
+        return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
 
 
 # ---------------------------------------------------------------------------
@@ -407,76 +383,57 @@ def parse_section_spec(spec: str, domain_radius: float = 1.5) -> CrossSection:
 # reference geodesics on (Y, h_0)
 
 
-def _numeric_base_geodesic(cs: CrossSection, y0: np.ndarray, v0: np.ndarray, tau: float):
-    """Hamiltonian integration of the unit-speed geodesic of h_0 = h(0, .)."""
-    dim = cs.dim
-    chart = 0
-    p = cs.metric(0.0, y0, chart) @ v0
+def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
+                           taus: np.ndarray) -> np.ndarray:
+    """Hamiltonian integration of the unit-speed geodesic of h_0 = h(0, .),
+    one run per sign of tau, sampled at ``taus``."""
+    k = len(y)
 
-    def rhs(_, state, ch):
-        y_p = state.tolist()
-        sharp, _, _, force = cs.cometric(0.0, y_p[:dim], y_p[dim:], ch)
+    def rhs(_, state):
+        x = state.tolist()
+        sharp, _, _, force = cs.cometric(0.0, x[:k], x[k:])
         return sharp + force
 
-    t0 = 0.0
-    state = np.concatenate([np.asarray(y0, dtype=float), p])
-    sign = 1.0 if tau >= 0 else -1.0
-    remaining = abs(tau)
-    while remaining > 0:
-        events = []
-        if dim == 2:
-            def leave_band(_, s, ch):
-                return min(s[0] - CHART_BAND_LO, CHART_BAND_HI - s[0])
-            leave_band.terminal = True
-            events.append(leave_band)
-        sol = solve_ivp(
-            rhs, (t0, t0 + sign * remaining), state, args=(chart,),
-            method="DOP853", rtol=1e-12, atol=1e-14, events=events or None,
-            dense_output=False,
-        )
+    x0 = np.concatenate([y, cs.covector(y, cs.metric(0.0, y) @ v)])
+    out = np.empty((len(taus), k))
+    for side in (taus >= 0.0, taus < 0.0):
+        if not side.any():
+            continue
+        end = float(taus[side][np.argmax(np.abs(taus[side]))])
+        sol = solve_ivp(rhs, (0.0, end), x0, method="DOP853", rtol=1e-12, atol=1e-14,
+                        dense_output=True)
         if not sol.success:
             raise IntegrationError(f"reference geodesic integration failed: {sol.message}")
-        state = sol.y[:, -1]
-        remaining -= abs(sol.t[-1] - t0)
-        t0 = sol.t[-1]
-        if remaining <= 1e-13:
-            break
-        # hit the chart band edge: move to the other chart and continue
-        y_new, eta_new = switch_chart(chart, state[:dim], state[dim:], 1 - chart)
-        chart = 1 - chart
-        state = np.concatenate([y_new, eta_new])
-    y_final = state[:dim]
-    if dim == 2 and chart != 0:
-        y_final, _ = switch_chart(chart, y_final, state[dim:], 0)
-    return y_final
+        out[side] = sol.sol(taus[side])[:k].T
+    return out
 
 
-def base_geodesic(cs: CrossSection, y0, v0, tau: float):
-    """Point at parameter tau of the unit-speed geodesic of (Y, h_0).
+def base_geodesic(cs: CrossSection, y0, v0, tau):
+    """Points at the parameters ``tau`` (a scalar or an array) of the
+    unit-speed geodesic of (Y, h_0), in the stored coordinates of
+    ``Trajectory.y``: one row per entry of ``tau``.
 
-    ``y0`` and ``v0`` are chart-0 coordinates/components with |v0| = 1 in h_0.
-    Closed forms cover the flat circle and the round sphere; deformed base
-    metrics fall back to numeric Hamiltonian integration with chart switching.
+    ``y0`` and ``v0`` are input coordinates (see ``CrossSection.embed``) with
+    |v0| = 1 in h_0.  Closed forms cover the flat circle and the round sphere
+    (n cos tau + V sin tau); deformed base metrics take one numeric
+    Hamiltonian integration per sign of tau.
     """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    h0 = cs.metric(0.0, y0, 0)
-    speed = math.sqrt(float(v0 @ h0 @ v0))
+    y, v = cs.embed(y0, v0)
+    speed = math.sqrt(float(v @ cs.metric(0.0, y) @ v))
     if abs(speed - 1.0) > 1e-9:
         raise ValueError(f"|v0| in h_0 is {speed:.6g}, expected 1")
-    if isinstance(cs, CircleSection) and getattr(cs, "h0_is_flat", True):
-        return np.array([y0[0] + tau * math.copysign(1.0 / cs.scale, v0[0])])
-    if isinstance(cs, SphereSection) and getattr(cs, "h0_is_round", True):
-        n0 = cs.embed(y0)
-        V = chart_jacobian(0, float(y0[0]), float(y0[1])) @ v0
-        n = math.cos(tau) * n0 + math.sin(tau) * V
-        n /= np.linalg.norm(n)
-        return np.array(point_to_chart(0, n))
-    return _numeric_base_geodesic(cs, y0, v0, tau)
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if isinstance(cs, CircleSection) and cs.h0_is_flat:
+        out = (y[0] + taus * math.copysign(1.0 / cs.scale, v[0]))[:, None]
+    elif isinstance(cs, SphereSection) and cs.h0_is_round:
+        out = np.outer(np.cos(taus), y) + np.outer(np.sin(taus), v)
+    else:
+        out = _numeric_base_geodesic(cs, y, v, taus)
+    return out.reshape(np.shape(tau) + (len(y),))
 
 
-def mean_curvature_scalar(cs: CrossSection, wf, r: float, y, chart: int = 0) -> float:
+def mean_curvature_scalar(cs: CrossSection, wf, r: float, y) -> float:
     """Scalar mean curvature of the level {r} x Y inside the warped space,
     -dim (f'/f + q_r/q) since h_r^-1 d_r h_r = 2 q_r/q."""
-    q, q_r, _ = cs.conformal(r, np.atleast_1d(y), chart)
+    q, q_r, _ = cs.conformal(r, np.atleast_1d(y))
     return -cs.dim * (wf.f_prime(r) / wf.f(r) + q_r / q)

@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 
 from .cross_sections import (
     CrossSection,
-    SphereSection,
     base_geodesic,
     circle_section,
     default_circle_shape,
@@ -335,16 +334,8 @@ def limit_geodesic_test(
         if lo > tau_window[0] or hi < tau_window[1]:
             note = f"window clipped to [{lo:.3g}, {hi:.3g}] at delta={delta:g}"
         rp = reparametrize_tau(traj, n=n_nodes, window=(lo, hi))
-        taus = np.linspace(lo, hi, n_nodes)
-        worst = 0.0
-        for tv, y, chart in zip(taus, rp.y, rp.chart_ids):
-            ref = base_geodesic(cs, y0, v0, tv)
-            if isinstance(cs, SphereSection):
-                d = cs.h0_distance(y, ref, chart1=int(chart), chart2=0)
-            else:
-                d = cs.h0_distance(y, ref)
-            worst = max(worst, d)
-        sups.append(worst)
+        ref = base_geodesic(cs, y0, v0, np.linspace(lo, hi, n_nodes))
+        sups.append(float(np.max(cs.h0_distance(rp.y, ref))))
     sups = np.asarray(sups)
     decreasing = bool(np.all(np.diff(sups) < monotone_slack))
     passed = decreasing and sups[-1] < final_threshold

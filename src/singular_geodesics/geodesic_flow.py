@@ -12,8 +12,11 @@ for h_r = q^2 h0 (see ``CrossSection.cometric``).
 Two systems share one trajectory representation: a reduced 3-state system in
 (r, theta, tau) for unperturbed circle sections, evaluated in log space so
 the exponential cusp families work far below double-precision range of f,
-and a full phase-space system with chart switching for everything else.
-Backward time is obtained from the symmetry (t, theta, eta) -> (-t, -theta, -eta).
+and a full phase-space system for everything else, in the stored coordinates
+of the section (the sphere's point and angular momentum live in R^3).  Each
+time direction is one stepper run whose only events are the exit at r = R
+and the optional tau stop.  Backward time is obtained from the symmetry
+(t, theta, eta) -> (-t, -theta, -eta).
 """
 from __future__ import annotations
 
@@ -26,17 +29,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cross_sections import (
-    CHART_BAND_HI,
-    CHART_BAND_LO,
-    CircleSection,
-    CrossSection,
-    SphereSection,
-    chart_jacobian,
-    chart_point,
-    point_to_chart,
-    switch_chart,
-)
+from .cross_sections import CircleSection, CrossSection
 from .errors import IntegrationError
 from .warp_profiles import WarpingFunction
 
@@ -63,12 +56,14 @@ FULL_MAX_STEP_FRACTION = 0.25
 
 @dataclass
 class GeodesicState:
+    """A phase-space point; ``y`` and ``eta`` are in the stored coordinates
+    of the section (on the sphere n and L in R^3)."""
+
     t: float
     r: float
     theta: float
     y: np.ndarray
     eta: np.ndarray
-    chart: int = 0
     wind_sign: int = 1  # orientation hint, survives underflow of |eta|
 
     def __post_init__(self):
@@ -82,9 +77,10 @@ def launch_winding(
     """State at the lowest point of a winding geodesic: t=0, r=delta, theta=0.
 
     eta is the h_delta-dual of f(delta) times the normalized direction, so
-    |eta| = f(delta) and the unit-speed shell holds by construction.  On the
-    sphere ``y0`` and ``v0`` are chart-0 data; a start outside chart 0's band
-    (near its poles, where h degenerates) is moved to chart 1.
+    |eta| = f(delta) and the unit-speed shell holds by construction.  ``y0``
+    and ``v0`` are input coordinates with ``cs.dim`` components each, which
+    ``cs.embed`` converts once: on the sphere they are the spherical angles
+    (psi, phi) and their rates, and the state holds n and L = n x p in R^3.
     """
     if not 0.0 < delta < wf.domain_radius:
         raise ValueError(f"delta={delta:g} outside (0, R={wf.domain_radius:g})")
@@ -94,30 +90,23 @@ def launch_winding(
         raise ValueError(f"y0 and v0 need {cs.dim} components each")
     if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(v0))):
         raise ValueError("y0 and v0 must be finite")
-    chart = 0
-    if isinstance(cs, SphereSection) and not CHART_BAND_LO <= y0[0] <= CHART_BAND_HI:
-        chart = 1
-        V = chart_jacobian(0, y0[0], y0[1]) @ v0
-        y0 = np.array(point_to_chart(chart, chart_point(0, y0[0], y0[1])))
-        J = chart_jacobian(chart, y0[0], y0[1])
-        v0 = np.array([J[:, 0] @ V, J[:, 1] @ V / math.sin(y0[0]) ** 2])
-    h = cs.metric(delta, y0, chart)
-    norm = math.sqrt(float(v0 @ h @ v0))
+    y, v = cs.embed(y0, v0)
+    h = cs.metric(delta, y)
+    norm = math.sqrt(float(v @ h @ v))
     if norm == 0.0:
         raise ValueError("v0 must be nonzero")
     fd = math.exp(wf.log_f(delta)) if wf.log_f(delta) > -745 else 0.0
-    eta = (fd / norm) * (h @ v0)
+    eta = cs.covector(y, (fd / norm) * (h @ v))
     sign = 1 if (v0[-1] >= 0 or cs.dim > 1) else -1
-    return GeodesicState(t=0.0, r=delta, theta=0.0, y=y0, eta=eta, chart=chart,
-                         wind_sign=sign)
+    return GeodesicState(t=0.0, r=delta, theta=0.0, y=y, eta=eta, wind_sign=sign)
 
 
 def vector_field(wf: WarpingFunction, cs: CrossSection, state: GeodesicState):
     """(dr, dtheta, dy, deta) of the lifted flow at a phase-space point."""
-    dim = cs.dim
+    k = len(state.y)
     x = np.concatenate([[state.r, state.theta], state.y, state.eta, [0.0]])
-    dx = _full_rhs(wf, cs, state.chart)(state.t, x)
-    return dx[0], dx[1], np.array(dx[2:2 + dim]), np.array(dx[2 + dim:2 + 2 * dim])
+    dx = _full_rhs(wf, cs, k)(state.t, x)
+    return dx[0], dx[1], np.array(dx[2:2 + k]), np.array(dx[2 + k:2 + 2 * k])
 
 
 # ---------------------------------------------------------------------------
@@ -131,41 +120,31 @@ class States(NamedTuple):
     theta: np.ndarray
     y: np.ndarray
     eta: np.ndarray
-    chart: np.ndarray
     tau_scaled: np.ndarray
 
 
 class DenseBranch:
-    """One time direction of a trajectory, stored as a forward run of the
+    """One time direction of a trajectory, stored as one forward run of the
     mirrored system in s = |t|.
 
-    Segment k of the piecewise dense solution covers [ts[k], ts[k+1]] in
-    chart ``charts[k]``; ``leg_starts`` holds the first segment of each
-    stepper run.  ``decode(x, chart, sign)`` maps the mirrored states ``x``
-    (one column per query) to ``States``; it is the only part that differs
-    between the reduced, full and radial systems.
+    Segment k of the piecewise dense solution, ``interpolants[k]``, covers
+    [ts[k], ts[k+1]] with ts[0] = 0.  ``decode(x, sign)`` maps the mirrored
+    states ``x`` (one column per query) to ``States``; it is the only part
+    that differs between the reduced, full and radial systems.
     """
 
-    def __init__(self, sign: int, decode):
+    def __init__(self, sign: int, decode, ts, interpolants, exited: bool,
+                 stopped_by_tau: bool = False):
         self.sign = sign
         self.decode = decode
-        self.ts = np.zeros(1)
-        self.interpolants: list = []
-        self.charts = np.zeros(0, dtype=int)
-        self.leg_starts = np.zeros(0, dtype=int)
-        self.exited = False
-        self.stopped_by_tau = False
+        self.ts = np.asarray(ts, dtype=float)
+        self.interpolants = interpolants
+        self.exited = exited
+        self.stopped_by_tau = stopped_by_tau
 
     @property
     def t_end(self) -> float:
         return float(self.ts[-1])
-
-    def add_leg(self, ts, interpolants, chart: int):
-        """Append one stepper run that starts where the previous one ended."""
-        self.leg_starts = np.append(self.leg_starts, len(self.interpolants))
-        self.ts = np.concatenate([self.ts, np.asarray(ts, dtype=float)[1:]])
-        self.interpolants.extend(interpolants)
-        self.charts = np.append(self.charts, np.full(len(interpolants), chart))
 
     def mirrored(self) -> "DenseBranch":
         """The same dense solution serving the other time direction."""
@@ -175,18 +154,14 @@ class DenseBranch:
 
     def evaluate(self, s: np.ndarray) -> States:
         """Decoded states at the points ``s`` in [0, t_end] (a 1-D array)."""
-        # inside a leg a step point takes the earlier segment, as scipy's
-        # OdeSolution does; a leg boundary takes the later leg, whose start
-        # state may already be in the other chart
-        seg = np.searchsorted(self.ts, s, side="left") - 1
-        leg = np.searchsorted(self.ts[self.leg_starts], s, side="right") - 1
-        seg = np.maximum(seg, self.leg_starts[leg])
+        # a step point takes the earlier segment, as scipy's OdeSolution does
+        seg = np.maximum(np.searchsorted(self.ts, s, side="left") - 1, 0)
         order = np.argsort(seg, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(seg[order])) + 1)
         by_segment = np.hstack([self.interpolants[seg[idx[0]]](s[idx]) for idx in groups])
         x = np.empty_like(by_segment)
         x[:, order] = by_segment
-        return self.decode(x, self.charts[seg], self.sign)
+        return self.decode(x, self.sign)
 
 
 class _Line:
@@ -200,7 +175,7 @@ class _Line:
 
 
 def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
-    def decode(x, chart, sign):
+    def decode(x, sign):
         n = x.shape[1]
         tau_scaled = sign * x[2]
         if fpd > 0.0:
@@ -210,22 +185,22 @@ def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: fl
             # quantities are meaningful here
             y = np.full(n, math.nan)
         return States(x[0], sign * x[1], y[:, None], np.full((n, 1), eta_comp),
-                      chart, tau_scaled)
+                      tau_scaled)
     return decode
 
 
-def _full_decode(dim: int, fpd: float):
-    def decode(x, chart, sign):
-        return States(x[0], sign * x[1], x[2:2 + dim].T, sign * x[2 + dim:2 + 2 * dim].T,
-                      chart, sign * x[-1] * fpd)
+def _full_decode(k: int, fpd: float):
+    def decode(x, sign):
+        return States(x[0], sign * x[1], x[2:2 + k].T, sign * x[2 + k:2 + 2 * k].T,
+                      sign * x[-1] * fpd)
     return decode
 
 
 def _radial_decode(start: GeodesicState):
-    def decode(x, chart, sign):
+    def decode(x, sign):
         n = x.shape[1]
         return States(x[0], np.full(n, start.theta), np.tile(start.y, (n, 1)),
-                      np.zeros((n, len(start.y))), chart, np.zeros(n))
+                      np.zeros((n, len(start.y))), np.zeros(n))
     return decode
 
 
@@ -273,18 +248,20 @@ class Trajectory:
         if not np.all((t >= self.t_min) & (t <= self.t_max)):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
-        n, dim = len(t), self.cs.dim
-        out = States(np.empty(n), np.empty(n), np.empty((n, dim)), np.empty((n, dim)),
-                     np.zeros(n, dtype=int), np.empty(n))
-        fwd = t >= 0 if self.forward is not None else np.zeros(n, dtype=bool)
-        for branch, mask in ((self.forward, fwd), (self.backward, ~fwd)):
-            if mask.any():
-                for dst, src in zip(out, branch.evaluate(np.abs(t[mask]))):
-                    dst[mask] = src
+        fwd = t >= 0 if self.forward is not None else np.zeros(len(t), dtype=bool)
+        parts = [(branch.evaluate(np.abs(t[mask])), mask)
+                 for branch, mask in ((self.forward, fwd), (self.backward, ~fwd))
+                 if mask.any()]
+        out = States(*(np.empty((len(t),) + col.shape[1:]) for col in parts[0][0]))
+        for st, mask in parts:
+            for dst, src in zip(out, st):
+                dst[mask] = src
         return out
 
     def _query(self, t, pick):
         arr = np.asarray(t, dtype=float)
+        if arr.size == 0:
+            return np.empty(arr.shape)
         values = pick(self._evaluate(arr.reshape(-1)))
         return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
@@ -336,13 +313,13 @@ class Trajectory:
     def state_at(self, t: float) -> GeodesicState:
         st = self._evaluate(np.array([float(t)]))
         return GeodesicState(t, float(st.r[0]), float(st.theta[0]), st.y[0], st.eta[0],
-                             chart=int(st.chart[0]), wind_sign=self.wind_sign)
+                             wind_sign=self.wind_sign)
 
     def _resample(self, t: np.ndarray):
         """Set every per-sample array from the dense solution at times ``t``."""
         st = self._evaluate(t)
         self.t = t
-        self.r, self.theta, self.y, self.eta, self.chart_ids, self.tau_scaled = st
+        self.r, self.theta, self.y, self.eta, self.tau_scaled = st
         self.tau = self._tau(st.tau_scaled)
         (self.hamiltonian, self.clairaut, self.clairaut_rel, self.eta_norm,
          self.qr_q, self.rho, self.u) = _diagnostics(self.wf, self.cs, self.log_fd, st)
@@ -350,11 +327,13 @@ class Trajectory:
     # -- export -------------------------------------------------------------
 
     def to_csv(self, path: str):
-        dim = self.y.shape[1]
+        """One row per sample; ``y*`` and ``eta*`` are the stored coordinates
+        (on the sphere n and L in R^3)."""
+        k = self.y.shape[1]
         cols = (["t", "r", "theta"]
-                + [f"y{i}" for i in range(dim)]
-                + [f"eta{i}" for i in range(dim)]
-                + ["hamiltonian", "clairaut", "tau", "rho", "u", "chart"])
+                + [f"y{i}" for i in range(k)]
+                + [f"eta{i}" for i in range(k)]
+                + ["hamiltonian", "clairaut", "tau", "rho", "u"])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
@@ -365,18 +344,15 @@ class Trajectory:
                     + [f"{v:.16g}" for v in self.eta[i]]
                     + [f"{self.hamiltonian[i]:.16g}", f"{self.clairaut[i]:.16g}",
                        f"{self.tau[i]:.16g}", f"{self.rho[i]:.16g}",
-                       f"{self.u[i]:.16g}", str(int(self.chart_ids[i]))]
+                       f"{self.u[i]:.16g}"]
                 )
-
-    def metadata(self) -> dict:
-        return dict(self.meta)
 
 
 def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
                  st: States):
     """Per-sample (hamiltonian, clairaut, clairaut_rel, eta_norm, qr_q, rho, u)
     of decoded states; ``qr_q`` is q_r/q, zero on the reduced and radial paths."""
-    r, theta, y, eta, chart_ids, _ = st
+    r, theta, y, eta, _ = st
     n = len(r)
     log_f_r = np.array([wf.log_f(x) if x > 0 else -math.inf for x in r])
     rho = np.where(log_f_r > -745, np.exp(np.maximum(log_f_r, -745)), 0.0)
@@ -399,7 +375,7 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
             clairaut = rho * np.cos(theta)
     else:
         norm2, qr_q = np.array([cs.cometric(*row)[1:3] for row in zip(
-            r.tolist(), y.tolist(), eta.tolist(), chart_ids.tolist())]).T
+            r.tolist(), y.tolist(), eta.tolist())]).T
         eta_norm = np.sqrt(norm2)
         hamiltonian = np.sin(theta) ** 2 + (eta_norm / rho) ** 2
         clairaut = rho * np.cos(theta)
@@ -436,9 +412,9 @@ def _reduced_rhs(wf, log_fd, log_fpd):
     return rhs
 
 
-def _full_rhs(wf, cs, chart):
-    """Right-hand side of the full system in (r, theta, y, eta, tau)."""
-    dim = cs.dim
+def _full_rhs(wf, cs, k):
+    """Right-hand side of the full system in (r, theta, y, eta, tau), with
+    ``k`` components each in y and eta."""
     r_max = 1.25 * wf.domain_radius
 
     def rhs(_, s):
@@ -448,8 +424,7 @@ def _full_rhs(wf, cs, chart):
         # so tolerate a margin beyond R before declaring the state out of domain
         if not 0.0 < r <= r_max:
             raise IntegrationError(f"r={r:g} outside (0, R)")
-        sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + dim], x[2 + dim:2 + 2 * dim],
-                                                chart)
+        sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
         f = wf.f(r)
         f2 = f * f
         return [math.sin(th), (wf.d_log_f(r) + qr_q) * math.cos(th),
@@ -458,70 +433,34 @@ def _full_rhs(wf, cs, chart):
     return rhs
 
 
-def _run_branch(wf, cs, rhs_of_chart, x0, chart, branch, rtol, atol, tau_stop,
-                max_step):
-    """Forward run of the mirrored system from the lowest point until r = R
-    or until the last state component (tau) reaches ``tau_stop``, switching
-    sphere charts as needed."""
+def _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop, max_step):
+    """One forward run of the mirrored system from the lowest point until
+    r = R or until the last state component (tau) reaches ``tau_stop``."""
     R = wf.domain_radius
-    t0 = 0.0
-    band_lo, band_hi = CHART_BAND_LO, CHART_BAND_HI
 
-    for _ in range(4096):
-        def exit_event(_, s):
-            return s[0] - R
-        exit_event.terminal = True
-        exit_event.direction = 1.0
-        events = [exit_event]
-        if tau_stop is not None:
-            def tau_event(_, s):
-                return s[-1] - tau_stop
-            tau_event.terminal = True
-            events.append(tau_event)
-        if isinstance(cs, SphereSection):
-            def band_event(_, s, lo=band_lo, hi=band_hi):
-                return min(s[2] - lo, hi - s[2])
-            band_event.terminal = True
-            events.append(band_event)
+    def exit_event(_, s):
+        return s[0] - R
+    exit_event.terminal = True
+    exit_event.direction = 1.0
+    events = [exit_event]
+    if tau_stop is not None:
+        def tau_event(_, s):
+            return s[-1] - tau_stop
+        tau_event.terminal = True
+        events.append(tau_event)
 
-        sol = solve_ivp(
-            rhs_of_chart(chart), (t0, 2.0 * R + 1.0), x0,
-            method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events,
-            first_step=_first_step(wf, x0[0]) if t0 == 0.0 else None,
-            max_step=max_step,
-        )
-        if not sol.success and sol.status != 1:
-            raise IntegrationError(f"stepper failed: {sol.message}")
-        branch.add_leg(sol.sol.ts, sol.sol.interpolants, chart)
-        if len(sol.t_events[0]) > 0:
-            branch.exited = True
-            return branch
-        if tau_stop is not None and len(sol.t_events[1]) > 0:
-            branch.stopped_by_tau = True
-            return branch
-        if sol.status != 1:
-            raise IntegrationError("trajectory truncated before exit at r=R")
-
-        # hit the chart band edge: move to the rotated chart when it is
-        # strictly more interior, otherwise widen the working band once
-        x0 = sol.y[:, -1]
-        t0 = float(sol.t[-1])
-        dim = cs.dim
-        y_cur, eta_cur = x0[2:2 + dim], x0[2 + dim:2 + 2 * dim]
-        other = 1 - chart
-        y_new, eta_new = switch_chart(chart, y_cur, eta_cur, other)
-        margin_cur = abs(math.cos(y_cur[0]))
-        margin_new = abs(math.cos(y_new[0]))
-        if margin_new < margin_cur - 1e-12:
-            chart = other
-            x0 = np.concatenate([x0[:2], y_new, eta_new, x0[-1:]])
-            band_lo, band_hi = CHART_BAND_LO, CHART_BAND_HI
-        else:
-            if band_lo < CHART_BAND_LO - 0.05:
-                raise IntegrationError("chart switching stalled near band edge")
-            band_lo -= 0.1
-            band_hi += 0.1
-    raise IntegrationError("too many chart switches")
+    sol = solve_ivp(
+        rhs, (0.0, 2.0 * R + 1.0), x0,
+        method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events,
+        first_step=_first_step(wf, x0[0]), max_step=max_step,
+    )
+    if not sol.success:
+        raise IntegrationError(f"stepper failed: {sol.message}")
+    if sol.status != 1:
+        raise IntegrationError("trajectory truncated before exit at r=R")
+    return DenseBranch(sign, decode, sol.sol.ts, sol.sol.interpolants,
+                       exited=len(sol.t_events[0]) > 0,
+                       stopped_by_tau=tau_stop is not None and len(sol.t_events[1]) > 0)
 
 
 def integrate(
@@ -552,7 +491,7 @@ def integrate(
         raise IntegrationError(f"start r={start.r:g} outside (0, R)")
 
     log_fd_at = wf.log_f(start.r)
-    eta_norm0 = cs.eta_norm(start.r, start.y, start.eta, start.chart)
+    eta_norm0 = cs.eta_norm(start.r, start.y, start.eta)
     launched_winding = abs(start.theta) < 1e-12
     is_radial = (not launched_winding) and eta_norm0 < RADIAL_ETA_FACTOR * max(
         math.exp(log_fd_at), 5e-324
@@ -589,21 +528,21 @@ def integrate(
         rhs = _reduced_rhs(wf, log_fd, log_fpd)
         # the reduced system integrates tau_scaled, so scale the stop with it
         stop = tau_stop * fpd if tau_stop is not None and fpd > 0.0 else None
-        fwd = _run_branch(wf, cs, lambda chart: rhs, [delta, 0.0, 0.0], 0,
-                          DenseBranch(1, decode), rtol, atol, stop, math.inf)
+        fwd = _run_branch(wf, rhs, [delta, 0.0, 0.0], 1, decode, rtol, atol, stop,
+                          math.inf)
         # the reduced system is identical under time reversal, so both
         # branches share one forward run
         branches = {sign: fwd if sign > 0 else fwd.mirrored() for sign in signs}
     else:
-        decode = _full_decode(cs.dim, fpd)
+        k = len(start.y)
+        decode = _full_decode(k, fpd)
+        rhs = _full_rhs(wf, cs, k)
         branches = {}
         for sign in signs:
             x0 = np.concatenate([[start.r, sign * start.theta], start.y,
                                  sign * start.eta, [0.0]])
-            branches[sign] = _run_branch(
-                wf, cs, lambda chart: _full_rhs(wf, cs, chart), x0, start.chart,
-                DenseBranch(sign, decode), rtol, atol, tau_stop,
-                FULL_MAX_STEP_FRACTION * R)
+            branches[sign] = _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop,
+                                         FULL_MAX_STEP_FRACTION * R)
 
     meta = {
         "warp": wf.label,
@@ -627,6 +566,7 @@ def integrate(
             f"unit-speed shell drift {shell_drift:.3g} exceeds {SHELL_DRIFT_LIMIT:g}"
         )
     meta["shell_drift"] = shell_drift
+    meta["ambient_residual"] = cs.ambient_residual(traj.y, traj.eta)
     return traj
 
 
@@ -642,11 +582,8 @@ def _radial_trajectory(wf, cs, start, signs, dense_nodes):
     branches = {}
     for sign in signs:
         slope = sign * sgn
-        branch = DenseBranch(sign, decode)
-        branch.add_leg([0.0, R - start.r if slope > 0 else start.r],
-                       [_Line(start.r, slope)], start.chart)
-        branch.exited = slope > 0
-        branches[sign] = branch
+        branches[sign] = DenseBranch(sign, decode, [0.0, R - start.r if slope > 0 else start.r],
+                                     [_Line(start.r, slope)], exited=slope > 0)
     traj = Trajectory(wf, cs, branches.get(1), branches.get(-1), None, None, 1.0,
                       start.wind_sign, {"warp": wf.label, "radial": True})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
@@ -699,9 +636,8 @@ def reparametrize_tau(traj: Trajectory, n: int = 512,
                       window: Optional[Tuple[float, float]] = None) -> Trajectory:
     """Resample a winding trajectory on a uniform tau grid.
 
-    The result carries ``eta_bar`` = eta / f(delta); its ``t`` holds the
-    times t_of_tau of the grid and every other array is sampled there, so
-    ``tau`` is uniform to the tolerance of the inversion.
+    Its ``t`` holds the times t_of_tau of the grid and every other array is
+    sampled there, so ``tau`` is uniform to the tolerance of the inversion.
     """
     if traj.classification != "winding":
         raise ValueError("reparametrize_tau requires a winding trajectory")
@@ -712,7 +648,6 @@ def reparametrize_tau(traj: Trajectory, n: int = 512,
     out = copy.copy(traj)
     out._resample(traj.t_of_tau(np.linspace(lo, hi, n)))
     out.meta = {**traj.meta, "parametrization": "tau"}
-    out.eta_bar = out.eta / math.exp(traj.log_fd)
     return out
 
 

@@ -100,13 +100,19 @@ class TestTrace:
 
     @pytest.mark.parametrize("section", ["sphere", "sphere:pert=0.05"])
     def test_sphere_launch_at_pole(self, tmp_path, capsys, section):
-        # chart 0 degenerates at its pole; the launch must start in chart 1
+        # the spherical angles degenerate at the pole; the launch converts
+        # them to a point and a vector in R^3 once and integrates there
         code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.1",
                            "--section", section, "--y0", "0,0", "--v0", "1,0",
                            "--outdir", str(tmp_path))
         assert code == 0, err
+        with open(tmp_path / "trace.csv") as fh:
+            header = next(csv.reader(fh))
+        assert header[3:9] == ["y0", "y1", "y2", "eta0", "eta1", "eta2"]
+        assert "chart" not in header
+        meta = json.loads((tmp_path / "trace.json").read_text())
+        assert meta["ambient_residual"] < 1e-6
         if section == "sphere":
-            meta = json.loads((tmp_path / "trace.json").read_text())
             assert meta["max_shell_residual"] < 1e-6
             expected = closed_form_winding_length(make_power_warp(2.0), 0.1)
             assert meta["winding_length"] == pytest.approx(expected, rel=1e-6)

@@ -3,18 +3,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import singular_geodesics as sg
 from singular_geodesics import IntegrationError, cross_sections
-from singular_geodesics.cross_sections import (
-    chart_jacobian,
-    chart_point,
-    default_circle_shape,
-    point_to_chart,
-    static_sphere_bump,
-    switch_chart,
-)
+from singular_geodesics.cross_sections import static_sphere_bump
 
 
 class TestCircleSection:
@@ -44,56 +37,38 @@ class TestCircleSection:
         assert flat_circle.h0_distance([0.0], [1.5 * math.pi]) == pytest.approx(0.5 * math.pi)
 
 
-class TestSphereCharts:
-    @settings(max_examples=40, deadline=None)
-    @given(psi=st.floats(0.2, math.pi - 0.2), phi=st.floats(-3.0, 3.0),
-           chart=st.integers(0, 1))
-    def test_point_roundtrip(self, psi, phi, chart):
-        n = chart_point(chart, psi, phi)
-        assert np.linalg.norm(n) == pytest.approx(1.0)
-        psi2, phi2 = point_to_chart(chart, n)
-        n2 = chart_point(chart, psi2, phi2)
-        assert np.allclose(n, n2, atol=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(psi=st.floats(math.pi / 4 + 0.05, 3 * math.pi / 4 - 0.05),
-           phi=st.floats(-3.0, 3.0))
-    def test_switch_preserves_pairing(self, psi, phi):
-        # a covector's pairing with any vector is chart independent
-        cs = sg.sphere_section()
-        y = np.array([psi, phi])
-        eta = np.array([0.37, -0.61])
-        v = np.array([1.1, 0.4])
-        y1, eta1 = switch_chart(0, y, eta, 1)
-        # push the vector through the embedding differentials
-        J0 = chart_jacobian(0, psi, phi)
-        J1 = chart_jacobian(1, y1[0], y1[1])
-        v1 = np.linalg.lstsq(J1, J0 @ v, rcond=None)[0]
-        assert float(eta @ v) == pytest.approx(float(eta1 @ v1), rel=1e-9)
-
-    def test_switch_preserves_norm(self, round_sphere):
-        y = np.array([math.pi / 2 - 0.3, 1.2])
-        eta = np.array([0.4, 0.7])
-        y1, eta1 = switch_chart(0, y, eta, 1)
-        n0 = round_sphere.eta_norm(0.5, y, eta, chart=0)
-        n1 = round_sphere.eta_norm(0.5, y1, eta1, chart=1)
-        assert n0 == pytest.approx(n1, rel=1e-12)
-
-    def test_h0_distance_chord(self, round_sphere):
-        north = np.array([1e-9, 0.0])
-        south = np.array([math.pi - 1e-9, 0.0])
-        assert round_sphere.h0_distance(north, south) == pytest.approx(math.pi, abs=1e-8)
-        a = np.array([math.pi / 2, 0.0])
-        b = np.array([math.pi / 2, 1.0])
-        assert round_sphere.h0_distance(a, b) == pytest.approx(1.0, rel=1e-12)
+def _sphere_frame(psi, phi):
+    """n and the Jacobian (d n/d psi, d n/d phi) of spherical angles, written
+    out here as an oracle independent of the package; complex input works."""
+    sp, cp, sa, ca = np.sin(psi), np.cos(psi), np.sin(phi), np.cos(phi)
+    n = np.array([sp * ca, sp * sa, cp])
+    J = np.array([[cp * ca, -sp * sa], [cp * sa, sp * ca], [-sp, 0.0 * sp]])
+    return n, J
 
 
 class TestSphereSection:
     def test_round_metric(self, round_sphere):
-        y = np.array([1.0, 0.3])
-        h = round_sphere.metric(0.7, y)
-        assert np.allclose(h, np.diag([1.0, math.sin(1.0) ** 2]))
+        # pulled back by the angle Jacobian, h_r is diag(1, sin^2 psi)
+        n, J = _sphere_frame(1.0, 0.3)
+        h = round_sphere.metric(0.7, n)
+        assert np.allclose(J.T @ h @ J, np.diag([1.0, math.sin(1.0) ** 2]))
+        assert np.allclose(h @ n, 0.0)
         assert round_sphere.c_bound == 0.0
+
+    def test_embed_matches_angle_frame(self, round_sphere):
+        n, V = round_sphere.embed([1.1, -0.4], [0.3, 0.7])
+        ref_n, J = _sphere_frame(1.1, -0.4)
+        assert np.allclose(n, ref_n, rtol=0.0, atol=1e-15)
+        assert np.allclose(V, J @ [0.3, 0.7], rtol=0.0, atol=1e-15)
+
+    def test_h0_distance_chord(self, round_sphere):
+        north, south = _sphere_frame(1e-9, 0.0)[0], _sphere_frame(math.pi - 1e-9, 0.0)[0]
+        assert round_sphere.h0_distance(north, south) == pytest.approx(math.pi, abs=1e-8)
+        a, b = _sphere_frame(math.pi / 2, 0.0)[0], _sphere_frame(math.pi / 2, 1.0)[0]
+        assert round_sphere.h0_distance(a, b) == pytest.approx(1.0, rel=1e-12)
+        # rows at a time, and points off the unit sphere count by direction
+        assert np.allclose(round_sphere.h0_distance(np.array([a, 2.0 * a]), np.array([b, a])),
+                           [1.0, 0.0], rtol=1e-12, atol=1e-15)
 
     def test_perturbed_admissible(self):
         cs = sg.sphere_section(perturbation=(0.1, None))
@@ -120,10 +95,15 @@ class TestBaseGeodesic:
     def test_round_sphere_great_circle(self, round_sphere):
         y0 = [math.pi / 2, 0.0]
         v0 = [0.0, 1.0]  # unit since sin(pi/2) = 1
+        n0 = _sphere_frame(*y0)[0]
         quarter = sg.base_geodesic(round_sphere, y0, v0, math.pi / 2)
-        assert round_sphere.h0_distance(y0, quarter) == pytest.approx(math.pi / 2, rel=1e-9)
+        assert round_sphere.h0_distance(n0, quarter) == pytest.approx(math.pi / 2, rel=1e-9)
         full = sg.base_geodesic(round_sphere, y0, v0, 2 * math.pi)
-        assert round_sphere.h0_distance(y0, full) == pytest.approx(0.0, abs=1e-9)
+        assert round_sphere.h0_distance(n0, full) == pytest.approx(0.0, abs=1e-9)
+        taus = np.array([-1.0, 0.0, math.pi / 2])
+        rows = sg.base_geodesic(round_sphere, y0, v0, taus)
+        assert rows.shape == (3, 3)
+        assert np.array_equal(rows[2], quarter)
 
     def test_numeric_fallback_matches_round(self):
         # amplitude zero through the static bump still flags h0 as non-round,
@@ -135,6 +115,12 @@ class TestBaseGeodesic:
         a = sg.base_geodesic(cs_num, y0, v0, tau)
         b = sg.base_geodesic(cs_ref, y0, v0, tau)
         assert cs_ref.h0_distance(a, b) == pytest.approx(0.0, abs=1e-7)
+        # a window of both signs: one integration per sign, sampled densely
+        taus = np.array([-1.3, -0.2, 0.0, 0.5, 1.3])
+        rows_num = sg.base_geodesic(cs_num, y0, v0, taus)
+        rows_ref = sg.base_geodesic(cs_ref, y0, v0, taus)
+        assert np.max(cs_ref.h0_distance(rows_num, rows_ref)) < 1e-7
+        assert np.array_equal(rows_num[-1], a)
 
     def test_numeric_failure_raises_integration_error(self, monkeypatch):
         def failed(*args, **kwargs):
@@ -153,10 +139,21 @@ def _h0_matrix(cs, y):
     return np.diag([1.0, sp * sp]), [np.diag([0.0, 2.0 * sp * cp]), np.zeros((2, 2))]
 
 
-def _dense_oracle(cs, r, y, eta, chart):
-    """sharp, |eta|^2, q_r/q and force from h = q^2 h0 as a matrix, its
-    inverse and the analytic partials d_k h = 2 q q_k h0 + q^2 d_k h0."""
-    q, q_r, q_y = cs.conformal(r, y, chart)
+def _angle_conformal(cs, r, y):
+    """q, q_r and the partials of q in the angles y; on the sphere by the
+    chain rule through the ambient gradient."""
+    if cs.dim == 1:
+        return cs.conformal(r, y)
+    n, J = _sphere_frame(*y)
+    q, q_r, grad = cs.conformal(r, n)
+    return q, q_r, np.asarray(grad) @ J
+
+
+def _dense_oracle(cs, r, y, eta):
+    """sharp, |eta|^2, q_r/q and force in angle coordinates from h = q^2 h0
+    as a matrix, its inverse and the analytic partials
+    d_k h = 2 q q_k h0 + q^2 d_k h0."""
+    q, q_r, q_y = _angle_conformal(cs, r, y)
     h0, dh0 = _h0_matrix(cs, y)
     sharp = np.linalg.inv(q * q * h0) @ eta
     norm2 = float(eta @ sharp)
@@ -166,37 +163,93 @@ def _dense_oracle(cs, r, y, eta, chart):
     return sharp, norm2, float(sharp @ d_r @ sharp) / (2.0 * norm2), np.array(force)
 
 
+def _angular_momentum(y, eta):
+    """L = n x p for the angle covector eta: p is the tangent vector with
+    p . d_k n = eta_k.  Linear in eta, and analytic in y for complex steps."""
+    n, J = _sphere_frame(*y)
+    return np.cross(n, J @ np.linalg.solve(J.T @ J, eta))
+
+
 _KERNEL_SECTIONS = {
     "perturbed_circle": sg.circle_section(3.0, (0.1, None)),
     "round_sphere": sg.sphere_section(),
     "perturbed_sphere": sg.sphere_section((0.05, None)),
     "static_bump": sg.sphere_section((0.1, static_sphere_bump)),
 }
+_SPHERES = sorted(name for name, cs in _KERNEL_SECTIONS.items() if cs.dim == 2)
 
 
 class TestCometric:
     @pytest.mark.parametrize("name", sorted(_KERNEL_SECTIONS))
     @settings(max_examples=60, deadline=None)
     @given(r=st.floats(0.0, 1.5, allow_subnormal=False), psi=st.floats(0.2, math.pi - 0.2),
-           phi=st.floats(-7.0, 7.0, allow_subnormal=False), chart=st.integers(0, 1),
+           phi=st.floats(-7.0, 7.0, allow_subnormal=False),
            eta=st.lists(st.floats(0.01, 3.0) | st.floats(-3.0, -0.01),
                         min_size=2, max_size=2))
-    def test_matches_dense_matrix_formula(self, name, r, psi, phi, chart, eta):
+    def test_matches_dense_matrix_formula(self, name, r, psi, phi, eta):
+        # on the sphere the angle flow (ydot, etadot) is carried to (ndot, Ldot)
+        # by the chain rule, with d L/d y taken by complex steps
         cs = _KERNEL_SECTIONS[name]
         if cs.dim == 1:
-            y, eta, chart = np.array([phi]), np.array(eta[:1]), 0
+            y, eta = np.array([phi]), np.array(eta[:1])
         else:
             y, eta = np.array([psi, phi]), np.array(eta)
-        sharp, norm2, qr_q, force = cs.cometric(r, y.tolist(), eta.tolist(), chart)
-        ref_sharp, ref_norm2, ref_qr_q, ref_force = _dense_oracle(cs, r, y, eta, chart)
-        assert np.allclose(sharp, ref_sharp, rtol=1e-13, atol=0.0)
+        ref_sharp, ref_norm2, ref_qr_q, ref_force = _dense_oracle(cs, r, y, eta)
+        if cs.dim == 1:
+            y_stored, eta_stored = y, eta
+            size = np.abs(ref_force).max()
+        else:
+            y_stored, J = _sphere_frame(*y)
+            eta_stored = _angular_momentum(y, eta)
+            dL_dy = np.column_stack([_angular_momentum(y + 1e-20j * e, eta).imag / 1e-20
+                                     for e in np.eye(2)])
+            dL_deta = np.column_stack([_angular_momentum(y, e) for e in np.eye(2)])
+            size = (np.abs(dL_dy).max() * np.abs(ref_sharp).max()
+                    + np.abs(dL_deta).max() * np.abs(ref_force).max())
+            ref_sharp, ref_force = J @ ref_sharp, dL_dy @ ref_sharp + dL_deta @ ref_force
+        sharp, norm2, qr_q, force = cs.cometric(r, y_stored.tolist(), eta_stored.tolist())
+        assert np.max(np.abs(np.array(sharp) - ref_sharp)) <= 1e-13 * np.abs(ref_sharp).max()
         assert norm2 == pytest.approx(ref_norm2, rel=1e-13)
-        assert cs.eta_norm(r, y, eta, chart) == pytest.approx(math.sqrt(ref_norm2), rel=1e-13)
+        assert cs.eta_norm(r, y_stored, eta_stored) == pytest.approx(math.sqrt(ref_norm2),
+                                                                      rel=1e-13)
         assert qr_q == pytest.approx(ref_qr_q, rel=1e-13)
-        # the two force terms may cancel; measure the error against their size,
+        # the force terms may cancel; measure the error against their size,
         # and only absolutely once it falls below the smallest normal double
-        scale = np.abs(ref_force).max() + norm2 * max(abs(v) for v in cs.conformal(r, y, chart)[2])
+        scale = size + norm2 * np.abs(_angle_conformal(cs, r, y)[2]).max()
         assert np.max(np.abs(np.array(force) - ref_force)) <= 1e-13 * scale + np.finfo(float).tiny
+
+    @pytest.mark.parametrize("name", _SPHERES)
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.0, 1.5, allow_subnormal=False),
+           n=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           length=st.floats(0.9, 1.1),
+           w=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_sphere_matches_hamiltonian_gradient(self, name, r, n, length, w):
+        # with H(n, L) = |L x n/|n||^2 / (2 q^2), the kernel is the flow
+        # ndot = dH/dL x n/|n| and Ldot = dH/dn x n on the invariant set n.L = 0;
+        # both gradients by central differences
+        cs = _KERNEL_SECTIONS[name]
+        n = np.array(n)
+        assume(np.linalg.norm(n) > 0.1)
+        n *= length / np.linalg.norm(n)
+        L = np.cross(n, w)
+        assume(np.linalg.norm(L) > 0.1)
+
+        def hamiltonian(n, L):
+            unit = n / np.linalg.norm(n)
+            p = np.cross(L, unit)
+            return float(p @ p) / (2.0 * cs.conformal(r, unit)[0] ** 2)
+
+        def gradient(func):
+            h = 1e-6
+            return np.array([(func(h * e) - func(-h * e)) / (2.0 * h) for e in np.eye(3)])
+
+        dH_dL = gradient(lambda d: hamiltonian(n, L + d))
+        dH_dn = gradient(lambda d: hamiltonian(n + d, L))
+        sharp, norm2, _, force = cs.cometric(r, n.tolist(), L.tolist())
+        unit = n / np.linalg.norm(n)
+        assert np.max(np.abs(np.array(sharp) - np.cross(dH_dL, unit))) <= 1e-8 * math.sqrt(norm2)
+        assert np.max(np.abs(np.array(force) - np.cross(dH_dn, n))) <= 1e-8 * norm2
 
 
 class TestParseSectionSpec:
@@ -232,12 +285,13 @@ class TestMeanCurvature:
 
     def test_perturbed_matches_metric_trace(self, cusp_warp):
         # old formula: -dim f'/f - trace(h^-1 d_r h) / 2
-        for cs, y in ((sg.circle_section(3.0, (0.1, None)), [0.7]),
-                      (sg.sphere_section((0.05, None)), [1.1, 0.4])):
+        for cs, y, point in ((sg.circle_section(3.0, (0.1, None)), [0.7], [0.7]),
+                             (sg.sphere_section((0.05, None)), [1.1, 0.4],
+                              _sphere_frame(1.1, 0.4)[0])):
             for r in (0.2, 0.9):
-                q, q_r, _ = cs.conformal(r, y)
+                q, q_r, _ = _angle_conformal(cs, r, y)
                 h0, _ = _h0_matrix(cs, y)
                 trace = np.trace(np.linalg.inv(q * q * h0) @ (2.0 * q * q_r * h0))
                 expected = -cs.dim * cusp_warp.f_prime(r) / cusp_warp.f(r) - 0.5 * trace
-                assert sg.mean_curvature_scalar(cs, cusp_warp, r, y) == \
+                assert sg.mean_curvature_scalar(cs, cusp_warp, r, point) == \
                     pytest.approx(expected, rel=1e-13)

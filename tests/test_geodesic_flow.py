@@ -1,4 +1,3 @@
-import bisect
 import json
 import math
 
@@ -90,6 +89,7 @@ class TestTrajectory:
             assert query(np.array([0.3, -0.3])).shape == (2,)
         assert isinstance(traj.t_of_tau(0.5), float)
         assert traj.t_of_tau(np.array([[0.5, -0.5]])).shape == (1, 2)
+        assert traj.r_of_t(np.zeros((0, 2))).shape == (0, 2)
 
     def test_csv_and_metadata(self, cone_warp, flat_circle, tmp_path):
         traj = sg.integrate_winding(cone_warp, flat_circle, 0.3, [0.0], [1.0])
@@ -98,7 +98,7 @@ class TestTrajectory:
         header = path.read_text().splitlines()
         assert header[0].startswith("t,r,theta")
         assert len(header) == len(traj.t) + 1
-        meta = traj.metadata()
+        meta = traj.meta
         json.dumps(meta)  # must be serializable
         assert meta["delta"] == 0.3
         assert meta["shell_drift"] < 1e-8
@@ -161,9 +161,9 @@ class TestReparametrize:
         assert rp.tau[-1] == pytest.approx(1.0)
         assert len(rp.tau) == 101
         assert np.allclose(np.diff(rp.tau), rp.tau[1] - rp.tau[0])
-        # eta_bar = eta / f(delta) has h-norm f(r)/f(delta) >= 1, ~1 near tau=0
+        # eta / f(delta) has h-norm f(r)/f(delta) >= 1, ~1 near tau=0
         mid = len(rp.tau) // 2
-        norm = flat_circle.eta_norm(rp.r[mid], rp.y[mid], rp.eta_bar[mid])
+        norm = flat_circle.eta_norm(rp.r[mid], rp.y[mid], rp.eta[mid] / math.exp(traj.log_fd))
         assert norm == pytest.approx(cusp_warp.f(rp.r[mid]) / cusp_warp.f(0.1), rel=1e-8)
 
 
@@ -175,6 +175,21 @@ class TestDiagnostics:
                                         rtol=1e-12, atol=1e-14)
             assert np.nanmax(np.abs(traj.hamiltonian - 1.0)) < 1e-10
             assert np.nanmax(np.abs(traj.clairaut_rel)) < 1e-9
+
+    @pytest.mark.parametrize("section", ["sphere", "sphere:pert=0.05"])
+    def test_ambient_residual_at_tight_tolerance(self, section):
+        # |n|^2 - 1 and n.L/|L| are invariants of the sphere flow; at the
+        # tolerances of criterion 5 they stay far below the shell check
+        cs = sg.parse_section_spec(section)
+        traj = sg.integrate_winding(sg.make_power_warp(2.0), cs, 0.1, [math.pi / 2, 0.3],
+                                    [math.sin(1.0), math.cos(1.0)], rtol=1e-12, atol=1e-14)
+        assert traj.y.shape[1] == traj.eta.shape[1] == 3
+        assert 0.0 < traj.meta["ambient_residual"] < 1e-9
+
+    def test_ambient_residual_is_zero_on_circles(self, cusp_warp, flat_circle):
+        for cs in (flat_circle, sg.circle_section(2 * math.pi, (0.08, None))):
+            traj = sg.integrate_winding(cusp_warp, cs, 0.2, [0.0], [1.0])
+            assert traj.meta["ambient_residual"] == 0.0
 
     def test_log_eta_rate_vanishes_for_warped(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.1, [0.0], [1.0])
@@ -207,17 +222,13 @@ class TestVectorField:
 
 
 def _scalar_loop(traj):
-    """Reference evaluation, one sample at a time: the last leg starting at
-    or before s = |t|, then scipy's OdeSolution of that leg at the scalar s."""
+    """Reference evaluation, one sample at a time: scipy's OdeSolution of the
+    branch at the scalar s = |t|."""
     rows = []
     for t in traj.t:
         b = traj.forward if t >= 0 else traj.backward
-        s = abs(float(t))
-        starts = list(b.leg_starts) + [len(b.interpolants)]
-        leg = bisect.bisect_right([b.ts[k] for k in starts[:-1]], s) - 1
-        lo, hi = starts[leg], starts[leg + 1]
-        x = OdeSolution(b.ts[lo:hi + 1], b.interpolants[lo:hi])(s)
-        rows.append(b.decode(x[:, None], b.charts[lo:lo + 1], b.sign))
+        x = OdeSolution(b.ts, b.interpolants)(abs(float(t)))
+        rows.append(b.decode(x[:, None], b.sign))
     return [np.concatenate(col) for col in zip(*rows)]
 
 
@@ -233,15 +244,11 @@ class TestDenseEvaluation:
             cs = sg.sphere_section((0.05, None))
             y0, v0 = [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]
         traj = sg.integrate_winding(wf, cs, 0.1, y0, v0, dense_nodes=256)
-        if case == "perturbed_sphere":
-            assert set(traj.chart_ids.tolist()) == {0, 1}
-            assert len(traj.forward.leg_starts) > 1
-        r, theta, y, eta, chart, tau_scaled = _scalar_loop(traj)
+        r, theta, y, eta, tau_scaled = _scalar_loop(traj)
         assert np.array_equal(traj.r, r)
         assert np.array_equal(traj.theta, theta)
         assert np.array_equal(traj.y, y)
         assert np.array_equal(traj.eta, eta)
-        assert np.array_equal(traj.chart_ids, chart)
         assert np.array_equal(traj.tau_scaled, tau_scaled)
         assert np.array_equal(traj.r_of_t(traj.t), r)
         assert [traj.r_of_t(t) for t in traj.t[::37]] == list(r[::37])
