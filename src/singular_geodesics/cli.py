@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from typing import List, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,11 +48,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The config of a JSON object; each value must have its field's type
+        (an integer counts as a float)."""
+        if not isinstance(data, dict):
+            raise ValueError("a config file must hold one JSON object")
+        kinds = get_type_hints(cls)
         cfg = cls()
         for k, v in data.items():
-            if not hasattr(cfg, k):
+            if k not in kinds:
                 raise ValueError(f"unknown config key {k!r}")
-            setattr(cfg, k, v)
+            setattr(cfg, k, _config_value(k, v, kinds[k]))
         return cfg
 
     def to_dict(self) -> dict:
@@ -60,6 +65,24 @@ class RunConfig:
 
     def normalized_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _config_value(key: str, value, kind):
+    """``value`` converted to the field type ``kind``, or a ValueError."""
+    if type(None) in get_args(kind):  # Optional[...]
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if get_origin(kind) is list:
+        if isinstance(value, list):
+            return [_config_value(key, v, get_args(kind)[0]) for v in value]
+    elif isinstance(value, bool) == (kind is bool) and isinstance(
+            value, (int, float) if kind is float else kind):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ValueError(f"config key {key!r}: {value!r} is not a {kind.__name__}")
 
 
 def _parse_floats(text: str) -> List[float]:

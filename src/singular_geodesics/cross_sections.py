@@ -109,6 +109,7 @@ class CrossSection:
 
     dim: int
     c_bound: float
+    h0_is_standard: bool
     domain_radius: float
     amplitude: float
 
@@ -147,6 +148,27 @@ class CrossSection:
     def h0_distance(self, y1, y2):
         raise NotImplementedError
 
+    def _grid_checks(self, nodes):
+        """Check 1/2 <= q <= 2 on 128 radii times the points ``nodes`` of Y,
+        and set ``c_bound`` (1.25 times the largest |q_r/q| seen) and
+        ``h0_is_standard`` (w vanishes at r = 0, so h0 is the flat circle or
+        the round sphere)."""
+        a, w = self.amplitude, self.shape
+        if a == 0.0 or w is None:
+            self.c_bound = 0.0
+            self.h0_is_standard = True
+            return
+        worst = 0.0
+        for r in np.linspace(0.0, self.domain_radius, 128):
+            for y in nodes:
+                q = 1.0 + a * w.value(r, y)
+                if not 0.5 <= q <= 2.0:
+                    raise ValueError(f"degenerate metric: 1+a*w = {q:.4g} at r={r:.3g}, "
+                                     f"y={np.round(y, 3)}")
+                worst = max(worst, abs(a * w.d_r(r, y)) / q)
+        self.c_bound = 1.25 * worst
+        self.h0_is_standard = max(abs(w.value(0.0, y)) for y in nodes) < 1e-15
+
     def _check_admissible(self):
         if self.domain_radius * self.c_bound >= 1.0:
             raise ValueError(
@@ -176,28 +198,8 @@ class CircleSection(CrossSection):
         self.amplitude = amplitude
         self.shape = shape
         self.domain_radius = domain_radius
-        self._grid_checks()
+        self._grid_checks(np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False))
         self._check_admissible()
-
-    def _grid_checks(self):
-        a, w = self.amplitude, self.shape
-        if a == 0.0 or w is None:
-            self.c_bound = 0.0
-            self.h0_is_flat = True
-            return
-        rs = np.linspace(0.0, self.domain_radius, 128)
-        phis = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-        worst = 0.0
-        for r in rs:
-            for phi in phis:
-                q = 1.0 + a * w.value(r, phi)
-                if not 0.5 <= q <= 2.0:
-                    raise ValueError(
-                        f"degenerate metric: 1+a*w = {q:.4g} at (r={r:.3g}, phi={phi:.3g})"
-                    )
-                worst = max(worst, abs(a * w.d_r(r, phi)) / q)
-        self.c_bound = 1.25 * worst
-        self.h0_is_flat = max(abs(w.value(0.0, p)) for p in phis) < 1e-15
 
     def conformal(self, r, y):
         if self.amplitude == 0.0 or self.shape is None:
@@ -254,28 +256,8 @@ class SphereSection(CrossSection):
         self.amplitude = amplitude
         self.shape = shape
         self.domain_radius = domain_radius
-        self._grid_checks()
+        self._grid_checks(_fibonacci_sphere(128))
         self._check_admissible()
-
-    def _grid_checks(self):
-        a, w = self.amplitude, self.shape
-        if a == 0.0 or w is None:
-            self.c_bound = 0.0
-            self.h0_is_round = True
-            return
-        rs = np.linspace(0.0, self.domain_radius, 128)
-        nodes = _fibonacci_sphere(128)
-        worst = 0.0
-        for r in rs:
-            for n in nodes:
-                q = 1.0 + a * w.value(r, n)
-                if not 0.5 <= q <= 2.0:
-                    raise ValueError(
-                        f"degenerate metric: 1+a*w = {q:.4g} at r={r:.3g}"
-                    )
-                worst = max(worst, abs(a * w.d_r(r, n)) / q)
-        self.c_bound = 1.25 * worst
-        self.h0_is_round = max(abs(w.value(0.0, n)) for n in nodes) < 1e-15
 
     def conformal(self, r, y):
         """q, q_r and the ambient gradient a*grad w, all at n/|n|."""
@@ -423,12 +405,12 @@ def base_geodesic(cs: CrossSection, y0, v0, tau):
     if abs(speed - 1.0) > 1e-9:
         raise ValueError(f"|v0| in h_0 is {speed:.6g}, expected 1")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if isinstance(cs, CircleSection) and cs.h0_is_flat:
-        out = (y[0] + taus * math.copysign(1.0 / cs.scale, v[0]))[:, None]
-    elif isinstance(cs, SphereSection) and cs.h0_is_round:
-        out = np.outer(np.cos(taus), y) + np.outer(np.sin(taus), v)
-    else:
+    if not cs.h0_is_standard:
         out = _numeric_base_geodesic(cs, y, v, taus)
+    elif isinstance(cs, CircleSection):
+        out = (y[0] + taus * math.copysign(1.0 / cs.scale, v[0]))[:, None]
+    else:
+        out = np.outer(np.cos(taus), y) + np.outer(np.sin(taus), v)
     return out.reshape(np.shape(tau) + (len(y),))
 
 

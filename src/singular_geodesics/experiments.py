@@ -99,7 +99,6 @@ def delta_sweep(
     v0=1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    reference_Cf: Optional[float] = None,
 ) -> SweepResult:
     """Measure winding lengths over a decreasing delta ladder and compare
     f'(delta) * length against the length constant."""
@@ -112,12 +111,11 @@ def delta_sweep(
         raise ValueError("deltas must lie in (0, R)")
 
     note = ""
-    if reference_Cf is None:
-        try:
-            reference_Cf = compute_Cf(wf, tol=1e-9)
-        except (NonOscillationError, QuadratureError) as exc:
-            reference_Cf = math.nan
-            note = f"no reference constant: {exc}"
+    try:
+        reference_Cf = compute_Cf(wf, tol=1e-9)
+    except (NonOscillationError, QuadratureError) as exc:
+        reference_Cf = math.nan
+        note = f"no reference constant: {exc}"
 
     def one(delta: float) -> Tuple[float, float]:
         try:
@@ -255,25 +253,21 @@ def comparison_test(
     delta_bar: float,
     y0=0.0,
     v0=1.0,
-    y0_bar=None,
-    v0_bar=None,
     n_nodes: int = 801,
     rtol: float = 1e-10,
 ) -> ComparisonReport:
     """For a warped product and 0 < delta < delta_bar, the radial components
-    satisfy r(t) < rbar(t) at every common time."""
+    of the geodesics launched from (y0, v0) satisfy r(t) < rbar(t) at every
+    common time."""
     if cs.c_bound != 0.0:
         raise ValueError("comparison principle requires a warped product (c = 0)")
     if not wf.is_convex_kind:
         raise ValueError("comparison principle requires a convex warp")
     if not 0.0 < delta < delta_bar < wf.domain_radius:
         raise ValueError("need 0 < delta < delta_bar < R (equal deltas rejected)")
-    y0_bar = y0 if y0_bar is None else y0_bar
-    v0_bar = v0 if v0_bar is None else v0_bar
 
     lo = integrate_winding(wf, cs, delta, y0, v0, rtol=rtol, dense_nodes=128)
-    hi = integrate_winding(wf, cs, delta_bar, y0_bar, v0_bar, rtol=rtol,
-                           dense_nodes=128)
+    hi = integrate_winding(wf, cs, delta_bar, y0, v0, rtol=rtol, dense_nodes=128)
     t_span = min(-lo.t[0], lo.t[-1], -hi.t[0], hi.t[-1])
     ts = np.linspace(-t_span, t_span, n_nodes)
     gaps = hi.r_of_t(ts) - lo.r_of_t(ts)
@@ -287,6 +281,12 @@ def comparison_test(
 
 # ---------------------------------------------------------------------------
 # limit geodesic on the link
+
+
+# the sup distance may rise by at most the slack along the ladder and must
+# end below the threshold
+LIMIT_MONOTONE_SLACK = 1e-8
+LIMIT_FINAL_THRESHOLD = 0.05
 
 
 @dataclass
@@ -307,8 +307,6 @@ def limit_geodesic_test(
     tau_window: Tuple[float, float] = (-2.0, 2.0),
     n_nodes: int = 121,
     rtol: float = 1e-10,
-    final_threshold: float = 0.05,
-    monotone_slack: float = 1e-8,
 ) -> LimitReport:
     """After unit-speed reparametrization of the link projection, compare
     against the reference geodesic of (Y, h_0) on a fixed tau window; the
@@ -337,8 +335,8 @@ def limit_geodesic_test(
         ref = base_geodesic(cs, y0, v0, np.linspace(lo, hi, n_nodes))
         sups.append(float(np.max(cs.h0_distance(rp.y, ref))))
     sups = np.asarray(sups)
-    decreasing = bool(np.all(np.diff(sups) < monotone_slack))
-    passed = decreasing and sups[-1] < final_threshold
+    decreasing = bool(np.all(np.diff(sups) < LIMIT_MONOTONE_SLACK))
+    passed = decreasing and sups[-1] < LIMIT_FINAL_THRESHOLD
     return LimitReport(passed, deltas, sups, tau_window, note)
 
 

@@ -14,9 +14,11 @@ Two systems share one trajectory representation: a reduced 3-state system in
 the exponential cusp families work far below double-precision range of f,
 and a full phase-space system for everything else, in the stored coordinates
 of the section (the sphere's point and angular momentum live in R^3).  Each
-time direction is one stepper run whose only events are the exit at r = R
-and the optional tau stop.  Backward time is obtained from the symmetry
-(t, theta, eta) -> (-t, -theta, -eta).
+time direction is one DOP853 run whose only events are the exit at r = R
+and the optional tau stop; its dense output is copied once into coefficient
+arrays (``DenseBranch``), and a query is one gather plus Horner's scheme.  A
+radial line is one segment of the same form.  Backward time is obtained from
+the symmetry (t, theta, eta) -> (-t, -theta, -eta).
 """
 from __future__ import annotations
 
@@ -127,18 +129,21 @@ class DenseBranch:
     """One time direction of a trajectory, stored as one forward run of the
     mirrored system in s = |t|.
 
-    Segment k of the piecewise dense solution, ``interpolants[k]``, covers
-    [ts[k], ts[k+1]] with ts[0] = 0.  ``decode(x, sign)`` maps the mirrored
-    states ``x`` (one column per query) to ``States``; it is the only part
-    that differs between the reduced, full and radial systems.
+    The run's DOP853 dense output is held as arrays: segment k starts at the
+    step point ``ts[k]`` (ts[0] = 0, ts[-1] = t_end) with the state
+    ``y0[k]``, has the step length ``h[k]`` (the last step may reach past
+    t_end, where an event cut it short) and the interpolation coefficients
+    ``F[:, k]`` (7 x segments x states).  ``decode(x, sign)`` maps the
+    mirrored states ``x`` (one column per query) to ``States``; it is the
+    only part that differs between the reduced and full systems.
     """
 
-    def __init__(self, sign: int, decode, ts, interpolants, exited: bool,
+    def __init__(self, sign: int, decode, ts, h, y0, F, exited: bool,
                  stopped_by_tau: bool = False):
         self.sign = sign
         self.decode = decode
         self.ts = np.asarray(ts, dtype=float)
-        self.interpolants = interpolants
+        self.h, self.y0, self.F = h, y0, F
         self.exited = exited
         self.stopped_by_tau = stopped_by_tau
 
@@ -156,22 +161,14 @@ class DenseBranch:
         """Decoded states at the points ``s`` in [0, t_end] (a 1-D array)."""
         # a step point takes the earlier segment, as scipy's OdeSolution does
         seg = np.maximum(np.searchsorted(self.ts, s, side="left") - 1, 0)
-        order = np.argsort(seg, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(seg[order])) + 1)
-        by_segment = np.hstack([self.interpolants[seg[idx[0]]](s[idx]) for idx in groups])
-        x = np.empty_like(by_segment)
-        x[:, order] = by_segment
-        return self.decode(x, self.sign)
-
-
-class _Line:
-    """Dense output of the radial flow in the mirrored time s: r0 + slope*s."""
-
-    def __init__(self, r0: float, slope: float):
-        self.r0, self.slope = r0, slope
-
-    def __call__(self, s):
-        return (self.r0 + self.slope * np.asarray(s))[None, :]
+        x = ((s - self.ts[seg]) / self.h[seg])[:, None]
+        # the alternating Horner scheme of scipy's Dop853DenseOutput
+        y = np.zeros((len(s), self.y0.shape[1]))
+        for i, f in enumerate(self.F[::-1, seg]):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y0[seg]
+        return self.decode(y.T, self.sign)
 
 
 def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
@@ -196,14 +193,6 @@ def _full_decode(k: int, fpd: float):
     return decode
 
 
-def _radial_decode(start: GeodesicState):
-    def decode(x, sign):
-        n = x.shape[1]
-        return States(x[0], np.full(n, start.theta), np.tile(start.y, (n, 1)),
-                      np.zeros((n, len(start.y))), np.zeros(n))
-    return decode
-
-
 # ---------------------------------------------------------------------------
 # trajectory container
 
@@ -211,7 +200,7 @@ def _radial_decode(start: GeodesicState):
 class Trajectory:
     """Lifted geodesic: one DenseBranch per time direction and samples of it.
 
-    ``forward`` serves t >= 0 and ``backward`` t < 0; either may be None.
+    ``forward`` serves t >= 0 and ``backward`` t < 0.
     Sample arrays are aligned with ``t`` (sorted, containing the minimum t=0
     for winding launches).  ``tau_scaled`` is f'(delta) * tau, which stays
     finite for warps whose absolute winding length overflows double
@@ -221,7 +210,7 @@ class Trajectory:
     """
 
     def __init__(self, wf: WarpingFunction, cs: CrossSection,
-                 forward: Optional[DenseBranch], backward: Optional[DenseBranch],
+                 forward: DenseBranch, backward: DenseBranch,
                  delta: Optional[float], log_fd: Optional[float], fpd: float,
                  wind_sign: int, meta: dict):
         self.wf, self.cs = wf, cs
@@ -232,14 +221,13 @@ class Trajectory:
         self.wind_sign = wind_sign
         self.meta = meta
         self.classification = "radial" if delta is None else "winding"
-        self.t_min = -backward.t_end if backward is not None else 0.0
-        self.t_max = forward.t_end if forward is not None else 0.0
+        self.t_min = -backward.t_end
+        self.t_max = forward.t_end
         self.exit_events = {
             "t_min": None if delta is None else 0.0,
-            "t_exit_forward": self.t_max if forward is not None and forward.exited else None,
-            "t_exit_backward": self.t_min if backward is not None and backward.exited else None,
-            "truncated_by_tau": any(b.stopped_by_tau for b in (forward, backward)
-                                    if b is not None),
+            "t_exit_forward": self.t_max if forward.exited else None,
+            "t_exit_backward": self.t_min if backward.exited else None,
+            "truncated_by_tau": forward.stopped_by_tau or backward.stopped_by_tau,
         }
 
     # -- dense evaluation ---------------------------------------------------
@@ -248,7 +236,7 @@ class Trajectory:
         if not np.all((t >= self.t_min) & (t <= self.t_max)):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
-        fwd = t >= 0 if self.forward is not None else np.zeros(len(t), dtype=bool)
+        fwd = t >= 0
         parts = [(branch.evaluate(np.abs(t[mask])), mask)
                  for branch, mask in ((self.forward, fwd), (self.backward, ~fwd))
                  if mask.any()]
@@ -433,6 +421,11 @@ def _full_rhs(wf, cs, k):
     return rhs
 
 
+def _mirror(start: GeodesicState, sign: int) -> np.ndarray:
+    """The mirrored state (r, sign*theta, y, sign*eta, tau = 0) of ``start``."""
+    return np.concatenate([[start.r, sign * start.theta], start.y, sign * start.eta, [0.0]])
+
+
 def _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop, max_step):
     """One forward run of the mirrored system from the lowest point until
     r = R or until the last state component (tau) reaches ``tau_stop``."""
@@ -458,7 +451,11 @@ def _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop, max_step):
         raise IntegrationError(f"stepper failed: {sol.message}")
     if sol.status != 1:
         raise IntegrationError("trajectory truncated before exit at r=R")
-    return DenseBranch(sign, decode, sol.sol.ts, sol.sol.interpolants,
+    # each step's own length: an event cuts the last segment of ts short
+    dense = sol.sol.interpolants
+    return DenseBranch(sign, decode, sol.sol.ts, np.array([d.h for d in dense]),
+                       np.array([d.y_old for d in dense]),
+                       np.stack([d.F for d in dense], axis=1),
                        exited=len(sol.t_events[0]) > 0,
                        stopped_by_tau=tau_stop is not None and len(sol.t_events[1]) > 0)
 
@@ -467,7 +464,6 @@ def integrate(
     wf: WarpingFunction,
     cs: CrossSection,
     start: GeodesicState,
-    direction: str = "both",
     rtol: float = 1e-10,
     atol: float = 1e-12,
     dense_nodes: int = 2048,
@@ -475,17 +471,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate a lifted geodesic from ``start`` until it exits at r = R.
 
-    ``direction`` is "forward", "backward" or "both"; the backward branch is
-    produced by mirroring (theta, eta) -> (-theta, -eta) and running forward.
+    The backward branch is produced by mirroring (theta, eta) ->
+    (-theta, -eta) and running forward.
     ``tau_stop`` optionally terminates each branch once |tau| exceeds it
     (the trajectory is then marked truncated).
     """
-    if direction not in ("forward", "backward", "both"):
-        raise ValueError(f"unknown direction {direction!r}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"{name}={tol!r} must be finite and positive")
-    signs = {"forward": (1,), "backward": (-1,), "both": (1, -1)}[direction]
     R = wf.domain_radius
     if not 0.0 < start.r < R:
         raise IntegrationError(f"start r={start.r:g} outside (0, R)")
@@ -500,7 +493,7 @@ def integrate(
         raise IntegrationError("state with eta=0 must be radial (|sin theta| = 1)")
 
     if is_radial:
-        return _radial_trajectory(wf, cs, start, signs, dense_nodes)
+        return _radial_trajectory(wf, cs, start, dense_nodes)
 
     if not launched_winding:
         raise IntegrationError(
@@ -532,17 +525,15 @@ def integrate(
                           math.inf)
         # the reduced system is identical under time reversal, so both
         # branches share one forward run
-        branches = {sign: fwd if sign > 0 else fwd.mirrored() for sign in signs}
+        branches = (fwd, fwd.mirrored())
     else:
         k = len(start.y)
         decode = _full_decode(k, fpd)
         rhs = _full_rhs(wf, cs, k)
-        branches = {}
-        for sign in signs:
-            x0 = np.concatenate([[start.r, sign * start.theta], start.y,
-                                 sign * start.eta, [0.0]])
-            branches[sign] = _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop,
-                                         FULL_MAX_STEP_FRACTION * R)
+        branches = tuple(
+            _run_branch(wf, rhs, _mirror(start, sign), sign, decode, rtol, atol, tau_stop,
+                        FULL_MAX_STEP_FRACTION * R)
+            for sign in (1, -1))
 
     meta = {
         "warp": wf.label,
@@ -554,10 +545,9 @@ def integrate(
         "tau_stop": tau_stop,
         "path": "reduced" if reduced else "full",
     }
-    traj = Trajectory(wf, cs, branches.get(1), branches.get(-1), delta, log_fd, fpd,
-                      start.wind_sign, meta)
+    traj = Trajectory(wf, cs, *branches, delta, log_fd, fpd, start.wind_sign, meta)
     parts = [np.linspace(traj.t_min, traj.t_max, dense_nodes), np.array([0.0])]
-    parts += [b.sign * b.ts for b in branches.values()]
+    parts += [b.sign * b.ts for b in branches]
     traj._resample(np.unique(np.concatenate(parts)))
 
     shell_drift = float(np.max(np.abs(traj.hamiltonian - 1.0)))
@@ -574,18 +564,22 @@ def integrate_winding(wf, cs, delta, y0, v0, **kwargs) -> Trajectory:
     return integrate(wf, cs, launch_winding(wf, cs, delta, y0, v0), **kwargs)
 
 
-def _radial_trajectory(wf, cs, start, signs, dense_nodes):
-    """A radial line r = r0 + t*sin(theta), from r = 0 or R to r = R or 0."""
+def _radial_trajectory(wf, cs, start, dense_nodes):
+    """A radial line r = r0 + t*sin(theta), from r = 0 or R to r = R or 0:
+    per direction one dense segment of unit length whose only nonzero
+    coefficient is the slope of r."""
     R = wf.domain_radius
     sgn = 1.0 if math.sin(start.theta) > 0 else -1.0
-    decode = _radial_decode(start)
-    branches = {}
-    for sign in signs:
-        slope = sign * sgn
-        branches[sign] = DenseBranch(sign, decode, [0.0, R - start.r if slope > 0 else start.r],
-                                     [_Line(start.r, slope)], exited=slope > 0)
-    traj = Trajectory(wf, cs, branches.get(1), branches.get(-1), None, None, 1.0,
-                      start.wind_sign, {"warp": wf.label, "radial": True})
+    decode = _full_decode(len(start.y), 1.0)
+    branches = []
+    for sign in (1, -1):
+        x0 = _mirror(start, sign)
+        F = np.zeros((7, 1, len(x0)))
+        F[0, 0, 0] = slope = sign * sgn
+        branches.append(DenseBranch(sign, decode, [0.0, R - start.r if slope > 0 else start.r],
+                                    np.ones(1), x0[None, :], F, exited=slope > 0))
+    traj = Trajectory(wf, cs, *branches, None, None, 1.0, start.wind_sign,
+                      {"warp": wf.label, "radial": True})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
     return traj
 

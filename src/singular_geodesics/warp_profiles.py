@@ -543,6 +543,8 @@ def compute_Cf_detailed(wf: WarpingFunction, tol: float = 1e-9) -> tuple[float, 
     derivative; the integrand itself is bounded by 1 for convex warps.
     Returns (value, error_estimate).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol={tol!r} must be finite and positive")
     if wf.kind is WarpKind.OSCILLATING_COUNTEREXAMPLE:
         raise NonOscillationError("non-oscillation condition fails")
     if wf.kind is WarpKind.CONCAVE_EXPERIMENTAL:

@@ -26,6 +26,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_dict({"wrap": "power:2"})
 
+    @pytest.mark.parametrize("content", [
+        '{"delta": "0.2"}', '{"rtol": null}', '{"warp": 2}', '[1, 2]',
+        '{"delta": 1%s}' % ("0" * 400),  # an integer beyond float range
+    ], ids=["string", "null", "number", "array", "huge"])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(content)
+        code, _, err = run(capsys, "trace", "--config", str(cfg_path),
+                           "--outdir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_config_file_merge(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"warp": "power:1"}))
@@ -44,6 +56,12 @@ class TestCf:
         code, out, _ = run(capsys, "cf", "--warp", "power:1")
         assert code == 0
         assert "3.14159265359" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_not_finite_and_positive_exits_2(self, capsys, tol):
+        code, _, err = run(capsys, "cf", "--tol", tol)
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_oscillating_exits_2(self, capsys):
         code, _, err = run(capsys, "cf", "--warp", "osc:0.5:9")

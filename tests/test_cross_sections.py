@@ -16,7 +16,7 @@ class TestCircleSection:
         assert h.shape == (1, 1)
         assert h[0, 0] == pytest.approx(1.0)  # circumference 2*pi -> scale 1
         assert flat_circle.c_bound == 0.0
-        assert flat_circle.h0_is_flat
+        assert flat_circle.h0_is_standard
 
     def test_scaled_circumference(self):
         cs = sg.circle_section(4.0)
@@ -78,7 +78,7 @@ class TestSphereSection:
     def test_static_bump_is_warped_product(self):
         cs = sg.sphere_section(perturbation=(0.1, static_sphere_bump))
         assert cs.c_bound == 0.0
-        assert not cs.h0_is_round
+        assert not cs.h0_is_standard
 
 
 class TestBaseGeodesic:

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import OdeSolution, quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 import singular_geodesics as sg
-from singular_geodesics import IntegrationError
+from singular_geodesics import IntegrationError, geodesic_flow
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.geodesic_flow import log_eta_rate
 
@@ -32,6 +32,9 @@ class TestLaunch:
 class TestTrajectory:
     def test_time_symmetry(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
+        # the lowest point is a sample and both branches meet there exactly
+        assert 0.0 in traj.t
+        assert traj.r_of_t(0.0) == 0.2
         for t in (0.1, 0.4, 0.9):
             assert traj.r_of_t(t) == pytest.approx(traj.r_of_t(-t), rel=1e-10)
 
@@ -65,22 +68,6 @@ class TestTrajectory:
             traj.r_of_t(50.0)
         with pytest.raises(ValueError, match="integrated span"):
             traj.r_of_t(np.array([0.0, 50.0]))
-
-    def test_forward_only_rejects_negative_time(self, cusp_warp, flat_circle):
-        traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0],
-                                    direction="forward")
-        assert traj.r_of_t(0.5) > 0.2
-        with pytest.raises(ValueError, match="integrated span"):
-            traj.r_of_t(-0.5)
-
-    def test_backward_only_covers_lowest_point(self, cusp_warp, flat_circle):
-        traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0],
-                                    direction="backward")
-        assert traj.t[-1] == 0.0
-        assert traj.r[-1] == 0.2
-        assert traj.r_of_t(0.0) == 0.2
-        with pytest.raises(ValueError, match="integrated span"):
-            traj.r_of_t(0.5)
 
     def test_scalar_in_scalar_out(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
@@ -141,8 +128,10 @@ class TestWindingLength:
 
     def test_normalized_needs_both_exits(self, flat_circle):
         traj = sg.integrate_winding(sg.make_power_warp(2.0), flat_circle, 0.2, [0.0],
-                                    [1.0], direction="forward")
-        with pytest.raises(IntegrationError, match="entry to exit"):
+                                    [1.0], tau_stop=0.5)
+        assert traj.exit_events["t_exit_forward"] is None
+        assert traj.exit_events["t_exit_backward"] is None
+        with pytest.raises(IntegrationError, match="truncated before exit"):
             sg.normalized_winding_length(traj)
 
     def test_truncated_raises(self, cusp_warp, flat_circle):
@@ -221,20 +210,20 @@ class TestVectorField:
         assert np.allclose(deta, 0.0)
 
 
-def _scalar_loop(traj):
+def _scalar_loop(traj, solutions):
     """Reference evaluation, one sample at a time: scipy's OdeSolution of the
-    branch at the scalar s = |t|."""
+    branch at the scalar s = |t|.  ``solutions`` holds the OdeSolution of
+    each stepper run, the forward branch's first."""
     rows = []
     for t in traj.t:
-        b = traj.forward if t >= 0 else traj.backward
-        x = OdeSolution(b.ts, b.interpolants)(abs(float(t)))
-        rows.append(b.decode(x[:, None], b.sign))
+        b, sol = (traj.forward, solutions[0]) if t >= 0 else (traj.backward, solutions[-1])
+        rows.append(b.decode(sol(abs(float(t)))[:, None], b.sign))
     return [np.concatenate(col) for col in zip(*rows)]
 
 
 class TestDenseEvaluation:
     @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "perturbed_sphere"])
-    def test_array_matches_scalar_loop(self, case):
+    def test_array_matches_scalar_loop(self, case, monkeypatch):
         wf = sg.make_power_warp(2.0)
         if case == "reduced":
             cs, y0, v0 = sg.circle_section(2 * math.pi), [0.3], [1.0]
@@ -243,8 +232,16 @@ class TestDenseEvaluation:
         else:
             cs = sg.sphere_section((0.05, None))
             y0, v0 = [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]
+        solutions = []
+
+        def recording_solve_ivp(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            solutions.append(sol.sol)
+            return sol
+        monkeypatch.setattr(geodesic_flow, "solve_ivp", recording_solve_ivp)
         traj = sg.integrate_winding(wf, cs, 0.1, y0, v0, dense_nodes=256)
-        r, theta, y, eta, tau_scaled = _scalar_loop(traj)
+        assert len(solutions) == (1 if case == "reduced" else 2)
+        r, theta, y, eta, tau_scaled = _scalar_loop(traj, solutions)
         assert np.array_equal(traj.r, r)
         assert np.array_equal(traj.theta, theta)
         assert np.array_equal(traj.y, y)

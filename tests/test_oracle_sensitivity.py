@@ -1,8 +1,9 @@
-"""Planted defects: each check that judges the sphere's flow in (n, L) must
-fail once one realistic defect is monkeypatched into the integrator, and
-pass without it.  Sizes are reduced; the checks are the package's own.
+"""Planted defects: each check below must fail once one realistic defect is
+monkeypatched into the code it judges, and pass without it.  Sizes are
+reduced; the checks are the package's own or, for criteria 1 and 2, the
+acceptance tests themselves (run with their announcement recorded).
 
-What each oracle shares with the integrator (a defect in a shared input
+What each oracle shares with the code it checks (a defect in a shared input
 fools both):
 
 - The limit-geodesic check (``limit_geodesic_test``) compares with the
@@ -19,15 +20,30 @@ fools both):
 - The length oracle ``closed_form_winding_length`` integrates the same
   ``wf.f`` as the integrator, so a wrong warp fools both; it sees a wrong
   clock (dtau) on a warped product.
+- The flat-cone closed form of criterion 1 (r = sqrt(t^2 + delta^2), the
+  exit time, the length 2 atan(t_exit/delta)) shares only f = r and the flat
+  circle with the integrator.  It sees the dense output, for instance a last
+  segment evaluated with the step length that the exit event cut short.
+- Criterion 2 compares ``compute_Cf`` with the analytic constants pi,
+  Gamma(3/4)Gamma(1/2)/Gamma(5/4) and 2; it shares the family's limit
+  functional, not the quadrature.  A bias upward at the cone is caught first
+  by ``compute_Cf_detailed``'s own range [2, pi], whose top is the cone's pi.
+- The parabola oracle below inverts the closed-form arc length of s = z^2
+  and compares the exact df/dr with the C^1 table of criterion 10 at its
+  cell midpoints.  It shares only the profile s, s' with ``profile_to_warp``,
+  so it sees a wrong knot, slope or cubic of the table.  The CSV path's
+  PCHIP error is beyond it (the profile is exact here).
 """
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import singular_geodesics as sg
-from singular_geodesics import IntegrationError, geodesic_flow
+import test_acceptance as acceptance
+from singular_geodesics import IntegrationError, QuadratureError, geodesic_flow, warp_profiles
 from singular_geodesics.cross_sections import SphereSection
 from singular_geodesics.experiments import (
     closed_form_winding_length,
@@ -126,3 +142,66 @@ def test_biased_clock_fails_the_length_oracle(monkeypatch):
     _patch_rhs(monkeypatch, biased)
     err = length_err()
     assert err > 1e-6 and np.isclose(err, 1e-5, rtol=1e-3)
+
+
+def test_event_cut_step_length_fails_the_flat_cone_check(monkeypatch):
+    class StepFromTs(geodesic_flow.DenseBranch):
+        def __init__(self, sign, decode, ts, h, *rest, **kwargs):
+            # the last step's length taken from ts, which the exit event cut short
+            super().__init__(sign, decode, ts, np.diff(ts), *rest, **kwargs)
+    monkeypatch.setattr(geodesic_flow, "DenseBranch", StepFromTs)
+    said = []
+    acceptance.test_criterion_01_flat_cone_closed_form(
+        lambda name, ok, detail: said.append((ok, detail)), sg.make_power_warp(1.0),
+        sg.circle_section(2 * math.pi))
+    (ok, detail), = said
+    assert not ok
+    assert float(re.search(r"r err (\S+)", detail).group(1)) > 1e-8
+
+
+@pytest.mark.parametrize("bias", [1e-7, -1e-7])
+def test_scaled_Cf_integrand_fails_criterion_2(monkeypatch, bias):
+    original = warp_profiles.quad
+
+    def biased_quad(integrand, *args, **kwargs):
+        return original(lambda x: integrand(x) * (1.0 + bias), *args, **kwargs)
+    monkeypatch.setattr(warp_profiles, "quad", biased_quad)
+    # pi (cone) and 2 (expinv) are the ends of the range [2, pi] that
+    # compute_Cf_detailed enforces to 1e-9, so either sign stops criterion 2
+    # there, before its own comparisons
+    with pytest.raises(QuadratureError, match=r"outside \[2, pi\]"):
+        acceptance.test_criterion_02_length_constants(lambda *said: None)
+    if bias < 0:
+        # below pi the cone passes the range check; criterion 2 bounds its
+        # distance to pi by 1e-8
+        assert abs(sg.compute_Cf(sg.make_power_warp(1.0)) - math.pi) > 1e-8
+
+
+def _parabola_slope_error(wf) -> float:
+    """Largest relative error of df/dr at the cell midpoints of the table of
+    s = z^2 against the exact parabola: r(z) = z sqrt(1+4z^2)/2 + asinh(2z)/4,
+    inverted by Newton's method, and df/dr = 2z / sqrt(1+4z^2)."""
+    x = np.array(wf.f.__self__.x)  # the table's knots
+    r = 0.5 * (x[:-1] + x[1:])
+    z = r.copy()  # r(z) >= z and r(z) is convex: Newton converges from above
+    for _ in range(50):
+        z -= (0.5 * z * np.sqrt(1 + 4 * z * z) + 0.25 * np.arcsinh(2 * z) - r) / np.sqrt(
+            1 + 4 * z * z)
+    exact = 2 * z / np.sqrt(1 + 4 * z * z)
+    return float(np.max(np.abs(np.array([wf.f_prime(v) for v in r]) / exact - 1.0)))
+
+
+def test_one_table_slope_off_fails_the_parabola_oracle(monkeypatch):
+    def parabola():
+        return sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0)
+
+    assert _parabola_slope_error(parabola()) < 1e-8
+    original = warp_profiles._C1Table
+
+    class OneSlopeOff(original):
+        def __init__(self, x, y, m):
+            m = m.copy()
+            m[len(m) // 2] *= 1.0 + 1e-4
+            super().__init__(x, y, m)
+    monkeypatch.setattr(warp_profiles, "_C1Table", OneSlopeOff)
+    assert _parabola_slope_error(parabola()) > 1e-8
