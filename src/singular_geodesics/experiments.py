@@ -9,7 +9,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .cross_sections import (
     CrossSection,
@@ -30,6 +29,7 @@ from .warp_profiles import (
     WarpKind,
     compute_Cf,
     make_power_warp,
+    profile_to_warp,
 )
 
 __all__ = [
@@ -393,23 +393,6 @@ def run_comparison_campaign(n_cases: int = 100, seed: int = 20240818,
 # figure bundle: cone and cusp sample paths
 
 
-def _cusp_embedding_tables(R: float):
-    """z(r) for the surface obtained by rotating x = z^2, r = arc length."""
-
-    def arclen(z: float) -> float:
-        # int_0^z sqrt(1 + 4 w^2) dw, closed form
-        return 0.5 * z * math.sqrt(1.0 + 4.0 * z * z) + 0.25 * math.asinh(2.0 * z)
-
-    z_top = brentq(lambda z: arclen(z) - R, 0.0, R + 1.0, xtol=1e-14)
-
-    def z_of_r(r: float) -> float:
-        if r <= 0:
-            return 0.0
-        return brentq(lambda z: arclen(z) - r, 0.0, z_top * 1.0000001, xtol=1e-14)
-
-    return z_of_r, z_top
-
-
 def figure1_data(kind: str, R: float = 1.5, delta: float = 0.3) -> dict:
     """Sample paths of the flat cone (f = r) and the model cusp (f = r^2)
     through the product description and the embedded surface of revolution."""
@@ -428,9 +411,11 @@ def figure1_data(kind: str, R: float = 1.5, delta: float = 0.3) -> dict:
         xyz = np.column_stack([traj.r * np.cos(phi), traj.r * np.sin(phi),
                                np.zeros(len(phi))])
     else:
-        z_of_r, _ = _cusp_embedding_tables(R)
-        zs = np.array([z_of_r(rv) for rv in traj.r])
-        ss = zs * zs
+        # the surface of revolution x = z^2 with r its arc length; arc
+        # length >= z, so the profile up to z = R covers every r <= R
+        surface = profile_to_warp(np.square, lambda z: 2.0 * z, R)
+        ss = np.array([surface.f(rv) for rv in traj.r])
+        zs = np.sqrt(ss)
         xyz = np.column_stack([ss * np.cos(phi), ss * np.sin(phi), zs])
     return {
         "kind": kind,

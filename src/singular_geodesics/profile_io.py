@@ -21,6 +21,8 @@ def load_profile_csv(path: str, z_max: Optional[float] = None,
     The samples are interpolated with a monotone cubic (PCHIP), which keeps
     s increasing between increasing data points and has a usable derivative.
     """
+    if z_max is not None and not (np.isfinite(z_max) and z_max > 0):
+        raise ValueError("z_max must be finite and positive")
     zs, ss = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -10,7 +10,6 @@ the angle variable gives the constant that normalizes winding lengths.
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import NonOscillationError, QuadratureError
@@ -160,14 +159,9 @@ def make_power_warp(alpha: float, R: float = 1.5) -> WarpingFunction:
     )
 
 
-def _logpow_max_R(mu: float) -> float:
-    # convex iff mu*y^mu - y - (mu-1) >= 0 for y = log(1/x) >= log(1/R);
-    # the largest zero of that expression is y = 1, so R <= 1/e.
-    return math.exp(-1.0)
-
-
-def _expinv_max_R(beta: float) -> float:
-    return (beta / (beta + 1.0)) ** (1.0 / beta)
+# log_power is convex iff mu*y^mu - y - (mu-1) >= 0 for y = log(1/x) >=
+# log(1/R); the largest zero of that expression is y = 1, so R <= 1/e.
+_LOGPOW_MAX_R = math.exp(-1.0)
 
 
 def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> WarpingFunction:
@@ -181,14 +175,8 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         mu = param
         if not (math.isfinite(mu) and mu > 1.0):
             raise ValueError("log_power requires a finite mu > 1")
-        r_max = _logpow_max_R(mu)
-        if R is None:
-            R = 0.9 * r_max
-        if R > r_max * (1 + 1e-12):
-            raise ValueError(
-                f"R={R:g} too large for convexity of log_power:{mu:g}; "
-                f"largest admissible R is {r_max:.6g}"
-            )
+        r_max, r_default = _LOGPOW_MAX_R, 0.9 * _LOGPOW_MAX_R
+        name, label = f"log_power:{mu:g}", f"logpow:{mu:g}"
 
         def lf(x: float) -> float:
             return -((math.log(1.0 / x)) ** mu)
@@ -202,31 +190,12 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         def F_prime(y: float) -> float:
             L = math.log(1.0 / y)
             return F(y) * (1.0 / mu) * L ** (1.0 / mu - 1.0) / y
-
-        return WarpingFunction(
-            domain_radius=R,
-            f=lambda x: math.exp(lf(x)),
-            f_prime=lambda x: math.exp(lf(x)) * dlf(x),
-            F=F,
-            F_prime=F_prime,
-            kind=WarpKind.CUSPIDAL,
-            label=f"logpow:{mu:g}",
-            frakF_closed_form=lambda sigma: 1.0 / sigma,
-            log_f=lf,
-            d_log_f=dlf,
-        )
-    if family == "exp_inverse_power":
+    elif family == "exp_inverse_power":
         beta = param
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError("exp_inverse_power requires a finite beta > 0")
-        r_max = _expinv_max_R(beta)
-        if R is None:
-            R = r_max
-        if R > r_max * (1 + 1e-12):
-            raise ValueError(
-                f"R={R:g} too large for convexity of expinv:{beta:g}; "
-                f"largest admissible R is {r_max:.6g}"
-            )
+        r_max = r_default = (beta / (beta + 1.0)) ** (1.0 / beta)
+        name = label = f"expinv:{beta:g}"
 
         def lf(x: float) -> float:
             return -(x**-beta)
@@ -240,20 +209,27 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         def F_prime(y: float) -> float:
             L = math.log(1.0 / y)
             return (1.0 / beta) * L ** (-1.0 / beta - 1.0) / y
-
-        return WarpingFunction(
-            domain_radius=R,
-            f=lambda x: math.exp(lf(x)),
-            f_prime=lambda x: math.exp(lf(x)) * dlf(x),
-            F=F,
-            F_prime=F_prime,
-            kind=WarpKind.CUSPIDAL,
-            label=f"expinv:{beta:g}",
-            frakF_closed_form=lambda sigma: 1.0 / sigma,
-            log_f=lf,
-            d_log_f=dlf,
+    else:
+        raise ValueError(f"unknown exp warp family: {family!r}")
+    if R is None:
+        R = r_default
+    if R > r_max * (1 + 1e-12):
+        raise ValueError(
+            f"R={R:g} too large for convexity of {name}; "
+            f"largest admissible R is {r_max:.6g}"
         )
-    raise ValueError(f"unknown exp warp family: {family!r}")
+    return WarpingFunction(
+        domain_radius=R,
+        f=lambda x: math.exp(lf(x)),
+        f_prime=lambda x: math.exp(lf(x)) * dlf(x),
+        F=F,
+        F_prime=F_prime,
+        kind=WarpKind.CUSPIDAL,
+        label=label,
+        frakF_closed_form=lambda sigma: 1.0 / sigma,
+        log_f=lf,
+        d_log_f=dlf,
+    )
 
 
 def oscillation_threshold(alpha: float) -> float:
@@ -386,9 +362,19 @@ class _C1Table:
         return hi
 
 
+# the 10-point Gauss-Legendre rule on [-1, 1], applied to every ladder cell:
+# np.polynomial.legendre.leggauss(10) written out, since its eigensolver would
+# start LAPACK, about 0.8 MB of resident memory, on import
+_GL_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                  0.8650633666889845, 0.9739065285171717])
+_GL_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                  0.1494513491505804, 0.06667134430868814])
+_GL_NODES, _GL_WEIGHTS = np.append(-_GL_X[::-1], _GL_X), np.append(_GL_W[::-1], _GL_W)
+
+
 def profile_to_warp(
-    s: Callable[[float], float],
-    s_prime: Callable[[float], float],
+    s: Callable[[np.ndarray], np.ndarray],
+    s_prime: Callable[[np.ndarray], np.ndarray],
     z_max: float,
     grid: int = 4096,
     power_alpha: Optional[float] = None,
@@ -402,9 +388,16 @@ def profile_to_warp(
     with the breakpoints ``s.x`` of a piecewise polynomial s.
     ``power_alpha`` declares the s(z) = z**alpha fixture with alpha in
     (0, 2/3], whose derivative blows up at 0 but stays arc-length integrable.
+
+    ``s`` and ``s_prime`` are numpy functions: each is called once on an
+    array of nodes (``s`` also on two floats, to check that it vanishes at
+    0), and a scalar ``s_prime`` result is broadcast, so ``lambda z: 1.0``
+    works.  A cell's arc length is s(z_{i+1}) - s(z_i) plus the 10-point
+    Gauss-Legendre sum of hypot(1, s') - s' = 1/(hypot(1, s') + s'), which
+    stays bounded where s' does not.
     """
-    if z_max <= 0:
-        raise ValueError("z_max must be positive")
+    if not (math.isfinite(z_max) and z_max > 0):
+        raise ValueError("z_max must be finite and positive")
     # loose threshold: fractional-power profiles like z**(1/2) decay slowly
     if abs(s(z_max * 1e-13)) > 1e-4 * max(1.0, abs(s(z_max))):
         raise ValueError("profile must vanish at z=0")
@@ -415,28 +408,26 @@ def profile_to_warp(
     # a cell across a breakpoint, where s'' jumps, would cost accuracy
     breaks = np.asarray(getattr(s, "x", ()), dtype=float)
     zs = np.union1d(zs, breaks[(breaks > 0.0) & (breaks < z_max)])
-    svals = np.array([float(s(z)) for z in zs[1:]])
-    if np.any(svals <= 0) or np.any(np.diff(svals) <= 0):
+    svals = np.append(0.0, s(zs[1:]))
+    if not np.all(np.diff(svals) > 0):
         raise ValueError("profile must be positive and strictly increasing on (0, z_max]")
+    # s' on the ladder, but not at a power profile's tip, and on every cell's
+    # Gauss-Legendre nodes
+    h, tip = np.diff(zs), int(power_alpha is not None)
+    nodes = np.append(zs[tip:], zs[:-1, None] + h[:, None] * (1.0 + _GL_NODES) / 2.0)
+    sp = np.broadcast_to(s_prime(nodes), nodes.shape)
+    sp_gl = sp[len(zs) - tip:].reshape(len(h), -1)
     # the slope df/dr = s'/sqrt(1 + s'^2) = sin(atan(s')); at the tip its
     # limit, 1 for a power profile, whose s' is infinite there
-    sp = [math.inf if power_alpha is not None else float(s_prime(0.0))]
-    m = np.sin(np.arctan(sp + [float(s_prime(z)) for z in zs[1:]]))
+    m = np.sin(np.arctan(np.append([math.inf] * tip, sp[:len(zs) - tip])))
 
-    # cumulative arc length on the node ladder; each cell integrated
-    # adaptively (relative 1e-12 is sometimes unreachable on interpolated
-    # profiles, but the absolute cell error stays negligible)
-    seg = np.empty(len(zs) - 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for i in range(len(seg)):
-            seg[i], _ = quad(lambda w: math.hypot(1.0, s_prime(w)), zs[i], zs[i + 1],
-                             epsabs=0.0, epsrel=1e-12, limit=100)
-    r_nodes = np.concatenate([[0.0], np.cumsum(seg)])
-    if np.any(np.diff(r_nodes) <= 0):
+    excess = 1.0 / (np.hypot(1.0, sp_gl) + sp_gl)  # hypot(1, s') - s', bounded
+    seg = np.diff(svals) + h / 2.0 * (excess * _GL_WEIGHTS).sum(axis=1)
+    if not np.all(seg > 0):
         raise RuntimeError("internal error: non-monotone arc length")  # pragma: no cover
+    r_nodes = np.append(0.0, np.cumsum(seg))
 
-    table = _C1Table(r_nodes, np.concatenate([[0.0], svals]), m)
+    table = _C1Table(r_nodes, svals, m)
     return WarpingFunction(
         domain_radius=float(r_nodes[-1]),
         f=table.value,

@@ -189,6 +189,10 @@ class TestFigureData:
         # embedded on the surface of revolution x = z^2
         xyz = data["embedded_xyz"]
         assert np.allclose(np.hypot(xyz[:, 0], xyz[:, 1]), xyz[:, 2] ** 2, atol=1e-10)
+        # r is the arc length of the profile x = z^2 up to the point's z
+        z = xyz[:, 2]
+        arclen = 0.5 * z * np.sqrt(1.0 + 4.0 * z * z) + 0.25 * np.arcsinh(2.0 * z)
+        assert np.max(np.abs(arclen - data["r"])) <= 1e-9
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import sits at module level.
 The package's ``__init__`` is left out of the first check: re-exporting what
 it imports is its job.  The one import inside a function is the cycle-breaker
 in ``warp_profiles.parse_warp_spec`` (``profile_io`` imports
-``warp_profiles``).  No linter is needed; the checks walk each module's
-syntax tree."""
+``warp_profiles``).  No module imports ``warnings``: a warning silenced
+inside the package would get round the test suite's
+``filterwarnings = ["error", ...]``.  No linter is needed; the checks walk
+each module's syntax tree."""
 import ast
 import pathlib
 
@@ -68,3 +70,24 @@ def test_detects_an_import_inside_a_function():
 def test_detects_an_unused_name():
     source = "from typing import List, Optional\nimport numpy as np\nx: Optional[int] = np.pi\n"
     assert unused_imports(source) == ["List (line 1)"]
+
+
+def imported_modules(source: str) -> set:
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_warning_suppression(path):
+    assert "warnings" not in imported_modules(path.read_text())
+
+
+def test_detects_a_warnings_import():
+    source = "from warnings import catch_warnings\nimport numpy.linalg\nfrom . import errors\n"
+    assert imported_modules(source) == {"warnings", "numpy"}

@@ -31,8 +31,11 @@ fools both):
 - The parabola oracle below inverts the closed-form arc length of s = z^2
   and compares the exact df/dr with the C^1 table of criterion 10 at its
   cell midpoints.  It shares only the profile s, s' with ``profile_to_warp``,
-  so it sees a wrong knot, slope or cubic of the table.  The CSV path's
-  PCHIP error is beyond it (the profile is exact here).
+  so it sees a wrong knot, slope or cubic of the table, and a wrong arc
+  length (the per-cell Gauss-Legendre sum), which moves the knots.  The CSV
+  path's PCHIP error is beyond it (the profile is exact here).
+- Criterion 10's line check compares the table of s = z with f = r/sqrt(2);
+  it shares nothing with the arc-length quadrature, so a biased rule shows.
 """
 import math
 import re
@@ -205,3 +208,15 @@ def test_one_table_slope_off_fails_the_parabola_oracle(monkeypatch):
             super().__init__(x, y, m)
     monkeypatch.setattr(warp_profiles, "_C1Table", OneSlopeOff)
     assert _parabola_slope_error(parabola()) > 1e-8
+
+
+def test_scaled_arc_length_weights_fail_the_parabola_oracle_and_criterion_10(monkeypatch):
+    monkeypatch.setattr(warp_profiles, "_GL_WEIGHTS", warp_profiles._GL_WEIGHTS * (1.0 + 1e-6))
+    wf = sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0)
+    assert _parabola_slope_error(wf) > 1e-8
+    said = []
+    acceptance.test_criterion_10_profile_conversion(
+        lambda name, ok, detail: said.append((ok, detail)))
+    (ok, detail), = said
+    assert not ok
+    assert float(re.search(r"line f=r/sqrt2 err (\S+)", detail).group(1)) > 1e-10

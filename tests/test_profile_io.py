@@ -55,6 +55,13 @@ class TestLoadProfile:
         full = sg.load_profile_csv(parabola_csv)
         assert wf.domain_radius < full.domain_radius
 
+    @pytest.mark.parametrize("z_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_z_max_not_finite_and_positive(self, parabola_csv, z_max):
+        with pytest.raises(ValueError, match="z_max"):
+            sg.load_profile_csv(parabola_csv, z_max=z_max)
+        with pytest.raises(ValueError, match="z_max"):
+            sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, z_max)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_profile(path, [(z, z) for z in np.linspace(0, 1, 10)], header=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
 import singular_geodesics as sg
-from singular_geodesics import NonOscillationError, QuadratureError, WarpKind
+from singular_geodesics import NonOscillationError, QuadratureError, WarpKind, warp_profiles
 from singular_geodesics.warp_profiles import (
     grid_concave,
     grid_convex,
@@ -196,17 +196,32 @@ class TestProfileToWarp:
             assert wf.F(wf.f(x)) == pytest.approx(x, rel=1e-12)
 
     def test_sqrt_profile_is_conical(self):
-        wf = sg.profile_to_warp(lambda z: math.sqrt(z), lambda z: 0.5 / math.sqrt(z),
+        wf = sg.profile_to_warp(lambda z: np.sqrt(z), lambda z: 0.5 / np.sqrt(z),
                                 1.0, power_alpha=0.5)
         assert wf.kind is WarpKind.CONICAL
         # tangent to the axis at the tip: f(r) ~ r
         assert wf.f(1e-3) == pytest.approx(1e-3, rel=1e-3)
 
+    def test_arc_length_rule_is_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert np.array_equal(warp_profiles._GL_NODES, nodes)
+        assert np.array_equal(warp_profiles._GL_WEIGHTS, weights)
+
+    def test_sqrt_profile_knots_are_exact_arc_length(self):
+        # with u = sqrt(z) = s, the arc length of (z, sqrt z) is
+        # int_0^u sqrt(4v^2 + 1) dv; the tip cell, where s' is infinite, too
+        wf = sg.profile_to_warp(np.sqrt, lambda z: 0.5 / np.sqrt(z), 1.0, power_alpha=0.5)
+        table = wf.f.__self__
+        u, r = np.array(table.y), np.array(table.x)
+        exact = 0.5 * u * np.sqrt(4.0 * u * u + 1.0) + 0.25 * np.arcsinh(2.0 * u)
+        assert r[0] == 0.0
+        assert np.max(np.abs(r[1:] / exact[1:] - 1.0)) <= 1e-12
+
     def test_rejects_bad_profiles(self):
         with pytest.raises(ValueError):
             sg.profile_to_warp(lambda z: 1.0 + z, lambda z: 1.0, 1.0)  # s(0) != 0
         with pytest.raises(ValueError):
-            sg.profile_to_warp(lambda z: math.sin(5 * z), lambda z: 5 * math.cos(5 * z),
+            sg.profile_to_warp(lambda z: np.sin(5 * z), lambda z: 5 * np.cos(5 * z),
                                1.0)  # not increasing
 
 
@@ -222,7 +237,7 @@ def profile_warps(tmp_path_factory):
         "csv": sg.load_profile_csv(str(path)),
         "line": sg.profile_to_warp(lambda z: z, lambda z: 1.0, 1.0),
         "parabola": sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0),
-        "sqrt": sg.profile_to_warp(lambda z: math.sqrt(z), lambda z: 0.5 / math.sqrt(z),
+        "sqrt": sg.profile_to_warp(lambda z: np.sqrt(z), lambda z: 0.5 / np.sqrt(z),
                                    1.0, power_alpha=0.5),
     }
 
