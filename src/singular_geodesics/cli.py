@@ -129,14 +129,14 @@ def cmd_trace(args) -> int:
     )
     csv_path = os.path.join(cfg.outdir, "trace.csv")
     traj.to_csv(csv_path)
-    length = float(traj.tau[-1] - traj.tau[0])
+    length = geodesic_flow.winding_length(traj)
     meta = {
         "config": cfg.to_dict(),
         "classification": traj.classification,
         "winding_length": length,
         "winding_count": length / (2.0 * math.pi),
         "exit_events": {k: v for k, v in traj.exit_events.items()},
-        "max_shell_residual": float(np.max(np.abs(traj.hamiltonian - 1.0))),
+        "max_shell_residual": traj.meta["shell_drift"],
         **{k: v for k, v in traj.meta.items()},
     }
     with open(os.path.join(cfg.outdir, "trace.json"), "w") as fh:

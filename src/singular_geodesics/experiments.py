@@ -23,6 +23,7 @@ from .geodesic_flow import (
     integrate_winding,
     normalized_winding_length,
     reparametrize_tau,
+    winding_length,
 )
 from .warp_profiles import (
     WarpingFunction,
@@ -66,12 +67,13 @@ class SweepResult:
     config: dict = field(default_factory=dict)
 
 
-def default_delta_ladder(wf: WarpingFunction, top: float = 0.3) -> np.ndarray:
-    """Geometric ladder with ratio about 1/sqrt(10), floor 1e-4 for power-law
-    warps and 1e-3 for the exponential families (f' underflows sooner)."""
+def default_delta_ladder(wf: WarpingFunction) -> np.ndarray:
+    """Geometric ladder with ratio about 1/sqrt(10) from min(0.3, 0.6 R) down
+    to 1e-4 for power-law warps and 1e-3 for the exponential families (f'
+    underflows sooner)."""
     exp_like = ":" in wf.label and wf.label.split(":")[0] in ("expinv", "logpow")
     floor = 1e-3 if exp_like else 1e-4
-    top = min(top, 0.6 * wf.domain_radius)
+    top = min(0.3, 0.6 * wf.domain_radius)
     n = max(2, int(round(2.0 * math.log10(top / floor))) + 1)
     return np.geomspace(top, floor, n)
 
@@ -123,9 +125,7 @@ def delta_sweep(
                                      dense_nodes=256)
         except IntegrationError as exc:
             raise IntegrationError(f"delta={delta:g}: {exc}") from exc
-        norm = normalized_winding_length(traj)
-        length = float(traj.tau[-1] - traj.tau[0])
-        return length, norm
+        return winding_length(traj), normalized_winding_length(traj)
 
     results = [one(d) for d in deltas]
     lengths = np.array([rr[0] for rr in results])
@@ -152,11 +152,11 @@ def delta_sweep(
     )
 
 
-def closed_form_winding_length(wf: WarpingFunction, delta: float,
-                               tol: float = 1e-11) -> float:
+def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     """Independent length oracle for warped products:
     l = 2 * int_delta^R f(delta) / (f^2 sqrt(1 - (f(delta)/f)^2)) dr,
-    with the integrable endpoint removed by r = delta + s^2."""
+    with the integrable endpoint removed by r = delta + s^2, to a relative
+    1e-11."""
     R = wf.domain_radius
     fd = wf.f(delta)
 
@@ -166,7 +166,7 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float,
         q = fd / fr
         return 2.0 * s * fd / (fr * fr * math.sqrt(max(1.0 - q * q, 1e-300)))
 
-    val, _ = quad(integrand, 0.0, math.sqrt(R - delta), epsabs=0.0, epsrel=tol,
+    val, _ = quad(integrand, 0.0, math.sqrt(R - delta), epsabs=0.0, epsrel=1e-11,
                   limit=400)
     return 2.0 * val
 
@@ -188,9 +188,7 @@ class BoundsReport:
 
 def verify_radial_bounds(
     traj: Trajectory,
-    delta: Optional[float] = None,
     c_bound: Optional[float] = None,
-    R: Optional[float] = None,
     slack: float = 1e-8,
 ) -> BoundsReport:
     """Check (1 - C*delta)|t| <= r(t) <= |t| + delta with C = c*exp(c*R),
@@ -199,10 +197,9 @@ def verify_radial_bounds(
     if traj.classification == "radial":
         return BoundsReport(True, 0.0, 0.0, 0.0, 0.0, None,
                             note="radial trajectory: bounds degenerate, skipped")
-    delta = traj.delta if delta is None else delta
+    delta = traj.delta
     c_bound = traj.meta.get("c_bound", 0.0) if c_bound is None else c_bound
-    R = traj.meta.get("R") if R is None else R
-    C = c_bound * math.exp(c_bound * R)
+    C = c_bound * math.exp(c_bound * traj.meta["R"])
 
     t = np.abs(traj.t)
     lower = (1.0 - C * delta) * t - traj.r
@@ -251,14 +248,12 @@ def comparison_test(
     cs: CrossSection,
     delta: float,
     delta_bar: float,
-    y0=0.0,
-    v0=1.0,
     n_nodes: int = 801,
     rtol: float = 1e-10,
 ) -> ComparisonReport:
     """For a warped product and 0 < delta < delta_bar, the radial components
-    of the geodesics launched from (y0, v0) satisfy r(t) < rbar(t) at every
-    common time."""
+    of the geodesics launched from y = 0 with unit direction satisfy
+    r(t) < rbar(t) at every common time."""
     if cs.c_bound != 0.0:
         raise ValueError("comparison principle requires a warped product (c = 0)")
     if not wf.is_convex_kind:
@@ -266,8 +261,8 @@ def comparison_test(
     if not 0.0 < delta < delta_bar < wf.domain_radius:
         raise ValueError("need 0 < delta < delta_bar < R (equal deltas rejected)")
 
-    lo = integrate_winding(wf, cs, delta, y0, v0, rtol=rtol, dense_nodes=128)
-    hi = integrate_winding(wf, cs, delta_bar, y0, v0, rtol=rtol, dense_nodes=128)
+    lo = integrate_winding(wf, cs, delta, 0.0, 1.0, rtol=rtol, dense_nodes=128)
+    hi = integrate_winding(wf, cs, delta_bar, 0.0, 1.0, rtol=rtol, dense_nodes=128)
     t_span = min(-lo.t[0], lo.t[-1], -hi.t[0], hi.t[-1])
     ts = np.linspace(-t_span, t_span, n_nodes)
     gaps = hi.r_of_t(ts) - lo.r_of_t(ts)
@@ -306,7 +301,6 @@ def limit_geodesic_test(
     v0,
     tau_window: Tuple[float, float] = (-2.0, 2.0),
     n_nodes: int = 121,
-    rtol: float = 1e-10,
 ) -> LimitReport:
     """After unit-speed reparametrization of the link projection, compare
     against the reference geodesic of (Y, h_0) on a fixed tau window; the
@@ -325,7 +319,7 @@ def limit_geodesic_test(
     sups = []
     tau_abs = max(abs(tau_window[0]), abs(tau_window[1]))
     for delta in deltas:
-        traj = integrate_winding(wf, cs, delta, y0, v0, rtol=rtol,
+        traj = integrate_winding(wf, cs, delta, y0, v0, rtol=1e-10,
                                  dense_nodes=128, tau_stop=tau_abs + 0.25)
         lo = max(tau_window[0], float(traj.tau[0]) + 1e-9)
         hi = min(tau_window[1], float(traj.tau[-1]) - 1e-9)
@@ -375,8 +369,8 @@ def run_bounds_campaign(n_cases: int = 200, seed: int = 20240817,
     return reports
 
 
-def run_comparison_campaign(n_cases: int = 100, seed: int = 20240818,
-                            rtol: float = 1e-10) -> List[ComparisonReport]:
+def run_comparison_campaign(n_cases: int = 100,
+                            seed: int = 20240818) -> List[ComparisonReport]:
     rng = np.random.default_rng(seed)
     cs = circle_section(2.0 * math.pi, domain_radius=1.5)
     reports = []
@@ -385,7 +379,7 @@ def run_comparison_campaign(n_cases: int = 100, seed: int = 20240818,
         d1 = float(rng.uniform(0.02, 0.35))
         d2 = float(d1 + rng.uniform(0.02, 0.3))
         wf = make_power_warp(alpha, R=1.5)
-        reports.append(comparison_test(wf, cs, d1, d2, rtol=rtol, n_nodes=401))
+        reports.append(comparison_test(wf, cs, d1, d2, n_nodes=401))
     return reports
 
 
@@ -393,15 +387,17 @@ def run_comparison_campaign(n_cases: int = 100, seed: int = 20240818,
 # figure bundle: cone and cusp sample paths
 
 
-def figure1_data(kind: str, R: float = 1.5, delta: float = 0.3) -> dict:
-    """Sample paths of the flat cone (f = r) and the model cusp (f = r^2)
-    through the product description and the embedded surface of revolution."""
+def figure1_data(kind: str, delta: float = 0.3) -> dict:
+    """Sample paths of the flat cone (f = r) and the model cusp (f = r^2) on
+    R = 1.5 through the product description and the embedded surface of
+    revolution."""
     if kind not in ("cone", "cusp"):
         raise ValueError("kind must be 'cone' or 'cusp'")
+    R = 1.5
     cs = circle_section(2.0 * math.pi, domain_radius=R)
     wf = make_power_warp(1.0 if kind == "cone" else 2.0, R=R)
     traj = integrate_winding(wf, cs, delta, 0.0, 1.0, dense_nodes=1024)
-    length = float(traj.tau[-1] - traj.tau[0])
+    length = winding_length(traj)
     n_windings = length / (2.0 * math.pi)
     predicted = compute_Cf(wf) / (2.0 * math.pi * wf.f_prime(delta))
 
@@ -427,6 +423,6 @@ def figure1_data(kind: str, R: float = 1.5, delta: float = 0.3) -> dict:
         "winding_count_measured": n_windings,
         "winding_count_predicted": predicted,
         "swept_angle": float(abs(phi[-1] - phi[0])),
-        "max_shell_residual": float(np.max(np.abs(traj.hamiltonian - 1.0))),
+        "max_shell_residual": traj.meta["shell_drift"],
         "trajectory": traj,
     }

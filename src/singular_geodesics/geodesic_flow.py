@@ -97,8 +97,7 @@ def launch_winding(
     norm = math.sqrt(float(v @ h @ v))
     if norm == 0.0:
         raise ValueError("v0 must be nonzero")
-    fd = math.exp(wf.log_f(delta)) if wf.log_f(delta) > -745 else 0.0
-    eta = cs.covector(y, (fd / norm) * (h @ v))
+    eta = cs.covector(y, (math.exp(wf.log_f(delta)) / norm) * (h @ v))
     sign = 1 if (v0[-1] >= 0 or cs.dim > 1) else -1
     return GeodesicState(t=0.0, r=delta, theta=0.0, y=y, eta=eta, wind_sign=sign)
 
@@ -309,72 +308,76 @@ class Trajectory:
         self.t = t
         self.r, self.theta, self.y, self.eta, self.tau_scaled = st
         self.tau = self._tau(st.tau_scaled)
-        (self.hamiltonian, self.clairaut, self.clairaut_rel, self.eta_norm,
-         self.qr_q, self.rho, self.u) = _diagnostics(self.wf, self.cs, self.log_fd, st)
+        (self.hamiltonian, self.clairaut_rel, self.eta_norm, self.qr_q,
+         self.rho) = _diagnostics(self.wf, self.cs, self.log_fd, st)
 
     # -- export -------------------------------------------------------------
 
     def to_csv(self, path: str):
         """One row per sample; ``y*`` and ``eta*`` are the stored coordinates
-        (on the sphere n and L in R^3)."""
+        (on the sphere n and L in R^3).  The export-only columns ``clairaut``
+        = f(r) cos(theta) and ``u`` = sign(sin theta) F(f(r) |sin theta|) are
+        computed here."""
         k = self.y.shape[1]
         cols = (["t", "r", "theta"]
                 + [f"y{i}" for i in range(k)]
                 + [f"eta{i}" for i in range(k)]
                 + ["hamiltonian", "clairaut", "tau", "rho", "u"])
+        clairaut = self.rho * np.cos(self.theta)
+        log_f_r = _log_f(self.wf, self.r)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
             for i in range(len(self.t)):
+                s = math.sin(self.theta[i])
+                x = math.exp(log_f_r[i] + (math.log(abs(s)) if s else -math.inf))
+                # F is defined on (0, f(R)]; x = 0 at the tip or where theta = 0
+                u = math.copysign(self.wf.F(x), s) if x > 0.0 else 0.0
                 writer.writerow(
                     [f"{self.t[i]:.16g}", f"{self.r[i]:.16g}", f"{self.theta[i]:.16g}"]
                     + [f"{v:.16g}" for v in self.y[i]]
                     + [f"{v:.16g}" for v in self.eta[i]]
-                    + [f"{self.hamiltonian[i]:.16g}", f"{self.clairaut[i]:.16g}",
-                       f"{self.tau[i]:.16g}", f"{self.rho[i]:.16g}",
-                       f"{self.u[i]:.16g}"]
+                    + [f"{self.hamiltonian[i]:.16g}", f"{clairaut[i]:.16g}",
+                       f"{self.tau[i]:.16g}", f"{self.rho[i]:.16g}", f"{u:.16g}"]
                 )
+
+
+def _log_f(wf: WarpingFunction, r: np.ndarray) -> np.ndarray:
+    """log f at each radius; -inf at the tip r = 0 of a radial line."""
+    return np.array([wf.log_f(x) if x > 0 else -math.inf for x in r])
 
 
 def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
                  st: States):
-    """Per-sample (hamiltonian, clairaut, clairaut_rel, eta_norm, qr_q, rho, u)
-    of decoded states; ``qr_q`` is q_r/q, zero on the reduced and radial paths."""
+    """Per-sample (hamiltonian, clairaut_rel, eta_norm, qr_q, rho) of decoded
+    states; ``qr_q`` is q_r/q, zero on the reduced and radial paths, and
+    ``rho`` is f(r).
+
+    The shell sin^2(theta) + |eta|^2/f(r)^2 and |eta| come from log|eta| -
+    log f(r), which stays finite far below the double range of f: log|eta|
+    is log f(delta) on the reduced path (|eta| is conserved there), half the
+    log of ``cometric``'s |eta|^2 on the full path and -inf on a radial line."""
     r, theta, y, eta, _ = st
     n = len(r)
-    log_f_r = np.array([wf.log_f(x) if x > 0 else -math.inf for x in r])
-    rho = np.where(log_f_r > -745, np.exp(np.maximum(log_f_r, -745)), 0.0)
+    log_f_r = _log_f(wf, r)
+    qr_q = np.zeros(n)
     if log_fd is None:  # radial: eta = 0 and there is no lowest point
-        zeros = np.zeros(n)
-        return np.ones(n), zeros, zeros, zeros, zeros, rho, zeros
-
-    if _is_reduced(cs):
-        qr_q = np.zeros(n)
-        with np.errstate(over="ignore"):
-            log_eta = np.full(n, log_fd)
-            eta_norm = np.where(log_eta > -745, np.exp(np.maximum(log_eta, -745)), 0.0)
-            ratio2 = np.exp(2.0 * (log_fd - log_f_r))
-            hamiltonian = np.sin(theta) ** 2 + ratio2
-            # conservation holds in the product f(r)*cos(theta), so take the
-            # log first: both factors can individually leave double range
-            clairaut_rel = np.expm1(
-                log_f_r - log_fd + np.log(np.maximum(np.cos(theta), 1e-300))
-            )
-            clairaut = rho * np.cos(theta)
+        log_eta = np.full(n, -math.inf)
+    elif _is_reduced(cs):
+        log_eta = np.full(n, log_fd)
     else:
         norm2, qr_q = np.array([cs.cometric(*row)[1:3] for row in zip(
             r.tolist(), y.tolist(), eta.tolist())]).T
-        eta_norm = np.sqrt(norm2)
-        hamiltonian = np.sin(theta) ** 2 + (eta_norm / rho) ** 2
-        clairaut = rho * np.cos(theta)
-        clairaut_rel = clairaut / math.exp(log_fd) - 1.0
-
-    u = np.empty(n)
-    for i in range(n):
-        sth = math.sin(theta[i])
-        la = log_f_r[i] + (math.log(abs(sth)) if abs(sth) > 0 else -math.inf)
-        u[i] = 0.0 if la <= -745 else math.copysign(wf.F(math.exp(la)), sth)
-    return hamiltonian, clairaut, clairaut_rel, eta_norm, qr_q, rho, u
+        log_eta = 0.5 * np.log(norm2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # eta = 0 makes |eta|/f(r) vanish, even at the tip r = 0
+        log_ratio = np.where(log_eta > -math.inf, log_eta - log_f_r, -math.inf)
+        hamiltonian = np.sin(theta) ** 2 + np.exp(2.0 * log_ratio)
+        # Clairaut's f(r) cos(theta) = f(delta), relative and in logs: both
+        # factors can individually leave double range
+        clairaut_rel = np.zeros(n) if log_fd is None else np.expm1(
+            log_f_r - log_fd + np.log(np.maximum(np.cos(theta), 1e-300)))
+    return hamiltonian, clairaut_rel, np.exp(log_eta), qr_q, np.exp(log_f_r)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +508,7 @@ def integrate(
     # f'(delta) = f(delta) * (log f)'(delta): assemble its log from pieces so
     # the exponential families survive far below double-precision range
     log_fpd = log_fd + math.log(wf.d_log_f(delta))
-    fpd = math.exp(log_fpd) if log_fpd > -745 else 0.0
+    fpd = math.exp(log_fpd)
 
     reduced = _is_reduced(cs)
     if not reduced and math.exp(log_fd) == 0.0:
@@ -515,9 +518,8 @@ def integrate(
         )
 
     if reduced:
-        fd = math.exp(log_fd) if log_fd > -745 else 0.0
         decode = _reduced_decode(start.y[0], start.wind_sign, fpd, cs.scale,
-                                 start.wind_sign * cs.scale * fd)
+                                 start.wind_sign * cs.scale * math.exp(log_fd))
         rhs = _reduced_rhs(wf, log_fd, log_fpd)
         # the reduced system integrates tau_scaled, so scale the stop with it
         stop = tau_stop * fpd if tau_stop is not None and fpd > 0.0 else None
@@ -632,13 +634,11 @@ def reparametrize_tau(traj: Trajectory, n: int = 512,
 
     Its ``t`` holds the times t_of_tau of the grid and every other array is
     sampled there, so ``tau`` is uniform to the tolerance of the inversion.
+    A ``window`` reaching beyond the integrated tau range raises ValueError.
     """
     if traj.classification != "winding":
         raise ValueError("reparametrize_tau requires a winding trajectory")
-    lo = traj.tau[0] if window is None else window[0]
-    hi = traj.tau[-1] if window is None else window[1]
-    lo = max(lo, float(traj.tau[0]))
-    hi = min(hi, float(traj.tau[-1]))
+    lo, hi = (traj.tau[0], traj.tau[-1]) if window is None else window
     out = copy.copy(traj)
     out._resample(traj.t_of_tau(np.linspace(lo, hi, n)))
     out.meta = {**traj.meta, "parametrization": "tau"}

@@ -12,6 +12,7 @@ import numpy as np
 __all__ = ["svg_line_plot"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+WIDTH, HEIGHT = 720, 480
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -43,24 +44,19 @@ def svg_line_plot(
     xlabel: str = "",
     ylabel: str = "",
     logx: bool = False,
-    logy: bool = False,
     equal_aspect: bool = False,
-    width: int = 720,
-    height: int = 480,
 ):
     """Write a multi-series line plot.
 
-    ``series`` is a sequence of (xs, ys, label) triples.  Log axes apply a
-    log10 transform before plotting and label ticks with the original values.
+    ``series`` is a sequence of (xs, ys, label) triples.  A log x axis applies
+    a log10 transform before plotting and labels ticks with the original
+    values.
     """
     ml, mr, mt, mb = 70, 20, 40, 55
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def tx(v):
         return math.log10(v) if logx else v
-
-    def ty(v):
-        return math.log10(v) if logy else v
 
     xs_all, ys_all = [], []
     clean = []
@@ -70,12 +66,10 @@ def svg_line_plot(
         keep = np.isfinite(xs) & np.isfinite(ys)
         if logx:
             keep &= xs > 0
-        if logy:
-            keep &= ys > 0
         xs, ys = xs[keep], ys[keep]
         clean.append((xs, ys, label))
         xs_all.append([tx(v) for v in xs])
-        ys_all.append([ty(v) for v in ys])
+        ys_all.append(list(ys))
     flat_x = [v for part in xs_all for v in part]
     flat_y = [v for part in ys_all for v in part]
     if not flat_x:
@@ -102,14 +96,14 @@ def svg_line_plot(
         return ml + (tx(v) - x0) / (x1 - x0) * pw
 
     def py(v):
-        return mt + ph - (ty(v) - y0) / (y1 - y0) * ph
+        return mt + ph - (v - y0) / (y1 - y0) * ph
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         'stroke="#333" stroke-width="1"/>'
@@ -125,7 +119,7 @@ def svg_line_plot(
         Y = mt + ph - (v - y0) / (y1 - y0) * ph
         out.append(f'<line x1="{ml - 5}" y1="{Y:.2f}" x2="{ml}" y2="{Y:.2f}" '
                    'stroke="#333"/>')
-        lab = _fmt(10.0 ** v) if logy else _fmt(v)
+        lab = _fmt(v)
         out.append(f'<text x="{ml - 8}" y="{Y + 4:.2f}" font-size="12" '
                    f'text-anchor="end" font-family="monospace">{lab}</text>')
     for i, (xs, ys, label) in enumerate(clean):
@@ -143,10 +137,10 @@ def svg_line_plot(
             out.append(f'<text x="{ml + pw - 118}" y="{ly}" font-size="12" '
                        f'font-family="monospace">{label}</text>')
     if title:
-        out.append(f'<text x="{width / 2:.0f}" y="24" font-size="15" '
+        out.append(f'<text x="{WIDTH / 2:.0f}" y="24" font-size="15" '
                    f'text-anchor="middle" font-family="monospace">{title}</text>')
     if xlabel:
-        out.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 12}" font-size="13" '
+        out.append(f'<text x="{ml + pw / 2:.0f}" y="{HEIGHT - 12}" font-size="13" '
                    f'text-anchor="middle" font-family="monospace">{xlabel}</text>')
     if ylabel:
         out.append(f'<text x="18" y="{mt + ph / 2:.0f}" font-size="13" '

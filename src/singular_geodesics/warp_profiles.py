@@ -115,22 +115,22 @@ def _second_divided_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.diff(s1) / (xs[2:] - xs[:-2])
 
 
-def grid_monotone_increasing(fn, lo: float, hi: float, n: int = 512) -> bool:
-    xs = np.geomspace(lo, hi, n)
+def grid_monotone_increasing(fn, lo: float, hi: float) -> bool:
+    xs = np.geomspace(lo, hi, 512)
     ys = np.array([fn(x) for x in xs])
     return bool(np.all(np.diff(ys) > 0))
 
 
-def grid_convex(fn, lo: float, hi: float, n: int = 512, tol: float = 1e-10) -> bool:
-    xs = np.geomspace(lo, hi, n)
+def grid_convex(fn, lo: float, hi: float) -> bool:
+    xs = np.geomspace(lo, hi, 512)
     ys = np.array([fn(x) for x in xs])
-    return bool(np.all(_second_divided_differences(xs, ys) >= -tol))
+    return bool(np.all(_second_divided_differences(xs, ys) >= -1e-10))
 
 
-def grid_concave(fn, lo: float, hi: float, n: int = 512, tol: float = 1e-10) -> bool:
-    xs = np.geomspace(lo, hi, n)
+def grid_concave(fn, lo: float, hi: float) -> bool:
+    xs = np.geomspace(lo, hi, 512)
     ys = np.array([fn(x) for x in xs])
-    return bool(np.all(_second_divided_differences(xs, ys) <= tol))
+    return bool(np.all(_second_divided_differences(xs, ys) <= 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +236,9 @@ def oscillation_threshold(alpha: float) -> float:
     return (2.0 - alpha) / (1.0 - alpha) * (1.0 + alpha) / alpha
 
 
-def make_oscillating_F(alpha: float, c: float, x_top: float = 0.5) -> WarpingFunction:
-    """Warp whose inverse is F(x) = x**alpha * (c + sin(log x)).
+def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
+    """Warp whose inverse is F(x) = x**alpha * (c + sin(log x)), on
+    R = F(1/2).
 
     F is increasing and concave for c above the threshold, but the ratio
     F'(sigma*eps)/F'(eps) has no limit except when log(sigma) is a multiple
@@ -259,8 +260,6 @@ def make_oscillating_F(alpha: float, c: float, x_top: float = 0.5) -> WarpingFun
         s = math.log(x)
         return x ** (alpha - 1.0) * (alpha * c + alpha * math.sin(s) + math.cos(s))
 
-    log_x_top = math.log(x_top)
-
     def _log_f(rho: float) -> float:
         # solve log F(e^s) = log rho for s; monotone in s
         target = math.log(rho)
@@ -269,10 +268,9 @@ def make_oscillating_F(alpha: float, c: float, x_top: float = 0.5) -> WarpingFun
             return alpha * s + math.log(c + math.sin(s)) - target
 
         lo = min(-700.0, (target - math.log(c + 1.0)) / alpha - 2.0)
-        # upper bracket past x_top: adaptive steppers probe r slightly
+        # upper bracket past x = 1/2: adaptive steppers probe r slightly
         # beyond R, and F stays monotone there (threshold is global)
-        hi = log_x_top + 1.0
-        return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        return brentq(g, lo, math.log(0.5) + 1.0, xtol=1e-14, rtol=8.9e-16)
 
     def f(rho: float) -> float:
         return math.exp(_log_f(rho))
@@ -280,7 +278,7 @@ def make_oscillating_F(alpha: float, c: float, x_top: float = 0.5) -> WarpingFun
     def f_prime(rho: float) -> float:
         return 1.0 / F_prime(f(rho))
 
-    R = F(x_top)
+    R = F(0.5)
     return WarpingFunction(
         domain_radius=R,
         f=f,
@@ -446,17 +444,13 @@ def profile_to_warp(
 def estimate_frakF(
     wf: WarpingFunction,
     sigma: float,
-    eps0: Optional[float] = None,
-    ratio: float = 0.5,
     steps: int = 30,
 ) -> FrakFEstimate:
-    """Geometric-ladder estimate of lim_{eps->0} F'(sigma*eps)/F'(eps)."""
+    """Geometric-ladder estimate of lim_{eps->0} F'(sigma*eps)/F'(eps): eps
+    halves at each rung from 1e-2 f(R/2)."""
     if sigma < 1.0:
         raise ValueError("sigma must be >= 1")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
-    if eps0 is None:
-        eps0 = 1e-2 * wf.f(wf.domain_radius / 2.0)
+    eps0 = 1e-2 * wf.f(wf.domain_radius / 2.0)
     top = wf.f(wf.domain_radius * (1.0 - 1e-9))
     if sigma * eps0 > top:
         eps0 = 0.99 * top / sigma
@@ -464,7 +458,7 @@ def estimate_frakF(
     ladder = []
     diagnostic = ""
     for n in range(steps):
-        eps = eps0 * ratio**n
+        eps = eps0 * 0.5**n
         try:
             d0 = wf.F_prime(eps)
             d1 = wf.F_prime(sigma * eps)
@@ -570,11 +564,10 @@ def compute_Cf(wf: WarpingFunction, tol: float = 1e-9) -> float:
     return compute_Cf_detailed(wf, tol)[0]
 
 
-def check_Cf_monotonicity(
-    wf_small: WarpingFunction, wf_big: WarpingFunction, tol: float = 1e-6
-) -> MonotonicityReport:
+def check_Cf_monotonicity(wf_small: WarpingFunction,
+                          wf_big: WarpingFunction) -> MonotonicityReport:
     """Comparison: if f = O(f_tilde) near zero then both the limit functional
-    and the length constant are ordered the same way."""
+    and the length constant are ordered the same way (to 1e-6)."""
     R = min(wf_small.domain_radius, wf_big.domain_radius)
     xs = np.geomspace(R * 1e-8, R * 0.9, 256)
     ratio = np.array([wf_small.f(x) / wf_big.f(x) for x in xs])
@@ -590,7 +583,7 @@ def check_Cf_monotonicity(
     excess = max(frak_s(sg) - frak_b(sg) for sg in sigmas)
     cf_s = compute_Cf(wf_small)
     cf_b = compute_Cf(wf_big)
-    passed = (cf_s <= cf_b + tol) and (excess <= tol)
+    passed = (cf_s <= cf_b + 1e-6) and (excess <= 1e-6)
     return MonotonicityReport(
         passed=passed, cf_small=cf_s, cf_big=cf_b, max_frak_excess=float(excess)
     )

@@ -95,6 +95,22 @@ class TestTrace:
         assert rows[0][0] == "t"
         assert len(rows) > 100
 
+    @pytest.mark.parametrize("section", ["circle:6.283185307179586",
+                                         "circle:6.283185307179586:pert=0.08"])
+    def test_export_columns(self, tmp_path, capsys, section):
+        code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.1",
+                           "--section", section, "--outdir", str(tmp_path))
+        assert code == 0, err
+        with open(tmp_path / "trace.csv") as fh:
+            header, *rows = list(csv.reader(fh))
+        cols = dict(zip(header, np.array(rows, dtype=float).T))
+        wf = make_power_warp(2.0)
+        f = np.array([wf.f(r) for r in cols["r"]])
+        sin = np.sin(cols["theta"])
+        u = np.sign(sin) * np.array([wf.F(x) for x in f * np.abs(sin)])
+        for name, expected in (("rho", f), ("clairaut", f * np.cos(cols["theta"])), ("u", u)):
+            assert np.allclose(cols[name], expected, rtol=1e-12, atol=1e-15), name
+
     @pytest.mark.parametrize("flags", [("--warp", "power:nan"), ("--warp", "power:inf"),
                                        ("--R", "nan"), ("--rtol", "-1"), ("--atol", "nan"),
                                        ("--y0", "nan"), ("--v0", "nan"),

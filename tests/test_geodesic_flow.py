@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -155,6 +156,11 @@ class TestReparametrize:
         norm = flat_circle.eta_norm(rp.r[mid], rp.y[mid], rp.eta[mid] / math.exp(traj.log_fd))
         assert norm == pytest.approx(cusp_warp.f(rp.r[mid]) / cusp_warp.f(0.1), rel=1e-8)
 
+    def test_window_beyond_the_integrated_range_raises(self, cusp_warp, flat_circle):
+        traj = sg.integrate_winding(cusp_warp, flat_circle, 0.1, [0.0], [1.0])
+        with pytest.raises(ValueError, match="tau beyond available range"):
+            sg.reparametrize_tau(traj, window=(-1e9, 1e9))
+
 
 class TestDiagnostics:
     def test_shell_and_clairaut(self, flat_circle):
@@ -164,6 +170,17 @@ class TestDiagnostics:
                                         rtol=1e-12, atol=1e-14)
             assert np.nanmax(np.abs(traj.hamiltonian - 1.0)) < 1e-10
             assert np.nanmax(np.abs(traj.clairaut_rel)) < 1e-9
+
+    @pytest.mark.parametrize("section, path", [("circle:6.283185307179586", "reduced"),
+                                               ("circle:6.283185307179586:pert=0.08", "full")])
+    def test_integrate_never_calls_F(self, section, path):
+        # F is needed only for the u column of the CSV export
+        def refuse(_):
+            raise AssertionError("F called")
+        wf = dataclasses.replace(sg.make_power_warp(2.0), F=refuse)
+        traj = sg.integrate_winding(wf, sg.parse_section_spec(section), 0.1, [0.3], [1.0])
+        assert traj.meta["path"] == path
+        assert traj.meta["shell_drift"] < 1e-8
 
     @pytest.mark.parametrize("section", ["sphere", "sphere:pert=0.05"])
     def test_ambient_residual_at_tight_tolerance(self, section):

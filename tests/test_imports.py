@@ -6,14 +6,18 @@ it imports is its job.  The one import inside a function is the cycle-breaker
 in ``warp_profiles.parse_warp_spec`` (``profile_io`` imports
 ``warp_profiles``).  No module imports ``warnings``: a warning silenced
 inside the package would get round the test suite's
-``filterwarnings = ["error", ...]``.  No linter is needed; the checks walk
-each module's syntax tree."""
+``filterwarnings = ["error", ...]``.  Every defaulted parameter of a
+public function under src/ is passed by some call in src/, tests/ or
+perfbench/: a default that nothing overrides is a constant.  No linter is
+needed; the checks walk each module's syntax tree."""
 import ast
 import pathlib
+from collections import defaultdict
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "singular_geodesics"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "singular_geodesics"
 
 
 def unused_imports(source: str) -> list:
@@ -91,3 +95,56 @@ def test_no_warning_suppression(path):
 def test_detects_a_warnings_import():
     source = "from warnings import catch_warnings\nimport numpy.linalg\nfrom . import errors\n"
     assert imported_modules(source) == {"warnings", "numpy"}
+
+
+def _called_name(func: ast.expr):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unset_defaults(modules: list, callers: list) -> list:
+    """``function(parameter)`` for each defaulted parameter of a module-level
+    public function in the sources ``modules`` that no call in the sources
+    ``callers`` passes, by keyword or by position.  A function that forwards
+    its ``**kwargs`` to another passes the keywords it receives on."""
+    signatures = {}
+    for source in modules:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                signatures[node.name] = (positional, defaulted)
+    trees = [ast.parse(source) for source in callers]
+    forwards = {}
+    for func in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(func, ast.FunctionDef) and func.args.kwarg:
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and any(
+                        k.arg is None and getattr(k.value, "id", None) == func.args.kwarg.arg
+                        for k in call.keywords):
+                    forwards[func.name] = _called_name(call.func)
+    passed = defaultdict(set)
+    for call in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(call, ast.Call):
+            name = _called_name(call.func)
+            keywords = {k.arg for k in call.keywords if k.arg}
+            n_positional = sum(not isinstance(a, ast.Starred) for a in call.args)
+            if name in signatures:
+                passed[name] |= keywords | set(signatures[name][0][:n_positional])
+            if name in forwards:
+                passed[forwards[name]] |= keywords
+    return sorted(f"{name}({p})" for name, (_, defaulted) in signatures.items()
+                  for p in defaulted if p not in passed[name])
+
+
+def test_every_default_is_passed_somewhere():
+    callers = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    assert unset_defaults([p.read_text() for p in SRC.glob("*.py")],
+                          [p.read_text() for p in callers]) == []
+
+
+def test_detects_a_default_no_call_passes():
+    module = "def f(a, b=1, *, c=2, d=3):\n    pass\n\ndef g(**kw):\n    f(0, **kw)\n"
+    callers = [module, "import m\nm.f(0, 1)\nm.g(c=4)\n"]
+    assert unset_defaults([module], callers) == ["f(d)"]

@@ -13,8 +13,12 @@ fools both):
 - The shell check |2H - 1| (``integrate``'s drift limit, criterion 5, the
   benchmark's |2H-1|) evaluates |eta|^2 with the same ``cometric`` that
   drives the flow.  It sees a flow that disagrees with its own norm (a
-  dropped torque, a missing q_r/q), not a wrong norm, and not a reversed
-  rotation, which keeps |eta|.
+  dropped torque, a missing q_r/q, the circle's h0 force with its sign
+  flipped), not a wrong norm, and not a reversed rotation, which keeps |eta|.
+  It shares with the flow nothing of its own formula sin^2(theta) +
+  exp(2 (log|eta| - log f(r))), so a shell taken as |eta|/f instead of
+  |eta|^2/f^2 is caught on every section (it reads sin^2 + cos, 1.25 at
+  cos(theta) = 1/2).
 - The radial and eta bounds (``verify_radial_bounds``) read c from the
   section's grid check and q_r/q from the same ``cometric``.
 - The length oracle ``closed_form_winding_length`` integrates the same
@@ -47,7 +51,7 @@ import pytest
 import singular_geodesics as sg
 import test_acceptance as acceptance
 from singular_geodesics import IntegrationError, QuadratureError, geodesic_flow, warp_profiles
-from singular_geodesics.cross_sections import SphereSection
+from singular_geodesics.cross_sections import CircleSection, SphereSection
 from singular_geodesics.experiments import (
     closed_form_winding_length,
     limit_geodesic_test,
@@ -100,6 +104,40 @@ def test_dropped_torque_fails_the_shell_check(monkeypatch):
     monkeypatch.setattr(SphereSection, "cometric", torque_free)
     with pytest.raises(IntegrationError, match="shell drift"):
         sg.integrate_winding(wf, cs, 0.1, Y0, V0)
+
+
+def _shell_drift_error(wf, cs, y0, v0) -> float:
+    """The shell drift that ``integrate`` refuses, read from its message."""
+    with pytest.raises(IntegrationError, match="shell drift") as err:
+        sg.integrate_winding(wf, cs, 0.15, y0, v0)
+    return float(re.search(r"shell drift (\S+)", str(err.value)).group(1))
+
+
+def test_flipped_circle_force_fails_the_shell_check(monkeypatch):
+    wf, cs = sg.make_power_warp(1.5), sg.parse_section_spec("circle:6.283185307179586:pert=0.08")
+    assert sg.integrate_winding(wf, cs, 0.15, [0.3], [1.0]).meta["shell_drift"] < 1e-9
+    original = CircleSection.cometric
+
+    def flipped(self, r, y, eta):
+        sharp, norm2, qr_q, force = original(self, r, y, eta)
+        return sharp, norm2, qr_q, [-v for v in force]
+    monkeypatch.setattr(CircleSection, "cometric", flipped)
+    assert _shell_drift_error(wf, cs, [0.3], [1.0]) > 1e-3
+
+
+@pytest.mark.parametrize("section", ["circle:6.283185307179586",
+                                     "circle:6.283185307179586:pert=0.08"])
+def test_unsquared_shell_fails_the_shell_check(monkeypatch, section):
+    wf, cs = sg.make_power_warp(1.5), sg.parse_section_spec(section)
+    assert sg.integrate_winding(wf, cs, 0.15, [0.3], [1.0]).meta["shell_drift"] < 1e-9
+    original = geodesic_flow._diagnostics
+
+    def unsquared(wf, cs, log_fd, st):
+        _, clairaut_rel, eta_norm, qr_q, rho = original(wf, cs, log_fd, st)
+        # |eta|/f where the shell has |eta|^2/f^2
+        return np.sin(st.theta) ** 2 + eta_norm / rho, clairaut_rel, eta_norm, qr_q, rho
+    monkeypatch.setattr(geodesic_flow, "_diagnostics", unsquared)
+    assert _shell_drift_error(wf, cs, [0.3], [1.0]) == pytest.approx(0.25, abs=1e-3)
 
 
 @pytest.mark.parametrize("section, y0, v0", [("circle:6.283185307179586:pert=0.08", [0.3], [1.0]),
