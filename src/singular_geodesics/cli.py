@@ -130,30 +130,37 @@ def cmd_trace(args) -> int:
     csv_path = os.path.join(cfg.outdir, "trace.csv")
     traj.to_csv(csv_path)
     length = geodesic_flow.winding_length(traj)
+    # a length that overflows double range (f'(delta) underflows) is null;
+    # f'(delta) times the length stays finite
+    finite = math.isfinite(length)
     meta = {
         "config": cfg.to_dict(),
         "classification": traj.classification,
-        "winding_length": length,
-        "winding_count": length / (2.0 * math.pi),
+        "winding_length": length if finite else None,
+        "winding_count": length / (2.0 * math.pi) if finite else None,
+        "normalized_winding_length": geodesic_flow.normalized_winding_length(traj),
         "exit_events": {k: v for k, v in traj.exit_events.items()},
         "max_shell_residual": traj.meta["shell_drift"],
         **{k: v for k, v in traj.meta.items()},
     }
     with open(os.path.join(cfg.outdir, "trace.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+        json.dump(meta, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
     if cfg.svg:
         svgplot.svg_line_plot(
             os.path.join(cfg.outdir, "trace_r.svg"),
             [(traj.t, traj.r, "r(t)")],
             title=f"{wf.label} delta={cfg.delta:g}", xlabel="t", ylabel="r",
         )
-        ang = traj.tau / getattr(cs, "scale", 1.0)
-        svgplot.svg_line_plot(
-            os.path.join(cfg.outdir, "trace_polar.svg"),
-            [(traj.r * np.cos(ang), traj.r * np.sin(ang), "path")],
-            title=f"{wf.label} delta={cfg.delta:g} (polar)",
-            xlabel="x", ylabel="y", equal_aspect=True,
-        )
+        if np.all(np.isfinite(traj.tau)):
+            ang = traj.tau / getattr(cs, "scale", 1.0)
+            svgplot.svg_line_plot(
+                os.path.join(cfg.outdir, "trace_polar.svg"),
+                [(traj.r * np.cos(ang), traj.r * np.sin(ang), "path")],
+                title=f"{wf.label} delta={cfg.delta:g} (polar)",
+                xlabel="x", ylabel="y", equal_aspect=True,
+            )
+        else:
+            print("skipped trace_polar.svg: the winding angle tau is not finite")
     print(f"wrote {csv_path} ({len(traj.t)} samples, {traj.classification})")
     return EXIT_OK
 

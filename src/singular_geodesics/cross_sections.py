@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import dop853
+from .dop853 import solve_ivp
 from .errors import IntegrationError
 
 __all__ = [
@@ -368,7 +369,8 @@ def parse_section_spec(spec: str, domain_radius: float = 1.5) -> CrossSection:
 def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
                            taus: np.ndarray) -> np.ndarray:
     """Hamiltonian integration of the unit-speed geodesic of h_0 = h(0, .),
-    one run per sign of tau, sampled at ``taus``."""
+    one forward run per sign of tau, sampled at ``taus``; the system is
+    autonomous, so tau < 0 runs the negated field over [0, |tau|]."""
     k = len(y)
 
     def rhs(_, state):
@@ -376,17 +378,20 @@ def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
         sharp, _, _, force = cs.cometric(0.0, x[:k], x[k:])
         return sharp + force
 
+    def backward(t, state):
+        return [-d for d in rhs(t, state)]
+
     x0 = np.concatenate([y, cs.covector(y, cs.metric(0.0, y) @ v)])
     out = np.empty((len(taus), k))
-    for side in (taus >= 0.0, taus < 0.0):
+    out[taus == 0.0] = y
+    for side, fun in ((taus > 0.0, rhs), (taus < 0.0, backward)):
         if not side.any():
             continue
-        end = float(taus[side][np.argmax(np.abs(taus[side]))])
-        sol = solve_ivp(rhs, (0.0, end), x0, method="DOP853", rtol=1e-12, atol=1e-14,
-                        dense_output=True)
-        if not sol.success:
+        s = np.abs(taus[side])
+        sol = solve_ivp(fun, float(s.max()), x0, rtol=1e-12, atol=1e-14)
+        if sol.status < 0:
             raise IntegrationError(f"reference geodesic integration failed: {sol.message}")
-        out[side] = sol.sol(taus[side])[:k].T
+        out[side] = dop853.evaluate(sol.t, sol.h, sol.y0, sol.F, s)[:, :k]
     return out
 
 
@@ -398,13 +403,16 @@ def base_geodesic(cs: CrossSection, y0, v0, tau):
     ``y0`` and ``v0`` are input coordinates (see ``CrossSection.embed``) with
     |v0| = 1 in h_0.  Closed forms cover the flat circle and the round sphere
     (n cos tau + V sin tau); deformed base metrics take one numeric
-    Hamiltonian integration per sign of tau.
+    Hamiltonian integration per sign of tau.  A tau that is not finite
+    raises ValueError.
     """
     y, v = cs.embed(y0, v0)
     speed = math.sqrt(float(v @ cs.metric(0.0, y) @ v))
     if abs(speed - 1.0) > 1e-9:
         raise ValueError(f"|v0| in h_0 is {speed:.6g}, expected 1")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau must be finite")
     if not cs.h0_is_standard:
         out = _numeric_base_geodesic(cs, y, v, taus)
     elif isinstance(cs, CircleSection):

@@ -14,11 +14,12 @@ Two systems share one trajectory representation: a reduced 3-state system in
 the exponential cusp families work far below double-precision range of f,
 and a full phase-space system for everything else, in the stored coordinates
 of the section (the sphere's point and angular momentum live in R^3).  Each
-time direction is one DOP853 run whose only events are the exit at r = R
-and the optional tau stop; its dense output is copied once into coefficient
-arrays (``DenseBranch``), and a query is one gather plus Horner's scheme.  A
-radial line is one segment of the same form.  Backward time is obtained from
-the symmetry (t, theta, eta) -> (-t, -theta, -eta).
+time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
+whose only events are the exit at r = R and the optional tau stop; the run
+returns its dense output as coefficient arrays (``DenseBranch``), and a
+query is one gather plus Horner's scheme.  A radial line is one segment of
+the same form.  Backward time is obtained from the symmetry
+(t, theta, eta) -> (-t, -theta, -eta).
 """
 from __future__ import annotations
 
@@ -29,9 +30,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import dop853
 from .cross_sections import CircleSection, CrossSection
+from .dop853 import solve_ivp
 from .errors import IntegrationError
 from .warp_profiles import WarpingFunction
 
@@ -158,16 +160,8 @@ class DenseBranch:
 
     def evaluate(self, s: np.ndarray) -> States:
         """Decoded states at the points ``s`` in [0, t_end] (a 1-D array)."""
-        # a step point takes the earlier segment, as scipy's OdeSolution does
-        seg = np.maximum(np.searchsorted(self.ts, s, side="left") - 1, 0)
-        x = ((s - self.ts[seg]) / self.h[seg])[:, None]
-        # the alternating Horner scheme of scipy's Dop853DenseOutput
-        y = np.zeros((len(s), self.y0.shape[1]))
-        for i, f in enumerate(self.F[::-1, seg]):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y0[seg]
-        return self.decode(y.T, self.sign)
+        return self.decode(dop853.evaluate(self.ts, self.h, self.y0, self.F, s).T,
+                           self.sign)
 
 
 def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
@@ -436,29 +430,20 @@ def _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop, max_step):
 
     def exit_event(_, s):
         return s[0] - R
-    exit_event.terminal = True
     exit_event.direction = 1.0
     events = [exit_event]
     if tau_stop is not None:
         def tau_event(_, s):
             return s[-1] - tau_stop
-        tau_event.terminal = True
         events.append(tau_event)
 
-    sol = solve_ivp(
-        rhs, (0.0, 2.0 * R + 1.0), x0,
-        method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events,
-        first_step=_first_step(wf, x0[0]), max_step=max_step,
-    )
-    if not sol.success:
+    sol = solve_ivp(rhs, 2.0 * R + 1.0, x0, rtol, atol, _first_step(wf, x0[0]), max_step,
+                    events)
+    if sol.status < 0:
         raise IntegrationError(f"stepper failed: {sol.message}")
     if sol.status != 1:
         raise IntegrationError("trajectory truncated before exit at r=R")
-    # each step's own length: an event cuts the last segment of ts short
-    dense = sol.sol.interpolants
-    return DenseBranch(sign, decode, sol.sol.ts, np.array([d.h for d in dense]),
-                       np.array([d.y_old for d in dense]),
-                       np.stack([d.F for d in dense], axis=1),
+    return DenseBranch(sign, decode, sol.t, sol.h, sol.y0, sol.F,
                        exited=len(sol.t_events[0]) > 0,
                        stopped_by_tau=tau_stop is not None and len(sol.t_events[1]) > 0)
 

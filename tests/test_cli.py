@@ -95,6 +95,21 @@ class TestTrace:
         assert rows[0][0] == "t"
         assert len(rows) > 100
 
+    def test_overflowing_length_is_strict_json(self, tmp_path, capsys):
+        # f'(1e-3) underflows for expinv:1, so the winding length and tau overflow
+        code, out, err = run(capsys, "trace", "--warp", "expinv:1", "--delta", "0.001",
+                             "--outdir", str(tmp_path), "--svg")
+        assert code == 0, err
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        meta = json.loads((tmp_path / "trace.json").read_text(), parse_constant=refuse)
+        assert meta["winding_length"] is None and meta["winding_count"] is None
+        assert meta["normalized_winding_length"] == pytest.approx(2.0, rel=1e-2)
+        assert (tmp_path / "trace_r.svg").exists()
+        assert not (tmp_path / "trace_polar.svg").exists()
+        assert "skipped trace_polar.svg" in out
+
     @pytest.mark.parametrize("section", ["circle:6.283185307179586",
                                          "circle:6.283185307179586:pert=0.08"])
     def test_export_columns(self, tmp_path, capsys, section):

@@ -122,9 +122,18 @@ class TestBaseGeodesic:
         assert np.max(cs_ref.h0_distance(rows_num, rows_ref)) < 1e-7
         assert np.array_equal(rows_num[-1], a)
 
+    @pytest.mark.parametrize("perturbation", [None, (0.1, static_sphere_bump)])
+    def test_non_finite_tau_raises(self, perturbation):
+        # the numeric path once returned uninitialised rows for a NaN tau
+        cs = sg.sphere_section(perturbation)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sg.base_geodesic(cs, [math.pi / 2, 0.0], [0.3, math.sqrt(1 - 0.09)],
+                                 [0.5, bad])
+
     def test_numeric_failure_raises_integration_error(self, monkeypatch):
         def failed(*args, **kwargs):
-            return SimpleNamespace(success=False, message="forced failure")
+            return SimpleNamespace(status=-1, message="forced failure")
         monkeypatch.setattr(cross_sections, "solve_ivp", failed)
         cs = sg.sphere_section(perturbation=(0.1, static_sphere_bump))
         with pytest.raises(IntegrationError, match="forced failure"):

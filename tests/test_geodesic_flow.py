@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import singular_geodesics as sg
-from singular_geodesics import IntegrationError, geodesic_flow
+from singular_geodesics import IntegrationError, dop853, geodesic_flow
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.geodesic_flow import log_eta_rate
+from test_dop853 import scipy_solve
 
 
 class TestLaunch:
@@ -229,8 +230,8 @@ class TestVectorField:
 
 def _scalar_loop(traj, solutions):
     """Reference evaluation, one sample at a time: scipy's OdeSolution of the
-    branch at the scalar s = |t|.  ``solutions`` holds the OdeSolution of
-    each stepper run, the forward branch's first."""
+    branch at the scalar s = |t|.  ``solutions`` holds scipy's OdeSolution
+    for each stepper run, the forward branch's first."""
     rows = []
     for t in traj.t:
         b, sol = (traj.forward, solutions[0]) if t >= 0 else (traj.backward, solutions[-1])
@@ -251,10 +252,10 @@ class TestDenseEvaluation:
             y0, v0 = [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]
         solutions = []
 
-        def recording_solve_ivp(*args, **kwargs):
-            sol = solve_ivp(*args, **kwargs)
-            solutions.append(sol.sol)
-            return sol
+        def recording_solve_ivp(*args):
+            # scipy's run on the package stepper's arguments is the reference
+            solutions.append(scipy_solve(*args).sol)
+            return dop853.solve_ivp(*args)
         monkeypatch.setattr(geodesic_flow, "solve_ivp", recording_solve_ivp)
         traj = sg.integrate_winding(wf, cs, 0.1, y0, v0, dense_nodes=256)
         assert len(solutions) == (1 if case == "reduced" else 2)

@@ -6,7 +6,9 @@ it imports is its job.  The one import inside a function is the cycle-breaker
 in ``warp_profiles.parse_warp_spec`` (``profile_io`` imports
 ``warp_profiles``).  No module imports ``warnings``: a warning silenced
 inside the package would get round the test suite's
-``filterwarnings = ["error", ...]``.  Every defaulted parameter of a
+``filterwarnings = ["error", ...]``.  The package steps every ODE with its
+own ``dop853.solve_ivp``: the only name a module takes from
+``scipy.integrate`` is the quadrature ``quad``.  Every defaulted parameter of a
 public function under src/ is passed by some call in src/, tests/ or
 perfbench/: a default that nothing overrides is a constant.  No linter is
 needed; the checks walk each module's syntax tree."""
@@ -15,6 +17,8 @@ import pathlib
 from collections import defaultdict
 
 import pytest
+
+from singular_geodesics import cross_sections, dop853, geodesic_flow
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "singular_geodesics"
@@ -95,6 +99,41 @@ def test_no_warning_suppression(path):
 def test_detects_a_warnings_import():
     source = "from warnings import catch_warnings\nimport numpy.linalg\nfrom . import errors\n"
     assert imported_modules(source) == {"warnings", "numpy"}
+
+
+def scipy_integrate_imports(source: str) -> set:
+    """What a module imports from scipy.integrate: each name taken from it,
+    or the module path where the module itself (or a submodule) is imported."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.startswith("scipy.integrate"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "scipy.integrate":
+                found.update(a.name for a in node.names)
+            elif node.module.startswith("scipy.integrate."):
+                found.add(node.module)
+            elif node.module == "scipy":
+                found.update("scipy.integrate" for a in node.names if a.name == "integrate")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_stepper(path):
+    assert scipy_integrate_imports(path.read_text()) <= {"quad"}
+
+
+def test_one_stepper_for_the_package():
+    assert geodesic_flow.solve_ivp is dop853.solve_ivp
+    assert cross_sections.solve_ivp is dop853.solve_ivp
+
+
+def test_detects_a_scipy_stepper_import():
+    source = ("from scipy.integrate import quad, solve_ivp\nimport scipy.integrate\n"
+              "from scipy.integrate._ivp import rk\nfrom scipy import integrate, optimize\n"
+              "from scipy.optimize import brentq\n")
+    assert scipy_integrate_imports(source) == {"quad", "solve_ivp", "scipy.integrate",
+                                               "scipy.integrate._ivp"}
 
 
 def _called_name(func: ast.expr):

@@ -27,7 +27,11 @@ fools both):
 - The flat-cone closed form of criterion 1 (r = sqrt(t^2 + delta^2), the
   exit time, the length 2 atan(t_exit/delta)) shares only f = r and the flat
   circle with the integrator.  It sees the dense output, for instance a last
-  segment evaluated with the step length that the exit event cut short.
+  segment evaluated with the step length that the exit event cut short, and
+  the stepper's tableau: a solution weight B[5] off by 1e-6 (r err 4.5e-6,
+  which the length oracle on the round sphere misses at 4.5e-7 against its
+  1e-6) and a dense-output coefficient D[0, 5] off by 1e-5 (r err 6.8e-8).
+  Its limit: D[0, 5] off by 1e-6 gives 6.8e-9 and passes.
 - Criterion 2 compares ``compute_Cf`` with the analytic constants pi,
   Gamma(3/4)Gamma(1/2)/Gamma(5/4) and 2; it shares the family's limit
   functional, not the quadrature.  A bias upward at the cone is caught first
@@ -50,7 +54,13 @@ import pytest
 
 import singular_geodesics as sg
 import test_acceptance as acceptance
-from singular_geodesics import IntegrationError, QuadratureError, geodesic_flow, warp_profiles
+from singular_geodesics import (
+    IntegrationError,
+    QuadratureError,
+    dop853,
+    geodesic_flow,
+    warp_profiles,
+)
 from singular_geodesics.cross_sections import CircleSection, SphereSection
 from singular_geodesics.experiments import (
     closed_form_winding_length,
@@ -185,19 +195,43 @@ def test_biased_clock_fails_the_length_oracle(monkeypatch):
     assert err > 1e-6 and np.isclose(err, 1e-5, rtol=1e-3)
 
 
+def _flat_cone_check():
+    """Criterion 1's verdict and its r err."""
+    said = []
+    acceptance.test_criterion_01_flat_cone_closed_form(
+        lambda name, ok, detail: said.append((ok, detail)), sg.make_power_warp(1.0),
+        sg.circle_section(2 * math.pi))
+    (ok, detail), = said
+    return ok, float(re.search(r"r err (\S+)", detail).group(1))
+
+
 def test_event_cut_step_length_fails_the_flat_cone_check(monkeypatch):
     class StepFromTs(geodesic_flow.DenseBranch):
         def __init__(self, sign, decode, ts, h, *rest, **kwargs):
             # the last step's length taken from ts, which the exit event cut short
             super().__init__(sign, decode, ts, np.diff(ts), *rest, **kwargs)
     monkeypatch.setattr(geodesic_flow, "DenseBranch", StepFromTs)
-    said = []
-    acceptance.test_criterion_01_flat_cone_closed_form(
-        lambda name, ok, detail: said.append((ok, detail)), sg.make_power_warp(1.0),
-        sg.circle_section(2 * math.pi))
-    (ok, detail), = said
-    assert not ok
-    assert float(re.search(r"r err (\S+)", detail).group(1)) > 1e-8
+    ok, r_err = _flat_cone_check()
+    assert not ok and r_err > 1e-8
+
+
+def test_scaled_solution_weight_fails_the_flat_cone_check_not_the_length_oracle(monkeypatch):
+    B = dop853.B.copy()
+    B[5] *= 1.0 + 1e-6
+    monkeypatch.setattr(dop853, "B", B)
+    ok, r_err = _flat_cone_check()
+    assert not ok and r_err > 1e-8
+    wf, cs = sg.make_power_warp(2.0), sg.sphere_section()
+    traj = sg.integrate_winding(wf, cs, 0.1, Y0, V0)
+    assert abs(sg.winding_length(traj) / closed_form_winding_length(wf, 0.1) - 1.0) < 1e-6
+
+
+def test_scaled_dense_output_coefficient_fails_the_flat_cone_check(monkeypatch):
+    D = dop853.D.copy()
+    D[0, 5] *= 1.0 + 1e-5
+    monkeypatch.setattr(dop853, "D", D)
+    ok, r_err = _flat_cone_check()
+    assert not ok and r_err > 1e-8
 
 
 @pytest.mark.parametrize("bias", [1e-7, -1e-7])
