@@ -40,7 +40,6 @@ from .geodesic_flow import (
     launch_winding,
     normalized_winding_length,
     reparametrize_tau,
-    vector_field,
     winding_length,
 )
 from .experiments import (

@@ -232,7 +232,8 @@ def cmd_verify(args) -> int:
                 for b in bounds)
     report(f"radial bounds x{len(bounds)} ({args.suite}, seed={cfg.seed})",
            all(b.passed for b in bounds), f"{sum(b.passed for b in bounds)}/{len(bounds)} "
-           f"passed, worst excess {worst:.3g} (slack {args.slack:g})")
+           f"passed, worst excess {worst:.3g} (slack {args.slack:g}), worst relative "
+           f"slack {min(b.relative_slack for b in bounds):.3g}")
 
     comps = experiments.run_comparison_campaign(args.compare_cases, seed=cfg.seed + 1)
     report(f"comparison principle x{len(comps)}", all(c.passed for c in comps),

@@ -6,6 +6,13 @@ h_r = q(r, y)^2 h0(y) with q = 1 + a*w(r, y).  A section exposes q with its
 partials (``conformal``) and turns them into everything the geodesic flow
 needs (``cometric``).
 
+A shape w is one formula ``formula(xp, r, point)`` returning ``(w, w_r,
+grad w)``, written with the functions of the module ``xp``: ``math`` for a
+float point (the stepper's right-hand side) and ``numpy`` for arrays that
+broadcast (the section's grid check, the trajectory diagnostics).
+``conformal`` and ``cometric`` have one implementation for both cases and
+read which module to use from the type of ``r``.
+
 The circle is stored in its unwrapped angle phi with the covector eta.  The
 sphere is stored in its embedding: a point n in R^3 and the angular momentum
 L = n x p of its covector p; every sphere formula evaluates at n/|n|, and
@@ -26,8 +33,7 @@ from .dop853 import solve_ivp
 from .errors import IntegrationError
 
 __all__ = [
-    "CircleShape",
-    "SphereShape",
+    "Shape",
     "CrossSection",
     "CircleSection",
     "SphereSection",
@@ -47,52 +53,44 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CircleShape:
-    """Scalar field w(r, phi) on [0, R] x S^1 with analytic partials."""
+class Shape:
+    """Scalar field w(r, y) on [0, R] x Y: ``formula(xp, r, point)`` returns
+    (w, d_r w, grad w).  On the circle the point is the angle phi and grad w
+    is (d_phi w,).  On the sphere it is the unit embedding vector
+    (n0, n1, n2) and grad w the ambient gradient in R^3; only its tangential
+    part enters the flow (the normal part drops out of the cross product
+    n x grad), so any smooth extension off the sphere works."""
 
     label: str
-    value: Callable[[float, float], float]
-    d_r: Callable[[float, float], float]
-    d_phi: Callable[[float, float], float]
+    formula: Callable
 
 
-@dataclass(frozen=True)
-class SphereShape:
-    """Scalar field w(r, n) on [0, R] x S^2, n the unit embedding vector.
-
-    ``grad`` is the ambient gradient in R^3.  Only its tangential part enters
-    the flow (the normal part drops out of the cross product n x grad), so
-    any smooth extension off the sphere works.
-    """
-
-    label: str
-    value: Callable[[float, np.ndarray], float]
-    d_r: Callable[[float, np.ndarray], float]
-    grad: Callable[[float, np.ndarray], np.ndarray]
+def _sincos(xp, r, phi):
+    s, cos_phi = xp.sin(r), xp.cos(phi)
+    return s * cos_phi, xp.cos(r) * cos_phi, (-s * xp.sin(phi),)
 
 
-default_circle_shape = CircleShape(
-    label="sincos",
-    value=lambda r, phi: math.sin(r) * math.cos(phi),
-    d_r=lambda r, phi: math.cos(r) * math.cos(phi),
-    d_phi=lambda r, phi: -math.sin(r) * math.sin(phi),
-)
+def _sin_r_bump(xp, r, n):
+    s = xp.sin(r)
+    return s * n[0] * n[2], xp.cos(r) * n[0] * n[2], (s * n[2], s * 0.0, s * n[0])
 
-default_sphere_shape = SphereShape(
-    label="sin_r_bump",
-    value=lambda r, n: math.sin(r) * n[0] * n[2],
-    d_r=lambda r, n: math.cos(r) * n[0] * n[2],
-    grad=lambda r, n: math.sin(r) * np.array([n[2], 0.0, n[0]]),
-)
+
+def _static_bump(xp, r, n):
+    return n[0] * n[2], 0.0, (n[2], 0.0, n[0])
+
+
+default_circle_shape = Shape(label="sincos", formula=_sincos)
+
+default_sphere_shape = Shape(label="sin_r_bump", formula=_sin_r_bump)
 
 # r-independent deformation: still a warped product (c = 0) but with a
 # non-round h_0, so the numeric reference-geodesic path gets exercised.
-static_sphere_bump = SphereShape(
-    label="static_bump",
-    value=lambda r, n: n[0] * n[2],
-    d_r=lambda r, n: 0.0,
-    grad=lambda r, n: np.array([n[2], 0.0, n[0]]),
-)
+static_sphere_bump = Shape(label="static_bump", formula=_static_bump)
+
+
+def _xp(r):
+    """numpy for an array ``r``; math, a fraction of numpy's cost per call, for a float."""
+    return np if isinstance(r, np.ndarray) else math
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +112,16 @@ class CrossSection:
     domain_radius: float
     amplitude: float
 
-    def conformal(self, r: float, y):
-        """Return (q, d_r q, the gradient of q in y as a sequence), q = 1 + a*w."""
+    def conformal(self, r, y):
+        """Return (q, d_r q, the gradient of q in y as a sequence), q = 1 + a*w,
+        at a float ``r`` and floats ``y``, or at arrays that broadcast."""
         raise NotImplementedError
 
-    def cometric(self, r: float, y, eta):
+    def cometric(self, r, y, eta):
         """(sharp, |eta|^2, q_r/q, force) of the stored covector ``eta`` at
         (r, y): the flow of ``geodesic_flow`` is ydot = sharp/f^2 and
-        etadot = force/f^2.  ``y`` and ``eta`` are sequences; float lists are
-        the fast case."""
+        etadot = force/f^2.  ``y`` and ``eta`` are sequences of floats (lists
+        are the fast case) or, with an array ``r``, of arrays."""
         raise NotImplementedError
 
     def metric(self, r: float, y) -> np.ndarray:
@@ -150,27 +149,27 @@ class CrossSection:
         raise NotImplementedError
 
     def _grid_checks(self, nodes):
-        """Check 1/2 <= q <= 2 on 128 radii times the points ``nodes`` of Y,
-        and set ``c_bound`` (1.25 times the largest |q_r/q| seen) and
+        """Check 1/2 <= q <= 2 on 128 radii times the points ``nodes`` of Y
+        in one array pass, naming the first bad point radius by radius; set
+        ``c_bound`` (1.25 times the largest |q_r/q| seen) and
         ``h0_is_standard`` (w vanishes at r = 0, so h0 is the flat circle or
-        the round sphere)."""
-        a, w = self.amplitude, self.shape
-        if a == 0.0 or w is None:
+        the round sphere); and require R*c < 1."""
+        a = self.amplitude
+        if a == 0.0:
             self.c_bound = 0.0
             self.h0_is_standard = True
             return
-        worst = 0.0
-        for r in np.linspace(0.0, self.domain_radius, 128):
-            for y in nodes:
-                q = 1.0 + a * w.value(r, y)
-                if not 0.5 <= q <= 2.0:
-                    raise ValueError(f"degenerate metric: 1+a*w = {q:.4g} at r={r:.3g}, "
-                                     f"y={np.round(y, 3)}")
-                worst = max(worst, abs(a * w.d_r(r, y)) / q)
-        self.c_bound = 1.25 * worst
-        self.h0_is_standard = max(abs(w.value(0.0, y)) for y in nodes) < 1e-15
-
-    def _check_admissible(self):
+        radii = np.linspace(0.0, self.domain_radius, 128)
+        w, w_r, _ = self.shape.formula(np, radii[:, None], nodes.T)
+        w = np.broadcast_to(w, (len(radii), len(nodes)))
+        q = 1.0 + a * w
+        bad = ~((0.5 <= q) & (q <= 2.0))
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"degenerate metric: 1+a*w = {q[i, j]:.4g} at r={radii[i]:.3g}, "
+                             f"y={np.round(nodes[j], 3)}")
+        self.c_bound = 1.25 * float(np.max(np.abs(a * w_r) / q))
+        self.h0_is_standard = float(np.max(np.abs(w[0]))) < 1e-15
         if self.domain_radius * self.c_bound >= 1.0:
             raise ValueError(
                 f"R*c = {self.domain_radius * self.c_bound:.4g} >= 1: shrink R "
@@ -186,7 +185,7 @@ class CircleSection(CrossSection):
         self,
         circumference: float,
         amplitude: float = 0.0,
-        shape: Optional[CircleShape] = None,
+        shape: Optional[Shape] = None,
         domain_radius: float = 1.5,
     ):
         if not (math.isfinite(circumference) and circumference > 0):
@@ -200,14 +199,13 @@ class CircleSection(CrossSection):
         self.shape = shape
         self.domain_radius = domain_radius
         self._grid_checks(np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False))
-        self._check_admissible()
 
     def conformal(self, r, y):
-        if self.amplitude == 0.0 or self.shape is None:
+        if self.amplitude == 0.0:
             return 1.0, 0.0, (0.0,)
-        phi = float(y[0])
-        a, w = self.amplitude, self.shape
-        return 1.0 + a * w.value(r, phi), a * w.d_r(r, phi), (a * w.d_phi(r, phi),)
+        a = self.amplitude
+        w, w_r, (w_phi,) = self.shape.formula(_xp(r), r, y[0])
+        return 1.0 + a * w, a * w_r, (a * w_phi,)
 
     def cometric(self, r, y, eta):
         """sharp = eta/(q^2 scale^2) and force = (q_phi/q)|eta|^2."""
@@ -235,9 +233,9 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
-def _unit(y) -> Tuple[float, float, float]:
+def _unit(xp, y):
     n0, n1, n2 = y
-    inv = 1.0 / math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    inv = 1.0 / xp.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
     return n0 * inv, n1 * inv, n2 * inv
 
 
@@ -248,7 +246,7 @@ class SphereSection(CrossSection):
     def __init__(
         self,
         amplitude: float = 0.0,
-        shape: Optional[SphereShape] = None,
+        shape: Optional[Shape] = None,
         domain_radius: float = 1.5,
     ):
         if amplitude != 0.0 and shape is None:
@@ -258,21 +256,20 @@ class SphereSection(CrossSection):
         self.shape = shape
         self.domain_radius = domain_radius
         self._grid_checks(_fibonacci_sphere(128))
-        self._check_admissible()
 
     def conformal(self, r, y):
         """q, q_r and the ambient gradient a*grad w, all at n/|n|."""
-        if self.amplitude == 0.0 or self.shape is None:
+        if self.amplitude == 0.0:
             return 1.0, 0.0, (0.0, 0.0, 0.0)
-        a, w = self.amplitude, self.shape
-        n = _unit(y)
-        return (1.0 + a * w.value(r, n), a * w.d_r(r, n),
-                [a * g for g in w.grad(r, n).tolist()])
+        a = self.amplitude
+        xp = _xp(r)
+        w, w_r, grad = self.shape.formula(xp, r, _unit(xp, y))
+        return 1.0 + a * w, a * w_r, [a * g for g in grad]
 
     def cometric(self, r, y, eta):
         """With n the unit vector of ``y`` and L = ``eta``: p = L x n,
         sharp = p/q^2, |eta|^2 = |p|^2/q^2 and force = (|eta|^2/q) n x grad q."""
-        n0, n1, n2 = _unit(y)
+        n0, n1, n2 = _unit(_xp(r), y)
         l0, l1, l2 = eta
         q, q_r, (g0, g1, g2) = self.conformal(r, y)
         q2 = q * q
@@ -284,7 +281,7 @@ class SphereSection(CrossSection):
 
     def metric(self, r, y):
         """q^2 times the projection onto the tangent plane at n."""
-        n = np.array(_unit(y))
+        n = np.array(_unit(_xp(r), y))
         q = self.conformal(r, n)[0]
         return q * q * (np.eye(3) - np.outer(n, n))
 
@@ -322,7 +319,7 @@ class SphereSection(CrossSection):
 
 def circle_section(
     circumference: float,
-    perturbation: Optional[Tuple[float, CircleShape]] = None,
+    perturbation: Optional[Tuple[float, Shape]] = None,
     domain_radius: float = 1.5,
 ) -> CircleSection:
     a, shape = perturbation if perturbation is not None else (0.0, None)
@@ -330,7 +327,7 @@ def circle_section(
 
 
 def sphere_section(
-    perturbation: Optional[Tuple[float, SphereShape]] = None,
+    perturbation: Optional[Tuple[float, Shape]] = None,
     domain_radius: float = 1.5,
 ) -> SphereSection:
     a, shape = perturbation if perturbation is not None else (0.0, None)

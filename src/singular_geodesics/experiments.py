@@ -177,13 +177,26 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
 
 @dataclass
 class BoundsReport:
+    """Worst excesses of the bounds (at most ``slack`` when they hold) and
+    ``relative_slack``: the smallest slack of the two radial bounds and the
+    rate bound relative to the bound, away from where the bound holds with
+    equality (t = 0 for the radial bounds, sin(theta) = 0 for the rate
+    bound); negative where a bound fails, inf where none was measured."""
+
     passed: bool
     worst_lower: float
     worst_upper: float
     worst_eta: float
     worst_eta_rate: float
     strict_margin: Optional[float]
+    relative_slack: float
     note: str = ""
+
+
+def _relative_slack(gap: np.ndarray, bound: np.ndarray, where: np.ndarray) -> float:
+    """Smallest ``gap / |bound|`` over the samples ``where`` (inf if none)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.min(gap[where] / np.abs(bound[where]), initial=math.inf))
 
 
 def verify_radial_bounds(
@@ -195,14 +208,15 @@ def verify_radial_bounds(
     the two-sided exponential eta bounds, the rate bound
     |d/dt log|eta|| <= c|sin(theta)|, and strict r > |t| for warped data."""
     if traj.classification == "radial":
-        return BoundsReport(True, 0.0, 0.0, 0.0, 0.0, None,
+        return BoundsReport(True, 0.0, 0.0, 0.0, 0.0, None, math.inf,
                             note="radial trajectory: bounds degenerate, skipped")
     delta = traj.delta
     c_bound = traj.meta.get("c_bound", 0.0) if c_bound is None else c_bound
     C = c_bound * math.exp(c_bound * traj.meta["R"])
 
     t = np.abs(traj.t)
-    lower = (1.0 - C * delta) * t - traj.r
+    lower_bound = (1.0 - C * delta) * t
+    lower = lower_bound - traj.r
     upper = traj.r - (t + delta)
     worst_lower = float(np.max(lower))
     worst_upper = float(np.max(upper))
@@ -216,8 +230,15 @@ def verify_radial_bounds(
         worst_eta = 0.0
     # d/dt log|eta| = -sin(theta) q_r/q, with |q_r/q| <= c
     sin_theta = np.abs(np.sin(traj.theta))
-    worst_eta_rate = float(np.max(np.abs(traj.qr_q) * sin_theta - c_bound * sin_theta))
+    rate, rate_bound = np.abs(traj.qr_q) * sin_theta, c_bound * sin_theta
+    worst_eta_rate = float(np.max(rate - rate_bound))
     ok = ok and worst_eta <= slack and worst_eta_rate <= slack
+
+    # a sample where both sides of the rate bound vanish (sin(theta) = 0, or
+    # c = 0 on a warped product) holds it with equality and is left out
+    relative_slack = min(_relative_slack(-lower, lower_bound, t > 0.0),
+                         _relative_slack(-upper, t + delta, t > 0.0),
+                         _relative_slack(rate_bound - rate, rate_bound, rate + rate_bound > 0.0))
 
     strict_margin = None
     note = ""
@@ -228,7 +249,7 @@ def verify_radial_bounds(
             ok = False
             note = "warped strict bound r > |t| violated"
     return BoundsReport(ok, worst_lower, worst_upper, worst_eta, worst_eta_rate,
-                        strict_margin, note)
+                        strict_margin, relative_slack, note)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ the same form.  Backward time is obtained from the symmetry
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -41,7 +40,6 @@ __all__ = [
     "GeodesicState",
     "Trajectory",
     "launch_winding",
-    "vector_field",
     "integrate",
     "integrate_winding",
     "classify",
@@ -54,8 +52,11 @@ __all__ = [
 RADIAL_ETA_FACTOR = 1e-14
 SHELL_DRIFT_LIMIT = 1e-6
 # |dr/dt| <= 1, so steps of at most R/4 keep every trial stage of the full
-# system inside the 1.25 R margin that vector_field tolerates
+# system inside the 1.25 R margin that _full_rhs tolerates
 FULL_MAX_STEP_FRACTION = 0.25
+# rows per write of Trajectory.to_csv: one format call per chunk, and a
+# chunk's text stays small
+CSV_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -102,14 +103,6 @@ def launch_winding(
     eta = cs.covector(y, (math.exp(wf.log_f(delta)) / norm) * (h @ v))
     sign = 1 if (v0[-1] >= 0 or cs.dim > 1) else -1
     return GeodesicState(t=0.0, r=delta, theta=0.0, y=y, eta=eta, wind_sign=sign)
-
-
-def vector_field(wf: WarpingFunction, cs: CrossSection, state: GeodesicState):
-    """(dr, dtheta, dy, deta) of the lifted flow at a phase-space point."""
-    k = len(state.y)
-    x = np.concatenate([[state.r, state.theta], state.y, state.eta, [0.0]])
-    dx = _full_rhs(wf, cs, k)(state.t, x)
-    return dx[0], dx[1], np.array(dx[2:2 + k]), np.array(dx[2 + k:2 + 2 * k])
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +304,30 @@ class Trajectory:
         """One row per sample; ``y*`` and ``eta*`` are the stored coordinates
         (on the sphere n and L in R^3).  The export-only columns ``clairaut``
         = f(r) cos(theta) and ``u`` = sign(sin theta) F(f(r) |sin theta|) are
-        computed here."""
+        computed here.  Values are written as ``%.16g`` and rows end in
+        CRLF, as ``csv.writer`` writes them."""
         k = self.y.shape[1]
         cols = (["t", "r", "theta"]
                 + [f"y{i}" for i in range(k)]
                 + [f"eta{i}" for i in range(k)]
                 + ["hamiltonian", "clairaut", "tau", "rho", "u"])
-        clairaut = self.rho * np.cos(self.theta)
-        log_f_r = _log_f(self.wf, self.r)
+        u = [self._u(lf, math.sin(th)) for lf, th in zip(_log_f(self.wf, self.r).tolist(),
+                                                         self.theta.tolist())]
+        rows = np.column_stack([self.t, self.r, self.theta, self.y, self.eta,
+                                self.hamiltonian, self.rho * np.cos(self.theta),
+                                self.tau, self.rho, u])
+        row = ",".join(["%.16g"] * len(cols)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for i in range(len(self.t)):
-                s = math.sin(self.theta[i])
-                x = math.exp(log_f_r[i] + (math.log(abs(s)) if s else -math.inf))
-                # F is defined on (0, f(R)]; x = 0 at the tip or where theta = 0
-                u = math.copysign(self.wf.F(x), s) if x > 0.0 else 0.0
-                writer.writerow(
-                    [f"{self.t[i]:.16g}", f"{self.r[i]:.16g}", f"{self.theta[i]:.16g}"]
-                    + [f"{v:.16g}" for v in self.y[i]]
-                    + [f"{v:.16g}" for v in self.eta[i]]
-                    + [f"{self.hamiltonian[i]:.16g}", f"{clairaut[i]:.16g}",
-                       f"{self.tau[i]:.16g}", f"{self.rho[i]:.16g}", f"{u:.16g}"]
-                )
+            fh.write(",".join(cols) + "\r\n")
+            for i in range(0, len(rows), CSV_CHUNK_ROWS):
+                chunk = rows[i:i + CSV_CHUNK_ROWS]
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+
+    def _u(self, log_f_r: float, s: float) -> float:
+        """sign(s) F(f(r) |s|) of log f(r) and s = sin(theta)."""
+        x = math.exp(log_f_r + (math.log(abs(s)) if s else -math.inf))
+        # F is defined on (0, f(R)]; x = 0 at the tip or where theta = 0
+        return math.copysign(self.wf.F(x), s) if x > 0.0 else 0.0
 
 
 def _log_f(wf: WarpingFunction, r: np.ndarray) -> np.ndarray:
@@ -360,9 +354,9 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
     elif _is_reduced(cs):
         log_eta = np.full(n, log_fd)
     else:
-        norm2, qr_q = np.array([cs.cometric(*row)[1:3] for row in zip(
-            r.tolist(), y.tolist(), eta.tolist())]).T
+        norm2, qr_q = cs.cometric(r, y.T, eta.T)[1:3]
         log_eta = 0.5 * np.log(norm2)
+        qr_q = np.full(n, qr_q)  # the float 0.0 on sections without perturbation
     with np.errstate(over="ignore", invalid="ignore"):
         # eta = 0 makes |eta|/f(r) vanish, even at the tip r = 0
         log_ratio = np.where(log_eta > -math.inf, log_eta - log_f_r, -math.inf)

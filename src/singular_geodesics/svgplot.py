@@ -55,10 +55,6 @@ def svg_line_plot(
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
-    def tx(v):
-        return math.log10(v) if logx else v
-
-    xs_all, ys_all = [], []
     clean = []
     for xs, ys, label in series:
         xs = np.asarray(xs, dtype=float)
@@ -67,15 +63,15 @@ def svg_line_plot(
         if logx:
             keep &= xs > 0
         xs, ys = xs[keep], ys[keep]
+        if logx:  # math.log10: numpy's may differ in the last digit
+            xs = np.array([math.log10(v) for v in xs.tolist()])
         clean.append((xs, ys, label))
-        xs_all.append([tx(v) for v in xs])
-        ys_all.append(list(ys))
-    flat_x = [v for part in xs_all for v in part]
-    flat_y = [v for part in ys_all for v in part]
-    if not flat_x:
-        flat_x, flat_y = [0.0, 1.0], [0.0, 1.0]
-    x0, x1 = min(flat_x), max(flat_x)
-    y0, y1 = min(flat_y), max(flat_y)
+    flat_x = np.concatenate([np.empty(0)] + [xs for xs, _, _ in clean])
+    flat_y = np.concatenate([np.empty(0)] + [ys for _, ys, _ in clean])
+    if flat_x.size == 0:
+        flat_x = flat_y = np.array([0.0, 1.0])
+    x0, x1 = float(flat_x.min()), float(flat_x.max())
+    y0, y1 = float(flat_y.min()), float(flat_y.max())
     if x1 <= x0:
         x0, x1 = x0 - 0.5, x0 + 0.5
     if y1 <= y0:
@@ -91,12 +87,6 @@ def svg_line_plot(
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         x0, x1 = cx - 0.5 * pw / s, cx + 0.5 * pw / s
         y0, y1 = cy - 0.5 * ph / s, cy + 0.5 * ph / s
-
-    def px(v):
-        return ml + (tx(v) - x0) / (x1 - x0) * pw
-
-    def py(v):
-        return mt + ph - (v - y0) / (y1 - y0) * ph
 
     out = []
     out.append(
@@ -126,7 +116,10 @@ def svg_line_plot(
         if len(xs) == 0:
             continue
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        px = ml + (xs - x0) / (x1 - x0) * pw
+        py = mt + ph - (ys - y0) / (y1 - y0) * ph
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
+            np.column_stack([px, py]).ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         if label:

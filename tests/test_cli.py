@@ -233,6 +233,7 @@ class TestVerify:
         lines = [ln for ln in out.splitlines() if ln.startswith(("[PASS]", "[FAIL]"))]
         assert len(lines) == 3
         assert "2/2 passed, worst excess " in lines[0]
+        assert float(lines[0].split("worst relative slack ")[1]) > 0.0
         assert "2/2 passed, min radial gap " in lines[1]
         gap = float(lines[1].split("min radial gap ")[1])
         assert gap > 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -79,6 +80,67 @@ class TestSphereSection:
         cs = sg.sphere_section(perturbation=(0.1, static_sphere_bump))
         assert cs.c_bound == 0.0
         assert not cs.h0_is_standard
+
+
+def _counting(shape, calls):
+    """``shape`` with a formula that records each call."""
+    def formula(xp, r, point):
+        calls.append(xp)
+        return shape.formula(xp, r, point)
+    return dataclasses.replace(shape, formula=formula)
+
+
+def _grid_loop(a, shape, nodes):
+    """The grid check one point at a time with ``math``: (c_bound,
+    h0_is_standard), or the ValueError of the first degenerate point,
+    radius by radius."""
+    worst = 0.0
+    for r in np.linspace(0.0, 1.5, 128):
+        for y in nodes:
+            w, w_r, _ = shape.formula(math, float(r), y.tolist())
+            q = 1.0 + a * w
+            if not 0.5 <= q <= 2.0:
+                raise ValueError(f"degenerate metric: 1+a*w = {q:.4g} at r={r:.3g}, "
+                                 f"y={np.round(y, 3)}")
+            worst = max(worst, abs(a * w_r) / q)
+    h0 = max(abs(shape.formula(math, 0.0, y.tolist())[0]) for y in nodes) < 1e-15
+    return 1.25 * worst, h0
+
+
+_CIRCLE_NODES = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+_SHAPES = {"sincos": (cross_sections.default_circle_shape, _CIRCLE_NODES),
+           "sin_r_bump": (cross_sections.default_sphere_shape,
+                          cross_sections._fibonacci_sphere(128)),
+           "static_bump": (static_sphere_bump, cross_sections._fibonacci_sphere(128))}
+
+
+class TestGridChecks:
+    def test_one_shape_call_per_section(self):
+        # the 128 x 128 grid is one broadcast evaluation, not one call per point
+        calls = []
+        sg.circle_section(2 * math.pi, (0.06, _counting(cross_sections.default_circle_shape,
+                                                         calls)))
+        sg.sphere_section((0.05, _counting(cross_sections.default_sphere_shape, calls)))
+        assert calls == [np, np]
+
+    @pytest.mark.parametrize("amplitude", [0.02, 0.1, 0.45, -0.6, 1.5])
+    @pytest.mark.parametrize("name", sorted(_SHAPES))
+    def test_matches_pointwise_loop(self, name, amplitude):
+        # the same arithmetic point by point, so c_bound agrees to the last
+        # bit where np.sin and math.sin do (measured: identical on x86-64
+        # with numpy 2.4); allowed: the one ulp either may be off
+        shape, nodes = _SHAPES[name]
+        section = SimpleNamespace(amplitude=amplitude, shape=shape, domain_radius=1.5)
+        try:
+            expected = _grid_loop(amplitude, shape, nodes)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                cross_sections.CrossSection._grid_checks(section, nodes)
+            assert str(err.value) == str(exc)
+            return
+        cross_sections.CrossSection._grid_checks(section, nodes)
+        assert section.h0_is_standard == expected[1]
+        assert abs(section.c_bound - expected[0]) <= 2.0 * np.spacing(expected[0])
 
 
 class TestBaseGeodesic:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import singular_geodesics as sg
+from singular_geodesics.cli import VERIFY_SECTIONS
 from singular_geodesics.experiments import (
     _aitken,
     closed_form_winding_length,
@@ -90,6 +91,7 @@ class TestRadialBounds:
         rep = sg.verify_radial_bounds(traj)
         assert rep.passed
         assert rep.worst_eta <= 1e-8
+        assert rep.relative_slack > 0.0
 
     def test_eta_rate_bound_is_checked(self):
         cs = sg.circle_section(2 * math.pi, perturbation=(0.08, None))
@@ -101,6 +103,7 @@ class TestRadialBounds:
         assert rep.worst_eta_rate == pytest.approx(max(rates), rel=1e-14)
         assert rep.worst_eta_rate > 0.0
         assert not rep.passed
+        assert rep.relative_slack < 0.0
         # a slack that every other check meets: the rate bound alone fails
         others = max(rep.worst_lower, rep.worst_upper, rep.worst_eta)
         assert others < rep.worst_eta_rate
@@ -113,6 +116,7 @@ class TestRadialBounds:
         rep = sg.verify_radial_bounds(sg.integrate(cone_warp, flat_circle, st))
         assert rep.passed
         assert "skipped" in rep.note
+        assert rep.relative_slack == math.inf
 
 
 class TestComparison:
@@ -160,6 +164,15 @@ class TestCampaigns:
                                       slack=1e-10)
         assert all(r.passed for r in reports)
         assert max(r.worst_eta_rate for r in reports) <= 1e-10
+
+    @pytest.mark.parametrize("suite", sorted(VERIFY_SECTIONS))
+    def test_relative_slack_positive_on_verify_suites(self, suite):
+        # the absolute excess reads 0 on passing cases (r = |t| + delta at
+        # t = 0); the relative slack away from there does not
+        reports = run_bounds_campaign(n_cases=8, seed=20240817,
+                                      sections=VERIFY_SECTIONS[suite])
+        assert all(r.passed and r.relative_slack > 0.0 for r in reports)
+        assert max(r.worst_upper for r in reports) == 0.0
 
     def test_unknown_section_class_rejected(self):
         with pytest.raises(ValueError, match="bounds sections"):

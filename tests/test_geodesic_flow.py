@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -10,6 +11,7 @@ from scipy.optimize import brentq
 
 import singular_geodesics as sg
 from singular_geodesics import IntegrationError, dop853, geodesic_flow
+from singular_geodesics.cross_sections import CircleSection, SphereSection, static_sphere_bump
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.geodesic_flow import log_eta_rate
 from test_dop853 import scipy_solve
@@ -92,6 +94,42 @@ class TestTrajectory:
         assert meta["delta"] == 0.3
         assert meta["shell_drift"] < 1e-8
 
+    @pytest.mark.parametrize("case", ["sphere:pert=0.05", "profile"])
+    def test_csv_bytes_match_row_writer(self, case, tmp_path):
+        if case == "profile":
+            src = tmp_path / "parabola.csv"
+            with open(src, "w", newline="") as fh:
+                csv.writer(fh).writerows([("z", "s")] + [(z, z * z) for z in
+                                                         np.linspace(0.0, 1.0, 200)])
+            wf, cs = sg.parse_warp_spec(f"profile:{src}"), sg.circle_section(2 * math.pi)
+            y0, v0 = [0.3], [1.0]
+        else:
+            wf, cs = sg.make_power_warp(2.0), sg.parse_section_spec(case)
+            y0, v0 = [math.pi / 2, 0.3], [math.sin(0.5), math.cos(0.5)]
+        traj = sg.integrate_winding(wf, cs, 0.2, y0, v0)
+        traj.to_csv(str(tmp_path / "chunked.csv"))
+        _row_writer_csv(traj, str(tmp_path / "rows.csv"))
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _row_writer_csv(traj, path):
+    """Reference export: ``csv.writer`` with one f-string per value, row by row."""
+    k = traj.y.shape[1]
+    cols = (["t", "r", "theta"] + [f"y{i}" for i in range(k)] + [f"eta{i}" for i in range(k)]
+            + ["hamiltonian", "clairaut", "tau", "rho", "u"])
+    clairaut = traj.rho * np.cos(traj.theta)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for i in range(len(traj.t)):
+            s = math.sin(traj.theta[i])
+            log_f = traj.wf.log_f(traj.r[i]) if traj.r[i] > 0 else -math.inf
+            x = math.exp(log_f + (math.log(abs(s)) if s else -math.inf))
+            u = math.copysign(traj.wf.F(x), s) if x > 0.0 else 0.0
+            writer.writerow([f"{v:.16g}" for v in (
+                traj.t[i], traj.r[i], traj.theta[i], *traj.y[i], *traj.eta[i],
+                traj.hamiltonian[i], clairaut[i], traj.tau[i], traj.rho[i], u)])
+
 
 class TestClassification:
     def test_radial(self, cone_warp, flat_circle):
@@ -163,6 +201,14 @@ class TestReparametrize:
             sg.reparametrize_tau(traj, window=(-1e9, 1e9))
 
 
+_SPHERE_START = ([math.pi / 2, 0.3], [math.sin(0.5), math.cos(0.5)])
+_FULL_PATH = [(sg.sphere_section(), *_SPHERE_START),
+              (sg.circle_section(2 * math.pi, (0.08, None)), [0.3], [1.0]),
+              (sg.sphere_section((0.05, None)), *_SPHERE_START),
+              (sg.sphere_section((0.1, static_sphere_bump)), *_SPHERE_START)]
+_FULL_PATH_IDS = ["round_sphere", "perturbed_circle", "perturbed_sphere", "static_bump"]
+
+
 class TestDiagnostics:
     def test_shell_and_clairaut(self, flat_circle):
         for spec, delta in [("power:1", 0.1), ("power:2", 0.05), ("logpow:1.5", 0.05)]:
@@ -214,18 +260,52 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match="available range"):
             traj.t_of_tau(1.0)
 
+    def test_full_path_cometric_runs_once_per_resample(self, monkeypatch):
+        # the diagnostics evaluate every sample in one array call of cometric
+        array_calls, resamples = [], []
+        for cls in (CircleSection, SphereSection):
+            def counting(self, r, y, eta, original=cls.cometric):
+                if isinstance(r, np.ndarray):
+                    array_calls.append(len(r))
+                return original(self, r, y, eta)
+            monkeypatch.setattr(cls, "cometric", counting)
+        original = geodesic_flow.Trajectory._resample
+
+        def resample(self, t):
+            resamples.append(len(t))
+            return original(self, t)
+        monkeypatch.setattr(geodesic_flow.Trajectory, "_resample", resample)
+        for section, y0, v0 in _FULL_PATH[1:3]:
+            traj = sg.integrate_winding(sg.make_power_warp(2.0), section, 0.1, y0, v0)
+            sg.reparametrize_tau(traj, n=64)
+        assert array_calls == resamples and len(resamples) == 4
+
+    @pytest.mark.parametrize("section, y0, v0", _FULL_PATH, ids=_FULL_PATH_IDS)
+    def test_full_path_diagnostics_match_scalar_rows(self, section, y0, v0):
+        # the same arithmetic as one scalar cometric call per row, so equal
+        # where np.sin and math.sin are (measured: 0 ulp on x86-64 with
+        # numpy 2.4); allowed: a few ulp from either being one ulp off
+        traj = sg.integrate_winding(sg.make_power_warp(2.0), section, 0.1, y0, v0)
+        norm2, qr_q = np.array([section.cometric(r, y, eta)[1:3] for r, y, eta in zip(
+            traj.r.tolist(), traj.y.tolist(), traj.eta.tolist())]).T
+        assert traj.meta["path"] == "full"
+        for ours, rows in ((traj.eta_norm, np.exp(0.5 * np.log(norm2))), (traj.qr_q, qr_q)):
+            assert np.all(np.abs(ours - rows) <= 4.0 * np.spacing(np.abs(rows)))
+
 
 class TestVectorField:
     def test_matches_reduced_dynamics(self, cusp_warp, flat_circle):
-        # the generic field must reproduce the scalar warped-product equations
+        # the full field in (r, theta, y, eta, tau) must reproduce the scalar
+        # warped-product equations
         st = sg.launch_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
-        st2 = sg.GeodesicState(t=0.0, r=0.35, theta=0.4, y=st.y, eta=st.eta)
-        dr, dth, dy, deta = sg.vector_field(cusp_warp, flat_circle, st2)
+        x = np.concatenate([[0.35, 0.4], st.y, st.eta, [0.0]])
+        dr, dth, dy, deta, dtau = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1)(0.0, x)
         assert dr == pytest.approx(math.sin(0.4))
         fp_over_f = cusp_warp.f_prime(0.35) / cusp_warp.f(0.35)
         assert dth == pytest.approx(fp_over_f * math.cos(0.4), rel=1e-12)
-        # flat circle: eta is conserved along the flow
+        # flat circle: eta is conserved along the flow, and dtau = |eta|/f^2
         assert np.allclose(deta, 0.0)
+        assert dtau == pytest.approx(cusp_warp.f(0.2) / cusp_warp.f(0.35) ** 2, rel=1e-12)
 
 
 def _scalar_loop(traj, solutions):
