@@ -259,19 +259,22 @@ class SphereSection(CrossSection):
 
     def conformal(self, r, y):
         """q, q_r and the ambient gradient a*grad w, all at n/|n|."""
+        return self._conformal_at_unit(r, _unit(_xp(r), y))
+
+    def _conformal_at_unit(self, r, n):
+        """``conformal`` at a unit vector ``n``, which it does not normalise again."""
         if self.amplitude == 0.0:
             return 1.0, 0.0, (0.0, 0.0, 0.0)
         a = self.amplitude
-        xp = _xp(r)
-        w, w_r, grad = self.shape.formula(xp, r, _unit(xp, y))
+        w, w_r, grad = self.shape.formula(_xp(r), r, n)
         return 1.0 + a * w, a * w_r, [a * g for g in grad]
 
     def cometric(self, r, y, eta):
         """With n the unit vector of ``y`` and L = ``eta``: p = L x n,
         sharp = p/q^2, |eta|^2 = |p|^2/q^2 and force = (|eta|^2/q) n x grad q."""
-        n0, n1, n2 = _unit(_xp(r), y)
+        n = n0, n1, n2 = _unit(_xp(r), y)
         l0, l1, l2 = eta
-        q, q_r, (g0, g1, g2) = self.conformal(r, y)
+        q, q_r, (g0, g1, g2) = self._conformal_at_unit(r, n)
         q2 = q * q
         p0, p1, p2 = l1 * n2 - l2 * n1, l2 * n0 - l0 * n2, l0 * n1 - l1 * n0
         norm2 = (p0 * p0 + p1 * p1 + p2 * p2) / q2
@@ -370,8 +373,7 @@ def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
     autonomous, so tau < 0 runs the negated field over [0, |tau|]."""
     k = len(y)
 
-    def rhs(_, state):
-        x = state.tolist()
+    def rhs(_, x):
         sharp, _, _, force = cs.cometric(0.0, x[:k], x[k:])
         return sharp + force
 

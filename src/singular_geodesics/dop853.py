@@ -2,13 +2,24 @@
 (*Solving Ordinary Differential Equations I*, sections II.5 and II.6), run
 forward from t = 0, with its dense output kept as coefficient arrays.
 
-Each attempted step does the arithmetic of scipy's ``DOP853`` in the same
-order (stages, 5th/3rd-order error estimate, step-size control, dense
-output), so a run reproduces scipy's steps, counts and event times; the
-tableau is written out below as literals.  A run returns its dense solution
-as four arrays: the step points ``t``, each step's length ``h``, start state
-``y0`` and interpolation coefficients ``F`` (7 x steps x states), which
-``evaluate`` turns into states with one gather and Horner's scheme.
+A run takes the steps of scipy's ``DOP853``: the same stages, 5th/3rd-order
+error estimate, step-size control and dense output, with the tableau
+written out below as literals.  The stage sums of one step are not a numpy
+loop: for each state size n, ``kernel_source(n)`` writes them out from the
+tableau as straight-line float arithmetic, one local per stage component
+and one product per nonzero coefficient, and the module compiles that
+source once per n and tableau.  On 3- to 9-element states this costs about
+half of ``np.dot`` per stage.  The sums add their terms left to right,
+which ``np.dot`` does not, so a run repeats scipy's step points, evaluation
+counts and event count but not the last bits of its values
+(``tests/test_dop853.py`` states the measured differences).  To read the
+generated code, print ``dop853.kernel_source(3)``.
+
+Right-hand sides and events receive the state as a list of floats.  A run
+returns its dense solution as four arrays: the step points ``t``, each
+step's length ``h``, start state ``y0`` and interpolation coefficients
+``F`` (7 x steps x states), which ``evaluate`` turns into states with one
+gather and Horner's scheme.
 """
 from __future__ import annotations
 
@@ -105,7 +116,8 @@ class Solution(NamedTuple):
     -1 when the step collapsed (``message`` says why).  ``t`` holds the step
     points; after an event the last one is the event's time, which cuts the
     last step short (``h`` keeps its full length).  ``t_events[i]`` holds the
-    time of event i, if it ended the run."""
+    time of event i, if it ended the run.  ``rejected`` counts the attempts
+    whose error estimate failed; the accepted steps are ``len(h)``."""
 
     t: np.ndarray
     nfev: int
@@ -115,6 +127,93 @@ class Solution(NamedTuple):
     h: np.ndarray
     y0: np.ndarray
     F: np.ndarray
+    rejected: int
+
+
+def _stage_sum(weights, stages, i: int) -> str:
+    """The sum of ``weights[j] * k{stages[j]}_{i}`` over the nonzero weights,
+    as source, added left to right."""
+    return " + ".join(f"{float(w)!r} * k{s}_{i}" for w, s in zip(weights, stages)
+                      if w != 0.0)
+
+
+def _names(stages, n: int) -> str:
+    """The locals of the stages ``stages``, each with n components, as an
+    unpacking target (the trailing comma serves n = 1)."""
+    return " ".join(f"k{s}_{i}," for s in stages for i in range(n))
+
+
+def _stages(n: int, first: int, last: int) -> list:
+    """Source lines of the stages ``first`` .. ``last`` - 1, each one call
+    of ``fun`` at t + c h and y + (A K) h."""
+    lines = []
+    for s in range(first, last):
+        state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h" for i in range(n))
+        lines.append(f"    {_names([s], n)} = fun(t + {float(C[s])!r} * h, [{state}])")
+    return lines
+
+
+def kernel_source(n: int) -> str:
+    """Source of the two functions of a step on n-component states, written
+    from the module's current tableau (``A``, ``B``, ``C``, ``E5``, ``E3``,
+    ``D``).
+
+    ``attempt(fun, t, h, t_new, y, f, rtol, atol)`` runs stages 1-11 and the
+    end slope and returns ``y_new``, ``f_new``, the squared norms of the 5th-
+    and 3rd-order error estimates scaled by atol + max(|y|, |y_new|) rtol,
+    and the 13 stages ``K`` (flat, stage-major).  ``dense(fun, t, h, y, K)``
+    runs stages 13-15 and returns the rows 3-6 of the step's interpolation
+    coefficients, h D K, flat and row-major.
+    """
+    y = " ".join(f"y{i}," for i in range(n))
+    K = _names(range(13), n)
+    lines = ["def attempt(fun, t, h, t_new, y, f, rtol, atol):",
+             f"    {y} = y", f"    {_names([0], n)} = f"]
+    lines += _stages(n, 1, 12)
+    lines += [f"    n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in range(n)]
+    lines += [f"    y_new = [{', '.join(f'n{i}' for i in range(n))}]",
+              "    f_new = fun(t_new, y_new)", f"    {_names([12], n)} = f_new"]
+    for i in range(n):
+        lines += [f"    a, b = abs(y{i}), abs(n{i})",
+                  "    scale = atol + (a if a > b else b) * rtol",
+                  f"    e5_{i} = ({_stage_sum(E5, range(13), i)}) / scale",
+                  f"    e3_{i} = ({_stage_sum(E3, range(13), i)}) / scale"]
+    norms = (" + ".join(f"{e}_{i} * {e}_{i}" for i in range(n)) for e in ("e5", "e3"))
+    lines += [f"    return y_new, f_new, {', '.join(norms)}, ({K})",
+              "", "", "def dense(fun, t, h, y, K):", f"    {y} = y", f"    {K} = K"]
+    lines += _stages(n, 13, 16)
+    rows = " ".join(f"h * ({_stage_sum(row, range(16), i)})," for row in D for i in range(n))
+    lines.append(f"    return ({rows})")
+    return "\n".join(lines) + "\n"
+
+
+# the compiled (attempt, dense) of each state size and tableau
+_KERNELS = {}
+
+
+def _kernel(n: int):
+    """``kernel_source(n)`` compiled, once per n and tableau: a tableau
+    patched into the module gets its own kernel."""
+    key = (n,) + tuple(np.asarray(a).tobytes() for a in (C, *A, B, E5, E3, D))
+    if key not in _KERNELS:
+        namespace = {}
+        exec(compile(kernel_source(n), f"<dop853 kernel n={n}>", "exec"), namespace)
+        _KERNELS[key] = namespace["attempt"], namespace["dense"]
+    return _KERNELS[key]
+
+
+def _coefficients(h, y, f, F37) -> np.ndarray:
+    """The 7 x steps x n interpolation coefficients of steps of the lengths
+    ``h``, from the states ``y`` and slopes ``f`` at their steps + 1 points
+    and the kernel's rows 3-6 ``F37`` (one row of 4 n per step)."""
+    h = h[:, None]
+    dy = y[1:] - y[:-1]
+    F = np.empty((7,) + dy.shape)
+    F[0] = dy
+    F[1] = h * f[:-1] - dy
+    F[2] = 2 * dy - h * (f[1:] + f[:-1])
+    F[3:] = F37.reshape(len(dy), 4, -1).transpose(1, 0, 2)
+    return F
 
 
 def _horner(F, y0, x):
@@ -146,7 +245,7 @@ def _initial_step(fun, y0, f0, t_end, max_step, rtol, atol) -> float:
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    f1 = np.asarray(fun(h0, y0 + h0 * f0), dtype=float)
+    f1 = np.asarray(fun(h0, (y0 + h0 * f0).tolist()), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -159,32 +258,33 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
               max_step: float = math.inf, events=()) -> Solution:
     """Integrate y' = fun(t, y) from y(0) = ``y0`` towards ``t_end`` > 0.
 
-    Every function of ``events`` is terminal: the run ends at the first root
-    of any of them, where it changes sign in the direction of its
-    ``direction`` attribute (rising if positive, falling if negative, either
-    if zero or absent).  The root is found by ``brentq`` on the step's dense
-    polynomial.  Without ``first_step`` the first step is chosen from the
-    right-hand side at two points.
+    ``fun`` and the events receive y as a list of floats; ``fun`` returns a
+    sequence of n floats.  Every function of ``events`` is terminal: the run
+    ends at the first root of any of them, where it changes sign in the
+    direction of its ``direction`` attribute (rising if positive, falling if
+    negative, either if zero or absent).  The root is found by ``brentq`` on
+    the step's dense polynomial.  Without ``first_step`` the first step is
+    chosen from the right-hand side at two points.
     """
-    y = np.array(y0, dtype=float)
+    y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
-    # K holds the 12 stages of a step, its end slope and the 3 extra stages
-    # of the dense output; KT[s] is the transpose of its first s rows
-    K = np.empty((16, n))
-    KT = [K[:s].T for s in range(16)]
+    attempt, dense = _kernel(n)
     t = 0.0
-    f = np.asarray(fun(t, y), dtype=float)
+    f = fun(t, y)
     nfev = 1
     if first_step is None:
-        h_abs = _initial_step(fun, y, f, t_end, max_step, rtol, atol)
+        h_abs = _initial_step(fun, np.array(y), np.asarray(f, dtype=float), t_end, max_step,
+                              rtol, atol)
         nfev += 1
     else:
         h_abs = first_step
     directions = [getattr(event, "direction", 0.0) for event in events]
     g = [event(t, y) for event in events]
     t_events = [[] for _ in events]
-    ts, hs, ys, Fs = [t], [], [], []
-    status, message = None, ""
+    # the step points' times, states and slopes, and each step's length and
+    # kernel rows 3-6 of its coefficients
+    ts, ys, fs, hs, F37 = [t], [y], [f], [], []
+    status, message, rejected_total = None, "", 0
     while status is None:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
@@ -199,18 +299,8 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            K[0] = f
-            for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + np.dot(KT[s], A[s]) * h)
-            y_new = y + h * np.dot(KT[12], B)
-            f_new = np.asarray(fun(t_new, y_new), dtype=float)
-            K[12] = f_new
+            y_new, f_new, err5_2, err3_2, K = attempt(fun, t, h, t_new, y, f, rtol, atol)
             nfev += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(KT[13], E5) / scale
-            err3 = np.dot(KT[13], E3) / scale
-            err5_2 = math.sqrt(err5 @ err5) ** 2
-            err3_2 = math.sqrt(err3 @ err3) ** 2
             if err5_2 == 0.0 and err3_2 == 0.0:
                 error = 0.0
             else:
@@ -222,22 +312,16 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
             rejected = True
+            rejected_total += 1
         if status is not None:
             break
 
-        for s in range(13, 16):
-            K[s] = fun(t + C[s] * h, y + np.dot(KT[s], A[s]) * h)
+        F37.append(dense(fun, t, h, y, K))
         nfev += 3
-        dy = y_new - y
-        Fk = np.empty((7, n))
-        Fk[0] = dy
-        Fk[1] = h * f - dy
-        Fk[2] = 2 * dy - h * (f_new + f)
-        Fk[3:] = h * np.dot(D, K)
         hs.append(h)
-        ys.append(y)
-        Fs.append(Fk)
         t_old, t, y, f = t, t_new, y_new, f_new
+        ys.append(y)
+        fs.append(f)
         if t == t_end:
             status = 0
 
@@ -247,9 +331,11 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
             for i, (event, d, a, b) in enumerate(zip(events, directions, g, g_new)):
                 rises, falls = a <= 0 <= b, a >= 0 >= b
                 if (rises and d > 0) or (falls and d < 0) or ((rises or falls) and d == 0):
-                    y_old = ys[-1]
+                    Fk = _coefficients(np.array([h]), np.array(ys[-2:]), np.array(fs[-2:]),
+                                       np.array(F37[-1:]))[:, 0]
+                    y_old = ys[-2]
                     roots.append((brentq(
-                        lambda tt: event(tt, _horner(Fk, y_old, (tt - t_old) / h)),
+                        lambda tt: event(tt, _horner(Fk, y_old, (tt - t_old) / h).tolist()),
                         t_old, t, xtol=EVENT_TOL, rtol=EVENT_TOL), i))
             if roots:
                 root, i = min(roots)
@@ -262,7 +348,8 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
         message = "A termination event occurred."
     elif status == 0:
         message = "The solver successfully reached the end of the integration interval."
-    return Solution(
-        np.array(ts), nfev, status, message, [np.array(te) for te in t_events],
-        np.array(hs), np.array(ys).reshape(len(ys), n),
-        np.stack(Fs, axis=1) if Fs else np.empty((7, 0, n)))
+    Y = np.array(ys)
+    F = _coefficients(np.array(hs), Y, np.array(fs, dtype=float),
+                      np.array(F37).reshape(len(F37), 4 * n))
+    return Solution(np.array(ts), nfev, status, message, [np.array(te) for te in t_events],
+                    np.array(hs), Y[:-1], F, rejected_total)

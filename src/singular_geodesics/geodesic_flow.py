@@ -129,17 +129,21 @@ class DenseBranch:
     t_end, where an event cut it short) and the interpolation coefficients
     ``F[:, k]`` (7 x segments x states).  ``decode(x, sign)`` maps the
     mirrored states ``x`` (one column per query) to ``States``; it is the
-    only part that differs between the reduced and full systems.
+    only part that differs between the reduced and full systems, and its
+    ``tau(x_tau, sign)`` is its formula for ``tau_scaled`` from the last
+    state component.  ``solver`` holds the run's evaluation, step and
+    rejected-attempt counts (None for a radial segment).
     """
 
     def __init__(self, sign: int, decode, ts, h, y0, F, exited: bool,
-                 stopped_by_tau: bool = False):
+                 stopped_by_tau: bool = False, solver: Optional[dict] = None):
         self.sign = sign
         self.decode = decode
         self.ts = np.asarray(ts, dtype=float)
         self.h, self.y0, self.F = h, y0, F
         self.exited = exited
         self.stopped_by_tau = stopped_by_tau
+        self.solver = solver
 
     @property
     def t_end(self) -> float:
@@ -156,11 +160,19 @@ class DenseBranch:
         return self.decode(dop853.evaluate(self.ts, self.h, self.y0, self.F, s).T,
                            self.sign)
 
+    def tau_scaled(self, s: np.ndarray) -> np.ndarray:
+        """``evaluate(s).tau_scaled``, from the tau column alone."""
+        x = dop853.evaluate(self.ts, self.h, self.y0[:, -1:], self.F[:, :, -1:], s)
+        return self.decode.tau(x[:, 0], self.sign)
+
 
 def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
+    def tau(x_tau, sign):
+        return sign * x_tau
+
     def decode(x, sign):
         n = x.shape[1]
-        tau_scaled = sign * x[2]
+        tau_scaled = tau(x[-1], sign)
         if fpd > 0.0:
             y = y0 + wind * tau_scaled / (fpd * scale)
         else:
@@ -169,13 +181,18 @@ def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: fl
             y = np.full(n, math.nan)
         return States(x[0], sign * x[1], y[:, None], np.full((n, 1), eta_comp),
                       tau_scaled)
+    decode.tau = tau
     return decode
 
 
 def _full_decode(k: int, fpd: float):
+    def tau(x_tau, sign):
+        return sign * x_tau * fpd
+
     def decode(x, sign):
         return States(x[0], sign * x[1], x[2:2 + k].T, sign * x[2 + k:2 + 2 * k].T,
-                      sign * x[-1] * fpd)
+                      tau(x[-1], sign))
+    decode.tau = tau
     return decode
 
 
@@ -218,26 +235,37 @@ class Trajectory:
 
     # -- dense evaluation ---------------------------------------------------
 
-    def _evaluate(self, t: np.ndarray) -> States:
+    def _branches(self, t: np.ndarray) -> list:
+        """(branch, mask) of each time direction that the times ``t`` reach."""
         if not np.all((t >= self.t_min) & (t <= self.t_max)):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
         fwd = t >= 0
-        parts = [(branch.evaluate(np.abs(t[mask])), mask)
-                 for branch, mask in ((self.forward, fwd), (self.backward, ~fwd))
-                 if mask.any()]
+        return [(branch, mask) for branch, mask in ((self.forward, fwd), (self.backward, ~fwd))
+                if mask.any()]
+
+    def _evaluate(self, t: np.ndarray) -> States:
+        parts = [(branch.evaluate(np.abs(t[mask])), mask) for branch, mask in self._branches(t)]
         out = States(*(np.empty((len(t),) + col.shape[1:]) for col in parts[0][0]))
         for st, mask in parts:
             for dst, src in zip(out, st):
                 dst[mask] = src
         return out
 
-    def _query(self, t, pick):
+    def _tau_scaled(self, t: np.ndarray) -> np.ndarray:
+        """``_evaluate(t).tau_scaled``, from the tau column alone."""
+        out = np.empty(len(t))
+        for branch, mask in self._branches(t):
+            out[mask] = branch.tau_scaled(np.abs(t[mask]))
+        return out
+
+    def _query(self, t, values):
+        """``values`` of the flat times, in the shape of ``t``."""
         arr = np.asarray(t, dtype=float)
         if arr.size == 0:
             return np.empty(arr.shape)
-        values = pick(self._evaluate(arr.reshape(-1)))
-        return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
+        out = values(arr.reshape(-1))
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def _tau(self, tau_scaled: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -246,13 +274,13 @@ class Trajectory:
             return np.where(tau_scaled != 0.0, np.copysign(math.inf, tau_scaled), 0.0)
 
     def r_of_t(self, t):
-        return self._query(t, lambda st: st.r)
+        return self._query(t, lambda ts: self._evaluate(ts).r)
 
     def tau_scaled_of_t(self, t):
-        return self._query(t, lambda st: st.tau_scaled)
+        return self._query(t, self._tau_scaled)
 
     def tau_of_t(self, t):
-        return self._query(t, lambda st: self._tau(st.tau_scaled))
+        return self._query(t, lambda ts: self._tau(self._tau_scaled(ts)))
 
     def t_of_tau(self, tau):
         """Invert the strictly increasing map t -> tau.
@@ -276,7 +304,7 @@ class Trajectory:
             live = np.flatnonzero((below > 0) & (above > 0) & (mid > lo) & (mid < hi))
             if len(live) == 0:
                 break
-            gap = self._tau(self._evaluate(mid[live]).tau_scaled) - targets[live]
+            gap = self._tau(self._tau_scaled(mid[live])) - targets[live]
             rises = gap >= 0.0
             up, down = live[rises], live[~rises]
             hi[up], above[up] = mid[up], gap[rises]
@@ -396,8 +424,7 @@ def _full_rhs(wf, cs, k):
     ``k`` components each in y and eta."""
     r_max = 1.25 * wf.domain_radius
 
-    def rhs(_, s):
-        x = s.tolist()
+    def rhs(_, x):
         r, th = x[0], x[1]
         # adaptive steppers probe trial points slightly past the exit event,
         # so tolerate a margin beyond R before declaring the state out of domain
@@ -439,7 +466,9 @@ def _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop, max_step):
         raise IntegrationError("trajectory truncated before exit at r=R")
     return DenseBranch(sign, decode, sol.t, sol.h, sol.y0, sol.F,
                        exited=len(sol.t_events[0]) > 0,
-                       stopped_by_tau=tau_stop is not None and len(sol.t_events[1]) > 0)
+                       stopped_by_tau=tau_stop is not None and len(sol.t_events[1]) > 0,
+                       solver={"nfev": sol.nfev, "steps": len(sol.h),
+                               "rejected": sol.rejected})
 
 
 def integrate(
@@ -525,6 +554,11 @@ def integrate(
         "atol": atol,
         "tau_stop": tau_stop,
         "path": "reduced" if reduced else "full",
+        # one entry per stepper run; the reduced path's one run serves both
+        # time directions
+        "solver": ([{"branch": "both", **branches[0].solver}] if reduced else
+                   [{"branch": name, **b.solver}
+                    for name, b in zip(("forward", "backward"), branches)]),
     }
     traj = Trajectory(wf, cs, *branches, delta, log_fd, fpd, start.wind_sign, meta)
     parts = [np.linspace(traj.t_min, traj.t_max, dense_nodes), np.array([0.0])]
@@ -560,7 +594,7 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
         branches.append(DenseBranch(sign, decode, [0.0, R - start.r if slope > 0 else start.r],
                                     np.ones(1), x0[None, :], F, exited=slope > 0))
     traj = Trajectory(wf, cs, *branches, None, None, 1.0, start.wind_sign,
-                      {"warp": wf.label, "radial": True})
+                      {"warp": wf.label, "radial": True, "solver": []})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
     return traj
 

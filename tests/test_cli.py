@@ -90,6 +90,10 @@ class TestTrace:
         meta = json.loads((outdir / "trace.json").read_text())
         assert meta["config"]["warp"] == "power:1"
         assert meta["classification"] == "winding"
+        # the reduced path's one stepper run and its counts
+        (stepper,) = meta["solver"]
+        assert stepper["branch"] == "both" and stepper["steps"] > 0
+        assert stepper["nfev"] == 1 + 15 * stepper["steps"] + 12 * stepper["rejected"]
         with open(outdir / "trace.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "t"

@@ -323,6 +323,53 @@ class TestCometric:
         assert np.max(np.abs(np.array(force) - np.cross(dH_dn, n))) <= 1e-8 * norm2
 
 
+def _normalising_twice(cs, r, y, eta):
+    """The sphere's ``conformal`` and ``cometric`` as they were written when
+    ``cometric`` normalised its point itself and again inside ``conformal``;
+    the bits that normalising once must keep."""
+    xp = np if isinstance(r, np.ndarray) else math
+
+    def conformal(y):
+        if cs.amplitude == 0.0:
+            return 1.0, 0.0, (0.0, 0.0, 0.0)
+        a = cs.amplitude
+        w, w_r, grad = cs.shape.formula(xp, r, cross_sections._unit(xp, y))
+        return 1.0 + a * w, a * w_r, [a * g for g in grad]
+
+    n0, n1, n2 = cross_sections._unit(xp, y)
+    l0, l1, l2 = eta
+    q, q_r, (g0, g1, g2) = conformal(y)
+    q2 = q * q
+    p0, p1, p2 = l1 * n2 - l2 * n1, l2 * n0 - l0 * n2, l0 * n1 - l1 * n0
+    norm2 = (p0 * p0 + p1 * p1 + p2 * p2) / q2
+    k = norm2 / q
+    return conformal(y), ([p0 / q2, p1 / q2, p2 / q2], norm2, q_r / q,
+                          [k * (n1 * g2 - n2 * g1), k * (n2 * g0 - n0 * g2),
+                           k * (n0 * g1 - n1 * g0)])
+
+
+def _bits(value) -> list:
+    """The bytes of every number in a nest of tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return [b for v in value for b in _bits(v)]
+    return [np.asarray(value, dtype=float).tobytes()]
+
+
+@pytest.mark.parametrize("name", _SPHERES)
+def test_sphere_normalises_its_point_once_with_the_same_bits(name):
+    cs = _KERNEL_SECTIONS[name]
+    nodes = cross_sections._fibonacci_sphere(24)
+    points = np.concatenate([length * nodes for length in (0.9, 1.0, 1.0 + 2e-16, 1.1)])
+    momenta = np.cross(points, [0.3, -1.2, 0.7])
+    radii = np.linspace(0.0, 1.4, len(points))
+    for r, y, eta in zip(radii, points.tolist(), momenta.tolist()):
+        old = _normalising_twice(cs, r, y, eta)
+        assert _bits((cs.conformal(r, y), cs.cometric(r, y, eta))) == _bits(old)
+    old = _normalising_twice(cs, radii, points.T, momenta.T)
+    assert _bits((cs.conformal(radii, points.T), cs.cometric(radii, points.T, momenta.T))) \
+        == _bits(old)
+
+
 class TestParseSectionSpec:
     def test_specs(self):
         cs = sg.parse_section_spec("circle:6.2832")

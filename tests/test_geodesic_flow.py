@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.integrate._ivp.common import OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 import singular_geodesics as sg
@@ -14,7 +16,11 @@ from singular_geodesics import IntegrationError, dop853, geodesic_flow
 from singular_geodesics.cross_sections import CircleSection, SphereSection, static_sphere_bump
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.geodesic_flow import log_eta_rate
-from test_dop853 import scipy_solve
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestLaunch:
@@ -55,6 +61,42 @@ class TestTrajectory:
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
         for t in (-0.8, -0.1, 0.0, 0.3, 1.0):
             assert traj.t_of_tau(traj.tau_of_t(t)) == pytest.approx(t, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["reduced", "perturbed_sphere"])
+    def test_tau_column_matches_the_decoding_path(self, case, cusp_warp, monkeypatch):
+        # t_of_tau evaluates only the tau column; the full decode gives the same bits
+        if case == "reduced":
+            cs, y0, v0 = sg.circle_section(2 * math.pi), [0.3], [1.0]
+        else:
+            cs = sg.sphere_section((0.05, None))
+            y0, v0 = [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]
+        traj = sg.integrate_winding(cusp_warp, cs, 0.1, y0, v0, dense_nodes=256)
+        t = np.linspace(traj.t_min, traj.t_max, 301)
+        assert _same_bits(traj._tau_scaled(t), traj._evaluate(t).tau_scaled)
+        assert _same_bits(traj.tau_of_t(t), traj._tau(traj._evaluate(t).tau_scaled))
+        taus = np.linspace(traj.tau[0], traj.tau[-1], 97)
+        times = traj.t_of_tau(taus)
+        monkeypatch.setattr(geodesic_flow.Trajectory, "_tau_scaled",
+                            lambda self, t: self._evaluate(t).tau_scaled)
+        assert _same_bits(times, traj.t_of_tau(taus))
+
+    @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "round_sphere"])
+    def test_solver_statistics(self, case, cusp_warp):
+        # each attempt costs 12 evaluations, each accepted step 3 more for its
+        # dense output and the start 1; the flow gives the first step
+        if case == "reduced":
+            cs, y0, v0 = sg.circle_section(2 * math.pi), [0.3], [1.0]
+        elif case == "perturbed_circle":
+            cs, y0, v0 = sg.circle_section(2 * math.pi, (0.08, None)), [0.3], [1.0]
+        else:
+            cs, y0, v0 = sg.sphere_section(), [math.pi / 2, 0.3], [0.6, 0.8]
+        traj = sg.integrate_winding(cusp_warp, cs, 0.1, y0, v0)
+        runs = traj.meta["solver"]
+        branches = {"both"} if case == "reduced" else {"forward", "backward"}
+        assert {run["branch"] for run in runs} == branches and len(runs) == len(branches)
+        for run, branch in zip(runs, (traj.forward, traj.backward)):
+            assert run["steps"] == len(branch.h) and run["steps"] > 0
+            assert run["nfev"] == 1 + 12 * (run["steps"] + run["rejected"]) + 3 * run["steps"]
 
     def test_state_at(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
@@ -138,6 +180,7 @@ class TestClassification:
         traj = sg.integrate(cone_warp, flat_circle, st)
         assert traj.classification == "radial"
         assert sg.classify(traj) == "radial"
+        assert traj.meta["solver"] == []  # a radial line runs no stepper
         # radial lines hit the exit at R - r0
         assert traj.exit_events["t_exit_forward"] == pytest.approx(1.1)
 
@@ -308,10 +351,22 @@ class TestVectorField:
         assert dtau == pytest.approx(cusp_warp.f(0.2) / cusp_warp.f(0.35) ** 2, rel=1e-12)
 
 
+def _scipy_dense(sol):
+    """scipy's OdeSolution over the package run's own step points and
+    coefficients: one ``Dop853DenseOutput`` per step, with the run's step
+    length (an exit event cuts the last step short in ``sol.t`` only)."""
+    steps = []
+    for t_old, h, y0, F in zip(sol.t, sol.h, sol.y0, sol.F.transpose(1, 0, 2)):
+        step = Dop853DenseOutput(t_old, t_old + h, y0, F)
+        step.h = h
+        steps.append(step)
+    return OdeSolution(sol.t, steps)
+
+
 def _scalar_loop(traj, solutions):
     """Reference evaluation, one sample at a time: scipy's OdeSolution of the
-    branch at the scalar s = |t|.  ``solutions`` holds scipy's OdeSolution
-    for each stepper run, the forward branch's first."""
+    branch at the scalar s = |t|.  ``solutions`` holds that OdeSolution for
+    each stepper run, the forward branch's first."""
     rows = []
     for t in traj.t:
         b, sol = (traj.forward, solutions[0]) if t >= 0 else (traj.backward, solutions[-1])
@@ -333,9 +388,9 @@ class TestDenseEvaluation:
         solutions = []
 
         def recording_solve_ivp(*args):
-            # scipy's run on the package stepper's arguments is the reference
-            solutions.append(scipy_solve(*args).sol)
-            return dop853.solve_ivp(*args)
+            sol = dop853.solve_ivp(*args)
+            solutions.append(_scipy_dense(sol))
+            return sol
         monkeypatch.setattr(geodesic_flow, "solve_ivp", recording_solve_ivp)
         traj = sg.integrate_winding(wf, cs, 0.1, y0, v0, dense_nodes=256)
         assert len(solutions) == (1 if case == "reduced" else 2)

@@ -8,7 +8,9 @@ in ``warp_profiles.parse_warp_spec`` (``profile_io`` imports
 inside the package would get round the test suite's
 ``filterwarnings = ["error", ...]``.  The package steps every ODE with its
 own ``dop853.solve_ivp``: the only name a module takes from
-``scipy.integrate`` is the quadrature ``quad``.  Every defaulted parameter of a
+``scipy.integrate`` is the quadrature ``quad``.  Only ``dop853`` generates
+code: it compiles its step kernel from the tableau, and no other module
+calls ``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
 public function under src/ is passed by some call in src/, tests/ or
 perfbench/: a default that nothing overrides is a constant.  No linter is
 needed; the checks walk each module's syntax tree."""
@@ -134,6 +136,29 @@ def test_detects_a_scipy_stepper_import():
               "from scipy.optimize import brentq\n")
     assert scipy_integrate_imports(source) == {"quad", "solve_ivp", "scipy.integrate",
                                                "scipy.integrate._ivp"}
+
+
+def code_generation_calls(source: str) -> list:
+    """The builtins ``exec``, ``eval`` and ``compile`` that a module calls,
+    with their lines (a method such as ``re.compile`` is not one of them)."""
+    return [f"{node.func.id} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_dop853_generates_code(path):
+    found = code_generation_calls(path.read_text())
+    if path.name == "dop853.py":
+        assert sorted(f.split(" ")[0] for f in found) == ["compile", "exec"]
+    else:
+        assert found == []
+
+
+def test_detects_code_generation():
+    source = "import re\nre.compile('x')\nexec(compile('y = 1', 'f', 'exec'))\neval('2')\n"
+    assert sorted(code_generation_calls(source)) == ["compile (line 3)", "eval (line 4)",
+                                                     "exec (line 3)"]
 
 
 def _called_name(func: ast.expr):

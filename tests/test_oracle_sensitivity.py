@@ -32,6 +32,14 @@ fools both):
   which the length oracle on the round sphere misses at 4.5e-7 against its
   1e-6) and a dense-output coefficient D[0, 5] off by 1e-5 (r err 6.8e-8).
   Its limit: D[0, 5] off by 1e-6 gives 6.8e-9 and passes.
+- The scipy parity test (``tests/test_dop853.py``) runs scipy's DOP853,
+  with scipy's own tableau, on the arguments of each package run.  It
+  shares only the right-hand side, so it sees a wrong coefficient in the
+  generated kernel: a stage coefficient A[7][3] off by 1e-6 changes the
+  step count of every parity case.  The smallest size it catches is 1e-13
+  (the 1-state level crossing's event time); on the geodesic flow cases
+  the smallest is 1e-11 (the tau stop's event time, the round sphere's
+  dense output), and at 1e-12 every flow case passes.
 - Criterion 2 compares ``compute_Cf`` with the analytic constants pi,
   Gamma(3/4)Gamma(1/2)/Gamma(5/4) and 2; it shares the family's limit
   functional, not the quadrature.  A bias upward at the cone is caught first
@@ -54,6 +62,7 @@ import pytest
 
 import singular_geodesics as sg
 import test_acceptance as acceptance
+import test_dop853 as parity
 from singular_geodesics import (
     IntegrationError,
     QuadratureError,
@@ -232,6 +241,20 @@ def test_scaled_dense_output_coefficient_fails_the_flat_cone_check(monkeypatch):
     monkeypatch.setattr(dop853, "D", D)
     ok, r_err = _flat_cone_check()
     assert not ok and r_err > 1e-8
+
+
+def test_scaled_stage_coefficient_fails_the_scipy_parity_test(monkeypatch):
+    A = list(dop853.A)
+    A[7] = A[7].copy()
+    A[7][3] *= 1.0 + 1e-6
+    monkeypatch.setattr(dop853, "A", tuple(A))
+    for case in sorted(parity.CASES):
+        for args, ours in parity.record_runs(monkeypatch, case):
+            assert "steps" in parity.mismatches(ours, parity.scipy_solve(*args)), case
+    monkeypatch.undo()
+    for case in sorted(parity.CASES):
+        for args, ours in parity.record_runs(monkeypatch, case):
+            assert parity.mismatches(ours, parity.scipy_solve(*args)) == [], case
 
 
 @pytest.mark.parametrize("bias", [1e-7, -1e-7])
