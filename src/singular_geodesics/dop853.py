@@ -2,18 +2,26 @@
 (*Solving Ordinary Differential Equations I*, sections II.5 and II.6), run
 forward from t = 0, with its dense output kept as coefficient arrays.
 
-A run takes the steps of scipy's ``DOP853``: the same stages, 5th/3rd-order
+A run is the method of scipy's ``DOP853``: the same stages, 5th/3rd-order
 error estimate, step-size control and dense output, with the tableau
 written out below as literals.  The stage sums of one step are not a numpy
 loop: for each state size n, ``kernel_source(n)`` writes them out from the
 tableau as straight-line float arithmetic, one local per stage component
 and one product per nonzero coefficient, and the module compiles that
 source once per n and tableau.  On 3- to 9-element states this costs about
-half of ``np.dot`` per stage.  The sums add their terms left to right,
-which ``np.dot`` does not, so a run repeats scipy's step points, evaluation
-counts and event count but not the last bits of its values
-(``tests/test_dop853.py`` states the measured differences).  To read the
-generated code, print ``dop853.kernel_source(3)``.
+half of ``np.dot`` per stage.  To read the generated code, print
+``dop853.kernel_source(3)``.
+
+The sums add their terms left to right.  ``np.dot`` hands them to BLAS,
+whose x86-64 kernels add in blocks with fused multiply-adds, so a run is
+not scipy's to the last bit.  On the package's runs it takes scipy's
+evaluation, step and event counts, and its step points differ from
+scipy's by up to about 1e-4 of the run's length.  Where a last-bit change
+decides single steps, as next to a pole, the counts differ too.  With the
+sums of scipy's Runge-Kutta module added left to right, as OpenBLAS's
+kernels without fused multiply-adds add them, scipy's run is this one bit
+for bit (``tests/test_dop853.py`` checks both and states the measured
+differences).
 
 Right-hand sides and events receive the state as a list of floats.  A run
 returns its dense solution as four arrays: the step points ``t``, each
@@ -158,28 +166,30 @@ def kernel_source(n: int) -> str:
     from the module's current tableau (``A``, ``B``, ``C``, ``E5``, ``E3``,
     ``D``).
 
-    ``attempt(fun, t, h, t_new, y, f, rtol, atol)`` runs stages 1-11 and the
-    end slope and returns ``y_new``, ``f_new``, the squared norms of the 5th-
-    and 3rd-order error estimates scaled by atol + max(|y|, |y_new|) rtol,
-    and the 13 stages ``K`` (flat, stage-major).  ``dense(fun, t, h, y, K)``
+    ``attempt(fun, t, h, y, f, rtol, atol)`` runs stages 1-11 and the end
+    slope and returns ``y_new``, ``f_new``, the squared norms of the 5th- and
+    3rd-order error estimates scaled by atol + max(|y|, |y_new|) rtol (the
+    root of the sum of squares, squared, as scipy's ``norm(err)**2``), and
+    the 13 stages ``K`` (flat, stage-major).  ``dense(fun, t, h, y, K)``
     runs stages 13-15 and returns the rows 3-6 of the step's interpolation
     coefficients, h D K, flat and row-major.
     """
     y = " ".join(f"y{i}," for i in range(n))
     K = _names(range(13), n)
-    lines = ["def attempt(fun, t, h, t_new, y, f, rtol, atol):",
+    lines = ["def attempt(fun, t, h, y, f, rtol, atol):",
              f"    {y} = y", f"    {_names([0], n)} = f"]
     lines += _stages(n, 1, 12)
     lines += [f"    n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in range(n)]
     lines += [f"    y_new = [{', '.join(f'n{i}' for i in range(n))}]",
-              "    f_new = fun(t_new, y_new)", f"    {_names([12], n)} = f_new"]
+              "    f_new = fun(t + h, y_new)", f"    {_names([12], n)} = f_new"]
     for i in range(n):
         lines += [f"    a, b = abs(y{i}), abs(n{i})",
                   "    scale = atol + (a if a > b else b) * rtol",
                   f"    e5_{i} = ({_stage_sum(E5, range(13), i)}) / scale",
                   f"    e3_{i} = ({_stage_sum(E3, range(13), i)}) / scale"]
-    norms = (" + ".join(f"{e}_{i} * {e}_{i}" for i in range(n)) for e in ("e5", "e3"))
-    lines += [f"    return y_new, f_new, {', '.join(norms)}, ({K})",
+    for e in ("e5", "e3"):
+        lines.append(f"    {e} = sqrt({' + '.join(f'{e}_{i} * {e}_{i}' for i in range(n))})")
+    lines += [f"    return y_new, f_new, e5 * e5, e3 * e3, ({K})",
               "", "", "def dense(fun, t, h, y, K):", f"    {y} = y", f"    {K} = K"]
     lines += _stages(n, 13, 16)
     rows = " ".join(f"h * ({_stage_sum(row, range(16), i)})," for row in D for i in range(n))
@@ -196,7 +206,7 @@ def _kernel(n: int):
     patched into the module gets its own kernel."""
     key = (n,) + tuple(np.asarray(a).tobytes() for a in (C, *A, B, E5, E3, D))
     if key not in _KERNELS:
-        namespace = {}
+        namespace = {"sqrt": math.sqrt}
         exec(compile(kernel_source(n), f"<dop853 kernel n={n}>", "exec"), namespace)
         _KERNELS[key] = namespace["attempt"], namespace["dense"]
     return _KERNELS[key]
@@ -212,7 +222,7 @@ def _coefficients(h, y, f, F37) -> np.ndarray:
     F[0] = dy
     F[1] = h * f[:-1] - dy
     F[2] = 2 * dy - h * (f[1:] + f[:-1])
-    F[3:] = F37.reshape(len(dy), 4, -1).transpose(1, 0, 2)
+    F[3:] = F37.reshape(len(dy), 4, dy.shape[1]).transpose(1, 0, 2)
     return F
 
 
@@ -299,7 +309,7 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            y_new, f_new, err5_2, err3_2, K = attempt(fun, t, h, t_new, y, f, rtol, atol)
+            y_new, f_new, err5_2, err3_2, K = attempt(fun, t, h, y, f, rtol, atol)
             nfev += 12
             if err5_2 == 0.0 and err3_2 == 0.0:
                 error = 0.0

@@ -127,18 +127,19 @@ class DenseBranch:
     step point ``ts[k]`` (ts[0] = 0, ts[-1] = t_end) with the state
     ``y0[k]``, has the step length ``h[k]`` (the last step may reach past
     t_end, where an event cut it short) and the interpolation coefficients
-    ``F[:, k]`` (7 x segments x states).  ``decode(x, sign)`` maps the
-    mirrored states ``x`` (one column per query) to ``States``; it is the
-    only part that differs between the reduced and full systems, and its
-    ``tau(x_tau, sign)`` is its formula for ``tau_scaled`` from the last
-    state component.  ``solver`` holds the run's evaluation, step and
+    ``F[:, k]`` (7 x segments x states).  The last state component times
+    ``sign * tau_scale`` is tau_scaled.  ``decode(x, sign, tau_scaled)``
+    maps the mirrored states ``x`` (one column per query) to ``States``; it
+    and ``tau_scale`` are the only parts that differ between the reduced and
+    full systems.  ``solver`` holds the run's evaluation, step and
     rejected-attempt counts (None for a radial segment).
     """
 
-    def __init__(self, sign: int, decode, ts, h, y0, F, exited: bool,
+    def __init__(self, sign: int, decode, tau_scale: float, ts, h, y0, F, exited: bool,
                  stopped_by_tau: bool = False, solver: Optional[dict] = None):
         self.sign = sign
         self.decode = decode
+        self.tau_scale = tau_scale
         self.ts = np.asarray(ts, dtype=float)
         self.h, self.y0, self.F = h, y0, F
         self.exited = exited
@@ -155,24 +156,26 @@ class DenseBranch:
         other.sign = -self.sign
         return other
 
+    def _tau_scaled(self, x_tau: np.ndarray) -> np.ndarray:
+        return self.sign * x_tau * self.tau_scale
+
+    def states(self, x: np.ndarray) -> States:
+        """The mirrored states ``x`` (one column per query), decoded."""
+        return self.decode(x, self.sign, self._tau_scaled(x[-1]))
+
     def evaluate(self, s: np.ndarray) -> States:
         """Decoded states at the points ``s`` in [0, t_end] (a 1-D array)."""
-        return self.decode(dop853.evaluate(self.ts, self.h, self.y0, self.F, s).T,
-                           self.sign)
+        return self.states(dop853.evaluate(self.ts, self.h, self.y0, self.F, s).T)
 
     def tau_scaled(self, s: np.ndarray) -> np.ndarray:
         """``evaluate(s).tau_scaled``, from the tau column alone."""
         x = dop853.evaluate(self.ts, self.h, self.y0[:, -1:], self.F[:, :, -1:], s)
-        return self.decode.tau(x[:, 0], self.sign)
+        return self._tau_scaled(x[:, 0])
 
 
 def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
-    def tau(x_tau, sign):
-        return sign * x_tau
-
-    def decode(x, sign):
+    def decode(x, sign, tau_scaled):
         n = x.shape[1]
-        tau_scaled = tau(x[-1], sign)
         if fpd > 0.0:
             y = y0 + wind * tau_scaled / (fpd * scale)
         else:
@@ -181,18 +184,13 @@ def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: fl
             y = np.full(n, math.nan)
         return States(x[0], sign * x[1], y[:, None], np.full((n, 1), eta_comp),
                       tau_scaled)
-    decode.tau = tau
     return decode
 
 
-def _full_decode(k: int, fpd: float):
-    def tau(x_tau, sign):
-        return sign * x_tau * fpd
-
-    def decode(x, sign):
+def _full_decode(k: int):
+    def decode(x, sign, tau_scaled):
         return States(x[0], sign * x[1], x[2:2 + k].T, sign * x[2 + k:2 + 2 * k].T,
-                      tau(x[-1], sign))
-    decode.tau = tau
+                      tau_scaled)
     return decode
 
 
@@ -444,7 +442,7 @@ def _mirror(start: GeodesicState, sign: int) -> np.ndarray:
     return np.concatenate([[start.r, sign * start.theta], start.y, sign * start.eta, [0.0]])
 
 
-def _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop, max_step):
+def _run_branch(wf, rhs, x0, sign, decode, tau_scale, rtol, atol, tau_stop, max_step):
     """One forward run of the mirrored system from the lowest point until
     r = R or until the last state component (tau) reaches ``tau_stop``."""
     R = wf.domain_radius
@@ -464,7 +462,7 @@ def _run_branch(wf, rhs, x0, sign, decode, rtol, atol, tau_stop, max_step):
         raise IntegrationError(f"stepper failed: {sol.message}")
     if sol.status != 1:
         raise IntegrationError("trajectory truncated before exit at r=R")
-    return DenseBranch(sign, decode, sol.t, sol.h, sol.y0, sol.F,
+    return DenseBranch(sign, decode, tau_scale, sol.t, sol.h, sol.y0, sol.F,
                        exited=len(sol.t_events[0]) > 0,
                        stopped_by_tau=tau_stop is not None and len(sol.t_events[1]) > 0,
                        solver={"nfev": sol.nfev, "steps": len(sol.h),
@@ -529,20 +527,21 @@ def integrate(
         decode = _reduced_decode(start.y[0], start.wind_sign, fpd, cs.scale,
                                  start.wind_sign * cs.scale * math.exp(log_fd))
         rhs = _reduced_rhs(wf, log_fd, log_fpd)
-        # the reduced system integrates tau_scaled, so scale the stop with it
+        # the reduced system integrates tau_scaled (tau_scale 1), so scale
+        # the stop with it
         stop = tau_stop * fpd if tau_stop is not None and fpd > 0.0 else None
-        fwd = _run_branch(wf, rhs, [delta, 0.0, 0.0], 1, decode, rtol, atol, stop,
+        fwd = _run_branch(wf, rhs, [delta, 0.0, 0.0], 1, decode, 1.0, rtol, atol, stop,
                           math.inf)
         # the reduced system is identical under time reversal, so both
         # branches share one forward run
         branches = (fwd, fwd.mirrored())
     else:
         k = len(start.y)
-        decode = _full_decode(k, fpd)
+        decode = _full_decode(k)
         rhs = _full_rhs(wf, cs, k)
         branches = tuple(
-            _run_branch(wf, rhs, _mirror(start, sign), sign, decode, rtol, atol, tau_stop,
-                        FULL_MAX_STEP_FRACTION * R)
+            _run_branch(wf, rhs, _mirror(start, sign), sign, decode, fpd, rtol, atol,
+                        tau_stop, FULL_MAX_STEP_FRACTION * R)
             for sign in (1, -1))
 
     meta = {
@@ -585,13 +584,14 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
     coefficient is the slope of r."""
     R = wf.domain_radius
     sgn = 1.0 if math.sin(start.theta) > 0 else -1.0
-    decode = _full_decode(len(start.y), 1.0)
+    decode = _full_decode(len(start.y))
     branches = []
     for sign in (1, -1):
         x0 = _mirror(start, sign)
         F = np.zeros((7, 1, len(x0)))
         F[0, 0, 0] = slope = sign * sgn
-        branches.append(DenseBranch(sign, decode, [0.0, R - start.r if slope > 0 else start.r],
+        branches.append(DenseBranch(sign, decode, 1.0,
+                                    [0.0, R - start.r if slope > 0 else start.r],
                                     np.ones(1), x0[None, :], F, exited=slope > 0))
     traj = Trajectory(wf, cs, *branches, None, None, 1.0, start.wind_sign,
                       {"warp": wf.label, "radial": True, "solver": []})

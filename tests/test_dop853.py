@@ -1,30 +1,49 @@
 """The package's DOP853 stepper against scipy's, which serves as the oracle.
 
-The tableau is scipy's bit for bit.  On the package's own right-hand sides
-and on 1- and 2-state systems (the kernel generator's unpacking edge cases)
-a run takes scipy's steps: the same status, message, evaluation count, step
-count and event count.  Its values are not scipy's to the last bit: the
-generated kernel adds each stage sum left to right and ``np.dot`` does not.
-The bounds below are the worst differences measured over these cases,
-rounded up to the next power of ten:
+The tableau is scipy's bit for bit.  Each parity run below is checked against
+two scipy runs on the same arguments:
 
-- step points, 1.3e-4 of the run's length (the negated field on the
-  bumped sphere): the error estimate of a short step is a sum that cancels
-  to about 1e-11 of its terms, so a last-bit change in a stage moves it by
-  about 1e-4 and the next step size by an eighth of that;
-- event times, 1.2e-14 relative (the 1-state level crossing);
-- the dense output at 200 points, 1.04e-12 of each component's largest
-  value along the run (the perturbed circle).
+- scipy's DOP853 as it is.  The package run takes its steps: the same
+  status, message, evaluation count, step count and event count.  Its values
+  are not scipy's to the last bit: the generated kernel adds each stage sum
+  left to right, and ``np.dot`` hands the sum to BLAS, whose x86-64 kernels
+  add in blocks with fused multiply-adds.  The bounds below are the worst
+  differences measured over these cases, rounded up to the next power of
+  ten (with OpenBLAS 0.3.31's SkylakeX kernels on an x86-64 Xeon; another
+  BLAS adds in another order, and its step and evaluation counts were not
+  measured):
 
-The step-collapse run ends 3e-12 before a pole after about 250 rejected
-attempts, where the last bit decides single steps; it is checked separately.
+  - step points, 1.3e-4 of the run's length (the negated field on the
+    bumped sphere): the error estimate of a short step is a sum that
+    cancels to about 1e-11 of its terms, so a last-bit change in a stage
+    moves it by about 1e-4 and the next step size by an eighth of that;
+  - event times, 1.2e-14 relative (the 1-state level crossing);
+  - the dense output at 200 points, 1.04e-12 of each component's largest
+    value along the run (the perturbed circle).
+
+- scipy's DOP853 with every ``np.dot`` and ``np.linalg.norm`` of its
+  Runge-Kutta module summed left to right in float arithmetic
+  (``left_to_right_solve``).  This is the order of the kernel, and also the
+  order of OpenBLAS's kernels without fused multiply-adds: under
+  ``OPENBLAS_CORETYPE=Sandybridge`` scipy as it is gave the same bits on the
+  collapse, pendulum and Lorenz runs.  Against it every run agrees bit for
+  bit: step points, evaluation count, event times and dense output.
+
+The step-collapse run ends 3e-12 before a pole, where a last-bit change in
+the state decides single steps, so only the second oracle fixes its step
+count: scipy as it is took 258, 257 and 257 step points (6880, 6853 and
+6841 evaluations) under OpenBLAS's SkylakeX, Haswell and Sandybridge
+kernels on the same machine.
 """
 import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as reference
+from scipy.integrate._ivp import rk
 
 import singular_geodesics as sg
 from singular_geodesics import IntegrationError, dop853, geodesic_flow
@@ -53,6 +72,45 @@ def scipy_solve(fun, t_end, y0, rtol, atol, first_step=None, max_step=math.inf, 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _left_to_right(u, v) -> float:
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _dot(a, b):
+    """``np.dot`` of a matrix and a vector or matrix, each entry summed left
+    to right."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    cols = b.T.tolist() if b.ndim == 2 else [b.tolist()]
+    out = np.array([[_left_to_right(row, col) for col in cols] for row in a.tolist()])
+    return out if b.ndim == 2 else out[:, 0]
+
+
+class _LeftToRightNumpy(types.ModuleType):
+    """numpy, but with ``dot`` and ``linalg.norm`` summed left to right."""
+
+    dot = staticmethod(_dot)
+    linalg = types.SimpleNamespace(
+        norm=lambda x: np.sqrt(_left_to_right(x.tolist(), x.tolist())))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def summed_left_to_right():
+    """A context in which scipy's Runge-Kutta module adds its sums left to
+    right."""
+    return mock.patch.object(rk, "np", _LeftToRightNumpy("numpy"))
+
+
+def left_to_right_solve(*args):
+    """``scipy_solve`` with its sums added left to right."""
+    with summed_left_to_right():
+        return scipy_solve(*args)
 
 
 def test_tableau_matches_scipy_bit_for_bit():
@@ -101,10 +159,32 @@ def mismatches(ours, theirs, sign=1.0) -> list:
         (T_TOL, EVENT_TOL, DENSE_TOL)) if not value <= bound]
 
 
+def bit_mismatches(ours, theirs, sign=1.0) -> list:
+    """The checks that the package run ``ours`` fails against the scipy run
+    ``theirs`` to the last bit (``sign`` as in ``worst_differences``; the
+    start, 0, takes no sign)."""
+    found = [name for name, a, b in (
+        ("status", (ours.status, ours.message), (theirs.status, theirs.message)),
+        ("nfev", ours.nfev, theirs.nfev)) if a != b]
+    if not np.array_equal(ours.t, sign * theirs.t):
+        found.append("t")
+    events = theirs.t_events or []
+    if len(ours.t_events) != len(events) or not all(
+            np.array_equal(mine, sign * ref) for mine, ref in zip(ours.t_events, events)):
+        found.append("t_events")
+    s = np.linspace(0.0, ours.t[-1], 200)
+    if not np.array_equal(dop853.evaluate(ours.t, ours.h, ours.y0, ours.F, s),
+                          theirs.sol(sign * s).T):
+        found.append("dense")
+    return found
+
+
 def _compare(runs):
-    """Each recorded (args, ours) against scipy on the same arguments."""
+    """Each recorded (args, ours) against scipy on the same arguments, as it
+    is and summed left to right."""
     for args, ours in runs:
         assert mismatches(ours, scipy_solve(*args)) == []
+        assert bit_mismatches(ours, left_to_right_solve(*args)) == []
 
 
 def record_runs(monkeypatch, case: str) -> list:
@@ -155,9 +235,13 @@ def test_default_first_step_and_negated_field_match_scipy():
     _compare([((rhs, 1.3, x0, 1e-12, 1e-14), ours)])
     # backward in time: the negated field forward over [0, 1.3]
     back = dop853.solve_ivp(lambda t, s: [-d for d in rhs(t, s)], 1.3, x0, 1e-12, 1e-14)
-    theirs = scipy_solve_ivp(rhs, (0.0, -1.3), x0, method="DOP853", rtol=1e-12, atol=1e-14,
-                             dense_output=True)
-    assert mismatches(back, theirs, sign=-1.0) == []
+
+    def backward():
+        return scipy_solve_ivp(rhs, (0.0, -1.3), x0, method="DOP853", rtol=1e-12, atol=1e-14,
+                               dense_output=True)
+    assert mismatches(back, backward(), sign=-1.0) == []
+    with summed_left_to_right():
+        assert bit_mismatches(back, backward(), sign=-1.0) == []
 
 
 def _logistic(t, y):
@@ -201,19 +285,35 @@ def test_collapsing_step_raises():
     wf = sg.make_power_warp(2.0)
     decode = geodesic_flow._reduced_decode(0.0, 1, 0.1, 1.0, 0.01)
     with pytest.raises(IntegrationError, match="stepper failed: Required step size"):
-        geodesic_flow._run_branch(wf, _blow_up, [0.1, 0.0, 0.0], 1, decode, 1e-10, 1e-12,
-                                  None, math.inf)
+        geodesic_flow._run_branch(wf, _blow_up, [0.1, 0.0, 0.0], 1, decode, 1.0, 1e-10,
+                                  1e-12, None, math.inf)
     args = (_blow_up, 4.0, np.array([0.1, 0.0, 0.0]), 1e-10, 1e-12, 1e-3)
     ours = dop853.solve_ivp(*args)
     assert ours.status == -1 and abs(ours.t[-1] - math.pi / 2) < 1e-8
-    # 3e-12 before the pole the last bit decides single steps: measured
-    # 256 against 257 steps, 6841 against 6880 evaluations, collapse times
-    # 2.0e-15 apart
+    assert bit_mismatches(ours, left_to_right_solve(*args)) == []
+    # scipy as it is collapses within 3e-15 of the same time, after a step
+    # count that its BLAS decides (module docstring)
     theirs = scipy_solve(*args)
     assert (ours.status, ours.message) == (theirs.status, theirs.message)
-    assert abs(len(ours.t) - len(theirs.t)) <= 2
-    assert abs(ours.nfev - theirs.nfev) <= 0.02 * theirs.nfev
     assert abs(ours.t[-1] - theirs.t[-1]) < 1e-14
+
+
+def _nan_slope(_, s):
+    return [math.nan, 0.0, 1.0]
+
+
+def test_run_without_an_accepted_step_fails_cleanly():
+    # every attempt from a NaN slope is rejected until the step collapses
+    args = (_nan_slope, 4.0, [0.1, 0.0, 0.0], 1e-10, 1e-12, 1e-3)
+    ours = dop853.solve_ivp(*args)
+    assert (ours.status, ours.message) == (-1, dop853.TOO_SMALL_STEP)
+    assert ours.t.tolist() == [0.0] and ours.h.shape == (0,) and ours.F.shape == (7, 0, 3)
+    theirs = scipy_solve(*args)
+    assert (ours.status, ours.message, ours.nfev) == (theirs.status, theirs.message, theirs.nfev)
+    wf = sg.make_power_warp(2.0)
+    with pytest.raises(IntegrationError, match="stepper failed: Required step size"):
+        geodesic_flow._run_branch(wf, _nan_slope, [0.1, 0.0, 0.0], 1, None, 1.0, 1e-10,
+                                  1e-12, None, math.inf)
 
 
 @pytest.mark.parametrize("args", [

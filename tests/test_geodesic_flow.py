@@ -370,7 +370,7 @@ def _scalar_loop(traj, solutions):
     rows = []
     for t in traj.t:
         b, sol = (traj.forward, solutions[0]) if t >= 0 else (traj.backward, solutions[-1])
-        rows.append(b.decode(sol(abs(float(t)))[:, None], b.sign))
+        rows.append(b.states(sol(abs(float(t)))[:, None]))
     return [np.concatenate(col) for col in zip(*rows)]
 
 

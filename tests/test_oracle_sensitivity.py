@@ -36,10 +36,14 @@ fools both):
   with scipy's own tableau, on the arguments of each package run.  It
   shares only the right-hand side, so it sees a wrong coefficient in the
   generated kernel: a stage coefficient A[7][3] off by 1e-6 changes the
-  step count of every parity case.  The smallest size it catches is 1e-13
-  (the 1-state level crossing's event time); on the geodesic flow cases
-  the smallest is 1e-11 (the tau stop's event time, the round sphere's
-  dense output), and at 1e-12 every flow case passes.
+  step count of every parity case against scipy as it is.  Within the
+  bounds that oracle allows, the smallest size it catches is 1e-13 (the
+  1-state level crossing's event time); on the geodesic flow cases 1e-11
+  (the tau stop's event time, the round sphere's dense output).  Against
+  scipy summed left to right, which the kernel matches bit for bit, one
+  unit in the last place of A[7][3] (2.2e-16) already moves the step
+  points of the perturbed circle and the round sphere, and two units move
+  those of every flow case.
 - Criterion 2 compares ``compute_Cf`` with the analytic constants pi,
   Gamma(3/4)Gamma(1/2)/Gamma(5/4) and 2; it shares the family's limit
   functional, not the quadrature.  A bias upward at the cone is caught first
@@ -216,9 +220,9 @@ def _flat_cone_check():
 
 def test_event_cut_step_length_fails_the_flat_cone_check(monkeypatch):
     class StepFromTs(geodesic_flow.DenseBranch):
-        def __init__(self, sign, decode, ts, h, *rest, **kwargs):
+        def __init__(self, sign, decode, tau_scale, ts, h, *rest, **kwargs):
             # the last step's length taken from ts, which the exit event cut short
-            super().__init__(sign, decode, ts, np.diff(ts), *rest, **kwargs)
+            super().__init__(sign, decode, tau_scale, ts, np.diff(ts), *rest, **kwargs)
     monkeypatch.setattr(geodesic_flow, "DenseBranch", StepFromTs)
     ok, r_err = _flat_cone_check()
     assert not ok and r_err > 1e-8
@@ -246,15 +250,21 @@ def test_scaled_dense_output_coefficient_fails_the_flat_cone_check(monkeypatch):
 def test_scaled_stage_coefficient_fails_the_scipy_parity_test(monkeypatch):
     A = list(dop853.A)
     A[7] = A[7].copy()
-    A[7][3] *= 1.0 + 1e-6
+    a73 = A[7][3]
+    A[7][3] = a73 * (1.0 + 1e-6)
     monkeypatch.setattr(dop853, "A", tuple(A))
     for case in sorted(parity.CASES):
         for args, ours in parity.record_runs(monkeypatch, case):
             assert "steps" in parity.mismatches(ours, parity.scipy_solve(*args)), case
+    A[7][3] = math.nextafter(a73, math.inf)
+    for case in ("perturbed_circle", "round_sphere"):
+        for args, ours in parity.record_runs(monkeypatch, case):
+            assert "t" in parity.bit_mismatches(ours, parity.left_to_right_solve(*args)), case
     monkeypatch.undo()
     for case in sorted(parity.CASES):
         for args, ours in parity.record_runs(monkeypatch, case):
             assert parity.mismatches(ours, parity.scipy_solve(*args)) == [], case
+            assert parity.bit_mismatches(ours, parity.left_to_right_solve(*args)) == [], case
 
 
 @pytest.mark.parametrize("bias", [1e-7, -1e-7])
