@@ -139,9 +139,9 @@ def cmd_trace(args) -> int:
         "winding_length": length if finite else None,
         "winding_count": length / (2.0 * math.pi) if finite else None,
         "normalized_winding_length": geodesic_flow.normalized_winding_length(traj),
-        "exit_events": {k: v for k, v in traj.exit_events.items()},
+        "exit_events": traj.exit_events,
         "max_shell_residual": traj.meta["shell_drift"],
-        **{k: v for k, v in traj.meta.items()},
+        **traj.meta,
     }
     with open(os.path.join(cfg.outdir, "trace.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str, allow_nan=False)

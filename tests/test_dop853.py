@@ -4,7 +4,8 @@ The tableau is scipy's bit for bit.  Each parity run below is checked against
 two scipy runs on the same arguments:
 
 - scipy's DOP853 as it is.  The package run takes its steps: the same
-  status, message, evaluation count, step count and event count.  Its values
+  status, message, evaluation count, step count and event count (each stop
+  is a terminal event rising through its level).  Its values
   are not scipy's to the last bit: the generated kernel adds each stage sum
   left to right, and ``np.dot`` hands the sum to BLAS, whose x86-64 kernels
   add in blocks with fused multiply-adds.  The bounds below are the worst
@@ -14,12 +15,19 @@ two scipy runs on the same arguments:
   measured):
 
   - step points, 1.3e-4 of the run's length (the negated field on the
-    bumped sphere): the error estimate of a short step is a sum that
-    cancels to about 1e-11 of its terms, so a last-bit change in a stage
-    moves it by about 1e-4 and the next step size by an eighth of that;
-  - event times, 1.2e-14 relative (the 1-state level crossing);
+    bumped sphere, when scipy's initial-step rule chose its first step):
+    the error estimate of a short step is a sum that cancels to about
+    1e-11 of its terms, so a last-bit change in a stage moves it by about
+    1e-4 and the next step size by an eighth of that;
+  - event times, 1.2e-14 relative (the 1-state level crossing, under the
+    same rule);
   - the dense output at 200 points, 1.04e-12 of each component's largest
     value along the run (the perturbed circle).
+
+  Every run now starts with a given step (the stepper has no initial-step
+  rule), and the worst differences are 5.8e-5 of the run's length (the
+  perturbed circle's backward branch), 5.2e-15 (the tau stop) and 1.04e-12;
+  the bounds are kept.
 
 - scipy's DOP853 with every ``np.dot`` and ``np.linalg.norm`` of its
   Runge-Kutta module summed left to right in float arithmetic
@@ -35,7 +43,9 @@ count: scipy as it is took 258, 257 and 257 step points (6880, 6853 and
 6841 evaluations) under OpenBLAS's SkylakeX, Haswell and Sandybridge
 kernels on the same machine.
 """
+import contextlib
 import math
+import signal
 import types
 from unittest import mock
 
@@ -47,26 +57,26 @@ from scipy.integrate._ivp import rk
 
 import singular_geodesics as sg
 from singular_geodesics import IntegrationError, dop853, geodesic_flow
-from singular_geodesics.cross_sections import static_sphere_bump
+from singular_geodesics.cross_sections import BASE_FIRST_STEP, static_sphere_bump
 
 T_TOL = 1e-3      # step points, relative to the run's length
 EVENT_TOL = 1e-13  # event times, relative
 DENSE_TOL = 1e-11  # dense output, relative to each component's largest value
 
 
-def scipy_solve(fun, t_end, y0, rtol, atol, first_step=None, max_step=math.inf, events=()):
-    """scipy's DOP853 run with the arguments of ``dop853.solve_ivp``, every
-    event terminal; the result carries scipy's ``OdeSolution`` as ``sol``."""
-    terminal = []
-    for event in events:
-        def g(t, y, event=event):
-            return event(t, y)
-        g.terminal = True
-        g.direction = getattr(event, "direction", 0.0)
-        terminal.append(g)
+def scipy_solve(fun, t_end, y0, rtol, atol, first_step, max_step=math.inf, stops=()):
+    """scipy's DOP853 run with the arguments of ``dop853.solve_ivp``, each
+    stop (component, level) a terminal event y[component] - level rising
+    through 0; the result carries scipy's ``OdeSolution`` as ``sol``."""
+    events = []
+    for i, level in stops:
+        def g(t, y, i=i, level=level):
+            return y[i] - level
+        g.terminal, g.direction = True, 1.0
+        events.append(g)
     return scipy_solve_ivp(fun, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
                            first_step=first_step, max_step=max_step, dense_output=True,
-                           events=terminal or None)
+                           events=events or None)
 
 
 def _same_bits(a, b) -> bool:
@@ -220,7 +230,7 @@ def test_flow_runs_match_scipy(case, monkeypatch):
     _compare(record_runs(monkeypatch, case))
 
 
-def test_default_first_step_and_negated_field_match_scipy():
+def test_reference_geodesic_and_negated_field_match_scipy():
     # the reference geodesic of a non-round h0, as base_geodesic runs it
     cs = sg.sphere_section((0.1, static_sphere_bump))
     y, v = cs.embed(np.array([math.pi / 2, 0.0]), np.array([0.3, math.sqrt(1 - 0.09)]))
@@ -231,14 +241,14 @@ def test_default_first_step_and_negated_field_match_scipy():
         sharp, _, _, force = cs.cometric(0.0, x[:3], x[3:])
         return sharp + force
 
-    ours = dop853.solve_ivp(rhs, 1.3, x0, 1e-12, 1e-14)
-    _compare([((rhs, 1.3, x0, 1e-12, 1e-14), ours)])
+    args = (rhs, 1.3, x0, 1e-12, 1e-14, BASE_FIRST_STEP)
+    _compare([(args, dop853.solve_ivp(*args))])
     # backward in time: the negated field forward over [0, 1.3]
-    back = dop853.solve_ivp(lambda t, s: [-d for d in rhs(t, s)], 1.3, x0, 1e-12, 1e-14)
+    back = dop853.solve_ivp(lambda t, s: [-d for d in rhs(t, s)], *args[1:])
 
     def backward():
         return scipy_solve_ivp(rhs, (0.0, -1.3), x0, method="DOP853", rtol=1e-12, atol=1e-14,
-                               dense_output=True)
+                               first_step=BASE_FIRST_STEP, dense_output=True)
     assert mismatches(back, backward(), sign=-1.0) == []
     with summed_left_to_right():
         assert bit_mismatches(back, backward(), sign=-1.0) == []
@@ -252,24 +262,22 @@ def _pendulum(_, y):
     return [y[1], -math.sin(y[0])]
 
 
-def _level(t, y):
-    return y[0] - 0.8
+# the logistic state rising through 0.8, and the pendulum's angular
+# velocity rising back through -0.5 on its first swing
+_LEVEL = [(0, 0.8)]
+_SWING = [(1, -0.5)]
 
 
-def _swing(t, y):
-    return y[0]
-
-
-_level.direction = 1.0
-_swing.direction = -1.0
-
-
-@pytest.mark.parametrize("args", [
-    (_logistic, 20.0, [0.1], 1e-8, 1e-10, None, math.inf, [_level]),
+PARITY_ARGS = [
+    (_logistic, 20.0, [0.1], 1e-8, 1e-10, 1e-2, math.inf, _LEVEL),
     (_logistic, 20.0, [0.1], 1e-10, 1e-12, 1e-3, 0.5),
-    (_pendulum, 10.0, [1.0, 0.0], 1e-10, 1e-12, None, math.inf, [_swing]),
+    (_pendulum, 10.0, [1.0, 0.0], 1e-10, 1e-12, 1e-2, math.inf, _SWING),
     (_pendulum, 10.0, np.array([2.5, 0.3]), 1e-7, 1e-9, 1e-2),
-], ids=["1-state event", "1-state max_step", "2-state event", "2-state"])
+]
+
+
+@pytest.mark.parametrize("args", PARITY_ARGS,
+                         ids=["1-state event", "1-state max_step", "2-state event", "2-state"])
 def test_one_and_two_states_match_scipy(args):
     ours = dop853.solve_ivp(*args)
     assert ours.status == (1 if len(args) > 7 else 0)
@@ -318,16 +326,39 @@ def test_run_without_an_accepted_step_fails_cleanly():
 
 @pytest.mark.parametrize("args", [
     (_blow_up, 4.0, [0.1, 0.0, 0.0], 1e-10, 1e-12, 1e-3),
-    (_logistic, 20.0, [0.1], 1e-8, 1e-10, None, math.inf, [_level]),
+    (_logistic, 20.0, [0.1], 1e-8, 1e-10, 1e-2, math.inf, _LEVEL),
     (_pendulum, 10.0, [2.5, 0.3], 1e-7, 1e-9, 1e-2),
-], ids=["collapse", "first step chosen", "given first step"])
+], ids=["collapse", "1-state stop", "given first step"])
 def test_evaluation_count_follows_from_attempts_and_steps(args):
     # each attempt costs 12 evaluations and each accepted step 3 more for
-    # its dense output; the start costs 1, and choosing the first step 1
+    # its dense output; the start costs 1
     sol = dop853.solve_ivp(*args)
     accepted = len(sol.h)
-    assert sol.nfev == (1 + (args[5] is None) + 12 * (accepted + sol.rejected)
-                        + 3 * accepted)
+    assert sol.nfev == 1 + 12 * (accepted + sol.rejected) + 3 * accepted
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    """Raise TimeoutError in the block after ``seconds``: a call that never
+    returns fails instead of hanging the suite."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("first_step", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_first_step_must_be_finite_and_positive(first_step):
+    # a NaN step once looped forever (every comparison with it is false); 0
+    # or a negative step silently became the minimum step, and an infinite
+    # one a first attempt at t_end
+    with alarm(10), pytest.raises(ValueError, match="first_step"):
+        dop853.solve_ivp(_logistic, 20.0, [0.1], 1e-8, 1e-10, first_step)
 
 
 def test_kernel_source_is_straight_line_float_code():

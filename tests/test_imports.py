@@ -7,8 +7,9 @@ in ``warp_profiles.parse_warp_spec`` (``profile_io`` imports
 ``warp_profiles``).  No module imports ``warnings``: a warning silenced
 inside the package would get round the test suite's
 ``filterwarnings = ["error", ...]``.  The package steps every ODE with its
-own ``dop853.solve_ivp``: the only name a module takes from
-``scipy.integrate`` is the quadrature ``quad``.  Only ``dop853`` generates
+own ``dop853.solve_ivp``, and what each module takes from scipy is pinned
+name by name (``SCIPY_IMPORTS``): a stepper, a third root finder or any
+other new scipy dependency fails until the map names it.  Only ``dop853`` generates
 code: it compiles its step kernel from the tableau, and no other module
 calls ``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
 public function under src/ is passed by some call in src/, tests/ or
@@ -103,26 +104,32 @@ def test_detects_a_warnings_import():
     assert imported_modules(source) == {"warnings", "numpy"}
 
 
-def scipy_integrate_imports(source: str) -> set:
-    """What a module imports from scipy.integrate: each name taken from it,
-    or the module path where the module itself (or a submodule) is imported."""
+# every scipy name each module under src/ imports; a module left out imports
+# none
+SCIPY_IMPORTS = {
+    "dop853.py": {"scipy.optimize.brentq"},
+    "experiments.py": {"scipy.integrate.quad"},
+    "profile_io.py": {"scipy.interpolate.PchipInterpolator"},
+    "warp_profiles.py": {"scipy.integrate.quad", "scipy.optimize.brentq"},
+}
+
+
+def scipy_imports(source: str) -> set:
+    """The dotted scipy names a module imports: each name taken from a scipy
+    module, and each scipy module imported itself."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found.update(a.name for a in node.names if a.name.startswith("scipy.integrate"))
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if node.module == "scipy.integrate":
-                found.update(a.name for a in node.names)
-            elif node.module.startswith("scipy.integrate."):
-                found.add(node.module)
-            elif node.module == "scipy":
-                found.update("scipy.integrate" for a in node.names if a.name == "integrate")
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+              and node.module.split(".")[0] == "scipy"):
+            found.update(f"{node.module}.{a.name}" for a in node.names)
     return found
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_stepper(path):
-    assert scipy_integrate_imports(path.read_text()) <= {"quad"}
+    assert scipy_imports(path.read_text()) == SCIPY_IMPORTS.get(path.name, set())
 
 
 def test_one_stepper_for_the_package():
@@ -133,9 +140,11 @@ def test_one_stepper_for_the_package():
 def test_detects_a_scipy_stepper_import():
     source = ("from scipy.integrate import quad, solve_ivp\nimport scipy.integrate\n"
               "from scipy.integrate._ivp import rk\nfrom scipy import integrate, optimize\n"
-              "from scipy.optimize import brentq\n")
-    assert scipy_integrate_imports(source) == {"quad", "solve_ivp", "scipy.integrate",
-                                               "scipy.integrate._ivp"}
+              "from scipy.optimize import brentq\nimport numpy.linalg\nfrom . import dop853\n")
+    assert scipy_imports(source) == {
+        "scipy.integrate.quad", "scipy.integrate.solve_ivp", "scipy.integrate",
+        "scipy.integrate._ivp.rk", "scipy.optimize",
+        "scipy.optimize.brentq"}
 
 
 def code_generation_calls(source: str) -> list:

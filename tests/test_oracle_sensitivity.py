@@ -37,13 +37,21 @@ fools both):
   shares only the right-hand side, so it sees a wrong coefficient in the
   generated kernel: a stage coefficient A[7][3] off by 1e-6 changes the
   step count of every parity case against scipy as it is.  Within the
-  bounds that oracle allows, the smallest size it catches is 1e-13 (the
-  1-state level crossing's event time); on the geodesic flow cases 1e-11
-  (the tau stop's event time, the round sphere's dense output).  Against
+  bounds that oracle allows, the smallest size it catches is 1e-12 (the
+  event times of the 1-state level crossing and the pendulum's swing, the
+  2-state dense output); on the geodesic flow cases 3e-12 (the dense output
+  of the perturbed circle and the round sphere).  Against
   scipy summed left to right, which the kernel matches bit for bit, one
   unit in the last place of A[7][3] (2.2e-16) already moves the step
   points of the perturbed circle and the round sphere, and two units move
   those of every flow case.
+- The event-time parity (the same two scipy oracles) and the round trip
+  tau(t_of_tau(tau)) of ``t_of_tau_faults`` (``tests/test_geodesic_flow.py``)
+  judge ``dop853.crossing``, which serves both the stepper's stops and
+  ``t_of_tau``.  The round trip evaluates tau with the same dense
+  polynomial (``dop853._horner``) that the crossing solves on, so it sees a
+  root in the wrong place, not a wrong polynomial; the parity runs see
+  both.  A crossing that reads the step before its own fails both.
 - Criterion 2 compares ``compute_Cf`` with the analytic constants pi,
   Gamma(3/4)Gamma(1/2)/Gamma(5/4) and 2; it shares the family's limit
   functional, not the quadrature.  A bias upward at the cone is caught first
@@ -67,6 +75,7 @@ import pytest
 import singular_geodesics as sg
 import test_acceptance as acceptance
 import test_dop853 as parity
+import test_geodesic_flow as flow
 from singular_geodesics import (
     IntegrationError,
     QuadratureError,
@@ -265,6 +274,29 @@ def test_scaled_stage_coefficient_fails_the_scipy_parity_test(monkeypatch):
         for args, ours in parity.record_runs(monkeypatch, case):
             assert parity.mismatches(ours, parity.scipy_solve(*args)) == [], case
             assert parity.bit_mismatches(ours, parity.left_to_right_solve(*args)) == [], case
+
+
+def test_crossing_on_the_neighbouring_segment_fails_event_parity_and_t_of_tau(monkeypatch):
+    stop_runs = [args for args in parity.PARITY_ARGS if len(args) > 7]
+    traj = sg.integrate_winding(sg.make_power_warp(2.0),
+                                *flow.T_OF_TAU_CASES["perturbed_circle"], dense_nodes=256)
+    original = dop853.crossing
+
+    def neighbouring(F, y0, t0, h, level, lo, hi, xtol):
+        # the step's polynomial read on the times of the segment before it,
+        # so every crossing lands one step early
+        return original(F, y0, t0 - h, h, level, lo - h, hi - h, xtol)
+    monkeypatch.setattr(dop853, "crossing", neighbouring)
+    for args in stop_runs:
+        ours = dop853.solve_ivp(*args)
+        assert "t_events" in parity.mismatches(ours, parity.scipy_solve(*args))
+        assert "t_events" in parity.bit_mismatches(ours, parity.left_to_right_solve(*args))
+    assert "round trip" in flow.t_of_tau_faults(traj)
+    monkeypatch.undo()
+    for args in stop_runs:
+        ours = dop853.solve_ivp(*args)
+        assert parity.bit_mismatches(ours, parity.left_to_right_solve(*args)) == []
+    assert flow.t_of_tau_faults(traj) == []
 
 
 @pytest.mark.parametrize("bias", [1e-7, -1e-7])
