@@ -158,11 +158,12 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     with the integrable endpoint removed by r = delta + s^2, to a relative
     1e-11."""
     R = wf.domain_radius
-    fd = wf.f(delta)
+    f = wf.scalar("f")
+    fd = f(delta)
 
     def integrand(s: float) -> float:
         r = delta + s * s
-        fr = wf.f(r)
+        fr = f(r)
         q = fd / fr
         return 2.0 * s * fd / (fr * fr * math.sqrt(max(1.0 - q * q, 1e-300)))
 
@@ -431,7 +432,7 @@ def figure1_data(kind: str, delta: float = 0.3) -> dict:
         # the surface of revolution x = z^2 with r its arc length; arc
         # length >= z, so the profile up to z = R covers every r <= R
         surface = profile_to_warp(np.square, lambda z: 2.0 * z, R)
-        ss = np.array([surface.f(rv) for rv in traj.r])
+        ss = surface.f(traj.r)
         zs = np.sqrt(ss)
         xyz = np.column_stack([ss * np.cos(phi), ss * np.sin(phi), zs])
     return {

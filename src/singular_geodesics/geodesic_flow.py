@@ -131,19 +131,20 @@ class DenseBranch:
     ``sign * tau_scale`` is tau_scaled.  ``decode(x, sign, tau_scaled)``
     maps the mirrored states ``x`` (one column per query) to ``States``; it
     and ``tau_scale`` are the only parts that differ between the reduced and
-    full systems.  ``solver`` holds the run's evaluation, step and
-    rejected-attempt counts (None for a radial segment).
+    full systems.  ``stop`` is what ended the branch: ``"exit"`` at r = R,
+    ``"tau"`` the tau stop, None the tip of a radial line.  ``solver`` holds
+    the run's evaluation, step and rejected-attempt counts, ``stop`` and its
+    time ``t_stop`` (None for a radial segment).
     """
 
-    def __init__(self, sign: int, decode, tau_scale: float, ts, h, y0, F, exited: bool,
-                 stopped_by_tau: bool = False, solver: Optional[dict] = None):
+    def __init__(self, sign: int, decode, tau_scale: float, ts, h, y0, F,
+                 stop: Optional[str], solver: Optional[dict] = None):
         self.sign = sign
         self.decode = decode
         self.tau_scale = tau_scale
         self.ts = np.asarray(ts, dtype=float)
         self.h, self.y0, self.F = h, y0, F
-        self.exited = exited
-        self.stopped_by_tau = stopped_by_tau
+        self.stop = stop
         self.solver = solver
 
     @property
@@ -218,9 +219,9 @@ class Trajectory:
         self.t_max = forward.t_end
         self.exit_events = {
             "t_min": None if delta is None else 0.0,
-            "t_exit_forward": self.t_max if forward.exited else None,
-            "t_exit_backward": self.t_min if backward.exited else None,
-            "truncated_by_tau": forward.stopped_by_tau or backward.stopped_by_tau,
+            "t_exit_forward": self.t_max if forward.stop == "exit" else None,
+            "t_exit_backward": self.t_min if backward.stop == "exit" else None,
+            "truncated_by_tau": "tau" in (forward.stop, backward.stop),
         }
 
     # -- dense evaluation ---------------------------------------------------
@@ -310,18 +311,16 @@ class Trajectory:
         """One row per sample; ``y*`` and ``eta*`` are the stored coordinates
         (on the sphere n and L in R^3).  The export-only columns ``clairaut``
         = f(r) cos(theta) and ``u`` = sign(sin theta) F(f(r) |sin theta|) are
-        computed here.  Values are written as ``%.16g`` and rows end in
-        CRLF, as ``csv.writer`` writes them."""
+        computed here, ``u`` with one array call of F.  Values are written as
+        ``%.16g`` and rows end in CRLF, as ``csv.writer`` writes them."""
         k = self.y.shape[1]
         cols = (["t", "r", "theta"]
                 + [f"y{i}" for i in range(k)]
                 + [f"eta{i}" for i in range(k)]
                 + ["hamiltonian", "clairaut", "tau", "rho", "u"])
-        u = [self._u(lf, math.sin(th)) for lf, th in zip(_log_f(self.wf, self.r).tolist(),
-                                                         self.theta.tolist())]
         rows = np.column_stack([self.t, self.r, self.theta, self.y, self.eta,
                                 self.hamiltonian, self.rho * np.cos(self.theta),
-                                self.tau, self.rho, u])
+                                self.tau, self.rho, _u_column(self.wf, self.r, self.theta)])
         row = ",".join(["%.16g"] * len(cols)) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\r\n")
@@ -329,16 +328,25 @@ class Trajectory:
                 chunk = rows[i:i + CSV_CHUNK_ROWS]
                 fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
-    def _u(self, log_f_r: float, s: float) -> float:
-        """sign(s) F(f(r) |s|) of log f(r) and s = sin(theta)."""
-        x = math.exp(log_f_r + (math.log(abs(s)) if s else -math.inf))
-        # F is defined on (0, f(R)]; x = 0 at the tip or where theta = 0
-        return math.copysign(self.wf.F(x), s) if x > 0.0 else 0.0
+
+def _u_column(wf: WarpingFunction, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sign(sin theta) F(f(r) |sin theta|) of log f(r) + log|sin theta|."""
+    s = np.sin(theta)
+    # log 0 = -inf, and 1/x overflows in the exp families' F at a subnormal
+    # x, silently in their float form; F is defined on (0, f(R)], and x = 0
+    # at the tip or where theta = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.exp(_log_f(wf, r) + np.log(np.abs(s)))
+        u, pos = np.zeros(len(x)), x > 0.0
+        u[pos] = np.copysign(wf.F(x[pos]), s[pos])
+    return u
 
 
 def _log_f(wf: WarpingFunction, r: np.ndarray) -> np.ndarray:
     """log f at each radius; -inf at the tip r = 0 of a radial line."""
-    return np.array([wf.log_f(x) if x > 0 else -math.inf for x in r])
+    out, pos = np.full(len(r), -math.inf), r > 0.0
+    out[pos] = wf.log_f(r[pos])
+    return out
 
 
 def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
@@ -388,12 +396,13 @@ def _first_step(wf: WarpingFunction, r0: float) -> float:
 
 def _reduced_rhs(wf, log_fd, log_fpd):
     L0 = log_fpd + log_fd
+    log_f, d_log_f = wf.scalar("log_f"), wf.scalar("d_log_f")
 
     def rhs(_, s):
         r, th = s[0], s[1]
         return [math.sin(th),
-                wf.d_log_f(r) * math.cos(th),
-                math.exp(L0 - 2.0 * wf.log_f(r))]
+                d_log_f(r) * math.cos(th),
+                math.exp(L0 - 2.0 * log_f(r))]
     return rhs
 
 
@@ -401,6 +410,7 @@ def _full_rhs(wf, cs, k):
     """Right-hand side of the full system in (r, theta, y, eta, tau), with
     ``k`` components each in y and eta."""
     r_max = 1.25 * wf.domain_radius
+    f, d_log_f = wf.scalar("f"), wf.scalar("d_log_f")
 
     def rhs(_, x):
         r, th = x[0], x[1]
@@ -409,9 +419,9 @@ def _full_rhs(wf, cs, k):
         if not 0.0 < r <= r_max:
             raise IntegrationError(f"r={r:g} outside (0, R)")
         sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
-        f = wf.f(r)
-        f2 = f * f
-        return [math.sin(th), (wf.d_log_f(r) + qr_q) * math.cos(th),
+        fr = f(r)
+        f2 = fr * fr
+        return [math.sin(th), (d_log_f(r) + qr_q) * math.cos(th),
                 *[v / f2 for v in sharp + force], math.sqrt(norm2) / f2]
 
     return rhs
@@ -433,11 +443,10 @@ def _run_branch(wf, rhs, x0, sign, decode, tau_scale, rtol, atol, tau_stop, max_
         raise IntegrationError(f"stepper failed: {sol.message}")
     if sol.status != 1:
         raise IntegrationError("trajectory truncated before exit at r=R")
-    return DenseBranch(sign, decode, tau_scale, sol.t, sol.h, sol.y0, sol.F,
-                       exited=len(sol.t_events[0]) > 0,
-                       stopped_by_tau=tau_stop is not None and len(sol.t_events[1]) > 0,
-                       solver={"nfev": sol.nfev, "steps": len(sol.h),
-                               "rejected": sol.rejected})
+    stop = "exit" if len(sol.t_events[0]) else "tau"
+    return DenseBranch(sign, decode, tau_scale, sol.t, sol.h, sol.y0, sol.F, stop,
+                       {"nfev": sol.nfev, "steps": len(sol.h), "rejected": sol.rejected,
+                        "stop": stop, "t_stop": sign * float(sol.t[-1])})
 
 
 def integrate(
@@ -562,7 +571,7 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
         F[0, 0, 0] = slope = sign * sgn
         branches.append(DenseBranch(sign, decode, 1.0,
                                     [0.0, R - start.r if slope > 0 else start.r],
-                                    np.ones(1), x0[None, :], F, exited=slope > 0))
+                                    np.ones(1), x0[None, :], F, "exit" if slope > 0 else None))
     traj = Trajectory(wf, cs, *branches, None, None, 1.0, start.wind_sign,
                       {"warp": wf.label, "radial": True, "solver": []})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))

@@ -64,5 +64,5 @@ def write_warp_table(wf: WarpingFunction, path: str, n: int = 256):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "f", "f_prime"])
-        for r in rs:
-            writer.writerow([f"{r:.12g}", f"{wf.f(r):.12g}", f"{wf.f_prime(r):.12g}"])
+        writer.writerows([f"{v:.12g}" for v in row] for row in zip(
+            rs.tolist(), wf.f(rs).tolist(), wf.f_prime(rs).tolist()))

@@ -50,6 +50,31 @@ class WarpKind(str, Enum):
     OSCILLATING_COUNTEREXAMPLE = "oscillating_counterexample"
 
 
+def _duals(formulas: Callable) -> dict:
+    """The callables of ``formulas(xp)``, a dict of formulas written against
+    the module ``xp``, for a float (math) or an ndarray (numpy)."""
+    def dual(scalar, array):
+        def call(x):
+            return array(x) if isinstance(x, np.ndarray) else scalar(x)
+        call.scalar = scalar
+        return call
+    scalar, array = formulas(math), formulas(np)
+    return {name: dual(scalar[name], array[name]) for name in scalar}
+
+
+def _bisect(below_root, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisect the brackets [lo, hi] in lockstep until no double lies inside
+    one; ``below_root(mid)`` is True where mid lies below the root.  Returns
+    the upper ends."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return hi
+        low = below_root(mid)
+        lo, hi = np.where(live & low, mid, lo), np.where(live & ~low, mid, hi)
+
+
 @dataclass(frozen=True)
 class WarpingFunction:
     """A radial scale factor f on (0, R) with inverse F and metadata.
@@ -57,6 +82,9 @@ class WarpingFunction:
     ``log_f`` and ``d_log_f`` (= f'/f) are kept as separate callables because
     the exponential cusp families underflow double precision long before
     their logarithms do; integrators work in log space where possible.
+    Every callable takes a float, giving a float, or an ndarray, which
+    broadcasts: each formula is written once against a module ``xp``, math
+    or numpy (whose last bits may differ), or with operators alone.
     """
 
     domain_radius: float
@@ -64,21 +92,21 @@ class WarpingFunction:
     f_prime: Callable[[float], float]
     F: Callable[[float], float]
     F_prime: Callable[[float], float]
+    log_f: Callable[[float], float]
+    d_log_f: Callable[[float], float]
     kind: WarpKind
     label: str
     frakF_closed_form: Optional[Callable[[float], float]] = None
-    log_f: Optional[Callable[[float], float]] = None
-    d_log_f: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
             raise ValueError("domain_radius must be finite and positive")
-        if self.log_f is None:
-            f = self.f
-            object.__setattr__(self, "log_f", lambda x: math.log(f(x)))
-        if self.d_log_f is None:
-            f, fp = self.f, self.f_prime
-            object.__setattr__(self, "d_log_f", lambda x: fp(x) / f(x))
+
+    def scalar(self, name: str) -> Callable[[float], float]:
+        """The math evaluator of the callable ``name``: no type check per
+        call (the stepper's right-hand sides bind it once)."""
+        fn = getattr(self, name)
+        return getattr(fn, "scalar", fn)
 
     @property
     def is_convex_kind(self) -> bool:
@@ -116,9 +144,10 @@ def _second_divided_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _grid(fn, lo: float, hi: float):
-    """512 geometrically spaced points of [lo, hi] and ``fn`` at each."""
+    """512 geometrically spaced points of [lo, hi] and ``fn`` of them, one
+    array call."""
     xs = np.geomspace(lo, hi, 512)
-    return xs, np.array([fn(x) for x in xs])
+    return xs, fn(xs)
 
 
 def grid_monotone_increasing(fn, lo: float, hi: float) -> bool:
@@ -154,8 +183,8 @@ def make_power_warp(alpha: float, R: float = 1.5) -> WarpingFunction:
         kind=WarpKind.CONICAL if alpha == 1.0 else WarpKind.CUSPIDAL,
         label=f"power:{alpha:g}",
         frakF_closed_form=lambda sigma: sigma ** (inv - 1.0),
-        log_f=lambda x: alpha * math.log(x),
         d_log_f=lambda x: alpha / x,
+        **_duals(lambda xp: {"log_f": lambda x: alpha * xp.log(x)}),
     )
 
 
@@ -178,18 +207,12 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         r_max, r_default = _LOGPOW_MAX_R, 0.9 * _LOGPOW_MAX_R
         name, label = f"log_power:{mu:g}", f"logpow:{mu:g}"
 
-        def lf(x: float) -> float:
-            return -((math.log(1.0 / x)) ** mu)
-
-        def dlf(x: float) -> float:
-            return mu * (math.log(1.0 / x)) ** (mu - 1.0) / x
-
-        def F(y: float) -> float:
-            return math.exp(-((math.log(1.0 / y)) ** (1.0 / mu)))
-
-        def F_prime(y: float) -> float:
-            L = math.log(1.0 / y)
-            return F(y) * (1.0 / mu) * L ** (1.0 / mu - 1.0) / y
+        def family_formulas(xp):  # log f, (log f)', F, F'
+            def F(y):
+                return xp.exp(-((xp.log(1.0 / y)) ** (1.0 / mu)))
+            return (lambda x: -((xp.log(1.0 / x)) ** mu),
+                    lambda x: mu * (xp.log(1.0 / x)) ** (mu - 1.0) / x, F,
+                    lambda y: F(y) * (1.0 / mu) * xp.log(1.0 / y) ** (1.0 / mu - 1.0) / y)
     elif family == "exp_inverse_power":
         beta = param
         if not (math.isfinite(beta) and beta > 0.0):
@@ -197,18 +220,10 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         r_max = r_default = (beta / (beta + 1.0)) ** (1.0 / beta)
         name = label = f"expinv:{beta:g}"
 
-        def lf(x: float) -> float:
-            return -(x**-beta)
-
-        def dlf(x: float) -> float:
-            return beta * x ** (-beta - 1.0)
-
-        def F(y: float) -> float:
-            return (math.log(1.0 / y)) ** (-1.0 / beta)
-
-        def F_prime(y: float) -> float:
-            L = math.log(1.0 / y)
-            return (1.0 / beta) * L ** (-1.0 / beta - 1.0) / y
+        def family_formulas(xp):
+            return (lambda x: -(x**-beta), lambda x: beta * x ** (-beta - 1.0),
+                    lambda y: (xp.log(1.0 / y)) ** (-1.0 / beta),
+                    lambda y: (1.0 / beta) * xp.log(1.0 / y) ** (-1.0 / beta - 1.0) / y)
     else:
         raise ValueError(f"unknown exp warp family: {family!r}")
     if R is None:
@@ -218,17 +233,17 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
             f"R={R:g} too large for convexity of {name}; "
             f"largest admissible R is {r_max:.6g}"
         )
+
+    def formulas(xp):
+        lf, dlf, F, F_prime = family_formulas(xp)
+        return {"f": lambda x: xp.exp(lf(x)), "f_prime": lambda x: xp.exp(lf(x)) * dlf(x),
+                "F": F, "F_prime": F_prime, "log_f": lf, "d_log_f": dlf}
     return WarpingFunction(
         domain_radius=R,
-        f=lambda x: math.exp(lf(x)),
-        f_prime=lambda x: math.exp(lf(x)) * dlf(x),
-        F=F,
-        F_prime=F_prime,
         kind=WarpKind.CUSPIDAL,
         label=label,
         frakF_closed_form=lambda sigma: 1.0 / sigma,
-        log_f=lf,
-        d_log_f=dlf,
+        **_duals(formulas),
     )
 
 
@@ -253,42 +268,48 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
             f"c={c:g} below the monotonicity/concavity threshold {thresh:g}"
         )
 
-    def F(x: float) -> float:
-        return x**alpha * (c + math.sin(math.log(x)))
+    # log f(rho) is the root s of g(s) = alpha s + log(c + sin s) - log rho,
+    # which increases in s; the upper end lies past x = 1/2: adaptive
+    # steppers probe r slightly beyond R, and F stays monotone there
+    def g(s, xp, target):
+        return alpha * s + xp.log(c + xp.sin(s)) - target
 
-    def F_prime(x: float) -> float:
-        s = math.log(x)
-        return x ** (alpha - 1.0) * (alpha * c + alpha * math.sin(s) + math.cos(s))
+    def bracket(target):
+        return (target - math.log(c + 1.0)) / alpha - 2.0, math.log(0.5) + 1.0
 
-    def _log_f(rho: float) -> float:
-        # solve log F(e^s) = log rho for s; monotone in s
+    def scalar_log_f(rho):
         target = math.log(rho)
+        lo, hi = bracket(target)
+        return brentq(g, min(-700.0, lo), hi, args=(math, target), xtol=1e-14, rtol=8.9e-16)
 
-        def g(s: float) -> float:
-            return alpha * s + math.log(c + math.sin(s)) - target
+    def array_log_f(rho):
+        # agrees with brentq to 2.9e-14 (21 ulp) in log f: osc:0.5:9, 0.3:12
+        # and 0.7:20 on [1e-12 R, R]
+        if not np.all(rho > 0.0):
+            raise ValueError("osc warp: log f needs radii > 0")
+        target = np.log(rho)
+        lo, hi = bracket(target)
+        return _bisect(lambda s: g(s, np, target) < 0.0, np.minimum(-700.0, lo),
+                       np.full(np.shape(rho), hi))
 
-        lo = min(-700.0, (target - math.log(c + 1.0)) / alpha - 2.0)
-        # upper bracket past x = 1/2: adaptive steppers probe r slightly
-        # beyond R, and F stays monotone there (threshold is global)
-        return brentq(g, lo, math.log(0.5) + 1.0, xtol=1e-14, rtol=8.9e-16)
+    def formulas(xp):
+        log_f = scalar_log_f if xp is math else array_log_f
 
-    def f(rho: float) -> float:
-        return math.exp(_log_f(rho))
+        def F_prime(x):
+            s = xp.log(x)
+            return x ** (alpha - 1.0) * (alpha * c + alpha * xp.sin(s) + xp.cos(s))
 
-    def f_prime(rho: float) -> float:
-        return 1.0 / F_prime(f(rho))
+        def f(rho):
+            return xp.exp(log_f(rho))
+        return {"f": f, "f_prime": lambda rho: 1.0 / F_prime(f(rho)),
+                "F": lambda x: x**alpha * (c + xp.sin(xp.log(x))), "F_prime": F_prime,
+                "log_f": log_f, "d_log_f": lambda rho: 1.0 / (F_prime(f(rho)) * f(rho))}
 
-    R = F(0.5)
     return WarpingFunction(
-        domain_radius=R,
-        f=f,
-        f_prime=f_prime,
-        F=F,
-        F_prime=F_prime,
+        domain_radius=formulas(math)["F"](0.5),
         kind=WarpKind.OSCILLATING_COUNTEREXAMPLE,
         label=f"osc:{alpha:g}:{c:g}",
-        log_f=_log_f,
-        d_log_f=lambda rho: 1.0 / (F_prime(f(rho)) * f(rho)),
+        **_duals(formulas),
     )
 
 
@@ -298,15 +319,14 @@ def make_concave_sqrt_warp(R: float = 1.0) -> WarpingFunction:
         raise ValueError("R must be positive")
     return WarpingFunction(
         domain_radius=R,
-        f=math.sqrt,
-        f_prime=lambda x: 0.5 / math.sqrt(x),
         F=lambda y: y * y,
         F_prime=lambda y: 2.0 * y,
         kind=WarpKind.CONCAVE_EXPERIMENTAL,
         label="sqrt",
         frakF_closed_form=lambda sigma: sigma,
-        log_f=lambda x: 0.5 * math.log(x),
         d_log_f=lambda x: 0.5 / x,
+        **_duals(lambda xp: {"f": xp.sqrt, "f_prime": lambda x: 0.5 / xp.sqrt(x),
+                             "log_f": lambda x: 0.5 * xp.log(x)}),
     )
 
 
@@ -316,47 +336,70 @@ def make_concave_sqrt_warp(R: float = 1.0) -> WarpingFunction:
 
 class _C1Table:
     """The C^1 piecewise cubic through knots (x_i, y_i) with slopes m_i,
-    continued past the last knot by its tangent line, and its exact inverse."""
+    continued past the last knot by its tangent line, and its exact inverse;
+    an ndarray gives the bits of the float call, one element at a time."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
         h, d = np.diff(x), np.diff(y) / np.diff(x)
         # cell i is y_i + t (m_i + t (c2_i + t c3_i)) with t = x - x_i; the
         # cell past the last knot is the tangent line (c2 = c3 = 0)
-        self.x, self.y, self.m = array("d", x), array("d", y), array("d", m)
-        self.c2 = array("d", np.append((3.0 * d - 2.0 * m[:-1] - m[1:]) / h, 0.0))
-        self.c3 = array("d", np.append((m[:-1] + m[1:] - 2.0 * d) / (h * h), 0.0))
+        c2 = np.append((3.0 * d - 2.0 * m[:-1] - m[1:]) / h, 0.0)
+        c3 = np.append((m[:-1] + m[1:] - 2.0 * d) / (h * h), 0.0)
+        self.arrays = (x, y, m, c2, c3)
+        self.x, self.y = array("d", x), array("d", y)
+        self.cells = list(zip(*(a.tolist() for a in self.arrays)))
 
-    def _cell(self, x: float) -> int:
+    def _cell(self, x):
+        """(x_i, y_i, m_i, c2_i, c3_i) of the cell holding ``x``."""
+        if isinstance(x, np.ndarray):
+            if not np.all(x >= 0.0):
+                raise ValueError("radii must be numbers >= 0")
+            return tuple(a[np.searchsorted(self.arrays[0], x, side="right") - 1]
+                         for a in self.arrays)
         if not x >= 0.0:
             raise ValueError(f"radius {x!r} is not a number >= 0")
-        return bisect_right(self.x, x) - 1
+        return self.cells[bisect_right(self.x, x) - 1]
 
-    def _at(self, i: int, x: float) -> float:
-        t = x - self.x[i]
-        return self.y[i] + t * (self.m[i] + t * (self.c2[i] + t * self.c3[i]))
+    @staticmethod
+    def _cubic(cell, x):
+        x0, y0, m, c2, c3 = cell
+        t = x - x0
+        return y0 + t * (m + t * (c2 + t * c3))
 
-    def value(self, x: float) -> float:
-        return self._at(self._cell(x), x)
+    def value(self, x):
+        return self._cubic(self._cell(x), x)
 
-    def slope(self, x: float) -> float:
-        i = self._cell(x)
-        t = x - self.x[i]
-        return self.m[i] + t * (2.0 * self.c2[i] + 3.0 * t * self.c3[i])
+    def slope(self, x):
+        x0, _, m, c2, c3 = self._cell(x)
+        t = x - x0
+        return m + t * (2.0 * c2 + 3.0 * t * c3)
 
-    def inverse(self, y: float) -> float:
-        """The least x with value(x) >= y: bisection inside the one cell whose
-        knot values bracket y, until no double lies between the bracket ends."""
+    def inverse(self, y):
+        """The least x with value(x) >= y (a knot value gives its knot):
+        bisection inside the one cell whose knot values bracket y, until no
+        double lies between the bracket ends; an ndarray in lockstep."""
+        if isinstance(y, np.ndarray):
+            if not np.all((y >= 0.0) & (y < math.inf)):
+                raise ValueError("warp values must be finite numbers >= 0")
+            i = np.searchsorted(self.arrays[1], y, side="right") - 1
+            cell, last = tuple(a[i] for a in self.arrays), len(self.cells) - 1
+            x0, y0, m, tangent = cell[0], cell[1], cell[2], i == last
+            # a knot value and the tangent line leave an empty bracket
+            hi = np.where((y == y0) | tangent, x0, self.arrays[0][np.minimum(i + 1, last)])
+            x = _bisect(lambda mid: self._cubic(cell, mid) < y, x0, hi)
+            return np.where(tangent, x0 + (y - y0) / np.where(tangent, m, 1.0), x)
         if not 0.0 <= y < math.inf:
             raise ValueError(f"warp value {y!r} is not a finite number >= 0")
         i = bisect_right(self.y, y) - 1
-        if y == self.y[i]:
-            return self.x[i]
-        if i == len(self.x) - 1:
-            return self.x[i] + (y - self.y[i]) / self.m[i]
-        lo, hi = self.x[i], self.x[i + 1]
+        cell = x0, y0, m, _, _ = self.cells[i]
+        if y == y0:
+            return x0
+        if i == len(self.cells) - 1:
+            return x0 + (y - y0) / m
+        lo, hi = x0, self.x[i + 1]
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if self._at(i, mid) < y else (lo, mid)
+            lo, hi = (mid, hi) if self._cubic(cell, mid) < y else (lo, mid)
         return hi
 
 
@@ -432,6 +475,8 @@ def profile_to_warp(
         f_prime=table.slope,
         F=table.inverse,
         F_prime=lambda rho: 1.0 / table.slope(table.inverse(rho)),
+        log_f=_duals(lambda xp: {"log_f": lambda x: xp.log(table.value(x))})["log_f"],
+        d_log_f=lambda x: table.slope(x) / table.value(x),
         kind=WarpKind.CUSPIDAL if abs(m[0]) < 1e-6 else WarpKind.CONICAL,
         label=label,
     )
@@ -570,7 +615,7 @@ def check_Cf_monotonicity(wf_small: WarpingFunction,
     and the length constant are ordered the same way (to 1e-6)."""
     R = min(wf_small.domain_radius, wf_big.domain_radius)
     xs = np.geomspace(R * 1e-8, R * 0.9, 256)
-    ratio = np.array([wf_small.f(x) / wf_big.f(x) for x in xs])
+    ratio = wf_small.f(xs) / wf_big.f(xs)
     near0 = ratio[: len(ratio) // 4]
     rest = ratio[len(ratio) // 4:]
     if near0.max() > 10.0 * max(rest.max(), 1e-300):

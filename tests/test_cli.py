@@ -90,10 +90,13 @@ class TestTrace:
         meta = json.loads((outdir / "trace.json").read_text())
         assert meta["config"]["warp"] == "power:1"
         assert meta["classification"] == "winding"
-        # the reduced path's one stepper run and its counts
+        # the reduced path's one stepper run, its counts and the stop that
+        # ended it: the exit at r = R
         (stepper,) = meta["solver"]
         assert stepper["branch"] == "both" and stepper["steps"] > 0
         assert stepper["nfev"] == 1 + 15 * stepper["steps"] + 12 * stepper["rejected"]
+        assert stepper["stop"] == "exit"
+        assert stepper["t_stop"] == meta["exit_events"]["t_exit_forward"]
         with open(outdir / "trace.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "t"

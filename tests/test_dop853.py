@@ -14,20 +14,16 @@ two scipy runs on the same arguments:
   BLAS adds in another order, and its step and evaluation counts were not
   measured):
 
-  - step points, 1.3e-4 of the run's length (the negated field on the
-    bumped sphere, when scipy's initial-step rule chose its first step):
-    the error estimate of a short step is a sum that cancels to about
-    1e-11 of its terms, so a last-bit change in a stage moves it by about
-    1e-4 and the next step size by an eighth of that;
-  - event times, 1.2e-14 relative (the 1-state level crossing, under the
-    same rule);
+  - step points, 5.8e-5 of the run's length (the perturbed circle's
+    backward branch): the error estimate of a short step is a sum that
+    cancels to about 1e-11 of its terms, so a last-bit change in a stage
+    moves it by about 1e-4 and the next step size by an eighth of that;
+  - event times, 5.2e-15 relative (the reduced run's tau stop);
   - the dense output at 200 points, 1.04e-12 of each component's largest
     value along the run (the perturbed circle).
 
-  Every run now starts with a given step (the stepper has no initial-step
-  rule), and the worst differences are 5.8e-5 of the run's length (the
-  perturbed circle's backward branch), 5.2e-15 (the tau stop) and 1.04e-12;
-  the bounds are kept.
+  Each run starts from a given first step.  Rounded up, the bounds are
+  1e-4, 1e-14 and 1e-11.
 
 - scipy's DOP853 with every ``np.dot`` and ``np.linalg.norm`` of its
   Runge-Kutta module summed left to right in float arithmetic
@@ -59,8 +55,8 @@ import singular_geodesics as sg
 from singular_geodesics import IntegrationError, dop853, geodesic_flow
 from singular_geodesics.cross_sections import BASE_FIRST_STEP, static_sphere_bump
 
-T_TOL = 1e-3      # step points, relative to the run's length
-EVENT_TOL = 1e-13  # event times, relative
+T_TOL = 1e-4      # step points, relative to the run's length
+EVENT_TOL = 1e-14  # event times, relative
 DENSE_TOL = 1e-11  # dense output, relative to each component's largest value
 
 

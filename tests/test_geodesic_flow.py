@@ -58,6 +58,39 @@ def t_of_tau_faults(traj) -> list:
     return faults
 
 
+def parabola_warp(tmp_path):
+    """The warp of a 200-row CSV of the parabola s = z^2."""
+    src = tmp_path / "parabola.csv"
+    with open(src, "w", newline="") as fh:
+        csv.writer(fh).writerows([("z", "s")] + [(z, z * z) for z in np.linspace(0.0, 1.0, 200)])
+    return sg.parse_warp_spec(f"profile:{src}")
+
+
+def float_rho_and_u(wf, r: float, theta: float):
+    """f(r) and sign(sin theta) F(f(r) |sin theta|) of one sample, in floats
+    with ``math``: the export's formulas as one call per row."""
+    s = math.sin(theta)
+    log_f = wf.log_f(r) if r > 0 else -math.inf
+    x = math.exp(log_f + (math.log(abs(s)) if s else -math.inf))
+    return math.exp(log_f), math.copysign(wf.F(x), s) if x > 0.0 else 0.0
+
+
+# warp, section, delta, y0, v0 and the bound in ulp on rho and u of the
+# array formulas against float_rho_and_u.  numpy's log, exp and pow differ
+# from math's in the last bit; the worst measured (x86-64, numpy 2.4) is 8
+# ulp (rho, logpow:1.5) and, for the osc warp, whose array log f is a
+# bisection where the float one is brentq, 34 (rho) and 26 (u); each bound
+# is that worst rounded up to the next power of ten
+ARRAY_FORMULA_CASES = {
+    "power:2 on sphere:pert=0.05": ("power:2", "sphere:pert=0.05", 0.2, [math.pi / 2, 0.3],
+                                    [math.sin(0.5), math.cos(0.5)], 10),
+    "profile": ("profile", "circle:6.283185307179586", 0.2, [0.3], [1.0], 10),
+    "expinv:1": ("expinv:1", "circle:6.283185307179586", 0.07, [0.3], [1.0], 10),
+    "logpow:1.5": ("logpow:1.5", "circle:6.283185307179586", 0.03, [0.3], [1.0], 10),
+    "osc:0.5:9": ("osc:0.5:9", "circle:6.283185307179586", 0.005, [0.3], [1.0], 100),
+}
+
+
 class TestTrajectory:
     def test_time_symmetry(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
@@ -86,23 +119,34 @@ class TestTrajectory:
         traj = sg.integrate_winding(cusp_warp, *T_OF_TAU_CASES[case], dense_nodes=256)
         assert t_of_tau_faults(traj) == []
 
-    @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "round_sphere"])
+    @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "round_sphere",
+                                      "reduced_tau_stop", "perturbed_circle_tau_stop"])
     def test_solver_statistics(self, case, cusp_warp):
         # each attempt costs 12 evaluations, each accepted step 3 more for its
         # dense output and the start 1; the flow gives the first step
-        if case == "reduced":
+        if case.startswith("reduced"):
             cs, y0, v0 = sg.circle_section(2 * math.pi), [0.3], [1.0]
-        elif case == "perturbed_circle":
+        elif case.startswith("perturbed_circle"):
             cs, y0, v0 = sg.circle_section(2 * math.pi, (0.08, None)), [0.3], [1.0]
         else:
             cs, y0, v0 = sg.sphere_section(), [math.pi / 2, 0.3], [0.6, 0.8]
-        traj = sg.integrate_winding(cusp_warp, cs, 0.1, y0, v0)
+        tau_stop = 1.0 if case.endswith("tau_stop") else None
+        traj = sg.integrate_winding(cusp_warp, cs, 0.1, y0, v0, tau_stop=tau_stop)
         runs = traj.meta["solver"]
-        branches = {"both"} if case == "reduced" else {"forward", "backward"}
+        branches = {"both"} if case.startswith("reduced") else {"forward", "backward"}
         assert {run["branch"] for run in runs} == branches and len(runs) == len(branches)
         for run, branch in zip(runs, (traj.forward, traj.backward)):
             assert run["steps"] == len(branch.h) and run["steps"] > 0
             assert run["nfev"] == 1 + 12 * (run["steps"] + run["rejected"]) + 3 * run["steps"]
+            # the stop that ended the run, at the branch's end
+            assert run["stop"] == ("tau" if tau_stop else "exit")
+            assert run["t_stop"] == branch.sign * branch.t_end
+        ends = (traj.t_max, traj.t_min)
+        if tau_stop:
+            assert traj.tau_of_t(np.array(ends)) == pytest.approx([tau_stop, -tau_stop],
+                                                                  rel=1e-12)
+        else:
+            assert traj.r_of_t(np.array(ends)) == pytest.approx([1.5, 1.5], rel=1e-12)
 
     def test_state_at(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
@@ -145,11 +189,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("case", ["sphere:pert=0.05", "profile"])
     def test_csv_bytes_match_row_writer(self, case, tmp_path):
         if case == "profile":
-            src = tmp_path / "parabola.csv"
-            with open(src, "w", newline="") as fh:
-                csv.writer(fh).writerows([("z", "s")] + [(z, z * z) for z in
-                                                         np.linspace(0.0, 1.0, 200)])
-            wf, cs = sg.parse_warp_spec(f"profile:{src}"), sg.circle_section(2 * math.pi)
+            wf, cs = parabola_warp(tmp_path), sg.circle_section(2 * math.pi)
             y0, v0 = [0.3], [1.0]
         else:
             wf, cs = sg.make_power_warp(2.0), sg.parse_section_spec(case)
@@ -159,24 +199,32 @@ class TestTrajectory:
         _row_writer_csv(traj, str(tmp_path / "rows.csv"))
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    @pytest.mark.parametrize("case", sorted(ARRAY_FORMULA_CASES))
+    def test_rho_and_u_match_the_float_formula(self, case, tmp_path):
+        spec, section, delta, y0, v0, bound = ARRAY_FORMULA_CASES[case]
+        wf = parabola_warp(tmp_path) if spec == "profile" else sg.parse_warp_spec(spec)
+        traj = sg.integrate_winding(wf, sg.parse_section_spec(section), delta, y0, v0)
+        rho, u = np.array([float_rho_and_u(wf, r, th) for r, th in zip(
+            traj.r.tolist(), traj.theta.tolist())]).T
+        for ours, rows in ((traj.rho, rho), (geodesic_flow._u_column(wf, traj.r, traj.theta), u)):
+            assert np.all(np.abs(ours - rows) <= bound * np.spacing(np.abs(rows)))
+
 
 def _row_writer_csv(traj, path):
-    """Reference export: ``csv.writer`` with one f-string per value, row by row."""
+    """Reference export of the trajectory's own arrays and its ``u`` column:
+    ``csv.writer`` with one f-string per value, row by row."""
     k = traj.y.shape[1]
     cols = (["t", "r", "theta"] + [f"y{i}" for i in range(k)] + [f"eta{i}" for i in range(k)]
             + ["hamiltonian", "clairaut", "tau", "rho", "u"])
     clairaut = traj.rho * np.cos(traj.theta)
+    u = geodesic_flow._u_column(traj.wf, traj.r, traj.theta)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for i in range(len(traj.t)):
-            s = math.sin(traj.theta[i])
-            log_f = traj.wf.log_f(traj.r[i]) if traj.r[i] > 0 else -math.inf
-            x = math.exp(log_f + (math.log(abs(s)) if s else -math.inf))
-            u = math.copysign(traj.wf.F(x), s) if x > 0.0 else 0.0
             writer.writerow([f"{v:.16g}" for v in (
                 traj.t[i], traj.r[i], traj.theta[i], *traj.y[i], *traj.eta[i],
-                traj.hamiltonian[i], clairaut[i], traj.tau[i], traj.rho[i], u)])
+                traj.hamiltonian[i], clairaut[i], traj.tau[i], traj.rho[i], u[i])])
 
 
 class TestClassification:

@@ -9,7 +9,9 @@ inside the package would get round the test suite's
 ``filterwarnings = ["error", ...]``.  The package steps every ODE with its
 own ``dop853.solve_ivp``, and what each module takes from scipy is pinned
 name by name (``SCIPY_IMPORTS``): a stepper, a third root finder or any
-other new scipy dependency fails until the map names it.  Only ``dop853`` generates
+other new scipy dependency fails until the map names it.  The warp
+callables take arrays, and the functions that still call one once per
+element are pinned the same way (``SCALAR_WARP_CALLERS``).  Only ``dop853`` generates
 code: it compiles its step kernel from the tableau, and no other module
 calls ``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
 public function under src/ is passed by some call in src/, tests/ or
@@ -145,6 +147,69 @@ def test_detects_a_scipy_stepper_import():
         "scipy.integrate.quad", "scipy.integrate.solve_ivp", "scipy.integrate",
         "scipy.integrate._ivp.rk", "scipy.optimize",
         "scipy.optimize.brentq"}
+
+
+WARP_CALLABLES = {"f", "f_prime", "log_f", "d_log_f", "F", "F_prime"}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+# every function under src/ that calls a warp callable once per element: the
+# length oracle's quad integrand, the frakF ladder and the stepper's
+# right-hand sides; a module left out has none.  Everything else evaluates
+# warps with one array call per sample array.
+SCALAR_WARP_CALLERS = {
+    "experiments.py": {"closed_form_winding_length"},
+    "geodesic_flow.py": {"_reduced_rhs", "_full_rhs"},
+    "warp_profiles.py": {"estimate_frakF"},
+}
+
+
+def per_element_warp_calls(source: str) -> set:
+    """The module-level functions (``Class.method`` for a method) that call
+    a warp callable by attribute in the body of a loop or a comprehension or
+    in a nested function (a quadrature integrand, a right-hand side), or
+    that bind a math evaluator with ``.scalar(name)``.  A loop's iterable is
+    evaluated once, so a warp call there is an array call."""
+    found, outer = set(), {}
+
+    def visit(node, owner, per_element):
+        # a loop's iterable takes the flag from outside the loop
+        per_element = outer.pop(id(node), per_element)
+        if isinstance(node, ast.ClassDef):
+            owner, per_element = node.name + ".", False
+        elif isinstance(node, _FUNCTIONS):
+            if owner is None or owner.endswith("."):
+                owner = (owner or "") + getattr(node, "name", "<lambda>")
+            else:
+                per_element = True
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and (node.func.attr == "scalar"
+                   or (per_element and node.func.attr in WARP_CALLABLES))):
+            found.add(owner)
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            outer[id(node.iter)] = per_element
+        elif isinstance(node, _LOOPS[3:]):  # a comprehension
+            outer[id(node.generators[0].iter)] = per_element
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, per_element or isinstance(node, _LOOPS))
+    visit(ast.parse(source), None, False)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_warp_callables_are_called_per_element_only_where_pinned(path):
+    assert per_element_warp_calls(path.read_text()) == SCALAR_WARP_CALLERS.get(path.name, set())
+
+
+def test_detects_a_per_element_warp_call():
+    source = ("def a(wf, xs):\n    return [wf.f(x) for x in xs]\n"
+              "def b(wf, xs):\n    for x in xs:\n        pass\n    return wf.F(xs)\n"
+              "def c(wf):\n    def g(s):\n        return wf.log_f(s)\n    return g\n"
+              "def d(wf):\n    return wf.scalar('f')\n"
+              "class T:\n    def m(self, r):\n        while r:\n            r = self.wf.F(r)\n"
+              "    def n(self, r):\n        return [x for x in self.wf.f_prime(r)]\n")
+    assert per_element_warp_calls(source) == {"a", "c", "d", "T.m"}
 
 
 def code_generation_calls(source: str) -> list:

@@ -37,10 +37,10 @@ fools both):
   shares only the right-hand side, so it sees a wrong coefficient in the
   generated kernel: a stage coefficient A[7][3] off by 1e-6 changes the
   step count of every parity case against scipy as it is.  Within the
-  bounds that oracle allows, the smallest size it catches is 1e-12 (the
-  event times of the 1-state level crossing and the pendulum's swing, the
-  2-state dense output); on the geodesic flow cases 3e-12 (the dense output
-  of the perturbed circle and the round sphere).  Against
+  bounds that oracle allows, the smallest size it catches is 3e-14 (the
+  event time of the 1-state level crossing; 1e-13 also the pendulum's
+  swing); on the geodesic flow cases 3e-13 (the reduced run's tau stop)
+  and 1e-12 (the perturbed circle's step points).  Against
   scipy summed left to right, which the kernel matches bit for bit, one
   unit in the last place of A[7][3] (2.2e-16) already moves the step
   points of the perturbed circle and the round sphere, and two units move
@@ -64,6 +64,12 @@ fools both):
   path's PCHIP error is beyond it (the profile is exact here).
 - Criterion 10's line check compares the table of s = z with f = r/sqrt(2);
   it shares nothing with the arc-length quadrature, so a biased rule shows.
+- The inverse contract (``inverse_faults`` in ``tests/test_warp_profiles.py``)
+  asks F(y) to be the least x with f(x) >= y, on the float and the array
+  path.  It evaluates f with the same table, so it sees a wrong bisection,
+  not a wrong table: an F that returns the bracket's lower end, one double
+  low, fails it, and no older check sees that (every round trip F(f(r)) = r
+  allows far more than one double).
 """
 import math
 import re
@@ -76,6 +82,7 @@ import singular_geodesics as sg
 import test_acceptance as acceptance
 import test_dop853 as parity
 import test_geodesic_flow as flow
+import test_warp_profiles as profiles
 from singular_geodesics import (
     IntegrationError,
     QuadratureError,
@@ -357,3 +364,31 @@ def test_scaled_arc_length_weights_fail_the_parabola_oracle_and_criterion_10(mon
     (ok, detail), = said
     assert not ok
     assert float(re.search(r"line f=r/sqrt2 err (\S+)", detail).group(1)) > 1e-10
+
+
+def test_inverse_one_bisection_step_low_fails_only_the_inverse_contract(monkeypatch):
+    # F off by one bisection step: the bracket's lower end, one double below
+    # the least x with f(x) >= y, for every value inside a cell
+    def parabola():
+        return sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0)
+
+    knots = np.array(parabola().f.__self__.y)
+    ys = (0.5 * (knots[:-1] + knots[1:]))[::50].tolist() + [0.3 * knots[-1], 1e-9 * knots[-1]]
+    rs = [1e-3, 0.1, 0.5, 1.0]
+    assert profiles.inverse_faults(parabola(), ys) == []
+    original = warp_profiles._C1Table.inverse
+
+    def lower_end(self, y):
+        x = original(self, y)
+        i = np.searchsorted(self.arrays[1], y, side="right") - 1
+        inside = (y != self.arrays[1][i]) & (i < len(self.x) - 1)
+        lo = np.where(inside, np.nextafter(x, 0.0), x)
+        return lo if isinstance(y, np.ndarray) else float(lo)
+    monkeypatch.setattr(warp_profiles._C1Table, "inverse", lower_end)
+    wf = parabola()
+    assert profiles.inverse_faults(wf, ys) == ["float: not the least x",
+                                               "array: not the least x"]
+    # the older checks of F cannot see one double: the round trips
+    # |F(f(r)) - r| <= 1e-13 of TestProfileTable and 1e-12 relative of
+    # test_parabola, and the benchmark's F(f(r)) = r to 1e-10
+    assert all(abs(wf.F(wf.f(r)) - r) <= 1e-13 for r in rs)

@@ -296,6 +296,112 @@ class TestProfileTable:
         assert central == pytest.approx(wf.f_prime(r), rel=1e-6)
 
 
+def inverse_faults(wf, ys) -> list:
+    """The checks that the table inverse F of the profile warp ``wf`` fails
+    at the values ``ys`` in [0, f(R)], none of them a knot value: F(y) must
+    be the least x with f(x) >= y, on the float path and on the array path,
+    and each array element must equal the float call."""
+    floats = [wf.F(y) for y in ys]
+    faults = []
+    for path, xs in (("float", floats), ("array", wf.F(np.array(ys)).tolist())):
+        if not all(wf.f(x) >= y and (x == 0.0 or wf.f(math.nextafter(x, 0.0)) < y)
+                   for x, y in zip(xs, ys)):
+            faults.append(f"{path}: not the least x")
+    if wf.F(np.array(ys)).tolist() != floats:
+        faults.append("array != float")
+    return faults
+
+
+class TestInverseContract:
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(PROFILES),
+           fracs=st.lists(st.one_of(st.floats(0.0, 1.0),
+                                    st.floats(-300.0, 0.0).map(lambda e: 10.0**e)),
+                          min_size=1, max_size=8))
+    def test_least_x_on_float_and_array_paths(self, profile_warps, name, fracs):
+        wf = profile_warps[name]
+        knots = set(wf.f.__self__.y)
+        ys = [y for y in (frac * wf.f(wf.domain_radius) for frac in fracs) if y not in knots]
+        assert inverse_faults(wf, ys) == []
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_knot_values_give_their_knots(self, profile_warps, name):
+        table = profile_warps[name].f.__self__
+        assert table.inverse(np.array(table.y)).tolist() == list(table.x)
+        assert [table.inverse(y) for y in table.y[::97]] == list(table.x[::97])
+
+
+# one warp of each family, the callables whose array elements must equal the
+# float call exactly (their formulas use + - * / alone, or the C^1 table's
+# arithmetic), and the bound in ulp on the other callables.  numpy's log,
+# exp and pow differ from math's in the last bit; an exponential of a large
+# logarithm (f and f' of logpow and expinv) turns one ulp of its argument
+# into |log f| ulp, and the osc warp's array log f is a bisection where its
+# float log f is brentq.  Worst measured on the grids below (x86-64, numpy
+# 2.4): power:1.5 2 ulp, logpow:1.5 31 (f and f'), expinv:1 22 (f),
+# osc:0.5:9 35 (f), sqrt 1 and the profile 1 (log f); each bound is its
+# family's worst rounded up to the next power of ten
+FAMILIES = {
+    "power:1.5": ({"d_log_f"}, 10),
+    "logpow:1.5": (set(), 100),
+    "expinv:1": (set(), 100),
+    "osc:0.5:9": (set(), 100),
+    "sqrt": ({"F", "F_prime", "d_log_f"}, 10),
+    "profile": ({"f", "f_prime", "F", "F_prime", "d_log_f"}, 10),
+}
+CALLABLES = ("f", "f_prime", "log_f", "d_log_f", "F", "F_prime")
+
+
+def family_warp(spec, profile_warps):
+    return profile_warps["csv"] if spec == "profile" else sg.parse_warp_spec(spec)
+
+
+def family_grid(wf, name: str) -> np.ndarray:
+    """1000 radii in [1e-3 R, R], or for F and F' values in [1e-6 f(R), f(R)],
+    half geometric and half uniform."""
+    top = wf.f(wf.domain_radius) if name in ("F", "F_prime") else wf.domain_radius
+    lo = top * (1e-6 if name in ("F", "F_prime") else 1e-3)
+    rng = np.random.default_rng(7)
+    return np.concatenate([np.geomspace(lo, top, 500), rng.uniform(lo, top, 500)])
+
+
+class TestBroadcasting:
+    @pytest.mark.parametrize("spec", sorted(FAMILIES))
+    @pytest.mark.parametrize("name", CALLABLES)
+    def test_shapes_and_types(self, profile_warps, spec, name):
+        wf = family_warp(spec, profile_warps)
+        fn, x = getattr(wf, name), float(family_grid(wf, name)[700])
+        assert type(fn(x)) is float
+        assert np.shape(fn(np.array(x))) == ()
+        assert fn(np.empty(0)).shape == (0,)
+        assert fn(np.full((2, 3), x)).shape == (2, 3)
+        assert fn(np.full(4, x)).tolist() == [fn(np.array(x))] * 4
+
+    @pytest.mark.parametrize("spec", sorted(FAMILIES))
+    @pytest.mark.parametrize("name", CALLABLES)
+    def test_elements_match_the_float_call(self, profile_warps, spec, name):
+        wf = family_warp(spec, profile_warps)
+        exact, bound = FAMILIES[spec]
+        fn, xs = getattr(wf, name), family_grid(wf, name)
+        ours, floats = fn(xs), np.array([fn(x) for x in xs.tolist()])
+        if name in exact:
+            assert ours.tolist() == floats.tolist()
+        else:
+            assert np.all(np.abs(ours - floats) <= bound * np.spacing(np.abs(floats)))
+
+    def test_math_evaluators_skip_the_type_check(self):
+        wf = sg.make_power_warp(2.0)
+        log_f = wf.scalar("log_f")
+        assert log_f is wf.log_f.scalar and log_f(0.5) == wf.log_f(0.5)
+        # a formula of operators alone is its own math evaluator
+        assert wf.scalar("d_log_f") is wf.d_log_f
+
+    def test_osc_array_log_f_rejects_non_positive_radii(self):
+        wf = make_oscillating_F(0.5, 9.0)
+        with pytest.raises(ValueError):
+            wf.log_f(np.array([0.1, 0.0]))
+
+
 class TestParseWarpSpec:
     def test_families(self):
         assert sg.parse_warp_spec("power:2").label == "power:2"
