@@ -27,11 +27,11 @@ A run starts with the step its caller gives (finite and positive, or
 ValueError).  Right-hand sides receive the state as a list of floats.  A
 run may end at a stop, a (component, level) pair: in the first step over
 which the component goes from at most the level to at least it,
-``crossing`` finds the time on the step's dense polynomial, as it does for
-``Trajectory.t_of_tau``.  A run returns its dense solution as four arrays:
-the step points ``t``, each step's length ``h``, start state ``y0`` and
-interpolation coefficients ``F`` (7 x steps x states), which ``evaluate``
-turns into states with one gather and Horner's scheme.
+``crossing`` finds the time on the step's dense polynomial, as it does in
+``level_times``.  A run returns its dense solution as four arrays of its
+``Solution``: the step points ``t``, each step's length ``h``, start state
+``y0`` and interpolation coefficients ``F`` (7 x steps x states), which
+only ``evaluate`` (one gather and Horner's scheme) and ``level_times`` read.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from typing import List, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-__all__ = ["Solution", "solve_ivp", "evaluate", "crossing"]
+__all__ = ["Solution", "solve_ivp", "evaluate", "crossing", "level_times"]
 
 # the nodes c of the 16 stages
 C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
@@ -242,12 +242,12 @@ def _horner(F, y0, x):
     return y + y0
 
 
-def evaluate(t, h, y0, F, s: np.ndarray) -> np.ndarray:
-    """States (one row per point) of a dense solution at the points ``s``
-    (a 1-D array inside [t[0], t[-1]]); a step point takes the earlier
-    step, as scipy's ``OdeSolution`` does."""
-    seg = np.maximum(np.searchsorted(t, s, side="left") - 1, 0)
-    return _horner(F[:, seg], y0[seg], ((s - t[seg]) / h[seg])[:, None])
+def evaluate(sol: Solution, s: np.ndarray) -> np.ndarray:
+    """States (one row per point) of the run ``sol`` at the points ``s`` (a
+    1-D array inside [t[0], t[-1]]); a step point takes the earlier step, as
+    scipy's ``OdeSolution`` does."""
+    seg = np.maximum(np.searchsorted(sol.t, s, side="left") - 1, 0)
+    return _horner(sol.F[:, seg], sol.y0[seg], ((s - sol.t[seg]) / sol.h[seg])[:, None])
 
 
 def crossing(F, y0, t0: float, h: float, level: float, lo: float, hi: float,
@@ -264,6 +264,17 @@ def crossing(F, y0, t0: float, h: float, level: float, lo: float, hi: float,
     return brentq(gap, lo, hi, xtol=xtol, rtol=EVENT_TOL)
 
 
+def level_times(sol: Solution, i: int, levels: np.ndarray, xtol: float) -> np.ndarray:
+    """The times at which the rising component ``i`` of the run ``sol``
+    reaches ``levels`` (a 1-D array inside its range): ``crossing`` to within
+    ``xtol`` on the last step whose start value is at most the level."""
+    k = np.searchsorted(sol.y0[:, i], levels, side="right") - 1
+    steps = zip(sol.F[:, k, i].T.tolist(), sol.y0[k, i].tolist(), sol.t[k].tolist(),
+                sol.h[k].tolist(), sol.t[k + 1].tolist(), levels.tolist())
+    return np.array([crossing(F, y0, t0, h, level, t0, t1, xtol)
+                     for F, y0, t0, h, t1, level in steps], dtype=float)
+
+
 def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float,
               max_step: float = math.inf, stops=()) -> Solution:
     """Integrate y' = fun(t, y) from y(0) = ``y0`` towards ``t_end`` > 0,
@@ -275,7 +286,11 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
     first step at whose start a component is at most its level and at whose
     end at least, at the time ``crossing`` finds on the step's dense
     polynomial (the earliest, if several components cross in one step).
+    The scalar arguments are taken as Python floats: a numpy scalar among
+    them would carry numpy scalar arithmetic into every stage.
     """
+    t_end, rtol, atol, first_step, max_step = map(float, (t_end, rtol, atol, first_step,
+                                                          max_step))
     if not (math.isfinite(first_step) and first_step > 0.0):
         raise ValueError(f"first_step={first_step!r} must be finite and positive")
     y = np.asarray(y0, dtype=float).tolist()

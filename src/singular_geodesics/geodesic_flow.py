@@ -15,11 +15,11 @@ the exponential cusp families work far below double-precision range of f,
 and a full phase-space system for everything else, in the stored coordinates
 of the section (the sphere's point and angular momentum live in R^3).  Each
 time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
-whose only stops are the exit at r = R and the optional tau stop; the run
-returns its dense output as coefficient arrays (``DenseBranch``), and a
-query is one gather plus Horner's scheme.  A radial line is one segment of
-the same form.  Backward time is obtained from the symmetry
-(t, theta, eta) -> (-t, -theta, -eta).
+whose only stops are the exit at r = R and the optional tau stop.  A
+trajectory keeps each run's ``dop853.Solution`` as it is, and a query is
+``dop853.evaluate`` on it: one gather plus Horner's scheme.  A radial line
+is one straight segment of the same form.  Backward time is obtained from
+the symmetry (t, theta, eta) -> (-t, -theta, -eta).
 """
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ def launch_winding(
 
 
 # ---------------------------------------------------------------------------
-# dense branches
+# decoding the stepper's states
 
 
 class States(NamedTuple):
@@ -117,53 +117,6 @@ class States(NamedTuple):
     y: np.ndarray
     eta: np.ndarray
     tau_scaled: np.ndarray
-
-
-class DenseBranch:
-    """One time direction of a trajectory, stored as one forward run of the
-    mirrored system in s = |t|.
-
-    The run's DOP853 dense output is held as arrays: segment k starts at the
-    step point ``ts[k]`` (ts[0] = 0, ts[-1] = t_end) with the state
-    ``y0[k]``, has the step length ``h[k]`` (the last step may reach past
-    t_end, where an event cut it short) and the interpolation coefficients
-    ``F[:, k]`` (7 x segments x states).  The last state component times
-    ``sign * tau_scale`` is tau_scaled.  ``decode(x, sign, tau_scaled)``
-    maps the mirrored states ``x`` (one column per query) to ``States``; it
-    and ``tau_scale`` are the only parts that differ between the reduced and
-    full systems.  ``stop`` is what ended the branch: ``"exit"`` at r = R,
-    ``"tau"`` the tau stop, None the tip of a radial line.  ``solver`` holds
-    the run's evaluation, step and rejected-attempt counts, ``stop`` and its
-    time ``t_stop`` (None for a radial segment).
-    """
-
-    def __init__(self, sign: int, decode, tau_scale: float, ts, h, y0, F,
-                 stop: Optional[str], solver: Optional[dict] = None):
-        self.sign = sign
-        self.decode = decode
-        self.tau_scale = tau_scale
-        self.ts = np.asarray(ts, dtype=float)
-        self.h, self.y0, self.F = h, y0, F
-        self.stop = stop
-        self.solver = solver
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    def mirrored(self) -> "DenseBranch":
-        """The same dense solution serving the other time direction."""
-        other = copy.copy(self)
-        other.sign = -self.sign
-        return other
-
-    def states(self, x: np.ndarray) -> States:
-        """The mirrored states ``x`` (one column per query), decoded."""
-        return self.decode(x, self.sign, self.sign * x[-1] * self.tau_scale)
-
-    def evaluate(self, s: np.ndarray) -> States:
-        """Decoded states at the points ``s`` in [0, t_end] (a 1-D array)."""
-        return self.states(dop853.evaluate(self.ts, self.h, self.y0, self.F, s).T)
 
 
 def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
@@ -191,10 +144,22 @@ def _full_decode(k: int):
 # trajectory container
 
 
-class Trajectory:
-    """Lifted geodesic: one DenseBranch per time direction and samples of it.
+def _stop(sol: dop853.Solution) -> Optional[str]:
+    """What ended a run: "exit" at r = R, "tau" the tau stop, None a radial tip."""
+    return next((name for name, t in zip(("exit", "tau"), sol.t_events) if len(t)), None)
 
-    ``forward`` serves t >= 0 and ``backward`` t < 0.
+
+class Trajectory:
+    """Lifted geodesic: the stepper's run of each time direction and samples.
+
+    ``runs`` holds one ``dop853.Solution`` per direction ``sign`` (1 for
+    t >= 0, then -1): a forward run of the mirrored system in s = sign * t.
+    The reduced system is identical under time reversal, so its one run
+    fills both slots; a radial line is one straight segment per direction.
+    The last state component times ``sign * tau_scale`` is tau_scaled, and
+    ``decode(x, sign, tau_scaled)`` maps mirrored states ``x`` (one column
+    per query) to ``States``: these two differ between the systems.
+
     Sample arrays are aligned with ``t`` (sorted, containing the minimum t=0
     for winding launches).  ``tau_scaled`` is f'(delta) * tau, which stays
     finite for warps whose absolute winding length overflows double
@@ -204,35 +169,39 @@ class Trajectory:
     """
 
     def __init__(self, wf: WarpingFunction, cs: CrossSection,
-                 forward: DenseBranch, backward: DenseBranch,
+                 runs: Tuple[dop853.Solution, dop853.Solution], decode, tau_scale: float,
                  delta: Optional[float], log_fd: Optional[float], fpd: float,
                  wind_sign: int, meta: dict):
         self.wf, self.cs = wf, cs
-        self.forward, self.backward = forward, backward
+        self.runs, self.decode, self.tau_scale = runs, decode, tau_scale
         self.delta = delta
         self.log_fd = log_fd  # log f(delta); None for radial trajectories
         self.fpd = fpd
         self.wind_sign = wind_sign
         self.meta = meta
         self.classification = "radial" if delta is None else "winding"
-        self.t_min = -backward.t_end
-        self.t_max = forward.t_end
+        self.t_min, self.t_max = -float(runs[1].t[-1]), float(runs[0].t[-1])
+        stops = [_stop(sol) for sol in runs]
         self.exit_events = {
             "t_min": None if delta is None else 0.0,
-            "t_exit_forward": self.t_max if forward.stop == "exit" else None,
-            "t_exit_backward": self.t_min if backward.stop == "exit" else None,
-            "truncated_by_tau": "tau" in (forward.stop, backward.stop),
+            "t_exit_forward": self.t_max if stops[0] == "exit" else None,
+            "t_exit_backward": self.t_min if stops[1] == "exit" else None,
+            "truncated_by_tau": "tau" in stops,
         }
 
     # -- dense evaluation ---------------------------------------------------
+
+    def _states(self, x: np.ndarray, sign: int) -> States:
+        """The mirrored states ``x`` of the direction ``sign``, decoded."""
+        return self.decode(x, sign, sign * x[-1] * self.tau_scale)
 
     def _evaluate(self, t: np.ndarray) -> States:
         if not np.all((t >= self.t_min) & (t <= self.t_max)):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
         fwd = t >= 0
-        parts = [(branch.evaluate(np.abs(t[mask])), mask)
-                 for branch, mask in ((self.forward, fwd), (self.backward, ~fwd)) if mask.any()]
+        parts = [(self._states(dop853.evaluate(sol, np.abs(t[mask])).T, sign), mask)
+                 for sol, sign, mask in zip(self.runs, (1, -1), (fwd, ~fwd)) if mask.any()]
         out = States(*(np.empty((len(t),) + col.shape[1:]) for col in parts[0][0]))
         for st, mask in parts:
             for dst, src in zip(out, st):
@@ -266,30 +235,25 @@ class Trajectory:
         """Invert the strictly increasing map t -> tau.
 
         A target's sign picks the time direction, and the target becomes a
-        level of that branch's tau column (the last state component).  The
-        last step whose start value is at most the level holds the time:
-        ``dop853.crossing``, the routine that ends the stepper's runs at
-        their stops, finds it on that step's dense polynomial.  Its bracket
+        level of that run's tau column (the last state component), whose
+        time ``dop853.level_times`` finds with ``dop853.crossing``, the
+        routine that ends the stepper's runs at their stops.  Its bracket
         stops only at 4 ulp of the time (``xtol`` 1e-300): near the lowest
         point dtau/dt = f(delta)/f(r)^2 is large, so a looser stop in t
         would show as an error in tau.
         """
-        arr = np.asarray(tau, dtype=float)
-        targets = arr.reshape(-1)
-        if not (np.all((targets >= self.tau[0]) & (targets <= self.tau[-1]))
-                and math.isfinite(self.tau[0]) and math.isfinite(self.tau[-1])):
-            raise ValueError(
-                f"tau beyond available range [{self.tau[0]:g}, {self.tau[-1]:g}]")
-        out = np.empty(len(targets))
-        for branch, mask in ((self.forward, targets >= 0), (self.backward, targets < 0)):
-            column = branch.y0[:, -1]
-            levels = np.abs(targets[mask]) * self.fpd / branch.tau_scale
-            k = np.searchsorted(column, levels, side="right") - 1
-            steps = zip(branch.F[:, k, -1].T.tolist(), column[k].tolist(), branch.ts[k].tolist(),
-                        branch.h[k].tolist(), branch.ts[k + 1].tolist(), levels.tolist())
-            out[mask] = [branch.sign * dop853.crossing(F, y0, t0, h, level, t0, t1, 1e-300)
-                         for F, y0, t0, h, t1, level in steps]
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        lo, hi = self.tau[0], self.tau[-1]
+
+        def times(targets):
+            if not (np.all((targets >= lo) & (targets <= hi))
+                    and math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"tau beyond available range [{lo:g}, {hi:g}]")
+            out = np.empty(len(targets))
+            for sol, sign, mask in zip(self.runs, (1, -1), (targets >= 0, targets < 0)):
+                levels = np.abs(targets[mask]) * self.fpd / self.tau_scale
+                out[mask] = sign * dop853.level_times(sol, -1, levels, 1e-300)
+            return out
+        return self._query(tau, times)
 
     def state_at(self, t: float) -> GeodesicState:
         st = self._evaluate(np.array([float(t)]))
@@ -432,21 +396,24 @@ def _mirror(start: GeodesicState, sign: int) -> np.ndarray:
     return np.concatenate([[start.r, sign * start.theta], start.y, sign * start.eta, [0.0]])
 
 
-def _run_branch(wf, rhs, x0, sign, decode, tau_scale, rtol, atol, tau_stop, max_step):
+def _run_branch(wf, rhs, x0, rtol, atol, tau_stop, max_step) -> dop853.Solution:
     """One forward run of the mirrored system from the lowest point until
-    r = R or until the last state component (tau) reaches ``tau_stop``."""
+    r = R or until the last state component (tau) reaches ``tau_stop``.  A
+    right-hand side that fails on a state that blew up (``math``'s
+    ValueError or OverflowError, as at an infinite angle) fails the run."""
     R = wf.domain_radius
     stops = [(0, R)] + ([] if tau_stop is None else [(-1, tau_stop)])
-    sol = solve_ivp(rhs, 2.0 * R + 1.0, x0, rtol, atol, _first_step(wf, x0[0]), max_step,
-                    stops)
+    try:
+        sol = solve_ivp(rhs, 2.0 * R + 1.0, x0, rtol, atol, _first_step(wf, x0[0]), max_step,
+                        stops)
+    except (ValueError, OverflowError) as exc:
+        raise IntegrationError(
+            f"stepper failed: right-hand side raised {type(exc).__name__}: {exc}") from exc
     if sol.status < 0:
         raise IntegrationError(f"stepper failed: {sol.message}")
     if sol.status != 1:
         raise IntegrationError("trajectory truncated before exit at r=R")
-    stop = "exit" if len(sol.t_events[0]) else "tau"
-    return DenseBranch(sign, decode, tau_scale, sol.t, sol.h, sol.y0, sol.F, stop,
-                       {"nfev": sol.nfev, "steps": len(sol.h), "rejected": sol.rejected,
-                        "stop": stop, "t_stop": sign * float(sol.t[-1])})
+    return sol
 
 
 def integrate(
@@ -460,9 +427,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate a lifted geodesic from ``start`` until it exits at r = R.
 
-    The backward branch is produced by mirroring (theta, eta) ->
+    The backward time direction is produced by mirroring (theta, eta) ->
     (-theta, -eta) and running forward.
-    ``tau_stop`` optionally terminates each branch once |tau| exceeds it
+    ``tau_stop`` optionally terminates each run once |tau| exceeds it
     (the trajectory is then marked truncated).
     """
     for name, tol in (("rtol", rtol), ("atol", atol)):
@@ -505,23 +472,20 @@ def integrate(
     if reduced:
         decode = _reduced_decode(start.y[0], start.wind_sign, fpd, cs.scale,
                                  start.wind_sign * cs.scale * math.exp(log_fd))
-        rhs = _reduced_rhs(wf, log_fd, log_fpd)
         # the reduced system integrates tau_scaled (tau_scale 1), so scale
         # the stop with it
+        tau_scale = 1.0
         stop = tau_stop * fpd if tau_stop is not None and fpd > 0.0 else None
-        fwd = _run_branch(wf, rhs, [delta, 0.0, 0.0], 1, decode, 1.0, rtol, atol, stop,
-                          math.inf)
-        # the reduced system is identical under time reversal, so both
-        # branches share one forward run
-        branches = (fwd, fwd.mirrored())
+        run = _run_branch(wf, _reduced_rhs(wf, log_fd, log_fpd), [delta, 0.0, 0.0], rtol, atol,
+                          stop, math.inf)
+        # the reduced system is identical under time reversal, so both time
+        # directions share one forward run
+        runs = (run, run)
     else:
         k = len(start.y)
-        decode = _full_decode(k)
-        rhs = _full_rhs(wf, cs, k)
-        branches = tuple(
-            _run_branch(wf, rhs, _mirror(start, sign), sign, decode, fpd, rtol, atol,
-                        tau_stop, FULL_MAX_STEP_FRACTION * R)
-            for sign in (1, -1))
+        decode, tau_scale, rhs = _full_decode(k), fpd, _full_rhs(wf, cs, k)
+        runs = tuple(_run_branch(wf, rhs, _mirror(start, sign), rtol, atol, tau_stop,
+                                 FULL_MAX_STEP_FRACTION * R) for sign in (1, -1))
 
     meta = {
         "warp": wf.label,
@@ -534,13 +498,15 @@ def integrate(
         "path": "reduced" if reduced else "full",
         # one entry per stepper run; the reduced path's one run serves both
         # time directions
-        "solver": ([{"branch": "both", **branches[0].solver}] if reduced else
-                   [{"branch": name, **b.solver}
-                    for name, b in zip(("forward", "backward"), branches)]),
+        "solver": [{"branch": name, "nfev": sol.nfev, "steps": len(sol.h),
+                    "rejected": sol.rejected, "stop": _stop(sol),
+                    "t_stop": sign * float(sol.t[-1])}
+                   for name, sol, sign in zip(("both",) if reduced else ("forward", "backward"),
+                                              runs, (1, -1))],
     }
-    traj = Trajectory(wf, cs, *branches, delta, log_fd, fpd, start.wind_sign, meta)
+    traj = Trajectory(wf, cs, runs, decode, tau_scale, delta, log_fd, fpd, start.wind_sign, meta)
     parts = [np.linspace(traj.t_min, traj.t_max, dense_nodes), np.array([0.0])]
-    parts += [b.sign * b.ts for b in branches]
+    parts += [sign * sol.t for sol, sign in zip(runs, (1, -1))]
     traj._resample(np.unique(np.concatenate(parts)))
 
     shell_drift = float(np.max(np.abs(traj.hamiltonian - 1.0)))
@@ -559,21 +525,22 @@ def integrate_winding(wf, cs, delta, y0, v0, **kwargs) -> Trajectory:
 
 def _radial_trajectory(wf, cs, start, dense_nodes):
     """A radial line r = r0 + t*sin(theta), from r = 0 or R to r = R or 0:
-    per direction one dense segment of unit length whose only nonzero
-    coefficient is the slope of r."""
+    per direction one dense segment of unit step length whose only nonzero
+    coefficient is the slope of r.  The direction that rises ends at its
+    exit stop, the other at the tip."""
     R = wf.domain_radius
     sgn = 1.0 if math.sin(start.theta) > 0 else -1.0
-    decode = _full_decode(len(start.y))
-    branches = []
+    runs = []
     for sign in (1, -1):
         x0 = _mirror(start, sign)
         F = np.zeros((7, 1, len(x0)))
         F[0, 0, 0] = slope = sign * sgn
-        branches.append(DenseBranch(sign, decode, 1.0,
-                                    [0.0, R - start.r if slope > 0 else start.r],
-                                    np.ones(1), x0[None, :], F, "exit" if slope > 0 else None))
-    traj = Trajectory(wf, cs, *branches, None, None, 1.0, start.wind_sign,
-                      {"warp": wf.label, "radial": True, "solver": []})
+        end = R - start.r if slope > 0 else start.r
+        runs.append(dop853.Solution(np.array([0.0, end]), 0, int(slope > 0), "",
+                                    [np.array([end] if slope > 0 else [], dtype=float)],
+                                    np.ones(1), x0[None, :], F, 0))
+    traj = Trajectory(wf, cs, tuple(runs), _full_decode(len(start.y)), 1.0, None, None, 1.0,
+                      start.wind_sign, {"warp": wf.label, "radial": True, "solver": []})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
     return traj
 

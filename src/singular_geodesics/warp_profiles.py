@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -375,22 +375,23 @@ class _C1Table:
         return m + t * (2.0 * c2 + 3.0 * t * c3)
 
     def inverse(self, y):
-        """The least x with value(x) >= y (a knot value gives its knot):
-        bisection inside the one cell whose knot values bracket y, until no
-        double lies between the bracket ends; an ndarray in lockstep."""
+        """The least x with value(x) >= y: bisection inside the cell whose
+        knot values bracket y, until no double lies between the bracket ends;
+        an ndarray in lockstep.  A knot value but the first (0, its knot) is
+        bisected in the cell that ends at it, whose cubic may reach it lower."""
         if isinstance(y, np.ndarray):
             if not np.all((y >= 0.0) & (y < math.inf)):
                 raise ValueError("warp values must be finite numbers >= 0")
-            i = np.searchsorted(self.arrays[1], y, side="right") - 1
+            i = np.maximum(np.searchsorted(self.arrays[1], y, side="left") - 1, 0)
             cell, last = tuple(a[i] for a in self.arrays), len(self.cells) - 1
             x0, y0, m, tangent = cell[0], cell[1], cell[2], i == last
-            # a knot value and the tangent line leave an empty bracket
+            # the first knot and the tangent line leave an empty bracket
             hi = np.where((y == y0) | tangent, x0, self.arrays[0][np.minimum(i + 1, last)])
             x = _bisect(lambda mid: self._cubic(cell, mid) < y, x0, hi)
             return np.where(tangent, x0 + (y - y0) / np.where(tangent, m, 1.0), x)
         if not 0.0 <= y < math.inf:
             raise ValueError(f"warp value {y!r} is not a finite number >= 0")
-        i = bisect_right(self.y, y) - 1
+        i = max(bisect_left(self.y, y) - 1, 0)
         cell = x0, y0, m, _, _ = self.cells[i]
         if y == y0:
             return x0

@@ -193,6 +193,15 @@ class TestTrace:
                            "--delta", "7.0", "--outdir", str(tmp_path))
         assert code == 2
 
+    def test_blown_up_run_exits_3(self, tmp_path, capsys):
+        # the angle blows up to infinity, where math.cos raises ValueError
+        # ("math domain error"); that once left the CLI with exit 2
+        code, _, err = run(capsys, "trace", "--warp", "expinv:1", "--delta", "0.05",
+                           "--section", "circle:6.283185307179586:pert=0.05",
+                           "--outdir", str(tmp_path))
+        assert code == 3
+        assert err.startswith("integration error:")
+
 
 class TestSweep:
     def test_power2(self, tmp_path, capsys):

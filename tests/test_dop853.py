@@ -144,7 +144,7 @@ def worst_differences(ours, theirs, sign=1.0):
     s = np.linspace(0.0, ours.t[-1], 200)
     ref = theirs.sol(sign * s).T
     scale = np.max(np.abs(ref), axis=0)
-    dense = np.abs(dop853.evaluate(ours.t, ours.h, ours.y0, ours.F, s) - ref)
+    dense = np.abs(dop853.evaluate(ours, s) - ref)
     return dt, de, np.max(dense / np.where(scale > 0.0, scale, 1.0))
 
 
@@ -179,7 +179,7 @@ def bit_mismatches(ours, theirs, sign=1.0) -> list:
             np.array_equal(mine, sign * ref) for mine, ref in zip(ours.t_events, events)):
         found.append("t_events")
     s = np.linspace(0.0, ours.t[-1], 200)
-    if not np.array_equal(dop853.evaluate(ours.t, ours.h, ours.y0, ours.F, s),
+    if not np.array_equal(dop853.evaluate(ours, s),
                           theirs.sol(sign * s).T):
         found.append("dense")
     return found
@@ -224,6 +224,35 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_flow_runs_match_scipy(case, monkeypatch):
     _compare(record_runs(monkeypatch, case))
+
+
+@pytest.mark.parametrize("case", ["reduced", "full"])
+def test_right_hand_sides_receive_python_floats(case, monkeypatch):
+    # a numpy scalar first step (from a numpy delta on the reduced path, and
+    # from the state np.concatenate builds on the full one) once reached
+    # every stage state, and the whole run computed in numpy scalars
+    seen = set()
+
+    def spying(builder):
+        def build(*args):
+            rhs = builder(*args)
+
+            def spy(t, s):
+                seen.update(type(v) for v in [t, *s])
+                return rhs(t, s)
+            return spy
+        return build
+    for name in ("_reduced_rhs", "_full_rhs"):
+        monkeypatch.setattr(geodesic_flow, name, spying(getattr(geodesic_flow, name)))
+    wf = sg.make_power_warp(2.0)
+    if case == "reduced":
+        traj = sg.integrate_winding(wf, sg.circle_section(2 * math.pi), np.float64(1e-4),
+                                    [0.3], [1.0])
+    else:
+        traj = sg.integrate_winding(wf, sg.sphere_section(), 0.01, [math.pi / 2, 0.3],
+                                    [math.sin(1.0), math.cos(1.0)])
+    assert traj.meta["path"] == case
+    assert seen == {float}
 
 
 def test_reference_geodesic_and_negated_field_match_scipy():
@@ -287,10 +316,8 @@ def _blow_up(_, s):
 
 def test_collapsing_step_raises():
     wf = sg.make_power_warp(2.0)
-    decode = geodesic_flow._reduced_decode(0.0, 1, 0.1, 1.0, 0.01)
     with pytest.raises(IntegrationError, match="stepper failed: Required step size"):
-        geodesic_flow._run_branch(wf, _blow_up, [0.1, 0.0, 0.0], 1, decode, 1.0, 1e-10,
-                                  1e-12, None, math.inf)
+        geodesic_flow._run_branch(wf, _blow_up, [0.1, 0.0, 0.0], 1e-10, 1e-12, None, math.inf)
     args = (_blow_up, 4.0, np.array([0.1, 0.0, 0.0]), 1e-10, 1e-12, 1e-3)
     ours = dop853.solve_ivp(*args)
     assert ours.status == -1 and abs(ours.t[-1] - math.pi / 2) < 1e-8
@@ -316,8 +343,8 @@ def test_run_without_an_accepted_step_fails_cleanly():
     assert (ours.status, ours.message, ours.nfev) == (theirs.status, theirs.message, theirs.nfev)
     wf = sg.make_power_warp(2.0)
     with pytest.raises(IntegrationError, match="stepper failed: Required step size"):
-        geodesic_flow._run_branch(wf, _nan_slope, [0.1, 0.0, 0.0], 1, None, 1.0, 1e-10,
-                                  1e-12, None, math.inf)
+        geodesic_flow._run_branch(wf, _nan_slope, [0.1, 0.0, 0.0], 1e-10, 1e-12, None,
+                                  math.inf)
 
 
 @pytest.mark.parametrize("args", [

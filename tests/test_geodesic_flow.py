@@ -44,10 +44,10 @@ T_OF_TAU_CASES = {
 
 def t_of_tau_faults(traj) -> list:
     """The checks that ``traj.t_of_tau`` fails at the targets tau[0], 0,
-    tau[-1] and the taus of both branches' step points: times that do not
+    tau[-1] and the taus of both runs' step points: times that do not
     increase with tau, or a round trip |tau(t(tau)) - tau| above 4 ulp of
     the largest |tau|."""
-    steps = np.concatenate([b.sign * b.ts for b in (traj.forward, traj.backward)])
+    steps = np.concatenate([sign * sol.t for sol, sign in zip(traj.runs, (1, -1))])
     targets = np.unique(np.concatenate([[traj.tau[0], 0.0, traj.tau[-1]],
                                         traj.tau_of_t(steps)]))
     times = traj.t_of_tau(targets)
@@ -135,12 +135,13 @@ class TestTrajectory:
         runs = traj.meta["solver"]
         branches = {"both"} if case.startswith("reduced") else {"forward", "backward"}
         assert {run["branch"] for run in runs} == branches and len(runs) == len(branches)
-        for run, branch in zip(runs, (traj.forward, traj.backward)):
-            assert run["steps"] == len(branch.h) and run["steps"] > 0
-            assert run["nfev"] == 1 + 12 * (run["steps"] + run["rejected"]) + 3 * run["steps"]
-            # the stop that ended the run, at the branch's end
+        for run, sol, sign in zip(runs, traj.runs, (1, -1)):
+            assert run["steps"] == len(sol.h) and run["steps"] > 0
+            assert run["nfev"] == sol.nfev == (
+                1 + 12 * (run["steps"] + run["rejected"]) + 3 * run["steps"])
+            # the stop that ended the run, at the run's end
             assert run["stop"] == ("tau" if tau_stop else "exit")
-            assert run["t_stop"] == branch.sign * branch.t_end
+            assert run["t_stop"] == sign * sol.t[-1]
         ends = (traj.t_max, traj.t_min)
         if tau_stop:
             assert traj.tau_of_t(np.array(ends)) == pytest.approx([tau_stop, -tau_stop],
@@ -419,12 +420,12 @@ def _scipy_dense(sol):
 
 def _scalar_loop(traj, solutions):
     """Reference evaluation, one sample at a time: scipy's OdeSolution of the
-    branch at the scalar s = |t|.  ``solutions`` holds that OdeSolution for
-    each stepper run, the forward branch's first."""
+    time direction's run at the scalar s = |t|.  ``solutions`` holds that
+    OdeSolution for each stepper run, the forward run's first."""
     rows = []
     for t in traj.t:
-        b, sol = (traj.forward, solutions[0]) if t >= 0 else (traj.backward, solutions[-1])
-        rows.append(b.states(sol(abs(float(t)))[:, None]))
+        sign, sol = (1, solutions[0]) if t >= 0 else (-1, solutions[-1])
+        rows.append(traj._states(sol(abs(float(t)))[:, None], sign))
     return [np.concatenate(col) for col in zip(*rows)]
 
 

@@ -298,9 +298,9 @@ class TestProfileTable:
 
 def inverse_faults(wf, ys) -> list:
     """The checks that the table inverse F of the profile warp ``wf`` fails
-    at the values ``ys`` in [0, f(R)], none of them a knot value: F(y) must
-    be the least x with f(x) >= y, on the float path and on the array path,
-    and each array element must equal the float call."""
+    at the values ``ys`` in [0, f(R)]: F(y) must be the least x with
+    f(x) >= y, on the float path and on the array path, and each array
+    element must equal the float call."""
     floats = [wf.F(y) for y in ys]
     faults = []
     for path, xs in (("float", floats), ("array", wf.F(np.array(ys)).tolist())):
@@ -320,15 +320,22 @@ class TestInverseContract:
                           min_size=1, max_size=8))
     def test_least_x_on_float_and_array_paths(self, profile_warps, name, fracs):
         wf = profile_warps[name]
-        knots = set(wf.f.__self__.y)
-        ys = [y for y in (frac * wf.f(wf.domain_radius) for frac in fracs) if y not in knots]
-        assert inverse_faults(wf, ys) == []
+        assert inverse_faults(wf, [frac * wf.f(wf.domain_radius) for frac in fracs]) == []
 
     @pytest.mark.parametrize("name", PROFILES)
-    def test_knot_values_give_their_knots(self, profile_warps, name):
-        table = profile_warps[name].f.__self__
-        assert table.inverse(np.array(table.y)).tolist() == list(table.x)
-        assert [table.inverse(y) for y in table.y[::97]] == list(table.x[::97])
+    def test_knot_values_give_the_least_x(self, profile_warps, name):
+        wf = profile_warps[name]
+        assert inverse_faults(wf, list(wf.f.__self__.y)) == []
+
+    def test_sqrt_knot_value_is_reached_below_its_knot(self, profile_warps):
+        # the cubic of the cell that ends at knot 1 (1.0000000000006668e-06)
+        # reaches the knot's value 1e-6 one double below it; F once gave the
+        # knot itself
+        wf = profile_warps["sqrt"]
+        table = wf.f.__self__
+        y, knot = table.y[1], table.x[1]
+        assert wf.F(y) == wf.F(np.array([y]))[0] == math.nextafter(knot, 0.0)
+        assert wf.f(wf.F(y)) >= y
 
 
 # one warp of each family, the callables whose array elements must equal the
