@@ -8,9 +8,10 @@ needs (``cometric``).
 
 A shape w is one formula ``formula(xp, r, point)`` returning ``(w, w_r,
 grad w)``, written with the functions of the module ``xp``: ``math`` for a
-float point (the stepper's right-hand side) and ``numpy`` for arrays that
-broadcast (the section's grid check, the trajectory diagnostics).
-``conformal`` and ``cometric`` have one implementation for both cases and
+float point, ``numpy`` for arrays that broadcast (the section's grid check,
+the trajectory diagnostics) and ``straightline`` for recorded values (the
+full-path right-hand side, which ``geodesic_flow`` traces once and compiles).
+``conformal`` and ``cometric`` have one implementation for all three and
 read which module to use from the type of ``r``.
 
 The circle is stored in its unwrapped angle phi with the covector eta.  The
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import dop853
+from . import dop853, straightline
 from .dop853 import solve_ivp
 from .errors import IntegrationError
 
@@ -94,8 +95,11 @@ static_sphere_bump = Shape(label="static_bump", formula=_static_bump)
 
 
 def _xp(r):
-    """numpy for an array ``r``; math, a fraction of numpy's cost per call, for a float."""
-    return np if isinstance(r, np.ndarray) else math
+    """numpy for an array ``r``, the recorder for a recorded value, and
+    math, a fraction of numpy's cost per call, for a float."""
+    if isinstance(r, np.ndarray):
+        return np
+    return straightline if isinstance(r, straightline.Var) else math
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +164,8 @@ class CrossSection:
         ``h0_is_standard`` (w vanishes at r = 0, so h0 is the flat circle or
         the round sphere); and require R*c < 1."""
         a = self.amplitude
+        if not math.isfinite(a):
+            raise ValueError(f"perturbation amplitude {a!r} must be finite")
         if a == 0.0:
             self.c_bound = 0.0
             self.h0_is_standard = True
@@ -348,23 +354,26 @@ def parse_section_spec(spec: str, domain_radius: float = 1.5) -> CrossSection:
     if parts[0] == "circle":
         if len(parts) < 2:
             raise ValueError("circle spec needs a circumference, e.g. circle:6.2832")
-        circ = float(parts[1])
-        pert = None
-        for extra in parts[2:]:
-            if extra.startswith("pert="):
-                pert = (float(extra[5:]), default_circle_shape)
-            else:
-                raise ValueError(f"unknown circle option {extra!r}")
-        return circle_section(circ, pert, domain_radius)
+        return circle_section(float(parts[1]),
+                              _perturbation("circle", parts[2:], default_circle_shape),
+                              domain_radius)
     if parts[0] == "sphere":
-        pert = None
-        for extra in parts[1:]:
-            if extra.startswith("pert="):
-                pert = (float(extra[5:]), default_sphere_shape)
-            else:
-                raise ValueError(f"unknown sphere option {extra!r}")
-        return sphere_section(pert, domain_radius)
+        return sphere_section(_perturbation("sphere", parts[1:], default_sphere_shape),
+                              domain_radius)
     raise ValueError(f"unknown section spec: {spec!r}")
+
+
+def _perturbation(kind: str, options, shape: Shape) -> Optional[Tuple[float, Shape]]:
+    """(amplitude, ``shape``) of the options of a ``kind`` spec, which may
+    hold one "pert=<amplitude>"; None without one."""
+    pert = None
+    for extra in options:
+        if not extra.startswith("pert="):
+            raise ValueError(f"unknown {kind} option {extra!r}")
+        if pert is not None:
+            raise ValueError(f"{kind} spec sets pert= twice")
+        pert = (float(extra[5:]), shape)
+    return pert
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ tableau as straight-line float arithmetic, one local per stage component
 and one product per nonzero coefficient, and the module compiles that
 source once per n and tableau.  On 3- to 9-element states this costs about
 half of ``np.dot`` per stage.  To read the generated code, print
-``dop853.kernel_source(3)``.
+``dop853.kernel_source(3)``.  ``compiled`` is the package's one compiler of
+generated source, cached by the source text; ``geodesic_flow`` compiles its
+traced right-hand sides with it too.
 
 The sums add their terms left to right.  ``np.dot`` hands them to BLAS,
 whose x86-64 kernels add in blocks with fused multiply-adds, so a run is
@@ -35,13 +37,14 @@ only ``evaluate`` (one gather and Horner's scheme) and ``level_times`` read.
 """
 from __future__ import annotations
 
+import linecache
 import math
 from typing import List, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-__all__ = ["Solution", "solve_ivp", "evaluate", "crossing", "level_times"]
+__all__ = ["Solution", "solve_ivp", "evaluate", "crossing", "level_times", "compiled"]
 
 # the nodes c of the 16 stages
 C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
@@ -201,6 +204,24 @@ def kernel_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# generated source -> the names its execution defined
+_COMPILED = {}
+
+
+def compiled(source: str) -> dict:
+    """The names that executing ``source`` defines, compiled once per source
+    text.  The source may call math's sin, cos, sqrt, exp and log.  It is
+    registered with ``linecache``, so tracebacks and ``inspect.getsource``
+    show the generated lines."""
+    if source not in _COMPILED:
+        filename = f"<generated {len(_COMPILED)}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {name: getattr(math, name) for name in ("sin", "cos", "sqrt", "exp", "log")}
+        exec(compile(source, filename, "exec"), namespace)
+        _COMPILED[source] = namespace
+    return _COMPILED[source]
+
+
 # the compiled (attempt, dense) of each state size and tableau
 _KERNELS = {}
 
@@ -210,8 +231,7 @@ def _kernel(n: int):
     patched into the module gets its own kernel."""
     key = (n,) + tuple(np.asarray(a).tobytes() for a in (C, *A, B, E5, E3, D))
     if key not in _KERNELS:
-        namespace = {"sqrt": math.sqrt}
-        exec(compile(kernel_source(n), f"<dop853 kernel n={n}>", "exec"), namespace)
+        namespace = compiled(kernel_source(n))
         _KERNELS[key] = namespace["attempt"], namespace["dense"]
     return _KERNELS[key]
 

@@ -13,7 +13,9 @@ Two systems share one trajectory representation: a reduced 3-state system in
 (r, theta, tau) for unperturbed circle sections, evaluated in log space so
 the exponential cusp families work far below double-precision range of f,
 and a full phase-space system for everything else, in the stored coordinates
-of the section (the sphere's point and angular momentum live in R^3).  Each
+of the section (the sphere's point and angular momentum live in R^3).  The
+full system's right-hand side is generated: its slopes are traced once on
+recorded values and run as straight-line float code (``_full_rhs``).  Each
 time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
 whose only stops are the exit at r = R and the optional tau stop.  A
 trajectory keeps each run's ``dop853.Solution`` as it is, and a query is
@@ -30,7 +32,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import dop853
+from . import dop853, straightline
 from .cross_sections import CircleSection, CrossSection
 from .dop853 import solve_ivp
 from .errors import IntegrationError
@@ -370,25 +372,47 @@ def _reduced_rhs(wf, log_fd, log_fpd):
     return rhs
 
 
+# the full system's right-hand side: the domain guard, then the traced slopes
+# (adaptive steppers probe trial points slightly past the exit event, so the
+# guard tolerates a margin beyond R before declaring the state out of domain)
+_FULL_RHS = """def factory(IntegrationError, r_max, {constants}):
+    def rhs(t, x):
+        {inputs} = x
+        if not 0.0 < x0 <= r_max:
+            raise IntegrationError(f"r={{x0:g}} outside (0, R)")
+        {lines}
+        return [{outputs}]
+    return rhs
+"""
+
+
 def _full_rhs(wf, cs, k):
     """Right-hand side of the full system in (r, theta, y, eta, tau), with
-    ``k`` components each in y and eta."""
-    r_max = 1.25 * wf.domain_radius
-    f, d_log_f = wf.scalar("f"), wf.scalar("d_log_f")
+    ``k`` components each in y and eta, as straight-line float code.
 
-    def rhs(_, x):
+    The slopes below run once on recorded values (``straightline``), and
+    the lines they record are compiled once per source text, which depends
+    only on the section class, its shape, the warp family and k: every
+    constant, such as alpha, the amplitude or R, is an argument of the
+    factory.  A warp callable that is not a formula (a profile table's, or
+    the osc family's, whose log f is a brentq root) is called as its math
+    evaluator."""
+    def slopes(x):
         r, th = x[0], x[1]
-        # adaptive steppers probe trial points slightly past the exit event,
-        # so tolerate a margin beyond R before declaring the state out of domain
-        if not 0.0 < r <= r_max:
-            raise IntegrationError(f"r={r:g} outside (0, R)")
         sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
-        fr = f(r)
+        fr = straightline.call(wf.f, wf.scalar("f"), r)
         f2 = fr * fr
-        return [math.sin(th), (d_log_f(r) + qr_q) * math.cos(th),
-                *[v / f2 for v in sharp + force], math.sqrt(norm2) / f2]
+        d_log_f = straightline.call(wf.d_log_f, wf.scalar("d_log_f"), r)
+        return [straightline.sin(th), (d_log_f + qr_q) * straightline.cos(th),
+                *[v / f2 for v in sharp + force], straightline.sqrt(norm2) / f2]
 
-    return rhs
+    n = 3 + 2 * k
+    lines, outputs, constants = straightline.trace(slopes, n)
+    source = _FULL_RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
+                              inputs=", ".join(f"x{i}" for i in range(n)),
+                              lines="\n        ".join(lines), outputs=", ".join(outputs))
+    factory = dop853.compiled(source)["factory"]
+    return factory(IntegrationError, 1.25 * wf.domain_radius, *constants)
 
 
 def _mirror(start: GeodesicState, sign: int) -> np.ndarray:

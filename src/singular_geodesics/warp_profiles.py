@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from . import straightline
 from .errors import NonOscillationError, QuadratureError
 
 __all__ = [
@@ -52,14 +53,17 @@ class WarpKind(str, Enum):
 
 def _duals(formulas: Callable) -> dict:
     """The callables of ``formulas(xp)``, a dict of formulas written against
-    the module ``xp``, for a float (math) or an ndarray (numpy)."""
-    def dual(scalar, array):
+    the module ``xp``, for a float (math), an ndarray (numpy) or a recorded
+    value (``straightline``)."""
+    def dual(scalar, array, traced):
         def call(x):
-            return array(x) if isinstance(x, np.ndarray) else scalar(x)
+            if isinstance(x, np.ndarray):
+                return array(x)
+            return traced(x) if isinstance(x, straightline.Var) else scalar(x)
         call.scalar = scalar
         return call
-    scalar, array = formulas(math), formulas(np)
-    return {name: dual(scalar[name], array[name]) for name in scalar}
+    scalar, array, traced = formulas(math), formulas(np), formulas(straightline)
+    return {name: dual(scalar[name], array[name], traced[name]) for name in scalar}
 
 
 def _bisect(below_root, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -166,6 +170,13 @@ def grid_concave(fn, lo: float, hi: float) -> bool:
 # families
 
 
+def _number(x: float) -> str:
+    """``x`` for a label: as ``:g`` writes it where that reads back as ``x``,
+    else its repr, so that ``parse_warp_spec(label)`` builds the same warp."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def make_power_warp(alpha: float, R: float = 1.5) -> WarpingFunction:
     """f(x) = x**alpha, the model conical (alpha=1) or cuspidal family."""
     if not (math.isfinite(alpha) and alpha >= 1.0):
@@ -181,7 +192,7 @@ def make_power_warp(alpha: float, R: float = 1.5) -> WarpingFunction:
         F=lambda y: y**inv,
         F_prime=lambda y: inv * y ** (inv - 1.0),
         kind=WarpKind.CONICAL if alpha == 1.0 else WarpKind.CUSPIDAL,
-        label=f"power:{alpha:g}",
+        label=f"power:{_number(alpha)}",
         frakF_closed_form=lambda sigma: sigma ** (inv - 1.0),
         d_log_f=lambda x: alpha / x,
         **_duals(lambda xp: {"log_f": lambda x: alpha * xp.log(x)}),
@@ -205,7 +216,7 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         if not (math.isfinite(mu) and mu > 1.0):
             raise ValueError("log_power requires a finite mu > 1")
         r_max, r_default = _LOGPOW_MAX_R, 0.9 * _LOGPOW_MAX_R
-        name, label = f"log_power:{mu:g}", f"logpow:{mu:g}"
+        name, label = f"log_power:{_number(mu)}", f"logpow:{_number(mu)}"
 
         def family_formulas(xp):  # log f, (log f)', F, F'
             def F(y):
@@ -218,7 +229,7 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError("exp_inverse_power requires a finite beta > 0")
         r_max = r_default = (beta / (beta + 1.0)) ** (1.0 / beta)
-        name = label = f"expinv:{beta:g}"
+        name = label = f"expinv:{_number(beta)}"
 
         def family_formulas(xp):
             return (lambda x: -(x**-beta), lambda x: beta * x ** (-beta - 1.0),
@@ -308,7 +319,7 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
     return WarpingFunction(
         domain_radius=formulas(math)["F"](0.5),
         kind=WarpKind.OSCILLATING_COUNTEREXAMPLE,
-        label=f"osc:{alpha:g}:{c:g}",
+        label=f"osc:{_number(alpha)}:{_number(c)}",
         **_duals(formulas),
     )
 
@@ -648,8 +659,9 @@ def parse_warp_spec(spec: str, R: Optional[float] = None) -> WarpingFunction:
     parts = spec.split(":")
     head = parts[0]
     needed = {"power": 2, "logpow": 2, "expinv": 2, "osc": 3, "sqrt": 1}
-    if head in needed and len(parts) < needed[head]:
-        raise ValueError(f"warp spec {spec!r} is missing parameters")
+    if head in needed and len(parts) != needed[head]:
+        raise ValueError(f"warp spec {spec!r}: {head} takes {needed[head] - 1} "
+                         f"parameter(s), got {len(parts) - 1}")
     if head in ("osc", "profile") and R is not None:
         raise ValueError(f"{head}: warps take their radius from their curve; "
                          f"R={R:g} cannot be set")

@@ -137,7 +137,12 @@ class TestTrace:
                                        ("--R", "nan"), ("--rtol", "-1"), ("--atol", "nan"),
                                        ("--y0", "nan"), ("--v0", "nan"),
                                        ("--section", "circle:nan"), ("--warp", "expinv:nan"),
-                                       ("--warp", "logpow:nan")])
+                                       ("--warp", "logpow:nan"),
+                                       ("--section", "circle:6.28:pert=inf"),
+                                       ("--section", "circle:6.28:pert=nan"),
+                                       ("--section", "sphere:pert=inf"),
+                                       ("--section", "circle:6.28:pert=0.05:pert=0.5"),
+                                       ("--warp", "power:2:3"), ("--warp", "sqrt:1")])
     def test_non_finite_or_negative_input_exits_2(self, tmp_path, capsys, flags):
         code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.3",
                            "--outdir", str(tmp_path), *flags)

@@ -387,6 +387,18 @@ class TestParseSectionSpec:
         with pytest.raises(ValueError):
             sg.parse_section_spec("torus")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("sphere:pert=inf", "must be finite"), ("sphere:pert=nan", "must be finite"),
+        ("circle:6.28:pert=inf", "must be finite"), ("circle:6.28:pert=-inf", "must be finite"),
+        ("circle:6.28:pert=nan", "must be finite"),
+        ("circle:6.28:pert=0.05:pert=0.5", "twice"), ("sphere:pert=0.05:pert=0.05", "twice")])
+    def test_non_finite_or_repeated_amplitude(self, spec, message):
+        # a non-finite amplitude once reached the grid check, which computed
+        # inf * 0 (a numpy warning, an error under this suite) and then
+        # blamed "1+a*w = nan"; a repeated pert= took the last value
+        with pytest.raises(ValueError, match=message):
+            sg.parse_section_spec(spec)
+
 
 class TestMeanCurvature:
     def test_cone_levels(self, cone_warp, flat_circle):

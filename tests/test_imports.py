@@ -12,8 +12,9 @@ name by name (``SCIPY_IMPORTS``): a stepper, a third root finder or any
 other new scipy dependency fails until the map names it.  The warp
 callables take arrays, and the functions that still call one once per
 element are pinned the same way (``SCALAR_WARP_CALLERS``).  Only ``dop853`` generates
-code: it compiles its step kernel from the tableau, and no other module
-calls ``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
+code: ``dop853.compiled`` compiles its step kernel from the tableau and the
+right-hand sides that ``geodesic_flow`` traces, and no other module calls
+``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
 public function under src/ is passed by some call in src/, tests/ or
 perfbench/: a default that nothing overrides is a constant.  No linter is
 needed; the checks walk each module's syntax tree."""
@@ -156,7 +157,9 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 # every function under src/ that calls a warp callable once per element: the
 # length oracle's quad integrand, the frakF ladder and the stepper's
-# right-hand sides; a module left out has none.  Everything else evaluates
+# right-hand sides (the full one only while it traces its slopes, or from its
+# generated code for a warp that is not a formula); a module left out has
+# none.  Everything else evaluates
 # warps with one array call per sample array.
 SCALAR_WARP_CALLERS = {
     "experiments.py": {"closed_form_winding_length"},

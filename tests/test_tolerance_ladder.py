@@ -1,0 +1,85 @@
+"""Errors must shrink with rtol: a tolerance ladder over rtol = 1e-6 ..
+1e-12, with atol = rtol/100 at every rung.
+
+Each acceptance check runs at one rtol against a fixed tolerance, so a
+defect whose error does not shrink with the step size passes wherever it
+sits below that tolerance.  Here the error divided by rtol is bounded on
+every rung instead.  Each bound is the worst clean ratio measured (on an
+x86-64 Xeon, Python 3.11, numpy 2.4), rounded up to the next power of ten:
+
+- the flat cone: the worst relative r error against sqrt(t^2 + delta^2) at
+  delta = 0.3, 0.1 and 0.01 (criterion 1's closed form).  Measured 0.14 -
+  0.57 over the ladder; bound 1.
+- the perturbed circle (``circle:2pi:pert=0.05``, f = r^2, delta = 0.1 and
+  0.25), which has no closed form: self-convergence, the largest difference
+  in r, theta, the angle and the scaled clock from a run at rtol/100, on
+  513 common times, over rtol = 1e-6 .. 1e-10.  Measured 0.75 - 5.5; bound
+  10.  It sees the stepper, its dense output and the generated right-hand
+  side's determinism, not a wrong vector field (the parity tests of
+  ``tests/test_straightline.py`` and the shell checks cover that).
+
+A dense-output coefficient D[0, 5] off by 1e-6 passes criterion 1 (r err
+6.8e-9 against 1e-8) but fails this ladder: the cone reads 1.3 at 1e-8 and
+4200 at 1e-12, the perturbed circle 30 at 1e-9 and 300 at 1e-10.
+"""
+import math
+
+import numpy as np
+import pytest
+
+import singular_geodesics as sg
+from singular_geodesics import dop853
+
+LADDER = [10.0 ** -e for e in range(6, 13)]
+CONE_BOUND = 1.0
+SELF_CONVERGENCE_BOUND = 10.0
+
+
+def cone_ratios() -> list:
+    """Worst relative r error of the flat cone over three deltas, divided
+    by rtol, per rung."""
+    wf, cs = sg.make_power_warp(1.0), sg.circle_section(2 * math.pi)
+    ratios = []
+    for rtol in LADDER:
+        worst = 0.0
+        for delta in (0.3, 0.1, 0.01):
+            traj = sg.integrate_winding(wf, cs, delta, [0.0], [1.0], rtol=rtol, atol=rtol / 100)
+            model = np.sqrt(traj.t ** 2 + delta ** 2)
+            worst = max(worst, float(np.max(np.abs(traj.r / model - 1.0))))
+        ratios.append(worst / rtol)
+    return ratios
+
+
+def self_convergence_ratios(delta: float) -> list:
+    """Largest state difference of the perturbed circle from its run at
+    rtol/100, divided by rtol, for rtol = 1e-6 .. 1e-10."""
+    wf, cs = sg.make_power_warp(2.0), sg.circle_section(2 * math.pi, (0.05, None))
+    runs = [sg.integrate_winding(wf, cs, delta, [0.3], [1.0], rtol=rtol, atol=rtol / 100,
+                                 dense_nodes=16) for rtol in LADDER]
+    ratios = []
+    for rtol, run, finer in zip(LADDER, runs, runs[2:]):
+        ts = np.linspace(max(run.t_min, finer.t_min), min(run.t_max, finer.t_max), 513)
+        a, b = run._evaluate(ts), finer._evaluate(ts)
+        gap = max(float(np.max(np.abs(getattr(a, name) - getattr(b, name))))
+                  for name in ("r", "theta", "y", "tau_scaled"))
+        ratios.append(gap / rtol)
+    return ratios
+
+
+def test_flat_cone_error_shrinks_with_rtol():
+    ratios = cone_ratios()
+    assert max(ratios) < CONE_BOUND, ratios
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25])
+def test_perturbed_circle_self_convergence_shrinks_with_rtol(delta):
+    ratios = self_convergence_ratios(delta)
+    assert max(ratios) < SELF_CONVERGENCE_BOUND, ratios
+
+
+def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch):
+    D = dop853.D.copy()
+    D[0, 5] *= 1.0 + 1e-6
+    monkeypatch.setattr(dop853, "D", D)
+    assert max(cone_ratios()) > CONE_BOUND
+    assert max(self_convergence_ratios(0.1)) > SELF_CONVERGENCE_BOUND

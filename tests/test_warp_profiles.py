@@ -422,3 +422,31 @@ class TestParseWarpSpec:
             sg.parse_warp_spec("bogus:1")
         with pytest.raises(ValueError):
             sg.parse_warp_spec("power")
+
+    @pytest.mark.parametrize("spec", ["power:2:3", "sqrt:1", "logpow:1.5:2", "expinv:1:1",
+                                      "osc:0.5", "osc:0.5:9:1"])
+    def test_wrong_number_of_fields(self, spec):
+        with pytest.raises(ValueError, match="parameter"):
+            sg.parse_warp_spec(spec)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(1.0, 8.0), st.floats(1.0 + 1e-9, 4.0), st.floats(0.05, 4.0),
+           st.floats(0.05, 0.95), st.floats(0.0, 4.0))
+    def test_label_round_trips(self, alpha, mu, beta, osc_alpha, osc_excess):
+        # the label is what trace.json, the sweep's config and the titles
+        # record: parsing it builds the warp that was integrated
+        c = oscillation_threshold(osc_alpha) + osc_excess
+        warps = [sg.make_power_warp(alpha), sg.make_exp_warp("log_power", mu),
+                 sg.make_exp_warp("exp_inverse_power", beta), make_oscillating_F(osc_alpha, c),
+                 sg.make_concave_sqrt_warp()]
+        for wf in warps:
+            again = sg.parse_warp_spec(wf.label)
+            assert again.label == wf.label
+            r = 0.5 * wf.domain_radius
+            assert (again.domain_radius, again.f(r), again.d_log_f(r)) == (
+                wf.domain_radius, wf.f(r), wf.d_log_f(r))
+
+    def test_label_keeps_g_text_where_exact(self):
+        assert sg.make_power_warp(2.0).label == "power:2"
+        assert sg.make_power_warp(2.123456789).label == "power:2.123456789"
+        assert make_oscillating_F(0.5, 9.0).label == "osc:0.5:9"
