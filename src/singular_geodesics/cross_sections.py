@@ -7,12 +7,13 @@ partials (``conformal``) and turns them into everything the geodesic flow
 needs (``cometric``).
 
 A shape w is one formula ``formula(xp, r, point)`` returning ``(w, w_r,
-grad w)``, written with the functions of the module ``xp``: ``math`` for a
-float point, ``numpy`` for arrays that broadcast (the section's grid check,
-the trajectory diagnostics) and ``straightline`` for recorded values (the
-full-path right-hand side, which ``geodesic_flow`` traces once and compiles).
-``conformal`` and ``cometric`` have one implementation for all three and
-read which module to use from the type of ``r``.
+grad w)``, written with the functions of the module ``xp``: ``numpy`` for
+arrays that broadcast (the section's grid check, the trajectory
+diagnostics) and ``straightline`` otherwise, which evaluates a float point
+with math and records a recorded one (the full-path right-hand side, which
+``geodesic_flow`` traces once and compiles).  ``conformal`` and
+``cometric`` have one implementation for both and read which module to use
+from the type of ``r``.
 
 The circle is stored in its unwrapped angle phi with the covector eta.  The
 sphere is stored in its embedding: a point n in R^3 and the angular momentum
@@ -95,11 +96,9 @@ static_sphere_bump = Shape(label="static_bump", formula=_static_bump)
 
 
 def _xp(r):
-    """numpy for an array ``r``, the recorder for a recorded value, and
-    math, a fraction of numpy's cost per call, for a float."""
-    if isinstance(r, np.ndarray):
-        return np
-    return straightline if isinstance(r, straightline.Var) else math
+    """numpy for an array ``r``, else ``straightline``: math for a float,
+    the recorder for a recorded value."""
+    return np if isinstance(r, np.ndarray) else straightline
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,11 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     with the integrable endpoint removed by r = delta + s^2, to a relative
     1e-11."""
     R = wf.domain_radius
-    f = wf.scalar("f")
-    fd = f(delta)
+    fd = wf.f(delta)
 
     def integrand(s: float) -> float:
         r = delta + s * s
-        fr = f(r)
+        fr = wf.f(r)
         q = fd / fr
         return 2.0 * s * fd / (fr * fr * math.sqrt(max(1.0 - q * q, 1e-300)))
 

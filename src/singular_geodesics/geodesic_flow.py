@@ -13,10 +13,10 @@ Two systems share one trajectory representation: a reduced 3-state system in
 (r, theta, tau) for unperturbed circle sections, evaluated in log space so
 the exponential cusp families work far below double-precision range of f,
 and a full phase-space system for everything else, in the stored coordinates
-of the section (the sphere's point and angular momentum live in R^3).  The
-full system's right-hand side is generated: its slopes are traced once on
-recorded values and run as straight-line float code (``_full_rhs``).  Each
-time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
+of the section (the sphere's point and angular momentum live in R^3).  Both
+right-hand sides are generated by one builder: their slopes are traced once
+on recorded values and run as straight-line float code (``_compiled_rhs``).
+Each time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
 whose only stops are the exit at r = R and the optional tau stop.  A
 trajectory keeps each run's ``dop853.Solution`` as it is, and a query is
 ``dop853.evaluate`` on it: one gather plus Horner's scheme.  A radial line
@@ -360,22 +360,8 @@ def _first_step(wf: WarpingFunction, r0: float) -> float:
     return min(1e-3, 0.1 / max(wf.d_log_f(r0), 1.0))
 
 
-def _reduced_rhs(wf, log_fd, log_fpd):
-    L0 = log_fpd + log_fd
-    log_f, d_log_f = wf.scalar("log_f"), wf.scalar("d_log_f")
-
-    def rhs(_, s):
-        r, th = s[0], s[1]
-        return [math.sin(th),
-                d_log_f(r) * math.cos(th),
-                math.exp(L0 - 2.0 * log_f(r))]
-    return rhs
-
-
-# the full system's right-hand side: the domain guard, then the traced slopes
-# (adaptive steppers probe trial points slightly past the exit event, so the
-# guard tolerates a margin beyond R before declaring the state out of domain)
-_FULL_RHS = """def factory(IntegrationError, r_max, {constants}):
+# a flow's right-hand side: the domain guard, then the traced slopes
+_RHS = """def factory(IntegrationError, r_max, {constants}):
     def rhs(t, x):
         {inputs} = x
         if not 0.0 < x0 <= r_max:
@@ -386,33 +372,50 @@ _FULL_RHS = """def factory(IntegrationError, r_max, {constants}):
 """
 
 
+def _compiled_rhs(slopes, n, r_max):
+    """``slopes`` of the ``n`` state components (r first) as straight-line
+    float code behind the guard 0 < r <= ``r_max``.
+
+    The slopes run once on recorded values (``straightline``), and the
+    lines they record are compiled once per source text, which depends only
+    on which operations they perform: every constant, such as alpha, the
+    amplitude or R, is an argument of the factory.  A warp callable that is
+    not a formula (a profile table's, or the osc family's, whose log f is a
+    brentq root) is called from the generated code on a float."""
+    lines, outputs, constants = straightline.trace(slopes, n)
+    source = _RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
+                         inputs=", ".join(f"x{i}" for i in range(n)),
+                         lines="\n        ".join(lines), outputs=", ".join(outputs))
+    factory = dop853.compiled(source)["factory"]
+    return factory(IntegrationError, r_max, *constants)
+
+
+def _reduced_rhs(wf, log_fd, log_fpd):
+    """Right-hand side of the reduced system in (r, theta, tau_scaled), for
+    every r > 0: its steps reach far past R."""
+    L0 = log_fpd + log_fd
+
+    def slopes(x):
+        r, th = x[0], x[1]
+        return [straightline.sin(th),
+                straightline.call(wf.d_log_f, r) * straightline.cos(th),
+                straightline.exp(L0 - 2.0 * straightline.call(wf.log_f, r))]
+    return _compiled_rhs(slopes, 3, math.inf)
+
+
 def _full_rhs(wf, cs, k):
     """Right-hand side of the full system in (r, theta, y, eta, tau), with
-    ``k`` components each in y and eta, as straight-line float code.
-
-    The slopes below run once on recorded values (``straightline``), and
-    the lines they record are compiled once per source text, which depends
-    only on the section class, its shape, the warp family and k: every
-    constant, such as alpha, the amplitude or R, is an argument of the
-    factory.  A warp callable that is not a formula (a profile table's, or
-    the osc family's, whose log f is a brentq root) is called as its math
-    evaluator."""
+    ``k`` components each in y and eta, for r up to 1.25 R: the stepper's
+    trial points reach slightly past the exit."""
     def slopes(x):
         r, th = x[0], x[1]
         sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
-        fr = straightline.call(wf.f, wf.scalar("f"), r)
+        fr = straightline.call(wf.f, r)
         f2 = fr * fr
-        d_log_f = straightline.call(wf.d_log_f, wf.scalar("d_log_f"), r)
+        d_log_f = straightline.call(wf.d_log_f, r)
         return [straightline.sin(th), (d_log_f + qr_q) * straightline.cos(th),
                 *[v / f2 for v in sharp + force], straightline.sqrt(norm2) / f2]
-
-    n = 3 + 2 * k
-    lines, outputs, constants = straightline.trace(slopes, n)
-    source = _FULL_RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
-                              inputs=", ".join(f"x{i}" for i in range(n)),
-                              lines="\n        ".join(lines), outputs=", ".join(outputs))
-    factory = dop853.compiled(source)["factory"]
-    return factory(IntegrationError, 1.25 * wf.domain_radius, *constants)
+    return _compiled_rhs(slopes, 3 + 2 * k, 1.25 * wf.domain_radius)
 
 
 def _mirror(start: GeodesicState, sign: int) -> np.ndarray:
@@ -456,9 +459,10 @@ def integrate(
     ``tau_stop`` optionally terminates each run once |tau| exceeds it
     (the trajectory is then marked truncated).
     """
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"{name}={tol!r} must be finite and positive")
+    checked = [("rtol", rtol), ("atol", atol)] + [("tau_stop", tau_stop)] * (tau_stop is not None)
+    for name, value in checked:
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name}={value!r} must be finite and positive")
     R = wf.domain_radius
     if not 0.0 < start.r < R:
         raise IntegrationError(f"start r={start.r:g} outside (0, R)")

@@ -1,22 +1,23 @@
 """Straight-line float code from formulas: a recording value and its ``xp``.
 
-A formula written against a module ``xp`` (``math`` for floats, ``numpy``
-for arrays) also runs on ``Var`` inputs with this module as its ``xp``.
-Each operation then appends one assignment to the inputs' ``Tape``, in the
-order the formula performs it, and returns a ``Var`` naming the result.
-Constants (floats, or any operand that is not a ``Var``) are not written
-into the text: each occurrence becomes an argument c0, c1, ... of the
-generated code, so the text depends on which operations a formula performs,
-not on its parameters.  Constants combined with constants are computed
-while tracing, by Python itself, which gives the same IEEE result as
-computing them in the generated code.
+A formula written against a module ``xp`` runs with ``numpy`` on arrays and
+with this module on a float or a ``Var``.  Its functions call ``math`` on a
+float, so a float gives the bits of the formula evaluated with ``math``.  On
+``Var`` inputs each operation instead appends one assignment to the inputs'
+``Tape``, in the order the formula performs it, and returns a ``Var`` naming
+the result.  Constants (floats, or any operand that is not a ``Var``) are
+not written into the text: each occurrence becomes an argument c0, c1, ...
+of the generated code, so the text depends on which operations a formula
+performs, not on its parameters.  Constants combined with constants are
+computed while tracing, by Python itself, which gives the same IEEE result
+as computing them in the generated code.
 
 ``trace(body, n)`` records ``body`` on n inputs x0 .. x{n-1}; its caller
 writes the lines into a function and compiles it (``dop853.compiled``).
 Recorded are +, -, *, /, ** and unary -, and sin, cos, sqrt, exp and log,
 which the generated code takes from ``math``.  A value cannot be compared,
 branched on or converted while it is recorded (TypeError); ``call`` turns
-such a callable into one call of its float evaluator in the generated code.
+such a callable into one call of itself, on a float, in the generated code.
 """
 from __future__ import annotations
 
@@ -102,15 +103,15 @@ def trace(body, n: int):
     return tape.lines, [tape.operand(v) for v in out], tape.constants
 
 
-def call(fn, evaluator, x: Var):
+def call(fn, x: Var):
     """``fn(x)``, recorded where ``fn`` is a formula.  Where it raises
     TypeError (it compares or converts ``x``, as a table lookup or a root
-    finder does), its lines are dropped and the generated code calls
-    ``evaluator``, a float function, once instead."""
+    finder does), its lines are dropped and the generated code calls ``fn``
+    once instead, on a float."""
     tape = x.tape
     lines, constants = len(tape.lines), len(tape.constants)
     try:
         return fn(x)
     except TypeError:
         del tape.lines[lines:], tape.constants[constants:]
-        return tape.assign(f"{tape.operand(evaluator)}({x.name})")
+        return tape.assign(f"{tape.operand(fn)}({x.name})")

@@ -53,17 +53,15 @@ class WarpKind(str, Enum):
 
 def _duals(formulas: Callable) -> dict:
     """The callables of ``formulas(xp)``, a dict of formulas written against
-    the module ``xp``, for a float (math), an ndarray (numpy) or a recorded
-    value (``straightline``)."""
-    def dual(scalar, array, traced):
+    the module ``xp``: ``formulas(numpy)`` for an ndarray and
+    ``formulas(straightline)`` otherwise, which evaluates a float with math
+    and records a ``straightline.Var``."""
+    def dual(array, other):
         def call(x):
-            if isinstance(x, np.ndarray):
-                return array(x)
-            return traced(x) if isinstance(x, straightline.Var) else scalar(x)
-        call.scalar = scalar
+            return array(x) if isinstance(x, np.ndarray) else other(x)
         return call
-    scalar, array, traced = formulas(math), formulas(np), formulas(straightline)
-    return {name: dual(scalar[name], array[name], traced[name]) for name in scalar}
+    array, other = formulas(np), formulas(straightline)
+    return {name: dual(array[name], other[name]) for name in array}
 
 
 def _bisect(below_root, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -87,8 +85,9 @@ class WarpingFunction:
     the exponential cusp families underflow double precision long before
     their logarithms do; integrators work in log space where possible.
     Every callable takes a float, giving a float, or an ndarray, which
-    broadcasts: each formula is written once against a module ``xp``, math
-    or numpy (whose last bits may differ), or with operators alone.
+    broadcasts: each formula is written once against a module ``xp``,
+    ``straightline`` (math on a float) or numpy, whose last bits may differ,
+    or with operators alone.
     """
 
     domain_radius: float
@@ -105,12 +104,6 @@ class WarpingFunction:
     def __post_init__(self):
         if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
             raise ValueError("domain_radius must be finite and positive")
-
-    def scalar(self, name: str) -> Callable[[float], float]:
-        """The math evaluator of the callable ``name``: no type check per
-        call (the stepper's right-hand sides bind it once)."""
-        fn = getattr(self, name)
-        return getattr(fn, "scalar", fn)
 
     @property
     def is_convex_kind(self) -> bool:
@@ -304,7 +297,7 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
                        np.full(np.shape(rho), hi))
 
     def formulas(xp):
-        log_f = scalar_log_f if xp is math else array_log_f
+        log_f = array_log_f if xp is np else scalar_log_f
 
         def F_prime(x):
             s = xp.log(x)
@@ -317,7 +310,7 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
                 "log_f": log_f, "d_log_f": lambda rho: 1.0 / (F_prime(f(rho)) * f(rho))}
 
     return WarpingFunction(
-        domain_radius=formulas(math)["F"](0.5),
+        domain_radius=formulas(straightline)["F"](0.5),
         kind=WarpKind.OSCILLATING_COUNTEREXAMPLE,
         label=f"osc:{_number(alpha)}:{_number(c)}",
         **_duals(formulas),

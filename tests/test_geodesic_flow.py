@@ -279,6 +279,15 @@ class TestWindingLength:
         with pytest.raises(IntegrationError):
             sg.winding_length(traj)
 
+    @pytest.mark.parametrize("tau_stop", [math.nan, -1.0, math.inf, 0.0])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.08], ids=["reduced", "full"])
+    def test_tau_stop_must_be_finite_and_positive(self, cusp_warp, tau_stop, amplitude):
+        # a stop that no run can reach once ran to the exit unmarked, and 0
+        # gave a one-sample trajectory
+        cs = sg.circle_section(2 * math.pi, (amplitude, None))
+        with pytest.raises(ValueError, match="tau_stop"):
+            sg.integrate_winding(cusp_warp, cs, 0.1, [0.3], [1.0], tau_stop=tau_stop)
+
 
 class TestReparametrize:
     def test_window_and_normalized_eta(self, cusp_warp, flat_circle):

@@ -11,7 +11,8 @@ own ``dop853.solve_ivp``, and what each module takes from scipy is pinned
 name by name (``SCIPY_IMPORTS``): a stepper, a third root finder or any
 other new scipy dependency fails until the map names it.  The warp
 callables take arrays, and the functions that still call one once per
-element are pinned the same way (``SCALAR_WARP_CALLERS``).  Only ``dop853`` generates
+element, or hand one to ``straightline.call`` for a generated right-hand
+side, are pinned the same way (``SCALAR_WARP_CALLERS``).  Only ``dop853`` generates
 code: ``dop853.compiled`` compiles its step kernel from the tableau and the
 right-hand sides that ``geodesic_flow`` traces, and no other module calls
 ``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
@@ -157,10 +158,9 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 # every function under src/ that calls a warp callable once per element: the
 # length oracle's quad integrand, the frakF ladder and the stepper's
-# right-hand sides (the full one only while it traces its slopes, or from its
-# generated code for a warp that is not a formula); a module left out has
-# none.  Everything else evaluates
-# warps with one array call per sample array.
+# right-hand sides (while they trace their slopes, or from their generated
+# code for a warp that is not a formula); a module left out has none.
+# Everything else evaluates warps with one array call per sample array.
 SCALAR_WARP_CALLERS = {
     "experiments.py": {"closed_form_winding_length"},
     "geodesic_flow.py": {"_reduced_rhs", "_full_rhs"},
@@ -172,7 +172,8 @@ def per_element_warp_calls(source: str) -> set:
     """The module-level functions (``Class.method`` for a method) that call
     a warp callable by attribute in the body of a loop or a comprehension or
     in a nested function (a quadrature integrand, a right-hand side), or
-    that bind a math evaluator with ``.scalar(name)``.  A loop's iterable is
+    that pass one by attribute to ``call`` (``straightline.call(wf.f, r)``,
+    which the generated code may call per evaluation).  A loop's iterable is
     evaluated once, so a warp call there is an array call."""
     found, outer = set(), {}
 
@@ -186,9 +187,12 @@ def per_element_warp_calls(source: str) -> set:
                 owner = (owner or "") + getattr(node, "name", "<lambda>")
             else:
                 per_element = True
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and (node.func.attr == "scalar"
-                   or (per_element and node.func.attr in WARP_CALLABLES))):
+        elif isinstance(node, ast.Call) and (
+                (per_element and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in WARP_CALLABLES)
+                or (getattr(node.func, "attr", getattr(node.func, "id", None)) == "call"
+                    and any(isinstance(arg, ast.Attribute) and arg.attr in WARP_CALLABLES
+                            for arg in node.args))):
             found.add(owner)
         if isinstance(node, (ast.For, ast.AsyncFor)):
             outer[id(node.iter)] = per_element
@@ -209,7 +213,8 @@ def test_detects_a_per_element_warp_call():
     source = ("def a(wf, xs):\n    return [wf.f(x) for x in xs]\n"
               "def b(wf, xs):\n    for x in xs:\n        pass\n    return wf.F(xs)\n"
               "def c(wf):\n    def g(s):\n        return wf.log_f(s)\n    return g\n"
-              "def d(wf):\n    return wf.scalar('f')\n"
+              "def d(wf, r):\n    return straightline.call(wf.f, r)\n"
+              "def e(wf, r):\n    return straightline.call(len, wf.f(r))\n"
               "class T:\n    def m(self, r):\n        while r:\n            r = self.wf.F(r)\n"
               "    def n(self, r):\n        return [x for x in self.wf.f_prime(r)]\n")
     assert per_element_warp_calls(source) == {"a", "c", "d", "T.m"}

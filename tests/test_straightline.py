@@ -1,10 +1,11 @@
-"""The full system's right-hand side is generated: ``geodesic_flow._full_rhs``
-traces its slopes once on recorded values (``straightline``) and compiles
-the lines.  The oracle here is the body it was traced from, evaluated on
-floats as the package evaluated it before (``reference_rhs``, one call of
-each formula and of ``cometric`` per evaluation).  It shares the formulas
-and ``cometric`` with the generated code, not the recorder, the emitted
-text or the compile cache, so it sees a wrong or reordered operation in the
+"""Both flow right-hand sides are generated: ``geodesic_flow._full_rhs`` and
+``geodesic_flow._reduced_rhs`` trace their slopes once on recorded values
+(``straightline``) and compile the lines.  The oracle here is the body each
+was traced from, evaluated on floats as the package evaluated it before
+(``reference_rhs`` and ``reduced_reference_rhs``, one call of each formula
+and of ``cometric`` per evaluation).  It shares the formulas and
+``cometric`` with the generated code, not the recorder, the emitted text or
+the compile cache, so it sees a wrong or reordered operation in the
 generated code to the last bit: an emitter that swaps the operands of one
 subtraction fails it.  A wrong formula fools both; the shell, bound and
 length checks of ``tests/test_oracle_sensitivity.py`` judge those."""
@@ -26,7 +27,7 @@ from singular_geodesics.experiments import run_bounds_campaign
 def reference_rhs(wf, cs, k):
     """The full system's right-hand side evaluated on floats."""
     r_max = 1.25 * wf.domain_radius
-    f, d_log_f = wf.scalar("f"), wf.scalar("d_log_f")
+    f, d_log_f = wf.f, wf.d_log_f
 
     def rhs(_, x):
         r, th = x[0], x[1]
@@ -40,6 +41,16 @@ def reference_rhs(wf, cs, k):
     return rhs
 
 
+def reduced_reference_rhs(wf, log_fd, log_fpd):
+    """The reduced system's right-hand side evaluated on floats."""
+    L0 = log_fpd + log_fd
+
+    def rhs(_, x):
+        r, th = x[0], x[1]
+        return [math.sin(th), wf.d_log_f(r) * math.cos(th), math.exp(L0 - 2.0 * wf.log_f(r))]
+    return rhs
+
+
 WARPS = {
     "power": sg.make_power_warp(2.37),
     "logpow": sg.parse_warp_spec("logpow:1.5"),
@@ -48,8 +59,8 @@ WARPS = {
     "osc": sg.parse_warp_spec("osc:0.5:9"),
     "table": sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0),
 }
-# warps whose callables are not formulas: the generated code calls their
-# math evaluators
+# warps whose callables are not formulas: the generated code calls them on
+# floats
 OPAQUE = {"osc", "table"}
 SECTIONS = {
     "perturbed_circle": (sg.circle_section(3.0, (0.08, None)), 1),
@@ -72,6 +83,28 @@ def parity_faults(wf, cs, k, states) -> list:
     differ in any bit."""
     generated, reference = geodesic_flow._full_rhs(wf, cs, k), reference_rhs(wf, cs, k)
     return [x for x in states if outcome(generated, x) != outcome(reference, x)]
+
+
+def reduced_builders(wf, delta_fraction):
+    """The generated and the reference reduced right-hand side of a winding
+    launched at delta = ``delta_fraction`` R, with the logs ``integrate``
+    computes."""
+    delta = delta_fraction * wf.domain_radius
+    log_fd = wf.log_f(delta)
+    log_fpd = log_fd + math.log(wf.d_log_f(delta))
+    return (geodesic_flow._reduced_rhs(wf, log_fd, log_fpd),
+            reduced_reference_rhs(wf, log_fd, log_fpd))
+
+
+def reduced_parity_faults(wf, delta_fraction, states) -> list:
+    generated, reference = reduced_builders(wf, delta_fraction)
+    return [x for x in states if outcome(generated, x) != outcome(reference, x)]
+
+
+def reduced_states(wf, n=20, seed=5):
+    rng = np.random.default_rng(seed)
+    return [[rng.uniform(0.05, 1.4) * wf.domain_radius, rng.uniform(-1.5, 1.5), 0.0]
+            for _ in range(n)]
 
 
 def state(wf, k, r_fraction, theta, y, eta):
@@ -102,10 +135,23 @@ def test_generated_rhs_matches_the_float_body_bit_for_bit(warp, section, r_fract
 
 
 @pytest.mark.parametrize("warp", sorted(WARPS))
+@settings(max_examples=15, deadline=None)
+@given(delta_fraction=st.floats(0.01, 0.9), r_fraction=st.floats(0.01, 1.4),
+       theta=st.floats(-1.5, 1.5))
+def test_generated_reduced_rhs_matches_the_float_body_bit_for_bit(warp, delta_fraction,
+                                                                  r_fraction, theta):
+    wf = WARPS[warp]
+    x = [r_fraction * wf.domain_radius, theta, 0.0]
+    assert reduced_parity_faults(wf, delta_fraction, [x]) == []
+
+
+@pytest.mark.parametrize("warp", sorted(WARPS))
 def test_only_non_formula_warps_are_called_from_the_generated_code(warp):
     wf, (cs, k) = WARPS[warp], SECTIONS["perturbed_sphere"]
-    calls = re.findall(r"\bc\d+\(", inspect.getsource(geodesic_flow._full_rhs(wf, cs, k)))
-    assert len(calls) == (2 if warp in OPAQUE else 0)  # f and (log f)'
+    for rhs in (geodesic_flow._full_rhs(wf, cs, k), reduced_builders(wf, 0.1)[0]):
+        calls = re.findall(r"\bc\d+\(", inspect.getsource(rhs))
+        # f and (log f)' on the full path, log f and (log f)' on the reduced
+        assert len(calls) == (2 if warp in OPAQUE else 0)
 
 
 def test_formulas_reached_through_a_wrapper_are_traced():
@@ -137,14 +183,26 @@ def test_domain_guard(section):
     assert len(rhs(0.0, [r_max] + x[1:])) == len(x)
 
 
+@pytest.mark.parametrize("warp", sorted(WARPS))
+def test_reduced_domain_guard_has_no_upper_end(warp):
+    # steps on the reduced path reach far past R (criterion 3's up to 0.40 R)
+    wf = WARPS[warp]
+    rhs = reduced_builders(wf, 0.1)[0]
+    for r in (0.0, -0.1, math.nan):
+        with pytest.raises(IntegrationError, match="outside"):
+            rhs(0.0, [r, 0.3, 0.0])
+    assert len(rhs(0.0, [1.4 * wf.domain_radius, 0.3, 0.0])) == 3
+
+
 def test_a_campaign_compiles_once_per_structure(monkeypatch):
     # the source depends on the section class, shape, warp family and k, not
     # on alpha, delta or the amplitude, which the campaign draws per case;
-    # its full-path structures are the perturbed circle and the round sphere
+    # its structures are the flat circle's reduced system, the perturbed
+    # circle and the round sphere
     monkeypatch.setattr(dop853, "_COMPILED", {})
     run_bounds_campaign(20)
     sources = [s for s in dop853._COMPILED if s.startswith("def factory")]
-    assert 1 <= len(sources) <= 2
+    assert len(sources) == 3
 
 
 def test_one_source_per_structure():
@@ -157,14 +215,19 @@ def test_one_source_per_structure():
 
 def test_swapped_subtraction_fails_the_parity_check(monkeypatch):
     wf, (cs, k) = WARPS["power"], SECTIONS["perturbed_sphere"]
-    states = fixed_states(wf, k)
+    states, flat = fixed_states(wf, k), reduced_states(wf)
     assert parity_faults(wf, cs, k, states) == []
-    original = straightline.Var.__sub__
+    assert reduced_parity_faults(wf, 0.1, flat) == []
 
-    def swapped(a, b):
-        # the first subtraction of each trace records b - a
-        if any(" - " in line for line in a.tape.lines):
-            return original(a, b)
-        return a.tape.assign(f"{a.tape.operand(b)} - {a.name}")
-    monkeypatch.setattr(straightline.Var, "__sub__", swapped)
+    def first_swapped(original, swapped):
+        # the first subtraction of each trace records its operands swapped,
+        # with the recorded value on either side
+        def sub(a, b):
+            first = not any(" - " in line for line in a.tape.lines)
+            return (swapped if first else original)(a, b)
+        return sub
+    sub, rsub = straightline.Var.__sub__, straightline.Var.__rsub__
+    monkeypatch.setattr(straightline.Var, "__sub__", first_swapped(sub, rsub))
+    monkeypatch.setattr(straightline.Var, "__rsub__", first_swapped(rsub, sub))
     assert len(parity_faults(wf, cs, k, states)) == len(states)
+    assert len(reduced_parity_faults(wf, 0.1, flat)) == len(flat)

@@ -17,10 +17,17 @@ x86-64 Xeon, Python 3.11, numpy 2.4), rounded up to the next power of ten:
   10.  It sees the stepper, its dense output and the generated right-hand
   side's determinism, not a wrong vector field (the parity tests of
   ``tests/test_straightline.py`` and the shell checks cover that).
+- the reduced path's winding length against ``closed_form_winding_length``
+  (the flat circle; power:2 at delta = 0.3, 0.1 and 0.03, expinv:1 at 0.3
+  and 0.2, logpow:1.5 at 0.2 and 0.1), the worst relative error per warp
+  over rtol = 1e-6 .. 1e-11.  Measured worst 0.032 (power), 0.136
+  (expinv) and 0.403 (logpow); bound 1.  The ladder stops at 1e-11, the
+  oracle's own relative accuracy: at 1e-12 logpow reads 1.06.
 
 A dense-output coefficient D[0, 5] off by 1e-6 passes criterion 1 (r err
 6.8e-9 against 1e-8) but fails this ladder: the cone reads 1.3 at 1e-8 and
-4200 at 1e-12, the perturbed circle 30 at 1e-9 and 300 at 1e-10.
+4200 at 1e-12, the perturbed circle 30 at 1e-9 and 300 at 1e-10, the
+winding length 5.45 (expinv) and 7.53 (logpow) at 1e-11.
 """
 import math
 
@@ -29,10 +36,14 @@ import pytest
 
 import singular_geodesics as sg
 from singular_geodesics import dop853
+from singular_geodesics.experiments import closed_form_winding_length
 
 LADDER = [10.0 ** -e for e in range(6, 13)]
 CONE_BOUND = 1.0
 SELF_CONVERGENCE_BOUND = 10.0
+LENGTH_LADDER = LADDER[:-1]
+LENGTH_BOUND = 1.0
+LENGTH_CASES = {"power:2": (0.3, 0.1, 0.03), "expinv:1": (0.3, 0.2), "logpow:1.5": (0.2, 0.1)}
 
 
 def cone_ratios() -> list:
@@ -66,6 +77,19 @@ def self_convergence_ratios(delta: float) -> list:
     return ratios
 
 
+def length_ratios(spec: str) -> list:
+    """Worst relative error of the reduced path's winding length against
+    ``closed_form_winding_length`` over the warp's deltas, divided by rtol,
+    per rung."""
+    wf, cs = sg.parse_warp_spec(spec), sg.circle_section(2 * math.pi)
+    deltas = LENGTH_CASES[spec]
+    oracles = [closed_form_winding_length(wf, delta) for delta in deltas]
+    return [max(abs(sg.winding_length(sg.integrate_winding(
+                wf, cs, delta, [0.0], [1.0], rtol=rtol, atol=rtol / 100, dense_nodes=16))
+                    / oracle - 1.0) for delta, oracle in zip(deltas, oracles)) / rtol
+            for rtol in LENGTH_LADDER]
+
+
 def test_flat_cone_error_shrinks_with_rtol():
     ratios = cone_ratios()
     assert max(ratios) < CONE_BOUND, ratios
@@ -77,9 +101,18 @@ def test_perturbed_circle_self_convergence_shrinks_with_rtol(delta):
     assert max(ratios) < SELF_CONVERGENCE_BOUND, ratios
 
 
+@pytest.mark.parametrize("spec", sorted(LENGTH_CASES))
+def test_reduced_winding_length_error_shrinks_with_rtol(spec):
+    ratios = length_ratios(spec)
+    assert max(ratios) < LENGTH_BOUND, ratios
+
+
 def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch):
     D = dop853.D.copy()
     D[0, 5] *= 1.0 + 1e-6
     monkeypatch.setattr(dop853, "D", D)
     assert max(cone_ratios()) > CONE_BOUND
     assert max(self_convergence_ratios(0.1)) > SELF_CONVERGENCE_BOUND
+    # power:2's winding length reads only 0.071 here
+    assert max(length_ratios("expinv:1")) > LENGTH_BOUND
+    assert max(length_ratios("logpow:1.5")) > LENGTH_BOUND

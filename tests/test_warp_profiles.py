@@ -396,13 +396,6 @@ class TestBroadcasting:
         else:
             assert np.all(np.abs(ours - floats) <= bound * np.spacing(np.abs(floats)))
 
-    def test_math_evaluators_skip_the_type_check(self):
-        wf = sg.make_power_warp(2.0)
-        log_f = wf.scalar("log_f")
-        assert log_f is wf.log_f.scalar and log_f(0.5) == wf.log_f(0.5)
-        # a formula of operators alone is its own math evaluator
-        assert wf.scalar("d_log_f") is wf.d_log_f
-
     def test_osc_array_log_f_rejects_non_positive_radii(self):
         wf = make_oscillating_F(0.5, 9.0)
         with pytest.raises(ValueError):
