@@ -403,7 +403,7 @@ def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
         sol = solve_ivp(fun, float(s.max()), x0, 1e-12, 1e-14, BASE_FIRST_STEP)
         if sol.status < 0:
             raise IntegrationError(f"reference geodesic integration failed: {sol.message}")
-        out[side] = dop853.evaluate(sol, s)[:, :k]
+        out[side] = dop853.evaluate(sol, s)[:k].T
     return out
 
 

@@ -30,10 +30,12 @@ ValueError).  Right-hand sides receive the state as a list of floats.  A
 run may end at a stop, a (component, level) pair: in the first step over
 which the component goes from at most the level to at least it,
 ``crossing`` finds the time on the step's dense polynomial, as it does in
-``level_times``.  A run returns its dense solution as four arrays of its
-``Solution``: the step points ``t``, each step's length ``h``, start state
-``y0`` and interpolation coefficients ``F`` (7 x steps x states), which
-only ``evaluate`` (one gather and Horner's scheme) and ``level_times`` read.
+``level_times``.  A run returns its dense solution as three arrays of its
+``Solution``: the step points ``t``, each step's length ``h`` and one
+component-major array ``coef`` (8 x states x steps) of each step's seven
+interpolation coefficients and, last, its start value.  Only ``evaluate``
+(one gather along the step axis and Horner's scheme, on all components or
+one) and ``level_times`` read ``coef``.
 """
 from __future__ import annotations
 
@@ -131,8 +133,10 @@ class Solution(NamedTuple):
     -1 when the step collapsed (``message`` says why).  ``t`` holds the step
     points; after a stop the last one is the stop's time, which cuts the
     last step short (``h`` keeps its full length).  ``t_events[i]`` holds the
-    time of stop i, if it ended the run.  ``rejected`` counts the attempts
-    whose error estimate failed; the accepted steps are ``len(h)``."""
+    time of stop i, if it ended the run.  ``coef[:, i, j]`` holds component
+    i's dense polynomial on step j: its coefficients ``coef[:7, i, j]`` and
+    start value ``coef[7, i, j]``.  ``rejected`` counts the attempts whose
+    error estimate failed; the accepted steps are ``len(h)``."""
 
     t: np.ndarray
     nfev: int
@@ -140,8 +144,7 @@ class Solution(NamedTuple):
     message: str
     t_events: List[np.ndarray]
     h: np.ndarray
-    y0: np.ndarray
-    F: np.ndarray
+    coef: np.ndarray
     rejected: int
 
 
@@ -237,37 +240,45 @@ def _kernel(n: int):
 
 
 def _coefficients(h, y, f, F37) -> np.ndarray:
-    """The 7 x steps x n interpolation coefficients of steps of the lengths
-    ``h``, from the states ``y`` and slopes ``f`` at their steps + 1 points
-    and the kernel's rows 3-6 ``F37`` (one row of 4 n per step)."""
-    h = h[:, None]
-    dy = y[1:] - y[:-1]
-    F = np.empty((7,) + dy.shape)
-    F[0] = dy
-    F[1] = h * f[:-1] - dy
-    F[2] = 2 * dy - h * (f[1:] + f[:-1])
-    F[3:] = F37.reshape(len(dy), 4, dy.shape[1]).transpose(1, 0, 2)
-    return F
+    """The 8 x n x steps dense coefficients (``Solution.coef``) of steps of
+    the lengths ``h``, from the states ``y`` and slopes ``f`` at their
+    steps + 1 points and the kernel's rows 3-6 ``F37`` (one row of 4 n per
+    step)."""
+    y, f = y.T, f.T
+    dy = y[:, 1:] - y[:, :-1]
+    coef = np.empty((8,) + dy.shape)
+    coef[0] = dy
+    coef[1] = h * f[:, :-1] - dy
+    coef[2] = 2 * dy - h * (f[:, 1:] + f[:, :-1])
+    coef[3:7] = F37.reshape(len(h), 4, len(y)).transpose(1, 2, 0)
+    coef[7] = y[:, :-1]
+    return coef
 
 
 def _horner(F, y0, x):
     """The degree-7 dense polynomial at the fractions ``x`` of its step, in
-    the alternating Horner scheme of scipy's ``Dop853DenseOutput``.  On one
-    component's 7 coefficients and start value, as floats, it gives a float;
-    on the arrays that ``evaluate`` gathers it gives the same bits for every
-    entry."""
+    the alternating Horner scheme of scipy's ``Dop853DenseOutput``, from its
+    coefficients ``F[:7]`` and start value ``y0``.  On floats it gives a
+    float; on the arrays that ``evaluate`` gathers it gives the same bits
+    for every entry."""
+    w = 1.0 - x
     y = F[6] * x
     for i in range(1, 7):
-        y = (y + F[6 - i]) * (x if i % 2 == 0 else 1.0 - x)
-    return y + y0
+        y += F[6 - i]
+        y *= x if i % 2 == 0 else w
+    y += y0
+    return y
 
 
-def evaluate(sol: Solution, s: np.ndarray) -> np.ndarray:
-    """States (one row per point) of the run ``sol`` at the points ``s`` (a
-    1-D array inside [t[0], t[-1]]); a step point takes the earlier step, as
-    scipy's ``OdeSolution`` does."""
+def evaluate(sol: Solution, s: np.ndarray, component=None) -> np.ndarray:
+    """The run ``sol`` at the points ``s`` (a 1-D array inside [t[0],
+    t[-1]]): one row per state component and one column per point, or, for
+    a given ``component``, that component's row alone.  A step point takes
+    the earlier step, as scipy's ``OdeSolution`` does."""
     seg = np.maximum(np.searchsorted(sol.t, s, side="left") - 1, 0)
-    return _horner(sol.F[:, seg], sol.y0[seg], ((s - sol.t[seg]) / sol.h[seg])[:, None])
+    coef = sol.coef if component is None else sol.coef[:, component]
+    c = coef.take(seg, axis=-1)
+    return _horner(c, c[7], (s - sol.t[seg]) / sol.h[seg])
 
 
 def crossing(F, y0, t0: float, h: float, level: float, lo: float, hi: float,
@@ -288,11 +299,12 @@ def level_times(sol: Solution, i: int, levels: np.ndarray, xtol: float) -> np.nd
     """The times at which the rising component ``i`` of the run ``sol``
     reaches ``levels`` (a 1-D array inside its range): ``crossing`` to within
     ``xtol`` on the last step whose start value is at most the level."""
-    k = np.searchsorted(sol.y0[:, i], levels, side="right") - 1
-    steps = zip(sol.F[:, k, i].T.tolist(), sol.y0[k, i].tolist(), sol.t[k].tolist(),
-                sol.h[k].tolist(), sol.t[k + 1].tolist(), levels.tolist())
-    return np.array([crossing(F, y0, t0, h, level, t0, t1, xtol)
-                     for F, y0, t0, h, t1, level in steps], dtype=float)
+    coef = sol.coef[:, i]
+    k = np.searchsorted(coef[7], levels, side="right") - 1
+    steps = zip(coef.take(k, axis=1).T.tolist(), sol.t[k].tolist(), sol.h[k].tolist(),
+                sol.t[k + 1].tolist(), levels.tolist())
+    return np.array([crossing(c[:7], c[7], t0, h, level, t0, t1, xtol)
+                     for c, t0, h, t1, level in steps], dtype=float)
 
 
 def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float,
@@ -369,9 +381,9 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
         crossed = [(k, i, level) for k, (i, level) in enumerate(stops)
                    if y_old[i] <= level <= y[i]]
         if crossed:
-            Fk = _coefficients(np.array([h]), np.array(ys[-2:]), np.array(fs[-2:]),
-                               np.array(F37[-1:]))[:, 0]
-            root, k = min((crossing(Fk[:, i].tolist(), y_old[i], t_old, h, level, t_old, t,
+            coef = _coefficients(np.array([h]), np.array(ys[-2:]), np.array(fs[-2:]),
+                                 np.array(F37[-1:]))[:7, :, 0]
+            root, k = min((crossing(coef[:, i].tolist(), y_old[i], t_old, h, level, t_old, t,
                                     EVENT_TOL), k) for k, i, level in crossed)
             t_events[k].append(root)
             t, status = root, 1
@@ -381,8 +393,8 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
         message = "A termination event occurred."
     elif status == 0:
         message = "The solver successfully reached the end of the integration interval."
-    Y = np.array(ys)
-    F = _coefficients(np.array(hs), Y, np.array(fs, dtype=float),
-                      np.array(F37).reshape(len(F37), 4 * n))
+    h = np.array(hs)
+    coef = _coefficients(h, np.array(ys), np.array(fs, dtype=float),
+                         np.array(F37).reshape(len(F37), 4 * n))
     return Solution(np.array(ts), nfev, status, message, [np.array(te) for te in t_events],
-                    np.array(hs), Y[:-1], F, rejected_total)
+                    h, coef, rejected_total)

@@ -19,7 +19,8 @@ on recorded values and run as straight-line float code (``_compiled_rhs``).
 Each time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
 whose only stops are the exit at r = R and the optional tau stop.  A
 trajectory keeps each run's ``dop853.Solution`` as it is, and a query is
-``dop853.evaluate`` on it: one gather plus Horner's scheme.  A radial line
+``dop853.evaluate`` on it: one gather plus Horner's scheme, on the
+components the query reads.  A radial line
 is one straight segment of the same form.  Backward time is obtained from
 the symmetry (t, theta, eta) -> (-t, -theta, -eta).
 """
@@ -137,8 +138,10 @@ def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: fl
 
 def _full_decode(k: int):
     def decode(x, sign, tau_scaled):
-        return States(x[0], sign * x[1], x[2:2 + k].T, sign * x[2 + k:2 + 2 * k].T,
-                      tau_scaled)
+        # y and eta as C-contiguous rows: sums over a row, as in
+        # ambient_residual's einsum, then add in the same order at any query
+        return States(x[0], sign * x[1], np.ascontiguousarray(x[2:2 + k].T),
+                      np.ascontiguousarray((sign * x[2 + k:2 + 2 * k]).T), tau_scaled)
     return decode
 
 
@@ -158,9 +161,13 @@ class Trajectory:
     t >= 0, then -1): a forward run of the mirrored system in s = sign * t.
     The reduced system is identical under time reversal, so its one run
     fills both slots; a radial line is one straight segment per direction.
-    The last state component times ``sign * tau_scale`` is tau_scaled, and
-    ``decode(x, sign, tau_scaled)`` maps mirrored states ``x`` (one column
-    per query) to ``States``: these two differ between the systems.
+    A query evaluates each run it needs once, at |t|, and decodes once: the
+    last state component times ``sign * tau_scale`` is tau_scaled, and
+    ``decode(x, sign, tau_scaled)`` maps mirrored states ``x`` (one row per
+    component, one column per query) and each query's ``sign`` to
+    ``States``; these two differ between the systems.  ``r_of_t``,
+    ``tau_of_t`` and ``tau_scaled_of_t`` evaluate only the component they
+    return.
 
     Sample arrays are aligned with ``t`` (sorted, containing the minimum t=0
     for winding launches).  ``tau_scaled`` is f'(delta) * tau, which stays
@@ -193,22 +200,30 @@ class Trajectory:
 
     # -- dense evaluation ---------------------------------------------------
 
-    def _states(self, x: np.ndarray, sign: int) -> States:
-        """The mirrored states ``x`` of the direction ``sign``, decoded."""
-        return self.decode(x, sign, sign * x[-1] * self.tau_scale)
-
-    def _evaluate(self, t: np.ndarray) -> States:
+    def _mirrored(self, t: np.ndarray, component=None):
+        """The runs at |t|, one column per time (``component``'s row alone
+        if given), and each time's sign: one ``dop853.evaluate`` per run
+        that a time falls in, and one for the reduced path's shared run."""
         if not np.all((t >= self.t_min) & (t <= self.t_max)):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
-        fwd = t >= 0
-        parts = [(self._states(dop853.evaluate(sol, np.abs(t[mask])).T, sign), mask)
-                 for sol, sign, mask in zip(self.runs, (1, -1), (fwd, ~fwd)) if mask.any()]
-        out = States(*(np.empty((len(t),) + col.shape[1:]) for col in parts[0][0]))
-        for st, mask in parts:
-            for dst, src in zip(out, st):
-                dst[mask] = src
-        return out
+        fwd, s = t >= 0, np.abs(t)
+        parts = [(sol, mask) for sol, mask in zip(self.runs, (fwd, ~fwd)) if mask.any()]
+        if len(parts) == 1 or self.runs[0] is self.runs[1]:
+            x = dop853.evaluate(parts[0][0], s, component)
+        else:
+            rows = self.runs[0].coef.shape[1:2] if component is None else ()
+            x = np.empty(rows + s.shape)
+            for sol, mask in parts:
+                x[..., mask] = dop853.evaluate(sol, s[mask], component)
+        return x, np.where(fwd, 1.0, -1.0)
+
+    def _tau_scaled(self, x_tau: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        return sign * x_tau * self.tau_scale
+
+    def _evaluate(self, t: np.ndarray) -> States:
+        x, sign = self._mirrored(t)
+        return self.decode(x, sign, self._tau_scaled(x[-1], sign))
 
     def _query(self, t, values):
         """``values`` of the flat times, in the shape of ``t``."""
@@ -225,13 +240,13 @@ class Trajectory:
             return np.where(tau_scaled != 0.0, np.copysign(math.inf, tau_scaled), 0.0)
 
     def r_of_t(self, t):
-        return self._query(t, lambda ts: self._evaluate(ts).r)
+        return self._query(t, lambda ts: self._mirrored(ts, 0)[0])
 
     def tau_scaled_of_t(self, t):
-        return self._query(t, lambda ts: self._evaluate(ts).tau_scaled)
+        return self._query(t, lambda ts: self._tau_scaled(*self._mirrored(ts, -1)))
 
     def tau_of_t(self, t):
-        return self._query(t, lambda ts: self._tau(self._evaluate(ts).tau_scaled))
+        return self._query(t, lambda ts: self._tau(self._tau_scaled(*self._mirrored(ts, -1))))
 
     def t_of_tau(self, tau):
         """Invert the strictly increasing map t -> tau.
@@ -561,12 +576,13 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
     runs = []
     for sign in (1, -1):
         x0 = _mirror(start, sign)
-        F = np.zeros((7, 1, len(x0)))
-        F[0, 0, 0] = slope = sign * sgn
+        coef = np.zeros((8, len(x0), 1))
+        coef[0, 0, 0] = slope = sign * sgn
+        coef[7, :, 0] = x0
         end = R - start.r if slope > 0 else start.r
         runs.append(dop853.Solution(np.array([0.0, end]), 0, int(slope > 0), "",
                                     [np.array([end] if slope > 0 else [], dtype=float)],
-                                    np.ones(1), x0[None, :], F, 0))
+                                    np.ones(1), coef, 0))
     traj = Trajectory(wf, cs, tuple(runs), _full_decode(len(start.y)), 1.0, None, None, 1.0,
                       start.wind_sign, {"warp": wf.label, "radial": True, "solver": []})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))

@@ -17,7 +17,8 @@ writes the lines into a function and compiles it (``dop853.compiled``).
 Recorded are +, -, *, /, ** and unary -, and sin, cos, sqrt, exp and log,
 which the generated code takes from ``math``.  A value cannot be compared,
 branched on or converted while it is recorded (TypeError); ``call`` turns
-such a callable into one call of itself, on a float, in the generated code.
+such a callable into one call of itself, on a float, in the generated code,
+and records each callable once per input.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ class Tape:
     def __init__(self):
         self.lines = []
         self.constants = []
+        # id(fn), input name -> (fn, the value of call(fn, input))
+        self.calls = {}
 
     def operand(self, value) -> str:
         """The name of ``value`` in the source: a ``Var``'s own, or a new
@@ -103,15 +106,24 @@ def trace(body, n: int):
     return tape.lines, [tape.operand(v) for v in out], tape.constants
 
 
-def call(fn, x: Var):
-    """``fn(x)``, recorded where ``fn`` is a formula.  Where it raises
-    TypeError (it compares or converts ``x``, as a table lookup or a root
-    finder does), its lines are dropped and the generated code calls ``fn``
-    once instead, on a float."""
-    tape = x.tape
-    lines, constants = len(tape.lines), len(tape.constants)
-    try:
+def call(fn, x):
+    """``fn(x)``: on a float, the value; on a ``Var``, recorded where ``fn``
+    is a formula.  Where it raises TypeError (it compares or converts ``x``,
+    as a table lookup or a root finder does), its lines are dropped and the
+    generated code calls ``fn`` once instead, on a float.  A tape records
+    each (``fn``, ``x``) once: a repeated call returns the first one's
+    value."""
+    if not isinstance(x, Var):
         return fn(x)
-    except TypeError:
-        del tape.lines[lines:], tape.constants[constants:]
-        return tape.assign(f"{tape.operand(fn)}({x.name})")
+    tape = x.tape
+    key = (id(fn), x.name)
+    if key not in tape.calls:
+        lines, constants, calls = len(tape.lines), len(tape.constants), dict(tape.calls)
+        try:
+            value = fn(x)
+        except TypeError:
+            del tape.lines[lines:], tape.constants[constants:]
+            tape.calls = calls
+            value = tape.assign(f"{tape.operand(fn)}({x.name})")
+        tape.calls[key] = fn, value
+    return tape.calls[key][1]

@@ -297,7 +297,8 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
                        np.full(np.shape(rho), hi))
 
     def formulas(xp):
-        log_f = array_log_f if xp is np else scalar_log_f
+        # one root per traced evaluation: f, f' and (log f)' all read it
+        log_f = array_log_f if xp is np else lambda rho: straightline.call(scalar_log_f, rho)
 
         def F_prime(x):
             s = xp.log(x)

@@ -142,8 +142,8 @@ def worst_differences(ours, theirs, sign=1.0):
               for mine, ref in zip(ours.t_events, theirs.t_events or []) if len(ref)),
              default=0.0)
     s = np.linspace(0.0, ours.t[-1], 200)
-    ref = theirs.sol(sign * s).T
-    scale = np.max(np.abs(ref), axis=0)
+    ref = theirs.sol(sign * s)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
     dense = np.abs(dop853.evaluate(ours, s) - ref)
     return dt, de, np.max(dense / np.where(scale > 0.0, scale, 1.0))
 
@@ -179,8 +179,7 @@ def bit_mismatches(ours, theirs, sign=1.0) -> list:
             np.array_equal(mine, sign * ref) for mine, ref in zip(ours.t_events, events)):
         found.append("t_events")
     s = np.linspace(0.0, ours.t[-1], 200)
-    if not np.array_equal(dop853.evaluate(ours, s),
-                          theirs.sol(sign * s).T):
+    if not np.array_equal(dop853.evaluate(ours, s), theirs.sol(sign * s)):
         found.append("dense")
     return found
 
@@ -338,7 +337,7 @@ def test_run_without_an_accepted_step_fails_cleanly():
     args = (_nan_slope, 4.0, [0.1, 0.0, 0.0], 1e-10, 1e-12, 1e-3)
     ours = dop853.solve_ivp(*args)
     assert (ours.status, ours.message) == (-1, dop853.TOO_SMALL_STEP)
-    assert ours.t.tolist() == [0.0] and ours.h.shape == (0,) and ours.F.shape == (7, 0, 3)
+    assert ours.t.tolist() == [0.0] and ours.h.shape == (0,) and ours.coef.shape == (8, 3, 0)
     theirs = scipy_solve(*args)
     assert (ours.status, ours.message, ours.nfev) == (theirs.status, theirs.message, theirs.nfev)
     wf = sg.make_power_warp(2.0)
@@ -399,3 +398,49 @@ def test_patched_tableau_reaches_the_kernel(monkeypatch):
     monkeypatch.setattr(dop853, "B", B)
     assert dop853._kernel(3) != kernel
     assert repr(float(B[5])) in dop853.kernel_source(3)
+
+
+def points_major_evaluate(sol, s):
+    """``sol`` at ``s``, one row per point, from its coefficients laid out
+    points-major, F (7 x steps x states) and start values (steps x states):
+    one gather across F's middle axis and the alternating Horner scheme of
+    scipy's ``Dop853DenseOutput`` with 1 - x formed in every odd factor."""
+    F, y0 = sol.coef[:7].transpose(0, 2, 1), sol.coef[7].T
+    seg = np.maximum(np.searchsorted(sol.t, s, side="left") - 1, 0)
+    x = ((s - sol.t[seg]) / sol.h[seg])[:, None]
+    F = F[:, seg]
+    y = F[6] * x
+    for i in range(1, 7):
+        y = (y + F[6 - i]) * (x if i % 2 == 0 else 1.0 - x)
+    return y + y0[seg]
+
+
+def evaluation_runs() -> dict:
+    """The stepper runs of a full-path trajectory (both time directions),
+    the reduced path's shared run and a radial line's two segments."""
+    wf = sg.make_power_warp(2.0)
+    full = sg.integrate_winding(wf, sg.circle_section(2 * math.pi, (0.08, None)), 0.1, [0.3],
+                                [1.0], dense_nodes=16)
+    reduced = sg.integrate_winding(wf, sg.circle_section(2 * math.pi), 0.1, [0.0], [1.0],
+                                   dense_nodes=16)
+    assert reduced.runs[0] is reduced.runs[1]
+    radial = geodesic_flow.integrate(
+        wf, sg.circle_section(2 * math.pi),
+        geodesic_flow.GeodesicState(0.0, 0.5, math.pi / 2, [0.3], [0.0]), dense_nodes=16)
+    return {"full forward": full.runs[0], "full backward": full.runs[1],
+            "reduced": reduced.runs[0], "radial rising": radial.runs[0],
+            "radial falling": radial.runs[1]}
+
+
+@pytest.mark.parametrize("name", ["full forward", "full backward", "reduced", "radial rising",
+                                  "radial falling"])
+def test_evaluate_matches_the_points_major_gather_bit_for_bit(name):
+    sol = evaluation_runs()[name]
+    # 200 points, every step point and both ends
+    s = np.unique(np.concatenate([np.linspace(0.0, sol.t[-1], 200), sol.t]))
+    assert s[0] == 0.0 and s[-1] == sol.t[-1]
+    ref = points_major_evaluate(sol, s)
+    assert _same_bits(dop853.evaluate(sol, s), ref.T)
+    for i in range(sol.coef.shape[1]):
+        assert _same_bits(dop853.evaluate(sol, s, i), ref[:, i]), i
+    assert _same_bits(dop853.evaluate(sol, s, -1), ref[:, -1])

@@ -420,8 +420,8 @@ def _scipy_dense(sol):
     coefficients: one ``Dop853DenseOutput`` per step, with the run's step
     length (an exit event cuts the last step short in ``sol.t`` only)."""
     steps = []
-    for t_old, h, y0, F in zip(sol.t, sol.h, sol.y0, sol.F.transpose(1, 0, 2)):
-        step = Dop853DenseOutput(t_old, t_old + h, y0, F)
+    for t_old, h, coef in zip(sol.t, sol.h, sol.coef.transpose(2, 0, 1)):
+        step = Dop853DenseOutput(t_old, t_old + h, coef[7], coef[:7])
         step.h = h
         steps.append(step)
     return OdeSolution(sol.t, steps)
@@ -429,16 +429,68 @@ def _scipy_dense(sol):
 
 def _scalar_loop(traj, solutions):
     """Reference evaluation, one sample at a time: scipy's OdeSolution of the
-    time direction's run at the scalar s = |t|.  ``solutions`` holds that
-    OdeSolution for each stepper run, the forward run's first."""
+    time direction's run at the scalar s = |t|, decoded with the time's
+    sign.  ``solutions`` holds that OdeSolution for each stepper run, the
+    forward run's first."""
     rows = []
     for t in traj.t:
-        sign, sol = (1, solutions[0]) if t >= 0 else (-1, solutions[-1])
-        rows.append(traj._states(sol(abs(float(t)))[:, None], sign))
+        sign, sol = (1.0, solutions[0]) if t >= 0 else (-1.0, solutions[-1])
+        x, sign = sol(abs(float(t)))[:, None], np.array([sign])
+        rows.append(traj.decode(x, sign, sign * x[-1] * traj.tau_scale))
     return [np.concatenate(col) for col in zip(*rows)]
 
 
+def dense_case(case: str):
+    """A trajectory of the reduced path, the full path or a radial line."""
+    wf = sg.make_power_warp(2.0)
+    if case == "radial":
+        start = geodesic_flow.GeodesicState(0.0, 0.5, -math.pi / 2, [0.3], [0.0])
+        return geodesic_flow.integrate(wf, sg.circle_section(2 * math.pi), start,
+                                       dense_nodes=64)
+    cs = sg.circle_section(2 * math.pi, (0.08, None) if case == "perturbed_circle" else None)
+    return sg.integrate_winding(wf, cs, 0.1, [0.3], [1.0], dense_nodes=64)
+
+
+# launch direction and meta["ambient_residual"] of power:1.3 at delta = 0.1
+# from (0.4, 0.2), as the decoded rows give it; from the same rows in
+# Fortran order einsum adds in another order, and they read 3.010378613055309e-10
+# and 2.3118174041769635e-10
+AMBIENT_RESIDUAL = {"round": ([1.0, 0.3], 3.010380833501358e-10),
+                    "perturbed": ([0.3, 1.0], 2.3118162939539388e-10)}
+
+
 class TestDenseEvaluation:
+    @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "radial"])
+    def test_one_component_queries_match_the_decoded_states(self, case):
+        traj = dense_case(case)
+        ts = np.concatenate([traj.t, np.linspace(traj.t_max, traj.t_min, 101)])
+        st = traj._evaluate(ts)
+        for query, expected in ((traj.r_of_t, st.r), (traj.tau_scaled_of_t, st.tau_scaled),
+                                (traj.tau_of_t, traj._tau(st.tau_scaled))):
+            out = query(ts)
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+            assert [query(t) for t in ts[::29]] == expected[::29].tolist()
+
+    @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "radial"])
+    def test_queries_outside_the_span_raise(self, case):
+        traj = dense_case(case)
+        for t in (math.nextafter(traj.t_max, math.inf), math.nextafter(traj.t_min, -math.inf)):
+            for query in (traj.r_of_t, traj.tau_of_t, traj.tau_scaled_of_t, traj.state_at):
+                with pytest.raises(ValueError, match="integrated span"):
+                    query(t)
+            with pytest.raises(ValueError, match="integrated span"):
+                traj._evaluate(np.array([0.0, t]))
+
+    @pytest.mark.parametrize("section", sorted(AMBIENT_RESIDUAL))
+    def test_decoded_rows_are_contiguous(self, section):
+        cs = sg.sphere_section((0.05, None) if section == "perturbed" else None)
+        v0, residual = AMBIENT_RESIDUAL[section]
+        traj = sg.integrate_winding(sg.make_power_warp(1.3), cs, 0.1, [0.4, 0.2], v0)
+        st = traj._evaluate(np.array([traj.t_min, -0.1, 0.0, 0.2, traj.t_max]))
+        for y in (traj.y, traj.eta, st.y, st.eta):
+            assert y.flags.c_contiguous
+        assert traj.meta["ambient_residual"] == residual
+
     @pytest.mark.parametrize("case", ["reduced", "perturbed_circle", "perturbed_sphere"])
     def test_array_matches_scalar_loop(self, case, monkeypatch):
         wf = sg.make_power_warp(2.0)

@@ -59,9 +59,6 @@ WARPS = {
     "osc": sg.parse_warp_spec("osc:0.5:9"),
     "table": sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0),
 }
-# warps whose callables are not formulas: the generated code calls them on
-# floats
-OPAQUE = {"osc", "table"}
 SECTIONS = {
     "perturbed_circle": (sg.circle_section(3.0, (0.08, None)), 1),
     "round_sphere": (sg.sphere_section(), 3),
@@ -150,8 +147,9 @@ def test_only_non_formula_warps_are_called_from_the_generated_code(warp):
     wf, (cs, k) = WARPS[warp], SECTIONS["perturbed_sphere"]
     for rhs in (geodesic_flow._full_rhs(wf, cs, k), reduced_builders(wf, 0.1)[0]):
         calls = re.findall(r"\bc\d+\(", inspect.getsource(rhs))
-        # f and (log f)' on the full path, log f and (log f)' on the reduced
-        assert len(calls) == (2 if warp in OPAQUE else 0)
+        # the table's f and (log f)' on the full path, log f and (log f)' on
+        # the reduced; osc's log f, the one root that its f and (log f)' read
+        assert len(calls) == {"osc": 1, "table": 2}.get(warp, 0)
 
 
 def test_formulas_reached_through_a_wrapper_are_traced():
@@ -231,3 +229,30 @@ def test_swapped_subtraction_fails_the_parity_check(monkeypatch):
     monkeypatch.setattr(straightline.Var, "__rsub__", first_swapped(rsub, sub))
     assert len(parity_faults(wf, cs, k, states)) == len(states)
     assert len(reduced_parity_faults(wf, 0.1, flat)) == len(flat)
+
+
+def test_call_records_each_callable_once_per_input():
+    def log(x):  # math.log refuses a recorded value: called from the code
+        return math.log(x)
+
+    def body(x):
+        return [straightline.call(log, x[0]), straightline.call(log, x[0]),
+                straightline.call(log, x[1])]
+    lines, outputs, constants = straightline.trace(body, 2)
+    assert outputs[0] == outputs[1] != outputs[2]
+    assert lines == ["v0 = c0(x0)", "v1 = c1(x1)"] and constants == [log, log]
+    assert straightline.call(log, 2.0) == math.log(2.0)
+
+
+def test_a_dropped_call_is_recorded_again():
+    def log(x):
+        return math.log(x)
+
+    def branching(x):  # records log, then compares: dropped with its lines
+        return 1.0 if straightline.call(log, x) > 0.0 else 0.0
+
+    def body(x):
+        return [straightline.call(branching, x[0]), straightline.call(log, x[0])]
+    lines, outputs, constants = straightline.trace(body, 1)
+    assert lines == ["v0 = c0(x0)", "v1 = c1(x0)"] and constants == [branching, log]
+    assert outputs == ["v0", "v1"]
