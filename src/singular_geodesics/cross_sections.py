@@ -129,7 +129,7 @@ class CrossSection:
         """(sharp, |eta|^2, q_r/q, force) of the stored covector ``eta`` at
         (r, y): the flow of ``geodesic_flow`` is ydot = sharp/f^2 and
         etadot = force/f^2.  ``y`` and ``eta`` are sequences of floats (lists
-        are the fast case) or, with an array ``r``, of arrays."""
+        and tuples are the fast case) or, with an array ``r``, of arrays."""
         raise NotImplementedError
 
     def metric(self, r: float, y) -> np.ndarray:
@@ -386,12 +386,12 @@ def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
     autonomous, so tau < 0 runs the negated field over [0, |tau|]."""
     k = len(y)
 
-    def rhs(_, x):
+    def rhs(_, *x):
         sharp, _, _, force = cs.cometric(0.0, x[:k], x[k:])
         return sharp + force
 
-    def backward(t, state):
-        return [-d for d in rhs(t, state)]
+    def backward(t, *x):
+        return [-d for d in rhs(t, *x)]
 
     x0 = np.concatenate([y, cs.covector(y, cs.metric(0.0, y) @ v)])
     out = np.empty((len(taus), k))

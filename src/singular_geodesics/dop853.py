@@ -4,15 +4,16 @@ forward from t = 0, with its dense output kept as coefficient arrays.
 
 A run is the method of scipy's ``DOP853``: the same stages, 5th/3rd-order
 error estimate, step-size control and dense output, with the tableau
-written out below as literals.  The stage sums of one step are not a numpy
-loop: for each state size n, ``kernel_source(n)`` writes them out from the
-tableau as straight-line float arithmetic, one local per stage component
-and one product per nonzero coefficient, and the module compiles that
-source once per n and tableau.  On 3- to 9-element states this costs about
-half of ``np.dot`` per stage.  To read the generated code, print
-``dop853.kernel_source(3)``.  ``compiled`` is the package's one compiler of
-generated source, cached by the source text; ``geodesic_flow`` compiles its
-traced right-hand sides with it too.
+written out below as literals.  The whole run is one generated function:
+for each state size n, ``kernel_source`` writes the step-size clamp, the
+stages as straight-line float arithmetic (one local per stage component
+and one product per nonzero coefficient), the error norms, accept or
+reject, the dense-output stages and the ``t_end`` and stop tests from the
+tableau and step-size constants, and the module compiles that source once
+per n, tableau and constants.  To read the generated code, print
+``dop853.kernel_source(3)``.  ``compiled`` is the package's one compiler
+of generated source, cached by the source text; ``geodesic_flow`` compiles
+its traced right-hand sides with it too.
 
 The sums add their terms left to right.  ``np.dot`` hands them to BLAS,
 whose x86-64 kernels add in blocks with fused multiply-adds, so a run is
@@ -26,16 +27,17 @@ for bit (``tests/test_dop853.py`` checks both and states the measured
 differences).
 
 A run starts with the step its caller gives (finite and positive, or
-ValueError).  Right-hand sides receive the state as a list of floats.  A
-run may end at a stop, a (component, level) pair: in the first step over
-which the component goes from at most the level to at least it,
-``crossing`` finds the time on the step's dense polynomial, as it does in
-``level_times``.  A run returns its dense solution as three arrays of its
-``Solution``: the step points ``t``, each step's length ``h`` and one
-component-major array ``coef`` (8 x states x steps) of each step's seven
-interpolation coefficients and, last, its start value.  Only ``evaluate``
-(one gather along the step axis and Horner's scheme, on all components or
-one) and ``level_times`` read ``coef``.
+ValueError).  A right-hand side is called as ``fun(t, x0, ..., x{n-1})``,
+on positional floats, and returns n floats.  A run may end at a stop, a
+(component, level) pair: in the first step over which the component goes
+from at most the level to at least it, ``crossing`` finds the time on the
+step's dense polynomial, as it does in ``level_times``.  A run returns its
+dense solution as three arrays of its ``Solution``: the step points ``t``,
+each step's length ``h`` and one component-major array ``coef`` (8 x
+states x steps) of each step's seven interpolation coefficients and, last,
+its start value.  Only ``evaluate`` (one gather along the step axis and
+Horner's scheme, on all components or one) and ``level_times`` read
+``coef``.
 """
 from __future__ import annotations
 
@@ -161,49 +163,100 @@ def _names(stages, n: int) -> str:
     return " ".join(f"k{s}_{i}," for s in stages for i in range(n))
 
 
-def _stages(n: int, first: int, last: int) -> list:
+def _stages(n: int, first: int, last: int, indent: str) -> list:
     """Source lines of the stages ``first`` .. ``last`` - 1, each one call
-    of ``fun`` at t + c h and y + (A K) h."""
+    of ``fun`` at t + c h and the n components of y + (A K) h."""
     lines = []
     for s in range(first, last):
         state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h" for i in range(n))
-        lines.append(f"    {_names([s], n)} = fun(t + {float(C[s])!r} * h, [{state}])")
+        lines.append(f"{indent}{_names([s], n)} = fun(t + {float(C[s])!r} * h, {state})")
     return lines
 
 
 def kernel_source(n: int) -> str:
-    """Source of the two functions of a step on n-component states, written
-    from the module's current tableau (``A``, ``B``, ``C``, ``E5``, ``E3``,
-    ``D``).
+    """Source of one run on n-component states, written from the module's
+    current tableau (``A``, ``B``, ``C``, ``E5``, ``E3``, ``D``) and
+    step-size constants (``SAFETY``, ``MIN_FACTOR``, ``MAX_FACTOR``,
+    ``ERROR_EXPONENT``).
 
-    ``attempt(fun, t, h, y, f, rtol, atol)`` runs stages 1-11 and the end
-    slope and returns ``y_new``, ``f_new``, the squared norms of the 5th- and
-    3rd-order error estimates scaled by atol + max(|y|, |y_new|) rtol (the
-    root of the sum of squares, squared, as scipy's ``norm(err)**2``), and
-    the 13 stages ``K`` (flat, stage-major).  ``dense(fun, t, h, y, K)``
-    runs stages 13-15 and returns the rows 3-6 of the step's interpolation
-    coefficients, h D K, flat and row-major.
+    ``run(fun, t_end, y, f, rtol, atol, h_abs, max_step, record, s0, ...,
+    s{n-1})`` steps from t = 0, the state ``y`` and its slope ``f`` with
+    the first step ``h_abs``: the step clamp, stages 1-11 and the end slope, the squared
+    norms of the 5th- and 3rd-order error estimates scaled by atol +
+    max(|y|, |y_new|) rtol (the root of the sum of squares, squared, as
+    scipy's ``norm(err)**2``), accept or reject, and for an accepted step
+    stages 13-15.  Each accepted step is passed to ``record`` as one tuple:
+    its end time, its length, the state and slope at its end and the rows
+    3-6 of its interpolation coefficients, h D K, row-major.  The run
+    returns (status, rejected attempts): 1 after the first step over which
+    a component i goes from at most its level ``s{i}`` to at least it (a NaN
+    level never stops the run), 0 at ``t_end`` and -1 when the step falls
+    below 10 ulp of t.
     """
-    y = " ".join(f"y{i}," for i in range(n))
-    K = _names(range(13), n)
-    lines = ["def attempt(fun, t, h, y, f, rtol, atol):",
-             f"    {y} = y", f"    {_names([0], n)} = f"]
-    lines += _stages(n, 1, 12)
-    lines += [f"    n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in range(n)]
-    lines += [f"    y_new = [{', '.join(f'n{i}' for i in range(n))}]",
-              "    f_new = fun(t + h, y_new)", f"    {_names([12], n)} = f_new"]
+    y, new = (", ".join(f"{v}{i}" for i in range(n)) for v in ("y", "n"))
+    cap, low, safety, exponent = (repr(float(c)) for c in (MAX_FACTOR, MIN_FACTOR, SAFETY,
+                                                           ERROR_EXPONENT))
+    lines = [f"def run(fun, t_end, y, f, rtol, atol, h_abs, max_step, record, "
+             f"{', '.join(f's{i}' for i in range(n))}):",
+             f"    {y}, = y", f"    {_names([0], n)} = f",
+             "    t = 0.0",
+             "    rejected = 0",
+             "    while True:",
+             "        min_step = 10.0 * (nextafter(t, inf) - t)",
+             "        if h_abs > max_step:",
+             "            h_abs = max_step",
+             "        elif h_abs < min_step:",
+             "            h_abs = min_step",
+             "        retry = False",
+             "        while True:",
+             "            if h_abs < min_step:",
+             "                return -1, rejected",
+             "            t_new = t + h_abs",
+             "            if t_end < t_new:",
+             "                t_new = t_end",
+             "            h = t_new - t",
+             "            h_abs = h"]
+    lines += _stages(n, 1, 12, " " * 12)
+    lines += [f"            n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in range(n)]
+    lines.append(f"            {_names([12], n)} = fun(t + h, {new})")
     for i in range(n):
-        lines += [f"    a, b = abs(y{i}), abs(n{i})",
-                  "    scale = atol + (a if a > b else b) * rtol",
-                  f"    e5_{i} = ({_stage_sum(E5, range(13), i)}) / scale",
-                  f"    e3_{i} = ({_stage_sum(E3, range(13), i)}) / scale"]
+        lines += [f"            a, b = abs(y{i}), abs(n{i})",
+                  "            scale = atol + (a if a > b else b) * rtol",
+                  f"            e5_{i} = ({_stage_sum(E5, range(13), i)}) / scale",
+                  f"            e3_{i} = ({_stage_sum(E3, range(13), i)}) / scale"]
     for e in ("e5", "e3"):
-        lines.append(f"    {e} = sqrt({' + '.join(f'{e}_{i} * {e}_{i}' for i in range(n))})")
-    lines += [f"    return y_new, f_new, e5 * e5, e3 * e3, ({K})",
-              "", "", "def dense(fun, t, h, y, K):", f"    {y} = y", f"    {K} = K"]
-    lines += _stages(n, 13, 16)
-    rows = " ".join(f"h * ({_stage_sum(row, range(16), i)})," for row in D for i in range(n))
-    lines.append(f"    return ({rows})")
+        squares = " + ".join(f"{e}_{i} * {e}_{i}" for i in range(n))
+        lines.append(f"            {e} = sqrt({squares})")
+    lines += ["            e5, e3 = e5 * e5, e3 * e3",
+              "            if e5 == 0.0 and e3 == 0.0:",
+              "                error = 0.0",
+              "            else:",
+              f"                error = h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+              # min and max as Python's: the first argument unless the second
+              # is smaller (larger), which also takes max(MIN_FACTOR, nan)
+              "            if error < 1.0:",
+              f"                factor = {cap} if error == 0.0 else {safety} * error ** {exponent}",
+              f"                if not factor < {cap}:",
+              f"                    factor = {cap}",
+              "                if retry and not factor < 1.0:",
+              "                    factor = 1.0",
+              "                h_abs *= factor",
+              "                break",
+              f"            factor = {safety} * error ** {exponent}",
+              f"            if not factor > {low}:",
+              f"                factor = {low}",
+              "            h_abs *= factor",
+              "            retry = True",
+              "            rejected += 1"]
+    lines += _stages(n, 13, 16, " " * 8)
+    rows = ", ".join(f"h * ({_stage_sum(row, range(16), i)})" for row in D for i in range(n))
+    lines.append(f"        record((t_new, h, {new}, {', '.join(f'k12_{i}' for i in range(n))}, "
+                 f"{rows}))")
+    crossed = " or ".join(f"y{i} <= s{i} <= n{i}" for i in range(n))
+    lines += [f"        if {crossed}:", "            return 1, rejected",
+              "        if t_new == t_end:", "            return 0, rejected",
+              f"        t, {y} = t_new, {new}",
+              f"        {_names([0], n)} = {_names([12], n)}"]
     return "\n".join(lines) + "\n"
 
 
@@ -213,44 +266,47 @@ _COMPILED = {}
 
 def compiled(source: str) -> dict:
     """The names that executing ``source`` defines, compiled once per source
-    text.  The source may call math's sin, cos, sqrt, exp and log.  It is
-    registered with ``linecache``, so tracebacks and ``inspect.getsource``
-    show the generated lines."""
+    text.  The source may call math's sin, cos, sqrt, exp, log and nextafter
+    and read ``inf``.  It is registered with ``linecache``, so tracebacks and
+    ``inspect.getsource`` show the generated lines."""
     if source not in _COMPILED:
         filename = f"<generated {len(_COMPILED)}>"
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        namespace = {name: getattr(math, name) for name in ("sin", "cos", "sqrt", "exp", "log")}
+        namespace = {name: getattr(math, name)
+                     for name in ("sin", "cos", "sqrt", "exp", "log", "nextafter", "inf")}
         exec(compile(source, filename, "exec"), namespace)
         _COMPILED[source] = namespace
     return _COMPILED[source]
 
 
-# the compiled (attempt, dense) of each state size and tableau
+# the compiled run of each state size, tableau and step-size constants
 _KERNELS = {}
 
 
 def _kernel(n: int):
-    """``kernel_source(n)`` compiled, once per n and tableau: a tableau
-    patched into the module gets its own kernel."""
-    key = (n,) + tuple(np.asarray(a).tobytes() for a in (C, *A, B, E5, E3, D))
+    """``kernel_source(n)`` compiled, once per key: a tableau or step-size
+    constant patched into the module gets its own run."""
+    key = ((n, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT)
+           + tuple(np.asarray(a).tobytes() for a in (C, *A, B, E5, E3, D)))
     if key not in _KERNELS:
-        namespace = compiled(kernel_source(n))
-        _KERNELS[key] = namespace["attempt"], namespace["dense"]
+        _KERNELS[key] = compiled(kernel_source(n))["run"]
     return _KERNELS[key]
 
 
-def _coefficients(h, y, f, F37) -> np.ndarray:
-    """The 8 x n x steps dense coefficients (``Solution.coef``) of steps of
-    the lengths ``h``, from the states ``y`` and slopes ``f`` at their
-    steps + 1 points and the kernel's rows 3-6 ``F37`` (one row of 4 n per
-    step)."""
-    y, f = y.T, f.T
+def _coefficients(y, f, steps) -> np.ndarray:
+    """The 8 x n x steps dense coefficients (``Solution.coef``) of a run
+    from the state ``y`` and slope ``f`` at its start and the columns
+    ``steps`` of its accepted steps, as the run records them."""
+    n = len(y)
+    h = steps[1]
+    y = np.column_stack([y, steps[2:2 + n]])
+    f = np.column_stack([f, steps[2 + n:2 + 2 * n]])
     dy = y[:, 1:] - y[:, :-1]
     coef = np.empty((8,) + dy.shape)
     coef[0] = dy
     coef[1] = h * f[:, :-1] - dy
     coef[2] = 2 * dy - h * (f[:, 1:] + f[:, :-1])
-    coef[3:7] = F37.reshape(len(h), 4, len(y)).transpose(1, 2, 0)
+    coef[3:7] = steps[2 + 2 * n:].reshape(4, n, len(h))
     coef[7] = y[:, :-1]
     return coef
 
@@ -313,13 +369,16 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
     starting with a step of ``first_step`` (finite and positive, or
     ValueError).
 
-    ``fun`` receives y as a list of floats and returns a sequence of n
-    floats.  ``stops`` holds (component, level) pairs: the run ends in the
-    first step at whose start a component is at most its level and at whose
-    end at least, at the time ``crossing`` finds on the step's dense
-    polynomial (the earliest, if several components cross in one step).
-    The scalar arguments are taken as Python floats: a numpy scalar among
-    them would carry numpy scalar arithmetic into every stage.
+    ``fun(t, x0, ..., x{n-1})`` receives the n state components as
+    positional floats and returns a sequence of n floats.  ``stops`` holds
+    (component, level) pairs: the run ends in the first step at whose start
+    a component is at most its level and at whose end at least, at the time
+    ``crossing`` finds on the step's dense polynomial (the earliest, if
+    several components cross in one step); a component takes at most one
+    stop (ValueError).  The steps are one call of the generated ``run`` of
+    the state size (``kernel_source``).  The scalar arguments are taken as
+    Python floats: a numpy scalar among them would carry numpy scalar
+    arithmetic into every stage.
     """
     t_end, rtol, atol, first_step, max_step = map(float, (t_end, rtol, atol, first_step,
                                                           max_step))
@@ -327,74 +386,31 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
         raise ValueError(f"first_step={first_step!r} must be finite and positive")
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
-    attempt, dense = _kernel(n)
-    t = 0.0
-    f = fun(t, y)
-    nfev = 1
-    h_abs = first_step
+    if len({range(n)[i] for i, _ in stops}) < len(stops):
+        raise ValueError(f"stops={stops!r} put two stops on one component")
+    # each component's stop level; NaN, which no comparison passes, where it
+    # has none
+    levels = [math.nan] * n
+    for i, level in stops:
+        levels[i] = float(level)
+    f = fun(0.0, *y)
+    out = []
+    status, rejected = _kernel(n)(fun, t_end, y, f, rtol, atol, first_step, max_step, out.extend,
+                                  *levels)
+    # one column per accepted step: its end time, length, end state and
+    # slope, and rows 3-6 of its coefficients
+    steps = np.array(out).reshape(-1, 6 * n + 2).T
+    t, h, coef = np.append(0.0, steps[0]), steps[1], _coefficients(y, f, steps)
     t_events = [[] for _ in stops]
-    # the step points' times, states and slopes, and each step's length and
-    # kernel rows 3-6 of its coefficients
-    ts, ys, fs, hs, F37 = [t], [y], [f], [], []
-    status, message, rejected_total = None, "", 0
-    while status is None:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status, message = -1, TOO_SMALL_STEP
-                break
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = h
-            y_new, f_new, err5_2, err3_2, K = attempt(fun, t, h, y, f, rtol, atol)
-            nfev += 12
-            if err5_2 == 0.0 and err3_2 == 0.0:
-                error = 0.0
-            else:
-                error = h * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * n)
-            if error < 1.0:
-                factor = MAX_FACTOR if error == 0.0 else min(
-                    MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
-            rejected = True
-            rejected_total += 1
-        if status is not None:
-            break
-
-        F37.append(dense(fun, t, h, y, K))
-        nfev += 3
-        hs.append(h)
-        t_old, t, y, f = t, t_new, y_new, f_new
-        ys.append(y)
-        fs.append(f)
-        if t == t_end:
-            status = 0
-
-        y_old = ys[-2]
-        crossed = [(k, i, level) for k, (i, level) in enumerate(stops)
-                   if y_old[i] <= level <= y[i]]
-        if crossed:
-            coef = _coefficients(np.array([h]), np.array(ys[-2:]), np.array(fs[-2:]),
-                                 np.array(F37[-1:]))[:7, :, 0]
-            root, k = min((crossing(coef[:, i].tolist(), y_old[i], t_old, h, level, t_old, t,
-                                    EVENT_TOL), k) for k, i, level in crossed)
-            t_events[k].append(root)
-            t, status = root, 1
-        ts.append(t)
-
     if status == 1:
-        message = "A termination event occurred."
-    elif status == 0:
-        message = "The solver successfully reached the end of the integration interval."
-    h = np.array(hs)
-    coef = _coefficients(h, np.array(ys), np.array(fs, dtype=float),
-                         np.array(F37).reshape(len(F37), 4 * n))
-    return Solution(np.array(ts), nfev, status, message, [np.array(te) for te in t_events],
-                    h, coef, rejected_total)
+        last, end, t0 = coef[:, :, -1].T.tolist(), steps[2:2 + n, -1].tolist(), float(t[-2])
+        root, k = min((crossing(last[i][:7], last[i][7], t0, float(h[-1]), levels[i], t0,
+                                float(t[-1]), EVENT_TOL), k)
+                      for k, (i, _) in enumerate(stops) if last[i][7] <= levels[i] <= end[i])
+        t_events[k].append(root)
+        t[-1] = root
+    message = {-1: TOO_SMALL_STEP, 0: "The solver successfully reached the end of the "
+               "integration interval.", 1: "A termination event occurred."}[status]
+    accepted = len(h)
+    return Solution(t, 1 + 12 * (accepted + rejected) + 3 * accepted, status, message,
+                    [np.array(te, dtype=float) for te in t_events], h, coef, rejected)

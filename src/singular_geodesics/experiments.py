@@ -156,9 +156,12 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     """Independent length oracle for warped products:
     l = 2 * int_delta^R f(delta) / (f^2 sqrt(1 - (f(delta)/f)^2)) dr,
     with the integrable endpoint removed by r = delta + s^2, to a relative
-    1e-11."""
+    1e-11.  The quadrature breaks at the warp's ``knots``, where a profile
+    table's f'' jumps."""
     R = wf.domain_radius
     fd = wf.f(delta)
+    knots = np.asarray(wf.knots, dtype=float)
+    breaks = np.sqrt(knots[(knots > delta) & (knots < R)] - delta)
 
     def integrand(s: float) -> float:
         r = delta + s * s
@@ -167,7 +170,7 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
         return 2.0 * s * fd / (fr * fr * math.sqrt(max(1.0 - q * q, 1e-300)))
 
     val, _ = quad(integrand, 0.0, math.sqrt(R - delta), epsabs=0.0, epsrel=1e-11,
-                  limit=400)
+                  limit=400 + len(breaks), points=breaks if len(breaks) else None)
     return 2.0 * val
 
 

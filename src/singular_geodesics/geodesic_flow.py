@@ -377,19 +377,19 @@ def _first_step(wf: WarpingFunction, r0: float) -> float:
 
 # a flow's right-hand side: the domain guard, then the traced slopes
 _RHS = """def factory(IntegrationError, r_max, {constants}):
-    def rhs(t, x):
-        {inputs} = x
+    def rhs(t, {inputs}):
         if not 0.0 < x0 <= r_max:
             raise IntegrationError(f"r={{x0:g}} outside (0, R)")
         {lines}
-        return [{outputs}]
+        return {outputs}
     return rhs
 """
 
 
 def _compiled_rhs(slopes, n, r_max):
     """``slopes`` of the ``n`` state components (r first) as straight-line
-    float code behind the guard 0 < r <= ``r_max``.
+    float code behind the guard 0 < r <= ``r_max``: ``rhs(t, x0, ...,
+    x{n-1})`` returns the n slopes as a tuple.
 
     The slopes run once on recorded values (``straightline``), and the
     lines they record are compiled once per source text, which depends only
@@ -518,7 +518,10 @@ def integrate(
         # the reduced system integrates tau_scaled (tau_scale 1), so scale
         # the stop with it
         tau_scale = 1.0
-        stop = tau_stop * fpd if tau_stop is not None and fpd > 0.0 else None
+        stop = None if tau_stop is None else tau_stop * fpd
+        if stop == 0.0:
+            raise ValueError(f"tau_stop={tau_stop!r} cannot stop this run: f'(delta) tau_stop "
+                             "underflows double precision")
         run = _run_branch(wf, _reduced_rhs(wf, log_fd, log_fpd), [delta, 0.0, 0.0], rtol, atol,
                           stop, math.inf)
         # the reduced system is identical under time reversal, so both time

@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -100,6 +100,9 @@ class WarpingFunction:
     kind: WarpKind
     label: str
     frakF_closed_form: Optional[Callable[[float], float]] = None
+    # the radii at which f'' jumps (a profile table's knots), where a
+    # quadrature over r should break
+    knots: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.domain_radius) and self.domain_radius > 0):
@@ -485,6 +488,7 @@ def profile_to_warp(
         d_log_f=lambda x: table.slope(x) / table.value(x),
         kind=WarpKind.CUSPIDAL if abs(m[0]) < 1e-6 else WarpKind.CONICAL,
         label=label,
+        knots=tuple(r_nodes.tolist()),
     )
 
 

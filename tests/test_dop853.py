@@ -63,16 +63,22 @@ DENSE_TOL = 1e-11  # dense output, relative to each component's largest value
 def scipy_solve(fun, t_end, y0, rtol, atol, first_step, max_step=math.inf, stops=()):
     """scipy's DOP853 run with the arguments of ``dop853.solve_ivp``, each
     stop (component, level) a terminal event y[component] - level rising
-    through 0; the result carries scipy's ``OdeSolution`` as ``sol``."""
+    through 0; scipy's state array reaches ``fun`` as positional components,
+    and the result carries scipy's ``OdeSolution`` as ``sol``."""
     events = []
     for i, level in stops:
         def g(t, y, i=i, level=level):
             return y[i] - level
         g.terminal, g.direction = True, 1.0
         events.append(g)
-    return scipy_solve_ivp(fun, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
-                           first_step=first_step, max_step=max_step, dense_output=True,
+    return scipy_solve_ivp(positional(fun), (0.0, t_end), y0, method="DOP853", rtol=rtol,
+                           atol=atol, first_step=first_step, max_step=max_step, dense_output=True,
                            events=events or None)
+
+
+def positional(fun):
+    """``fun`` called as scipy calls a right-hand side, on the state array."""
+    return lambda t, y: fun(t, *y)
 
 
 def _same_bits(a, b) -> bool:
@@ -217,6 +223,10 @@ CASES = {
                          0.1, [0.3], [1.0], {"rtol": 1e-9}),
     "round_sphere": (sg.make_power_warp(2.0), sg.sphere_section(), 0.1,
                      [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)], {"rtol": 1e-9}),
+    # 9 states and two stops, the exit and the tau stop, in both directions
+    "perturbed_sphere_tau_stop": (sg.make_power_warp(2.0), sg.sphere_section((0.05, None)),
+                                  0.1, [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)],
+                                  {"rtol": 1e-9, "tau_stop": 5.0}),
 }
 
 
@@ -236,9 +246,9 @@ def test_right_hand_sides_receive_python_floats(case, monkeypatch):
         def build(*args):
             rhs = builder(*args)
 
-            def spy(t, s):
+            def spy(t, *s):
                 seen.update(type(v) for v in [t, *s])
-                return rhs(t, s)
+                return rhs(t, *s)
             return spy
         return build
     for name in ("_reduced_rhs", "_full_rhs"):
@@ -260,30 +270,29 @@ def test_reference_geodesic_and_negated_field_match_scipy():
     y, v = cs.embed(np.array([math.pi / 2, 0.0]), np.array([0.3, math.sqrt(1 - 0.09)]))
     x0 = np.concatenate([y, cs.covector(y, cs.metric(0.0, y) @ v)])
 
-    def rhs(_, state):
-        x = list(state)
+    def rhs(_, *x):
         sharp, _, _, force = cs.cometric(0.0, x[:3], x[3:])
         return sharp + force
 
     args = (rhs, 1.3, x0, 1e-12, 1e-14, BASE_FIRST_STEP)
     _compare([(args, dop853.solve_ivp(*args))])
     # backward in time: the negated field forward over [0, 1.3]
-    back = dop853.solve_ivp(lambda t, s: [-d for d in rhs(t, s)], *args[1:])
+    back = dop853.solve_ivp(lambda t, *s: [-d for d in rhs(t, *s)], *args[1:])
 
     def backward():
-        return scipy_solve_ivp(rhs, (0.0, -1.3), x0, method="DOP853", rtol=1e-12, atol=1e-14,
-                               first_step=BASE_FIRST_STEP, dense_output=True)
+        return scipy_solve_ivp(positional(rhs), (0.0, -1.3), x0, method="DOP853", rtol=1e-12,
+                               atol=1e-14, first_step=BASE_FIRST_STEP, dense_output=True)
     assert mismatches(back, backward(), sign=-1.0) == []
     with summed_left_to_right():
         assert bit_mismatches(back, backward(), sign=-1.0) == []
 
 
 def _logistic(t, y):
-    return [y[0] * (1.0 - y[0]) + 0.1 * math.sin(t)]
+    return [y * (1.0 - y) + 0.1 * math.sin(t)]
 
 
-def _pendulum(_, y):
-    return [y[1], -math.sin(y[0])]
+def _pendulum(_, angle, rate):
+    return [rate, -math.sin(angle)]
 
 
 # the logistic state rising through 0.8, and the pendulum's angular
@@ -308,9 +317,9 @@ def test_one_and_two_states_match_scipy(args):
     _compare([(args, ours)])
 
 
-def _blow_up(_, s):
+def _blow_up(_, r, theta, tau):
     # tau' = 1 + tau^2: tau = tan(t) blows up at t = pi/2, where the step collapses
-    return [0.0, 0.0, 1.0 + s[2] * s[2]]
+    return [0.0, 0.0, 1.0 + tau * tau]
 
 
 def test_collapsing_step_raises():
@@ -328,14 +337,16 @@ def test_collapsing_step_raises():
     assert abs(ours.t[-1] - theirs.t[-1]) < 1e-14
 
 
-def _nan_slope(_, s):
+def _nan_slope(_, *s):
     return [math.nan, 0.0, 1.0]
 
 
 def test_run_without_an_accepted_step_fails_cleanly():
-    # every attempt from a NaN slope is rejected until the step collapses
+    # every attempt from a NaN slope is rejected until the step collapses;
+    # a step factor that stayed NaN would never end the run
     args = (_nan_slope, 4.0, [0.1, 0.0, 0.0], 1e-10, 1e-12, 1e-3)
-    ours = dop853.solve_ivp(*args)
+    with alarm(10):
+        ours = dop853.solve_ivp(*args)
     assert (ours.status, ours.message) == (-1, dop853.TOO_SMALL_STEP)
     assert ours.t.tolist() == [0.0] and ours.h.shape == (0,) and ours.coef.shape == (8, 3, 0)
     theirs = scipy_solve(*args)
@@ -344,6 +355,15 @@ def test_run_without_an_accepted_step_fails_cleanly():
     with pytest.raises(IntegrationError, match="stepper failed: Required step size"):
         geodesic_flow._run_branch(wf, _nan_slope, [0.1, 0.0, 0.0], 1e-10, 1e-12, None,
                                   math.inf)
+
+
+def test_stop_at_the_start_value_ends_the_first_step():
+    # a component that starts at its level rises through it in the first
+    # step, as scipy's rising event (g <= 0 <= g_new) finds: the run ends at 0
+    args = (_logistic, 20.0, [0.1], 1e-8, 1e-10, 1e-2, math.inf, [(0, 0.1)])
+    ours = dop853.solve_ivp(*args)
+    assert ours.status == 1 and ours.t.tolist() == [0.0, 0.0]
+    assert bit_mismatches(ours, left_to_right_solve(*args)) == []
 
 
 @pytest.mark.parametrize("args", [
@@ -384,20 +404,36 @@ def test_first_step_must_be_finite_and_positive(first_step):
 
 
 def test_kernel_source_is_straight_line_float_code():
+    # the whole run is one function: 11 stages, the end slope and 3 dense
+    # stages of straight-line float code, each a call on positional floats,
+    # inside the loops of the steps and of their attempts
     source = dop853.kernel_source(2)
-    assert "np." not in source and "for " not in source
-    assert source.count("fun(") == 15
-    attempt, dense = dop853._kernel(2)
-    assert dop853._kernel(2) == (attempt, dense)
+    assert "np." not in source and "for " not in source and "[" not in source
+    assert source.count("fun(") == 15 and source.count("while True:") == 2
+    run = dop853._kernel(2)
+    assert dop853._kernel(2) is run and dop853._kernel(3) is not run
 
 
 def test_patched_tableau_reaches_the_kernel(monkeypatch):
-    kernel = dop853._kernel(3)
+    # a patched tableau entry or step-size constant gets its own run, which
+    # steps differently
+    args = (_pendulum, 10.0, [2.5, 0.3], 1e-7, 1e-9, 1e-2, math.inf, _SWING)
+    kernel, sol = dop853._kernel(2), dop853.solve_ivp(*args)
     B = dop853.B.copy()
     B[5] *= 1.0 + 1e-6
-    monkeypatch.setattr(dop853, "B", B)
-    assert dop853._kernel(3) != kernel
-    assert repr(float(B[5])) in dop853.kernel_source(3)
+    for name, value, written in (("B", B, B[5]), ("SAFETY", 0.95, 0.95)):
+        monkeypatch.setattr(dop853, name, value)
+        assert dop853._kernel(2) is not kernel
+        assert repr(float(written)) in dop853.kernel_source(2)
+        assert not np.array_equal(dop853.solve_ivp(*args).t, sol.t), name
+        monkeypatch.undo()
+    assert dop853._kernel(2) is kernel
+
+
+def test_two_stops_on_one_component_raise():
+    with pytest.raises(ValueError, match="two stops on one component"):
+        dop853.solve_ivp(_pendulum, 10.0, [1.0, 0.0], 1e-10, 1e-12, 1e-2, math.inf,
+                         [(1, -0.5), (-1, 0.5)])
 
 
 def points_major_evaluate(sol, s):

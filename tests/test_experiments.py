@@ -1,7 +1,10 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 import singular_geodesics as sg
 from singular_geodesics.cli import VERIFY_SECTIONS
@@ -54,6 +57,24 @@ class TestClosedFormLength:
         for delta in (1e-3, 1e-4):
             length = closed_form_winding_length(cusp_warp, delta)
             assert cusp_warp.f_prime(delta) * length == pytest.approx(cf, rel=5e-3)
+
+    def test_profile_table_breaks_at_its_knots(self, tmp_path, flat_circle):
+        # f'' of a profile table jumps at each knot; without the knots as
+        # break points quad warned of roundoff at delta = 0.2 and 0.05
+        path = tmp_path / "parabola.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([("z", "s")] + [(z, z * z)
+                                                     for z in np.linspace(0.0, 1.0, 200)])
+        wf = sg.load_profile_csv(str(path))
+        assert len(wf.knots) > 2000
+        assert wf.knots[0] == 0.0 and wf.knots[-1] == wf.domain_radius
+        for delta in (0.2, 0.05, 0.01):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                oracle = closed_form_winding_length(wf, delta)
+            traj = sg.integrate_winding(wf, flat_circle, delta, [0.0], [1.0], dense_nodes=16)
+            # measured 1.8e-11, 5.1e-10 and 1.8e-9
+            assert sg.winding_length(traj) == pytest.approx(oracle, rel=1e-8), delta
 
 
 class TestDeltaSweep:

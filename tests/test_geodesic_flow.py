@@ -288,6 +288,14 @@ class TestWindingLength:
         with pytest.raises(ValueError, match="tau_stop"):
             sg.integrate_winding(cusp_warp, cs, 0.1, [0.3], [1.0], tau_stop=tau_stop)
 
+    def test_tau_stop_where_f_prime_underflows_raises(self, flat_circle):
+        # the reduced path once dropped the stop silently here and ran to the
+        # exit with tau = +-inf and truncated_by_tau False
+        wf = sg.parse_warp_spec("expinv:1")
+        assert wf.f_prime(1e-3) == 0.0
+        with pytest.raises(ValueError, match="tau_stop=0.5"):
+            sg.integrate_winding(wf, flat_circle, 1e-3, [0.0], [1.0], tau_stop=0.5)
+
 
 class TestReparametrize:
     def test_window_and_normalized_eta(self, cusp_warp, flat_circle):
@@ -406,7 +414,7 @@ class TestVectorField:
         # warped-product equations
         st = sg.launch_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
         x = np.concatenate([[0.35, 0.4], st.y, st.eta, [0.0]])
-        dr, dth, dy, deta, dtau = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1)(0.0, x)
+        dr, dth, dy, deta, dtau = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1)(0.0, *x)
         assert dr == pytest.approx(math.sin(0.4))
         fp_over_f = cusp_warp.f_prime(0.35) / cusp_warp.f(0.35)
         assert dth == pytest.approx(fp_over_f * math.cos(0.4), rel=1e-12)

@@ -13,7 +13,7 @@ other new scipy dependency fails until the map names it.  The warp
 callables take arrays, and the functions that still call one once per
 element, or hand one to ``straightline.call`` for a generated right-hand
 side, are pinned the same way (``SCALAR_WARP_CALLERS``).  Only ``dop853`` generates
-code: ``dop853.compiled`` compiles its step kernel from the tableau and the
+code: ``dop853.compiled`` compiles its generated runs from the tableau and the
 right-hand sides that ``geodesic_flow`` traces, and no other module calls
 ``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
 public function under src/ is passed by some call in src/, tests/ or

@@ -214,8 +214,8 @@ def test_biased_clock_fails_the_length_oracle(monkeypatch):
     def biased(original, wf, cs, k):
         rhs = original(wf, cs, k)
 
-        def out(t, s):
-            derivative = rhs(t, s)
+        def out(t, *s):
+            derivative = list(rhs(t, *s))
             derivative[-1] *= 1.0 + 1e-5
             return derivative
         return out

@@ -29,7 +29,7 @@ def reference_rhs(wf, cs, k):
     r_max = 1.25 * wf.domain_radius
     f, d_log_f = wf.f, wf.d_log_f
 
-    def rhs(_, x):
+    def rhs(_, *x):
         r, th = x[0], x[1]
         if not 0.0 < r <= r_max:
             raise IntegrationError(f"r={r:g} outside (0, R)")
@@ -45,7 +45,7 @@ def reduced_reference_rhs(wf, log_fd, log_fpd):
     """The reduced system's right-hand side evaluated on floats."""
     L0 = log_fpd + log_fd
 
-    def rhs(_, x):
+    def rhs(_, *x):
         r, th = x[0], x[1]
         return [math.sin(th), wf.d_log_f(r) * math.cos(th), math.exp(L0 - 2.0 * wf.log_f(r))]
     return rhs
@@ -68,9 +68,9 @@ SECTIONS = {
 
 
 def outcome(rhs, x):
-    """The bits of ``rhs(0.0, x)``, or the type of the error it raised."""
+    """The bits of ``rhs(0.0, *x)``, or the type of the error it raised."""
     try:
-        return [float(v).hex() for v in rhs(0.0, x)]
+        return [float(v).hex() for v in rhs(0.0, *x)]
     except (ArithmeticError, ValueError, IntegrationError) as exc:
         return type(exc).__name__
 
@@ -177,8 +177,8 @@ def test_domain_guard(section):
     x = fixed_states(wf, k, n=1)[0]
     for r in (0.0, -0.1, math.nextafter(r_max, math.inf), math.nan, math.inf):
         with pytest.raises(IntegrationError, match="outside"):
-            rhs(0.0, [r] + x[1:])
-    assert len(rhs(0.0, [r_max] + x[1:])) == len(x)
+            rhs(0.0, r, *x[1:])
+    assert len(rhs(0.0, r_max, *x[1:])) == len(x)
 
 
 @pytest.mark.parametrize("warp", sorted(WARPS))
@@ -188,8 +188,8 @@ def test_reduced_domain_guard_has_no_upper_end(warp):
     rhs = reduced_builders(wf, 0.1)[0]
     for r in (0.0, -0.1, math.nan):
         with pytest.raises(IntegrationError, match="outside"):
-            rhs(0.0, [r, 0.3, 0.0])
-    assert len(rhs(0.0, [1.4 * wf.domain_radius, 0.3, 0.0])) == 3
+            rhs(0.0, r, 0.3, 0.0)
+    assert len(rhs(0.0, 1.4 * wf.domain_radius, 0.3, 0.0)) == 3
 
 
 def test_a_campaign_compiles_once_per_structure(monkeypatch):

@@ -23,11 +23,16 @@ x86-64 Xeon, Python 3.11, numpy 2.4), rounded up to the next power of ten:
   over rtol = 1e-6 .. 1e-11.  Measured worst 0.032 (power), 0.136
   (expinv) and 0.403 (logpow); bound 1.  The ladder stops at 1e-11, the
   oracle's own relative accuracy: at 1e-12 logpow reads 1.06.
+- the full path's winding length on the round sphere against the same
+  oracle, for the same warps and deltas over rtol = 1e-6 .. 1e-11.
+  Measured worst 0.034 (power), 0.055 (expinv) and 0.086 (logpow, delta =
+  0.1 at 1e-11); bound 0.1.
 
 A dense-output coefficient D[0, 5] off by 1e-6 passes criterion 1 (r err
 6.8e-9 against 1e-8) but fails this ladder: the cone reads 1.3 at 1e-8 and
 4200 at 1e-12, the perturbed circle 30 at 1e-9 and 300 at 1e-10, the
-winding length 5.45 (expinv) and 7.53 (logpow) at 1e-11.
+winding length 5.45 (expinv) and 7.53 (logpow) at 1e-11, and on the round
+sphere 0.175 (power), 0.63 (expinv) and 1.1 (logpow) at 1e-11.
 """
 import math
 
@@ -43,7 +48,13 @@ CONE_BOUND = 1.0
 SELF_CONVERGENCE_BOUND = 10.0
 LENGTH_LADDER = LADDER[:-1]
 LENGTH_BOUND = 1.0
+SPHERE_LENGTH_BOUND = 0.1
 LENGTH_CASES = {"power:2": (0.3, 0.1, 0.03), "expinv:1": (0.3, 0.2), "logpow:1.5": (0.2, 0.1)}
+# the flat circle runs the reduced path, the round sphere the full one
+LENGTH_SECTIONS = {
+    "reduced": (sg.circle_section(2 * math.pi), [0.0], [1.0]),
+    "full": (sg.sphere_section(), [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]),
+}
 
 
 def cone_ratios() -> list:
@@ -77,17 +88,23 @@ def self_convergence_ratios(delta: float) -> list:
     return ratios
 
 
-def length_ratios(spec: str) -> list:
-    """Worst relative error of the reduced path's winding length against
+def length_ratios(spec: str, path: str = "reduced") -> list:
+    """Worst relative error of the winding length on ``path`` against
     ``closed_form_winding_length`` over the warp's deltas, divided by rtol,
     per rung."""
-    wf, cs = sg.parse_warp_spec(spec), sg.circle_section(2 * math.pi)
+    wf, (cs, y0, v0) = sg.parse_warp_spec(spec), LENGTH_SECTIONS[path]
     deltas = LENGTH_CASES[spec]
     oracles = [closed_form_winding_length(wf, delta) for delta in deltas]
-    return [max(abs(sg.winding_length(sg.integrate_winding(
-                wf, cs, delta, [0.0], [1.0], rtol=rtol, atol=rtol / 100, dense_nodes=16))
-                    / oracle - 1.0) for delta, oracle in zip(deltas, oracles)) / rtol
-            for rtol in LENGTH_LADDER]
+    ratios = []
+    for rtol in LENGTH_LADDER:
+        worst = 0.0
+        for delta, oracle in zip(deltas, oracles):
+            traj = sg.integrate_winding(wf, cs, delta, y0, v0, rtol=rtol, atol=rtol / 100,
+                                        dense_nodes=16)
+            assert traj.meta["path"] == path
+            worst = max(worst, abs(sg.winding_length(traj) / oracle - 1.0))
+        ratios.append(worst / rtol)
+    return ratios
 
 
 def test_flat_cone_error_shrinks_with_rtol():
@@ -107,6 +124,12 @@ def test_reduced_winding_length_error_shrinks_with_rtol(spec):
     assert max(ratios) < LENGTH_BOUND, ratios
 
 
+@pytest.mark.parametrize("spec", sorted(LENGTH_CASES))
+def test_round_sphere_winding_length_error_shrinks_with_rtol(spec):
+    ratios = length_ratios(spec, "full")
+    assert max(ratios) < SPHERE_LENGTH_BOUND, ratios
+
+
 def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch):
     D = dop853.D.copy()
     D[0, 5] *= 1.0 + 1e-6
@@ -116,3 +139,5 @@ def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch):
     # power:2's winding length reads only 0.071 here
     assert max(length_ratios("expinv:1")) > LENGTH_BOUND
     assert max(length_ratios("logpow:1.5")) > LENGTH_BOUND
+    for spec in sorted(LENGTH_CASES):
+        assert max(length_ratios(spec, "full")) > SPHERE_LENGTH_BOUND, spec
