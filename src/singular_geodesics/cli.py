@@ -169,9 +169,8 @@ def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
     wf, cs = _build(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
-    deltas = cfg.deltas if cfg.deltas else None
     result = experiments.delta_sweep(
-        wf, cs, deltas, np.asarray(cfg.y0), np.asarray(cfg.v0),
+        wf, cs, cfg.deltas, np.asarray(cfg.y0), np.asarray(cfg.v0),
         rtol=cfg.rtol, atol=cfg.atol,
     )
     csv_path = os.path.join(cfg.outdir, "sweep.csv")
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NonOscillationError, QuadratureError, ValueError, FileNotFoundError) as exc:
+    except (NonOscillationError, QuadratureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except IntegrationError as exc:

@@ -6,14 +6,13 @@ h_r = q(r, y)^2 h0(y) with q = 1 + a*w(r, y).  A section exposes q with its
 partials (``conformal``) and turns them into everything the geodesic flow
 needs (``cometric``).
 
-A shape w is one formula ``formula(xp, r, point)`` returning ``(w, w_r,
-grad w)``, written with the functions of the module ``xp``: ``numpy`` for
-arrays that broadcast (the section's grid check, the trajectory
-diagnostics) and ``straightline`` otherwise, which evaluates a float point
-with math and records a recorded one (the full-path right-hand side, which
-``geodesic_flow`` traces once and compiles).  ``conformal`` and
-``cometric`` have one implementation for both and read which module to use
-from the type of ``r``.
+A shape w is one formula ``formula(r, point)`` returning ``(w, w_r,
+grad w)``, written with the functions of ``straightline``, which follow
+their operands' type: numpy on arrays that broadcast (the section's grid
+check, the trajectory diagnostics), math on floats, and the recorder on
+recorded values (the full-path right-hand side, which ``geodesic_flow``
+traces once and compiles).  ``conformal`` and ``cometric`` have one
+implementation for all three.
 
 The circle is stored in its unwrapped angle phi with the covector eta.  The
 sphere is stored in its embedding: a point n in R^3 and the angular momentum
@@ -30,9 +29,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import dop853, straightline
+from . import dop853
 from .dop853 import solve_ivp
 from .errors import IntegrationError
+from .straightline import cos, sin, sqrt
 
 __all__ = [
     "Shape",
@@ -61,7 +61,7 @@ BASE_FIRST_STEP = 1e-2
 
 @dataclass(frozen=True)
 class Shape:
-    """Scalar field w(r, y) on [0, R] x Y: ``formula(xp, r, point)`` returns
+    """Scalar field w(r, y) on [0, R] x Y: ``formula(r, point)`` returns
     (w, d_r w, grad w).  On the circle the point is the angle phi and grad w
     is (d_phi w,).  On the sphere it is the unit embedding vector
     (n0, n1, n2) and grad w the ambient gradient in R^3; only its tangential
@@ -72,17 +72,17 @@ class Shape:
     formula: Callable
 
 
-def _sincos(xp, r, phi):
-    s, cos_phi = xp.sin(r), xp.cos(phi)
-    return s * cos_phi, xp.cos(r) * cos_phi, (-s * xp.sin(phi),)
+def _sincos(r, phi):
+    s, cos_phi = sin(r), cos(phi)
+    return s * cos_phi, cos(r) * cos_phi, (-s * sin(phi),)
 
 
-def _sin_r_bump(xp, r, n):
-    s = xp.sin(r)
-    return s * n[0] * n[2], xp.cos(r) * n[0] * n[2], (s * n[2], s * 0.0, s * n[0])
+def _sin_r_bump(r, n):
+    s = sin(r)
+    return s * n[0] * n[2], cos(r) * n[0] * n[2], (s * n[2], s * 0.0, s * n[0])
 
 
-def _static_bump(xp, r, n):
+def _static_bump(r, n):
     return n[0] * n[2], 0.0, (n[2], 0.0, n[0])
 
 
@@ -93,12 +93,6 @@ default_sphere_shape = Shape(label="sin_r_bump", formula=_sin_r_bump)
 # r-independent deformation: still a warped product (c = 0) but with a
 # non-round h_0, so the numeric reference-geodesic path gets exercised.
 static_sphere_bump = Shape(label="static_bump", formula=_static_bump)
-
-
-def _xp(r):
-    """numpy for an array ``r``, else ``straightline``: math for a float,
-    the recorder for a recorded value."""
-    return np if isinstance(r, np.ndarray) else straightline
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ class CrossSection:
             self.h0_is_standard = True
             return
         radii = np.linspace(0.0, self.domain_radius, 128)
-        w, w_r, _ = self.shape.formula(np, radii[:, None], nodes.T)
+        w, w_r, _ = self.shape.formula(radii[:, None], nodes.T)
         w = np.broadcast_to(w, (len(radii), len(nodes)))
         q = 1.0 + a * w
         bad = ~((0.5 <= q) & (q <= 2.0))
@@ -214,7 +208,7 @@ class CircleSection(CrossSection):
         if self.amplitude == 0.0:
             return 1.0, 0.0, (0.0,)
         a = self.amplitude
-        w, w_r, (w_phi,) = self.shape.formula(_xp(r), r, y[0])
+        w, w_r, (w_phi,) = self.shape.formula(r, y[0])
         return 1.0 + a * w, a * w_r, (a * w_phi,)
 
     def cometric(self, r, y, eta):
@@ -243,9 +237,9 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
-def _unit(xp, y):
+def _unit(y):
     n0, n1, n2 = y
-    inv = 1.0 / xp.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    inv = 1.0 / sqrt(n0 * n0 + n1 * n1 + n2 * n2)
     return n0 * inv, n1 * inv, n2 * inv
 
 
@@ -269,20 +263,20 @@ class SphereSection(CrossSection):
 
     def conformal(self, r, y):
         """q, q_r and the ambient gradient a*grad w, all at n/|n|."""
-        return self._conformal_at_unit(r, _unit(_xp(r), y))
+        return self._conformal_at_unit(r, _unit(y))
 
     def _conformal_at_unit(self, r, n):
         """``conformal`` at a unit vector ``n``, which it does not normalise again."""
         if self.amplitude == 0.0:
             return 1.0, 0.0, (0.0, 0.0, 0.0)
         a = self.amplitude
-        w, w_r, grad = self.shape.formula(_xp(r), r, n)
+        w, w_r, grad = self.shape.formula(r, n)
         return 1.0 + a * w, a * w_r, [a * g for g in grad]
 
     def cometric(self, r, y, eta):
         """With n the unit vector of ``y`` and L = ``eta``: p = L x n,
         sharp = p/q^2, |eta|^2 = |p|^2/q^2 and force = (|eta|^2/q) n x grad q."""
-        n = n0, n1, n2 = _unit(_xp(r), y)
+        n = n0, n1, n2 = _unit(y)
         l0, l1, l2 = eta
         q, q_r, (g0, g1, g2) = self._conformal_at_unit(r, n)
         q2 = q * q
@@ -294,7 +288,7 @@ class SphereSection(CrossSection):
 
     def metric(self, r, y):
         """q^2 times the projection onto the tangent plane at n."""
-        n = np.array(_unit(_xp(r), y))
+        n = np.array(_unit(y))
         q = self.conformal(r, n)[0]
         return q * q * (np.eye(3) - np.outer(n, n))
 

@@ -103,10 +103,13 @@ def delta_sweep(
     atol: float = 1e-12,
 ) -> SweepResult:
     """Measure winding lengths over a decreasing delta ladder and compare
-    f'(delta) * length against the length constant."""
+    f'(delta) * length against the length constant; ``None`` takes
+    ``default_delta_ladder``, and an empty ladder raises ValueError."""
     deltas = np.asarray(
         default_delta_ladder(wf) if delta_list is None else delta_list, dtype=float
     )
+    if len(deltas) == 0:
+        raise ValueError("delta ladder is empty")
     if np.any(np.diff(deltas) >= 0):
         raise ValueError("delta ladder must be strictly decreasing")
     if np.any((deltas <= 0) | (deltas >= wf.domain_radius)):

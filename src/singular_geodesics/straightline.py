@@ -1,9 +1,12 @@
-"""Straight-line float code from formulas: a recording value and its ``xp``.
+"""Straight-line float code from formulas, and the package's one arithmetic
+dispatch.
 
-A formula written against a module ``xp`` runs with ``numpy`` on arrays and
-with this module on a float or a ``Var``.  Its functions call ``math`` on a
-float, so a float gives the bits of the formula evaluated with ``math``.  On
-``Var`` inputs each operation instead appends one assignment to the inputs'
+A formula is written once with operators and this module's sin, cos, sqrt,
+exp and log, which follow their operand's type: numpy's function for an
+ndarray, ``math``'s for anything else (a float, a numpy scalar), so a float
+gives the bits of the formula evaluated with ``math``.  (numpy's arithmetic
+turns a 0-d array into numpy scalars, which then take ``math``.)  On ``Var``
+inputs each operation instead appends one assignment to the inputs'
 ``Tape``, in the order the formula performs it, and returns a ``Var`` naming
 the result.  Constants (floats, or any operand that is not a ``Var``) are
 not written into the text: each occurrence becomes an argument c0, c1, ...
@@ -23,6 +26,8 @@ and records each callable once per input.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = ["Var", "Tape", "trace", "call", "sin", "cos", "sqrt", "exp", "log"]
 
@@ -87,10 +92,12 @@ class Var:
 
 
 def _function(name: str):
-    fn = getattr(math, name)
+    scalar, array = getattr(math, name), getattr(np, name)
 
     def apply(x):
-        return x.tape.assign(f"{name}({x.name})") if isinstance(x, Var) else fn(x)
+        if isinstance(x, Var):
+            return x.tape.assign(f"{name}({x.name})")
+        return array(x) if isinstance(x, np.ndarray) else scalar(x)
     apply.__name__ = name
     return apply
 

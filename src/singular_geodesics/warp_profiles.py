@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 
 from . import straightline
 from .errors import NonOscillationError, QuadratureError
+from .straightline import cos, exp, log, sin, sqrt
 
 __all__ = [
     "WarpKind",
@@ -51,19 +52,6 @@ class WarpKind(str, Enum):
     OSCILLATING_COUNTEREXAMPLE = "oscillating_counterexample"
 
 
-def _duals(formulas: Callable) -> dict:
-    """The callables of ``formulas(xp)``, a dict of formulas written against
-    the module ``xp``: ``formulas(numpy)`` for an ndarray and
-    ``formulas(straightline)`` otherwise, which evaluates a float with math
-    and records a ``straightline.Var``."""
-    def dual(array, other):
-        def call(x):
-            return array(x) if isinstance(x, np.ndarray) else other(x)
-        return call
-    array, other = formulas(np), formulas(straightline)
-    return {name: dual(array[name], other[name]) for name in array}
-
-
 def _bisect(below_root, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Bisect the brackets [lo, hi] in lockstep until no double lies inside
     one; ``below_root(mid)`` is True where mid lies below the root.  Returns
@@ -85,9 +73,9 @@ class WarpingFunction:
     the exponential cusp families underflow double precision long before
     their logarithms do; integrators work in log space where possible.
     Every callable takes a float, giving a float, or an ndarray, which
-    broadcasts: each formula is written once against a module ``xp``,
-    ``straightline`` (math on a float) or numpy, whose last bits may differ,
-    or with operators alone.
+    broadcasts: each formula is written once with operators and the
+    functions of ``straightline``, which call math on a float and numpy on
+    an ndarray (whose last bits may differ), and record a recorded value.
     """
 
     domain_radius: float
@@ -190,8 +178,8 @@ def make_power_warp(alpha: float, R: float = 1.5) -> WarpingFunction:
         kind=WarpKind.CONICAL if alpha == 1.0 else WarpKind.CUSPIDAL,
         label=f"power:{_number(alpha)}",
         frakF_closed_form=lambda sigma: sigma ** (inv - 1.0),
+        log_f=lambda x: alpha * log(x),
         d_log_f=lambda x: alpha / x,
-        **_duals(lambda xp: {"log_f": lambda x: alpha * xp.log(x)}),
     )
 
 
@@ -214,23 +202,21 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
         r_max, r_default = _LOGPOW_MAX_R, 0.9 * _LOGPOW_MAX_R
         name, label = f"log_power:{_number(mu)}", f"logpow:{_number(mu)}"
 
-        def family_formulas(xp):  # log f, (log f)', F, F'
-            def F(y):
-                return xp.exp(-((xp.log(1.0 / y)) ** (1.0 / mu)))
-            return (lambda x: -((xp.log(1.0 / x)) ** mu),
-                    lambda x: mu * (xp.log(1.0 / x)) ** (mu - 1.0) / x, F,
-                    lambda y: F(y) * (1.0 / mu) * xp.log(1.0 / y) ** (1.0 / mu - 1.0) / y)
+        def F(y):
+            return exp(-((log(1.0 / y)) ** (1.0 / mu)))
+        log_f, d_log_f, F_prime = (
+            lambda x: -((log(1.0 / x)) ** mu), lambda x: mu * (log(1.0 / x)) ** (mu - 1.0) / x,
+            lambda y: F(y) * (1.0 / mu) * log(1.0 / y) ** (1.0 / mu - 1.0) / y)
     elif family == "exp_inverse_power":
         beta = param
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError("exp_inverse_power requires a finite beta > 0")
         r_max = r_default = (beta / (beta + 1.0)) ** (1.0 / beta)
         name = label = f"expinv:{_number(beta)}"
-
-        def family_formulas(xp):
-            return (lambda x: -(x**-beta), lambda x: beta * x ** (-beta - 1.0),
-                    lambda y: (xp.log(1.0 / y)) ** (-1.0 / beta),
-                    lambda y: (1.0 / beta) * xp.log(1.0 / y) ** (-1.0 / beta - 1.0) / y)
+        log_f, d_log_f, F, F_prime = (
+            lambda x: -(x**-beta), lambda x: beta * x ** (-beta - 1.0),
+            lambda y: (log(1.0 / y)) ** (-1.0 / beta),
+            lambda y: (1.0 / beta) * log(1.0 / y) ** (-1.0 / beta - 1.0) / y)
     else:
         raise ValueError(f"unknown exp warp family: {family!r}")
     if R is None:
@@ -240,17 +226,17 @@ def make_exp_warp(family: str, param: float, R: Optional[float] = None) -> Warpi
             f"R={R:g} too large for convexity of {name}; "
             f"largest admissible R is {r_max:.6g}"
         )
-
-    def formulas(xp):
-        lf, dlf, F, F_prime = family_formulas(xp)
-        return {"f": lambda x: xp.exp(lf(x)), "f_prime": lambda x: xp.exp(lf(x)) * dlf(x),
-                "F": F, "F_prime": F_prime, "log_f": lf, "d_log_f": dlf}
     return WarpingFunction(
         domain_radius=R,
+        f=lambda x: exp(log_f(x)),
+        f_prime=lambda x: exp(log_f(x)) * d_log_f(x),
+        F=F,
+        F_prime=F_prime,
+        log_f=log_f,
+        d_log_f=d_log_f,
         kind=WarpKind.CUSPIDAL,
         label=label,
         frakF_closed_form=lambda sigma: 1.0 / sigma,
-        **_duals(formulas),
     )
 
 
@@ -278,8 +264,8 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
     # log f(rho) is the root s of g(s) = alpha s + log(c + sin s) - log rho,
     # which increases in s; the upper end lies past x = 1/2: adaptive
     # steppers probe r slightly beyond R, and F stays monotone there
-    def g(s, xp, target):
-        return alpha * s + xp.log(c + xp.sin(s)) - target
+    def g(s, target):
+        return alpha * s + log(c + sin(s)) - target
 
     def bracket(target):
         return (target - math.log(c + 1.0)) / alpha - 2.0, math.log(0.5) + 1.0
@@ -287,7 +273,7 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
     def scalar_log_f(rho):
         target = math.log(rho)
         lo, hi = bracket(target)
-        return brentq(g, min(-700.0, lo), hi, args=(math, target), xtol=1e-14, rtol=8.9e-16)
+        return brentq(g, min(-700.0, lo), hi, args=(target,), xtol=1e-14, rtol=8.9e-16)
 
     def array_log_f(rho):
         # agrees with brentq to 2.9e-14 (21 ulp) in log f: osc:0.5:9, 0.3:12
@@ -296,28 +282,35 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
             raise ValueError("osc warp: log f needs radii > 0")
         target = np.log(rho)
         lo, hi = bracket(target)
-        return _bisect(lambda s: g(s, np, target) < 0.0, np.minimum(-700.0, lo),
+        return _bisect(lambda s: g(s, target) < 0.0, np.minimum(-700.0, lo),
                        np.full(np.shape(rho), hi))
 
-    def formulas(xp):
+    def log_f(rho):
         # one root per traced evaluation: f, f' and (log f)' all read it
-        log_f = array_log_f if xp is np else lambda rho: straightline.call(scalar_log_f, rho)
+        if isinstance(rho, np.ndarray):
+            return array_log_f(rho)
+        return straightline.call(scalar_log_f, rho)
 
-        def F_prime(x):
-            s = xp.log(x)
-            return x ** (alpha - 1.0) * (alpha * c + alpha * xp.sin(s) + xp.cos(s))
+    def F(x):
+        return x**alpha * (c + sin(log(x)))
 
-        def f(rho):
-            return xp.exp(log_f(rho))
-        return {"f": f, "f_prime": lambda rho: 1.0 / F_prime(f(rho)),
-                "F": lambda x: x**alpha * (c + xp.sin(xp.log(x))), "F_prime": F_prime,
-                "log_f": log_f, "d_log_f": lambda rho: 1.0 / (F_prime(f(rho)) * f(rho))}
+    def F_prime(x):
+        s = log(x)
+        return x ** (alpha - 1.0) * (alpha * c + alpha * sin(s) + cos(s))
+
+    def f(rho):
+        return exp(log_f(rho))
 
     return WarpingFunction(
-        domain_radius=formulas(straightline)["F"](0.5),
+        domain_radius=F(0.5),
+        f=f,
+        f_prime=lambda rho: 1.0 / F_prime(f(rho)),
+        F=F,
+        F_prime=F_prime,
+        log_f=log_f,
+        d_log_f=lambda rho: 1.0 / (F_prime(f(rho)) * f(rho)),
         kind=WarpKind.OSCILLATING_COUNTEREXAMPLE,
         label=f"osc:{_number(alpha)}:{_number(c)}",
-        **_duals(formulas),
     )
 
 
@@ -327,14 +320,15 @@ def make_concave_sqrt_warp(R: float = 1.0) -> WarpingFunction:
         raise ValueError("R must be positive")
     return WarpingFunction(
         domain_radius=R,
+        f=sqrt,
+        f_prime=lambda x: 0.5 / sqrt(x),
         F=lambda y: y * y,
         F_prime=lambda y: 2.0 * y,
         kind=WarpKind.CONCAVE_EXPERIMENTAL,
         label="sqrt",
         frakF_closed_form=lambda sigma: sigma,
+        log_f=lambda x: 0.5 * log(x),
         d_log_f=lambda x: 0.5 / x,
-        **_duals(lambda xp: {"f": xp.sqrt, "f_prime": lambda x: 0.5 / xp.sqrt(x),
-                             "log_f": lambda x: 0.5 * xp.log(x)}),
     )
 
 
@@ -484,7 +478,7 @@ def profile_to_warp(
         f_prime=table.slope,
         F=table.inverse,
         F_prime=lambda rho: 1.0 / table.slope(table.inverse(rho)),
-        log_f=_duals(lambda xp: {"log_f": lambda x: xp.log(table.value(x))})["log_f"],
+        log_f=lambda x: log(table.value(x)),
         d_log_f=lambda x: table.slope(x) / table.value(x),
         kind=WarpKind.CUSPIDAL if abs(m[0]) < 1e-6 else WarpKind.CONICAL,
         label=label,

@@ -227,6 +227,17 @@ class TestSweep:
                            "--outdir", str(tmp_path / "osc"))
         assert code == 4
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_ladder_exits_2(self, tmp_path, capsys, source):
+        # an empty ladder once ran the default one instead
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"deltas": []}')
+        given = ["--deltas", ","] if source == "flag" else ["--config", str(cfg_path)]
+        code, out, err = run(capsys, "sweep", "--warp", "power:2", *given,
+                             "--outdir", str(tmp_path / "sweep"))
+        assert code == 2
+        assert "delta ladder is empty" in err and out == ""
+
 
 class TestVerify:
     def test_default_suite(self, capsys):
@@ -321,6 +332,23 @@ def test_flag_a_command_does_not_read_is_refused(capsys, command, flag):
         main([command, *required, flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    ("profile2warp", "--profile", "directory"),
+    ("cf", "--config", "directory"),
+    ("trace", "--outdir", "file"),
+])
+def test_unusable_path_exits_2(tmp_path, capsys, command, flag, kind):
+    # a directory where a file is read, or a file where a directory is made
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("")
+    code, _, err = run(capsys, command, flag, str(path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 class TestProfile2Warp:

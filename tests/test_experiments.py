@@ -90,6 +90,8 @@ class TestDeltaSweep:
             sg.delta_sweep(cusp_warp, flat_circle, delta_list=[0.1, 0.2])
         with pytest.raises(ValueError):
             sg.delta_sweep(cusp_warp, flat_circle, delta_list=[2.0, 0.1])
+        with pytest.raises(ValueError, match="empty"):
+            sg.delta_sweep(cusp_warp, flat_circle, delta_list=[])
 
     def test_oscillating_has_no_reference(self, flat_circle):
         wf = sg.parse_warp_spec("osc:0.5:9")

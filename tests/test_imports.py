@@ -15,7 +15,9 @@ element, or hand one to ``straightline.call`` for a generated right-hand
 side, are pinned the same way (``SCALAR_WARP_CALLERS``).  Only ``dop853`` generates
 code: ``dop853.compiled`` compiles its generated runs from the tableau and the
 right-hand sides that ``geodesic_flow`` traces, and no other module calls
-``exec``, ``eval`` or ``compile``.  Every defaulted parameter of a
+``exec``, ``eval`` or ``compile``.  No function takes a parameter ``xp``:
+``straightline``'s functions pick math or numpy by their operand's type,
+so a formula takes its operands alone.  Every defaulted parameter of a
 public function under src/ is passed by some call in src/, tests/ or
 perfbench/: a default that nothing overrides is a constant.  No linter is
 needed; the checks walk each module's syntax tree."""
@@ -241,6 +243,33 @@ def test_detects_code_generation():
     source = "import re\nre.compile('x')\nexec(compile('y = 1', 'f', 'exec'))\neval('2')\n"
     assert sorted(code_generation_calls(source)) == ["compile (line 3)", "eval (line 4)",
                                                      "exec (line 3)"]
+
+
+def xp_parameters(source: str) -> list:
+    """The functions and lambdas with a parameter named ``xp``, with their
+    lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _FUNCTIONS):
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if "xp" in names:
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_module_xp(path):
+    assert xp_parameters(path.read_text()) == []
+
+
+def test_detects_an_xp_parameter():
+    source = ("def f(r, xp):\n    return xp.sin(r)\n"
+              "g = lambda x, *, xp=None: x\n"
+              "def h(x, *xp):\n    return x\n"
+              "def k(x, sin=None):\n    return x\n")
+    assert xp_parameters(source) == ["f (line 1)", "<lambda> (line 3)", "h (line 4)"]
 
 
 def _called_name(func: ast.expr):

@@ -8,7 +8,11 @@ and of ``cometric`` per evaluation).  It shares the formulas and
 the compile cache, so it sees a wrong or reordered operation in the
 generated code to the last bit: an emitter that swaps the operands of one
 subtraction fails it.  A wrong formula fools both; the shell, bound and
-length checks of ``tests/test_oracle_sensitivity.py`` judge those."""
+length checks of ``tests/test_oracle_sensitivity.py`` judge those.
+
+The last test checks the dispatch that every formula goes through: each of
+``straightline``'s five functions gives numpy's bits on an ndarray, math's
+Python float on anything else, and one recorded line on a ``Var``."""
 import dataclasses
 import inspect
 import math
@@ -256,3 +260,24 @@ def test_a_dropped_call_is_recorded_again():
     lines, outputs, constants = straightline.trace(body, 1)
     assert lines == ["v0 = c0(x0)", "v1 = c1(x0)"] and constants == [branching, log]
     assert outputs == ["v0", "v1"]
+
+
+FUNCTIONS = ("sin", "cos", "sqrt", "exp", "log")
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_each_function_follows_its_operand(name):
+    ours, array, scalar = getattr(straightline, name), getattr(np, name), getattr(math, name)
+    # an ndarray gets numpy's bits in its own shape, a 0-d one included
+    for x in (np.linspace(0.1, 3.0, 7), np.linspace(0.1, 3.0, 6).reshape(2, 3),
+              np.array(0.7)):
+        out = ours(x)
+        assert np.shape(out) == x.shape
+        assert np.asarray(out).tobytes() == np.asarray(array(x)).tobytes()
+    # a float or a numpy scalar gets math's Python float
+    for x in (0.7, np.float64(0.7)):
+        out = ours(x)
+        assert type(out) is float and out.hex() == scalar(0.7).hex()
+    # a recorded value appends one line
+    lines, outputs, _ = straightline.trace(lambda x: [ours(x[0])], 1)
+    assert lines == [f"v0 = {name}(x0)"] and outputs == ["v0"]

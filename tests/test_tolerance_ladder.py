@@ -10,13 +10,16 @@ x86-64 Xeon, Python 3.11, numpy 2.4), rounded up to the next power of ten:
 - the flat cone: the worst relative r error against sqrt(t^2 + delta^2) at
   delta = 0.3, 0.1 and 0.01 (criterion 1's closed form).  Measured 0.14 -
   0.57 over the ladder; bound 1.
-- the perturbed circle (``circle:2pi:pert=0.05``, f = r^2, delta = 0.1 and
-  0.25), which has no closed form: self-convergence, the largest difference
-  in r, theta, the angle and the scaled clock from a run at rtol/100, on
-  513 common times, over rtol = 1e-6 .. 1e-10.  Measured 0.75 - 5.5; bound
-  10.  It sees the stepper, its dense output and the generated right-hand
-  side's determinism, not a wrong vector field (the parity tests of
-  ``tests/test_straightline.py`` and the shell checks cover that).
+- the perturbed circle (``circle:2pi:pert=0.05``) and the perturbed sphere
+  (``sphere:pert=0.05``), f = r^2, delta = 0.1 and 0.25, which have no
+  closed form: self-convergence, the largest difference in r, theta, the
+  point on Y and the scaled clock from a run at rtol/100, on 513 common
+  times, over rtol = 1e-6 .. 1e-10.  Measured 0.75 - 5.5 (circle) and
+  0.60 - 5.2 (sphere); bound 10.  It sees the stepper, its dense output and
+  the generated right-hand side's determinism, not a wrong vector field
+  (the parity tests of ``tests/test_straightline.py`` and the shell checks
+  cover that).  At delta = 0.05 the sphere's point reads 189 at rtol 1e-6,
+  where the covector, of size f(delta), sits below atol.
 - the reduced path's winding length against ``closed_form_winding_length``
   (the flat circle; power:2 at delta = 0.3, 0.1 and 0.03, expinv:1 at 0.3
   and 0.2, logpow:1.5 at 0.2 and 0.1), the worst relative error per warp
@@ -31,7 +34,7 @@ x86-64 Xeon, Python 3.11, numpy 2.4), rounded up to the next power of ten:
 A dense-output coefficient D[0, 5] off by 1e-6 passes criterion 1 (r err
 6.8e-9 against 1e-8) but fails this ladder: the cone reads 1.3 at 1e-8 and
 4200 at 1e-12, the perturbed circle 30 at 1e-9 and 300 at 1e-10, the
-winding length 5.45 (expinv) and 7.53 (logpow) at 1e-11, and on the round
+perturbed sphere 114 at 1e-10, the winding length 5.45 (expinv) and 7.53 (logpow) at 1e-11, and on the round
 sphere 0.175 (power), 0.63 (expinv) and 1.1 (logpow) at 1e-11.
 """
 import math
@@ -46,6 +49,13 @@ from singular_geodesics.experiments import closed_form_winding_length
 LADDER = [10.0 ** -e for e in range(6, 13)]
 CONE_BOUND = 1.0
 SELF_CONVERGENCE_BOUND = 10.0
+# the perturbed sections of the self-convergence ladder, with their launch
+# (y0, v0)
+SELF_CONVERGENCE_SECTIONS = {
+    "circle": (sg.circle_section(2 * math.pi, (0.05, None)), [0.3], [1.0]),
+    "sphere": (sg.sphere_section((0.05, None)), [math.pi / 2, 0.3],
+               [math.sin(1.0), math.cos(1.0)]),
+}
 LENGTH_LADDER = LADDER[:-1]
 LENGTH_BOUND = 1.0
 SPHERE_LENGTH_BOUND = 0.1
@@ -72,11 +82,12 @@ def cone_ratios() -> list:
     return ratios
 
 
-def self_convergence_ratios(delta: float) -> list:
-    """Largest state difference of the perturbed circle from its run at
-    rtol/100, divided by rtol, for rtol = 1e-6 .. 1e-10."""
-    wf, cs = sg.make_power_warp(2.0), sg.circle_section(2 * math.pi, (0.05, None))
-    runs = [sg.integrate_winding(wf, cs, delta, [0.3], [1.0], rtol=rtol, atol=rtol / 100,
+def self_convergence_ratios(cs, y0, v0, delta: float) -> list:
+    """Largest state difference of f = r^2 on the section ``cs``, launched
+    from ``y0`` along ``v0``, from its run at rtol/100, divided by rtol, for
+    rtol = 1e-6 .. 1e-10."""
+    wf = sg.make_power_warp(2.0)
+    runs = [sg.integrate_winding(wf, cs, delta, y0, v0, rtol=rtol, atol=rtol / 100,
                                  dense_nodes=16) for rtol in LADDER]
     ratios = []
     for rtol, run, finer in zip(LADDER, runs, runs[2:]):
@@ -113,8 +124,9 @@ def test_flat_cone_error_shrinks_with_rtol():
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.25])
-def test_perturbed_circle_self_convergence_shrinks_with_rtol(delta):
-    ratios = self_convergence_ratios(delta)
+@pytest.mark.parametrize("section", sorted(SELF_CONVERGENCE_SECTIONS))
+def test_perturbed_section_self_convergence_shrinks_with_rtol(section, delta):
+    ratios = self_convergence_ratios(*SELF_CONVERGENCE_SECTIONS[section], delta)
     assert max(ratios) < SELF_CONVERGENCE_BOUND, ratios
 
 
@@ -135,7 +147,9 @@ def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch):
     D[0, 5] *= 1.0 + 1e-6
     monkeypatch.setattr(dop853, "D", D)
     assert max(cone_ratios()) > CONE_BOUND
-    assert max(self_convergence_ratios(0.1)) > SELF_CONVERGENCE_BOUND
+    for section in sorted(SELF_CONVERGENCE_SECTIONS):
+        ratios = self_convergence_ratios(*SELF_CONVERGENCE_SECTIONS[section], 0.1)
+        assert max(ratios) > SELF_CONVERGENCE_BOUND, section
     # power:2's winding length reads only 0.071 here
     assert max(length_ratios("expinv:1")) > LENGTH_BOUND
     assert max(length_ratios("logpow:1.5")) > LENGTH_BOUND
