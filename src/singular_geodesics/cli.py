@@ -102,9 +102,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build(cfg: RunConfig):
+    if os.path.isfile(cfg.outdir):  # refused before the run, which can take seconds
+        raise NotADirectoryError(f"--outdir {cfg.outdir!r} is a file")
     wf = parse_warp_spec(cfg.warp, R=cfg.R)
-    cs = parse_section_spec(cfg.section, domain_radius=wf.domain_radius)
-    return wf, cs
+    return wf, parse_section_spec(cfg.section, domain_radius=wf.domain_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +123,11 @@ def cmd_cf(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _merge_config(args)
     wf, cs = _build(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
     traj = geodesic_flow.integrate_winding(
         wf, cs, cfg.delta, np.asarray(cfg.y0), np.asarray(cfg.v0),
         rtol=cfg.rtol, atol=cfg.atol,
     )
+    os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = os.path.join(cfg.outdir, "trace.csv")
     traj.to_csv(csv_path)
     length = geodesic_flow.winding_length(traj)
@@ -168,11 +169,11 @@ def cmd_trace(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
     wf, cs = _build(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
     result = experiments.delta_sweep(
         wf, cs, cfg.deltas, np.asarray(cfg.y0), np.asarray(cfg.v0),
         rtol=cfg.rtol, atol=cfg.atol,
     )
+    os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = os.path.join(cfg.outdir, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write("delta,length,normalized,error_rel\n")

@@ -6,23 +6,27 @@ State variables are (r, theta, y, eta) with sin(theta) = rdot; the flow is
     thetadot = (f'/f + q_r/q) cos(theta)
     ydot     = eta^sharp / f^2
     etadot   = sharp^T (d_y h) sharp / (2 f^2)
+    taudot   = |eta| / f^2
 
 for h_r = q^2 h0 (see ``CrossSection.cometric``).
 
-Two systems share one trajectory representation: a reduced 3-state system in
-(r, theta, tau) for unperturbed circle sections, evaluated in log space so
-the exponential cusp families work far below double-precision range of f,
-and a full phase-space system for everything else, in the stored coordinates
-of the section (the sphere's point and angular momentum live in R^3).  Both
-right-hand sides are generated by one builder: their slopes are traced once
-on recorded values and run as straight-line float code (``_compiled_rhs``).
-Each time direction is one run of the package's DOP853 (``dop853.solve_ivp``)
-whose only stops are the exit at r = R and the optional tau stop.  A
-trajectory keeps each run's ``dop853.Solution`` as it is, and a query is
-``dop853.evaluate`` on it: one gather plus Horner's scheme, on the
-components the query reads.  A radial line
-is one straight segment of the same form.  Backward time is obtained from
-the symmetry (t, theta, eta) -> (-t, -theta, -eta).
+Both systems integrate one scaled state: eta_hat = eta / f(delta), of size 1
+since |eta| = f(delta) at the lowest point r = delta, and the clock
+tau_scaled = f'(delta) tau of the length law l ~ C_f / f'(delta).  sharp
+and force are homogeneous of degree 1 and 2 in eta, so the slopes of y and
+eta_hat are sharp and force of eta_hat times f(delta)/f(r)^2, and the
+clock's is f'(delta) f(delta)/f(r)^2 |eta_hat|: ``atol`` means the same at
+every delta.  The decode multiplies eta_hat by f(delta) once; a trajectory
+carries no scale of its clock.  Unperturbed circle sections keep their own
+reduced system in (r, theta, tau_scaled), in log space so the exponential
+cusp families work far below the double range of f (folding it into the
+full system cost 2.0-2.3x per benchmark pair).  Every other section takes
+the full system, in its stored coordinates (on the sphere n and L in R^3).
+Both right-hand sides are traced once on recorded values and run as
+straight-line float code (``_compiled_rhs``).  Each time direction is one
+DOP853 run (``dop853.solve_ivp``) stopped only at the exit r = R and the
+optional tau stop; backward time is a forward run of the mirrored system
+(t, theta, eta) -> (-t, -theta, -eta); radial lines are straight segments.
 """
 from __future__ import annotations
 
@@ -136,12 +140,12 @@ def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: fl
     return decode
 
 
-def _full_decode(k: int):
+def _full_decode(k: int, fd: float):
     def decode(x, sign, tau_scaled):
-        # y and eta as C-contiguous rows: sums over a row, as in
-        # ambient_residual's einsum, then add in the same order at any query
+        # y and eta = f(delta) eta_hat as C-contiguous rows: sums over a row, as
+        # in ambient_residual's einsum, then add in the same order at any query
         return States(x[0], sign * x[1], np.ascontiguousarray(x[2:2 + k].T),
-                      np.ascontiguousarray((sign * x[2 + k:2 + 2 * k]).T), tau_scaled)
+                      np.ascontiguousarray((fd * sign * x[2 + k:2 + 2 * k]).T), tau_scaled)
     return decode
 
 
@@ -162,12 +166,11 @@ class Trajectory:
     The reduced system is identical under time reversal, so its one run
     fills both slots; a radial line is one straight segment per direction.
     A query evaluates each run it needs once, at |t|, and decodes once: the
-    last state component times ``sign * tau_scale`` is tau_scaled, and
+    last state component times ``sign`` is tau_scaled, and the system's
     ``decode(x, sign, tau_scaled)`` maps mirrored states ``x`` (one row per
     component, one column per query) and each query's ``sign`` to
-    ``States``; these two differ between the systems.  ``r_of_t``,
-    ``tau_of_t`` and ``tau_scaled_of_t`` evaluate only the component they
-    return.
+    ``States``.  ``r_of_t``, ``tau_of_t`` and ``tau_scaled_of_t`` evaluate
+    only the component they return.
 
     Sample arrays are aligned with ``t`` (sorted, containing the minimum t=0
     for winding launches).  ``tau_scaled`` is f'(delta) * tau, which stays
@@ -178,11 +181,11 @@ class Trajectory:
     """
 
     def __init__(self, wf: WarpingFunction, cs: CrossSection,
-                 runs: Tuple[dop853.Solution, dop853.Solution], decode, tau_scale: float,
+                 runs: Tuple[dop853.Solution, dop853.Solution], decode,
                  delta: Optional[float], log_fd: Optional[float], fpd: float,
                  wind_sign: int, meta: dict):
         self.wf, self.cs = wf, cs
-        self.runs, self.decode, self.tau_scale = runs, decode, tau_scale
+        self.runs, self.decode = runs, decode
         self.delta = delta
         self.log_fd = log_fd  # log f(delta); None for radial trajectories
         self.fpd = fpd
@@ -218,12 +221,9 @@ class Trajectory:
                 x[..., mask] = dop853.evaluate(sol, s[mask], component)
         return x, np.where(fwd, 1.0, -1.0)
 
-    def _tau_scaled(self, x_tau: np.ndarray, sign: np.ndarray) -> np.ndarray:
-        return sign * x_tau * self.tau_scale
-
     def _evaluate(self, t: np.ndarray) -> States:
         x, sign = self._mirrored(t)
-        return self.decode(x, sign, self._tau_scaled(x[-1], sign))
+        return self.decode(x, sign, sign * x[-1])
 
     def _query(self, t, values):
         """``values`` of the flat times, in the shape of ``t``."""
@@ -243,16 +243,16 @@ class Trajectory:
         return self._query(t, lambda ts: self._mirrored(ts, 0)[0])
 
     def tau_scaled_of_t(self, t):
-        return self._query(t, lambda ts: self._tau_scaled(*self._mirrored(ts, -1)))
+        return self._query(t, lambda ts: np.multiply(*self._mirrored(ts, -1)))
 
     def tau_of_t(self, t):
-        return self._query(t, lambda ts: self._tau(self._tau_scaled(*self._mirrored(ts, -1))))
+        return self._query(t, lambda ts: self._tau(np.multiply(*self._mirrored(ts, -1))))
 
     def t_of_tau(self, tau):
         """Invert the strictly increasing map t -> tau.
 
         A target's sign picks the time direction, and the target becomes a
-        level of that run's tau column (the last state component), whose
+        level f'(delta) |tau| of that run's last state component, whose
         time ``dop853.level_times`` finds with ``dop853.crossing``, the
         routine that ends the stepper's runs at their stops.  Its bracket
         stops only at 4 ulp of the time (``xtol`` 1e-300): near the lowest
@@ -267,7 +267,7 @@ class Trajectory:
                 raise ValueError(f"tau beyond available range [{lo:g}, {hi:g}]")
             out = np.empty(len(targets))
             for sol, sign, mask in zip(self.runs, (1, -1), (targets >= 0, targets < 0)):
-                levels = np.abs(targets[mask]) * self.fpd / self.tau_scale
+                levels = np.abs(targets[mask]) * self.fpd
                 out[mask] = sign * dop853.level_times(sol, -1, levels, 1e-300)
             return out
         return self._query(tau, times)
@@ -418,33 +418,33 @@ def _reduced_rhs(wf, log_fd, log_fpd):
     return _compiled_rhs(slopes, 3, math.inf)
 
 
-def _full_rhs(wf, cs, k):
-    """Right-hand side of the full system in (r, theta, y, eta, tau), with
-    ``k`` components each in y and eta, for r up to 1.25 R: the stepper's
-    trial points reach slightly past the exit."""
+def _full_rhs(wf, cs, k, fd, fpd):
+    """Right-hand side of the full system in (r, theta, y, eta_hat, tau_scaled),
+    k components each in y and eta_hat, with f(delta) = ``fd`` and f'(delta)
+    = ``fpd``, for r up to 1.25 R: trial points reach slightly past the exit."""
     def slopes(x):
         r, th = x[0], x[1]
         sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
         fr = straightline.call(wf.f, r)
-        f2 = fr * fr
+        scale = fd / (fr * fr)
         d_log_f = straightline.call(wf.d_log_f, r)
         return [straightline.sin(th), (d_log_f + qr_q) * straightline.cos(th),
-                *[v / f2 for v in sharp + force], straightline.sqrt(norm2) / f2]
+                *[v * scale for v in sharp + force], fpd * scale * straightline.sqrt(norm2)]
     return _compiled_rhs(slopes, 3 + 2 * k, 1.25 * wf.domain_radius)
 
 
-def _mirror(start: GeodesicState, sign: int) -> np.ndarray:
-    """The mirrored state (r, sign*theta, y, sign*eta, tau = 0) of ``start``."""
-    return np.concatenate([[start.r, sign * start.theta], start.y, sign * start.eta, [0.0]])
+def _mirror(start: GeodesicState, sign: int, fd: float) -> np.ndarray:
+    """The mirrored state (r, sign*theta, y, sign*eta/``fd``, 0) of ``start``."""
+    return np.concatenate([[start.r, sign * start.theta], start.y, sign * start.eta / fd, [0.0]])
 
 
-def _run_branch(wf, rhs, x0, rtol, atol, tau_stop, max_step) -> dop853.Solution:
+def _run_branch(wf, rhs, x0, rtol, atol, stop, max_step) -> dop853.Solution:
     """One forward run of the mirrored system from the lowest point until
-    r = R or until the last state component (tau) reaches ``tau_stop``.  A
+    r = R or until the last state component (tau_scaled) reaches ``stop``.  A
     right-hand side that fails on a state that blew up (``math``'s
     ValueError or OverflowError, as at an infinite angle) fails the run."""
     R = wf.domain_radius
-    stops = [(0, R)] + ([] if tau_stop is None else [(-1, tau_stop)])
+    stops = [(0, R)] + ([] if stop is None else [(-1, stop)])
     try:
         sol = solve_ivp(rhs, 2.0 * R + 1.0, x0, rtol, atol, _first_step(wf, x0[0]), max_step,
                         stops)
@@ -483,11 +483,10 @@ def integrate(
         raise IntegrationError(f"start r={start.r:g} outside (0, R)")
 
     log_fd = wf.log_f(start.r)
+    fd = math.exp(log_fd)
     eta_norm0 = cs.eta_norm(start.r, start.y, start.eta)
     launched_winding = abs(start.theta) < 1e-12
-    is_radial = (not launched_winding) and eta_norm0 < RADIAL_ETA_FACTOR * max(
-        math.exp(log_fd), 5e-324
-    )
+    is_radial = (not launched_winding) and eta_norm0 < RADIAL_ETA_FACTOR * max(fd, 5e-324)
     if is_radial and abs(abs(math.sin(start.theta)) - 1.0) > 1e-9:
         raise IntegrationError("state with eta=0 must be radial (|sin theta| = 1)")
 
@@ -506,22 +505,22 @@ def integrate(
     fpd = math.exp(log_fpd)
 
     reduced = _is_reduced(cs)
-    if not reduced and math.exp(log_fd) == 0.0:
+    if not reduced and fd == 0.0:
+        # the path winds about C_f / (2 pi f'(delta)) times, and the full
+        # system steps through every winding: such a run would never finish
         raise IntegrationError(
             "f(delta) underflows double precision; only unperturbed circle "
             "sections support this regime"
         )
+    # both systems integrate tau_scaled, so scale the stop with it
+    stop = None if tau_stop is None else tau_stop * fpd
+    if stop == 0.0:
+        raise ValueError(f"tau_stop={tau_stop!r} cannot stop this run: f'(delta) tau_stop "
+                         "underflows double precision")
 
     if reduced:
         decode = _reduced_decode(start.y[0], start.wind_sign, fpd, cs.scale,
-                                 start.wind_sign * cs.scale * math.exp(log_fd))
-        # the reduced system integrates tau_scaled (tau_scale 1), so scale
-        # the stop with it
-        tau_scale = 1.0
-        stop = None if tau_stop is None else tau_stop * fpd
-        if stop == 0.0:
-            raise ValueError(f"tau_stop={tau_stop!r} cannot stop this run: f'(delta) tau_stop "
-                             "underflows double precision")
+                                 start.wind_sign * cs.scale * fd)
         run = _run_branch(wf, _reduced_rhs(wf, log_fd, log_fpd), [delta, 0.0, 0.0], rtol, atol,
                           stop, math.inf)
         # the reduced system is identical under time reversal, so both time
@@ -529,8 +528,8 @@ def integrate(
         runs = (run, run)
     else:
         k = len(start.y)
-        decode, tau_scale, rhs = _full_decode(k), fpd, _full_rhs(wf, cs, k)
-        runs = tuple(_run_branch(wf, rhs, _mirror(start, sign), rtol, atol, tau_stop,
+        decode, rhs = _full_decode(k, fd), _full_rhs(wf, cs, k, fd, fpd)
+        runs = tuple(_run_branch(wf, rhs, _mirror(start, sign, fd), rtol, atol, stop,
                                  FULL_MAX_STEP_FRACTION * R) for sign in (1, -1))
 
     meta = {
@@ -550,7 +549,7 @@ def integrate(
                    for name, sol, sign in zip(("both",) if reduced else ("forward", "backward"),
                                               runs, (1, -1))],
     }
-    traj = Trajectory(wf, cs, runs, decode, tau_scale, delta, log_fd, fpd, start.wind_sign, meta)
+    traj = Trajectory(wf, cs, runs, decode, delta, log_fd, fpd, start.wind_sign, meta)
     parts = [np.linspace(traj.t_min, traj.t_max, dense_nodes), np.array([0.0])]
     parts += [sign * sol.t for sol, sign in zip(runs, (1, -1))]
     traj._resample(np.unique(np.concatenate(parts)))
@@ -578,7 +577,7 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
     sgn = 1.0 if math.sin(start.theta) > 0 else -1.0
     runs = []
     for sign in (1, -1):
-        x0 = _mirror(start, sign)
+        x0 = _mirror(start, sign, 1.0)
         coef = np.zeros((8, len(x0), 1))
         coef[0, 0, 0] = slope = sign * sgn
         coef[7, :, 0] = x0
@@ -586,7 +585,7 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
         runs.append(dop853.Solution(np.array([0.0, end]), 0, int(slope > 0), "",
                                     [np.array([end] if slope > 0 else [], dtype=float)],
                                     np.ones(1), coef, 0))
-    traj = Trajectory(wf, cs, tuple(runs), _full_decode(len(start.y)), 1.0, None, None, 1.0,
+    traj = Trajectory(wf, cs, tuple(runs), _full_decode(len(start.y), 1.0), None, None, 1.0,
                       start.wind_sign, {"warp": wf.label, "radial": True, "solver": []})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
     return traj

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from singular_geodesics import geodesic_flow
 from singular_geodesics.cli import RunConfig, main
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.warp_profiles import make_power_warp, parse_warp_spec
@@ -334,13 +335,26 @@ def test_flag_a_command_does_not_read_is_refused(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["trace", "--delta", "5"], ["sweep", "--deltas", ","]])
+def test_refused_input_makes_no_outdir(tmp_path, capsys, argv):
+    outdir = tmp_path / "new"
+    code, _, err = run(capsys, *argv, "--outdir", str(outdir))
+    assert code == 2 and err.startswith("error:")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("command, flag, kind", [
     ("profile2warp", "--profile", "directory"),
     ("cf", "--config", "directory"),
     ("trace", "--outdir", "file"),
+    ("sweep", "--outdir", "file"),
 ])
-def test_unusable_path_exits_2(tmp_path, capsys, command, flag, kind):
-    # a directory where a file is read, or a file where a directory is made
+def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, command, flag, kind):
+    # a directory where a file is read, or a file where a directory is made,
+    # refused before any geodesic is integrated
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(geodesic_flow, "integrate", no_run)
     path = tmp_path / kind
     if kind == "directory":
         path.mkdir()

@@ -297,6 +297,44 @@ class TestWindingLength:
             sg.integrate_winding(wf, flat_circle, 1e-3, [0.0], [1.0], tau_stop=0.5)
 
 
+# expinv:1 on the perturbed circle, launched from y0 = 1 along v0 = 1: f(0.1)
+# = 4.5e-5, so |eta| is far below atol while |eta_hat| is 1
+EXPINV_CIRCLE = (sg.parse_warp_spec("expinv:1"),
+                 sg.parse_section_spec("circle:6.283185307179586:pert=0.05"), [1.0], [1.0])
+
+
+class TestScaledState:
+    """The full path integrates eta/f(delta) and f'(delta) tau, so atol
+    means the same at every delta.  Bounds: the worst value measured (x86-64
+    Xeon, Python 3.11, numpy 2.4) rounded up to the next power of ten.
+    Integrating eta itself, the delta = 0.1 run drifted 1.8e-9 off the shell
+    and its length differed from the atol 1e-20 run's by 4.8e-10 relative,
+    and the delta = 0.07 run failed with a shell drift of 1.01e-6."""
+
+    def test_default_atol_matches_a_tight_atol(self):
+        # measured: shell drift 8.0e-11 (7.5e-11 at atol 1e-20), lengths 4.7e-12 apart
+        wf, cs, y0, v0 = EXPINV_CIRCLE
+        runs = [sg.integrate_winding(wf, cs, 0.1, y0, v0, atol=atol) for atol in (1e-12, 1e-20)]
+        assert max(run.meta["shell_drift"] for run in runs) < 1e-10
+        default, tight = (sg.normalized_winding_length(run) for run in runs)
+        assert abs(default / tight - 1.0) < 1e-11
+
+    def test_default_atol_runs_closer_in(self):
+        # measured: shell drift 7.7e-10, in about 1.2 s
+        wf, cs, y0, v0 = EXPINV_CIRCLE
+        traj = sg.integrate_winding(wf, cs, 0.07, y0, v0)
+        assert traj.meta["shell_drift"] < 1e-9
+
+    @pytest.mark.parametrize("section, y0, v0", [
+        ("circle:6.283185307179586:pert=0.05", [1.0], [1.0]),
+        ("sphere:pert=0.05", [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)])])
+    def test_full_path_refuses_an_underflowing_f(self, section, y0, v0):
+        wf = sg.parse_warp_spec("expinv:1")
+        assert wf.f(1e-3) == 0.0
+        with pytest.raises(IntegrationError, match=r"f\(delta\) underflows double precision"):
+            sg.integrate_winding(wf, sg.parse_section_spec(section), 1e-3, y0, v0)
+
+
 class TestReparametrize:
     def test_window_and_normalized_eta(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.1, [0.0], [1.0])
@@ -410,17 +448,28 @@ class TestDiagnostics:
 
 class TestVectorField:
     def test_matches_reduced_dynamics(self, cusp_warp, flat_circle):
-        # the full field in (r, theta, y, eta, tau) must reproduce the scalar
-        # warped-product equations
-        st = sg.launch_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
-        x = np.concatenate([[0.35, 0.4], st.y, st.eta, [0.0]])
-        dr, dth, dy, deta, dtau = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1)(0.0, *x)
-        assert dr == pytest.approx(math.sin(0.4))
-        fp_over_f = cusp_warp.f_prime(0.35) / cusp_warp.f(0.35)
-        assert dth == pytest.approx(fp_over_f * math.cos(0.4), rel=1e-12)
-        # flat circle: eta is conserved along the flow, and dtau = |eta|/f^2
+        # the full field in (r, theta, y, eta_hat = eta/f(delta), tau_scaled =
+        # f'(delta) tau) must reproduce the scalar warped-product equations
+        # and the reduced system's slopes
+        delta, r, th = 0.2, 0.35, 0.4
+        st = sg.launch_winding(cusp_warp, flat_circle, delta, [0.0], [1.0])
+        fd, fpd = cusp_warp.f(delta), cusp_warp.f_prime(delta)
+        x = np.concatenate([[r, th], st.y, st.eta / fd, [0.0]])
+        rhs = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1, fd, fpd)
+        dr, dth, dy, deta, dtau = rhs(0.0, *x)
+        assert dr == pytest.approx(math.sin(th))
+        fp_over_f = cusp_warp.f_prime(r) / cusp_warp.f(r)
+        assert dth == pytest.approx(fp_over_f * math.cos(th), rel=1e-12)
+        # flat circle: eta is conserved along the flow and |eta_hat| = 1, so
+        # dy = |eta|/f^2 and dtau_scaled = f'(delta) |eta|/f^2
         assert np.allclose(deta, 0.0)
-        assert dtau == pytest.approx(cusp_warp.f(0.2) / cusp_warp.f(0.35) ** 2, rel=1e-12)
+        eta_over_f2 = fd / cusp_warp.f(r) ** 2
+        assert dy == pytest.approx(eta_over_f2, rel=1e-12)
+        assert dtau == pytest.approx(fpd * eta_over_f2, rel=1e-12)
+        log_fd = cusp_warp.log_f(delta)
+        reduced = geodesic_flow._reduced_rhs(cusp_warp, log_fd,
+                                             log_fd + math.log(cusp_warp.d_log_f(delta)))
+        assert [dr, dth, dtau] == pytest.approx(list(reduced(0.0, r, th, 0.0)), rel=1e-12)
 
 
 def _scipy_dense(sol):
@@ -444,7 +493,7 @@ def _scalar_loop(traj, solutions):
     for t in traj.t:
         sign, sol = (1.0, solutions[0]) if t >= 0 else (-1.0, solutions[-1])
         x, sign = sol(abs(float(t)))[:, None], np.array([sign])
-        rows.append(traj.decode(x, sign, sign * x[-1] * traj.tau_scale))
+        rows.append(traj.decode(x, sign, sign * x[-1]))
     return [np.concatenate(col) for col in zip(*rows)]
 
 
@@ -461,10 +510,10 @@ def dense_case(case: str):
 
 # launch direction and meta["ambient_residual"] of power:1.3 at delta = 0.1
 # from (0.4, 0.2), as the decoded rows give it; from the same rows in
-# Fortran order einsum adds in another order, and they read 3.010378613055309e-10
-# and 2.3118174041769635e-10
-AMBIENT_RESIDUAL = {"round": ([1.0, 0.3], 3.010380833501358e-10),
-                    "perturbed": ([0.3, 1.0], 2.3118162939539388e-10)}
+# Fortran order einsum adds in another order, and they read 2.329350046181844e-10
+# and 3.081868094056972e-10 (most launches read the same in both orders)
+AMBIENT_RESIDUAL = {"round": ([0.2, 1.0], 2.3293489359588193e-10),
+                    "perturbed": ([1.0, 0.4], 3.081865873610923e-10)}
 
 
 class TestDenseEvaluation:

@@ -101,11 +101,12 @@ Y0, V0 = [math.pi / 2, 0.3], [math.sin(0.5), math.cos(0.5)]
 
 
 def _patch_rhs(monkeypatch, change):
-    """Build every full right-hand side as ``change(original, wf, cs, k)``."""
+    """Build every full right-hand side as ``change(original, wf, cs, k,
+    fd, fpd)``, with f(delta) = ``fd`` and f'(delta) = ``fpd``."""
     original = geodesic_flow._full_rhs
 
-    def full_rhs(wf, cs, k):
-        return change(original, wf, cs, k)
+    def full_rhs(wf, cs, k, fd, fpd):
+        return change(original, wf, cs, k, fd, fpd)
     monkeypatch.setattr(geodesic_flow, "_full_rhs", full_rhs)
 
 
@@ -190,12 +191,12 @@ def test_dropped_radial_log_derivative_fails_the_shell_check(monkeypatch, sectio
 
     assert bounds_hold()
 
-    def without_qr(original, wf, cs, k):
+    def without_qr(original, wf, cs, k, fd, fpd):
         # dtheta = f'/f cos(theta): the flow forgets q_r/q, the diagnostics do not
         def cometric(r, y, eta):
             sharp, norm2, _, force = cs.cometric(r, y, eta)
             return sharp, norm2, 0.0, force
-        return original(wf, SimpleNamespace(cometric=cometric), k)
+        return original(wf, SimpleNamespace(cometric=cometric), k, fd, fpd)
     _patch_rhs(monkeypatch, without_qr)
     with pytest.raises(IntegrationError, match="shell drift"):
         bounds_hold()
@@ -211,8 +212,8 @@ def test_biased_clock_fails_the_length_oracle(monkeypatch):
 
     assert length_err() < 1e-6
 
-    def biased(original, wf, cs, k):
-        rhs = original(wf, cs, k)
+    def biased(original, wf, cs, k, fd, fpd):
+        rhs = original(wf, cs, k, fd, fpd)
 
         def out(t, *s):
             derivative = list(rhs(t, *s))
@@ -275,9 +276,13 @@ def test_scaled_stage_coefficient_fails_the_scipy_parity_test(monkeypatch):
         for args, ours in parity.record_runs(monkeypatch, case):
             assert "steps" in parity.mismatches(ours, parity.scipy_solve(*args)), case
     A[7][3] = math.nextafter(a73, math.inf)
-    for case in ("perturbed_circle", "round_sphere"):
-        for args, ours in parity.record_runs(monkeypatch, case):
-            assert "t" in parity.bit_mismatches(ours, parity.left_to_right_solve(*args)), case
+    # the rounding of a run can absorb one ulp: the reduced runs' and the
+    # perturbed circle's backward run (sign -1, the second) do
+    runs = [run for case in ("perturbed_sphere_tau_stop", "round_sphere")
+            for run in parity.record_runs(monkeypatch, case)]
+    runs.append(parity.record_runs(monkeypatch, "perturbed_circle")[0])
+    for args, ours in runs:
+        assert "t" in parity.bit_mismatches(ours, parity.left_to_right_solve(*args))
     monkeypatch.undo()
     for case in sorted(parity.CASES):
         for args, ours in parity.record_runs(monkeypatch, case):

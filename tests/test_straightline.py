@@ -28,8 +28,9 @@ from singular_geodesics.cross_sections import static_sphere_bump
 from singular_geodesics.experiments import run_bounds_campaign
 
 
-def reference_rhs(wf, cs, k):
-    """The full system's right-hand side evaluated on floats."""
+def reference_rhs(wf, cs, k, fd, fpd):
+    """The full system's right-hand side in the scaled covector and clock
+    (f(delta) = ``fd``, f'(delta) = ``fpd``) evaluated on floats."""
     r_max = 1.25 * wf.domain_radius
     f, d_log_f = wf.f, wf.d_log_f
 
@@ -39,9 +40,9 @@ def reference_rhs(wf, cs, k):
             raise IntegrationError(f"r={r:g} outside (0, R)")
         sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
         fr = f(r)
-        f2 = fr * fr
+        scale = fd / (fr * fr)
         return [math.sin(th), (d_log_f(r) + qr_q) * math.cos(th),
-                *[v / f2 for v in sharp + force], math.sqrt(norm2) / f2]
+                *[v * scale for v in sharp + force], fpd * scale * math.sqrt(norm2)]
     return rhs
 
 
@@ -79,10 +80,26 @@ def outcome(rhs, x):
         return type(exc).__name__
 
 
-def parity_faults(wf, cs, k, states) -> list:
+def launch_logs(wf, delta_fraction):
+    """log f(delta) and log f'(delta) of a winding launched at delta =
+    ``delta_fraction`` R, as ``integrate`` computes them."""
+    delta = delta_fraction * wf.domain_radius
+    log_fd = wf.log_f(delta)
+    return log_fd, log_fd + math.log(wf.d_log_f(delta))
+
+
+def full_builders(wf, cs, k, delta_fraction):
+    """The generated and the reference full right-hand side of a winding
+    launched at delta = ``delta_fraction`` R, with f(delta) and f'(delta)
+    as ``integrate`` computes them."""
+    fd, fpd = map(math.exp, launch_logs(wf, delta_fraction))
+    return geodesic_flow._full_rhs(wf, cs, k, fd, fpd), reference_rhs(wf, cs, k, fd, fpd)
+
+
+def parity_faults(wf, cs, k, delta_fraction, states) -> list:
     """The states at which the generated right-hand side and the reference
     differ in any bit."""
-    generated, reference = geodesic_flow._full_rhs(wf, cs, k), reference_rhs(wf, cs, k)
+    generated, reference = full_builders(wf, cs, k, delta_fraction)
     return [x for x in states if outcome(generated, x) != outcome(reference, x)]
 
 
@@ -90,9 +107,7 @@ def reduced_builders(wf, delta_fraction):
     """The generated and the reference reduced right-hand side of a winding
     launched at delta = ``delta_fraction`` R, with the logs ``integrate``
     computes."""
-    delta = delta_fraction * wf.domain_radius
-    log_fd = wf.log_f(delta)
-    log_fpd = log_fd + math.log(wf.d_log_f(delta))
+    log_fd, log_fpd = launch_logs(wf, delta_fraction)
     return (geodesic_flow._reduced_rhs(wf, log_fd, log_fpd),
             reduced_reference_rhs(wf, log_fd, log_fpd))
 
@@ -125,14 +140,15 @@ COMPONENTS = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
 @pytest.mark.parametrize("section", sorted(SECTIONS))
 @pytest.mark.parametrize("warp", sorted(WARPS))
 @settings(max_examples=15, deadline=None)
-@given(r_fraction=st.floats(0.04, 1.0), theta=st.floats(-1.5, 1.5), y=COMPONENTS,
-       eta=COMPONENTS)
-def test_generated_rhs_matches_the_float_body_bit_for_bit(warp, section, r_fraction, theta,
-                                                          y, eta):
+@given(delta_fraction=st.floats(0.01, 0.9), r_fraction=st.floats(0.04, 1.0),
+       theta=st.floats(-1.5, 1.5), y=COMPONENTS, eta=COMPONENTS)
+def test_generated_rhs_matches_the_float_body_bit_for_bit(warp, section, delta_fraction,
+                                                          r_fraction, theta, y, eta):
     wf, (cs, k) = WARPS[warp], SECTIONS[section]
     # the sphere's point must not be near the origin, where n/|n| blows up
     assume(k == 1 or math.hypot(*y) > 0.1)
-    assert parity_faults(wf, cs, k, [state(wf, k, r_fraction, theta, y, eta)]) == []
+    x = state(wf, k, r_fraction, theta, y, eta)
+    assert parity_faults(wf, cs, k, delta_fraction, [x]) == []
 
 
 @pytest.mark.parametrize("warp", sorted(WARPS))
@@ -149,7 +165,7 @@ def test_generated_reduced_rhs_matches_the_float_body_bit_for_bit(warp, delta_fr
 @pytest.mark.parametrize("warp", sorted(WARPS))
 def test_only_non_formula_warps_are_called_from_the_generated_code(warp):
     wf, (cs, k) = WARPS[warp], SECTIONS["perturbed_sphere"]
-    for rhs in (geodesic_flow._full_rhs(wf, cs, k), reduced_builders(wf, 0.1)[0]):
+    for rhs in (full_builders(wf, cs, k, 0.1)[0], reduced_builders(wf, 0.1)[0]):
         calls = re.findall(r"\bc\d+\(", inspect.getsource(rhs))
         # the table's f and (log f)' on the full path, log f and (log f)' on
         # the reduced; osc's log f, the one root that its f and (log f)' read
@@ -166,17 +182,16 @@ def test_formulas_reached_through_a_wrapper_are_traced():
     wf = WARPS["logpow"]
     traced = dataclasses.replace(wf, f=wrapped(wf.f), d_log_f=wrapped(wf.d_log_f))
     cs, k = SECTIONS["perturbed_circle"]
-    rhs = geodesic_flow._full_rhs(traced, cs, k)
+    rhs, reference = full_builders(traced, cs, k, 0.1)[0], full_builders(wf, cs, k, 0.1)[1]
     assert not re.search(r"\bc\d+\(", inspect.getsource(rhs))
     states = fixed_states(wf, k)
-    assert [outcome(rhs, x) for x in states] == [outcome(reference_rhs(wf, cs, k), x)
-                                                for x in states]
+    assert [outcome(rhs, x) for x in states] == [outcome(reference, x) for x in states]
 
 
 @pytest.mark.parametrize("section", sorted(SECTIONS))
 def test_domain_guard(section):
     wf, (cs, k) = WARPS["power"], SECTIONS[section]
-    rhs = geodesic_flow._full_rhs(wf, cs, k)
+    rhs = full_builders(wf, cs, k, 0.1)[0]
     r_max = 1.25 * wf.domain_radius
     x = fixed_states(wf, k, n=1)[0]
     for r in (0.0, -0.1, math.nextafter(r_max, math.inf), math.nan, math.inf):
@@ -209,16 +224,17 @@ def test_a_campaign_compiles_once_per_structure(monkeypatch):
 
 def test_one_source_per_structure():
     cs, k = SECTIONS["perturbed_circle"]
-    sources = {inspect.getsource(geodesic_flow._full_rhs(sg.make_power_warp(alpha), other, k))
+    sources = {inspect.getsource(full_builders(sg.make_power_warp(alpha), other, k, fraction)[0])
                for alpha in (1.0, 1.7, 2.5)
-               for other in (cs, sg.circle_section(5.0, (0.02, None)))}
+               for other in (cs, sg.circle_section(5.0, (0.02, None)))
+               for fraction in (0.01, 0.3)}
     assert len(sources) == 1
 
 
 def test_swapped_subtraction_fails_the_parity_check(monkeypatch):
     wf, (cs, k) = WARPS["power"], SECTIONS["perturbed_sphere"]
     states, flat = fixed_states(wf, k), reduced_states(wf)
-    assert parity_faults(wf, cs, k, states) == []
+    assert parity_faults(wf, cs, k, 0.1, states) == []
     assert reduced_parity_faults(wf, 0.1, flat) == []
 
     def first_swapped(original, swapped):
@@ -231,7 +247,7 @@ def test_swapped_subtraction_fails_the_parity_check(monkeypatch):
     sub, rsub = straightline.Var.__sub__, straightline.Var.__rsub__
     monkeypatch.setattr(straightline.Var, "__sub__", first_swapped(sub, rsub))
     monkeypatch.setattr(straightline.Var, "__rsub__", first_swapped(rsub, sub))
-    assert len(parity_faults(wf, cs, k, states)) == len(states)
+    assert len(parity_faults(wf, cs, k, 0.1, states)) == len(states)
     assert len(reduced_parity_faults(wf, 0.1, flat)) == len(flat)
 
 
