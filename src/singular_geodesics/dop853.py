@@ -279,18 +279,22 @@ def compiled(source: str) -> dict:
     return _COMPILED[source]
 
 
-# the compiled run of each state size, tableau and step-size constants
+# (state size, step-size constants, tableau identities) -> (the tableau
+# objects, their compiled run)
 _KERNELS = {}
 
 
 def _kernel(n: int):
-    """``kernel_source(n)`` compiled, once per key: a tableau or step-size
-    constant patched into the module gets its own run."""
-    key = ((n, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT)
-           + tuple(np.asarray(a).tobytes() for a in (C, *A, B, E5, E3, D)))
+    """``kernel_source(n)`` compiled, once per key: a tableau array or
+    step-size constant patched into the module gets its own run.  The key
+    holds the identities of ``C``, ``A``, ``B``, ``E5``, ``E3`` and ``D``,
+    not their contents, so an in-place edit of a tableau array is not seen;
+    each entry keeps those objects alive, so their ids cannot be reused."""
+    tableau = (C, A, B, E5, E3, D)
+    key = (n, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT, *map(id, tableau))
     if key not in _KERNELS:
-        _KERNELS[key] = compiled(kernel_source(n))["run"]
-    return _KERNELS[key]
+        _KERNELS[key] = tableau, compiled(kernel_source(n))["run"]
+    return _KERNELS[key][1]
 
 
 def _coefficients(y, f, steps) -> np.ndarray:

@@ -335,11 +335,21 @@ def make_concave_sqrt_warp(R: float = 1.0) -> WarpingFunction:
 # ---------------------------------------------------------------------------
 # profile curves -> warping functions
 
+# a Newton step this small, relative to x, is 2 to 4 ulp: the table inverse
+# steps by whole doubles instead
+_POLISH = 2.0 ** -51
+
 
 class _C1Table:
     """The C^1 piecewise cubic through knots (x_i, y_i) with slopes m_i,
     continued past the last knot by its tangent line, and its exact inverse;
-    an ndarray gives the bits of the float call, one element at a time."""
+    an ndarray gives the bits of the float call, one element at a time.
+
+    Each method's float path looks up its cell and evaluates the cubic in
+    its own body, where the array path calls ``_cell``, ``_cubic`` and
+    ``_slope``: a query that runs right after other work is cold, and then
+    every Python call it makes costs several times its warm time, more so
+    while the host is busy."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
         h, d = np.diff(x), np.diff(y) / np.diff(x)
@@ -351,16 +361,12 @@ class _C1Table:
         self.x, self.y = array("d", x), array("d", y)
         self.cells = list(zip(*(a.tolist() for a in self.arrays)))
 
-    def _cell(self, x):
-        """(x_i, y_i, m_i, c2_i, c3_i) of the cell holding ``x``."""
-        if isinstance(x, np.ndarray):
-            if not np.all(x >= 0.0):
-                raise ValueError("radii must be numbers >= 0")
-            return tuple(a[np.searchsorted(self.arrays[0], x, side="right") - 1]
-                         for a in self.arrays)
-        if not x >= 0.0:
-            raise ValueError(f"radius {x!r} is not a number >= 0")
-        return self.cells[bisect_right(self.x, x) - 1]
+    def _cell(self, x: np.ndarray):
+        """(x_i, y_i, m_i, c2_i, c3_i) of the cells holding the radii ``x``."""
+        if not np.all(x >= 0.0):
+            raise ValueError("radii must be numbers >= 0")
+        return tuple(a[np.searchsorted(self.arrays[0], x, side="right") - 1]
+                     for a in self.arrays)
 
     @staticmethod
     def _cubic(cell, x):
@@ -368,42 +374,139 @@ class _C1Table:
         t = x - x0
         return y0 + t * (m + t * (c2 + t * c3))
 
-    def value(self, x):
-        return self._cubic(self._cell(x), x)
-
-    def slope(self, x):
-        x0, _, m, c2, c3 = self._cell(x)
+    @staticmethod
+    def _slope(cell, x):
+        x0, _, m, c2, c3 = cell
         t = x - x0
         return m + t * (2.0 * c2 + 3.0 * t * c3)
 
+    def value(self, x):
+        if isinstance(x, np.ndarray):
+            return self._cubic(self._cell(x), x)
+        if not x >= 0.0:
+            raise ValueError(f"radius {x!r} is not a number >= 0")
+        x0, y0, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
+        t = x - x0
+        return y0 + t * (m + t * (c2 + t * c3))
+
+    def log_value(self, x):
+        """log(value), math's on a float and numpy's on an ndarray."""
+        if isinstance(x, np.ndarray):
+            return np.log(self._cubic(self._cell(x), x))
+        if not x >= 0.0:
+            raise ValueError(f"radius {x!r} is not a number >= 0")
+        x0, y0, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
+        t = x - x0
+        return math.log(y0 + t * (m + t * (c2 + t * c3)))
+
+    def slope(self, x):
+        if isinstance(x, np.ndarray):
+            return self._slope(self._cell(x), x)
+        if not x >= 0.0:
+            raise ValueError(f"radius {x!r} is not a number >= 0")
+        x0, _, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
+        t = x - x0
+        return m + t * (2.0 * c2 + 3.0 * t * c3)
+
+    def log_slope(self, x):
+        """slope / value, from one cell lookup."""
+        if isinstance(x, np.ndarray):
+            cell = self._cell(x)
+            return self._slope(cell, x) / self._cubic(cell, x)
+        if not x >= 0.0:
+            raise ValueError(f"radius {x!r} is not a number >= 0")
+        x0, y0, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
+        t = x - x0
+        return (m + t * (2.0 * c2 + 3.0 * t * c3)) / (y0 + t * (m + t * (c2 + t * c3)))
+
+    def inverse_slope(self, y):
+        return 1.0 / self.slope(self.inverse(y))
+
     def inverse(self, y):
-        """The least x with value(x) >= y: bisection inside the cell whose
-        knot values bracket y, until no double lies between the bracket ends;
-        an ndarray in lockstep.  A knot value but the first (0, its knot) is
-        bisected in the cell that ends at it, whose cubic may reach it lower."""
+        """The least x with value(x) >= y.
+
+        y is searched in the cell whose knot values y_i < y <= y_{i+1}
+        bracket it, so a knot value but the first (0, its knot) is searched
+        in the cell that ends at it, whose cubic may reach it one double
+        below the knot.  Safeguarded Newton (Numerical Recipes' ``rtsafe``)
+        keeps a bracket [lo, hi], first the cell's ends, with
+        cubic(lo) < y <= value(hi).  The first point is where the cell's
+        chord reaches y, but below the end knot; each next one is the Newton
+        step on the cubic from the last, taken where the slope is positive
+        and the step lands strictly inside the bracket, else the bracket's
+        midpoint.  Where a Newton step is at most 2**-51 x (2 to 4 ulp) the
+        next point is instead 1 ulp from the last toward the root, and each
+        further such step is twice as long, so a run of doubles with one
+        value (a cubic value in the subnormal range) is crossed in few
+        steps.  Each point narrows the bracket; the search ends when no
+        double lies inside, and returns hi: never past the end knot, where
+        value is that knot's own value.  The tangent line past
+        the last knot is inverted in closed form.  An ndarray runs the same
+        steps on every element in lockstep, giving each the float call's
+        bits."""
         if isinstance(y, np.ndarray):
-            if not np.all((y >= 0.0) & (y < math.inf)):
-                raise ValueError("warp values must be finite numbers >= 0")
-            i = np.maximum(np.searchsorted(self.arrays[1], y, side="left") - 1, 0)
-            cell, last = tuple(a[i] for a in self.arrays), len(self.cells) - 1
-            x0, y0, m, tangent = cell[0], cell[1], cell[2], i == last
-            # the first knot and the tangent line leave an empty bracket
-            hi = np.where((y == y0) | tangent, x0, self.arrays[0][np.minimum(i + 1, last)])
-            x = _bisect(lambda mid: self._cubic(cell, mid) < y, x0, hi)
-            return np.where(tangent, x0 + (y - y0) / np.where(tangent, m, 1.0), x)
+            return self._inverse_array(y)
         if not 0.0 <= y < math.inf:
             raise ValueError(f"warp value {y!r} is not a finite number >= 0")
         i = max(bisect_left(self.y, y) - 1, 0)
-        cell = x0, y0, m, _, _ = self.cells[i]
+        x0, y0, m, c2, c3 = self.cells[i]
         if y == y0:
             return x0
         if i == len(self.cells) - 1:
             return x0 + (y - y0) / m
-        lo, hi = x0, self.x[i + 1]
-        while lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if self._cubic(cell, mid) < y else (lo, mid)
-        return hi
+        lo = x0
+        hi = x1 = self.x[i + 1]
+        x, gap = x0 + (y - y0) / (self.y[i + 1] - y0) * (x1 - x0), 1.0
+        if x >= x1:
+            x = math.nextafter(x1, 0.0)
+        while True:
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+                if not lo < x < hi:
+                    return hi
+            t = x - x0
+            v = y0 + t * (m + t * (c2 + t * c3))
+            s = m + t * (2.0 * c2 + 3.0 * t * c3)
+            step = (y - v) / s if s > 0.0 else math.nan
+            if v < y:
+                lo = x
+            else:
+                hi = x
+            if abs(step) <= _POLISH * x:
+                x += (gap if v < y else -gap) * math.ulp(x)
+                gap *= 2.0
+            else:
+                x += step
+
+    def _inverse_array(self, y):
+        if not np.all((y >= 0.0) & (y < math.inf)):
+            raise ValueError("warp values must be finite numbers >= 0")
+        last = len(self.cells) - 1
+        i = np.maximum(np.searchsorted(self.arrays[1], y, side="left") - 1, 0)
+        x0, y0, m, c2, c3 = (a[i] for a in self.arrays)
+        j = np.minimum(i + 1, last)
+        x1, y1, tangent = self.arrays[0][j], self.arrays[1][j], i == last
+        # the first knot and the tangent line leave an empty bracket
+        lo, hi = x0, np.where((y == y0) | tangent, x0, x1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.minimum(x0 + (y - y0) / (y1 - y0) * (hi - x0), np.nextafter(hi, 0.0))
+            gap = np.ones_like(x)
+            while True:
+                x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+                # an element whose bracket holds no double is done: at its x
+                # (lo or hi) the updates below leave hi as it is
+                if not ((lo < x) & (x < hi)).any():
+                    break
+                t = x - x0
+                v = y0 + t * (m + t * (c2 + t * c3))
+                s = m + t * (2.0 * c2 + 3.0 * t * c3)
+                step = np.where(s > 0.0, (y - v) / s, math.nan)
+                below = v < y
+                lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+                polish = np.abs(step) <= _POLISH * x
+                x = np.where(polish, x + np.where(below, gap, -gap) * np.spacing(x), x + step)
+                gap = np.where(polish, 2.0 * gap, gap)
+        return np.where(tangent, x0 + (y - y0) / np.where(tangent, m, 1.0), hi)
 
 
 # the 10-point Gauss-Legendre rule on [-1, 1], applied to every ladder cell:
@@ -477,9 +580,9 @@ def profile_to_warp(
         f=table.value,
         f_prime=table.slope,
         F=table.inverse,
-        F_prime=lambda rho: 1.0 / table.slope(table.inverse(rho)),
-        log_f=lambda x: log(table.value(x)),
-        d_log_f=lambda x: table.slope(x) / table.value(x),
+        F_prime=table.inverse_slope,
+        log_f=table.log_value,
+        d_log_f=table.log_slope,
         kind=WarpKind.CUSPIDAL if abs(m[0]) < 1e-6 else WarpKind.CONICAL,
         label=label,
         knots=tuple(r_nodes.tolist()),
