@@ -23,7 +23,9 @@ cusp families work far below the double range of f (folding it into the
 full system cost 2.0-2.3x per benchmark pair).  Every other section takes
 the full system, in its stored coordinates (on the sphere n and L in R^3).
 Both right-hand sides are traced once on recorded values and run as
-straight-line float code (``_compiled_rhs``).  Each time direction is one
+straight-line float code (``_compiled_rhs``); on the round sphere, whose
+angular momentum L is conserved, the trace proves L's slopes zero and the
+stepper holds L at its start value.  Each time direction is one
 DOP853 run (``dop853.solve_ivp``) stopped only at the exit r = R and the
 optional tau stop; backward time is a forward run of the mirrored system
 (t, theta, eta) -> (-t, -theta, -eta); radial lines are straight segments.
@@ -375,14 +377,13 @@ def _first_step(wf: WarpingFunction, r0: float) -> float:
     return min(1e-3, 0.1 / max(wf.d_log_f(r0), 1.0))
 
 
-# a flow's right-hand side: the domain guard, then the traced slopes
-_RHS = """def factory(IntegrationError, r_max, {constants}):
-    def rhs(t, {inputs}):
+# a flow's right-hand side, and its stepper copy: the domain guard, then the
+# traced slopes
+_FUNCTION = """    def {name}(t, {inputs}):
         if not 0.0 < x0 <= r_max:
             raise IntegrationError(f"r={{x0:g}} outside (0, R)")
         {lines}
         return {outputs}
-    return rhs
 """
 
 
@@ -396,13 +397,36 @@ def _compiled_rhs(slopes, n, r_max):
     on which operations they perform: every constant, such as alpha, the
     amplitude or R, is an argument of the factory.  A warp callable that is
     not a formula (a profile table's, or the osc family's, whose log f is a
-    brentq root) is called from the generated code on a float."""
-    lines, outputs, constants = straightline.trace(slopes, n)
-    source = _RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
-                         inputs=", ".join(f"x{i}" for i in range(n)),
-                         lines="\n        ".join(lines), outputs=", ".join(outputs))
-    factory = dop853.compiled(source)["factory"]
-    return factory(IntegrationError, r_max, *constants)
+    brentq root) is called from the generated code on a float.
+
+    Where the trace proves some slopes zero values (on the round sphere, the
+    three slopes of the angular momentum L, each k (n1 0.0 - n2 0.0) f(delta)
+    / f(r)^2), the same source also defines a stepper copy: the same guard,
+    the lines that the other slopes read and those slopes alone.  It is
+    attached to ``rhs`` as ``rhs.stepper``, with the held components'
+    indices as ``rhs.held``, and ``dop853.solve_ivp`` steps it, holding the
+    held components at their start values.  Where every operand of the held
+    slopes is finite (|p|^2 with p = L x n, and f(delta)/f(r)^2) that is the
+    run of ``rhs`` itself: its held slopes are +-0, and y + h sum a (+-0) =
+    y.  Where one overflows, ``rhs``'s held slopes are inf * 0.0 = NaN and
+    the two runs step different values (the blown-up states of
+    ``test_a_blown_up_state_fails_the_same_way`` fail with the same error
+    either way).  A wrapper of ``rhs`` has neither attribute and is stepped
+    in full, so a changed slope is never held."""
+    traced = straightline.trace(slopes, n)
+    inputs = ", ".join(f"x{i}" for i in range(n))
+    source = (f"def factory(IntegrationError, r_max, "
+              f"{', '.join(f'c{i}' for i in range(len(traced.constants)))}):\n"
+              + _FUNCTION.format(name="rhs", inputs=inputs, lines="\n        ".join(traced.lines),
+                                 outputs=", ".join(traced.outputs)))
+    if traced.zero:
+        live = [i for i in range(n) if i not in traced.zero]
+        source += (_FUNCTION.format(name="stepper", inputs=inputs,
+                                    lines="\n        ".join(traced.lines_of(live)),
+                                    outputs=", ".join(traced.outputs[i] for i in live))
+                   + f"    rhs.stepper, rhs.held = stepper, {traced.zero!r}\n")
+    factory = dop853.compiled(source + "    return rhs\n")["factory"]
+    return factory(IntegrationError, r_max, *traced.constants)
 
 
 def _reduced_rhs(wf, log_fd, log_fpd):

@@ -430,15 +430,21 @@ class _C1Table:
         in the cell that ends at it, whose cubic may reach it one double
         below the knot.  Safeguarded Newton (Numerical Recipes' ``rtsafe``)
         keeps a bracket [lo, hi], first the cell's ends, with
-        cubic(lo) < y <= value(hi).  The first point is where the cell's
-        chord reaches y, but below the end knot; each next one is the Newton
+        cubic(lo) < y <= value(hi).  The first point is the stable root
+        x_i + 2 (y - y_i) / (m_i + sqrt(m_i^2 + 4 c2_i (y - y_i))) of the
+        cell's quadratic model y_i + t (m_i + c2_i t) where it lies inside
+        the bracket, else where the cell's chord reaches y, but below the end
+        knot.  (In a cuspidal table's first cell, where m_0 = 0 and f ~ c r^2,
+        the chord point lies far below the root: from there the search took
+        hundreds of steps.)  Each next point is the Newton
         step on the cubic from the last, taken where the slope is positive
         and the step lands strictly inside the bracket, else the bracket's
         midpoint.  Where a Newton step is at most 2**-51 x (2 to 4 ulp) the
         next point is instead 1 ulp from the last toward the root, and each
-        further such step is twice as long, so a run of doubles with one
-        value (a cubic value in the subnormal range) is crossed in few
-        steps.  Each point narrows the bracket; the search ends when no
+        further such step is twice as long until points have landed on both
+        sides of the answer, so a run of doubles with one value (a cubic
+        value in the subnormal range) is crossed in few steps, and a start a
+        few ulp off does not step far past the answer.  Each point narrows the bracket; the search ends when no
         double lies inside, and returns hi: never past the end knot, where
         value is that knot's own value.  The tangent line past
         the last knot is inverted in closed form.  An ndarray runs the same
@@ -456,9 +462,16 @@ class _C1Table:
             return x0 + (y - y0) / m
         lo = x0
         hi = x1 = self.x[i + 1]
-        x, gap = x0 + (y - y0) / (self.y[i + 1] - y0) * (x1 - x0), 1.0
-        if x >= x1:
-            x = math.nextafter(x1, 0.0)
+        dy, gap = y - y0, 1.0
+        # the quadratic model's root; x1, outside the bracket, where it has
+        # none
+        root = m * m + 4.0 * c2 * dy
+        root = m + math.sqrt(root) if root >= 0.0 else 0.0
+        x = x0 + 2.0 * dy / root if root > 0.0 else x1
+        if not lo < x < hi:
+            x = x0 + dy / (self.y[i + 1] - y0) * (x1 - x0)
+            if x >= x1:
+                x = math.nextafter(x1, 0.0)
         while True:
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
@@ -474,7 +487,9 @@ class _C1Table:
                 hi = x
             if abs(step) <= _POLISH * x:
                 x += (gap if v < y else -gap) * math.ulp(x)
-                gap *= 2.0
+                # until a point has landed on each side of the answer
+                if lo == x0 or hi == x1:
+                    gap *= 2.0
             else:
                 x += step
 
@@ -489,7 +504,11 @@ class _C1Table:
         # the first knot and the tangent line leave an empty bracket
         lo, hi = x0, np.where((y == y0) | tangent, x0, x1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x = np.minimum(x0 + (y - y0) / (y1 - y0) * (hi - x0), np.nextafter(hi, 0.0))
+            dy = y - y0
+            root = m + np.sqrt(m * m + 4.0 * c2 * dy)
+            x = x0 + 2.0 * dy / root
+            chord = np.minimum(x0 + dy / (y1 - y0) * (hi - x0), np.nextafter(hi, 0.0))
+            x = np.where((root > 0.0) & (lo < x) & (x < hi), x, chord)
             gap = np.ones_like(x)
             while True:
                 x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
@@ -505,7 +524,7 @@ class _C1Table:
                 lo, hi = np.where(below, x, lo), np.where(below, hi, x)
                 polish = np.abs(step) <= _POLISH * x
                 x = np.where(polish, x + np.where(below, gap, -gap) * np.spacing(x), x + step)
-                gap = np.where(polish, 2.0 * gap, gap)
+                gap = np.where(polish & ((lo == x0) | (hi == x1)), 2.0 * gap, gap)
         return np.where(tangent, x0 + (y - y0) / np.where(tangent, m, 1.0), hi)
 
 

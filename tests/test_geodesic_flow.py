@@ -622,3 +622,88 @@ class TestStepBound:
         assert traj.r[0] == pytest.approx(1.5, abs=1e-9)
         assert traj.r[-1] == pytest.approx(1.5, abs=1e-9)
         assert traj.meta["shell_drift"] < 1e-8
+
+
+# round-sphere launches (warp, delta, y0, v0): an equatorial one, a tilted
+# one, one close in on a steep cusp and one whose angular momentum has
+# components of both signs
+ROUND_SPHERE_LAUNCHES = [
+    (sg.make_power_warp(2.0), 0.1, [math.pi / 2, 0.3], [math.sin(0.3), math.cos(0.3)]),
+    (sg.make_power_warp(1.3), 0.25, [1.1, 2.0], [0.6, -0.8]),
+    (sg.make_power_warp(2.5), 0.05, [2.0, -1.0], [-0.5, math.sqrt(0.75)]),
+    (sg.parse_warp_spec("expinv:1"), 0.2, [0.7, 4.0], [0.9, -math.sqrt(0.19)]),
+]
+SAMPLES = ("t", "r", "theta", "y", "eta", "tau_scaled", "tau", "hamiltonian", "clairaut_rel",
+           "eta_norm", "qr_q", "rho")
+
+
+def _wrapping_full_rhs(monkeypatch, change):
+    """Build every full right-hand side as a plain function of the compiled
+    one: ``change(rhs)``, which carries neither ``stepper`` nor ``held``."""
+    original = geodesic_flow._full_rhs
+
+    def full_rhs(*args):
+        return change(original(*args))
+    monkeypatch.setattr(geodesic_flow, "_full_rhs", full_rhs)
+
+
+class TestHeldComponents:
+    """The round sphere's runs hold its angular momentum L: the traced
+    slopes of L are zero values, so the stepper copy drops them and the
+    kernel keeps L at its start value.  That is the run of the full field
+    to the last bit; a wrapper of the field is always stepped in full."""
+
+    @pytest.mark.parametrize("launch", range(len(ROUND_SPHERE_LAUNCHES)))
+    def test_held_run_matches_the_run_in_full(self, launch, monkeypatch):
+        wf, delta, y0, v0 = ROUND_SPHERE_LAUNCHES[launch]
+
+        def run():
+            return sg.integrate_winding(wf, sg.sphere_section(), delta, y0, v0, rtol=1e-9,
+                                        dense_nodes=256)
+        held = run()
+        _wrapping_full_rhs(monkeypatch, lambda rhs: lambda t, *x: rhs(t, *x))
+        full = run()
+        assert held.meta["solver"] == full.meta["solver"]
+        for name in SAMPLES:
+            a, b = getattr(held, name), getattr(full, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        # L did not move in either run
+        assert np.all(held.eta == held.eta[0])
+
+    def test_a_changed_slope_is_stepped(self, monkeypatch):
+        # a wrapper that moves one slope of L is stepped in full, so a
+        # planted defect in a held slope is never hidden by the holding
+        wf, delta, y0, v0 = ROUND_SPHERE_LAUNCHES[0]
+
+        def run():
+            return sg.integrate_winding(wf, sg.sphere_section(), delta, y0, v0, rtol=1e-9,
+                                        dense_nodes=256)
+        held = run()
+
+        def nudged(rhs):
+            def out(t, *x):
+                slopes = list(rhs(t, *x))
+                slopes[6] += 1e-9
+                return slopes
+            return out
+        _wrapping_full_rhs(monkeypatch, nudged)
+        moved = run()
+        assert held.eta.tobytes() != moved.eta.tobytes()
+        assert np.ptp(moved.eta[:, 1]) > 0.0 and np.ptp(held.eta[:, 1]) == 0.0
+
+    @pytest.mark.parametrize("L", [[1e160, 0.0, 0.0], [1e155, 1.0, -2.0], [math.inf, 0.0, 0.0]])
+    def test_a_blown_up_state_fails_the_same_way(self, L):
+        # p = L x n overflows: the full run's L slopes are inf * 0 = NaN, the
+        # held run's clock slope is inf; both collapse their step
+        wf = sg.make_power_warp(2.0)
+        rhs = geodesic_flow._full_rhs(wf, sg.sphere_section(), 3, 0.01, 0.2)
+        assert rhs.held == (5, 6, 7)
+        x0 = np.array([0.1, 0.3, 0.0, 1.0, 0.0, *L, 0.0])
+        errors, runs = [], []
+        for fun in (rhs, lambda t, *x: rhs(t, *x)):
+            with pytest.raises(IntegrationError, match="stepper failed") as info:
+                geodesic_flow._run_branch(wf, fun, x0, 1e-9, 1e-12, None, math.inf)
+            errors.append(str(info.value))
+            runs.append(dop853.solve_ivp(fun, 4.0, x0, 1e-9, 1e-12, 1e-3)[1:4])
+        assert errors[0] == errors[1]
+        assert runs[0] == runs[1] and runs[0][1] == -1
