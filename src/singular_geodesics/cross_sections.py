@@ -4,7 +4,9 @@ Supported links: a circle of prescribed circumference and the round unit
 2-sphere, each optionally deformed by a conformal factor, so every section is
 h_r = q(r, y)^2 h0(y) with q = 1 + a*w(r, y).  A section exposes q with its
 partials (``conformal``) and turns them into everything the geodesic flow
-needs (``cometric``).
+needs (``cometric``); without perturbation it also gives the closed-form
+link path that decodes the reduced system (``link_launch``,
+``h0_geodesic``).
 
 A shape w is one formula ``formula(r, point)`` returning ``(w, w_r,
 grad w)``, written with the functions of ``straightline``, which follow
@@ -150,6 +152,18 @@ class CrossSection:
     def h0_distance(self, y1, y2):
         raise NotImplementedError
 
+    def h0_geodesic(self, y, v, s, rate: float) -> np.ndarray:
+        """Rows of the unit-speed geodesic of a standard h0 from the stored
+        point ``y`` along the unit h0 velocity ``v``, at the arc lengths
+        ``s / rate`` (tau_scaled / f'(delta), or tau / 1.0)."""
+        raise NotImplementedError
+
+    def link_launch(self, y, eta, wind_sign: int, fd: float):
+        """(v, eta) of an unperturbed section's lowest point (``y``, ``eta``)
+        with |eta| = ``fd``: the unit h0 velocity of its link path, and the
+        stored covector, which the warped-product flow conserves."""
+        raise NotImplementedError
+
     def _grid_checks(self, nodes):
         """Check 1/2 <= q <= 2 on 128 radii times the points ``nodes`` of Y
         in one array pass, naming the first bad point radius by radius; set
@@ -227,6 +241,15 @@ class CircleSection(CrossSection):
         d = np.abs(np.asarray(y1, dtype=float)[..., 0] - np.asarray(y2, dtype=float)[..., 0])
         d = np.fmod(d, 2.0 * math.pi)
         return self.scale * np.minimum(d, 2.0 * math.pi - d)
+
+    def h0_geodesic(self, y, v, s, rate):
+        """phi = y + s / (rate scale), oriented by the sign of ``v``."""
+        return (y[0] + math.copysign(1.0, v[0]) * s / (rate * self.scale))[:, None]
+
+    def link_launch(self, y, eta, wind_sign, fd):
+        """The launch's ``wind_sign`` orients the path, so it survives an
+        eta that underflows with f(delta); eta = wind_sign scale f(delta)."""
+        return np.array([wind_sign / self.scale]), np.array([wind_sign * self.scale * fd])
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -319,6 +342,21 @@ class SphereSection(CrossSection):
                                - n2 / np.linalg.norm(n2, axis=-1, keepdims=True), axis=-1)
         return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
 
+    def h0_geodesic(self, y, v, s, rate):
+        """The great circle n cos(tau) + v sin(tau), tau = s / rate."""
+        tau = s / rate
+        return np.outer(np.cos(tau), y) + np.outer(np.sin(tau), v)
+
+    def link_launch(self, y, eta, wind_sign, fd):
+        """v = p/|p| with p = L x n (``cometric``'s sharp at q = 1), and L.
+        Where f(delta) underflows, L = 0 and the path has no direction."""
+        p = self.cometric(0.0, y, eta)[0]
+        size = math.hypot(*p)
+        if size == 0.0:
+            raise IntegrationError("f(delta) underflows double precision: the angular "
+                                   "momentum L = 0 gives the link path no direction")
+        return np.array(p) / size, np.array(eta, dtype=float)
+
 
 # ---------------------------------------------------------------------------
 # constructors per the CLI grammar
@@ -407,8 +445,8 @@ def base_geodesic(cs: CrossSection, y0, v0, tau):
     ``Trajectory.y``: one row per entry of ``tau``.
 
     ``y0`` and ``v0`` are input coordinates (see ``CrossSection.embed``) with
-    |v0| = 1 in h_0.  Closed forms cover the flat circle and the round sphere
-    (n cos tau + V sin tau); deformed base metrics take one numeric
+    |v0| = 1 in h_0.  Closed forms (``CrossSection.h0_geodesic``) cover the
+    flat circle and the round sphere; deformed base metrics take one numeric
     Hamiltonian integration per sign of tau.  A tau that is not finite
     raises ValueError.
     """
@@ -419,12 +457,10 @@ def base_geodesic(cs: CrossSection, y0, v0, tau):
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all(np.isfinite(taus)):
         raise ValueError("tau must be finite")
-    if not cs.h0_is_standard:
-        out = _numeric_base_geodesic(cs, y, v, taus)
-    elif isinstance(cs, CircleSection):
-        out = (y[0] + taus * math.copysign(1.0 / cs.scale, v[0]))[:, None]
+    if cs.h0_is_standard:
+        out = cs.h0_geodesic(y, v, taus, 1.0)
     else:
-        out = np.outer(np.cos(taus), y) + np.outer(np.sin(taus), v)
+        out = _numeric_base_geodesic(cs, y, v, taus)
     return out.reshape(np.shape(tau) + (len(y),))
 
 

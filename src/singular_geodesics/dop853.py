@@ -10,9 +10,8 @@ stages as straight-line float arithmetic (one local per stage component
 and one product per nonzero coefficient), the error norms, accept or
 reject, the dense-output stages and the ``t_end`` and stop tests from the
 tableau and step-size constants, and the module compiles that source once
-per n, held set, tableau and constants.  To read the generated code, print
-``dop853.kernel_source(3, ())``; ``dop853.kernel_source(9, (5, 6, 7))``
-is the round sphere's run.  ``compiled`` is the package's one compiler
+per n, tableau and constants.  To read the generated code, print
+``dop853.kernel_source(3)``.  ``compiled`` is the package's one compiler
 of generated source, cached by the source text; ``geodesic_flow`` compiles
 its traced right-hand sides with it too.
 
@@ -158,27 +157,24 @@ def _stage_sum(weights, stages, i: int) -> str:
                       if w != 0.0)
 
 
-def _names(stages, components) -> str:
-    """The locals of the ``components`` of the stages ``stages``, as an
-    unpacking target (the trailing comma serves one component)."""
-    return " ".join(f"k{s}_{i}," for s in stages for i in components)
+def _names(stages, n: int) -> str:
+    """The locals of the stages ``stages``, each with n components, as an
+    unpacking target (the trailing comma serves n = 1)."""
+    return " ".join(f"k{s}_{i}," for s in stages for i in range(n))
 
 
-def _stages(n: int, live, first: int, last: int, indent: str) -> list:
+def _stages(n: int, first: int, last: int, indent: str) -> list:
     """Source lines of the stages ``first`` .. ``last`` - 1, each one call
-    of ``fun`` at t + c h, on the n components of y + (A K) h, of which a
-    held one (not in ``live``) is y_i, returning the ``live`` slopes."""
+    of ``fun`` at t + c h and the n components of y + (A K) h."""
     lines = []
     for s in range(first, last):
-        state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h" if i in live
-                          else f"y{i}" for i in range(n))
-        lines.append(f"{indent}{_names([s], live)} = fun(t + {float(C[s])!r} * h, {state})")
+        state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h" for i in range(n))
+        lines.append(f"{indent}{_names([s], n)} = fun(t + {float(C[s])!r} * h, {state})")
     return lines
 
 
-def kernel_source(n: int, held) -> str:
-    """Source of one run on n-component states whose components ``held`` (a
-    tuple of indices) keep their start values, written from the module's
+def kernel_source(n: int) -> str:
+    """Source of one run on n-component states, written from the module's
     current tableau (``A``, ``B``, ``C``, ``E5``, ``E3``, ``D``) and
     step-size constants (``SAFETY``, ``MIN_FACTOR``, ``MAX_FACTOR``,
     ``ERROR_EXPONENT``).
@@ -196,27 +192,13 @@ def kernel_source(n: int, held) -> str:
     a component i goes from at most its level ``s{i}`` to at least it (a NaN
     level never stops the run), 0 at ``t_end`` and -1 when the step falls
     below 10 ulp of t.
-
-    ``fun`` returns the slopes of the components not held.  A held
-    component's stage inputs and end value are its y_i, it adds no term to
-    the error norms (which still divide by n), and its recorded slope and
-    dense rows are 0.0: the run of a field whose held slopes are +-0, step
-    for step and bit for bit, since y + h sum a (+-0) = y and a zero error
-    term adds nothing to the sums.  A zero value of ``straightline`` is +-0
-    where every operand it reads is finite; where one overflows (inf * 0.0
-    is NaN) the two runs step different values (the blown-up states of
-    ``tests/test_geodesic_flow.py`` fail with the same error either way).  ``print(dop853.kernel_source(9, (5, 6, 7)))``
-    shows the round sphere's run, which holds the angular momentum.
     """
-    live = [i for i in range(n) if i not in held]
-    # each component's value at the end of a step
-    new = [f"y{i}" if i in held else f"n{i}" for i in range(n)]
+    y, new = (", ".join(f"{v}{i}" for i in range(n)) for v in ("y", "n"))
     cap, low, safety, exponent = (repr(float(c)) for c in (MAX_FACTOR, MIN_FACTOR, SAFETY,
                                                            ERROR_EXPONENT))
     lines = [f"def run(fun, t_end, y, f, rtol, atol, h_abs, max_step, record, "
              f"{', '.join(f's{i}' for i in range(n))}):",
-             f"    {', '.join(f'y{i}' for i in range(n))}, = y",
-             f"    {' '.join(f'k0_{i},' if i in live else '_,' for i in range(n))} = f",
+             f"    {y}, = y", f"    {_names([0], n)} = f",
              "    t = 0.0",
              "    rejected = 0",
              "    while True:",
@@ -234,16 +216,16 @@ def kernel_source(n: int, held) -> str:
              "                t_new = t_end",
              "            h = t_new - t",
              "            h_abs = h"]
-    lines += _stages(n, live, 1, 12, " " * 12)
-    lines += [f"            n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in live]
-    lines.append(f"            {_names([12], live)} = fun(t + h, {', '.join(new)})")
-    for i in live:
+    lines += _stages(n, 1, 12, " " * 12)
+    lines += [f"            n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in range(n)]
+    lines.append(f"            {_names([12], n)} = fun(t + h, {new})")
+    for i in range(n):
         lines += [f"            a, b = abs(y{i}), abs(n{i})",
                   "            scale = atol + (a if a > b else b) * rtol",
                   f"            e5_{i} = ({_stage_sum(E5, range(13), i)}) / scale",
                   f"            e3_{i} = ({_stage_sum(E3, range(13), i)}) / scale"]
     for e in ("e5", "e3"):
-        squares = " + ".join(f"{e}_{i} * {e}_{i}" for i in live)
+        squares = " + ".join(f"{e}_{i} * {e}_{i}" for i in range(n))
         lines.append(f"            {e} = sqrt({squares})")
     lines += ["            e5, e3 = e5 * e5, e3 * e3",
               "            if e5 == 0.0 and e3 == 0.0:",
@@ -266,17 +248,15 @@ def kernel_source(n: int, held) -> str:
               "            h_abs *= factor",
               "            retry = True",
               "            rejected += 1"]
-    lines += _stages(n, live, 13, 16, " " * 8)
-    slopes = ", ".join(f"k12_{i}" if i in live else "0.0" for i in range(n))
-    rows = ", ".join(f"h * ({_stage_sum(row, range(16), i)})" if i in live else "0.0"
-                     for row in D for i in range(n))
-    lines.append(f"        record((t_new, h, {', '.join(new)}, {slopes}, {rows}))")
-    crossed = " or ".join(f"y{i} <= s{i} <= {v}" for i, v in enumerate(new))
+    lines += _stages(n, 13, 16, " " * 8)
+    rows = ", ".join(f"h * ({_stage_sum(row, range(16), i)})" for row in D for i in range(n))
+    lines.append(f"        record((t_new, h, {new}, {', '.join(f'k12_{i}' for i in range(n))}, "
+                 f"{rows}))")
+    crossed = " or ".join(f"y{i} <= s{i} <= n{i}" for i in range(n))
     lines += [f"        if {crossed}:", "            return 1, rejected",
               "        if t_new == t_end:", "            return 0, rejected",
-              f"        t, {', '.join(f'y{i}' for i in live)} = t_new, "
-              f"{', '.join(f'n{i}' for i in live)}",
-              f"        {_names([0], live)} = {_names([12], live)}"]
+              f"        t, {y} = t_new, {new}",
+              f"        {_names([0], n)} = {_names([12], n)}"]
     return "\n".join(lines) + "\n"
 
 
@@ -299,21 +279,21 @@ def compiled(source: str) -> dict:
     return _COMPILED[source]
 
 
-# (state size, held components, step-size constants, tableau identities) ->
-# (the tableau objects, their compiled run)
+# (state size, step-size constants, tableau identities) -> (the tableau
+# objects, their compiled run)
 _KERNELS = {}
 
 
-def _kernel(n: int, held):
-    """``kernel_source(n, held)`` compiled, once per key: a tableau array or
+def _kernel(n: int):
+    """``kernel_source(n)`` compiled, once per key: a tableau array or
     step-size constant patched into the module gets its own run.  The key
     holds the identities of ``C``, ``A``, ``B``, ``E5``, ``E3`` and ``D``,
     not their contents, so an in-place edit of a tableau array is not seen;
     each entry keeps those objects alive, so their ids cannot be reused."""
     tableau = (C, A, B, E5, E3, D)
-    key = (n, held, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT, *map(id, tableau))
+    key = (n, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT, *map(id, tableau))
     if key not in _KERNELS:
-        _KERNELS[key] = tableau, compiled(kernel_source(n, held))["run"]
+        _KERNELS[key] = tableau, compiled(kernel_source(n))["run"]
     return _KERNELS[key][1]
 
 
@@ -400,13 +380,7 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
     ``crossing`` finds on the step's dense polynomial (the earliest, if
     several components cross in one step); a component takes at most one
     stop (ValueError).  The steps are one call of the generated ``run`` of
-    the state size (``kernel_source``).  A ``fun`` that carries a tuple
-    ``fun.held`` of component indices, whose slopes it proves +-0, and
-    ``fun.stepper``, which returns the other slopes alone, is stepped
-    through the stepper with those components held: the same run wherever
-    those slopes are +-0 (``geodesic_flow._compiled_rhs`` attaches both; any
-    other callable, a wrapper of one included, is stepped in full).  The
-    scalar arguments are taken as
+    the state size (``kernel_source``).  The scalar arguments are taken as
     Python floats: a numpy scalar among them would carry numpy scalar
     arithmetic into every stage.
     """
@@ -425,9 +399,8 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
         levels[i] = float(level)
     f = fun(0.0, *y)
     out = []
-    held = getattr(fun, "held", ())
-    status, rejected = _kernel(n, held)(fun.stepper if held else fun, t_end, y, f, rtol, atol,
-                                        first_step, max_step, out.extend, *levels)
+    status, rejected = _kernel(n)(fun, t_end, y, f, rtol, atol, first_step, max_step, out.extend,
+                                  *levels)
     # one column per accepted step: its end time, length, end state and
     # slope, and rows 3-6 of its coefficients
     steps = np.array(out).reshape(-1, 6 * n + 2).T

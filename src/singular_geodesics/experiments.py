@@ -104,12 +104,15 @@ def delta_sweep(
 ) -> SweepResult:
     """Measure winding lengths over a decreasing delta ladder and compare
     f'(delta) * length against the length constant; ``None`` takes
-    ``default_delta_ladder``, and an empty ladder raises ValueError."""
+    ``default_delta_ladder``.  An empty ladder, or one with an entry that is
+    not finite, raises ValueError before any work."""
     deltas = np.asarray(
         default_delta_ladder(wf) if delta_list is None else delta_list, dtype=float
     )
     if len(deltas) == 0:
         raise ValueError("delta ladder is empty")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError(f"delta ladder {deltas.tolist()!r} holds an entry that is not finite")
     if np.any(np.diff(deltas) >= 0):
         raise ValueError("delta ladder must be strictly decreasing")
     if np.any((deltas <= 0) | (deltas >= wf.domain_radius)):
@@ -185,9 +188,11 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
 class BoundsReport:
     """Worst excesses of the bounds (at most ``slack`` when they hold) and
     ``relative_slack``: the smallest slack of the two radial bounds and the
-    rate bound relative to the bound, away from where the bound holds with
-    equality (t = 0 for the radial bounds, sin(theta) = 0 for the rate
-    bound); negative where a bound fails, inf where none was measured."""
+    rate bound, each divided by its distance from where it holds with
+    equality and taken away from there: |t| for the radial bounds (equal at
+    t = 0, where the upper gap |t| + delta - r goes like |t|, so the ratio
+    does not follow the grid) and c |sin(theta)| for the rate bound.
+    Negative where a bound fails, inf where none was measured."""
 
     passed: bool
     worst_lower: float
@@ -243,7 +248,7 @@ def verify_radial_bounds(
     # a sample where both sides of the rate bound vanish (sin(theta) = 0, or
     # c = 0 on a warped product) holds it with equality and is left out
     relative_slack = min(_relative_slack(-lower, lower_bound, t > 0.0),
-                         _relative_slack(-upper, t + delta, t > 0.0),
+                         _relative_slack(-upper, t, t > 0.0),
                          _relative_slack(rate_bound - rate, rate_bound, rate + rate_bound > 0.0))
 
     strict_margin = None

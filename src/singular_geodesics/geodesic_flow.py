@@ -17,15 +17,19 @@ and force are homogeneous of degree 1 and 2 in eta, so the slopes of y and
 eta_hat are sharp and force of eta_hat times f(delta)/f(r)^2, and the
 clock's is f'(delta) f(delta)/f(r)^2 |eta_hat|: ``atol`` means the same at
 every delta.  The decode multiplies eta_hat by f(delta) once; a trajectory
-carries no scale of its clock.  Unperturbed circle sections keep their own
-reduced system in (r, theta, tau_scaled), in log space so the exponential
-cusp families work far below the double range of f (folding it into the
-full system cost 2.0-2.3x per benchmark pair).  Every other section takes
-the full system, in its stored coordinates (on the sphere n and L in R^3).
-Both right-hand sides are traced once on recorded values and run as
-straight-line float code (``_compiled_rhs``); on the round sphere, whose
-angular momentum L is conserved, the trace proves L's slopes zero and the
-stepper holds L at its start value.  Each time direction is one
+carries no scale of its clock.
+
+An unperturbed section (the flat circle, the round sphere) makes g a warped
+product: the stored eta is conserved, and the link path is the geodesic of
+(Y, h0) at the arc length tau (O'Neill, *Semi-Riemannian Geometry*, 1983,
+ch. 7).  Such a section integrates only the reduced system in (r, theta,
+tau_scaled), in log space so the exponential cusp families work far below
+the double range of f (folding the flat circle into the full system cost
+2.0-2.3x per benchmark pair), and its decode is the section's closed form
+(``CrossSection.link_launch`` and ``h0_geodesic``).  A perturbed section
+takes the full system, in its stored coordinates (on the sphere n and L in
+R^3).  Both right-hand sides are traced once on recorded values and run as
+straight-line float code (``_compiled_rhs``).  Each time direction is one
 DOP853 run (``dop853.solve_ivp``) stopped only at the exit r = R and the
 optional tau stop; backward time is a forward run of the mirrored system
 (t, theta, eta) -> (-t, -theta, -eta); radial lines are straight segments.
@@ -40,7 +44,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import dop853, straightline
-from .cross_sections import CircleSection, CrossSection
+from .cross_sections import CrossSection
 from .dop853 import solve_ivp
 from .errors import IntegrationError
 from .warp_profiles import WarpingFunction
@@ -128,17 +132,21 @@ class States(NamedTuple):
     tau_scaled: np.ndarray
 
 
-def _reduced_decode(y0: float, wind: int, fpd: float, scale: float, eta_comp: float):
+def _reduced_decode(cs: CrossSection, start: GeodesicState, fd: float, fpd: float):
+    """The link path of a warped product: the h0 geodesic of the launch
+    (``cs.link_launch``) at the arc length tau = tau_scaled / f'(delta),
+    with the launch's stored covector at every time."""
+    v, eta = cs.link_launch(start.y, start.eta, start.wind_sign, fd)
+
     def decode(x, sign, tau_scaled):
         n = x.shape[1]
         if fpd > 0.0:
-            y = y0 + wind * tau_scaled / (fpd * scale)
+            y = cs.h0_geodesic(start.y, v, tau_scaled, fpd)
         else:
-            # the unwrapped angle overflows double range; only scaled
-            # quantities are meaningful here
-            y = np.full(n, math.nan)
-        return States(x[0], sign * x[1], y[:, None], np.full((n, 1), eta_comp),
-                      tau_scaled)
+            # tau overflows double range; only scaled quantities are
+            # meaningful here
+            y = np.full((n, len(v)), math.nan)
+        return States(x[0], sign * x[1], y, np.full((n, len(eta)), eta), tau_scaled)
     return decode
 
 
@@ -353,7 +361,7 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
     else:
         norm2, qr_q = cs.cometric(r, y.T, eta.T)[1:3]
         log_eta = 0.5 * np.log(norm2)
-        qr_q = np.full(n, qr_q)  # the float 0.0 on sections without perturbation
+        qr_q = np.full(n, qr_q)  # a float where q is 1 (no perturbation)
     with np.errstate(over="ignore", invalid="ignore"):
         # eta = 0 makes |eta|/f(r) vanish, even at the tip r = 0
         log_ratio = np.where(log_eta > -math.inf, log_eta - log_f_r, -math.inf)
@@ -370,20 +378,21 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
 
 
 def _is_reduced(cs: CrossSection) -> bool:
-    return isinstance(cs, CircleSection) and cs.amplitude == 0.0
+    return cs.amplitude == 0.0
 
 
 def _first_step(wf: WarpingFunction, r0: float) -> float:
     return min(1e-3, 0.1 / max(wf.d_log_f(r0), 1.0))
 
 
-# a flow's right-hand side, and its stepper copy: the domain guard, then the
-# traced slopes
-_FUNCTION = """    def {name}(t, {inputs}):
+# a flow's right-hand side: the domain guard, then the traced slopes
+_RHS = """def factory(IntegrationError, r_max, {constants}):
+    def rhs(t, {inputs}):
         if not 0.0 < x0 <= r_max:
             raise IntegrationError(f"r={{x0:g}} outside (0, R)")
         {lines}
         return {outputs}
+    return rhs
 """
 
 
@@ -397,36 +406,13 @@ def _compiled_rhs(slopes, n, r_max):
     on which operations they perform: every constant, such as alpha, the
     amplitude or R, is an argument of the factory.  A warp callable that is
     not a formula (a profile table's, or the osc family's, whose log f is a
-    brentq root) is called from the generated code on a float.
-
-    Where the trace proves some slopes zero values (on the round sphere, the
-    three slopes of the angular momentum L, each k (n1 0.0 - n2 0.0) f(delta)
-    / f(r)^2), the same source also defines a stepper copy: the same guard,
-    the lines that the other slopes read and those slopes alone.  It is
-    attached to ``rhs`` as ``rhs.stepper``, with the held components'
-    indices as ``rhs.held``, and ``dop853.solve_ivp`` steps it, holding the
-    held components at their start values.  Where every operand of the held
-    slopes is finite (|p|^2 with p = L x n, and f(delta)/f(r)^2) that is the
-    run of ``rhs`` itself: its held slopes are +-0, and y + h sum a (+-0) =
-    y.  Where one overflows, ``rhs``'s held slopes are inf * 0.0 = NaN and
-    the two runs step different values (the blown-up states of
-    ``test_a_blown_up_state_fails_the_same_way`` fail with the same error
-    either way).  A wrapper of ``rhs`` has neither attribute and is stepped
-    in full, so a changed slope is never held."""
-    traced = straightline.trace(slopes, n)
-    inputs = ", ".join(f"x{i}" for i in range(n))
-    source = (f"def factory(IntegrationError, r_max, "
-              f"{', '.join(f'c{i}' for i in range(len(traced.constants)))}):\n"
-              + _FUNCTION.format(name="rhs", inputs=inputs, lines="\n        ".join(traced.lines),
-                                 outputs=", ".join(traced.outputs)))
-    if traced.zero:
-        live = [i for i in range(n) if i not in traced.zero]
-        source += (_FUNCTION.format(name="stepper", inputs=inputs,
-                                    lines="\n        ".join(traced.lines_of(live)),
-                                    outputs=", ".join(traced.outputs[i] for i in live))
-                   + f"    rhs.stepper, rhs.held = stepper, {traced.zero!r}\n")
-    factory = dop853.compiled(source + "    return rhs\n")["factory"]
-    return factory(IntegrationError, r_max, *traced.constants)
+    brentq root) is called from the generated code on a float."""
+    lines, outputs, constants = straightline.trace(slopes, n)
+    source = _RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
+                         inputs=", ".join(f"x{i}" for i in range(n)),
+                         lines="\n        ".join(lines), outputs=", ".join(outputs))
+    factory = dop853.compiled(source)["factory"]
+    return factory(IntegrationError, r_max, *constants)
 
 
 def _reduced_rhs(wf, log_fd, log_fpd):
@@ -536,6 +522,8 @@ def integrate(
             "f(delta) underflows double precision; only unperturbed circle "
             "sections support this regime"
         )
+    # an unperturbed sphere's launch refuses an underflowing f(delta) too
+    decode = _reduced_decode(cs, start, fd, fpd) if reduced else _full_decode(len(start.y), fd)
     # both systems integrate tau_scaled, so scale the stop with it
     stop = None if tau_stop is None else tau_stop * fpd
     if stop == 0.0:
@@ -543,16 +531,13 @@ def integrate(
                          "underflows double precision")
 
     if reduced:
-        decode = _reduced_decode(start.y[0], start.wind_sign, fpd, cs.scale,
-                                 start.wind_sign * cs.scale * fd)
         run = _run_branch(wf, _reduced_rhs(wf, log_fd, log_fpd), [delta, 0.0, 0.0], rtol, atol,
                           stop, math.inf)
         # the reduced system is identical under time reversal, so both time
         # directions share one forward run
         runs = (run, run)
     else:
-        k = len(start.y)
-        decode, rhs = _full_decode(k, fd), _full_rhs(wf, cs, k, fd, fpd)
+        rhs = _full_rhs(wf, cs, len(start.y), fd, fpd)
         runs = tuple(_run_branch(wf, rhs, _mirror(start, sign, fd), rtol, atol, stop,
                                  FULL_MAX_STEP_FRACTION * R) for sign in (1, -1))
 

@@ -22,26 +22,14 @@ which the generated code takes from ``math``.  A value cannot be compared,
 branched on or converted while it is recorded (TypeError); ``call`` turns
 such a callable into one call of itself, on a float, in the generated code,
 and records each callable once per input.
-
-A trace also proves which outputs vanish.  A value is *zero* when it is the
-constant 0.0, a product with a zero factor, or a sum, difference or
-negation of zero values; no other rule.  Where every operand it reads is
-finite such a value is +0 or -0 (x * 0.0 is +-0 for finite x), which is
-what lets a stepper hold the component it is the slope of
-(``dop853.kernel_source``).  ``Trace.lines_of`` gives the lines that some
-outputs read, directly or through other lines, so a caller can compile
-those outputs alone.
 """
 from __future__ import annotations
 
 import math
-import operator
-import re
-from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-__all__ = ["Var", "Tape", "Trace", "trace", "call", "sin", "cos", "sqrt", "exp", "log"]
+__all__ = ["Var", "Tape", "trace", "call", "sin", "cos", "sqrt", "exp", "log"]
 
 
 class Tape:
@@ -61,64 +49,46 @@ class Tape:
         self.constants.append(value)
         return f"c{len(self.constants) - 1}"
 
-    def assign(self, expr: str, zero: bool) -> "Var":
-        """A new line ``expr``, and the ``Var`` it assigns."""
-        var = Var(self, f"v{len(self.lines)}", zero)
+    def assign(self, expr: str) -> "Var":
+        var = Var(self, f"v{len(self.lines)}")
         self.lines.append(f"{var.name} = {expr}")
         return var
-
-
-def _zero(value) -> bool:
-    """Whether ``value`` is a zero value: a recorded one marked zero, or the
-    constant 0.0."""
-    if isinstance(value, Var):
-        return value.zero
-    return isinstance(value, float) and value == 0.0
 
 
 def _refuse(*_):
     raise TypeError("a recorded value cannot be compared, branched on or converted")
 
 
-def _operators(symbol: str, zero):
-    """The operator ``symbol`` with a ``Var`` on its left, and on its right
-    (where the left operand is a constant); ``zero`` combines whether each
-    operand is a zero value into whether the result is."""
+def _operators(symbol: str):
+    """The operator ``symbol`` with a ``Var`` on its left, and on its right."""
     def op(a, b):
-        return a.tape.assign(f"{a.name} {symbol} {a.tape.operand(b)}", zero(a.zero, _zero(b)))
+        return a.tape.assign(f"{a.name} {symbol} {a.tape.operand(b)}")
 
     def reflected(a, b):
-        return a.tape.assign(f"{a.tape.operand(b)} {symbol} {a.name}", zero(a.zero, _zero(b)))
+        return a.tape.assign(f"{a.tape.operand(b)} {symbol} {a.name}")
     return op, reflected
 
 
-def _never(p: bool, q: bool) -> bool:
-    return False
-
-
 class Var:
-    """A recorded float: the name of the local that will hold it, and
-    whether it is a zero value."""
+    """A recorded float: the name of the local that will hold it."""
 
-    __slots__ = ("tape", "name", "zero")
+    __slots__ = ("tape", "name")
     # numpy scalars defer to the reflected operators below
     __array_ufunc__ = None
     __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__ = _refuse
     __hash__ = None
 
-    # a product is zero with either factor, a sum or difference with both
-    # terms
-    __add__, __radd__ = _operators("+", operator.and_)
-    __sub__, __rsub__ = _operators("-", operator.and_)
-    __mul__, __rmul__ = _operators("*", operator.or_)
-    __truediv__, __rtruediv__ = _operators("/", _never)
-    __pow__, __rpow__ = _operators("**", _never)
+    __add__, __radd__ = _operators("+")
+    __sub__, __rsub__ = _operators("-")
+    __mul__, __rmul__ = _operators("*")
+    __truediv__, __rtruediv__ = _operators("/")
+    __pow__, __rpow__ = _operators("**")
 
-    def __init__(self, tape: Tape, name: str, zero: bool):
-        self.tape, self.name, self.zero = tape, name, zero
+    def __init__(self, tape: Tape, name: str):
+        self.tape, self.name = tape, name
 
     def __neg__(self):
-        return self.tape.assign(f"-{self.name}", self.zero)
+        return self.tape.assign(f"-{self.name}")
 
 
 def _function(name: str):
@@ -126,7 +96,7 @@ def _function(name: str):
 
     def apply(x):
         if isinstance(x, Var):
-            return x.tape.assign(f"{name}({x.name})", False)
+            return x.tape.assign(f"{name}({x.name})")
         return array(x) if isinstance(x, np.ndarray) else scalar(x)
     apply.__name__ = name
     return apply
@@ -135,40 +105,12 @@ def _function(name: str):
 sin, cos, sqrt, exp, log = map(_function, ("sin", "cos", "sqrt", "exp", "log"))
 
 
-class Trace(NamedTuple):
-    """What ``trace`` recorded: the lines, the source of each output, the
-    constants' values and the indices of the outputs that are zero values."""
-
-    lines: List[str]
-    outputs: List[str]
-    constants: list
-    zero: Tuple[int, ...]
-
-    def lines_of(self, indices) -> List[str]:
-        """The lines that the outputs ``indices`` read, directly or through
-        other lines, in their order: a walk back from those outputs over
-        each kept line's operands."""
-        wanted, kept = {self.outputs[i] for i in indices}, []
-        for line in reversed(self.lines):
-            name, _, expr = line.partition(" = ")
-            if name in wanted:
-                wanted.update(_LOCAL.findall(expr))
-                kept.append(line)
-        return kept[::-1]
-
-
-# a recorded local in a line's expression, whose other names are inputs x*,
-# constants c* and the five functions
-_LOCAL = re.compile(r"v\d+")
-
-
-def trace(body, n: int) -> Trace:
-    """Run ``body`` on the inputs [x0, ..., x{n-1}] and return what it
-    recorded (``Trace``)."""
+def trace(body, n: int):
+    """Run ``body`` on the inputs [x0, ..., x{n-1}]: the recorded lines, the
+    source of each value ``body`` returns, and the constants' values."""
     tape = Tape()
-    out = body([Var(tape, f"x{i}", False) for i in range(n)])
-    return Trace(tape.lines, [tape.operand(v) for v in out], tape.constants,
-                 tuple([i for i, v in enumerate(out) if _zero(v)]))
+    out = body([Var(tape, f"x{i}") for i in range(n)])
+    return tape.lines, [tape.operand(v) for v in out], tape.constants
 
 
 def call(fn, x):
@@ -189,6 +131,6 @@ def call(fn, x):
         except TypeError:
             del tape.lines[lines:], tape.constants[constants:]
             tape.calls = calls
-            value = tape.assign(f"{tape.operand(fn)}({x.name})", False)
+            value = tape.assign(f"{tape.operand(fn)}({x.name})")
         tape.calls[key] = fn, value
     return tape.calls[key][1]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from singular_geodesics import geodesic_flow
+from singular_geodesics import experiments, geodesic_flow
 from singular_geodesics.cli import RunConfig, main
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.warp_profiles import make_power_warp, parse_warp_spec
@@ -238,6 +238,20 @@ class TestSweep:
                              "--outdir", str(tmp_path / "sweep"))
         assert code == 2
         assert "delta ladder is empty" in err and out == ""
+
+    def test_a_ladder_entry_that_is_not_finite_exits_2(self, tmp_path, capsys, monkeypatch):
+        # NaN passed the ordering and range checks: delta = 0.3 was
+        # integrated before the NaN failed at launch
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(experiments, "integrate_winding", no_run)
+        monkeypatch.setattr(experiments, "compute_Cf", no_run)
+        outdir = tmp_path / "sweep"
+        code, out, err = run(capsys, "sweep", "--warp", "power:2", "--deltas", "0.3,nan,0.1",
+                             "--outdir", str(outdir))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not finite" in err
+        assert not outdir.exists()
 
 
 class TestVerify:

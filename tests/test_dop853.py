@@ -41,7 +41,6 @@ kernels on the same machine.
 """
 import contextlib
 import math
-import re
 import signal
 import types
 from unittest import mock
@@ -232,17 +231,14 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_flow_runs_match_scipy(case, monkeypatch):
-    runs = record_runs(monkeypatch, case)
-    # the round sphere's runs hold its angular momentum L (components 5-7),
-    # whose traced slopes are zero values; scipy steps them in full
-    held = (5, 6, 7) if case == "round_sphere" else ()
-    assert [getattr(args[0], "held", ()) for args, _ in runs] == [held] * len(runs)
-    _compare(runs)
+def test_flow_runs_match_scipy(case, monkeypatch, request):
+    if case == "round_sphere":
+        request.getfixturevalue("sphere_on_the_full_path")
+    _compare(record_runs(monkeypatch, case))
 
 
 @pytest.mark.parametrize("case", ["reduced", "full"])
-def test_right_hand_sides_receive_python_floats(case, monkeypatch):
+def test_right_hand_sides_receive_python_floats(case, monkeypatch, sphere_on_the_full_path):
     # a numpy scalar first step (from a numpy delta on the reduced path, and
     # from the state np.concatenate builds on the full one) once reached
     # every stage state, and the whole run computed in numpy scalars
@@ -413,71 +409,27 @@ def test_kernel_source_is_straight_line_float_code():
     # the whole run is one function: 11 stages, the end slope and 3 dense
     # stages of straight-line float code, each a call on positional floats,
     # inside the loops of the steps and of their attempts
-    source = dop853.kernel_source(2, ())
+    source = dop853.kernel_source(2)
     assert "np." not in source and "for " not in source and "[" not in source
     assert source.count("fun(") == 15 and source.count("while True:") == 2
-    run = dop853._kernel(2, ())
-    assert dop853._kernel(2, ()) is run and dop853._kernel(3, ()) is not run
-
-
-def test_a_held_component_is_neither_stepped_nor_read():
-    # the round sphere's run: L's stage inputs and end values are y5-y7, its
-    # slopes are never read, and its recorded slope and dense rows are 0.0;
-    # the error norm still divides by all 9 components
-    source = dop853.kernel_source(9, (5, 6, 7))
-    assert not re.search(r"\bk\d+_[567]\b", source)
-    # unpacked from y, then in each of the 15 calls and in the record
-    assert source.count("y5, y6, y7") == 1 + 15 + 1 and not re.search(r"\bn[567]\b", source)
-    assert "0.0, 0.0, 0.0, k12_8" in source and "* 9)" in source
-    assert re.search(r"\bk\d+_[567]\b", dop853.kernel_source(9, ()))
-    assert dop853._kernel(9, (5, 6, 7)) is not dop853._kernel(9, ())
-
-
-def _pendulum_with_a_still_weight(_, angle, rate, weight):
-    return [rate, -math.sin(angle), 0.0 * weight]
-
-
-def _pendulum_stepper(_, angle, rate, weight):
-    return [rate, -math.sin(angle)]
-
-
-def test_a_held_run_is_the_full_run_bit_for_bit():
-    # a callable that proves its third slope zero is stepped through its
-    # stepper with that component held; the same callable without the
-    # attributes is stepped in full.  Both runs take the same steps and give
-    # the same dense output; only coefficients that are zero may differ, in
-    # their sign (here the full run's slope 0.0 * -1.7 is -0.0)
-    def held(t, *x):
-        return _pendulum_with_a_still_weight(t, *x)
-    held.stepper, held.held = _pendulum_stepper, (2,)
-    args = (10.0, [2.5, 0.3, -1.7], 1e-7, 1e-9, 1e-2, math.inf, _SWING)
-    ours, full = dop853.solve_ivp(held, *args), dop853.solve_ivp(_pendulum_with_a_still_weight,
-                                                                 *args)
-    for name in ("t", "h", "t_events"):
-        assert _same_bits(getattr(ours, name), getattr(full, name)), name
-    counts = [(sol.nfev, sol.status, sol.message, sol.rejected) for sol in (ours, full)]
-    assert counts[0] == counts[1]
-    assert np.array_equal(ours.coef, full.coef)
-    assert _same_bits(ours.coef[:, :2], full.coef[:, :2])
-    assert np.all(ours.coef[:7, 2] == 0.0) and np.all(ours.coef[7, 2] == -1.7)
-    s = np.unique(np.concatenate([np.linspace(0.0, ours.t[-1], 200), ours.t]))
-    assert _same_bits(dop853.evaluate(ours, s), dop853.evaluate(full, s))
+    run = dop853._kernel(2)
+    assert dop853._kernel(2) is run and dop853._kernel(3) is not run
 
 
 def test_patched_tableau_reaches_the_kernel(monkeypatch):
     # a patched tableau entry or step-size constant gets its own run, which
     # steps differently
     args = (_pendulum, 10.0, [2.5, 0.3], 1e-7, 1e-9, 1e-2, math.inf, _SWING)
-    kernel, sol = dop853._kernel(2, ()), dop853.solve_ivp(*args)
+    kernel, sol = dop853._kernel(2), dop853.solve_ivp(*args)
     B = dop853.B.copy()
     B[5] *= 1.0 + 1e-6
     for name, value, written in (("B", B, B[5]), ("SAFETY", 0.95, 0.95)):
         monkeypatch.setattr(dop853, name, value)
-        assert dop853._kernel(2, ()) is not kernel
-        assert repr(float(written)) in dop853.kernel_source(2, ())
+        assert dop853._kernel(2) is not kernel
+        assert repr(float(written)) in dop853.kernel_source(2)
         assert not np.array_equal(dop853.solve_ivp(*args).t, sol.t), name
         monkeypatch.undo()
-    assert dop853._kernel(2, ()) is kernel
+    assert dop853._kernel(2) is kernel
 
 
 def test_two_stops_on_one_component_raise():

@@ -133,6 +133,22 @@ class TestRadialBounds:
         slack = 0.5 * (others + rep.worst_eta_rate)
         assert not sg.verify_radial_bounds(traj, c_bound=0.0, slack=slack).passed
 
+    @pytest.mark.parametrize("section, y0, v0", [
+        ("circle:6.283185307179586", [0.3], [1.0]),
+        ("circle:6.283185307179586:pert=0.05", [0.3], [1.0]),
+        ("sphere", [math.pi / 2, 0.3], [0.6, 0.8])])
+    def test_relative_slack_does_not_follow_the_grid(self, section, y0, v0):
+        # the upper gap |t| + delta - r is divided by |t|, its distance from
+        # the equality point t = 0.  Divided by |t| + delta it went like |t|
+        # there and read the sample nearest t = 0: 0.0098 at 256 nodes and
+        # 0.00088 at 16384 (flat circle).  Measured: 0.02784 at both, and
+        # 0.02783 on the perturbed circle
+        wf, cs = sg.make_power_warp(2.0), sg.parse_section_spec(section)
+        slacks = [sg.verify_radial_bounds(sg.integrate_winding(
+            wf, cs, 0.1, y0, v0, dense_nodes=nodes)).relative_slack for nodes in (256, 16384)]
+        assert slacks[0] == pytest.approx(slacks[1], rel=1e-6)
+        assert slacks[0] == pytest.approx(0.0278, abs=1e-4)
+
     def test_radial_skipped(self, cone_warp, flat_circle):
         st = sg.GeodesicState(t=0.0, r=0.4, theta=math.pi / 2,
                               y=np.array([0.0]), eta=np.array([0.0]))

@@ -133,7 +133,9 @@ class TestTrajectory:
         tau_stop = 1.0 if case.endswith("tau_stop") else None
         traj = sg.integrate_winding(cusp_warp, cs, 0.1, y0, v0, tau_stop=tau_stop)
         runs = traj.meta["solver"]
-        branches = {"both"} if case.startswith("reduced") else {"forward", "backward"}
+        # the flat circle and the round sphere share the reduced path's one run
+        one_run = case.startswith("reduced") or case == "round_sphere"
+        branches = {"both"} if one_run else {"forward", "backward"}
         assert {run["branch"] for run in runs} == branches and len(runs) == len(branches)
         for run, sol, sign in zip(runs, traj.runs, (1, -1)):
             assert run["steps"] == len(sol.h) and run["steps"] > 0
@@ -434,7 +436,8 @@ class TestDiagnostics:
         assert array_calls == resamples and len(resamples) == 4
 
     @pytest.mark.parametrize("section, y0, v0", _FULL_PATH, ids=_FULL_PATH_IDS)
-    def test_full_path_diagnostics_match_scalar_rows(self, section, y0, v0):
+    def test_full_path_diagnostics_match_scalar_rows(self, section, y0, v0,
+                                                     sphere_on_the_full_path):
         # the same arithmetic as one scalar cometric call per row, so equal
         # where np.sin and math.sin are (measured: 0 ulp on x86-64 with
         # numpy 2.4); allowed: a few ulp from either being one ulp off
@@ -509,10 +512,12 @@ def dense_case(case: str):
 
 
 # launch direction and meta["ambient_residual"] of power:1.3 at delta = 0.1
-# from (0.4, 0.2), as the decoded rows give it; from the same rows in
-# Fortran order einsum adds in another order, and they read 2.329350046181844e-10
-# and 3.081868094056972e-10 (most launches read the same in both orders)
-AMBIENT_RESIDUAL = {"round": ([0.2, 1.0], 2.3293489359588193e-10),
+# from (0.4, 0.2), as the decoded rows give it.  The perturbed sphere's rows
+# in Fortran order einsum adds in another order, and they read
+# 3.081868094056972e-10 (most launches read the same in both orders).  The
+# round sphere's rows are its closed-form great circle, whose |n|^2 - 1 is
+# 2 ulp of 1 in either order (its full-path run read 2.3293489359588193e-10)
+AMBIENT_RESIDUAL = {"round": ([0.2, 1.0], 4.440892098500626e-16),
                     "perturbed": ([1.0, 0.4], 3.081865873610923e-10)}
 
 
@@ -633,77 +638,65 @@ ROUND_SPHERE_LAUNCHES = [
     (sg.make_power_warp(2.5), 0.05, [2.0, -1.0], [-0.5, math.sqrt(0.75)]),
     (sg.parse_warp_spec("expinv:1"), 0.2, [0.7, 4.0], [0.9, -math.sqrt(0.19)]),
 ]
-SAMPLES = ("t", "r", "theta", "y", "eta", "tau_scaled", "tau", "hamiltonian", "clairaut_rel",
-           "eta_norm", "qr_q", "rho")
+# the largest great-circle distance of the decoded point from the full
+# path's, on 513 common times at the default rtol: measured 3.3e-8 (the
+# launch at delta = 0.05), 5.4e-10 and below elsewhere, rounded up to the
+# next power of ten
+FULL_PATH_POINT_BOUND = 1e-7
 
 
-def _wrapping_full_rhs(monkeypatch, change):
-    """Build every full right-hand side as a plain function of the compiled
-    one: ``change(rhs)``, which carries neither ``stepper`` nor ``held``."""
-    original = geodesic_flow._full_rhs
-
-    def full_rhs(*args):
-        return change(original(*args))
-    monkeypatch.setattr(geodesic_flow, "_full_rhs", full_rhs)
-
-
-class TestHeldComponents:
-    """The round sphere's runs hold its angular momentum L: the traced
-    slopes of L are zero values, so the stepper copy drops them and the
-    kernel keeps L at its start value.  That is the run of the full field
-    to the last bit; a wrapper of the field is always stepped in full."""
+class TestReducedSphere:
+    """The round sphere is a warped product: it runs the reduced system,
+    and its link path is the great circle of its launch at the arc length
+    tau, with the angular momentum L at every time."""
 
     @pytest.mark.parametrize("launch", range(len(ROUND_SPHERE_LAUNCHES)))
-    def test_held_run_matches_the_run_in_full(self, launch, monkeypatch):
+    def test_the_run_is_the_flat_circles(self, launch):
         wf, delta, y0, v0 = ROUND_SPHERE_LAUNCHES[launch]
-
-        def run():
-            return sg.integrate_winding(wf, sg.sphere_section(), delta, y0, v0, rtol=1e-9,
-                                        dense_nodes=256)
-        held = run()
-        _wrapping_full_rhs(monkeypatch, lambda rhs: lambda t, *x: rhs(t, *x))
-        full = run()
-        assert held.meta["solver"] == full.meta["solver"]
-        for name in SAMPLES:
-            a, b = getattr(held, name), getattr(full, name)
+        sphere = sg.integrate_winding(wf, sg.sphere_section(), delta, y0, v0, dense_nodes=256)
+        circle = sg.integrate_winding(wf, sg.circle_section(2 * math.pi), delta, [0.3], [1.0],
+                                      dense_nodes=256)
+        assert sphere.meta["solver"] == circle.meta["solver"]
+        for name in ("t", "r", "theta", "tau_scaled"):
+            a, b = getattr(sphere, name), getattr(circle, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        # L did not move in either run
-        assert np.all(held.eta == held.eta[0])
 
-    def test_a_changed_slope_is_stepped(self, monkeypatch):
-        # a wrapper that moves one slope of L is stepped in full, so a
-        # planted defect in a held slope is never hidden by the holding
-        wf, delta, y0, v0 = ROUND_SPHERE_LAUNCHES[0]
+    @pytest.mark.parametrize("launch", range(len(ROUND_SPHERE_LAUNCHES)))
+    def test_the_decode_matches_the_full_path(self, launch, request):
+        wf, delta, y0, v0 = ROUND_SPHERE_LAUNCHES[launch]
+        cs = sg.sphere_section()
+        reduced = sg.integrate_winding(wf, cs, delta, y0, v0, dense_nodes=256)
+        request.getfixturevalue("sphere_on_the_full_path")
+        full = sg.integrate_winding(wf, cs, delta, y0, v0, dense_nodes=256)
+        assert (reduced.meta["path"], full.meta["path"]) == ("reduced", "full")
+        ts = np.linspace(max(reduced.t_min, full.t_min), min(reduced.t_max, full.t_max), 513)
+        a, b = reduced._evaluate(ts), full._evaluate(ts)
+        assert np.max(cs.h0_distance(a.y, b.y)) < FULL_PATH_POINT_BOUND
+        # L itself, at every sample: the launch's stored covector
+        L = sg.launch_winding(wf, cs, delta, y0, v0).eta
+        assert np.all(reduced.eta == L) and np.all(a.eta == L)
+        assert np.max(np.abs(b.eta - L)) <= 1e-15 * np.linalg.norm(L)
 
-        def run():
-            return sg.integrate_winding(wf, sg.sphere_section(), delta, y0, v0, rtol=1e-9,
-                                        dense_nodes=256)
-        held = run()
+    @pytest.mark.parametrize("launch", range(len(ROUND_SPHERE_LAUNCHES)))
+    def test_the_decode_keeps_the_ambient_constraints(self, launch):
+        # |n|^2 = 1 and n.L = 0 hold to rounding (4.4e-16 measured)
+        wf, delta, y0, v0 = ROUND_SPHERE_LAUNCHES[launch]
+        traj = sg.integrate_winding(wf, sg.sphere_section(), delta, y0, v0)
+        assert traj.meta["ambient_residual"] <= 1e-14
 
-        def nudged(rhs):
-            def out(t, *x):
-                slopes = list(rhs(t, *x))
-                slopes[6] += 1e-9
-                return slopes
-            return out
-        _wrapping_full_rhs(monkeypatch, nudged)
-        moved = run()
-        assert held.eta.tobytes() != moved.eta.tobytes()
-        assert np.ptp(moved.eta[:, 1]) > 0.0 and np.ptp(held.eta[:, 1]) == 0.0
+    def test_an_underflowing_f_is_refused(self):
+        # L = 0 gives the great circle no direction
+        wf = sg.parse_warp_spec("expinv:1")
+        assert wf.f(1e-3) == 0.0
+        with pytest.raises(IntegrationError, match=r"f\(delta\) underflows double precision"):
+            sg.integrate_winding(wf, sg.sphere_section(), 1e-3, [math.pi / 2, 0.3], [0.6, 0.8])
 
-    @pytest.mark.parametrize("L", [[1e160, 0.0, 0.0], [1e155, 1.0, -2.0], [math.inf, 0.0, 0.0]])
-    def test_a_blown_up_state_fails_the_same_way(self, L):
-        # p = L x n overflows: the full run's L slopes are inf * 0 = NaN, the
-        # held run's clock slope is inf; both collapse their step
-        wf = sg.make_power_warp(2.0)
-        rhs = geodesic_flow._full_rhs(wf, sg.sphere_section(), 3, 0.01, 0.2)
-        assert rhs.held == (5, 6, 7)
-        x0 = np.array([0.1, 0.3, 0.0, 1.0, 0.0, *L, 0.0])
-        errors, runs = [], []
-        for fun in (rhs, lambda t, *x: rhs(t, *x)):
-            with pytest.raises(IntegrationError, match="stepper failed") as info:
-                geodesic_flow._run_branch(wf, fun, x0, 1e-9, 1e-12, None, math.inf)
-            errors.append(str(info.value))
-            runs.append(dop853.solve_ivp(fun, 4.0, x0, 1e-9, 1e-12, 1e-3)[1:4])
-        assert errors[0] == errors[1]
-        assert runs[0] == runs[1] and runs[0][1] == -1
+    @pytest.mark.parametrize("section, y0, v0", [
+        ("circle:6.283185307179586", [0.3], [1.0]),
+        ("circle:6.283185307179586:pert=0.08", [0.3], [1.0]),
+        ("sphere", [math.pi / 2, 0.3], [0.6, 0.8]),
+        ("sphere:pert=0.05", [math.pi / 2, 0.3], [0.6, 0.8])])
+    def test_the_path_follows_the_perturbation(self, section, y0, v0):
+        traj = sg.integrate_winding(sg.make_power_warp(2.0), sg.parse_section_spec(section),
+                                    0.2, y0, v0, dense_nodes=64)
+        assert traj.meta["path"] == ("full" if "pert=" in section else "reduced")

@@ -71,6 +71,11 @@ fools both):
   low, fails it, and no older check sees that (every round trip F(f(r)) = r
   allows far more than one double).  ``bisection_inverse`` there, the
   table's F before its Newton search, is the search's bit-for-bit oracle.
+
+The round sphere runs the reduced system, whose decode is its closed-form
+great circle.  The tests that plant defects in the full system and judge
+them on the round sphere route it through that system
+(``sphere_on_the_full_path`` in ``conftest.py``).
 """
 import math
 import re
@@ -111,7 +116,7 @@ def _patch_rhs(monkeypatch, change):
     monkeypatch.setattr(geodesic_flow, "_full_rhs", full_rhs)
 
 
-def test_reversed_rotation_fails_only_the_limit_check(monkeypatch):
+def test_reversed_rotation_fails_only_the_limit_check(monkeypatch, sphere_on_the_full_path):
     wf, cs = sg.make_power_warp(2.0), sg.sphere_section()
 
     def checks():
@@ -203,7 +208,7 @@ def test_dropped_radial_log_derivative_fails_the_shell_check(monkeypatch, sectio
         bounds_hold()
 
 
-def test_biased_clock_fails_the_length_oracle(monkeypatch):
+def test_biased_clock_fails_the_length_oracle(monkeypatch, sphere_on_the_full_path):
     wf, cs = sg.make_power_warp(2.0), sg.sphere_section()
     oracle = closed_form_winding_length(wf, 0.1)
 
@@ -248,7 +253,8 @@ def test_event_cut_step_length_fails_the_flat_cone_check(monkeypatch):
     assert not ok and r_err > 1e-8
 
 
-def test_scaled_solution_weight_fails_the_flat_cone_check_not_the_length_oracle(monkeypatch):
+def test_scaled_solution_weight_fails_the_flat_cone_check_not_the_length_oracle(
+        monkeypatch, sphere_on_the_full_path):
     B = dop853.B.copy()
     B[5] *= 1.0 + 1e-6
     monkeypatch.setattr(dop853, "B", B)
@@ -267,8 +273,10 @@ def test_scaled_dense_output_coefficient_fails_the_flat_cone_check(monkeypatch):
     assert not ok and r_err > 1e-8
 
 
-def test_scaled_stage_coefficient_fails_the_scipy_parity_test(monkeypatch):
-    A = list(dop853.A)
+def test_scaled_stage_coefficient_fails_the_scipy_parity_test(monkeypatch,
+                                                              sphere_on_the_full_path):
+    original = dop853.A
+    A = list(original)
     A[7] = A[7].copy()
     a73 = A[7][3]
     A[7][3] = a73 * (1.0 + 1e-6)
@@ -287,7 +295,7 @@ def test_scaled_stage_coefficient_fails_the_scipy_parity_test(monkeypatch):
     runs.append(parity.record_runs(monkeypatch, "perturbed_circle")[0])
     for args, ours in runs:
         assert "t" in parity.bit_mismatches(ours, parity.left_to_right_solve(*args))
-    monkeypatch.undo()
+    monkeypatch.setattr(dop853, "A", original)
     for case in sorted(parity.CASES):
         for args, ours in parity.record_runs(monkeypatch, case):
             assert parity.mismatches(ours, parity.scipy_solve(*args)) == [], case

@@ -29,7 +29,9 @@ x86-64 Xeon, Python 3.11, numpy 2.4), rounded up to the next power of ten:
   (expinv) and 0.403 (logpow); bound 1.  The ladder stops at 1e-11, the
   oracle's own relative accuracy: at 1e-12 logpow reads 1.06.
 - the full path's winding length on the round sphere against the same
-  oracle, for the same warps and deltas over rtol = 1e-6 .. 1e-11.
+  oracle, for the same warps and deltas over rtol = 1e-6 .. 1e-11.  The
+  round sphere runs the reduced path; these cases route it through the
+  full system (``sphere_on_the_full_path`` in ``conftest.py``).
   Measured worst 0.034 (power), 0.055 (expinv) and 0.086 (logpow, delta =
   0.1 at 1e-11); bound 0.1.
 
@@ -63,6 +65,7 @@ LENGTH_BOUND = 1.0
 SPHERE_LENGTH_BOUND = 0.1
 LENGTH_CASES = {"power:2": (0.3, 0.1, 0.03), "expinv:1": (0.3, 0.2), "logpow:1.5": (0.2, 0.1)}
 # the flat circle runs the reduced path, the round sphere the full one
+# (under the fixture sphere_on_the_full_path)
 LENGTH_SECTIONS = {
     "reduced": (sg.circle_section(2 * math.pi), [0.0], [1.0]),
     "full": (sg.sphere_section(), [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]),
@@ -139,12 +142,12 @@ def test_reduced_winding_length_error_shrinks_with_rtol(spec):
 
 
 @pytest.mark.parametrize("spec", sorted(LENGTH_CASES))
-def test_round_sphere_winding_length_error_shrinks_with_rtol(spec):
+def test_round_sphere_winding_length_error_shrinks_with_rtol(spec, sphere_on_the_full_path):
     ratios = length_ratios(spec, "full")
     assert max(ratios) < SPHERE_LENGTH_BOUND, ratios
 
 
-def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch):
+def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch, sphere_on_the_full_path):
     D = dop853.D.copy()
     D[0, 5] *= 1.0 + 1e-6
     monkeypatch.setattr(dop853, "D", D)
