@@ -93,6 +93,21 @@ def _aitken(values: Sequence[float]) -> float:
     return float(acc) if np.isfinite(acc) else float(v[-1])
 
 
+def _checked_ladder(wf: WarpingFunction, ladder: Sequence[float]) -> np.ndarray:
+    """``ladder`` as an array; ValueError unless it is non-empty, finite,
+    strictly decreasing and inside (0, R)."""
+    deltas = np.asarray(ladder, dtype=float)
+    if len(deltas) == 0:
+        raise ValueError("delta ladder is empty")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError(f"delta ladder {deltas.tolist()!r} holds an entry that is not finite")
+    if np.any(np.diff(deltas) >= 0):
+        raise ValueError("delta ladder must be strictly decreasing")
+    if np.any((deltas <= 0) | (deltas >= wf.domain_radius)):
+        raise ValueError("deltas must lie in (0, R)")
+    return deltas
+
+
 def delta_sweep(
     wf: WarpingFunction,
     cs: CrossSection,
@@ -104,19 +119,10 @@ def delta_sweep(
 ) -> SweepResult:
     """Measure winding lengths over a decreasing delta ladder and compare
     f'(delta) * length against the length constant; ``None`` takes
-    ``default_delta_ladder``.  An empty ladder, or one with an entry that is
-    not finite, raises ValueError before any work."""
-    deltas = np.asarray(
-        default_delta_ladder(wf) if delta_list is None else delta_list, dtype=float
-    )
-    if len(deltas) == 0:
-        raise ValueError("delta ladder is empty")
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError(f"delta ladder {deltas.tolist()!r} holds an entry that is not finite")
-    if np.any(np.diff(deltas) >= 0):
-        raise ValueError("delta ladder must be strictly decreasing")
-    if np.any((deltas <= 0) | (deltas >= wf.domain_radius)):
-        raise ValueError("deltas must lie in (0, R)")
+    ``default_delta_ladder``.  A ladder that is empty, not finite, not
+    strictly decreasing or not inside (0, R) raises ValueError before any
+    work."""
+    deltas = _checked_ladder(wf, default_delta_ladder(wf) if delta_list is None else delta_list)
 
     note = ""
     try:
@@ -336,7 +342,8 @@ def limit_geodesic_test(
 ) -> LimitReport:
     """After unit-speed reparametrization of the link projection, compare
     against the reference geodesic of (Y, h_0) on a fixed tau window; the
-    sup distance must decrease along the ladder and end below the threshold."""
+    sup distance must decrease along the ladder and end below the threshold.
+    The ladder is refused as ``delta_sweep`` refuses it."""
     if wf.kind is WarpKind.CONICAL:
         half = math.pi / 2.0
         if tau_window[0] <= -half or tau_window[1] >= half:
@@ -346,7 +353,7 @@ def limit_geodesic_test(
     elif wf.kind is not WarpKind.CUSPIDAL:
         raise ValueError("limit geodesic test needs a convex warp")
 
-    deltas = np.asarray(delta_ladder, dtype=float)
+    deltas = _checked_ladder(wf, delta_ladder)
     note = ""
     sups = []
     tau_abs = max(abs(tau_window[0]), abs(tau_window[1]))

@@ -3,6 +3,7 @@ into a warping function, or dump a warp as a table."""
 from __future__ import annotations
 
 import csv
+import math
 from typing import Optional
 
 import numpy as np
@@ -40,8 +41,16 @@ def load_profile_csv(path: str, z_max: Optional[float] = None,
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}:{lineno}: need two columns")
-            zs.append(float(row[0]))
-            ss.append(float(row[1]))
+            try:
+                z, s = float(row[0]), float(row[1])
+            except ValueError:
+                z = s = math.nan
+            # NaN would pass the increasing checks below: no comparison holds
+            if not (math.isfinite(z) and math.isfinite(s)):
+                raise ValueError(f"{path}:{lineno}: z and s must be finite numbers, "
+                                 f"got {row[0].strip()}, {row[1].strip()}")
+            zs.append(z)
+            ss.append(s)
     z = np.asarray(zs)
     s = np.asarray(ss)
     if len(z) < 4:

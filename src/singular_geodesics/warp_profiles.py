@@ -52,17 +52,11 @@ class WarpKind(str, Enum):
     OSCILLATING_COUNTEREXAMPLE = "oscillating_counterexample"
 
 
-def _bisect(below_root, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisect the brackets [lo, hi] in lockstep until no double lies inside
-    one; ``below_root(mid)`` is True where mid lies below the root.  Returns
-    the upper ends."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
-        if not live.any():
-            return hi
-        low = below_root(mid)
-        lo, hi = np.where(live & low, mid, lo), np.where(live & ~low, mid, hi)
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of ``x``, called on a float, in the shape of
+    ``x``: an element has the float call's bits, and a float call that
+    raises refuses the whole array."""
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -72,10 +66,13 @@ class WarpingFunction:
     ``log_f`` and ``d_log_f`` (= f'/f) are kept as separate callables because
     the exponential cusp families underflow double precision long before
     their logarithms do; integrators work in log space where possible.
-    Every callable takes a float, giving a float, or an ndarray, which
-    broadcasts: each formula is written once with operators and the
-    functions of ``straightline``, which call math on a float and numpy on
-    an ndarray (whose last bits may differ), and record a recorded value.
+    Every callable takes a float, giving a float, or an ndarray, giving an
+    array of its shape.  The analytic families write each formula once with
+    operators and the functions of ``straightline``, which call math on a
+    float and numpy on an ndarray (whose last bits may differ), and record a
+    recorded value.  A profile table's callables and the osc family's log f
+    (a table lookup, a root) run their float code on each element of an
+    ndarray (``_each``), so every element has the float call's bits.
     """
 
     domain_radius: float
@@ -267,28 +264,16 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
     def g(s, target):
         return alpha * s + log(c + sin(s)) - target
 
-    def bracket(target):
-        return (target - math.log(c + 1.0)) / alpha - 2.0, math.log(0.5) + 1.0
-
     def scalar_log_f(rho):
         target = math.log(rho)
-        lo, hi = bracket(target)
-        return brentq(g, min(-700.0, lo), hi, args=(target,), xtol=1e-14, rtol=8.9e-16)
-
-    def array_log_f(rho):
-        # agrees with brentq to 2.9e-14 (21 ulp) in log f: osc:0.5:9, 0.3:12
-        # and 0.7:20 on [1e-12 R, R]
-        if not np.all(rho > 0.0):
-            raise ValueError("osc warp: log f needs radii > 0")
-        target = np.log(rho)
-        lo, hi = bracket(target)
-        return _bisect(lambda s: g(s, target) < 0.0, np.minimum(-700.0, lo),
-                       np.full(np.shape(rho), hi))
+        lo = (target - math.log(c + 1.0)) / alpha - 2.0
+        return brentq(g, min(-700.0, lo), math.log(0.5) + 1.0, args=(target,),
+                      xtol=1e-14, rtol=8.9e-16)
 
     def log_f(rho):
         # one root per traced evaluation: f, f' and (log f)' all read it
         if isinstance(rho, np.ndarray):
-            return array_log_f(rho)
+            return _each(scalar_log_f, rho)
         return straightline.call(scalar_log_f, rho)
 
     def F(x):
@@ -342,14 +327,14 @@ _POLISH = 2.0 ** -51
 
 class _C1Table:
     """The C^1 piecewise cubic through knots (x_i, y_i) with slopes m_i,
-    continued past the last knot by its tangent line, and its exact inverse;
-    an ndarray gives the bits of the float call, one element at a time.
+    continued past the last knot by its tangent line, and its exact inverse.
+    Every method is float code, which an ndarray runs on each element
+    (``_each``).
 
-    Each method's float path looks up its cell and evaluates the cubic in
-    its own body, where the array path calls ``_cell``, ``_cubic`` and
-    ``_slope``: a query that runs right after other work is cold, and then
-    every Python call it makes costs several times its warm time, more so
-    while the host is busy."""
+    A method looks up its cell and evaluates the cubic in its own body: a
+    query that runs right after other work is cold, and then every Python
+    call it makes costs several times its warm time, more so while the host
+    is busy."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
         h, d = np.diff(x), np.diff(y) / np.diff(x)
@@ -357,32 +342,12 @@ class _C1Table:
         # cell past the last knot is the tangent line (c2 = c3 = 0)
         c2 = np.append((3.0 * d - 2.0 * m[:-1] - m[1:]) / h, 0.0)
         c3 = np.append((m[:-1] + m[1:] - 2.0 * d) / (h * h), 0.0)
-        self.arrays = (x, y, m, c2, c3)
         self.x, self.y = array("d", x), array("d", y)
-        self.cells = list(zip(*(a.tolist() for a in self.arrays)))
-
-    def _cell(self, x: np.ndarray):
-        """(x_i, y_i, m_i, c2_i, c3_i) of the cells holding the radii ``x``."""
-        if not np.all(x >= 0.0):
-            raise ValueError("radii must be numbers >= 0")
-        return tuple(a[np.searchsorted(self.arrays[0], x, side="right") - 1]
-                     for a in self.arrays)
-
-    @staticmethod
-    def _cubic(cell, x):
-        x0, y0, m, c2, c3 = cell
-        t = x - x0
-        return y0 + t * (m + t * (c2 + t * c3))
-
-    @staticmethod
-    def _slope(cell, x):
-        x0, _, m, c2, c3 = cell
-        t = x - x0
-        return m + t * (2.0 * c2 + 3.0 * t * c3)
+        self.cells = list(zip(*(a.tolist() for a in (x, y, m, c2, c3))))
 
     def value(self, x):
         if isinstance(x, np.ndarray):
-            return self._cubic(self._cell(x), x)
+            return _each(self.value, x)
         if not x >= 0.0:
             raise ValueError(f"radius {x!r} is not a number >= 0")
         x0, y0, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
@@ -390,9 +355,9 @@ class _C1Table:
         return y0 + t * (m + t * (c2 + t * c3))
 
     def log_value(self, x):
-        """log(value), math's on a float and numpy's on an ndarray."""
+        """log(value)."""
         if isinstance(x, np.ndarray):
-            return np.log(self._cubic(self._cell(x), x))
+            return _each(self.log_value, x)
         if not x >= 0.0:
             raise ValueError(f"radius {x!r} is not a number >= 0")
         x0, y0, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
@@ -401,7 +366,7 @@ class _C1Table:
 
     def slope(self, x):
         if isinstance(x, np.ndarray):
-            return self._slope(self._cell(x), x)
+            return _each(self.slope, x)
         if not x >= 0.0:
             raise ValueError(f"radius {x!r} is not a number >= 0")
         x0, _, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
@@ -411,8 +376,7 @@ class _C1Table:
     def log_slope(self, x):
         """slope / value, from one cell lookup."""
         if isinstance(x, np.ndarray):
-            cell = self._cell(x)
-            return self._slope(cell, x) / self._cubic(cell, x)
+            return _each(self.log_slope, x)
         if not x >= 0.0:
             raise ValueError(f"radius {x!r} is not a number >= 0")
         x0, y0, m, c2, c3 = self.cells[bisect_right(self.x, x) - 1]
@@ -444,14 +408,12 @@ class _C1Table:
         further such step is twice as long until points have landed on both
         sides of the answer, so a run of doubles with one value (a cubic
         value in the subnormal range) is crossed in few steps, and a start a
-        few ulp off does not step far past the answer.  Each point narrows the bracket; the search ends when no
-        double lies inside, and returns hi: never past the end knot, where
-        value is that knot's own value.  The tangent line past
-        the last knot is inverted in closed form.  An ndarray runs the same
-        steps on every element in lockstep, giving each the float call's
-        bits."""
+        few ulp off does not step far past the answer.  Each point narrows
+        the bracket; the search ends when no double lies inside, and returns
+        hi: never past the end knot, where value is that knot's own value.
+        The tangent line past the last knot is inverted in closed form."""
         if isinstance(y, np.ndarray):
-            return self._inverse_array(y)
+            return _each(self.inverse, y)
         if not 0.0 <= y < math.inf:
             raise ValueError(f"warp value {y!r} is not a finite number >= 0")
         i = max(bisect_left(self.y, y) - 1, 0)
@@ -492,40 +454,6 @@ class _C1Table:
                     gap *= 2.0
             else:
                 x += step
-
-    def _inverse_array(self, y):
-        if not np.all((y >= 0.0) & (y < math.inf)):
-            raise ValueError("warp values must be finite numbers >= 0")
-        last = len(self.cells) - 1
-        i = np.maximum(np.searchsorted(self.arrays[1], y, side="left") - 1, 0)
-        x0, y0, m, c2, c3 = (a[i] for a in self.arrays)
-        j = np.minimum(i + 1, last)
-        x1, y1, tangent = self.arrays[0][j], self.arrays[1][j], i == last
-        # the first knot and the tangent line leave an empty bracket
-        lo, hi = x0, np.where((y == y0) | tangent, x0, x1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dy = y - y0
-            root = m + np.sqrt(m * m + 4.0 * c2 * dy)
-            x = x0 + 2.0 * dy / root
-            chord = np.minimum(x0 + dy / (y1 - y0) * (hi - x0), np.nextafter(hi, 0.0))
-            x = np.where((root > 0.0) & (lo < x) & (x < hi), x, chord)
-            gap = np.ones_like(x)
-            while True:
-                x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-                # an element whose bracket holds no double is done: at its x
-                # (lo or hi) the updates below leave hi as it is
-                if not ((lo < x) & (x < hi)).any():
-                    break
-                t = x - x0
-                v = y0 + t * (m + t * (c2 + t * c3))
-                s = m + t * (2.0 * c2 + 3.0 * t * c3)
-                step = np.where(s > 0.0, (y - v) / s, math.nan)
-                below = v < y
-                lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-                polish = np.abs(step) <= _POLISH * x
-                x = np.where(polish, x + np.where(below, gap, -gap) * np.spacing(x), x + step)
-                gap = np.where(polish & ((lo == x0) | (hi == x1)), 2.0 * gap, gap)
-        return np.where(tangent, x0 + (y - y0) / np.where(tangent, m, 1.0), hi)
 
 
 # the 10-point Gauss-Legendre rule on [-1, 1], applied to every ladder cell:

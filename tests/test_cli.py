@@ -262,6 +262,17 @@ class TestVerify:
         assert out.count("[PASS]") >= 3
         assert "[FAIL]" not in out
 
+    def test_default_limit_line_tests_a_real_limit(self, capsys):
+        # on the round sphere the reduced path decodes the very great circle
+        # the test compares with, and the distances read rounding (4.6e-16)
+        code, out, _ = run(capsys, "verify", "--bounds-cases", "1", "--compare-cases", "1")
+        assert code == 0
+        line, = [ln for ln in out.splitlines() if "limit geodesic" in ln]
+        assert line.startswith("[PASS] limit geodesic (perturbed circle, f=r^2)")
+        sups = [float(v) for v in line.split("sup distances [")[1].rstrip("]").split()]
+        assert len(sups) == 3 and sups[0] > 1e-6
+        assert sups[0] > sups[1] > sups[2]
+
     def test_negative_slack_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--bounds-cases", "3",
                            "--compare-cases", "2", "--slack", "-1")
@@ -407,6 +418,17 @@ class TestProfile2Warp:
         code, _, err = run(capsys, "profile2warp", "--profile", str(src),
                            "--out", str(tmp_path / "o.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("row", [("nan", "0.25"), ("0.5", "nan"), ("inf", "0.25"),
+                                     ("0.5", "inf"), ("abc", "0.25")])
+    def test_a_value_that_is_not_a_finite_number_exits_2(self, tmp_path, capsys, row):
+        src = tmp_path / "nan.csv"
+        with open(src, "w", newline="") as fh:
+            csv.writer(fh).writerows([("z", "s"), (0, 0), (0.25, 0.0625), row, (1, 1)])
+        code, _, err = run(capsys, "profile2warp", "--profile", str(src),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert f"{src}:4: z and s must be finite" in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "profile2warp", "--profile",

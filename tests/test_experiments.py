@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 import singular_geodesics as sg
+from singular_geodesics import experiments
 from singular_geodesics.cli import VERIFY_SECTIONS
 from singular_geodesics.experiments import (
     _aitken,
@@ -190,6 +191,21 @@ class TestLimitGeodesic:
                                   [0.0], [1.0])
         assert rep.passed
         assert rep.sup_distances[-1] < 0.05
+
+    @pytest.mark.parametrize("ladder, message", [
+        ([], "empty"), ([0.3, math.nan], "not finite"), ([0.1, 0.3], "strictly decreasing"),
+        ([0.3, 0.3], "strictly decreasing"), ([2.0, 0.1], r"\(0, R\)"),
+        ([0.1, 0.0], r"\(0, R\)")])
+    def test_a_bad_ladder_is_refused_before_any_work(self, cusp_warp, flat_circle,
+                                                     monkeypatch, ladder, message):
+        # both refuse it through one check, before integrating anything
+        def integrate_winding(*args, **kwargs):
+            raise AssertionError("integrated a refused ladder")
+        monkeypatch.setattr(experiments, "integrate_winding", integrate_winding)
+        for run in (lambda: limit_geodesic_test(cusp_warp, flat_circle, ladder, [0.0], [1.0]),
+                    lambda: sg.delta_sweep(cusp_warp, flat_circle, delta_list=ladder)):
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 class TestCampaigns:

@@ -78,16 +78,16 @@ def float_rho_and_u(wf, r: float, theta: float):
 # warp, section, delta, y0, v0 and the bound in ulp on rho and u of the
 # array formulas against float_rho_and_u.  numpy's log, exp and pow differ
 # from math's in the last bit; the worst measured (x86-64, numpy 2.4) is 8
-# ulp (rho, logpow:1.5) and, for the osc warp, whose array log f is a
-# bisection where the float one is brentq, 34 (rho) and 26 (u); each bound
-# is that worst rounded up to the next power of ten
+# ulp (rho, logpow:1.5), and for the osc warp, whose array log f runs the
+# float root on each element, 1 (rho) and 2 (u); each bound is that worst
+# rounded up to the next power of ten
 ARRAY_FORMULA_CASES = {
     "power:2 on sphere:pert=0.05": ("power:2", "sphere:pert=0.05", 0.2, [math.pi / 2, 0.3],
                                     [math.sin(0.5), math.cos(0.5)], 10),
     "profile": ("profile", "circle:6.283185307179586", 0.2, [0.3], [1.0], 10),
     "expinv:1": ("expinv:1", "circle:6.283185307179586", 0.07, [0.3], [1.0], 10),
     "logpow:1.5": ("logpow:1.5", "circle:6.283185307179586", 0.03, [0.3], [1.0], 10),
-    "osc:0.5:9": ("osc:0.5:9", "circle:6.283185307179586", 0.005, [0.3], [1.0], 100),
+    "osc:0.5:9": ("osc:0.5:9", "circle:6.283185307179586", 0.005, [0.3], [1.0], 10),
 }
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ class TestLoadProfile:
         path = tmp_path / "zigzag.csv"
         write_profile(path, [(0.0, 0.0), (0.5, 0.2), (0.4, 0.3), (1.0, 1.0)])
         with pytest.raises(ValueError, match="increasing"):
+            sg.load_profile_csv(str(path))
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_value_that_is_not_finite(self, tmp_path, column, value):
+        # NaN passes the increasing checks: no comparison with it holds
+        rows = [[z, z * z] for z in np.linspace(0.0, 1.0, 10)]
+        rows[4][column] = value
+        path = tmp_path / "bad.csv"
+        write_profile(path, rows)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:6: z and s must be finite")):
             sg.load_profile_csv(str(path))
 
     def test_must_start_at_origin(self, tmp_path):

@@ -34,12 +34,22 @@ x86-64 Xeon, Python 3.11, numpy 2.4), rounded up to the next power of ten:
   full system (``sphere_on_the_full_path`` in ``conftest.py``).
   Measured worst 0.034 (power), 0.055 (expinv) and 0.086 (logpow, delta =
   0.1 at 1e-11); bound 0.1.
+- the round sphere's point on Y: the largest great-circle distance, on 513
+  common times, between the full path's point and the reduced path's
+  closed-form decode, both at rtol, over rtol = 1e-6 .. 1e-11, launched
+  from (pi/2, 0.3) along (sin 1, cos 1).  Measured 1.5 - 5.9 (power:2,
+  delta = 0.1) and 4.4 - 9.2 (expinv:1, delta = 0.2); bound 10.  delta =
+  0.05 is left out, as for the self-convergence cases: there power:2.5
+  launched from (2.0, -1.0) along (-0.5, sqrt(0.75)) reads 1.9e3, 4.1e3,
+  1.4e4, 1.4e3, 327 and 138.
 
 A dense-output coefficient D[0, 5] off by 1e-6 passes criterion 1 (r err
 6.8e-9 against 1e-8) but fails this ladder: the cone reads 1.3 at 1e-8 and
 4200 at 1e-12, the perturbed circle 30 at 1e-9 and 278 at 1e-10, the
-perturbed sphere 114 at 1e-10, the winding length 5.45 (expinv) and 7.53 (logpow) at 1e-11, and on the round
-sphere 0.175 (power), 0.62 (expinv) and 1.07 (logpow) at 1e-11.
+perturbed sphere 114 at 1e-10, the winding length 5.45 (expinv) and 7.53
+(logpow) at 1e-11, on the round sphere 0.175 (power), 0.62 (expinv) and
+1.07 (logpow) at 1e-11, and the round sphere's point 1760 (power) and 2090
+(expinv) at 1e-11.
 """
 import math
 
@@ -70,6 +80,10 @@ LENGTH_SECTIONS = {
     "reduced": (sg.circle_section(2 * math.pi), [0.0], [1.0]),
     "full": (sg.sphere_section(), [math.pi / 2, 0.3], [math.sin(1.0), math.cos(1.0)]),
 }
+
+# the round sphere's point on Y, per warp its delta
+POINT_CASES = {"power:2": 0.1, "expinv:1": 0.2}
+POINT_BOUND = 10.0
 
 
 def cone_ratios() -> list:
@@ -123,6 +137,31 @@ def length_ratios(spec: str, path: str = "reduced") -> list:
     return ratios
 
 
+def point_ratios(request, specs) -> dict:
+    """Per warp of ``specs``: the largest h0 distance between the round
+    sphere's point on the full path and on the reduced path's decode, on
+    513 common times, divided by rtol, per rung.  The reduced runs come
+    first; then the round sphere is routed through the full system
+    (``sphere_on_the_full_path``) for the rest of the test."""
+    cs, y0, v0 = LENGTH_SECTIONS["full"]
+
+    def runs(spec):
+        return [sg.integrate_winding(sg.parse_warp_spec(spec), cs, POINT_CASES[spec], y0, v0,
+                                     rtol=rtol, atol=rtol / 100, dense_nodes=16)
+                for rtol in LENGTH_LADDER]
+    reduced = {spec: runs(spec) for spec in specs}
+    request.getfixturevalue("sphere_on_the_full_path")
+    ratios = {}
+    for spec in specs:
+        ratios[spec] = []
+        for rtol, a, b in zip(LENGTH_LADDER, reduced[spec], runs(spec)):
+            assert (a.meta["path"], b.meta["path"]) == ("reduced", "full")
+            ts = np.linspace(max(a.t_min, b.t_min), min(a.t_max, b.t_max), 513)
+            gap = float(np.max(cs.h0_distance(a._evaluate(ts).y, b._evaluate(ts).y)))
+            ratios[spec].append(gap / rtol)
+    return ratios
+
+
 def test_flat_cone_error_shrinks_with_rtol():
     ratios = cone_ratios()
     assert max(ratios) < CONE_BOUND, ratios
@@ -147,7 +186,13 @@ def test_round_sphere_winding_length_error_shrinks_with_rtol(spec, sphere_on_the
     assert max(ratios) < SPHERE_LENGTH_BOUND, ratios
 
 
-def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch, sphere_on_the_full_path):
+@pytest.mark.parametrize("spec", sorted(POINT_CASES))
+def test_round_sphere_point_error_shrinks_with_rtol(spec, request):
+    ratios = point_ratios(request, [spec])[spec]
+    assert max(ratios) < POINT_BOUND, ratios
+
+
+def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch, request):
     D = dop853.D.copy()
     D[0, 5] *= 1.0 + 1e-6
     monkeypatch.setattr(dop853, "D", D)
@@ -158,5 +203,8 @@ def test_scaled_dense_output_coefficient_fails_the_ladder(monkeypatch, sphere_on
     # power:2's winding length reads only 0.071 here
     assert max(length_ratios("expinv:1")) > LENGTH_BOUND
     assert max(length_ratios("logpow:1.5")) > LENGTH_BOUND
+    # routes the round sphere through the full system from here on
+    for spec, ratios in point_ratios(request, sorted(POINT_CASES)).items():
+        assert max(ratios) > POINT_BOUND, spec
     for spec in sorted(LENGTH_CASES):
         assert max(length_ratios(spec, "full")) > SPHERE_LENGTH_BOUND, spec

@@ -354,12 +354,11 @@ class TestInverseContract:
 def bisection_inverse(table, ys: np.ndarray):
     """The table's F as computed before its Newton search, the oracle of that
     search: each value's cell bisected in lockstep until no double lies
-    inside the bracket (the array path of that F, which gave its float
-    path's bits).  Returns the answers and each one's cubic evaluations."""
-    x, y, m, c2, c3 = table.arrays
+    inside the bracket.  It reads the table's cells and evaluates their
+    cubics itself.  Returns the answers and each one's cubic evaluations."""
+    x, y, m, c2, c3 = (np.array(column) for column in zip(*table.cells))
     last = len(x) - 1
     i = np.maximum(np.searchsorted(y, ys, side="left") - 1, 0)
-    cell = x[i], y[i], m[i], c2[i], c3[i]
     tangent = i == last
     lo, hi = x[i], np.where((ys == y[i]) | tangent, x[i], x[np.minimum(i + 1, last)])
     evaluations = np.zeros(len(ys), dtype=int)
@@ -369,7 +368,8 @@ def bisection_inverse(table, ys: np.ndarray):
         if not live.any():
             break
         evaluations += live
-        below = table._cubic(cell, mid) < ys
+        t = mid - x[i]
+        below = y[i] + t * (m[i] + t * (c2[i] + t * c3[i])) < ys
         lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
     return np.where(tangent, x[i] + (ys - y[i]) / np.where(tangent, m[i], 1.0), hi), evaluations
 
@@ -477,25 +477,25 @@ class TestNewtonInverse:
         assert evaluations[0] <= 2 and evaluations.max() <= 104, evaluations
 
 
+CALLABLES = ("f", "f_prime", "log_f", "d_log_f", "F", "F_prime")
 # one warp of each family, the callables whose array elements must equal the
-# float call exactly (their formulas use + - * / alone, or the C^1 table's
-# arithmetic), and the bound in ulp on the other callables.  numpy's log,
-# exp and pow differ from math's in the last bit; an exponential of a large
-# logarithm (f and f' of logpow and expinv) turns one ulp of its argument
-# into |log f| ulp, and the osc warp's array log f is a bisection where its
-# float log f is brentq.  Worst measured on the grids below (x86-64, numpy
-# 2.4): power:1.5 2 ulp, logpow:1.5 31 (f and f'), expinv:1 22 (f),
-# osc:0.5:9 35 (f), sqrt 1 and the profile 1 (log f); each bound is its
-# family's worst rounded up to the next power of ten
+# float call exactly, and the bound in ulp on the other callables.  A
+# profile table's callables and the osc warp's log f run the float call on
+# each element; the analytic formulas use + - * / alone where they are
+# exact.  numpy's log, exp and pow differ from math's in the last bit; an
+# exponential of a large logarithm (f and f' of logpow and expinv) turns one
+# ulp of its argument into |log f| ulp.  Worst measured on the grids below
+# (x86-64, numpy 2.4): power:1.5 2 ulp, logpow:1.5 31 (f and f'), expinv:1
+# 22 (f), osc:0.5:9 4 ((log f)'), sqrt 1 (log f); each bound is its family's
+# worst rounded up to the next power of ten
 FAMILIES = {
     "power:1.5": ({"d_log_f"}, 10),
     "logpow:1.5": (set(), 100),
     "expinv:1": (set(), 100),
-    "osc:0.5:9": (set(), 100),
+    "osc:0.5:9": ({"log_f"}, 10),
     "sqrt": ({"F", "F_prime", "d_log_f"}, 10),
-    "profile": ({"f", "f_prime", "F", "F_prime", "d_log_f"}, 10),
+    "profile": (set(CALLABLES), 10),
 }
-CALLABLES = ("f", "f_prime", "log_f", "d_log_f", "F", "F_prime")
 
 
 def family_warp(spec, profile_warps):
@@ -539,6 +539,18 @@ class TestBroadcasting:
         wf = make_oscillating_F(0.5, 9.0)
         with pytest.raises(ValueError):
             wf.log_f(np.array([0.1, 0.0]))
+
+    def test_osc_array_log_f_refuses_a_radius_past_its_bracket(self):
+        # as the float root does: a query never clamps silently
+        wf = make_oscillating_F(0.5, 9.0)
+        for r in (20.0, np.array([20.0])):
+            with pytest.raises(ValueError):
+                wf.log_f(r)
+
+    @pytest.mark.parametrize("name", CALLABLES)
+    def test_a_nan_element_of_a_table_array_is_refused(self, profile_warps, name):
+        with pytest.raises(ValueError):
+            getattr(profile_warps["csv"], name)(np.array([0.1, math.nan]))
 
 
 class TestParseWarpSpec:
