@@ -184,8 +184,8 @@ class CrossSection:
         bad = ~((0.5 <= q) & (q <= 2.0))
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ValueError(f"degenerate metric: 1+a*w = {q[i, j]:.4g} at r={radii[i]:.3g}, "
-                             f"y={np.round(nodes[j], 3)}")
+            raise ValueError(f"perturbation out of band: 1+a*w = {q[i, j]:.4g} outside [0.5, 2] "
+                             f"at r={radii[i]:.3g}, y={np.round(nodes[j], 3)}")
         self.c_bound = 1.25 * float(np.max(np.abs(a * w_r) / q))
         self.h0_is_standard = float(np.max(np.abs(w[0]))) < 1e-15
         if self.domain_radius * self.c_bound >= 1.0:

@@ -10,7 +10,7 @@ stages as straight-line float arithmetic (one local per stage component
 and one product per nonzero coefficient), the error norms, accept or
 reject, the dense-output stages and the ``t_end`` and stop tests from the
 tableau and step-size constants, and the module compiles that source once
-per n, tableau and constants.  To read the generated code, print
+per n, read set, tableau and constants.  To read the generated code, print
 ``dop853.kernel_source(3)``.  ``compiled`` is the package's one compiler
 of generated source, cached by the source text; ``geodesic_flow`` compiles
 its traced right-hand sides with it too.
@@ -28,7 +28,15 @@ differences).
 
 A run starts with the step its caller gives (finite and positive, or
 ValueError).  A right-hand side is called as ``fun(t, x0, ..., x{n-1})``,
-on positional floats, and returns n floats.  A run may end at a stop, a
+on positional floats, and returns n floats.  A run may take a read set, the
+only components that its right-hand side reads, where it does not read t
+either (the traced right-hand sides of ``geodesic_flow``: both flows are
+autonomous and none reads its clock).  The run then forms no stage input
+the right-hand side ignores: it passes the step-start value y{i} in place
+of the stage sum of each unread component, and the step-start t in place
+of t + c h.  The right-hand side is still called with t and all n
+components, and returns the same slopes, so every step, coefficient and
+count is that of the run without a read set.  A run may end at a stop, a
 (component, level) pair: in the first step over which the component goes
 from at most the level to at least it, ``crossing`` finds the time on the
 step's dense polynomial, as it does in ``level_times``.  A run returns its
@@ -163,21 +171,34 @@ def _names(stages, n: int) -> str:
     return " ".join(f"k{s}_{i}," for s in stages for i in range(n))
 
 
-def _stages(n: int, first: int, last: int, indent: str) -> list:
+def _stages(n: int, first: int, last: int, indent: str, reads) -> list:
     """Source lines of the stages ``first`` .. ``last`` - 1, each one call
-    of ``fun`` at t + c h and the n components of y + (A K) h."""
+    of ``fun`` at t + c h and the n components of y + (A K) h; where
+    ``reads`` names the components that ``fun`` reads, at t and with y in
+    place of each other component's stage sum."""
     lines = []
     for s in range(first, last):
-        state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h" for i in range(n))
-        lines.append(f"{indent}{_names([s], n)} = fun(t + {float(C[s])!r} * h, {state})")
+        state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h"
+                          if reads is None or i in reads else f"y{i}" for i in range(n))
+        time = "t" if reads is not None else f"t + {float(C[s])!r} * h"
+        lines.append(f"{indent}{_names([s], n)} = fun({time}, {state})")
     return lines
 
 
-def kernel_source(n: int) -> str:
+def kernel_source(n: int, reads=None) -> str:
     """Source of one run on n-component states, written from the module's
     current tableau (``A``, ``B``, ``C``, ``E5``, ``E3``, ``D``) and
     step-size constants (``SAFETY``, ``MIN_FACTOR``, ``MAX_FACTOR``,
     ``ERROR_EXPONENT``).
+
+    ``reads`` is None for a right-hand side that may read t and every
+    component.  Otherwise it holds the indices of the only components that
+    the right-hand side reads, and it does not read t: each stage then
+    passes the step-start value y{i} in place of the stage sum of every
+    other component, and every call, the end slope's included, passes the
+    step-start t.  The right-hand side is still called with t and all n
+    components, and the slopes it returns, hence every step, error norm,
+    dense row and count, are those of the run with reads None.
 
     ``run(fun, t_end, y, f, rtol, atol, h_abs, max_step, record, s0, ...,
     s{n-1})`` steps from t = 0, the state ``y`` and its slope ``f`` with
@@ -216,9 +237,10 @@ def kernel_source(n: int) -> str:
              "                t_new = t_end",
              "            h = t_new - t",
              "            h_abs = h"]
-    lines += _stages(n, 1, 12, " " * 12)
+    lines += _stages(n, 1, 12, " " * 12, reads)
     lines += [f"            n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in range(n)]
-    lines.append(f"            {_names([12], n)} = fun(t + h, {new})")
+    end = "t + h" if reads is None else "t"
+    lines.append(f"            {_names([12], n)} = fun({end}, {new})")
     for i in range(n):
         lines += [f"            a, b = abs(y{i}), abs(n{i})",
                   "            scale = atol + (a if a > b else b) * rtol",
@@ -248,7 +270,7 @@ def kernel_source(n: int) -> str:
               "            h_abs *= factor",
               "            retry = True",
               "            rejected += 1"]
-    lines += _stages(n, 13, 16, " " * 8)
+    lines += _stages(n, 13, 16, " " * 8, reads)
     rows = ", ".join(f"h * ({_stage_sum(row, range(16), i)})" for row in D for i in range(n))
     lines.append(f"        record((t_new, h, {new}, {', '.join(f'k12_{i}' for i in range(n))}, "
                  f"{rows}))")
@@ -279,21 +301,22 @@ def compiled(source: str) -> dict:
     return _COMPILED[source]
 
 
-# (state size, step-size constants, tableau identities) -> (the tableau
-# objects, their compiled run)
+# (state size, read set, step-size constants, tableau identities) -> (the
+# tableau objects, their compiled run)
 _KERNELS = {}
 
 
-def _kernel(n: int):
-    """``kernel_source(n)`` compiled, once per key: a tableau array or
-    step-size constant patched into the module gets its own run.  The key
-    holds the identities of ``C``, ``A``, ``B``, ``E5``, ``E3`` and ``D``,
-    not their contents, so an in-place edit of a tableau array is not seen;
-    each entry keeps those objects alive, so their ids cannot be reused."""
+def _kernel(n: int, reads=None):
+    """``kernel_source(n, reads)`` compiled, once per key: a tableau array
+    or step-size constant patched into the module gets its own run.  The
+    key holds the identities of ``C``, ``A``, ``B``, ``E5``, ``E3`` and
+    ``D``, not their contents, so an in-place edit of a tableau array is not
+    seen; each entry keeps those objects alive, so their ids cannot be
+    reused."""
     tableau = (C, A, B, E5, E3, D)
-    key = (n, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT, *map(id, tableau))
+    key = (n, reads, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT, *map(id, tableau))
     if key not in _KERNELS:
-        _KERNELS[key] = tableau, compiled(kernel_source(n))["run"]
+        _KERNELS[key] = tableau, compiled(kernel_source(n, reads))["run"]
     return _KERNELS[key][1]
 
 
@@ -368,7 +391,7 @@ def level_times(sol: Solution, i: int, levels: np.ndarray, xtol: float) -> np.nd
 
 
 def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float,
-              max_step: float = math.inf, stops=()) -> Solution:
+              max_step: float = math.inf, stops=(), reads=None) -> Solution:
     """Integrate y' = fun(t, y) from y(0) = ``y0`` towards ``t_end`` > 0,
     starting with a step of ``first_step`` (finite and positive, or
     ValueError).
@@ -379,10 +402,14 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
     a component is at most its level and at whose end at least, at the time
     ``crossing`` finds on the step's dense polynomial (the earliest, if
     several components cross in one step); a component takes at most one
-    stop (ValueError).  The steps are one call of the generated ``run`` of
-    the state size (``kernel_source``).  The scalar arguments are taken as
-    Python floats: a numpy scalar among them would carry numpy scalar
-    arithmetic into every stage.
+    stop (ValueError).  ``reads``, None or a tuple of the indices of the
+    only components that ``fun`` reads where it does not read t either (as
+    a traced right-hand side's, ``straightline.trace``), changes which
+    stage inputs the run forms, not its result.  The steps are one call of
+    the generated ``run`` of the state size and read set
+    (``kernel_source``).  The scalar arguments are taken as Python floats:
+    a numpy scalar among them would carry numpy scalar arithmetic into
+    every stage.
     """
     t_end, rtol, atol, first_step, max_step = map(float, (t_end, rtol, atol, first_step,
                                                           max_step))
@@ -399,8 +426,8 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
         levels[i] = float(level)
     f = fun(0.0, *y)
     out = []
-    status, rejected = _kernel(n)(fun, t_end, y, f, rtol, atol, first_step, max_step, out.extend,
-                                  *levels)
+    status, rejected = _kernel(n, reads)(fun, t_end, y, f, rtol, atol, first_step, max_step,
+                                         out.extend, *levels)
     # one column per accepted step: its end time, length, end state and
     # slope, and rows 3-6 of its coefficients
     steps = np.array(out).reshape(-1, 6 * n + 2).T

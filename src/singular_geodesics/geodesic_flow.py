@@ -31,7 +31,9 @@ takes the full system, in its stored coordinates (on the sphere n and L in
 R^3).  Both right-hand sides are traced once on recorded values and run as
 straight-line float code (``_compiled_rhs``).  Each time direction is one
 DOP853 run (``dop853.solve_ivp``) stopped only at the exit r = R and the
-optional tau stop; backward time is a forward run of the mirrored system
+optional tau stop.  The run forms only the stage inputs that the traced
+slopes read: not tau_scaled, a pure quadrature, and not t, since both flows
+are autonomous.  Backward time is a forward run of the mirrored system
 (t, theta, eta) -> (-t, -theta, -eta); radial lines are straight segments.
 """
 from __future__ import annotations
@@ -398,8 +400,11 @@ _RHS = """def factory(IntegrationError, r_max, {constants}):
 
 def _compiled_rhs(slopes, n, r_max):
     """``slopes`` of the ``n`` state components (r first) as straight-line
-    float code behind the guard 0 < r <= ``r_max``: ``rhs(t, x0, ...,
-    x{n-1})`` returns the n slopes as a tuple.
+    float code behind the guard 0 < r <= ``r_max``: ``(rhs, reads)``, where
+    ``rhs(t, x0, ..., x{n-1})`` returns the n slopes as a tuple and reads
+    neither t nor any component outside ``reads`` (r, which the guard reads,
+    and the components the traced lines read; ``dop853.solve_ivp``'s
+    ``reads``).
 
     The slopes run once on recorded values (``straightline``), and the
     lines they record are compiled once per source text, which depends only
@@ -407,17 +412,18 @@ def _compiled_rhs(slopes, n, r_max):
     amplitude or R, is an argument of the factory.  A warp callable that is
     not a formula (a profile table's, or the osc family's, whose log f is a
     brentq root) is called from the generated code on a float."""
-    lines, outputs, constants = straightline.trace(slopes, n)
+    lines, outputs, constants, reads = straightline.trace(slopes, n)
     source = _RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
                          inputs=", ".join(f"x{i}" for i in range(n)),
                          lines="\n        ".join(lines), outputs=", ".join(outputs))
     factory = dop853.compiled(source)["factory"]
-    return factory(IntegrationError, r_max, *constants)
+    return factory(IntegrationError, r_max, *constants), tuple(sorted({0, *reads}))
 
 
 def _reduced_rhs(wf, log_fd, log_fpd):
     """Right-hand side of the reduced system in (r, theta, tau_scaled), for
-    every r > 0: its steps reach far past R."""
+    every r > 0 (its steps reach far past R), and the components it reads
+    (``_compiled_rhs``)."""
     L0 = log_fpd + log_fd
 
     def slopes(x):
@@ -431,7 +437,8 @@ def _reduced_rhs(wf, log_fd, log_fpd):
 def _full_rhs(wf, cs, k, fd, fpd):
     """Right-hand side of the full system in (r, theta, y, eta_hat, tau_scaled),
     k components each in y and eta_hat, with f(delta) = ``fd`` and f'(delta)
-    = ``fpd``, for r up to 1.25 R: trial points reach slightly past the exit."""
+    = ``fpd``, for r up to 1.25 R (trial points reach slightly past the
+    exit), and the components it reads (``_compiled_rhs``)."""
     def slopes(x):
         r, th = x[0], x[1]
         sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
@@ -448,16 +455,17 @@ def _mirror(start: GeodesicState, sign: int, fd: float) -> np.ndarray:
     return np.concatenate([[start.r, sign * start.theta], start.y, sign * start.eta / fd, [0.0]])
 
 
-def _run_branch(wf, rhs, x0, rtol, atol, stop, max_step) -> dop853.Solution:
+def _run_branch(wf, rhs, x0, rtol, atol, stop, max_step, reads=None) -> dop853.Solution:
     """One forward run of the mirrored system from the lowest point until
-    r = R or until the last state component (tau_scaled) reaches ``stop``.  A
+    r = R or until the last state component (tau_scaled) reaches ``stop``,
+    forming only the stage inputs ``reads`` of ``rhs`` (``solve_ivp``).  A
     right-hand side that fails on a state that blew up (``math``'s
     ValueError or OverflowError, as at an infinite angle) fails the run."""
     R = wf.domain_radius
     stops = [(0, R)] + ([] if stop is None else [(-1, stop)])
     try:
         sol = solve_ivp(rhs, 2.0 * R + 1.0, x0, rtol, atol, _first_step(wf, x0[0]), max_step,
-                        stops)
+                        stops, reads)
     except (ValueError, OverflowError) as exc:
         raise IntegrationError(
             f"stepper failed: right-hand side raised {type(exc).__name__}: {exc}") from exc
@@ -531,15 +539,15 @@ def integrate(
                          "underflows double precision")
 
     if reduced:
-        run = _run_branch(wf, _reduced_rhs(wf, log_fd, log_fpd), [delta, 0.0, 0.0], rtol, atol,
-                          stop, math.inf)
+        rhs, reads = _reduced_rhs(wf, log_fd, log_fpd)
+        run = _run_branch(wf, rhs, [delta, 0.0, 0.0], rtol, atol, stop, math.inf, reads)
         # the reduced system is identical under time reversal, so both time
         # directions share one forward run
         runs = (run, run)
     else:
-        rhs = _full_rhs(wf, cs, len(start.y), fd, fpd)
+        rhs, reads = _full_rhs(wf, cs, len(start.y), fd, fpd)
         runs = tuple(_run_branch(wf, rhs, _mirror(start, sign, fd), rtol, atol, stop,
-                                 FULL_MAX_STEP_FRACTION * R) for sign in (1, -1))
+                                 FULL_MAX_STEP_FRACTION * R, reads) for sign in (1, -1))
 
     meta = {
         "warp": wf.label,

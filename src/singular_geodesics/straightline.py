@@ -17,6 +17,8 @@ as computing them in the generated code.
 
 ``trace(body, n)`` records ``body`` on n inputs x0 .. x{n-1}; its caller
 writes the lines into a function and compiles it (``dop853.compiled``).
+It also names the inputs that the lines and outputs read, so that a caller
+need not form an input that the code never reads.
 Recorded are +, -, *, /, ** and unary -, and sin, cos, sqrt, exp and log,
 which the generated code takes from ``math``.  A value cannot be compared,
 branched on or converted while it is recorded (TypeError); ``call`` turns
@@ -26,6 +28,7 @@ and records each callable once per input.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -107,10 +110,13 @@ sin, cos, sqrt, exp, log = map(_function, ("sin", "cos", "sqrt", "exp", "log"))
 
 def trace(body, n: int):
     """Run ``body`` on the inputs [x0, ..., x{n-1}]: the recorded lines, the
-    source of each value ``body`` returns, and the constants' values."""
+    source of each value ``body`` returns, the constants' values, and the
+    indices of the inputs that the lines and returned values read, in
+    increasing order."""
     tape = Tape()
-    out = body([Var(tape, f"x{i}") for i in range(n)])
-    return tape.lines, [tape.operand(v) for v in out], tape.constants
+    outputs = [tape.operand(v) for v in body([Var(tape, f"x{i}") for i in range(n)])]
+    read = {int(i) for i in re.findall(r"\bx(\d+)\b", "\n".join(tape.lines + outputs))}
+    return tape.lines, outputs, tape.constants, tuple(sorted(read))
 
 
 def call(fn, x):

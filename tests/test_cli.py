@@ -199,6 +199,14 @@ class TestTrace:
                            "--delta", "7.0", "--outdir", str(tmp_path))
         assert code == 2
 
+    def test_perturbation_out_of_band_names_the_band(self, tmp_path, capsys):
+        # 1 + a w = 0.496 is not degenerate, only outside the band the
+        # section enforces
+        code, _, err = run(capsys, "trace", "--warp", "power:2", "--delta", "0.1",
+                           "--section", "circle:6.28:pert=2", "--outdir", str(tmp_path / "run"))
+        assert code == 2
+        assert "1+a*w = 0.496 outside [0.5, 2] at r=0.26, y=2.945" in err
+
     def test_blown_up_run_exits_3(self, tmp_path, capsys):
         # the angle blows up to infinity, where math.cos raises ValueError
         # ("math domain error"); that once left the CLI with exit 2

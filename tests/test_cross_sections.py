@@ -30,7 +30,7 @@ class TestCircleSection:
         assert cs.domain_radius * cs.c_bound < 1.0
 
     def test_degenerate_metric_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(ValueError, match=r"outside \[0.5, 2\]"):
             sg.circle_section(2 * math.pi, perturbation=(2.0, None))
 
     def test_h0_distance_wraps(self, flat_circle):
@@ -100,8 +100,8 @@ def _grid_loop(a, shape, nodes):
             w, w_r, _ = shape.formula(float(r), y.tolist())
             q = 1.0 + a * w
             if not 0.5 <= q <= 2.0:
-                raise ValueError(f"degenerate metric: 1+a*w = {q:.4g} at r={r:.3g}, "
-                                 f"y={np.round(y, 3)}")
+                raise ValueError(f"perturbation out of band: 1+a*w = {q:.4g} outside [0.5, 2] "
+                                 f"at r={r:.3g}, y={np.round(y, 3)}")
             worst = max(worst, abs(a * w_r) / q)
     h0 = max(abs(shape.formula(0.0, y.tolist())[0]) for y in nodes) < 1e-15
     return 1.25 * worst, h0

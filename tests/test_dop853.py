@@ -60,11 +60,14 @@ EVENT_TOL = 1e-14  # event times, relative
 DENSE_TOL = 1e-11  # dense output, relative to each component's largest value
 
 
-def scipy_solve(fun, t_end, y0, rtol, atol, first_step, max_step=math.inf, stops=()):
+def scipy_solve(fun, t_end, y0, rtol, atol, first_step, max_step=math.inf, stops=(),
+                reads=None):
     """scipy's DOP853 run with the arguments of ``dop853.solve_ivp``, each
     stop (component, level) a terminal event y[component] - level rising
     through 0; scipy's state array reaches ``fun`` as positional components,
-    and the result carries scipy's ``OdeSolution`` as ``sol``."""
+    and the result carries scipy's ``OdeSolution`` as ``sol``.  scipy forms
+    every stage input, as the package run does without ``reads``, which
+    changes no result."""
     events = []
     for i, level in stops:
         def g(t, y, i=i, level=level):
@@ -246,12 +249,12 @@ def test_right_hand_sides_receive_python_floats(case, monkeypatch, sphere_on_the
 
     def spying(builder):
         def build(*args):
-            rhs = builder(*args)
+            rhs, reads = builder(*args)
 
             def spy(t, *s):
                 seen.update(type(v) for v in [t, *s])
                 return rhs(t, *s)
-            return spy
+            return spy, reads
         return build
     for name in ("_reduced_rhs", "_full_rhs"):
         monkeypatch.setattr(geodesic_flow, name, spying(getattr(geodesic_flow, name)))

@@ -458,7 +458,9 @@ class TestVectorField:
         st = sg.launch_winding(cusp_warp, flat_circle, delta, [0.0], [1.0])
         fd, fpd = cusp_warp.f(delta), cusp_warp.f_prime(delta)
         x = np.concatenate([[r, th], st.y, st.eta / fd, [0.0]])
-        rhs = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1, fd, fpd)
+        rhs, reads = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1, fd, fpd)
+        # the flat circle's slopes read neither its point nor the clock
+        assert reads == (0, 1, 3)
         dr, dth, dy, deta, dtau = rhs(0.0, *x)
         assert dr == pytest.approx(math.sin(th))
         fp_over_f = cusp_warp.f_prime(r) / cusp_warp.f(r)
@@ -470,8 +472,9 @@ class TestVectorField:
         assert dy == pytest.approx(eta_over_f2, rel=1e-12)
         assert dtau == pytest.approx(fpd * eta_over_f2, rel=1e-12)
         log_fd = cusp_warp.log_f(delta)
-        reduced = geodesic_flow._reduced_rhs(cusp_warp, log_fd,
-                                             log_fd + math.log(cusp_warp.d_log_f(delta)))
+        reduced, reads = geodesic_flow._reduced_rhs(cusp_warp, log_fd,
+                                                    log_fd + math.log(cusp_warp.d_log_f(delta)))
+        assert reads == (0, 1)
         assert [dr, dth, dtau] == pytest.approx(list(reduced(0.0, r, th, 0.0)), rel=1e-12)
 
 

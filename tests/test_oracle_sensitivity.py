@@ -220,13 +220,13 @@ def test_biased_clock_fails_the_length_oracle(monkeypatch, sphere_on_the_full_pa
     assert length_err() < 1e-6
 
     def biased(original, wf, cs, k, fd, fpd):
-        rhs = original(wf, cs, k, fd, fpd)
+        rhs, reads = original(wf, cs, k, fd, fpd)
 
         def out(t, *s):
             derivative = list(rhs(t, *s))
             derivative[-1] *= 1.0 + 1e-5
             return derivative
-        return out
+        return out, reads
     _patch_rhs(monkeypatch, biased)
     err = length_err()
     assert err > 1e-6 and np.isclose(err, 1e-5, rtol=1e-3)

@@ -10,6 +10,11 @@ generated code to the last bit: an emitter that swaps the operands of one
 subtraction fails it.  A wrong formula fools both; the shell, bound and
 length checks of ``tests/test_oracle_sensitivity.py`` judge those.
 
+A traced right-hand side reads only the inputs its lines name, and never t,
+so the stepper forms no other stage input (``dop853.solve_ivp``'s
+``reads``).  The read-set tests run each flow with its traced read set and
+again with every stage input and time formed, and require the same bits.
+
 The last test checks the dispatch that every formula goes through: each of
 ``straightline``'s five functions gives numpy's bits on an ndarray, math's
 Python float on anything else, and one recorded line on a ``Var``."""
@@ -93,7 +98,7 @@ def full_builders(wf, cs, k, delta_fraction):
     launched at delta = ``delta_fraction`` R, with f(delta) and f'(delta)
     as ``integrate`` computes them."""
     fd, fpd = map(math.exp, launch_logs(wf, delta_fraction))
-    return geodesic_flow._full_rhs(wf, cs, k, fd, fpd), reference_rhs(wf, cs, k, fd, fpd)
+    return geodesic_flow._full_rhs(wf, cs, k, fd, fpd)[0], reference_rhs(wf, cs, k, fd, fpd)
 
 
 def parity_faults(wf, cs, k, delta_fraction, states) -> list:
@@ -108,7 +113,7 @@ def reduced_builders(wf, delta_fraction):
     launched at delta = ``delta_fraction`` R, with the logs ``integrate``
     computes."""
     log_fd, log_fpd = launch_logs(wf, delta_fraction)
-    return (geodesic_flow._reduced_rhs(wf, log_fd, log_fpd),
+    return (geodesic_flow._reduced_rhs(wf, log_fd, log_fpd)[0],
             reduced_reference_rhs(wf, log_fd, log_fpd))
 
 
@@ -215,11 +220,85 @@ def test_a_campaign_compiles_once_per_structure(monkeypatch):
     # the source depends on the section class, shape, warp family and k, not
     # on alpha, delta or the amplitude, which the campaign draws per case;
     # its structures are the reduced system, which the flat circle and the
-    # round sphere share, and the perturbed circle
+    # round sphere share, and the perturbed circle.  Each state size has one
+    # read set, so one generated run (a second 9-state run costs about 1 MB)
     monkeypatch.setattr(dop853, "_COMPILED", {})
+    monkeypatch.setattr(dop853, "_KERNELS", {})
     run_bounds_campaign(20)
     sources = [s for s in dop853._COMPILED if s.startswith("def factory")]
     assert len(sources) == 2
+    assert sorted(key[0] for key in dop853._KERNELS) == [3, 5]
+
+
+# the launches (section, y0, v0) of the read-set tests
+READ_SET_LAUNCHES = {
+    "reduced": (sg.circle_section(2 * math.pi), [0.3], [1.0]),
+    "perturbed_circle": (SECTIONS["perturbed_circle"][0], [0.3], [1.0]),
+    "perturbed_sphere": (SECTIONS["perturbed_sphere"][0], [math.pi / 2, 0.3],
+                         [math.sin(1.0), math.cos(1.0)]),
+}
+
+
+def run_bits(args, reads):
+    """Every result of ``dop853.solve_ivp(*args, reads=reads)`` as bytes and
+    counts, or the error that the right-hand side raised."""
+    try:
+        sol = dop853.solve_ivp(*args, reads=reads)
+    except (ArithmeticError, ValueError, IntegrationError) as exc:
+        return repr(exc)
+    return (sol.t.tobytes(), sol.h.tobytes(), sol.coef.tobytes(),
+            [e.tobytes() for e in sol.t_events], sol.nfev, sol.rejected, sol.status)
+
+
+@pytest.mark.parametrize("tau_stop", [None, 1.0])
+@pytest.mark.parametrize("structure", sorted(READ_SET_LAUNCHES))
+@pytest.mark.parametrize("warp", sorted(WARPS))
+def test_the_read_set_changes_no_bit_of_a_run(warp, structure, tau_stop, monkeypatch):
+    wf, (cs, y0, v0) = WARPS[warp], READ_SET_LAUNCHES[structure]
+    runs = []
+
+    def recording(*args):
+        runs.append(args)
+        return dop853.solve_ivp(*args)
+    monkeypatch.setattr(geodesic_flow, "solve_ivp", recording)
+    try:
+        sg.integrate_winding(wf, cs, 0.1 * wf.domain_radius, y0, v0, rtol=1e-9,
+                             tau_stop=tau_stop)
+        assert len(runs) == (1 if structure == "reduced" else 2)
+    except IntegrationError:
+        # expinv:1 blows up in the first run on a perturbed section, the
+        # same way with either read set
+        assert warp == "expinv" and structure != "reduced" and len(runs) == 1
+    for *args, reads in runs:
+        # neither the clock nor, on the reduced system, the point is read
+        assert reads == {"reduced": (0, 1), "perturbed_circle": (0, 1, 2, 3)}.get(
+            structure, (0, 1, 2, 3, 4, 5, 6, 7))
+        assert run_bits(args, reads) == run_bits(args, None)
+
+
+def test_the_run_forms_no_unread_stage_input():
+    source = dop853.kernel_source(3, (0, 1))
+    calls = [line.split("fun(", 1)[1] for line in source.splitlines() if "fun(" in line]
+    assert len(calls) == 15 and all(call.startswith("t, ") for call in calls)
+    assert not re.search(r"\bk\d+_2\b|t \+", "".join(calls))
+    assert sum(call.endswith(", y2)") for call in calls) == 14
+    # a plain callable may read t and every component
+    assert source != dop853.kernel_source(3) and "t + 0.1 * h" in dop853.kernel_source(3)
+
+
+def test_a_read_last_input_keeps_its_stage_sums():
+    # x0' = 1, x1' = x2, x2' = -x1: the slopes read the last input, which
+    # the flows' clock never is, and x0 only through the domain guard
+    def slopes(x):
+        return [1.0, x[2], -x[1]]
+    assert straightline.trace(slopes, 3)[3] == (1, 2)
+    rhs, reads = geodesic_flow._compiled_rhs(slopes, 3, math.inf)
+    assert reads == (0, 1, 2)
+    assert re.search(r"\bk\d+_2\b", dop853.kernel_source(3, reads).split("n0 =")[0])
+    args = (rhs, 10.0, [0.1, 1.0, 0.0], 1e-10, 1e-12, 1e-3)
+    assert run_bits(args, reads) == run_bits(args, None)
+    # a read set assumed from the flows' (the clock last) changes the run
+    assert run_bits(args, (0, 1)) != run_bits(args, None)
 
 
 def test_one_source_per_structure():
@@ -258,9 +337,10 @@ def test_call_records_each_callable_once_per_input():
     def body(x):
         return [straightline.call(log, x[0]), straightline.call(log, x[0]),
                 straightline.call(log, x[1])]
-    lines, outputs, constants = straightline.trace(body, 2)
+    lines, outputs, constants, reads = straightline.trace(body, 2)
     assert outputs[0] == outputs[1] != outputs[2]
     assert lines == ["v0 = c0(x0)", "v1 = c1(x1)"] and constants == [log, log]
+    assert reads == (0, 1)
     assert straightline.call(log, 2.0) == math.log(2.0)
 
 
@@ -273,7 +353,7 @@ def test_a_dropped_call_is_recorded_again():
 
     def body(x):
         return [straightline.call(branching, x[0]), straightline.call(log, x[0])]
-    lines, outputs, constants = straightline.trace(body, 1)
+    lines, outputs, constants, _ = straightline.trace(body, 1)
     assert lines == ["v0 = c0(x0)", "v1 = c1(x0)"] and constants == [branching, log]
     assert outputs == ["v0", "v1"]
 
@@ -295,5 +375,5 @@ def test_each_function_follows_its_operand(name):
         out = ours(x)
         assert type(out) is float and out.hex() == scalar(0.7).hex()
     # a recorded value appends one line
-    lines, outputs, _ = straightline.trace(lambda x: [ours(x[0])], 1)
+    lines, outputs, _, _ = straightline.trace(lambda x: [ours(x[0])], 1)
     assert lines == [f"v0 = {name}(x0)"] and outputs == ["v0"]
