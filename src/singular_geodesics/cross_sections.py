@@ -415,24 +415,24 @@ def _numeric_base_geodesic(cs: CrossSection, y: np.ndarray, v: np.ndarray,
                            taus: np.ndarray) -> np.ndarray:
     """Hamiltonian integration of the unit-speed geodesic of h_0 = h(0, .),
     one forward run per sign of tau, sampled at ``taus``; the system is
-    autonomous, so tau < 0 runs the negated field over [0, |tau|]."""
+    autonomous and reversible, so tau < 0 runs forward over [0, |tau|] from
+    the mirrored launch (y, -eta)."""
     k = len(y)
 
-    def rhs(_, *x):
+    def rhs(*x):
         sharp, _, _, force = cs.cometric(0.0, x[:k], x[k:])
         return sharp + force
 
-    def backward(t, *x):
-        return [-d for d in rhs(t, *x)]
-
-    x0 = np.concatenate([y, cs.covector(y, cs.metric(0.0, y) @ v)])
+    eta = cs.covector(y, cs.metric(0.0, y) @ v)
     out = np.empty((len(taus), k))
     out[taus == 0.0] = y
-    for side, fun in ((taus > 0.0, rhs), (taus < 0.0, backward)):
+    for sign in (1.0, -1.0):
+        side = sign * taus > 0.0
         if not side.any():
             continue
-        s = np.abs(taus[side])
-        sol = solve_ivp(fun, float(s.max()), x0, 1e-12, 1e-14, BASE_FIRST_STEP)
+        s = sign * taus[side]
+        sol = solve_ivp(rhs, float(s.max()), np.concatenate([y, sign * eta]), 1e-12, 1e-14,
+                        BASE_FIRST_STEP)
         if sol.status < 0:
             raise IntegrationError(f"reference geodesic integration failed: {sol.message}")
         out[side] = dop853.evaluate(sol, s)[:k].T

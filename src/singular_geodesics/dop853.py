@@ -10,10 +10,10 @@ stages as straight-line float arithmetic (one local per stage component
 and one product per nonzero coefficient), the error norms, accept or
 reject, the dense-output stages and the ``t_end`` and stop tests from the
 tableau and step-size constants, and the module compiles that source once
-per n, read set, tableau and constants.  To read the generated code, print
-``dop853.kernel_source(3)``.  ``compiled`` is the package's one compiler
-of generated source, cached by the source text; ``geodesic_flow`` compiles
-its traced right-hand sides with it too.
+per n, read set, tableau and constants.  To read the generated code,
+print ``dop853.kernel_source(3, (0, 1, 2))``.  ``compiled`` is the
+package's one compiler of generated source, cached by the source text;
+``geodesic_flow`` compiles its traced right-hand sides with it too.
 
 The sums add their terms left to right.  ``np.dot`` hands them to BLAS,
 whose x86-64 kernels add in blocks with fused multiply-adds, so a run is
@@ -27,25 +27,23 @@ for bit (``tests/test_dop853.py`` checks both and states the measured
 differences).
 
 A run starts with the step its caller gives (finite and positive, or
-ValueError).  A right-hand side is called as ``fun(t, x0, ..., x{n-1})``,
-on positional floats, and returns n floats.  A run may take a read set, the
-only components that its right-hand side reads, where it does not read t
-either (the traced right-hand sides of ``geodesic_flow``: both flows are
-autonomous and none reads its clock).  The run then forms no stage input
-the right-hand side ignores: it passes the step-start value y{i} in place
-of the stage sum of each unread component, and the step-start t in place
-of t + c h.  The right-hand side is still called with t and all n
-components, and returns the same slopes, so every step, coefficient and
-count is that of the run without a read set.  A run may end at a stop, a
-(component, level) pair: in the first step over which the component goes
-from at most the level to at least it, ``crossing`` finds the time on the
-step's dense polynomial, as it does in ``level_times``.  A run returns its
-dense solution as three arrays of its ``Solution``: the step points ``t``,
-each step's length ``h`` and one component-major array ``coef`` (8 x
-states x steps) of each step's seven interpolation coefficients and, last,
-its start value.  Only ``evaluate`` (one gather along the step axis and
-Horner's scheme, on all components or one) and ``level_times`` read
-``coef``.
+ValueError).  A right-hand side is autonomous: it is called as ``fun(x0,
+..., x{n-1})`` on positional floats and returns n floats (a system that
+reads its time takes t as one more component; Hairer, Norsett and Wanner,
+section II.5).  A run may take a read set, the only components that its
+right-hand side reads (the traced right-hand sides of ``geodesic_flow``
+never read the clock ``tau_scaled``).  It passes the step-start value
+y{i} in place of the stage sum of each unread component, so every step,
+coefficient and count is that of the run that forms every stage sum.  A
+run may end at a stop, a (component, level) pair: in the first step over
+which the component goes from at most the level to at least it,
+``crossing`` finds the time on the step's dense polynomial, as it does in
+``level_times``.  A run returns its dense solution as three arrays of its
+``Solution``: the step points ``t``, each step's length ``h`` and one
+component-major array ``coef`` (8 x states x steps) of each step's seven
+interpolation coefficients and, last, its start value.  Only ``evaluate``
+(one gather along the step axis and Horner's scheme, on all components or
+one) and ``level_times`` read ``coef``.
 """
 from __future__ import annotations
 
@@ -57,11 +55,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 __all__ = ["Solution", "solve_ivp", "evaluate", "crossing", "level_times", "compiled"]
-
-# the nodes c of the 16 stages
-C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-     0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-     0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
 
 # row s holds the coefficients a_{s,0} .. a_{s,s-1} of stage s (rows 1-11 the
 # step, row 12 the solution weights B, rows 13-15 the dense-output stages)
@@ -173,32 +166,28 @@ def _names(stages, n: int) -> str:
 
 def _stages(n: int, first: int, last: int, indent: str, reads) -> list:
     """Source lines of the stages ``first`` .. ``last`` - 1, each one call
-    of ``fun`` at t + c h and the n components of y + (A K) h; where
-    ``reads`` names the components that ``fun`` reads, at t and with y in
-    place of each other component's stage sum."""
+    of ``fun`` on y + (A K) h in the components ``reads`` and on y in the
+    others."""
     lines = []
     for s in range(first, last):
-        state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h"
-                          if reads is None or i in reads else f"y{i}" for i in range(n))
-        time = "t" if reads is not None else f"t + {float(C[s])!r} * h"
-        lines.append(f"{indent}{_names([s], n)} = fun({time}, {state})")
+        state = ", ".join(f"y{i} + ({_stage_sum(A[s], range(s), i)}) * h" if i in reads
+                          else f"y{i}" for i in range(n))
+        lines.append(f"{indent}{_names([s], n)} = fun({state})")
     return lines
 
 
-def kernel_source(n: int, reads=None) -> str:
+def kernel_source(n: int, reads) -> str:
     """Source of one run on n-component states, written from the module's
-    current tableau (``A``, ``B``, ``C``, ``E5``, ``E3``, ``D``) and
-    step-size constants (``SAFETY``, ``MIN_FACTOR``, ``MAX_FACTOR``,
+    current tableau (``A``, ``B``, ``E5``, ``E3``, ``D``) and step-size
+    constants (``SAFETY``, ``MIN_FACTOR``, ``MAX_FACTOR``,
     ``ERROR_EXPONENT``).
 
-    ``reads`` is None for a right-hand side that may read t and every
-    component.  Otherwise it holds the indices of the only components that
-    the right-hand side reads, and it does not read t: each stage then
-    passes the step-start value y{i} in place of the stage sum of every
-    other component, and every call, the end slope's included, passes the
-    step-start t.  The right-hand side is still called with t and all n
-    components, and the slopes it returns, hence every step, error norm,
-    dense row and count, are those of the run with reads None.
+    ``reads`` holds the indices of the only components that the right-hand
+    side reads: each stage forms the stage sum of those and passes the
+    step-start value y{i} of every other component.  Every call passes all
+    n components and no time, so the slopes it returns, hence every step,
+    error norm, dense row and count, are those of the run that forms every
+    stage sum.
 
     ``run(fun, t_end, y, f, rtol, atol, h_abs, max_step, record, s0, ...,
     s{n-1})`` steps from t = 0, the state ``y`` and its slope ``f`` with
@@ -239,8 +228,7 @@ def kernel_source(n: int, reads=None) -> str:
              "            h_abs = h"]
     lines += _stages(n, 1, 12, " " * 12, reads)
     lines += [f"            n{i} = y{i} + h * ({_stage_sum(B, range(12), i)})" for i in range(n)]
-    end = "t + h" if reads is None else "t"
-    lines.append(f"            {_names([12], n)} = fun({end}, {new})")
+    lines.append(f"            {_names([12], n)} = fun({new})")
     for i in range(n):
         lines += [f"            a, b = abs(y{i}), abs(n{i})",
                   "            scale = atol + (a if a > b else b) * rtol",
@@ -306,14 +294,13 @@ def compiled(source: str) -> dict:
 _KERNELS = {}
 
 
-def _kernel(n: int, reads=None):
+def _kernel(n: int, reads):
     """``kernel_source(n, reads)`` compiled, once per key: a tableau array
     or step-size constant patched into the module gets its own run.  The
-    key holds the identities of ``C``, ``A``, ``B``, ``E5``, ``E3`` and
-    ``D``, not their contents, so an in-place edit of a tableau array is not
-    seen; each entry keeps those objects alive, so their ids cannot be
-    reused."""
-    tableau = (C, A, B, E5, E3, D)
+    key holds the identities of ``A``, ``B``, ``E5``, ``E3`` and ``D``, not
+    their contents, so an in-place edit of a tableau array is not seen;
+    each entry keeps those objects alive, so their ids cannot be reused."""
+    tableau = (A, B, E5, E3, D)
     key = (n, reads, SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT, *map(id, tableau))
     if key not in _KERNELS:
         _KERNELS[key] = tableau, compiled(kernel_source(n, reads))["run"]
@@ -364,9 +351,8 @@ def evaluate(sol: Solution, s: np.ndarray, component=None) -> np.ndarray:
     return _horner(c, c[7], (s - sol.t[seg]) / sol.h[seg])
 
 
-def crossing(F, y0, t0: float, h: float, level: float, lo: float, hi: float,
-             xtol: float) -> float:
-    """The time in [lo, hi] at which one component of a step's dense
+def crossing(F, y0, t0: float, h: float, level: float, hi: float, xtol: float) -> float:
+    """The time in [t0, hi] at which one component of a step's dense
     polynomial (its 7 coefficients ``F`` and start value ``y0`` as floats;
     the step starts at ``t0`` and is ``h`` long) rises through ``level``:
     ``brentq`` to within ``xtol`` + 4 eps |t|.  A polynomial that ends short
@@ -375,7 +361,7 @@ def crossing(F, y0, t0: float, h: float, level: float, lo: float, hi: float,
         return _horner(F, y0, (t - t0) / h) - level
     if gap(hi) < 0.0:
         return hi
-    return brentq(gap, lo, hi, xtol=xtol, rtol=EVENT_TOL)
+    return brentq(gap, t0, hi, xtol=xtol, rtol=EVENT_TOL)
 
 
 def level_times(sol: Solution, i: int, levels: np.ndarray, xtol: float) -> np.ndarray:
@@ -386,26 +372,26 @@ def level_times(sol: Solution, i: int, levels: np.ndarray, xtol: float) -> np.nd
     k = np.searchsorted(coef[7], levels, side="right") - 1
     steps = zip(coef.take(k, axis=1).T.tolist(), sol.t[k].tolist(), sol.h[k].tolist(),
                 sol.t[k + 1].tolist(), levels.tolist())
-    return np.array([crossing(c[:7], c[7], t0, h, level, t0, t1, xtol)
+    return np.array([crossing(c[:7], c[7], t0, h, level, t1, xtol)
                      for c, t0, h, t1, level in steps], dtype=float)
 
 
 def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float,
               max_step: float = math.inf, stops=(), reads=None) -> Solution:
-    """Integrate y' = fun(t, y) from y(0) = ``y0`` towards ``t_end`` > 0,
+    """Integrate y' = fun(y) from y(0) = ``y0`` towards ``t_end`` > 0,
     starting with a step of ``first_step`` (finite and positive, or
     ValueError).
 
-    ``fun(t, x0, ..., x{n-1})`` receives the n state components as
-    positional floats and returns a sequence of n floats.  ``stops`` holds
-    (component, level) pairs: the run ends in the first step at whose start
-    a component is at most its level and at whose end at least, at the time
+    ``fun(x0, ..., x{n-1})`` receives the n state components as positional
+    floats and returns a sequence of n floats.  ``stops`` holds (component,
+    level) pairs: the run ends in the first step at whose start a component
+    is at most its level and at whose end at least, at the time
     ``crossing`` finds on the step's dense polynomial (the earliest, if
     several components cross in one step); a component takes at most one
-    stop (ValueError).  ``reads``, None or a tuple of the indices of the
-    only components that ``fun`` reads where it does not read t either (as
-    a traced right-hand side's, ``straightline.trace``), changes which
-    stage inputs the run forms, not its result.  The steps are one call of
+    stop (ValueError).  ``reads``, a tuple of the indices of the only
+    components that ``fun`` reads (as a traced right-hand side's,
+    ``straightline.trace``), or None for every component, changes which
+    stage sums the run forms, not its result.  The steps are one call of
     the generated ``run`` of the state size and read set
     (``kernel_source``).  The scalar arguments are taken as Python floats:
     a numpy scalar among them would carry numpy scalar arithmetic into
@@ -424,7 +410,8 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
     levels = [math.nan] * n
     for i, level in stops:
         levels[i] = float(level)
-    f = fun(0.0, *y)
+    reads = tuple(range(n)) if reads is None else reads
+    f = fun(*y)
     out = []
     status, rejected = _kernel(n, reads)(fun, t_end, y, f, rtol, atol, first_step, max_step,
                                          out.extend, *levels)
@@ -435,7 +422,7 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
     t_events = [[] for _ in stops]
     if status == 1:
         last, end, t0 = coef[:, :, -1].T.tolist(), steps[2:2 + n, -1].tolist(), float(t[-2])
-        root, k = min((crossing(last[i][:7], last[i][7], t0, float(h[-1]), levels[i], t0,
+        root, k = min((crossing(last[i][:7], last[i][7], t0, float(h[-1]), levels[i],
                                 float(t[-1]), EVENT_TOL), k)
                       for k, (i, _) in enumerate(stops) if last[i][7] <= levels[i] <= end[i])
         t_events[k].append(root)

@@ -31,10 +31,11 @@ takes the full system, in its stored coordinates (on the sphere n and L in
 R^3).  Both right-hand sides are traced once on recorded values and run as
 straight-line float code (``_compiled_rhs``).  Each time direction is one
 DOP853 run (``dop853.solve_ivp``) stopped only at the exit r = R and the
-optional tau stop.  The run forms only the stage inputs that the traced
-slopes read: not tau_scaled, a pure quadrature, and not t, since both flows
-are autonomous.  Backward time is a forward run of the mirrored system
-(t, theta, eta) -> (-t, -theta, -eta); radial lines are straight segments.
+optional tau stop.  Both flows are autonomous, so a right-hand side takes
+only the state, and the run forms only the stage sums that the traced
+slopes read: not that of tau_scaled, a pure quadrature.  Backward time is
+a forward run of the mirrored system (t, theta, eta) -> (-t, -theta,
+-eta); radial lines are straight segments.
 """
 from __future__ import annotations
 
@@ -389,7 +390,7 @@ def _first_step(wf: WarpingFunction, r0: float) -> float:
 
 # a flow's right-hand side: the domain guard, then the traced slopes
 _RHS = """def factory(IntegrationError, r_max, {constants}):
-    def rhs(t, {inputs}):
+    def rhs({inputs}):
         if not 0.0 < x0 <= r_max:
             raise IntegrationError(f"r={{x0:g}} outside (0, R)")
         {lines}
@@ -401,10 +402,9 @@ _RHS = """def factory(IntegrationError, r_max, {constants}):
 def _compiled_rhs(slopes, n, r_max):
     """``slopes`` of the ``n`` state components (r first) as straight-line
     float code behind the guard 0 < r <= ``r_max``: ``(rhs, reads)``, where
-    ``rhs(t, x0, ..., x{n-1})`` returns the n slopes as a tuple and reads
-    neither t nor any component outside ``reads`` (r, which the guard reads,
-    and the components the traced lines read; ``dop853.solve_ivp``'s
-    ``reads``).
+    ``rhs(x0, ..., x{n-1})`` returns the n slopes as a tuple and reads no
+    component outside ``reads`` (r, which the guard reads, and the
+    components the traced lines read; ``dop853.solve_ivp``'s ``reads``).
 
     The slopes run once on recorded values (``straightline``), and the
     lines they record are compiled once per source text, which depends only
@@ -455,7 +455,7 @@ def _mirror(start: GeodesicState, sign: int, fd: float) -> np.ndarray:
     return np.concatenate([[start.r, sign * start.theta], start.y, sign * start.eta / fd, [0.0]])
 
 
-def _run_branch(wf, rhs, x0, rtol, atol, stop, max_step, reads=None) -> dop853.Solution:
+def _run_branch(wf, rhs, x0, rtol, atol, stop, max_step, reads) -> dop853.Solution:
     """One forward run of the mirrored system from the lowest point until
     r = R or until the last state component (tau_scaled) reaches ``stop``,
     forming only the stage inputs ``reads`` of ``rhs`` (``solve_ivp``).  A

@@ -100,29 +100,39 @@ def test_criterion_04_concave_sqrt_lengths(announce, flat_circle):
              f"max rel err {worst:.2e} (<1e-4)")
 
 
-def test_criterion_05_conservation(announce, flat_circle, round_sphere):
+def test_criterion_05_conservation(announce, flat_circle, round_sphere,
+                                   sphere_on_the_full_path):
+    # the round sphere runs the full system, where the shell, Clairaut's
+    # relation and the sphere's constraints |n| = 1 and n.L = 0 are each
+    # integrated, not decoded; its L is not announced, since the round
+    # sphere's force vanishes (q = 1) and the run holds L exactly
     cases = [
-        (sg.make_power_warp(1.0), flat_circle, 0.1, [0.0], [1.0]),
-        (sg.make_power_warp(2.0), flat_circle, 0.05, [0.0], [1.0]),
-        (sg.make_exp_warp("log_power", 1.5), flat_circle, 0.05, [0.0], [1.0]),
-        (sg.make_power_warp(2.0), round_sphere, 0.1, [math.pi / 2, 0.0], [0.0, 1.0]),
+        (sg.make_power_warp(1.0), flat_circle, 0.1, [0.0], [1.0], "reduced"),
+        (sg.make_power_warp(2.0), flat_circle, 0.05, [0.0], [1.0], "reduced"),
+        (sg.make_exp_warp("log_power", 1.5), flat_circle, 0.05, [0.0], [1.0], "reduced"),
+        (sg.make_power_warp(2.0), round_sphere, 0.1, [math.pi / 2, 0.0], [0.0, 1.0], "full"),
     ]
-    worst_h = worst_cl = 0.0
-    for wf, cs, delta, y0, v0 in cases:
+    worst_h = worst_cl = worst_amb = 0.0
+    on_path = True
+    for wf, cs, delta, y0, v0, path in cases:
         traj = sg.integrate_winding(wf, cs, delta, y0, v0, rtol=1e-12, atol=1e-14)
+        on_path &= traj.meta["path"] == path
         worst_h = max(worst_h, float(np.nanmax(np.abs(traj.hamiltonian - 1.0))))
         worst_cl = max(worst_cl, float(np.nanmax(np.abs(traj.clairaut_rel))))
+        worst_amb = max(worst_amb, traj.meta["ambient_residual"])
 
     pert = sg.circle_section(2 * math.pi, perturbation=(0.1, None))
     traj = sg.integrate_winding(sg.make_power_warp(2.0), pert, 0.1, [0.0], [1.0],
                                 rtol=1e-12, atol=1e-14)
+    on_path &= traj.meta["path"] == "full"
     worst_h = max(worst_h, float(np.nanmax(np.abs(traj.hamiltonian - 1.0))))
     c = pert.c_bound
     slack = max(abs(log_eta_rate(traj, i)) - c * abs(math.sin(traj.theta[i]))
                 for i in range(len(traj.t)))
-    ok = worst_h < 1e-9 and worst_cl < 1e-9 and slack <= 1e-6
+    ok = worst_h < 1e-9 and worst_cl < 1e-9 and worst_amb < 1e-9 and slack <= 1e-6 and on_path
     announce("criterion 5 (conserved quantities)", ok,
-             f"|2H-1| {worst_h:.1e} (<1e-9), Clairaut drift {worst_cl:.1e} (<1e-9), "
+             f"sphere on the full path={on_path}, |2H-1| {worst_h:.1e} (<1e-9), Clairaut "
+             f"drift {worst_cl:.1e} (<1e-9), sphere constraints {worst_amb:.2e} (<1e-9), "
              f"eta-rate slack {slack:.1e} (<=1e-6)")
 
 

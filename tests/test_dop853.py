@@ -18,7 +18,8 @@ two scipy runs on the same arguments:
     backward branch): the error estimate of a short step is a sum that
     cancels to about 1e-11 of its terms, so a last-bit change in a stage
     moves it by about 1e-4 and the next step size by an eighth of that;
-  - event times, 5.2e-15 relative (the reduced run's tau stop);
+  - event times, 5.6e-15 relative (the 1-state stop of the logistic
+    equation);
   - the dense output at 200 points, 1.04e-12 of each component's largest
     value along the run (the perturbed circle).
 
@@ -66,7 +67,7 @@ def scipy_solve(fun, t_end, y0, rtol, atol, first_step, max_step=math.inf, stops
     stop (component, level) a terminal event y[component] - level rising
     through 0; scipy's state array reaches ``fun`` as positional components,
     and the result carries scipy's ``OdeSolution`` as ``sol``.  scipy forms
-    every stage input, as the package run does without ``reads``, which
+    every stage sum, as the package run does without ``reads``, which
     changes no result."""
     events = []
     for i, level in stops:
@@ -80,8 +81,9 @@ def scipy_solve(fun, t_end, y0, rtol, atol, first_step, max_step=math.inf, stops
 
 
 def positional(fun):
-    """``fun`` called as scipy calls a right-hand side, on the state array."""
-    return lambda t, y: fun(t, *y)
+    """The autonomous ``fun`` called as scipy calls a right-hand side, on the
+    time and the state array."""
+    return lambda t, y: fun(*y)
 
 
 def _same_bits(a, b) -> bool:
@@ -132,34 +134,41 @@ def test_tableau_matches_scipy_bit_for_bit():
     for s in range(1, 16):
         assert _same_bits(dop853.A[s], reference.A[s, :s]), s
         assert not np.any(reference.A[s, s:])
-    assert _same_bits(dop853.C, reference.C)
     assert _same_bits(dop853.B, reference.B)
     assert _same_bits(dop853.E3, reference.E3)
     assert _same_bits(dop853.E5, reference.E5)
     assert _same_bits(dop853.D, reference.D)
 
 
-def worst_differences(ours, theirs, sign=1.0):
+def _mirrored(mirror):
+    """The sign of time and the column of state signs by which scipy's run
+    is compared (``worst_differences``)."""
+    return (1.0, 1.0) if mirror is None else (-1.0, np.array(mirror, dtype=float)[:, None])
+
+
+def worst_differences(ours, theirs, mirror=None):
     """The largest differences of the step points (relative to the run's
     length), the event times (relative) and the dense output at 200 points
     (relative to each component's largest value) between the package run
     ``ours`` and scipy's run ``theirs`` with as many steps and events;
-    ``sign`` -1 compares a forward run of the negated field with scipy's
-    backward run."""
+    ``mirror``, the sign (+1 or -1) of each state component, compares a
+    forward run from the mirrored launch with scipy's backward run from the
+    launch."""
+    sign, states = _mirrored(mirror)
     dt = np.max(np.abs(ours.t - sign * theirs.t)) / ours.t[-1]
     de = max((np.max(np.abs(mine - sign * ref) / np.abs(ref))
               for mine, ref in zip(ours.t_events, theirs.t_events or []) if len(ref)),
              default=0.0)
     s = np.linspace(0.0, ours.t[-1], 200)
-    ref = theirs.sol(sign * s)
+    ref = states * theirs.sol(sign * s)
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     dense = np.abs(dop853.evaluate(ours, s) - ref)
     return dt, de, np.max(dense / np.where(scale > 0.0, scale, 1.0))
 
 
-def mismatches(ours, theirs, sign=1.0) -> list:
+def mismatches(ours, theirs, mirror=None) -> list:
     """The checks that the package run ``ours`` fails against scipy's run
-    ``theirs`` (``sign`` as in ``worst_differences``)."""
+    ``theirs`` (``mirror`` as in ``worst_differences``)."""
     found = []
     if (ours.status, ours.message) != (theirs.status, theirs.message):
         found.append("status")
@@ -170,14 +179,15 @@ def mismatches(ours, theirs, sign=1.0) -> list:
     if [len(e) for e in ours.t_events] != [len(e) for e in theirs.t_events or []]:
         return found + ["events"]
     return found + [name for name, value, bound in zip(
-        ("t", "t_events", "dense"), worst_differences(ours, theirs, sign),
+        ("t", "t_events", "dense"), worst_differences(ours, theirs, mirror),
         (T_TOL, EVENT_TOL, DENSE_TOL)) if not value <= bound]
 
 
-def bit_mismatches(ours, theirs, sign=1.0) -> list:
+def bit_mismatches(ours, theirs, mirror=None) -> list:
     """The checks that the package run ``ours`` fails against the scipy run
-    ``theirs`` to the last bit (``sign`` as in ``worst_differences``; the
+    ``theirs`` to the last bit (``mirror`` as in ``worst_differences``; the
     start, 0, takes no sign)."""
+    sign, states = _mirrored(mirror)
     found = [name for name, a, b in (
         ("status", (ours.status, ours.message), (theirs.status, theirs.message)),
         ("nfev", ours.nfev, theirs.nfev)) if a != b]
@@ -188,7 +198,7 @@ def bit_mismatches(ours, theirs, sign=1.0) -> list:
             np.array_equal(mine, sign * ref) for mine, ref in zip(ours.t_events, events)):
         found.append("t_events")
     s = np.linspace(0.0, ours.t[-1], 200)
-    if not np.array_equal(dop853.evaluate(ours, s), theirs.sol(sign * s)):
+    if not np.array_equal(dop853.evaluate(ours, s), states * theirs.sol(sign * s)):
         found.append("dense")
     return found
 
@@ -251,9 +261,9 @@ def test_right_hand_sides_receive_python_floats(case, monkeypatch, sphere_on_the
         def build(*args):
             rhs, reads = builder(*args)
 
-            def spy(t, *s):
-                seen.update(type(v) for v in [t, *s])
-                return rhs(t, *s)
+            def spy(*s):
+                seen.update(type(v) for v in s)
+                return rhs(*s)
             return spy, reads
         return build
     for name in ("_reduced_rhs", "_full_rhs"):
@@ -269,34 +279,37 @@ def test_right_hand_sides_receive_python_floats(case, monkeypatch, sphere_on_the
     assert seen == {float}
 
 
-def test_reference_geodesic_and_negated_field_match_scipy():
+def test_reference_geodesic_and_mirrored_launch_match_scipy():
     # the reference geodesic of a non-round h0, as base_geodesic runs it
     cs = sg.sphere_section((0.1, static_sphere_bump))
     y, v = cs.embed(np.array([math.pi / 2, 0.0]), np.array([0.3, math.sqrt(1 - 0.09)]))
-    x0 = np.concatenate([y, cs.covector(y, cs.metric(0.0, y) @ v)])
+    eta = cs.covector(y, cs.metric(0.0, y) @ v)
+    x0 = np.concatenate([y, eta])
 
-    def rhs(_, *x):
+    def rhs(*x):
         sharp, _, _, force = cs.cometric(0.0, x[:3], x[3:])
         return sharp + force
 
     args = (rhs, 1.3, x0, 1e-12, 1e-14, BASE_FIRST_STEP)
     _compare([(args, dop853.solve_ivp(*args))])
-    # backward in time: the negated field forward over [0, 1.3]
-    back = dop853.solve_ivp(lambda t, *s: [-d for d in rhs(t, *s)], *args[1:])
+    # backward in time: the field forward over [0, 1.3] from (y, -eta),
+    # whose eta rows are scipy's backward run negated
+    back = dop853.solve_ivp(rhs, 1.3, np.concatenate([y, -eta]), *args[3:])
+    mirror = [1.0] * 3 + [-1.0] * 3
 
     def backward():
         return scipy_solve_ivp(positional(rhs), (0.0, -1.3), x0, method="DOP853", rtol=1e-12,
                                atol=1e-14, first_step=BASE_FIRST_STEP, dense_output=True)
-    assert mismatches(back, backward(), sign=-1.0) == []
+    assert mismatches(back, backward(), mirror) == []
     with summed_left_to_right():
-        assert bit_mismatches(back, backward(), sign=-1.0) == []
+        assert bit_mismatches(back, backward(), mirror) == []
 
 
-def _logistic(t, y):
-    return [y * (1.0 - y) + 0.1 * math.sin(t)]
+def _logistic(y):
+    return [y * (1.0 - y)]
 
 
-def _pendulum(_, angle, rate):
+def _pendulum(angle, rate):
     return [rate, -math.sin(angle)]
 
 
@@ -322,7 +335,7 @@ def test_one_and_two_states_match_scipy(args):
     _compare([(args, ours)])
 
 
-def _blow_up(_, r, theta, tau):
+def _blow_up(r, theta, tau):
     # tau' = 1 + tau^2: tau = tan(t) blows up at t = pi/2, where the step collapses
     return [0.0, 0.0, 1.0 + tau * tau]
 
@@ -330,7 +343,8 @@ def _blow_up(_, r, theta, tau):
 def test_collapsing_step_raises():
     wf = sg.make_power_warp(2.0)
     with pytest.raises(IntegrationError, match="stepper failed: Required step size"):
-        geodesic_flow._run_branch(wf, _blow_up, [0.1, 0.0, 0.0], 1e-10, 1e-12, None, math.inf)
+        geodesic_flow._run_branch(wf, _blow_up, [0.1, 0.0, 0.0], 1e-10, 1e-12, None, math.inf,
+                                  None)
     args = (_blow_up, 4.0, np.array([0.1, 0.0, 0.0]), 1e-10, 1e-12, 1e-3)
     ours = dop853.solve_ivp(*args)
     assert ours.status == -1 and abs(ours.t[-1] - math.pi / 2) < 1e-8
@@ -342,7 +356,7 @@ def test_collapsing_step_raises():
     assert abs(ours.t[-1] - theirs.t[-1]) < 1e-14
 
 
-def _nan_slope(_, *s):
+def _nan_slope(*s):
     return [math.nan, 0.0, 1.0]
 
 
@@ -359,7 +373,7 @@ def test_run_without_an_accepted_step_fails_cleanly():
     wf = sg.make_power_warp(2.0)
     with pytest.raises(IntegrationError, match="stepper failed: Required step size"):
         geodesic_flow._run_branch(wf, _nan_slope, [0.1, 0.0, 0.0], 1e-10, 1e-12, None,
-                                  math.inf)
+                                  math.inf, None)
 
 
 def test_stop_at_the_start_value_ends_the_first_step():
@@ -412,27 +426,38 @@ def test_kernel_source_is_straight_line_float_code():
     # the whole run is one function: 11 stages, the end slope and 3 dense
     # stages of straight-line float code, each a call on positional floats,
     # inside the loops of the steps and of their attempts
-    source = dop853.kernel_source(2)
+    source = dop853.kernel_source(2, (0, 1))
     assert "np." not in source and "for " not in source and "[" not in source
     assert source.count("fun(") == 15 and source.count("while True:") == 2
-    run = dop853._kernel(2)
-    assert dop853._kernel(2) is run and dop853._kernel(3) is not run
+    run = dop853._kernel(2, (0, 1))
+    assert dop853._kernel(2, (0, 1)) is run and dop853._kernel(3, (0, 1, 2)) is not run
+    # the right-hand side is autonomous: each call passes the n components,
+    # a stage sum or a step-start value each, and no time, so the run has no
+    # stage nodes
+    for n in (1, 2, 3, 9):
+        for reads in (tuple(range(n)), (0,)):
+            for line in dop853.kernel_source(n, reads).splitlines():
+                if "fun(" in line:
+                    args = line.split("fun(", 1)[1][:-1].split(", ")
+                    assert [a.split(" ")[0] for a in args] in (
+                        [f"y{i}" for i in range(n)], [f"n{i}" for i in range(n)]), line
+    assert not hasattr(dop853, "C")
 
 
 def test_patched_tableau_reaches_the_kernel(monkeypatch):
     # a patched tableau entry or step-size constant gets its own run, which
     # steps differently
     args = (_pendulum, 10.0, [2.5, 0.3], 1e-7, 1e-9, 1e-2, math.inf, _SWING)
-    kernel, sol = dop853._kernel(2), dop853.solve_ivp(*args)
+    kernel, sol = dop853._kernel(2, (0, 1)), dop853.solve_ivp(*args)
     B = dop853.B.copy()
     B[5] *= 1.0 + 1e-6
     for name, value, written in (("B", B, B[5]), ("SAFETY", 0.95, 0.95)):
         monkeypatch.setattr(dop853, name, value)
-        assert dop853._kernel(2) is not kernel
-        assert repr(float(written)) in dop853.kernel_source(2)
+        assert dop853._kernel(2, (0, 1)) is not kernel
+        assert repr(float(written)) in dop853.kernel_source(2, (0, 1))
         assert not np.array_equal(dop853.solve_ivp(*args).t, sol.t), name
         monkeypatch.undo()
-    assert dop853._kernel(2) is kernel
+    assert dop853._kernel(2, (0, 1)) is kernel
 
 
 def test_two_stops_on_one_component_raise():

@@ -461,7 +461,7 @@ class TestVectorField:
         rhs, reads = geodesic_flow._full_rhs(cusp_warp, flat_circle, 1, fd, fpd)
         # the flat circle's slopes read neither its point nor the clock
         assert reads == (0, 1, 3)
-        dr, dth, dy, deta, dtau = rhs(0.0, *x)
+        dr, dth, dy, deta, dtau = rhs(*x)
         assert dr == pytest.approx(math.sin(th))
         fp_over_f = cusp_warp.f_prime(r) / cusp_warp.f(r)
         assert dth == pytest.approx(fp_over_f * math.cos(th), rel=1e-12)
@@ -475,7 +475,7 @@ class TestVectorField:
         reduced, reads = geodesic_flow._reduced_rhs(cusp_warp, log_fd,
                                                     log_fd + math.log(cusp_warp.d_log_f(delta)))
         assert reads == (0, 1)
-        assert [dr, dth, dtau] == pytest.approx(list(reduced(0.0, r, th, 0.0)), rel=1e-12)
+        assert [dr, dth, dtau] == pytest.approx(list(reduced(r, th, 0.0)), rel=1e-12)
 
 
 def _scipy_dense(sol):

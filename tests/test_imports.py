@@ -280,7 +280,9 @@ def unset_defaults(modules: list, callers: list) -> list:
     """``function(parameter)`` for each defaulted parameter of a module-level
     public function in the sources ``modules`` that no call in the sources
     ``callers`` passes, by keyword or by position.  A function that forwards
-    its ``**kwargs`` to another passes the keywords it receives on."""
+    its ``**kwargs`` to another passes the keywords it receives on; every
+    function of a name forwards, so a test helper that shares a name with a
+    forwarding function hides none of its forwarding."""
     signatures = {}
     for source in modules:
         for node in ast.parse(source).body:
@@ -291,14 +293,14 @@ def unset_defaults(modules: list, callers: list) -> list:
                     a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 signatures[node.name] = (positional, defaulted)
     trees = [ast.parse(source) for source in callers]
-    forwards = {}
+    forwards = defaultdict(set)
     for func in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(func, ast.FunctionDef) and func.args.kwarg:
             for call in ast.walk(func):
                 if isinstance(call, ast.Call) and any(
                         k.arg is None and getattr(k.value, "id", None) == func.args.kwarg.arg
                         for k in call.keywords):
-                    forwards[func.name] = _called_name(call.func)
+                    forwards[func.name].add(_called_name(call.func))
     passed = defaultdict(set)
     for call in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(call, ast.Call):
@@ -307,8 +309,8 @@ def unset_defaults(modules: list, callers: list) -> list:
             n_positional = sum(not isinstance(a, ast.Starred) for a in call.args)
             if name in signatures:
                 passed[name] |= keywords | set(signatures[name][0][:n_positional])
-            if name in forwards:
-                passed[forwards[name]] |= keywords
+            for target in forwards.get(name, ()):
+                passed[target] |= keywords
     return sorted(f"{name}({p})" for name, (_, defaulted) in signatures.items()
                   for p in defaulted if p not in passed[name])
 
@@ -321,5 +323,7 @@ def test_every_default_is_passed_somewhere():
 
 def test_detects_a_default_no_call_passes():
     module = "def f(a, b=1, *, c=2, d=3):\n    pass\n\ndef g(**kw):\n    f(0, **kw)\n"
-    callers = [module, "import m\nm.f(0, 1)\nm.g(c=4)\n"]
+    # a same-named helper that forwards elsewhere keeps g's forwarding to f
+    helper = "def g(**kw):\n    return h(**kw)\n"
+    callers = [module, "import m\nm.f(0, 1)\nm.g(c=4)\n", helper]
     assert unset_defaults([module], callers) == ["f(d)"]

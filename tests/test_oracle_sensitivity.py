@@ -222,8 +222,8 @@ def test_biased_clock_fails_the_length_oracle(monkeypatch, sphere_on_the_full_pa
     def biased(original, wf, cs, k, fd, fpd):
         rhs, reads = original(wf, cs, k, fd, fpd)
 
-        def out(t, *s):
-            derivative = list(rhs(t, *s))
+        def out(*s):
+            derivative = list(rhs(*s))
             derivative[-1] *= 1.0 + 1e-5
             return derivative
         return out, reads
@@ -309,10 +309,10 @@ def test_crossing_on_the_neighbouring_segment_fails_event_parity_and_t_of_tau(mo
                                 *flow.T_OF_TAU_CASES["perturbed_circle"], dense_nodes=256)
     original = dop853.crossing
 
-    def neighbouring(F, y0, t0, h, level, lo, hi, xtol):
+    def neighbouring(F, y0, t0, h, level, hi, xtol):
         # the step's polynomial read on the times of the segment before it,
         # so every crossing lands one step early
-        return original(F, y0, t0 - h, h, level, lo - h, hi - h, xtol)
+        return original(F, y0, t0 - h, h, level, hi - h, xtol)
     monkeypatch.setattr(dop853, "crossing", neighbouring)
     for args in stop_runs:
         ours = dop853.solve_ivp(*args)

@@ -10,10 +10,10 @@ generated code to the last bit: an emitter that swaps the operands of one
 subtraction fails it.  A wrong formula fools both; the shell, bound and
 length checks of ``tests/test_oracle_sensitivity.py`` judge those.
 
-A traced right-hand side reads only the inputs its lines name, and never t,
-so the stepper forms no other stage input (``dop853.solve_ivp``'s
-``reads``).  The read-set tests run each flow with its traced read set and
-again with every stage input and time formed, and require the same bits.
+A traced right-hand side reads only the inputs its lines name, so the
+stepper forms no other stage sum (``dop853.solve_ivp``'s ``reads``).  The
+read-set tests run each flow with its traced read set and again with every
+stage sum formed, and require the same bits.
 
 The last test checks the dispatch that every formula goes through: each of
 ``straightline``'s five functions gives numpy's bits on an ndarray, math's
@@ -39,7 +39,7 @@ def reference_rhs(wf, cs, k, fd, fpd):
     r_max = 1.25 * wf.domain_radius
     f, d_log_f = wf.f, wf.d_log_f
 
-    def rhs(_, *x):
+    def rhs(*x):
         r, th = x[0], x[1]
         if not 0.0 < r <= r_max:
             raise IntegrationError(f"r={r:g} outside (0, R)")
@@ -55,7 +55,7 @@ def reduced_reference_rhs(wf, log_fd, log_fpd):
     """The reduced system's right-hand side evaluated on floats."""
     L0 = log_fpd + log_fd
 
-    def rhs(_, *x):
+    def rhs(*x):
         r, th = x[0], x[1]
         return [math.sin(th), wf.d_log_f(r) * math.cos(th), math.exp(L0 - 2.0 * wf.log_f(r))]
     return rhs
@@ -78,9 +78,9 @@ SECTIONS = {
 
 
 def outcome(rhs, x):
-    """The bits of ``rhs(0.0, *x)``, or the type of the error it raised."""
+    """The bits of ``rhs(*x)``, or the type of the error it raised."""
     try:
-        return [float(v).hex() for v in rhs(0.0, *x)]
+        return [float(v).hex() for v in rhs(*x)]
     except (ArithmeticError, ValueError, IntegrationError) as exc:
         return type(exc).__name__
 
@@ -201,8 +201,8 @@ def test_domain_guard(section):
     x = fixed_states(wf, k, n=1)[0]
     for r in (0.0, -0.1, math.nextafter(r_max, math.inf), math.nan, math.inf):
         with pytest.raises(IntegrationError, match="outside"):
-            rhs(0.0, r, *x[1:])
-    assert len(rhs(0.0, r_max, *x[1:])) == len(x)
+            rhs(r, *x[1:])
+    assert len(rhs(r_max, *x[1:])) == len(x)
 
 
 @pytest.mark.parametrize("warp", sorted(WARPS))
@@ -212,8 +212,8 @@ def test_reduced_domain_guard_has_no_upper_end(warp):
     rhs = reduced_builders(wf, 0.1)[0]
     for r in (0.0, -0.1, math.nan):
         with pytest.raises(IntegrationError, match="outside"):
-            rhs(0.0, r, 0.3, 0.0)
-    assert len(rhs(0.0, 1.4 * wf.domain_radius, 0.3, 0.0)) == 3
+            rhs(r, 0.3, 0.0)
+    assert len(rhs(1.4 * wf.domain_radius, 0.3, 0.0)) == 3
 
 
 def test_a_campaign_compiles_once_per_structure(monkeypatch):
@@ -279,11 +279,17 @@ def test_the_read_set_changes_no_bit_of_a_run(warp, structure, tau_stop, monkeyp
 def test_the_run_forms_no_unread_stage_input():
     source = dop853.kernel_source(3, (0, 1))
     calls = [line.split("fun(", 1)[1] for line in source.splitlines() if "fun(" in line]
-    assert len(calls) == 15 and all(call.startswith("t, ") for call in calls)
-    assert not re.search(r"\bk\d+_2\b|t \+", "".join(calls))
+    # each call passes the three components and no time
+    assert len(calls) == 15 and all(call.startswith(("y0 ", "n0, ")) for call in calls)
+    assert not re.search(r"\bk\d+_2\b|\bt\b", "".join(calls))
     assert sum(call.endswith(", y2)") for call in calls) == 14
-    # a plain callable may read t and every component
-    assert source != dop853.kernel_source(3) and "t + 0.1 * h" in dop853.kernel_source(3)
+    # with every component read, each stage forms each stage sum
+    assert ", y2)" not in dop853.kernel_source(3, (0, 1, 2))
+    # the flows' right-hand sides take the state components and nothing else
+    wf = WARPS["power"]
+    for rhs, n in ((reduced_builders(wf, 0.1)[0], 3),
+                   (full_builders(wf, *SECTIONS["perturbed_sphere"], 0.1)[0], 9)):
+        assert list(inspect.signature(rhs).parameters) == [f"x{i}" for i in range(n)]
 
 
 def test_a_read_last_input_keeps_its_stage_sums():
