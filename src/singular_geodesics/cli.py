@@ -63,9 +63,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def normalized_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _config_value(key: str, value, kind):
     """``value`` converted to the field type ``kind``, or a ValueError."""
@@ -166,6 +163,13 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_null(value):
+    """A float or an array's list of floats, each None where not finite."""
+    if np.ndim(value):
+        return [_finite_or_null(v) for v in value.tolist()]
+    return value if math.isfinite(value) else None
+
+
 def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
     wf, cs = _build(cfg)
@@ -180,19 +184,21 @@ def cmd_sweep(args) -> int:
         for i in range(len(result.deltas)):
             fh.write(f"{result.deltas[i]:.12g},{result.lengths[i]:.12g},"
                      f"{result.normalized[i]:.12g},{result.errors_rel[i]:.12g}\n")
+    # a value that is not finite (no reference constant, a length that
+    # overflows) is null, so the file stays strict JSON
     payload = {
         "config": cfg.to_dict(),
-        "deltas": list(result.deltas),
-        "lengths": list(result.lengths),
-        "normalized": list(result.normalized),
-        "errors_rel": list(result.errors_rel),
-        "extrapolated_limit": result.extrapolated_limit,
-        "reference_Cf": result.reference_Cf,
+        "deltas": _finite_or_null(result.deltas),
+        "lengths": _finite_or_null(result.lengths),
+        "normalized": _finite_or_null(result.normalized),
+        "errors_rel": _finite_or_null(result.errors_rel),
+        "extrapolated_limit": _finite_or_null(result.extrapolated_limit),
+        "reference_Cf": _finite_or_null(result.reference_Cf),
         "converged": result.converged,
         "note": result.note,
     }
     with open(os.path.join(cfg.outdir, "sweep.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
     series = [(result.deltas, result.normalized, "f'(d)*length")]
     if math.isfinite(result.reference_Cf):
         ref = np.full(len(result.deltas), result.reference_Cf)

@@ -8,7 +8,7 @@ needs (``cometric``); without perturbation it also gives the closed-form
 link path that decodes the reduced system (``link_launch``,
 ``h0_geodesic``).
 
-A shape w is one formula ``formula(r, point)`` returning ``(w, w_r,
+A shape w is one function ``shape(r, point)`` returning ``(w, w_r,
 grad w)``, written with the functions of ``straightline``, which follow
 their operands' type: numpy on arrays that broadcast (the section's grid
 check, the trajectory diagnostics), math on floats, and the recorder on
@@ -26,7 +26,6 @@ on the sphere is given as spherical angles (psi, phi) and converted once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -37,7 +36,6 @@ from .errors import IntegrationError
 from .straightline import cos, sin, sqrt
 
 __all__ = [
-    "Shape",
     "CrossSection",
     "CircleSection",
     "SphereSection",
@@ -58,43 +56,29 @@ BASE_FIRST_STEP = 1e-2
 
 
 # ---------------------------------------------------------------------------
-# perturbation shapes
+# perturbation shapes: a shape is a scalar field w(r, y) on [0, R] x Y,
+# given as its formula ``shape(r, point)``, which returns (w, d_r w,
+# grad w).  On the circle the point is the angle phi and grad w is
+# (d_phi w,).  On the sphere it is the unit embedding vector (n0, n1, n2)
+# and grad w the ambient gradient in R^3; only its tangential part enters
+# the flow (the normal part drops out of the cross product n x grad), so any
+# smooth extension off the sphere works.
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Scalar field w(r, y) on [0, R] x Y: ``formula(r, point)`` returns
-    (w, d_r w, grad w).  On the circle the point is the angle phi and grad w
-    is (d_phi w,).  On the sphere it is the unit embedding vector
-    (n0, n1, n2) and grad w the ambient gradient in R^3; only its tangential
-    part enters the flow (the normal part drops out of the cross product
-    n x grad), so any smooth extension off the sphere works."""
-
-    label: str
-    formula: Callable
-
-
-def _sincos(r, phi):
+def default_circle_shape(r, phi):
     s, cos_phi = sin(r), cos(phi)
     return s * cos_phi, cos(r) * cos_phi, (-s * sin(phi),)
 
 
-def _sin_r_bump(r, n):
+def default_sphere_shape(r, n):
     s = sin(r)
     return s * n[0] * n[2], cos(r) * n[0] * n[2], (s * n[2], s * 0.0, s * n[0])
 
 
-def _static_bump(r, n):
+def static_sphere_bump(r, n):
+    """r-independent deformation: still a warped product (c = 0) but with a
+    non-round h_0, so the numeric reference-geodesic path gets exercised."""
     return n[0] * n[2], 0.0, (n[2], 0.0, n[0])
-
-
-default_circle_shape = Shape(label="sincos", formula=_sincos)
-
-default_sphere_shape = Shape(label="sin_r_bump", formula=_sin_r_bump)
-
-# r-independent deformation: still a warped product (c = 0) but with a
-# non-round h_0, so the numeric reference-geodesic path gets exercised.
-static_sphere_bump = Shape(label="static_bump", formula=_static_bump)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +162,7 @@ class CrossSection:
             self.h0_is_standard = True
             return
         radii = np.linspace(0.0, self.domain_radius, 128)
-        w, w_r, _ = self.shape.formula(radii[:, None], nodes.T)
+        w, w_r, _ = self.shape(radii[:, None], nodes.T)
         w = np.broadcast_to(w, (len(radii), len(nodes)))
         q = 1.0 + a * w
         bad = ~((0.5 <= q) & (q <= 2.0))
@@ -203,7 +187,7 @@ class CircleSection(CrossSection):
         self,
         circumference: float,
         amplitude: float = 0.0,
-        shape: Optional[Shape] = None,
+        shape: Optional[Callable] = None,
         domain_radius: float = 1.5,
     ):
         if not (math.isfinite(circumference) and circumference > 0):
@@ -222,7 +206,7 @@ class CircleSection(CrossSection):
         if self.amplitude == 0.0:
             return 1.0, 0.0, (0.0,)
         a = self.amplitude
-        w, w_r, (w_phi,) = self.shape.formula(r, y[0])
+        w, w_r, (w_phi,) = self.shape(r, y[0])
         return 1.0 + a * w, a * w_r, (a * w_phi,)
 
     def cometric(self, r, y, eta):
@@ -273,7 +257,7 @@ class SphereSection(CrossSection):
     def __init__(
         self,
         amplitude: float = 0.0,
-        shape: Optional[Shape] = None,
+        shape: Optional[Callable] = None,
         domain_radius: float = 1.5,
     ):
         if amplitude != 0.0 and shape is None:
@@ -293,7 +277,7 @@ class SphereSection(CrossSection):
         if self.amplitude == 0.0:
             return 1.0, 0.0, (0.0, 0.0, 0.0)
         a = self.amplitude
-        w, w_r, grad = self.shape.formula(r, n)
+        w, w_r, grad = self.shape(r, n)
         return 1.0 + a * w, a * w_r, [a * g for g in grad]
 
     def cometric(self, r, y, eta):
@@ -364,7 +348,7 @@ class SphereSection(CrossSection):
 
 def circle_section(
     circumference: float,
-    perturbation: Optional[Tuple[float, Shape]] = None,
+    perturbation: Optional[Tuple[float, Callable]] = None,
     domain_radius: float = 1.5,
 ) -> CircleSection:
     a, shape = perturbation if perturbation is not None else (0.0, None)
@@ -372,7 +356,7 @@ def circle_section(
 
 
 def sphere_section(
-    perturbation: Optional[Tuple[float, Shape]] = None,
+    perturbation: Optional[Tuple[float, Callable]] = None,
     domain_radius: float = 1.5,
 ) -> SphereSection:
     a, shape = perturbation if perturbation is not None else (0.0, None)
@@ -385,26 +369,24 @@ def parse_section_spec(spec: str, domain_radius: float = 1.5) -> CrossSection:
     if parts[0] == "circle":
         if len(parts) < 2:
             raise ValueError("circle spec needs a circumference, e.g. circle:6.2832")
-        return circle_section(float(parts[1]),
-                              _perturbation("circle", parts[2:], default_circle_shape),
-                              domain_radius)
+        return CircleSection(float(parts[1]), _amplitude("circle", parts[2:]),
+                             domain_radius=domain_radius)
     if parts[0] == "sphere":
-        return sphere_section(_perturbation("sphere", parts[1:], default_sphere_shape),
-                              domain_radius)
+        return SphereSection(_amplitude("sphere", parts[1:]), domain_radius=domain_radius)
     raise ValueError(f"unknown section spec: {spec!r}")
 
 
-def _perturbation(kind: str, options, shape: Shape) -> Optional[Tuple[float, Shape]]:
-    """(amplitude, ``shape``) of the options of a ``kind`` spec, which may
-    hold one "pert=<amplitude>"; None without one."""
+def _amplitude(kind: str, options) -> float:
+    """The amplitude of the options of a ``kind`` spec, which may hold one
+    "pert=<amplitude>"; 0.0 without one."""
     pert = None
     for extra in options:
         if not extra.startswith("pert="):
             raise ValueError(f"unknown {kind} option {extra!r}")
         if pert is not None:
             raise ValueError(f"{kind} spec sets pert= twice")
-        pert = (float(extra[5:]), shape)
-    return pert
+        pert = float(extra[5:])
+    return 0.0 if pert is None else pert
 
 
 # ---------------------------------------------------------------------------

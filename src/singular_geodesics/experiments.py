@@ -126,7 +126,7 @@ def delta_sweep(
 
     note = ""
     try:
-        reference_Cf = compute_Cf(wf, tol=1e-9)
+        reference_Cf = compute_Cf(wf)
     except (NonOscillationError, QuadratureError) as exc:
         reference_Cf = math.nan
         note = f"no reference constant: {exc}"
@@ -216,19 +216,16 @@ def _relative_slack(gap: np.ndarray, bound: np.ndarray, where: np.ndarray) -> fl
         return float(np.min(gap[where] / np.abs(bound[where]), initial=math.inf))
 
 
-def verify_radial_bounds(
-    traj: Trajectory,
-    c_bound: Optional[float] = None,
-    slack: float = 1e-8,
-) -> BoundsReport:
+def verify_radial_bounds(traj: Trajectory, slack: float = 1e-8) -> BoundsReport:
     """Check (1 - C*delta)|t| <= r(t) <= |t| + delta with C = c*exp(c*R),
     the two-sided exponential eta bounds, the rate bound
-    |d/dt log|eta|| <= c|sin(theta)|, and strict r > |t| for warped data."""
+    |d/dt log|eta|| <= c|sin(theta)|, and strict r > |t| for warped data;
+    c is the section's bound ``traj.meta["c_bound"]``."""
     if traj.classification == "radial":
         return BoundsReport(True, 0.0, 0.0, 0.0, 0.0, None, math.inf,
                             note="radial trajectory: bounds degenerate, skipped")
     delta = traj.delta
-    c_bound = traj.meta.get("c_bound", 0.0) if c_bound is None else c_bound
+    c_bound = traj.meta["c_bound"]
     C = c_bound * math.exp(c_bound * traj.meta["R"])
 
     t = np.abs(traj.t)
@@ -317,9 +314,10 @@ def comparison_test(
 
 
 # the sup distance may rise by at most the slack along the ladder and must
-# end below the threshold
+# end below the threshold; it is taken over LIMIT_NODES points of the window
 LIMIT_MONOTONE_SLACK = 1e-8
 LIMIT_FINAL_THRESHOLD = 0.05
+LIMIT_NODES = 121
 
 
 @dataclass
@@ -338,12 +336,12 @@ def limit_geodesic_test(
     y0,
     v0,
     tau_window: Tuple[float, float] = (-2.0, 2.0),
-    n_nodes: int = 121,
 ) -> LimitReport:
     """After unit-speed reparametrization of the link projection, compare
-    against the reference geodesic of (Y, h_0) on a fixed tau window; the
-    sup distance must decrease along the ladder and end below the threshold.
-    The ladder is refused as ``delta_sweep`` refuses it."""
+    against the reference geodesic of (Y, h_0) at LIMIT_NODES points of a
+    fixed tau window; the sup distance must decrease along the ladder and
+    end below the threshold.  The ladder is refused as ``delta_sweep``
+    refuses it."""
     if wf.kind is WarpKind.CONICAL:
         half = math.pi / 2.0
         if tau_window[0] <= -half or tau_window[1] >= half:
@@ -364,8 +362,8 @@ def limit_geodesic_test(
         hi = min(tau_window[1], float(traj.tau[-1]) - 1e-9)
         if lo > tau_window[0] or hi < tau_window[1]:
             note = f"window clipped to [{lo:.3g}, {hi:.3g}] at delta={delta:g}"
-        rp = reparametrize_tau(traj, n=n_nodes, window=(lo, hi))
-        ref = base_geodesic(cs, y0, v0, np.linspace(lo, hi, n_nodes))
+        rp = reparametrize_tau(traj, n=LIMIT_NODES, window=(lo, hi))
+        ref = base_geodesic(cs, y0, v0, np.linspace(lo, hi, LIMIT_NODES))
         sups.append(float(np.max(cs.h0_distance(rp.y, ref))))
     sups = np.asarray(sups)
     decreasing = bool(np.all(np.diff(sups) < LIMIT_MONOTONE_SLACK))
@@ -426,12 +424,17 @@ def run_comparison_campaign(n_cases: int = 100,
 # figure bundle: cone and cusp sample paths
 
 
-def figure1_data(kind: str, delta: float = 0.3) -> dict:
+# lowest point of each figure's path
+FIGURE1_DELTA = {"cone": 0.3, "cusp": 0.05}
+
+
+def figure1_data(kind: str) -> dict:
     """Sample paths of the flat cone (f = r) and the model cusp (f = r^2) on
-    R = 1.5 through the product description and the embedded surface of
-    revolution."""
-    if kind not in ("cone", "cusp"):
+    R = 1.5, launched at FIGURE1_DELTA[kind], through the product
+    description and the embedded surface of revolution."""
+    if kind not in FIGURE1_DELTA:
         raise ValueError("kind must be 'cone' or 'cusp'")
+    delta = FIGURE1_DELTA[kind]
     R = 1.5
     cs = circle_section(2.0 * math.pi, domain_radius=R)
     wf = make_power_warp(1.0 if kind == "cone" else 2.0, R=R)

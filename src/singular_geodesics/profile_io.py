@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -14,16 +13,14 @@ from .warp_profiles import WarpingFunction, profile_to_warp
 __all__ = ["load_profile_csv", "write_warp_table"]
 
 
-def load_profile_csv(path: str, z_max: Optional[float] = None,
-                     grid: int = 2048) -> WarpingFunction:
+def load_profile_csv(path: str, grid: int = 2048) -> WarpingFunction:
     """Read a two-column CSV (header row, then z, s(z) with monotone z) and
-    build the warp of the corresponding surface of revolution.
+    build the warp of the corresponding surface of revolution up to the last
+    sample's z.
 
     The samples are interpolated with a monotone cubic (PCHIP), which keeps
     s increasing between increasing data points and has a usable derivative.
     """
-    if z_max is not None and not (np.isfinite(z_max) and z_max > 0):
-        raise ValueError("z_max must be finite and positive")
     zs, ss = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -63,8 +60,7 @@ def load_profile_csv(path: str, z_max: Optional[float] = None,
         raise ValueError(f"{path}: s column must be strictly increasing")
 
     interp = PchipInterpolator(z, s, extrapolate=False)
-    top = float(z[-1]) if z_max is None else min(z_max, float(z[-1]))
-    return profile_to_warp(interp, interp.derivative(), top, grid=grid,
+    return profile_to_warp(interp, interp.derivative(), float(z[-1]), grid=grid,
                            label=f"profile:{path}")
 
 

@@ -471,7 +471,6 @@ def profile_to_warp(
     s_prime: Callable[[np.ndarray], np.ndarray],
     z_max: float,
     grid: int = 4096,
-    power_alpha: Optional[float] = None,
     label: str = "profile",
 ) -> WarpingFunction:
     """Convert an embedded profile curve into the intrinsic warping function.
@@ -479,9 +478,9 @@ def profile_to_warp(
     The radial coordinate is arc length along the generating curve,
     r(z) = integral of sqrt(1 + s'(w)^2); the warp is s re-expressed in r,
     tabulated by r, s and the exact df/dr on a geometric ladder in z joined
-    with the breakpoints ``s.x`` of a piecewise polynomial s.
-    ``power_alpha`` declares the s(z) = z**alpha fixture with alpha in
-    (0, 2/3], whose derivative blows up at 0 but stays arc-length integrable.
+    with the breakpoints ``s.x`` of a piecewise polynomial s.  An s' that
+    is infinite at z = 0 (s = z**alpha with alpha < 1, whose arc length
+    stays integrable) gives the tip slope sin(atan(inf)) = 1.
 
     ``s`` and ``s_prime`` are numpy functions: each is called once on an
     array of nodes (``s`` also on two floats, to check that it vanishes at
@@ -495,8 +494,6 @@ def profile_to_warp(
     # loose threshold: fractional-power profiles like z**(1/2) decay slowly
     if abs(s(z_max * 1e-13)) > 1e-4 * max(1.0, abs(s(z_max))):
         raise ValueError("profile must vanish at z=0")
-    if power_alpha is not None and not 0.0 < power_alpha <= 2.0 / 3.0:
-        raise ValueError("power profile with undefined slope needs alpha in (0, 2/3]")
 
     zs = np.concatenate([[0.0], np.geomspace(z_max * 1e-12, z_max, grid - 1)])
     # a cell across a breakpoint, where s'' jumps, would cost accuracy
@@ -505,15 +502,15 @@ def profile_to_warp(
     svals = np.append(0.0, s(zs[1:]))
     if not np.all(np.diff(svals) > 0):
         raise ValueError("profile must be positive and strictly increasing on (0, z_max]")
-    # s' on the ladder, but not at a power profile's tip, and on every cell's
-    # Gauss-Legendre nodes
-    h, tip = np.diff(zs), int(power_alpha is not None)
-    nodes = np.append(zs[tip:], zs[:-1, None] + h[:, None] * (1.0 + _GL_NODES) / 2.0)
-    sp = np.broadcast_to(s_prime(nodes), nodes.shape)
-    sp_gl = sp[len(zs) - tip:].reshape(len(h), -1)
-    # the slope df/dr = s'/sqrt(1 + s'^2) = sin(atan(s')); at the tip its
-    # limit, 1 for a power profile, whose s' is infinite there
-    m = np.sin(np.arctan(np.append([math.inf] * tip, sp[:len(zs) - tip])))
+    # s' on the ladder and on every cell's Gauss-Legendre nodes; a power
+    # profile's s' is infinite at the tip
+    h = np.diff(zs)
+    nodes = np.append(zs, zs[:-1, None] + h[:, None] * (1.0 + _GL_NODES) / 2.0)
+    with np.errstate(divide="ignore"):
+        sp = np.broadcast_to(s_prime(nodes), nodes.shape)
+    sp_gl = sp[len(zs):].reshape(len(h), -1)
+    # the slope df/dr = s'/sqrt(1 + s'^2) = sin(atan(s'))
+    m = np.sin(np.arctan(sp[:len(zs)]))
 
     excess = 1.0 / (np.hypot(1.0, sp_gl) + sp_gl)  # hypot(1, s') - s', bounded
     seg = np.diff(svals) + h / 2.0 * (excess * _GL_WEIGHTS).sum(axis=1)
@@ -540,13 +537,13 @@ def profile_to_warp(
 # the limit functional and the length constant
 
 
-def estimate_frakF(
-    wf: WarpingFunction,
-    sigma: float,
-    steps: int = 30,
-) -> FrakFEstimate:
+# rungs of the frakF ladder
+FRAKF_STEPS = 30
+
+
+def estimate_frakF(wf: WarpingFunction, sigma: float) -> FrakFEstimate:
     """Geometric-ladder estimate of lim_{eps->0} F'(sigma*eps)/F'(eps): eps
-    halves at each rung from 1e-2 f(R/2)."""
+    halves at each of FRAKF_STEPS rungs from 1e-2 f(R/2)."""
     if sigma < 1.0:
         raise ValueError("sigma must be >= 1")
     eps0 = 1e-2 * wf.f(wf.domain_radius / 2.0)
@@ -556,7 +553,7 @@ def estimate_frakF(
 
     ladder = []
     diagnostic = ""
-    for n in range(steps):
+    for n in range(FRAKF_STEPS):
         eps = eps0 * 0.5**n
         try:
             d0 = wf.F_prime(eps)
@@ -569,7 +566,7 @@ def estimate_frakF(
             break
         ladder.append(d1 / d0)
     values = np.array(ladder)
-    if len(values) < max(4, steps // 2):
+    if len(values) < FRAKF_STEPS // 2:
         return FrakFEstimate(sigma, values, "inconclusive", diagnostic=diagnostic or "ladder too short")
 
     q = values[-max(len(values) // 4, 2):]
@@ -659,20 +656,22 @@ def compute_Cf_detailed(wf: WarpingFunction, tol: float = 1e-9) -> tuple[float, 
     return value, error
 
 
-def compute_Cf(wf: WarpingFunction, tol: float = 1e-9) -> float:
-    return compute_Cf_detailed(wf, tol)[0]
+def compute_Cf(wf: WarpingFunction) -> float:
+    return compute_Cf_detailed(wf)[0]
 
 
 def check_Cf_monotonicity(wf_small: WarpingFunction,
                           wf_big: WarpingFunction) -> MonotonicityReport:
     """Comparison: if f = O(f_tilde) near zero then both the limit functional
-    and the length constant are ordered the same way (to 1e-6)."""
+    and the length constant are ordered the same way (to 1e-6).  The ratio
+    f_small/f_big is compared in logs, which stay finite where both f
+    underflow."""
     R = min(wf_small.domain_radius, wf_big.domain_radius)
     xs = np.geomspace(R * 1e-8, R * 0.9, 256)
-    ratio = wf_small.f(xs) / wf_big.f(xs)
-    near0 = ratio[: len(ratio) // 4]
-    rest = ratio[len(ratio) // 4:]
-    if near0.max() > 10.0 * max(rest.max(), 1e-300):
+    log_ratio = wf_small.log_f(xs) - wf_big.log_f(xs)
+    near0 = log_ratio[: len(log_ratio) // 4]
+    rest = log_ratio[len(log_ratio) // 4:]
+    if near0.max() > math.log(10.0) + max(rest.max(), math.log(1e-300)):
         raise ValueError(
             "ordering hypothesis fails: f_small/f_big blows up near zero on the grid"
         )
@@ -720,5 +719,5 @@ def parse_warp_spec(spec: str, R: Optional[float] = None) -> WarpingFunction:
     if head == "profile":
         from .profile_io import load_profile_csv  # local import: avoids cycle
 
-        return load_profile_csv(":".join(parts[1:]), z_max=None)
+        return load_profile_csv(":".join(parts[1:]))
     raise ValueError(f"unknown warp spec: {spec!r}")

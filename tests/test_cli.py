@@ -20,7 +20,7 @@ def run(capsys, *argv):
 class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig(warp="power:2", delta=0.1)
-        again = RunConfig.from_dict(json.loads(cfg.normalized_json()))
+        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict(), sort_keys=True)))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
@@ -235,6 +235,15 @@ class TestSweep:
                            "--deltas", "0.3,0.2,0.1,0.05",
                            "--outdir", str(tmp_path / "osc"))
         assert code == 4
+
+        # osc has no length constant: its reference and relative errors are
+        # null, not the non-standard token NaN
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        data = json.loads((tmp_path / "osc" / "sweep.json").read_text(), parse_constant=refuse)
+        assert data["reference_Cf"] is None
+        assert data["errors_rel"] == [None] * 4
+        assert all(math.isfinite(v) for v in data["lengths"] + data["normalized"])
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_ladder_exits_2(self, tmp_path, capsys, source):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -83,11 +82,11 @@ class TestSphereSection:
 
 
 def _counting(shape, calls):
-    """``shape`` with a formula that records each call."""
-    def formula(r, point):
+    """``shape`` wrapped to record each call."""
+    def counted(r, point):
         calls.append(type(r))
-        return shape.formula(r, point)
-    return dataclasses.replace(shape, formula=formula)
+        return shape(r, point)
+    return counted
 
 
 def _grid_loop(a, shape, nodes):
@@ -97,13 +96,13 @@ def _grid_loop(a, shape, nodes):
     worst = 0.0
     for r in np.linspace(0.0, 1.5, 128):
         for y in nodes:
-            w, w_r, _ = shape.formula(float(r), y.tolist())
+            w, w_r, _ = shape(float(r), y.tolist())
             q = 1.0 + a * w
             if not 0.5 <= q <= 2.0:
                 raise ValueError(f"perturbation out of band: 1+a*w = {q:.4g} outside [0.5, 2] "
                                  f"at r={r:.3g}, y={np.round(y, 3)}")
             worst = max(worst, abs(a * w_r) / q)
-    h0 = max(abs(shape.formula(0.0, y.tolist())[0]) for y in nodes) < 1e-15
+    h0 = max(abs(shape(0.0, y.tolist())[0]) for y in nodes) < 1e-15
     return 1.25 * worst, h0
 
 
@@ -331,7 +330,7 @@ def _normalising_twice(cs, r, y, eta):
         if cs.amplitude == 0.0:
             return 1.0, 0.0, (0.0, 0.0, 0.0)
         a = cs.amplitude
-        w, w_r, grad = cs.shape.formula(r, cross_sections._unit(y))
+        w, w_r, grad = cs.shape(r, cross_sections._unit(y))
         return 1.0 + a * w, a * w_r, [a * g for g in grad]
 
     n0, n1, n2 = cross_sections._unit(y)

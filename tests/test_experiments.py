@@ -120,7 +120,8 @@ class TestRadialBounds:
     def test_eta_rate_bound_is_checked(self):
         cs = sg.circle_section(2 * math.pi, perturbation=(0.08, None))
         traj = sg.integrate_winding(sg.make_power_warp(1.5), cs, 0.15, [0.3], [1.0])
-        rep = sg.verify_radial_bounds(traj, c_bound=0.0)
+        traj.meta["c_bound"] = 0.0
+        rep = sg.verify_radial_bounds(traj)
         # with c = 0 the rate bound reads |sin(theta) q_r/q| <= 0
         rates = [abs(math.sin(th) * cs.cometric(r, y, eta)[2])
                  for r, th, y, eta in zip(traj.r, traj.theta, traj.y, traj.eta)]
@@ -132,7 +133,7 @@ class TestRadialBounds:
         others = max(rep.worst_lower, rep.worst_upper, rep.worst_eta)
         assert others < rep.worst_eta_rate
         slack = 0.5 * (others + rep.worst_eta_rate)
-        assert not sg.verify_radial_bounds(traj, c_bound=0.0, slack=slack).passed
+        assert not sg.verify_radial_bounds(traj, slack=slack).passed
 
     @pytest.mark.parametrize("section, y0, v0", [
         ("circle:6.283185307179586", [0.3], [1.0]),
@@ -241,7 +242,7 @@ class TestCampaigns:
 
 class TestFigureData:
     def test_cone_winding_count(self):
-        data = sg.figure1_data("cone", delta=0.3)
+        data = sg.figure1_data("cone")
         assert data["winding_count_measured"] == pytest.approx(
             data["winding_length"] / (2 * math.pi))
         # swept angle equals the winding length on the unit circle fiber
@@ -251,7 +252,7 @@ class TestFigureData:
         assert np.allclose(np.hypot(xyz[:, 0], xyz[:, 1]), data["r"], atol=1e-12)
 
     def test_cusp_prediction(self):
-        data = sg.figure1_data("cusp", delta=0.05)
+        data = sg.figure1_data("cusp")
         assert data["winding_count_measured"] == pytest.approx(
             data["winding_count_predicted"], rel=0.05)
         # embedded on the surface of revolution x = z^2

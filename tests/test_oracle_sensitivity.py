@@ -122,8 +122,7 @@ def test_reversed_rotation_fails_only_the_limit_check(monkeypatch, sphere_on_the
 
     def checks():
         traj = sg.integrate_winding(wf, cs, 0.1, Y0, V0)
-        limit = limit_geodesic_test(wf, cs, [0.1, 0.03], Y0, V0, tau_window=(-1.0, 1.0),
-                                    n_nodes=41)
+        limit = limit_geodesic_test(wf, cs, [0.1, 0.03], Y0, V0, tau_window=(-1.0, 1.0))
         length = sg.winding_length(traj) / closed_form_winding_length(wf, 0.1) - 1.0
         return traj.meta["shell_drift"], abs(length), limit.passed
 

@@ -51,15 +51,8 @@ class TestLoadProfile:
             assert wf.f(r) == pytest.approx(s(z), rel=1e-8)
             assert wf.f_prime(r) == pytest.approx(slope, rel=1e-5)
 
-    def test_z_max_clamps(self, parabola_csv):
-        wf = sg.load_profile_csv(parabola_csv, z_max=0.5)
-        full = sg.load_profile_csv(parabola_csv)
-        assert wf.domain_radius < full.domain_radius
-
     @pytest.mark.parametrize("z_max", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_z_max_not_finite_and_positive(self, parabola_csv, z_max):
-        with pytest.raises(ValueError, match="z_max"):
-            sg.load_profile_csv(parabola_csv, z_max=z_max)
+    def test_rejects_z_max_not_finite_and_positive(self, z_max):
         with pytest.raises(ValueError, match="z_max"):
             sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, z_max)
 

@@ -125,7 +125,7 @@ class TestFrakF:
         for wf in (sg.make_exp_warp("log_power", 1.5),
                    sg.make_exp_warp("exp_inverse_power", 1.0)):
             assert wf.frakF_closed_form(2.0) == pytest.approx(0.5)
-            est = sg.estimate_frakF(wf, 2.0, steps=40)
+            est = sg.estimate_frakF(wf, 2.0)
             tail = np.asarray(est.ladder_values)[-10:]
             assert np.all(np.diff(tail) < 0)
             assert np.all((tail > 0.5) & (tail <= 1.0))
@@ -169,6 +169,13 @@ class TestCf:
         rep = sg.check_Cf_monotonicity(sg.make_exp_warp("exp_inverse_power", 1.0),
                                        sg.make_power_warp(5.0, R=0.5))
         assert rep.passed
+        rep = sg.check_Cf_monotonicity(sg.make_exp_warp("exp_inverse_power", 2.0),
+                                       sg.make_exp_warp("exp_inverse_power", 1.0))
+        assert rep.passed
+        # f_big underflows to 0 near the tip, where f_small/f_big still blows up
+        for small, big in [("expinv:1", "expinv:2"), ("power:2", "expinv:1")]:
+            with pytest.raises(ValueError, match="ordering hypothesis fails"):
+                sg.check_Cf_monotonicity(sg.parse_warp_spec(small), sg.parse_warp_spec(big))
 
     @settings(max_examples=15, deadline=None)
     @given(lo=st.floats(1.0, 2.0), gap=st.floats(0.1, 2.0))
@@ -196,8 +203,7 @@ class TestProfileToWarp:
             assert wf.F(wf.f(x)) == pytest.approx(x, rel=1e-12)
 
     def test_sqrt_profile_is_conical(self):
-        wf = sg.profile_to_warp(lambda z: np.sqrt(z), lambda z: 0.5 / np.sqrt(z),
-                                1.0, power_alpha=0.5)
+        wf = sg.profile_to_warp(lambda z: np.sqrt(z), lambda z: 0.5 / np.sqrt(z), 1.0)
         assert wf.kind is WarpKind.CONICAL
         # tangent to the axis at the tip: f(r) ~ r
         assert wf.f(1e-3) == pytest.approx(1e-3, rel=1e-3)
@@ -210,7 +216,7 @@ class TestProfileToWarp:
     def test_sqrt_profile_knots_are_exact_arc_length(self):
         # with u = sqrt(z) = s, the arc length of (z, sqrt z) is
         # int_0^u sqrt(4v^2 + 1) dv; the tip cell, where s' is infinite, too
-        wf = sg.profile_to_warp(np.sqrt, lambda z: 0.5 / np.sqrt(z), 1.0, power_alpha=0.5)
+        wf = sg.profile_to_warp(np.sqrt, lambda z: 0.5 / np.sqrt(z), 1.0)
         table = wf.f.__self__
         u, r = np.array(table.y), np.array(table.x)
         exact = 0.5 * u * np.sqrt(4.0 * u * u + 1.0) + 0.25 * np.arcsinh(2.0 * u)
@@ -237,8 +243,7 @@ def profile_warps(tmp_path_factory):
         "csv": sg.load_profile_csv(str(path)),
         "line": sg.profile_to_warp(lambda z: z, lambda z: 1.0, 1.0),
         "parabola": sg.profile_to_warp(lambda z: z * z, lambda z: 2.0 * z, 1.0),
-        "sqrt": sg.profile_to_warp(lambda z: np.sqrt(z), lambda z: 0.5 / np.sqrt(z),
-                                   1.0, power_alpha=0.5),
+        "sqrt": sg.profile_to_warp(lambda z: np.sqrt(z), lambda z: 0.5 / np.sqrt(z), 1.0),
     }
 
 
