@@ -5,8 +5,7 @@ Supported links: a circle of prescribed circumference and the round unit
 h_r = q(r, y)^2 h0(y) with q = 1 + a*w(r, y).  A section exposes q with its
 partials (``conformal``) and turns them into everything the geodesic flow
 needs (``cometric``); without perturbation it also gives the closed-form
-link path that decodes the reduced system (``link_launch``,
-``h0_geodesic``).
+link path that decodes the reduced system (``h0_geodesic``).
 
 A shape w is one function ``shape(r, point)`` returning ``(w, w_r,
 grad w)``, written with the functions of ``straightline``, which follow
@@ -142,12 +141,6 @@ class CrossSection:
         ``s / rate`` (tau_scaled / f'(delta), or tau / 1.0)."""
         raise NotImplementedError
 
-    def link_launch(self, y, eta, wind_sign: int, fd: float):
-        """(v, eta) of an unperturbed section's lowest point (``y``, ``eta``)
-        with |eta| = ``fd``: the unit h0 velocity of its link path, and the
-        stored covector, which the warped-product flow conserves."""
-        raise NotImplementedError
-
     def _grid_checks(self, nodes):
         """Check 1/2 <= q <= 2 on 128 radii times the points ``nodes`` of Y
         in one array pass, naming the first bad point radius by radius; set
@@ -229,11 +222,6 @@ class CircleSection(CrossSection):
     def h0_geodesic(self, y, v, s, rate):
         """phi = y + s / (rate scale), oriented by the sign of ``v``."""
         return (y[0] + math.copysign(1.0, v[0]) * s / (rate * self.scale))[:, None]
-
-    def link_launch(self, y, eta, wind_sign, fd):
-        """The launch's ``wind_sign`` orients the path, so it survives an
-        eta that underflows with f(delta); eta = wind_sign scale f(delta)."""
-        return np.array([wind_sign / self.scale]), np.array([wind_sign * self.scale * fd])
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -330,16 +318,6 @@ class SphereSection(CrossSection):
         """The great circle n cos(tau) + v sin(tau), tau = s / rate."""
         tau = s / rate
         return np.outer(np.cos(tau), y) + np.outer(np.sin(tau), v)
-
-    def link_launch(self, y, eta, wind_sign, fd):
-        """v = p/|p| with p = L x n (``cometric``'s sharp at q = 1), and L.
-        Where f(delta) underflows, L = 0 and the path has no direction."""
-        p = self.cometric(0.0, y, eta)[0]
-        size = math.hypot(*p)
-        if size == 0.0:
-            raise IntegrationError("f(delta) underflows double precision: the angular "
-                                   "momentum L = 0 gives the link path no direction")
-        return np.array(p) / size, np.array(eta, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ geodesic of the link."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,7 +64,6 @@ class SweepResult:
     errors_rel: np.ndarray
     converged: bool
     note: str = ""
-    config: dict = field(default_factory=dict)
 
 
 def default_delta_ladder(wf: WarpingFunction) -> np.ndarray:
@@ -159,8 +158,6 @@ def delta_sweep(
         deltas=deltas, lengths=lengths, normalized=normalized,
         extrapolated_limit=extrapolated, reference_Cf=float(reference_Cf),
         errors_rel=errors, converged=converged, note=note,
-        config={"warp": wf.label, "R": wf.domain_radius, "rtol": rtol,
-                "atol": atol, "c_bound": cs.c_bound},
     )
 
 
@@ -275,7 +272,6 @@ class ComparisonReport:
     passed: bool
     min_gap: float
     t_worst: float
-    note: str = ""
 
 
 def comparison_test(

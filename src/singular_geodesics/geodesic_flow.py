@@ -26,7 +26,7 @@ ch. 7).  Such a section integrates only the reduced system in (r, theta,
 tau_scaled), in log space so the exponential cusp families work far below
 the double range of f (folding the flat circle into the full system cost
 2.0-2.3x per benchmark pair), and its decode is the section's closed form
-(``CrossSection.link_launch`` and ``h0_geodesic``).  A perturbed section
+(``h0_geodesic`` along the launch's ``direction``).  A perturbed section
 takes the full system, in its stored coordinates (on the sphere n and L in
 R^3).  Both right-hand sides are traced once on recorded values and run as
 straight-line float code (``_compiled_rhs``).  Each time direction is one
@@ -78,14 +78,16 @@ CSV_CHUNK_ROWS = 256
 @dataclass
 class GeodesicState:
     """A phase-space point; ``y`` and ``eta`` are in the stored coordinates
-    of the section (on the sphere n and L in R^3)."""
+    of the section (on the sphere n and L in R^3).  ``direction`` is set on
+    a lowest point from ``launch_winding`` alone: the unit h_delta velocity
+    of the launch, which survives an eta that underflows with f(delta)."""
 
     t: float
     r: float
     theta: float
     y: np.ndarray
     eta: np.ndarray
-    wind_sign: int = 1  # orientation hint, survives underflow of |eta|
+    direction: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
@@ -117,8 +119,7 @@ def launch_winding(
     if norm == 0.0:
         raise ValueError("v0 must be nonzero")
     eta = cs.covector(y, (math.exp(wf.log_f(delta)) / norm) * (h @ v))
-    sign = 1 if (v0[-1] >= 0 or cs.dim > 1) else -1
-    return GeodesicState(t=0.0, r=delta, theta=0.0, y=y, eta=eta, wind_sign=sign)
+    return GeodesicState(t=0.0, r=delta, theta=0.0, y=y, eta=eta, direction=v / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +136,12 @@ class States(NamedTuple):
     tau_scaled: np.ndarray
 
 
-def _reduced_decode(cs: CrossSection, start: GeodesicState, fd: float, fpd: float):
-    """The link path of a warped product: the h0 geodesic of the launch
-    (``cs.link_launch``) at the arc length tau = tau_scaled / f'(delta),
-    with the launch's stored covector at every time."""
-    v, eta = cs.link_launch(start.y, start.eta, start.wind_sign, fd)
+def _reduced_decode(cs: CrossSection, start: GeodesicState, fpd: float):
+    """The link path of a warped product: the h0 geodesic along the
+    launch's ``direction`` (h_delta = h0 there) at the arc length tau =
+    tau_scaled / f'(delta), with the launch's stored covector, which the
+    flow conserves, at every time."""
+    v, eta = start.direction, start.eta
 
     def decode(x, sign, tau_scaled):
         n = x.shape[1]
@@ -195,14 +197,12 @@ class Trajectory:
 
     def __init__(self, wf: WarpingFunction, cs: CrossSection,
                  runs: Tuple[dop853.Solution, dop853.Solution], decode,
-                 delta: Optional[float], log_fd: Optional[float], fpd: float,
-                 wind_sign: int, meta: dict):
+                 delta: Optional[float], log_fd: Optional[float], fpd: float, meta: dict):
         self.wf, self.cs = wf, cs
         self.runs, self.decode = runs, decode
         self.delta = delta
         self.log_fd = log_fd  # log f(delta); None for radial trajectories
         self.fpd = fpd
-        self.wind_sign = wind_sign
         self.meta = meta
         self.classification = "radial" if delta is None else "winding"
         self.t_min, self.t_max = -float(runs[1].t[-1]), float(runs[0].t[-1])
@@ -287,8 +287,7 @@ class Trajectory:
 
     def state_at(self, t: float) -> GeodesicState:
         st = self._evaluate(np.array([float(t)]))
-        return GeodesicState(t, float(st.r[0]), float(st.theta[0]), st.y[0], st.eta[0],
-                             wind_sign=self.wind_sign)
+        return GeodesicState(t, float(st.r[0]), float(st.theta[0]), st.y[0], st.eta[0])
 
     def _resample(self, t: np.ndarray):
         """Set every per-sample array from the dense solution at times ``t``."""
@@ -487,8 +486,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate a lifted geodesic from ``start`` until it exits at r = R.
 
-    The backward time direction is produced by mirroring (theta, eta) ->
-    (-theta, -eta) and running forward.
+    ``start`` is a lowest point from ``launch_winding`` (theta = 0, with its
+    ``direction``) or a radial state (eta = 0, |sin theta| = 1, no
+    ``direction``).  The backward time direction is produced by mirroring
+    (theta, eta) -> (-theta, -eta) and running forward.
     ``tau_stop`` optionally terminates each run once |tau| exceeds it
     (the trajectory is then marked truncated).
     """
@@ -502,19 +503,13 @@ def integrate(
 
     log_fd = wf.log_f(start.r)
     fd = math.exp(log_fd)
-    eta_norm0 = cs.eta_norm(start.r, start.y, start.eta)
-    launched_winding = abs(start.theta) < 1e-12
-    is_radial = (not launched_winding) and eta_norm0 < RADIAL_ETA_FACTOR * max(fd, 5e-324)
-    if is_radial and abs(abs(math.sin(start.theta)) - 1.0) > 1e-9:
-        raise IntegrationError("state with eta=0 must be radial (|sin theta| = 1)")
-
-    if is_radial:
+    if start.direction is None and abs(abs(math.sin(start.theta)) - 1.0) <= 1e-9 and \
+            cs.eta_norm(start.r, start.y, start.eta) < RADIAL_ETA_FACTOR * max(fd, 5e-324):
         return _radial_trajectory(wf, cs, start, dense_nodes)
-
-    if not launched_winding:
+    if start.direction is None or start.theta != 0.0:
         raise IntegrationError(
-            "integrate expects either a radial state or a lowest-point state "
-            "from launch_winding (theta = 0)"
+            "integrate expects either a radial state (eta = 0, |sin theta| = 1) or a "
+            "lowest-point state from launch_winding (theta = 0, with its direction)"
         )
     delta = start.r
     # f'(delta) = f(delta) * (log f)'(delta): assemble its log from pieces so
@@ -523,15 +518,16 @@ def integrate(
     fpd = math.exp(log_fpd)
 
     reduced = _is_reduced(cs)
-    if not reduced and fd == 0.0:
+    if fd == 0.0 and not (reduced and cs.dim == 1):
         # the path winds about C_f / (2 pi f'(delta)) times, and the full
-        # system steps through every winding: such a run would never finish
+        # system steps through every winding: such a run would never finish.
+        # The round sphere's L = n x p is 0 there, and its ambient residual
+        # n.L/(|n||L|) would be NaN
         raise IntegrationError(
             "f(delta) underflows double precision; only unperturbed circle "
             "sections support this regime"
         )
-    # an unperturbed sphere's launch refuses an underflowing f(delta) too
-    decode = _reduced_decode(cs, start, fd, fpd) if reduced else _full_decode(len(start.y), fd)
+    decode = _reduced_decode(cs, start, fpd) if reduced else _full_decode(len(start.y), fd)
     # both systems integrate tau_scaled, so scale the stop with it
     stop = None if tau_stop is None else tau_stop * fpd
     if stop == 0.0:
@@ -566,7 +562,7 @@ def integrate(
                    for name, sol, sign in zip(("both",) if reduced else ("forward", "backward"),
                                               runs, (1, -1))],
     }
-    traj = Trajectory(wf, cs, runs, decode, delta, log_fd, fpd, start.wind_sign, meta)
+    traj = Trajectory(wf, cs, runs, decode, delta, log_fd, fpd, meta)
     parts = [np.linspace(traj.t_min, traj.t_max, dense_nodes), np.array([0.0])]
     parts += [sign * sol.t for sol, sign in zip(runs, (1, -1))]
     traj._resample(np.unique(np.concatenate(parts)))
@@ -603,7 +599,7 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
                                     [np.array([end] if slope > 0 else [], dtype=float)],
                                     np.ones(1), coef, 0))
     traj = Trajectory(wf, cs, tuple(runs), _full_decode(len(start.y), 1.0), None, None, 1.0,
-                      start.wind_sign, {"warp": wf.label, "radial": True, "solver": []})
+                      {"warp": wf.label, "radial": True, "solver": []})
     traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
     return traj
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,31 @@ import pytest
 from singular_geodesics import experiments, geodesic_flow
 from singular_geodesics.cli import RunConfig, main
 from singular_geodesics.experiments import closed_form_winding_length
-from singular_geodesics.warp_profiles import make_power_warp, parse_warp_spec
+from singular_geodesics.warp_profiles import compute_Cf, make_power_warp, parse_warp_spec
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_profile(path, z, s):
+    """A profile CSV of the curve (``z``, ``s``) at ``path``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["z", "s"])
+        w.writerows(zip(z.tolist(), s.tolist()))
+    return path
+
+
+def tip_nodes(lo: float, n: int) -> np.ndarray:
+    """z = 0 and ``n`` geometric nodes from ``lo`` to 1."""
+    return np.concatenate([[0.0], np.geomspace(lo, 1.0, n)])
+
+
+def printed_cf(out: str) -> float:
+    return float(re.search(r"\) = (\S+)", out).group(1))
 
 
 class TestRunConfig:
@@ -77,6 +96,43 @@ class TestCf:
     def test_bad_spec_exits_2(self, capsys):
         code, _, err = run(capsys, "cf", "--warp", "nope:1")
         assert code == 2
+
+    # a profile warp has no closed-form limit functional: cf runs its
+    # ladder on the table (warp_profiles._numeric_frakF)
+    def test_profile_of_a_line_is_the_cone(self, tmp_path, capsys):
+        z = np.linspace(0.0, 1.0, 50)
+        code, out, err = run(capsys, "cf", "--warp",
+                             f"profile:{write_profile(tmp_path / 'line.csv', z, z)}")
+        assert code == 0, err
+        assert printed_cf(out) == pytest.approx(math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_profile_of_a_power_matches_the_power_warp(self, tmp_path, capsys, alpha):
+        # measured 3.8e-6 (alpha = 2) and 1.4e-6 (alpha = 1.5) off
+        z = tip_nodes(1e-10, 800)
+        code, out, err = run(capsys, "cf", "--warp",
+                             f"profile:{write_profile(tmp_path / 'p.csv', z, z ** alpha)}")
+        assert code == 0, err
+        assert printed_cf(out) == pytest.approx(compute_Cf(make_power_warp(alpha)), abs=1e-5)
+
+    def test_profile_on_the_benchmark_nodes_is_inconclusive(self, tmp_path, capsys):
+        # nodes from 1e-3 leave too few ladder rungs on the table's tip
+        z = tip_nodes(1e-3, 240)
+        code, _, err = run(capsys, "cf", "--warp",
+                           f"profile:{write_profile(tmp_path / 'p.csv', z, z * z)}")
+        assert code == 2
+        assert "inconclusive" in err
+
+    def test_a_profile_wiggle_is_not_reported_as_the_failed_condition(self, tmp_path, capsys):
+        # z^1.5 satisfies the non-oscillation condition; on these nodes the
+        # ladder oscillates with the table's interpolation, and the error
+        # names that measurement
+        z = tip_nodes(1e-6, 400)
+        code, _, err = run(capsys, "cf", "--warp",
+                           f"profile:{write_profile(tmp_path / 'p.csv', z, z ** 1.5)}")
+        assert code == 2
+        assert "limit functional estimate oscillating at sigma=" in err
+        assert "spread" in err and "non-oscillation" not in err
 
 
 class TestTrace:
@@ -194,6 +250,28 @@ class TestTrace:
         expected = closed_form_winding_length(parse_warp_spec(f"profile:{src}"), 0.2)
         assert meta["winding_length"] == pytest.approx(expected, abs=1e-6)
 
+    def test_a_zero_velocity_at_the_pole_exits_2(self, tmp_path, capsys):
+        # dphi moves no point at the pole psi = 0
+        code, _, err = run(capsys, "trace", "--section", "sphere", "--y0", "0,0",
+                           "--v0", "0,1", "--outdir", str(tmp_path))
+        assert code == 2
+        assert "v0 must be nonzero" in err
+
+    def test_unknown_section_option_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "trace", "--section", "circle:6.283185307179586:foo=1",
+                           "--outdir", str(tmp_path))
+        assert code == 2
+        assert "unknown circle option 'foo=1'" in err
+
+    def test_too_large_radius_times_c_exits_2_and_makes_no_outdir(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        code, _, err = run(capsys, "trace", "--warp", "power:2", "--R", "3",
+                           "--section", "circle:6.283185307179586:pert=0.3",
+                           "--outdir", str(outdir))
+        assert code == 2
+        assert "R*c = 1.179 >= 1" in err
+        assert not outdir.exists()
+
     def test_bad_delta_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "trace", "--warp", "power:1",
                            "--delta", "7.0", "--outdir", str(tmp_path))
@@ -269,6 +347,15 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "not finite" in err
         assert not outdir.exists()
+
+
+    def test_a_failed_run_names_its_delta_and_exits_3(self, tmp_path, capsys):
+        # the angle blows up at delta = 0.01 on the perturbed circle
+        code, _, err = run(capsys, "sweep", "--warp", "expinv:1", "--R", "0.5",
+                           "--section", "circle:6.283185307179586:pert=0.05",
+                           "--deltas", "0.2,0.1,0.01", "--outdir", str(tmp_path / "sweep"))
+        assert code == 3
+        assert err.startswith("integration error: delta=0.01:")
 
 
 class TestVerify:
@@ -451,3 +538,26 @@ class TestProfile2Warp:
         code, _, err = run(capsys, "profile2warp", "--profile",
                            str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv"))
         assert code == 2
+
+    def test_a_row_with_one_column_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "short.csv"
+        src.write_text("z,s\n0,0\n0.5\n1,1\n")
+        code, _, err = run(capsys, "profile2warp", "--profile", str(src),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert f"{src}:3:" in err
+
+    def test_a_blank_row_is_skipped(self, tmp_path, capsys):
+        src = tmp_path / "blank.csv"
+        src.write_text("z,s\n0,0\n\n0.25,0.0625\n0.5,0.25\n1,1\n")
+        code, _, err = run(capsys, "profile2warp", "--profile", str(src),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 0, err
+
+    def test_an_empty_file_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "empty.csv"
+        src.write_text("")
+        code, _, err = run(capsys, "profile2warp", "--profile", str(src),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "expected a header row" in err

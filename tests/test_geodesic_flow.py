@@ -33,6 +33,29 @@ class TestLaunch:
         with pytest.raises(ValueError):
             sg.launch_winding(cusp_warp, flat_circle, 2.0, [0.0], [1.0])
 
+    @pytest.mark.parametrize("v0", [1.0, -1.0, 2.5, -0.4])
+    def test_circle_direction_is_the_sign_over_scale(self, cusp_warp, v0):
+        cs = sg.circle_section(4.0)
+        st = sg.launch_winding(cusp_warp, cs, 0.2, [0.3], [v0])
+        assert st.direction.shape == (1,)
+        assert st.direction[0] == pytest.approx(math.copysign(1.0, v0) / cs.scale, rel=1e-15)
+
+    @pytest.mark.parametrize("y0, v0", [([math.pi / 2, 0.3], [0.6, 0.8]),
+                                        ([1.1, 2.0], [-3.0, 0.5]), ([0.0, 0.0], [1.0, 0.0])])
+    def test_sphere_direction_is_a_unit_tangent(self, cusp_warp, y0, v0):
+        cs = sg.sphere_section()
+        st = sg.launch_winding(cusp_warp, cs, 0.2, y0, v0)
+        n, v = cs.embed(y0, v0)
+        assert np.linalg.norm(st.direction) == pytest.approx(1.0, rel=1e-15)
+        assert abs(st.direction @ n) < 1e-15
+        assert np.allclose(st.direction, v / np.linalg.norm(v), rtol=0.0, atol=1e-15)
+
+    def test_the_direction_survives_an_underflowing_f(self):
+        wf = sg.parse_warp_spec("expinv:1", R=0.5)
+        st = sg.launch_winding(wf, sg.circle_section(2 * math.pi, domain_radius=0.5), 1e-3,
+                               [0.3], [-1.0])
+        assert np.all(st.eta == 0.0) and st.direction.tolist() == [-1.0]
+
 
 T_OF_TAU_CASES = {
     "reduced": (sg.circle_section(2 * math.pi), 0.1, [0.3], [1.0]),
@@ -250,6 +273,25 @@ class TestClassification:
                               y=np.array([0.0]), eta=np.array([0.2]))
         with pytest.raises(IntegrationError, match="lowest-point"):
             sg.integrate(cusp_warp, flat_circle, st)
+
+    def test_a_lowest_point_built_by_hand_is_refused(self, cusp_warp, flat_circle):
+        # theta = 0 with eta != 0 but no launch direction: not integrated as
+        # a launch
+        st = sg.GeodesicState(t=0.0, r=0.1, theta=0.0,
+                              y=np.array([0.0]), eta=np.array([cusp_warp.f(0.1)]))
+        with pytest.raises(IntegrationError, match="lowest-point state from launch_winding"):
+            sg.integrate(cusp_warp, flat_circle, st)
+
+    def test_a_direction_off_the_lowest_point_is_refused(self, cusp_warp, flat_circle):
+        st = dataclasses.replace(sg.launch_winding(cusp_warp, flat_circle, 0.1, [0.0], [1.0]),
+                                 theta=0.3)
+        with pytest.raises(IntegrationError, match="lowest-point state from launch_winding"):
+            sg.integrate(cusp_warp, flat_circle, st)
+
+    def test_eta_zero_off_the_vertical_is_refused(self, cone_warp, flat_circle):
+        st = sg.GeodesicState(t=0.0, r=0.4, theta=0.3, y=np.array([0.0]), eta=np.array([0.0]))
+        with pytest.raises(IntegrationError, match=r"radial state \(eta = 0"):
+            sg.integrate(cone_warp, flat_circle, st)
 
 
 class TestWindingLength:
@@ -688,10 +730,12 @@ class TestReducedSphere:
         assert traj.meta["ambient_residual"] <= 1e-14
 
     def test_an_underflowing_f_is_refused(self):
-        # L = 0 gives the great circle no direction
+        # L = 0 would make the ambient residual n.L/(|n||L|) NaN; integrate
+        # refuses the launch before any run
         wf = sg.parse_warp_spec("expinv:1")
         assert wf.f(1e-3) == 0.0
-        with pytest.raises(IntegrationError, match=r"f\(delta\) underflows double precision"):
+        with pytest.raises(IntegrationError, match=r"f\(delta\) underflows double precision; "
+                                                   "only unperturbed circle"):
             sg.integrate_winding(wf, sg.sphere_section(), 1e-3, [math.pi / 2, 0.3], [0.6, 0.8])
 
     @pytest.mark.parametrize("section, y0, v0", [

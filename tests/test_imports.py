@@ -18,8 +18,10 @@ right-hand sides that ``geodesic_flow`` traces, and no other module calls
 ``exec``, ``eval`` or ``compile``.  No function takes a parameter ``xp``:
 ``straightline``'s functions pick math or numpy by their operand's type,
 so a formula takes its operands alone.  Every defaulted parameter of a
-public function under src/ is passed by some call in src/ or perfbench/: a
-default that nothing but the tests overrides is a constant.  No linter is
+public function under src/, and of a public class's constructor (its
+``__init__``, or a dataclass's or NamedTuple's fields), is passed by some
+call in src/ or perfbench/: a default that nothing but the tests overrides
+is a constant.  ``RunConfig`` is exempt (``SET_BY_NAME``).  No linter is
 needed; the checks walk each module's syntax tree."""
 import ast
 import pathlib
@@ -276,22 +278,53 @@ def _called_name(func: ast.expr):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def _parameters(func: ast.FunctionDef, skip: int = 0):
+    """(positional, defaulted) parameter names of ``func``, without its first
+    ``skip`` positional ones (``self``)."""
+    args = func.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional[skip:], defaulted
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple: its annotated fields are its parameters."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return (any(_called_name(d) == "dataclass" for d in decorators)
+            or any(_called_name(b) == "NamedTuple" for b in cls.bases))
+
+
+def _class_parameters(cls: ast.ClassDef):
+    """(positional, defaulted) parameters of a call of the class ``cls``: its
+    ``__init__``'s, or a record's fields; none for any other class."""
+    init = next((n for n in cls.body if isinstance(n, ast.FunctionDef)
+                 and n.name == "__init__"), None)
+    if init is not None:
+        return _parameters(init, skip=1)
+    if not _is_record(cls):
+        return [], []
+    fields = [n for n in cls.body
+              if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    return [n.target.id for n in fields], [n.target.id for n in fields if n.value is not None]
+
+
 def unset_defaults(modules: list, callers: list) -> list:
-    """``function(parameter)`` for each defaulted parameter of a module-level
-    public function in the sources ``modules`` that no call in the sources
-    ``callers`` passes, by keyword or by position.  A function that forwards
-    its ``**kwargs`` to another passes the keywords it receives on; every
-    function of a name forwards, so a test helper that shares a name with a
-    forwarding function hides none of its forwarding."""
+    """``name(parameter)`` for each defaulted parameter of a module-level
+    public function, or of the constructor of a module-level public class
+    (its ``__init__``, or a dataclass's or NamedTuple's defaulted fields), in
+    the sources ``modules`` that no call in the sources ``callers`` passes,
+    by keyword or by position.  A function that forwards its ``**kwargs`` to
+    another passes the keywords it receives on; every function of a name
+    forwards, so a test helper that shares a name with a forwarding function
+    hides none of its forwarding."""
     signatures = {}
     for source in modules:
         for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                args = node.args
-                positional = [a.arg for a in args.posonlyargs + args.args]
-                defaulted = positional[len(positional) - len(args.defaults):] + [
-                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-                signatures[node.name] = (positional, defaulted)
+                signatures[node.name] = _parameters(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                signatures[node.name] = _class_parameters(node)
     trees = [ast.parse(source) for source in callers]
     forwards = defaultdict(set)
     for func in (n for tree in trees for n in ast.walk(tree)):
@@ -315,10 +348,16 @@ def unset_defaults(modules: list, callers: list) -> list:
                   for p in defaulted if p not in passed[name])
 
 
+# classes whose defaulted fields are set by name, not by a call: the CLI
+# sets each RunConfig field from its flag or config key with setattr
+SET_BY_NAME = {"RunConfig"}
+
+
 def test_every_default_is_passed_somewhere():
     callers = [p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    assert unset_defaults([p.read_text() for p in SRC.glob("*.py")],
-                          [p.read_text() for p in callers]) == []
+    unset = unset_defaults([p.read_text() for p in SRC.glob("*.py")],
+                           [p.read_text() for p in callers])
+    assert [u for u in unset if u.split("(")[0] not in SET_BY_NAME] == []
 
 
 def test_detects_a_default_no_call_passes():
@@ -327,3 +366,11 @@ def test_detects_a_default_no_call_passes():
     helper = "def g(**kw):\n    return h(**kw)\n"
     callers = [module, "import m\nm.f(0, 1)\nm.g(c=4)\n", helper]
     assert unset_defaults([module], callers) == ["f(d)"]
+    # constructors: an __init__'s parameters after self, a record's fields
+    classes = ("class A:\n    def __init__(self, a, b=1, c=2):\n        pass\n"
+               "@dataclass(frozen=True)\nclass D:\n    x: int\n    y: int = 0\n"
+               "    z: list = field()\n"
+               "class N(NamedTuple):\n    p: int\n    q: int = 1\n"
+               "class Plain:\n    k: int = 3\n"
+               "class _Private:\n    def __init__(self, u=1):\n        pass\n")
+    assert unset_defaults([classes], ["A(0, 1)\nD(1, z=[])\nN(1)\n"]) == ["A(c)", "D(y)", "N(q)"]
