@@ -8,6 +8,7 @@ flags override the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -332,9 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` of a process and kept:
+    each parse fills a new namespace, and no flag has a mutable default."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NonOscillationError, QuadratureError, ValueError, OSError) as exc:

@@ -38,8 +38,10 @@ coefficient and count is that of the run that forms every stage sum.  A
 run may end at a stop, a (component, level) pair: in the first step over
 which the component goes from at most the level to at least it,
 ``crossing`` finds the time on the step's dense polynomial, as it does in
-``level_times``.  A run returns its dense solution as three arrays of its
-``Solution``: the step points ``t``, each step's length ``h`` and one
+``level_times``, with ``brent``: the package's one root finder, a port of
+scipy's ``brentq.c`` whose roots are scipy's ``brentq``'s bit for bit.  A
+run returns its dense solution as three arrays of its ``Solution``: the
+step points ``t``, each step's length ``h`` and one
 component-major array ``coef`` (8 x states x steps) of each step's seven
 interpolation coefficients and, last, its start value.  Only ``evaluate``
 (one gather along the step axis and Horner's scheme, on all components or
@@ -52,9 +54,8 @@ import math
 from typing import List, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-__all__ = ["Solution", "solve_ivp", "evaluate", "crossing", "level_times", "compiled"]
+__all__ = ["Solution", "solve_ivp", "evaluate", "brent", "crossing", "level_times", "compiled"]
 
 # row s holds the coefficients a_{s,0} .. a_{s,s-1} of stage s (rows 1-11 the
 # step, row 12 the solution weights B, rows 13-15 the dense-output stages)
@@ -127,7 +128,8 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
-EVENT_TOL = 4.0 * np.finfo(float).eps
+EVENT_TOL = 4.0 * math.ulp(1.0)  # 4 eps, as a float
+MAX_ITER = 100  # Brent iterations before RuntimeError, as scipy's brentq
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -351,23 +353,82 @@ def evaluate(sol: Solution, s: np.ndarray, component=None) -> np.ndarray:
     return _horner(c, c[7], (s - sol.t[seg]) / sol.h[seg])
 
 
+def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """The root of ``f`` in the bracket [a, b] by Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4), to
+    within ``xtol`` + ``rtol`` |x|: a port of scipy's ``brentq.c``, so on
+    the same bracket and tolerances it takes the steps of scipy's ``brentq``
+    and returns its root bit for bit (``tests/test_dop853.py`` checks this).
+    An end at which ``f`` is zero is returned as the root.  A bracket whose
+    ends have the same sign raises ValueError, and one not closed within
+    ``MAX_ITER`` iterations raises RuntimeError, as scipy's does.  ``f``
+    takes and returns floats, never NaN.  A zero denominator, where C
+    divides to an infinite or NaN step, bisects, as that step does."""
+    fpre, fcur = f(a), f(b)
+    if fpre == 0.0:
+        return a
+    if fcur == 0.0:
+        return b
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {MAX_ITER} iterations, value is {xcur}")
+
+
 def crossing(F, y0, t0: float, h: float, level: float, hi: float, xtol: float) -> float:
     """The time in [t0, hi] at which one component of a step's dense
     polynomial (its 7 coefficients ``F`` and start value ``y0`` as floats;
     the step starts at ``t0`` and is ``h`` long) rises through ``level``:
-    ``brentq`` to within ``xtol`` + 4 eps |t|.  A polynomial that ends short
-    of the level by a rounding error gives ``hi``."""
+    the package's ``brent`` (scipy's ``brentq`` bit for bit) to within
+    ``xtol`` + 4 eps |t|, on ``_horner``'s sum written out.  A polynomial
+    that ends short of the level by a rounding error gives ``hi``."""
+    f0, f1, f2, f3, f4, f5, f6 = F
+
     def gap(t):
-        return _horner(F, y0, (t - t0) / h) - level
+        x = (t - t0) / h
+        w = 1.0 - x
+        y = (((f6 * x + f5) * w + f4) * x + f3) * w + f2
+        return ((y * x + f1) * w + f0) * x + y0 - level
     if gap(hi) < 0.0:
         return hi
-    return brentq(gap, t0, hi, xtol=xtol, rtol=EVENT_TOL)
+    return brent(gap, t0, hi, xtol, EVENT_TOL)
 
 
 def level_times(sol: Solution, i: int, levels: np.ndarray, xtol: float) -> np.ndarray:
     """The times at which the rising component ``i`` of the run ``sol``
-    reaches ``levels`` (a 1-D array inside its range): ``crossing`` to within
-    ``xtol`` on the last step whose start value is at most the level."""
+    reaches ``levels`` (a 1-D array inside its range): ``crossing`` (the
+    package's ``brent``) to within ``xtol`` on the last step whose start
+    value is at most the level."""
     coef = sol.coef[:, i]
     k = np.searchsorted(coef[7], levels, side="right") - 1
     steps = zip(coef.take(k, axis=1).T.tolist(), sol.t[k].tolist(), sol.h[k].tolist(),

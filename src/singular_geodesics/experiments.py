@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cross_sections import (
     CrossSection,
@@ -167,6 +166,8 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     with the integrable endpoint removed by r = delta + s^2, to a relative
     1e-11.  The quadrature breaks at the warp's ``knots``, where a profile
     table's f'' jumps."""
+    from scipy.integrate import quad  # imported here: only a quadrature loads scipy
+
     R = wf.domain_radius
     fd = wf.f(delta)
     knots = np.asarray(wf.knots, dtype=float)

@@ -267,7 +267,9 @@ class Trajectory:
         A target's sign picks the time direction, and the target becomes a
         level f'(delta) |tau| of that run's last state component, whose
         time ``dop853.level_times`` finds with ``dop853.crossing``, the
-        routine that ends the stepper's runs at their stops.  Its bracket
+        routine that ends the stepper's runs at their stops, by the
+        package's Brent method (``dop853.brent``, scipy's ``brentq`` bit for
+        bit).  Its bracket
         stops only at 4 ulp of the time (``xtol`` 1e-300): near the lowest
         point dtau/dt = f(delta)/f(r)^2 is large, so a looser stop in t
         would show as an error in tau.
@@ -410,7 +412,7 @@ def _compiled_rhs(slopes, n, r_max):
     on which operations they perform: every constant, such as alpha, the
     amplitude or R, is an argument of the factory.  A warp callable that is
     not a formula (a profile table's, or the osc family's, whose log f is a
-    brentq root) is called from the generated code on a float."""
+    ``dop853.brent`` root) is called from the generated code on a float."""
     lines, outputs, constants, reads = straightline.trace(slopes, n)
     source = _RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
                          inputs=", ".join(f"x{i}" for i in range(n)),

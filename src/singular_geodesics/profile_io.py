@@ -6,7 +6,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .warp_profiles import WarpingFunction, profile_to_warp
 
@@ -58,6 +57,9 @@ def load_profile_csv(path: str, grid: int = 2048) -> WarpingFunction:
         raise ValueError(f"{path}: profile must start at (0, 0)")
     if np.any(np.diff(s) <= 0):
         raise ValueError(f"{path}: s column must be strictly increasing")
+
+    # imported here: only a profile's interpolation loads scipy
+    from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(z, s, extrapolate=False)
     return profile_to_warp(interp, interp.derivative(), float(z[-1]), grid=grid,

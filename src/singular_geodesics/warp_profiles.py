@@ -17,10 +17,9 @@ from enum import Enum
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import straightline
+from .dop853 import brent
 from .errors import NonOscillationError, QuadratureError
 from .straightline import cos, exp, log, sin, sqrt
 
@@ -260,14 +259,13 @@ def make_oscillating_F(alpha: float, c: float) -> WarpingFunction:
     # log f(rho) is the root s of g(s) = alpha s + log(c + sin s) - log rho,
     # which increases in s; the upper end lies past x = 1/2: adaptive
     # steppers probe r slightly beyond R, and F stays monotone there
-    def g(s, target):
-        return alpha * s + log(c + sin(s)) - target
-
     def scalar_log_f(rho):
         target = math.log(rho)
         lo = (target - math.log(c + 1.0)) / alpha - 2.0
-        return brentq(g, min(-700.0, lo), math.log(0.5) + 1.0, args=(target,),
-                      xtol=1e-14, rtol=8.9e-16)
+
+        def g(s):
+            return alpha * s + log(c + sin(s)) - target
+        return brent(g, min(-700.0, lo), math.log(0.5) + 1.0, 1e-14, 8.9e-16)
 
     def log_f(rho):
         # one root per traced evaluation: f, f' and (log f)' all read it
@@ -632,6 +630,8 @@ def compute_Cf_detailed(wf: WarpingFunction, tol: float = 1e-9) -> tuple[float, 
         raise QuadratureError(
             "length-constant integral diverges for the concave experimental warp"
         )
+    from scipy.integrate import quad  # imported here: only a quadrature loads scipy
+
     frak = wf.frakF_closed_form or _numeric_frakF(wf)
 
     def integrand(phi: float) -> float:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from singular_geodesics import experiments, geodesic_flow
+from singular_geodesics import cli, experiments, geodesic_flow
 from singular_geodesics.cli import RunConfig, main
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.warp_profiles import compute_Cf, make_power_warp, parse_warp_spec
@@ -470,6 +470,47 @@ def test_refused_input_makes_no_outdir(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--outdir", str(outdir))
     assert code == 2 and err.startswith("error:")
     assert not outdir.exists()
+
+
+def _outcomes(capsys, workdir, argvs) -> list:
+    """Exit code, stdout, stderr and every file under ``workdir`` after each
+    ``argv``, run in turn by ``main`` in ``workdir``."""
+    found = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        found.append((code, out, err, {p.relative_to(workdir).as_posix(): p.read_bytes()
+                                       for p in sorted(workdir.rglob("*")) if p.is_file()}))
+    return found
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # a flag or suite of one call must not leak into the next: each call
+    # with the kept parser gives what a call with a fresh one gives
+    argvs = [["trace", "--warp", "power:2", "--delta", "0.2", "--svg", "--outdir", "svg"],
+             ["trace", "--warp", "power:2", "--delta", "0.2", "--outdir", "plain"],
+             ["verify", "--suite", "perturbed", "--bounds-cases", "1", "--compare-cases", "1"],
+             ["verify", "--bounds-cases", "1", "--compare-cases", "1"],
+             ["trace", "--delta"]]
+    assert cli._parser() is cli._parser()
+    runs = {}
+    for name in ("kept", "fresh"):
+        if name == "fresh":
+            monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        runs[name] = _outcomes(capsys, tmp_path / name, argvs)
+    assert runs["kept"] == runs["fresh"]
+    codes = [code for code, *_ in runs["kept"]]
+    assert codes == [0, 0, 0, 0, 2]
+    assert sorted(runs["kept"][1][3]) == ["plain/trace.csv", "plain/trace.json",
+                                         "svg/trace.csv", "svg/trace.json",
+                                         "svg/trace_polar.svg", "svg/trace_r.svg"]
+    assert "perturbed sphere" in runs["kept"][2][1]
+    assert "perturbed circle" in runs["kept"][3][1]
 
 
 @pytest.mark.parametrize("command, flag, kind", [

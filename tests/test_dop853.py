@@ -39,6 +39,13 @@ the state decides single steps, so only the second oracle fixes its step
 count: scipy as it is took 258, 257 and 257 step points (6880, 6853 and
 6841 evaluations) under OpenBLAS's SkylakeX, Haswell and Sandybridge
 kernels on the same machine.
+
+The package's root finder ``dop853.brent`` is a port of scipy's
+``brentq.c``, and scipy's ``brentq`` is its oracle: on the dense
+polynomials of real runs (through ``crossing``), on the ``osc`` warp's
+root and on random polynomials scaled from underflow to overflow, at the
+package's three (xtol, rtol) pairs, every root is scipy's bit for bit and
+every refused bracket is refused by both.
 """
 import contextlib
 import math
@@ -51,6 +58,7 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as reference
 from scipy.integrate._ivp import rk
+from scipy.optimize import brentq
 
 import singular_geodesics as sg
 from singular_geodesics import IntegrationError, dop853, geodesic_flow
@@ -510,3 +518,122 @@ def test_evaluate_matches_the_points_major_gather_bit_for_bit(name):
     for i in range(sol.coef.shape[1]):
         assert _same_bits(dop853.evaluate(sol, s, i), ref[:, i]), i
     assert _same_bits(dop853.evaluate(sol, s, -1), ref[:, -1])
+
+
+# the package's (xtol, rtol) pairs: a stop, a level of t_of_tau, the osc root
+BRENT_TOLERANCES = [(dop853.EVENT_TOL, dop853.EVENT_TOL), (1e-300, dop853.EVENT_TOL),
+                    (1e-14, 8.9e-16)]
+
+
+def _root_or_error(find, f, a, b, xtol, rtol):
+    """The root ``find`` returns, or the type of the error it raises."""
+    try:
+        return find(f, a, b, xtol, rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _scipy_brent(f, a, b, xtol, rtol):
+    return brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+def scipy_crossing(F, y0, t0, h, level, hi, xtol):
+    """``dop853.crossing`` as it was: scipy's ``brentq`` on ``_horner``."""
+    def gap(t):
+        return dop853._horner(F, y0, (t - t0) / h) - level
+    if gap(hi) < 0.0:
+        return hi
+    return brentq(gap, t0, hi, xtol=xtol, rtol=dop853.EVENT_TOL)
+
+
+def _python_poly(c):
+    def poly(x):
+        y = 0.0
+        for ci in c:
+            y = y * x + ci
+        return y
+    return poly
+
+
+def test_brent_matches_scipy_on_random_polynomials():
+    rng = np.random.default_rng(20261020)
+    roots = 0
+    for _ in range(5000):
+        # degree 1-7, scaled from underflow to overflow of the products
+        scale = 10.0 ** float(rng.integers(-300, 290))
+        poly = _python_poly((rng.normal(size=int(rng.integers(2, 9))) * scale).tolist())
+        a, b = sorted(rng.uniform(-3.0, 3.0, size=2).tolist())
+        for xtol, rtol in BRENT_TOLERANCES:
+            ours = _root_or_error(dop853.brent, poly, a, b, xtol, rtol)
+            assert ours == _root_or_error(_scipy_brent, poly, a, b, xtol, rtol), (a, b)
+            roots += isinstance(ours, float)
+    assert roots > 4500  # the rest are same-sign brackets, refused by both
+
+
+def test_crossing_matches_scipy_on_the_dense_polynomials_of_runs():
+    runs = list(evaluation_runs().values())
+    for spec, delta in (("power:1", 0.03), ("power:2.5", 0.1), ("expinv:1", 0.05)):
+        wf = sg.parse_warp_spec(spec, R=0.5 if spec.startswith("exp") else None)
+        runs += sg.integrate_winding(wf, sg.circle_section(2 * math.pi), delta, [0.0],
+                                     [1.0]).runs[:1]
+    rng = np.random.default_rng(7)
+    crossings = 0
+    for sol in runs:
+        for i in range(sol.coef.shape[1]):
+            for j in range(len(sol.h)):
+                F, y0 = sol.coef[:7, i, j].tolist(), float(sol.coef[7, i, j])
+                t0, h, hi = float(sol.t[j]), float(sol.h[j]), float(sol.t[j + 1])
+                end = float(dop853._horner(F, y0, (hi - t0) / h))
+                # a falling component rises when negated
+                sign = 1.0 if end >= y0 else -1.0
+                F, y0, end = [sign * c for c in F], sign * y0, sign * end
+                for level in (y0 + (end - y0) * rng.uniform(size=4)).tolist() + [y0, end]:
+                    for xtol in (dop853.EVENT_TOL, 1e-300):
+                        args = (F, y0, t0, h, level, hi, xtol)
+                        assert dop853.crossing(*args) == scipy_crossing(*args), args
+                        crossings += 1
+    assert crossings > 8000
+
+
+def test_osc_log_f_matches_scipy():
+    alpha, c = 0.5, 9.0
+    wf = sg.make_oscillating_F(alpha, c)
+    rhos = np.geomspace(1e-200, wf.domain_radius, 2000)
+
+    def scipy_log_f(rho):
+        target = math.log(rho)
+        lo = (target - math.log(c + 1.0)) / alpha - 2.0
+        return brentq(lambda s: alpha * s + math.log(c + math.sin(s)) - target,
+                      min(-700.0, lo), math.log(0.5) + 1.0, xtol=1e-14, rtol=8.9e-16)
+    assert wf.log_f(rhos).tolist() == [scipy_log_f(r) for r in rhos.tolist()]
+
+
+def test_brent_edges():
+    line = _python_poly([1.0, -1.0])  # x - 1
+    for a, b in ((1.0, 2.0), (0.0, 1.0)):
+        assert dop853.brent(line, a, b, 1e-12, dop853.EVENT_TOL) == 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        dop853.brent(line, 2.0, 3.0, 1e-12, dop853.EVENT_TOL)
+    with pytest.raises(ValueError, match="different signs"):
+        sg.make_oscillating_F(0.5, 9.0).log_f(np.array([20.0]))
+
+    # a jump far inside a wide bracket: every secant step halves the bracket,
+    # and 100 halvings of 1e300 do not reach it
+    def jump(x):
+        return 1.0 if x > 0.1 else -1.0
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        dop853.brent(jump, -1e300, 1e300, 1e-12, dop853.EVENT_TOL)
+    with pytest.raises(RuntimeError):
+        brentq(jump, -1e300, 1e300, xtol=1e-12, rtol=dop853.EVENT_TOL)
+
+
+def test_crossing_of_a_polynomial_short_of_its_level_gives_the_step_end():
+    # y0 + 0.2 x ends at 0.30000000000000004: one double above that, the
+    # bracket has no sign change and the step's end is the crossing
+    F = [0.2] + [0.0] * 6
+    short = math.nextafter(0.1 + 0.2, 1.0)
+    assert dop853.crossing(F, 0.1, 2.0, 0.5, short, 2.5, dop853.EVENT_TOL) == 2.5
+    with pytest.raises(ValueError):
+        brentq(lambda t: 0.1 + 0.2 * (t - 2.0) / 0.5 - short, 2.0, 2.5)
+    assert dop853.crossing(F, 0.1, 2.0, 0.5, 0.1 + 0.2, 2.5, dop853.EVENT_TOL) == 2.5
+    assert 2.0 < dop853.crossing(F, 0.1, 2.0, 0.5, 0.2, 2.5, dop853.EVENT_TOL) < 2.5

@@ -1,15 +1,19 @@
 """Every name a module under src/ imports is used in that module, and every
-import sits at module level.
+import sits at module level but for a few pinned ones.
 
 The package's ``__init__`` is left out of the first check: re-exporting what
-it imports is its job.  The one import inside a function is the cycle-breaker
-in ``warp_profiles.parse_warp_spec`` (``profile_io`` imports
-``warp_profiles``).  No module imports ``warnings``: a warning silenced
-inside the package would get round the test suite's
-``filterwarnings = ["error", ...]``.  The package steps every ODE with its
-own ``dop853.solve_ivp``, and what each module takes from scipy is pinned
-name by name (``SCIPY_IMPORTS``): a stepper, a third root finder or any
-other new scipy dependency fails until the map names it.  The warp
+it imports is its job.  The imports inside a function are pinned with their
+reasons (``FUNCTION_IMPORTS``): the cycle-breaker in
+``warp_profiles.parse_warp_spec`` (``profile_io`` imports ``warp_profiles``)
+and, by design, the three uses of scipy, so that only the commands that run
+a ``quad`` or a PCHIP load it.  No module imports ``warnings``: a warning
+silenced inside the package would get round the test suite's
+``filterwarnings = ["error", ...]``.  The package steps every ODE and finds
+every root with its own ``dop853``, and what each module takes from scipy
+is pinned name by name (``SCIPY_IMPORTS``): a stepper, a root finder or any
+other new scipy dependency fails until the map names it.  A fresh
+interpreter that imports the package and runs ``--help``, a usage error, a
+trace and a one-case verify loads no scipy module at all.  The warp
 callables take arrays, and the functions that still call one once per
 element, or hand one to ``straightline.call`` for a generated right-hand
 side, are pinned the same way (``SCALAR_WARP_CALLERS``).  Only ``dop853`` generates
@@ -24,11 +28,15 @@ call in src/ or perfbench/: a default that nothing but the tests overrides
 is a constant.  ``RunConfig`` is exempt (``SET_BY_NAME``).  No linter is
 needed; the checks walk each module's syntax tree."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import defaultdict
 
 import pytest
 
+import singular_geodesics
 from singular_geodesics import cross_sections, dop853, geodesic_flow
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -60,8 +68,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# (module, function) pairs allowed an import in their body
-FUNCTION_IMPORTS = {("warp_profiles.py", "parse_warp_spec")}
+# (module, function) pairs allowed an import in their body, with the reason
+FUNCTION_IMPORTS = {
+    ("warp_profiles.py", "parse_warp_spec"): "profile_io imports warp_profiles",
+    ("warp_profiles.py", "compute_Cf_detailed"): "quad: only a quadrature loads scipy",
+    ("experiments.py", "closed_form_winding_length"): "quad: only a quadrature loads scipy",
+    ("profile_io.py", "load_profile_csv"): "PchipInterpolator: only a profile loads scipy",
+}
 
 
 def function_imports(source: str) -> list:
@@ -115,10 +128,9 @@ def test_detects_a_warnings_import():
 # every scipy name each module under src/ imports; a module left out imports
 # none
 SCIPY_IMPORTS = {
-    "dop853.py": {"scipy.optimize.brentq"},
     "experiments.py": {"scipy.integrate.quad"},
     "profile_io.py": {"scipy.interpolate.PchipInterpolator"},
-    "warp_profiles.py": {"scipy.integrate.quad", "scipy.optimize.brentq"},
+    "warp_profiles.py": {"scipy.integrate.quad"},
 }
 
 
@@ -143,6 +155,46 @@ def test_no_scipy_stepper(path):
 def test_one_stepper_for_the_package():
     assert geodesic_flow.solve_ivp is dop853.solve_ivp
     assert cross_sections.solve_ivp is dop853.solve_ivp
+
+
+# run in a fresh interpreter: each command in turn through cli.main, then
+# its exit code and the scipy modules loaded so far, one line per command
+_LOADED_SCIPY = """
+import contextlib, io, sys
+import singular_geodesics
+from singular_geodesics import cli
+
+def loaded(label, code):
+    print(label, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+loaded("import", 0)
+for label, argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
+    loaded(label, code)
+"""
+
+
+def test_only_a_quadrature_loads_scipy(tmp_path):
+    commands = [("help", ["--help"]), ("usage", ["trace", "--delta"]),
+                ("trace", ["trace", "--warp", "power:2", "--outdir", str(tmp_path)]),
+                ("verify", ["verify", "--bounds-cases", "1", "--compare-cases", "1"]),
+                ("cf", ["cf", "--warp", "power:2"])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(singular_geodesics.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", _LOADED_SCIPY.format(commands=commands)],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    lines = [line.split(" ", 2) for line in run.stdout.splitlines()]
+    assert [(label, code) for label, code, _ in lines] == [
+        ("import", "0"), ("help", "0"), ("usage", "2"), ("trace", "0"), ("verify", "0"),
+        ("cf", "0")]
+    assert [scipy for _, _, scipy in lines[:-1]] == ["[]"] * 5
+    # the gate sees scipy once a command loads it: cf's quadrature
+    assert "'scipy.integrate'" in lines[-1][2]
 
 
 def test_detects_a_scipy_stepper_import():

@@ -84,6 +84,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import singular_geodesics as sg
 import test_acceptance as acceptance
@@ -327,11 +328,12 @@ def test_crossing_on_the_neighbouring_segment_fails_event_parity_and_t_of_tau(mo
 
 @pytest.mark.parametrize("bias", [1e-7, -1e-7])
 def test_scaled_Cf_integrand_fails_criterion_2(monkeypatch, bias):
-    original = warp_profiles.quad
+    original = scipy.integrate.quad
 
     def biased_quad(integrand, *args, **kwargs):
         return original(lambda x: integrand(x) * (1.0 + bias), *args, **kwargs)
-    monkeypatch.setattr(warp_profiles, "quad", biased_quad)
+    # compute_Cf_detailed imports quad from scipy.integrate when it runs
+    monkeypatch.setattr(scipy.integrate, "quad", biased_quad)
     # pi (cone) and 2 (expinv) are the ends of the range [2, pi] that
     # compute_Cf_detailed enforces to 1e-9, so either sign stops criterion 2
     # there, before its own comparisons
