@@ -48,6 +48,7 @@ import numpy as np
 
 from . import dop853, straightline
 from .cross_sections import CrossSection
+from .csvformat import csv_lines
 from .dop853 import solve_ivp
 from .errors import IntegrationError
 from .warp_profiles import WarpingFunction
@@ -70,9 +71,10 @@ SHELL_DRIFT_LIMIT = 1e-6
 # |dr/dt| <= 1, so steps of at most R/4 keep every trial stage of the full
 # system inside the 1.25 R margin that _full_rhs tolerates
 FULL_MAX_STEP_FRACTION = 0.25
-# rows per write of Trajectory.to_csv: one format call per chunk, and a
-# chunk's text stays small
-CSV_CHUNK_ROWS = 256
+# rows per write of Trajectory.to_csv: one ``csv_lines`` call per chunk; the
+# chunk bounds the kernel's transient arrays (its gather index is 200 bytes
+# a value, about 0.36 MB at 14 columns)
+CSV_CHUNK_ROWS = 128
 
 
 @dataclass
@@ -307,7 +309,9 @@ class Trajectory:
         (on the sphere n and L in R^3).  The export-only columns ``clairaut``
         = f(r) cos(theta) and ``u`` = sign(sin theta) F(f(r) |sin theta|) are
         computed here, ``u`` with one array call of F.  Values are written as
-        ``%.16g`` and rows end in CRLF, as ``csv.writer`` writes them."""
+        ``%.16g`` and rows end in CRLF, as ``csv.writer`` writes them; each
+        chunk of rows is formatted by ``csvformat.csv_lines``, whose bytes
+        are those of ``'%.16g' %``."""
         k = self.y.shape[1]
         cols = (["t", "r", "theta"]
                 + [f"y{i}" for i in range(k)]
@@ -316,12 +320,10 @@ class Trajectory:
         rows = np.column_stack([self.t, self.r, self.theta, self.y, self.eta,
                                 self.hamiltonian, self.rho * np.cos(self.theta),
                                 self.tau, self.rho, _u_column(self.wf, self.r, self.theta)])
-        row = ",".join(["%.16g"] * len(cols)) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(cols) + "\r\n").encode())
             for i in range(0, len(rows), CSV_CHUNK_ROWS):
-                chunk = rows[i:i + CSV_CHUNK_ROWS]
-                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+                fh.write(csv_lines(rows[i:i + CSV_CHUNK_ROWS]))
 
 
 def _u_column(wf: WarpingFunction, r: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 import singular_geodesics as sg
-from singular_geodesics import IntegrationError, dop853, geodesic_flow
+from singular_geodesics import IntegrationError, csvformat, dop853, geodesic_flow
 from singular_geodesics.cross_sections import CircleSection, SphereSection, static_sphere_bump
 from singular_geodesics.experiments import closed_form_winding_length
 from singular_geodesics.geodesic_flow import log_eta_rate
@@ -114,6 +114,13 @@ ARRAY_FORMULA_CASES = {
 }
 
 
+# the warps and sections of the export tests: every section, and a cone, a
+# cusp, an exponential cusp and a profile table among the warps
+CSV_WARPS = ["power:1", "power:1.5", "power:2", "expinv:1", "logpow:1.5", "profile"]
+CSV_SECTIONS = ["circle:6.283185307179586", "sphere", "circle:6.283185307179586:pert=0.06",
+                "sphere:pert=0.05"]
+
+
 class TestTrajectory:
     def test_time_symmetry(self, cusp_warp, flat_circle):
         traj = sg.integrate_winding(cusp_warp, flat_circle, 0.2, [0.0], [1.0])
@@ -212,18 +219,37 @@ class TestTrajectory:
         assert meta["delta"] == 0.3
         assert meta["shell_drift"] < 1e-8
 
-    @pytest.mark.parametrize("case", ["sphere:pert=0.05", "profile"])
-    def test_csv_bytes_match_row_writer(self, case, tmp_path):
-        if case == "profile":
-            wf, cs = parabola_warp(tmp_path), sg.circle_section(2 * math.pi)
-            y0, v0 = [0.3], [1.0]
+    @pytest.mark.parametrize("section", CSV_SECTIONS)
+    @pytest.mark.parametrize("warp", CSV_WARPS)
+    def test_csv_bytes_match_row_writer(self, warp, section, tmp_path):
+        wf = parabola_warp(tmp_path) if warp == "profile" else sg.parse_warp_spec(warp)
+        cs = sg.parse_section_spec(section, domain_radius=wf.domain_radius)
+        y0, v0 = (([0.3], [1.0]) if section.startswith("circle")
+                  else ([math.pi / 2, 0.3], [math.sin(0.5), math.cos(0.5)]))
+        _assert_csv_matches_row_writer(sg.integrate_winding(wf, cs, 0.15, y0, v0), tmp_path)
+
+    @pytest.mark.parametrize("case", ["radial", "underflow"])
+    def test_csv_fallback_values_match_row_writer(self, case, tmp_path, monkeypatch):
+        """A radial line (eta = 0) and the flat circle of expinv:1 at R = 0.5
+        and delta = 0.001, whose f underflows (NaN, infinities, -0 and values
+        near 1e-300), export values that the kernel leaves to ``%``."""
+        if case == "radial":
+            traj = dense_case("radial")
         else:
-            wf, cs = sg.make_power_warp(2.0), sg.parse_section_spec(case)
-            y0, v0 = [math.pi / 2, 0.3], [math.sin(0.5), math.cos(0.5)]
-        traj = sg.integrate_winding(wf, cs, 0.2, y0, v0)
-        traj.to_csv(str(tmp_path / "chunked.csv"))
-        _row_writer_csv(traj, str(tmp_path / "rows.csv"))
-        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+            wf = sg.parse_warp_spec("expinv:1", R=0.5)
+            traj = sg.integrate_winding(wf, sg.circle_section(2 * math.pi, domain_radius=0.5),
+                                        0.001, [0.3], [1.0])
+        reference, fallback = csvformat._reference, []
+
+        def recording(values):
+            fallback.extend(values)
+            return reference(values)
+        monkeypatch.setattr(csvformat, "_reference", recording)
+        _assert_csv_matches_row_writer(traj, tmp_path)
+        assert 0.0 in fallback
+        if case == "underflow":
+            assert any(math.isnan(v) for v in fallback) and math.inf in fallback
+            assert -math.inf in fallback and any(0.0 < abs(v) < 1e-280 for v in fallback)
 
     @pytest.mark.parametrize("case", sorted(ARRAY_FORMULA_CASES))
     def test_rho_and_u_match_the_float_formula(self, case, tmp_path):
@@ -234,6 +260,12 @@ class TestTrajectory:
             traj.r.tolist(), traj.theta.tolist())]).T
         for ours, rows in ((traj.rho, rho), (geodesic_flow._u_column(wf, traj.r, traj.theta), u)):
             assert np.all(np.abs(ours - rows) <= bound * np.spacing(np.abs(rows)))
+
+
+def _assert_csv_matches_row_writer(traj, tmp_path):
+    traj.to_csv(str(tmp_path / "chunked.csv"))
+    _row_writer_csv(traj, str(tmp_path / "rows.csv"))
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def _row_writer_csv(traj, path):

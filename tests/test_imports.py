@@ -218,7 +218,7 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 # code for a warp that is not a formula); a module left out has none.
 # Everything else evaluates warps with one array call per sample array.
 SCALAR_WARP_CALLERS = {
-    "experiments.py": {"closed_form_winding_length"},
+    "experiments.py": {"_length_integrand"},
     "geodesic_flow.py": {"_reduced_rhs", "_full_rhs"},
     "warp_profiles.py": {"estimate_frakF"},
 }
