@@ -17,6 +17,9 @@ Each value's text, separator included, is one gather from its source row
 through a table of layouts keyed by form (fixed with exponent -4..15, or
 scientific with 2 or 3 exponent digits) and the number of significant
 digits.  A layout is padded with NUL, which is dropped at the end.
+
+The tables are built on the first ``csv_lines`` call (``_build_tables``),
+so a command that writes no CSV does not pay for them.
 """
 from __future__ import annotations
 
@@ -57,15 +60,8 @@ def _pow10_table() -> np.ndarray:
     return np.array(rows).T.copy()
 
 
-_POW10 = _pow10_table()
-# the digits of 0..9999 and the exponents -299..299 ('-299'..'+299'), four
-# bytes each, read as one uint32
-_QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
-          // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
-          ).astype(np.uint8).view(np.uint32).ravel()
-_EXPONENTS = np.frombuffer(b"".join(b"%+04d" % e for e in range(-299, 300)), dtype=np.uint32)
-# the trailing zeros of 1..9999, and 4 for 0
-_ZEROS = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5)).astype(np.int8)
+# the tables of ``_build_tables``, None until the first ``csv_lines`` call
+_POW10 = _QUADS = _EXPONENTS = _ZEROS = _LAYOUTS = _FORM_OF = None
 
 # a value's source row is seven uint32 words: the 16 digits, the exponent,
 # the separator (',' and NUL, or CRLF) with the sign ('-' or NUL), and the
@@ -99,12 +95,24 @@ def _layout(form: int, sig: int) -> bytes:
     return bytes(out + [_NUL] * (_WIDTH - len(out)))
 
 
-_LAYOUTS = np.frombuffer(b"".join(_layout(form, sig) for form in range(_FORMS)
-                                  for sig in range(1, 17)), dtype=np.uint8
-                         ).reshape(-1, _WIDTH).astype(np.intp)
-# the row of _LAYOUTS before the form's first, for each exponent -299..299
-_FORM_OF = np.array([16 * (e + 4 if -4 <= e <= 15 else 20 if abs(e) < 100 else 21) - 1
-                     for e in range(-299, 300)])
+def _build_tables():
+    global _POW10, _QUADS, _EXPONENTS, _ZEROS, _LAYOUTS, _FORM_OF
+    _POW10 = _pow10_table()
+    # the digits of 0..9999 and the exponents -299..299 ('-299'..'+299'),
+    # four bytes each, read as one uint32
+    _QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")
+              ).astype(np.uint8).view(np.uint32).ravel()
+    _EXPONENTS = np.frombuffer(b"".join(b"%+04d" % e for e in range(-299, 300)),
+                               dtype=np.uint32)
+    # the trailing zeros of 1..9999, and 4 for 0
+    _ZEROS = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5)).astype(np.int8)
+    _LAYOUTS = np.frombuffer(b"".join(_layout(form, sig) for form in range(_FORMS)
+                                      for sig in range(1, 17)), dtype=np.uint8
+                             ).reshape(-1, _WIDTH).astype(np.intp)
+    # the row of _LAYOUTS before the form's first, for each exponent -299..299
+    _FORM_OF = np.array([16 * (e + 4 if -4 <= e <= 15 else 20 if abs(e) < 100 else 21) - 1
+                         for e in range(-299, 300)])
 
 
 def _mantissa(ax: np.ndarray, e: np.ndarray):
@@ -137,6 +145,8 @@ def _decimal(ax: np.ndarray):
 def csv_lines(block: np.ndarray) -> bytes:
     """Each row of the 2-D float64 ``block`` as one line of its values,
     ``'%.16g' %`` each, joined by commas and ended by CRLF."""
+    if _FORM_OF is None:
+        _build_tables()
     x = block.ravel()
     n = len(x)
     ax = np.abs(x)

@@ -43,7 +43,10 @@ scipy's ``brentq.c`` whose roots are scipy's ``brentq``'s bit for bit.  A
 run returns its dense solution as three arrays of its ``Solution``: the
 step points ``t``, each step's length ``h`` and one
 component-major array ``coef`` (8 x states x steps) of each step's seven
-interpolation coefficients and, last, its start value.  Only ``evaluate``
+interpolation coefficients and, last, its start value.  The generated run
+forms all eight rows of each accepted step and records them with the
+step's length and end time, so the three arrays are views of one array of
+the record: ``coef`` is one reshape of it, transposed.  Only ``evaluate``
 (one gather along the step axis and Horner's scheme, on all components or
 one) and ``level_times`` read ``coef``.
 """
@@ -198,12 +201,15 @@ def kernel_source(n: int, reads) -> str:
     max(|y|, |y_new|) rtol (the root of the sum of squares, squared, as
     scipy's ``norm(err)**2``), accept or reject, and for an accepted step
     stages 13-15.  Each accepted step is passed to ``record`` as one tuple:
-    its end time, its length, the state and slope at its end and the rows
-    3-6 of its interpolation coefficients, h D K, row-major.  The run
-    returns (status, rejected attempts): 1 after the first step over which
-    a component i goes from at most its level ``s{i}`` to at least it (a NaN
-    level never stops the run), 0 at ``t_end`` and -1 when the step falls
-    below 10 ulp of t.
+    its length, the eight rows of its dense polynomial, row-major (rows 0-2
+    from the step's change dy and end slopes, dy, h f_old - dy and 2 dy -
+    h (f_new + f_old), as scipy's ``Dop853DenseOutput`` forms them; rows
+    3-6 h D K; row 7 the start value), and its end time.  The run returns
+    (status, rejected attempts, end state): status 1 after the first step
+    over which a component i goes from at most its level ``s{i}`` to at
+    least it (a NaN level never stops the run), with the state at that
+    step's end; 0 at ``t_end`` and -1 when the step falls below 10 ulp of
+    t, with None.
     """
     y, new = (", ".join(f"{v}{i}" for i in range(n)) for v in ("y", "n"))
     cap, low, safety, exponent = (repr(float(c)) for c in (MAX_FACTOR, MIN_FACTOR, SAFETY,
@@ -222,7 +228,7 @@ def kernel_source(n: int, reads) -> str:
              "        retry = False",
              "        while True:",
              "            if h_abs < min_step:",
-             "                return -1, rejected",
+             "                return -1, rejected, None",
              "            t_new = t + h_abs",
              "            if t_end < t_new:",
              "                t_new = t_end",
@@ -261,12 +267,15 @@ def kernel_source(n: int, reads) -> str:
               "            retry = True",
               "            rejected += 1"]
     lines += _stages(n, 13, 16, " " * 8, reads)
-    rows = ", ".join(f"h * ({_stage_sum(row, range(16), i)})" for row in D for i in range(n))
-    lines.append(f"        record((t_new, h, {new}, {', '.join(f'k12_{i}' for i in range(n))}, "
-                 f"{rows}))")
+    lines += [f"        d{i} = n{i} - y{i}" for i in range(n)]
+    rows = [f"d{i}" for i in range(n)]
+    rows += [f"h * k0_{i} - d{i}" for i in range(n)]
+    rows += [f"2.0 * d{i} - h * (k12_{i} + k0_{i})" for i in range(n)]
+    rows += [f"h * ({_stage_sum(row, range(16), i)})" for row in D for i in range(n)]
+    lines.append(f"        record((h, {', '.join(rows)}, {y}, t_new))")
     crossed = " or ".join(f"y{i} <= s{i} <= n{i}" for i in range(n))
-    lines += [f"        if {crossed}:", "            return 1, rejected",
-              "        if t_new == t_end:", "            return 0, rejected",
+    lines += [f"        if {crossed}:", f"            return 1, rejected, ({new},)",
+              "        if t_new == t_end:", "            return 0, rejected, None",
               f"        t, {y} = t_new, {new}",
               f"        {_names([0], n)} = {_names([12], n)}"]
     return "\n".join(lines) + "\n"
@@ -307,24 +316,6 @@ def _kernel(n: int, reads):
     if key not in _KERNELS:
         _KERNELS[key] = tableau, compiled(kernel_source(n, reads))["run"]
     return _KERNELS[key][1]
-
-
-def _coefficients(y, f, steps) -> np.ndarray:
-    """The 8 x n x steps dense coefficients (``Solution.coef``) of a run
-    from the state ``y`` and slope ``f`` at its start and the columns
-    ``steps`` of its accepted steps, as the run records them."""
-    n = len(y)
-    h = steps[1]
-    y = np.column_stack([y, steps[2:2 + n]])
-    f = np.column_stack([f, steps[2 + n:2 + 2 * n]])
-    dy = y[:, 1:] - y[:, :-1]
-    coef = np.empty((8,) + dy.shape)
-    coef[0] = dy
-    coef[1] = h * f[:, :-1] - dy
-    coef[2] = 2 * dy - h * (f[:, 1:] + f[:, :-1])
-    coef[3:7] = steps[2 + 2 * n:].reshape(4, n, len(h))
-    coef[7] = y[:, :-1]
-    return coef
 
 
 def _horner(F, y0, x):
@@ -473,16 +464,18 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
         levels[i] = float(level)
     reads = tuple(range(n)) if reads is None else reads
     f = fun(*y)
-    out = []
-    status, rejected = _kernel(n, reads)(fun, t_end, y, f, rtol, atol, first_step, max_step,
-                                         out.extend, *levels)
-    # one column per accepted step: its end time, length, end state and
-    # slope, and rows 3-6 of its coefficients
-    steps = np.array(out).reshape(-1, 6 * n + 2).T
-    t, h, coef = np.append(0.0, steps[0]), steps[1], _coefficients(y, f, steps)
+    out = [0.0]
+    status, rejected, end = _kernel(n, reads)(fun, t_end, y, f, rtol, atol, first_step,
+                                              max_step, out.extend, *levels)
+    # after the first step point, one row per accepted step: its length,
+    # dense polynomial and end time
+    record = np.array(out)
+    steps = record[1:].reshape(-1, 8 * n + 2)
+    t, h = record[::8 * n + 2], steps[:, 0]
+    coef = steps[:, 1:-1].reshape(-1, 8, n).transpose(1, 2, 0)
     t_events = [[] for _ in stops]
     if status == 1:
-        last, end, t0 = coef[:, :, -1].T.tolist(), steps[2:2 + n, -1].tolist(), float(t[-2])
+        last, t0 = coef[:, :, -1].T.tolist(), float(t[-2])
         root, k = min((crossing(last[i][:7], last[i][7], t0, float(h[-1]), levels[i],
                                 float(t[-1]), EVENT_TOL), k)
                       for k, (i, _) in enumerate(stops) if last[i][7] <= levels[i] <= end[i])

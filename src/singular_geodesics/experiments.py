@@ -196,11 +196,15 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     l = 2 * int_delta^R f(delta) / (f^2 sqrt(1 - (f(delta)/f)^2)) dr,
     with the integrable endpoint removed by r = delta + s^2
     (``_length_integrand``), to a relative 1e-11.  The quadrature breaks at
-    the warp's ``knots``, where a profile table's f'' jumps."""
+    the warp's ``knots``, where a profile table's f'' jumps.  Where f(delta)
+    underflows, the length is beyond double range: inf, as
+    ``winding_length`` reads it for the same launch."""
     from scipy.integrate import quad  # imported here: only a quadrature loads scipy
 
     R = wf.domain_radius
     fd = wf.f(delta)
+    if fd == 0.0:
+        return math.inf
     knots = np.asarray(wf.knots, dtype=float)
     inside = knots[(knots > delta) & (knots < R)]
     breaks = np.sqrt(inside - delta)

@@ -28,8 +28,10 @@ the double range of f (folding the flat circle into the full system cost
 2.0-2.3x per benchmark pair), and its decode is the section's closed form
 (``h0_geodesic`` along the launch's ``direction``).  A perturbed section
 takes the full system, in its stored coordinates (on the sphere n and L in
-R^3).  Both right-hand sides are traced once on recorded values and run as
-straight-line float code (``_compiled_rhs``).  Each time direction is one
+R^3).  Both right-hand sides are traced on recorded values and run as
+straight-line float code (``_compiled_rhs``), once per warp, section and
+k (``_traced``): the values that depend on delta are inputs of the trace,
+which each run binds.  Each time direction is one
 DOP853 run (``dop853.solve_ivp``) stopped only at the exit r = R and the
 optional tau stop.  Both flows are autonomous, so a right-hand side takes
 only the state, and the run forms only the stage sums that the traced
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -113,7 +116,7 @@ def launch_winding(
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if not y0.shape == v0.shape == (cs.dim,):
         raise ValueError(f"y0 and v0 need {cs.dim} components each")
-    if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(v0))):
+    if not all(map(math.isfinite, y0.tolist() + v0.tolist())):
         raise ValueError("y0 and v0 must be finite")
     y, v = cs.embed(y0, v0)
     h = cs.metric(delta, y)
@@ -222,12 +225,14 @@ class Trajectory:
         """The runs at |t|, one column per time (``component``'s row alone
         if given), and each time's sign: one ``dop853.evaluate`` per run
         that a time falls in, and one for the reduced path's shared run."""
-        if not np.all((t >= self.t_min) & (t <= self.t_max)):
+        # a NaN fails both tests
+        if not (t.min() >= self.t_min and t.max() <= self.t_max):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
         fwd, s = t >= 0, np.abs(t)
-        parts = [(sol, mask) for sol, mask in zip(self.runs, (fwd, ~fwd)) if mask.any()]
-        if len(parts) == 1 or self.runs[0] is self.runs[1]:
+        parts = [(self.runs[0], fwd)] if self.runs[0] is self.runs[1] else [
+            (sol, mask) for sol, mask in zip(self.runs, (fwd, ~fwd)) if mask.any()]
+        if len(parts) == 1:
             x = dop853.evaluate(parts[0][0], s, component)
         else:
             rows = self.runs[0].coef.shape[1:2] if component is None else ()
@@ -249,10 +254,11 @@ class Trajectory:
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def _tau(self, tau_scaled: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.fpd > 0.0:
-                return tau_scaled / self.fpd
-            return np.where(tau_scaled != 0.0, np.copysign(math.inf, tau_scaled), 0.0)
+        """tau of ``tau_scaled``; the quotient overflows where f'(delta) is
+        tiny, which its callers let pass silently."""
+        if self.fpd > 0.0:
+            return tau_scaled / self.fpd
+        return np.where(tau_scaled != 0.0, np.copysign(math.inf, tau_scaled), 0.0)
 
     def r_of_t(self, t):
         return self._query(t, lambda ts: self._mirrored(ts, 0)[0])
@@ -261,7 +267,8 @@ class Trajectory:
         return self._query(t, lambda ts: np.multiply(*self._mirrored(ts, -1)))
 
     def tau_of_t(self, t):
-        return self._query(t, lambda ts: self._tau(np.multiply(*self._mirrored(ts, -1))))
+        with np.errstate(over="ignore"):
+            return self._query(t, lambda ts: self._tau(np.multiply(*self._mirrored(ts, -1))))
 
     def t_of_tau(self, tau):
         """Invert the strictly increasing map t -> tau.
@@ -298,9 +305,11 @@ class Trajectory:
         st = self._evaluate(t)
         self.t = t
         self.r, self.theta, self.y, self.eta, self.tau_scaled = st
-        self.tau = self._tau(st.tau_scaled)
-        (self.hamiltonian, self.clairaut_rel, self.eta_norm, self.qr_q,
-         self.rho) = _diagnostics(self.wf, self.cs, self.log_fd, st)
+        # tau and the logs of the diagnostics overflow or meet -inf silently
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.tau = self._tau(st.tau_scaled)
+            (self.hamiltonian, self.clairaut_rel, self.eta_norm, self.qr_q,
+             self.rho) = _diagnostics(self.wf, self.cs, self.log_fd, st)
 
     # -- export -------------------------------------------------------------
 
@@ -355,7 +364,9 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
     The shell sin^2(theta) + |eta|^2/f(r)^2 and |eta| come from log|eta| -
     log f(r), which stays finite far below the double range of f: log|eta|
     is log f(delta) on the reduced path (|eta| is conserved there), half the
-    log of ``cometric``'s |eta|^2 on the full path and -inf on a radial line."""
+    log of ``cometric``'s |eta|^2 on the full path and -inf on a radial line.
+    Run it with numpy's overflow, invalid and divide warnings off
+    (``Trajectory._resample``)."""
     r, theta, y, eta, _ = st
     n = len(r)
     log_f_r = _log_f(wf, r)
@@ -368,14 +379,13 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
         norm2, qr_q = cs.cometric(r, y.T, eta.T)[1:3]
         log_eta = 0.5 * np.log(norm2)
         qr_q = np.full(n, qr_q)  # a float where q is 1 (no perturbation)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # eta = 0 makes |eta|/f(r) vanish, even at the tip r = 0
-        log_ratio = np.where(log_eta > -math.inf, log_eta - log_f_r, -math.inf)
-        hamiltonian = np.sin(theta) ** 2 + np.exp(2.0 * log_ratio)
-        # Clairaut's f(r) cos(theta) = f(delta), relative and in logs: both
-        # factors can individually leave double range
-        clairaut_rel = np.zeros(n) if log_fd is None else np.expm1(
-            log_f_r - log_fd + np.log(np.maximum(np.cos(theta), 1e-300)))
+    # eta = 0 makes |eta|/f(r) vanish, even at the tip r = 0
+    log_ratio = np.where(log_eta > -math.inf, log_eta - log_f_r, -math.inf)
+    hamiltonian = np.sin(theta) ** 2 + np.exp(2.0 * log_ratio)
+    # Clairaut's f(r) cos(theta) = f(delta), relative and in logs: both
+    # factors can individually leave double range
+    clairaut_rel = np.zeros(n) if log_fd is None else np.expm1(
+        log_f_r - log_fd + np.log(np.maximum(np.cos(theta), 1e-300)))
     return hamiltonian, clairaut_rel, np.exp(log_eta), qr_q, np.exp(log_f_r)
 
 
@@ -391,22 +401,27 @@ def _first_step(wf: WarpingFunction, r0: float) -> float:
     return min(1e-3, 0.1 / max(wf.d_log_f(r0), 1.0))
 
 
-# a flow's right-hand side: the domain guard, then the traced slopes
+# a flow's right-hand side: the domain guard, then the traced slopes, which
+# read the values that depend on delta (x{n} onwards) from ``bind``
 _RHS = """def factory(IntegrationError, r_max, {constants}):
-    def rhs({inputs}):
-        if not 0.0 < x0 <= r_max:
-            raise IntegrationError(f"r={{x0:g}} outside (0, R)")
-        {lines}
-        return {outputs}
-    return rhs
+    def bind({params}):
+        def rhs({inputs}):
+            if not 0.0 < x0 <= r_max:
+                raise IntegrationError(f"r={{x0:g}} outside (0, R)")
+            {lines}
+            return {outputs}
+        return rhs
+    return bind
 """
 
 
-def _compiled_rhs(slopes, n, r_max):
+def _compiled_rhs(slopes, n, r_max, m):
     """``slopes`` of the ``n`` state components (r first) as straight-line
-    float code behind the guard 0 < r <= ``r_max``: ``(rhs, reads)``, where
-    ``rhs(x0, ..., x{n-1})`` returns the n slopes as a tuple and reads no
-    component outside ``reads`` (r, which the guard reads, and the
+    float code behind the guard 0 < r <= ``r_max``: ``(bind, reads)``.
+    ``slopes`` takes n + ``m`` inputs: the state, then m values that depend
+    on delta.  ``bind(p0, ..., p{m-1})`` gives those values and returns
+    ``rhs(x0, ..., x{n-1})``, which returns the n slopes as a tuple and
+    reads no component outside ``reads`` (r, which the guard reads, and the
     components the traced lines read; ``dop853.solve_ivp``'s ``reads``).
 
     The slopes run once on recorded values (``straightline``), and the
@@ -415,42 +430,80 @@ def _compiled_rhs(slopes, n, r_max):
     amplitude or R, is an argument of the factory.  A warp callable that is
     not a formula (a profile table's, or the osc family's, whose log f is a
     ``dop853.brent`` root) is called from the generated code on a float."""
-    lines, outputs, constants, reads = straightline.trace(slopes, n)
+    lines, outputs, constants, reads = straightline.trace(slopes, n + m)
     source = _RHS.format(constants=", ".join(f"c{i}" for i in range(len(constants))),
+                         params=", ".join(f"x{i}" for i in range(n, n + m)),
                          inputs=", ".join(f"x{i}" for i in range(n)),
-                         lines="\n        ".join(lines), outputs=", ".join(outputs))
+                         lines="\n            ".join(lines), outputs=", ".join(outputs))
     factory = dop853.compiled(source)["factory"]
-    return factory(IntegrationError, r_max, *constants), tuple(sorted({0, *reads}))
+    return (factory(IntegrationError, r_max, *constants),
+            tuple(sorted({0, *(i for i in reads if i < n)})))
+
+
+# (path, id(warp), the section's key, k, Var's class dict) -> (bind, reads)
+# of ``_compiled_rhs``; an entry is dropped when its warp or section is
+# collected (``_traced``)
+_TRACED = {}
+
+
+def _traced(key, owners, build):
+    """``build()``, a ``(bind, reads)`` pair, traced once per ``key`` while
+    every object of ``owners`` lives.  The key holds the identity of each
+    callable that the trace reads: a monkeypatched formula, ``cometric`` or
+    operator of ``straightline.Var`` gets its own entry, so it reaches the
+    generated code.  An object that takes no weak reference (a stand-in
+    section) is traced on every call."""
+    key += tuple(vars(straightline.Var).values())
+    entry = _TRACED.get(key)
+    if entry is None:
+        try:
+            refs = [weakref.ref(owner) for owner in owners]
+        except TypeError:
+            return build()
+        entry = _TRACED[key] = build()
+        for ref in refs:
+            weakref.finalize(ref(), _TRACED.pop, key, None)
+    return entry
 
 
 def _reduced_rhs(wf, log_fd, log_fpd):
     """Right-hand side of the reduced system in (r, theta, tau_scaled), for
     every r > 0 (its steps reach far past R), and the components it reads
-    (``_compiled_rhs``)."""
-    L0 = log_fpd + log_fd
-
+    (``_compiled_rhs``).  The slopes are traced once per warp (``_traced``;
+    a ``WarpingFunction`` is frozen, so its identity fixes its formulas)."""
     def slopes(x):
-        r, th = x[0], x[1]
+        r, th, L0 = x[0], x[1], x[3]
         return [straightline.sin(th),
                 straightline.call(wf.d_log_f, r) * straightline.cos(th),
                 straightline.exp(L0 - 2.0 * straightline.call(wf.log_f, r))]
-    return _compiled_rhs(slopes, 3, math.inf)
+    bind, reads = _traced(("reduced", id(wf)), (wf,),
+                          lambda: _compiled_rhs(slopes, 3, math.inf, 1))
+    return bind(log_fpd + log_fd), reads
 
 
 def _full_rhs(wf, cs, k, fd, fpd):
     """Right-hand side of the full system in (r, theta, y, eta_hat, tau_scaled),
     k components each in y and eta_hat, with f(delta) = ``fd`` and f'(delta)
     = ``fpd``, for r up to 1.25 R (trial points reach slightly past the
-    exit), and the components it reads (``_compiled_rhs``)."""
+    exit), and the components it reads (``_compiled_rhs``).  The slopes are
+    traced once per warp, section and k (``_traced``); the section's key
+    holds its ``cometric`` and ``shape``."""
+    n = 3 + 2 * k
+
     def slopes(x):
-        r, th = x[0], x[1]
+        r, th, fd, fpd = x[0], x[1], x[n], x[n + 1]
         sharp, norm2, qr_q, force = cs.cometric(r, x[2:2 + k], x[2 + k:2 + 2 * k])
         fr = straightline.call(wf.f, r)
         scale = fd / (fr * fr)
         d_log_f = straightline.call(wf.d_log_f, r)
         return [straightline.sin(th), (d_log_f + qr_q) * straightline.cos(th),
                 *[v * scale for v in sharp + force], fpd * scale * straightline.sqrt(norm2)]
-    return _compiled_rhs(slopes, 3 + 2 * k, 1.25 * wf.domain_radius)
+    # a bound method would hold the section: its function stands for it
+    cometric = getattr(cs.cometric, "__func__", cs.cometric)
+    section = (id(cs), cometric, getattr(cs, "shape", None))
+    bind, reads = _traced(("full", id(wf), section, k), (wf, cs),
+                          lambda: _compiled_rhs(slopes, n, 1.25 * wf.domain_radius, 2))
+    return bind(fd, fpd), reads
 
 
 def _mirror(start: GeodesicState, sign: int, fd: float) -> np.ndarray:
@@ -567,9 +620,12 @@ def integrate(
                                               runs, (1, -1))],
     }
     traj = Trajectory(wf, cs, runs, decode, delta, log_fd, fpd, meta)
-    parts = [np.linspace(traj.t_min, traj.t_max, dense_nodes), np.array([0.0])]
-    parts += [sign * sol.t for sol, sign in zip(runs, (1, -1))]
-    traj._resample(np.unique(np.concatenate(parts)))
+    # the sorted distinct times of the uniform nodes, t = 0 and every step
+    # point: np.unique's sort and mask
+    grid = np.concatenate([np.linspace(traj.t_min, traj.t_max, dense_nodes), [0.0],
+                           runs[0].t, -runs[1].t])
+    grid.sort()
+    traj._resample(grid[np.concatenate([[True], grid[1:] != grid[:-1]])])
 
     shell_drift = float(np.max(np.abs(traj.hamiltonian - 1.0)))
     if shell_drift > SHELL_DRIFT_LIMIT:

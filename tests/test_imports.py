@@ -197,6 +197,38 @@ def test_only_a_quadrature_loads_scipy(tmp_path):
     assert "'scipy.integrate'" in lines[-1][2]
 
 
+# the csvformat tables after import, a one-case verify and a trace, which
+# writes trace.csv
+_CSV_TABLES = """
+import contextlib, io, sys
+import singular_geodesics
+from singular_geodesics import cli, csvformat
+
+TABLES = ("_POW10", "_QUADS", "_EXPONENTS", "_ZEROS", "_LAYOUTS", "_FORM_OF")
+
+def built(label):
+    print(label, [getattr(csvformat, name) is not None for name in TABLES])
+
+built("import")
+for label, argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    built(label)
+"""
+
+
+def test_only_a_csv_builds_the_csv_tables(tmp_path):
+    commands = [("verify", ["verify", "--bounds-cases", "1", "--compare-cases", "1"]),
+                ("trace", ["trace", "--warp", "power:2", "--outdir", str(tmp_path)])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(singular_geodesics.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", _CSV_TABLES.format(commands=commands)],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.splitlines() == [f"import {[False] * 6}", f"verify {[False] * 6}",
+                                       f"trace {[True] * 6}"]
+
+
 def test_detects_a_scipy_stepper_import():
     source = ("from scipy.integrate import quad, solve_ivp\nimport scipy.integrate\n"
               "from scipy.integrate._ivp import rk\nfrom scipy import integrate, optimize\n"

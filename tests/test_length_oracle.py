@@ -103,3 +103,13 @@ def test_a_planted_bias_fails(monkeypatch):
     wf = sg.parse_warp_spec("power:2")
     reference = mp_length(FAMILIES["power:2"], 0.3, wf.domain_radius)
     assert abs(closed_form_winding_length(wf, 0.3) / reference - 1) > 5e-11
+
+
+def test_an_underflowing_f_delta_gives_an_infinite_length():
+    # exp(-1000) underflows: the stepper's scaled run reads the length as
+    # inf, and so does the oracle, where it divided by f(r)^2 = 0
+    wf = sg.parse_warp_spec("expinv:1", R=0.5)
+    assert wf.f(1e-3) == 0.0
+    traj = sg.integrate_winding(wf, sg.circle_section(2 * math.pi), 1e-3, [0.0], [1.0])
+    assert sg.winding_length(traj) == math.inf
+    assert closed_form_winding_length(wf, 1e-3) == math.inf

@@ -298,7 +298,8 @@ def test_a_read_last_input_keeps_its_stage_sums():
     def slopes(x):
         return [1.0, x[2], -x[1]]
     assert straightline.trace(slopes, 3)[3] == (1, 2)
-    rhs, reads = geodesic_flow._compiled_rhs(slopes, 3, math.inf)
+    bind, reads = geodesic_flow._compiled_rhs(slopes, 3, math.inf, 0)
+    rhs = bind()
     assert reads == (0, 1, 2)
     assert re.search(r"\bk\d+_2\b", dop853.kernel_source(3, reads).split("n0 =")[0])
     args = (rhs, 10.0, [0.1, 1.0, 0.0], 1e-10, 1e-12, 1e-3)
