@@ -84,6 +84,13 @@ def static_sphere_bump(r, n):
 # cross sections
 
 
+# the numbers of a section, which its construction reads once: the grid
+# checks set c_bound from them, and ``geodesic_flow`` traces a section's
+# right-hand side once, with its amplitude, scale and shape as constants
+_FIXED = frozenset({"dim", "circumference", "scale", "amplitude", "shape", "domain_radius",
+                    "c_bound", "h0_is_standard"})
+
+
 class CrossSection:
     """Common interface: a conformal metric h_r = q(r, y)^2 h0(y) on Y, given
     as ``conformal`` (q, q_r, dq) and ``cometric``.
@@ -91,6 +98,13 @@ class CrossSection:
     ``dim`` is the dimension of Y; the stored point ``y`` and covector
     ``eta`` may have more components (the sphere's live in R^3).  The
     defaults below serve sections stored in intrinsic coordinates.
+
+    A section's numbers (``dim``, ``circumference``, ``scale``,
+    ``amplitude``, ``shape``, ``domain_radius``, ``c_bound`` and
+    ``h0_is_standard``) are fixed once its grid checks pass: assigning or
+    deleting one raises AttributeError, since nothing built from the old
+    values would see the new ones.  Build a new section instead.  Methods
+    may still be replaced on an instance.
     """
 
     dim: int
@@ -98,6 +112,19 @@ class CrossSection:
     h0_is_standard: bool
     domain_radius: float
     amplitude: float
+
+    def __setattr__(self, name, value):
+        self._refuse(name)
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        self._refuse(name)
+        object.__delattr__(self, name)
+
+    def _refuse(self, name):
+        if name in _FIXED and "_fixed" in self.__dict__:
+            raise AttributeError(f"{type(self).__name__}.{name} is fixed at construction; "
+                                 "build a new section")
 
     def conformal(self, r, y):
         """Return (q, d_r q, the gradient of q in y as a sequence), q = 1 + a*w,
@@ -120,8 +147,7 @@ class CrossSection:
 
     def embed(self, y0, v0) -> Tuple[np.ndarray, np.ndarray]:
         """Stored point and vector of the input coordinates ``y0``, ``v0``."""
-        return (np.atleast_1d(np.asarray(y0, dtype=float)),
-                np.atleast_1d(np.asarray(v0, dtype=float)))
+        return np.array(y0, dtype=float, ndmin=1), np.array(v0, dtype=float, ndmin=1)
 
     def covector(self, y, p) -> np.ndarray:
         """Stored covector of the covector ``p = metric(r, y) @ v``."""
@@ -146,13 +172,15 @@ class CrossSection:
         in one array pass, naming the first bad point radius by radius; set
         ``c_bound`` (1.25 times the largest |q_r/q| seen) and
         ``h0_is_standard`` (w vanishes at r = 0, so h0 is the flat circle or
-        the round sphere); and require R*c < 1."""
+        the round sphere); require R*c < 1; and fix the section's numbers
+        (``_FIXED``)."""
         a = self.amplitude
         if not math.isfinite(a):
             raise ValueError(f"perturbation amplitude {a!r} must be finite")
         if a == 0.0:
             self.c_bound = 0.0
             self.h0_is_standard = True
+            self._fixed = True
             return
         radii = np.linspace(0.0, self.domain_radius, 128)
         w, w_r, _ = self.shape(radii[:, None], nodes.T)
@@ -170,6 +198,7 @@ class CrossSection:
                 f"R*c = {self.domain_radius * self.c_bound:.4g} >= 1: shrink R "
                 "or the perturbation amplitude"
             )
+        self._fixed = True
 
 
 class CircleSection(CrossSection):

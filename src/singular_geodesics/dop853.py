@@ -45,15 +45,22 @@ step points ``t``, each step's length ``h`` and one
 component-major array ``coef`` (8 x states x steps) of each step's seven
 interpolation coefficients and, last, its start value.  The generated run
 forms all eight rows of each accepted step and records them with the
-step's length and end time, so the three arrays are views of one array of
-the record: ``coef`` is one reshape of it, transposed.  Only ``evaluate``
-(one gather along the step axis and Horner's scheme, on all components or
-one) and ``level_times`` read ``coef``.
+step's length and end time in one list of floats.  ``solve_ivp`` takes the
+stop's crossing from the list's last step and packs the list once as C
+doubles (``struct``, a third of the time of ``np.array`` on a list), so the
+three arrays are views of one array of the record: ``coef`` is one
+reshape of it, transposed.  Only ``evaluate`` and ``level_times`` read
+``coef``.  ``evaluate`` finds each point's step with one ``searchsorted``
+on the step points, gathers the steps' coefficients (of every component,
+or of one) and runs Horner's scheme on them; on every component the step
+fractions are laid out once per component row, so each of Horner's 15
+array operations takes operands of one shape.
 """
 from __future__ import annotations
 
 import linecache
 import math
+import struct
 from typing import List, NamedTuple
 
 import numpy as np
@@ -134,6 +141,10 @@ ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
 EVENT_TOL = 4.0 * math.ulp(1.0)  # 4 eps, as a float
 MAX_ITER = 100  # Brent iterations before RuntimeError, as scipy's brentq
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# a run's message by its status
+_MESSAGES = {-1: TOO_SMALL_STEP,
+             0: "The solver successfully reached the end of the integration interval.",
+             1: "A termination event occurred."}
 
 
 class Solution(NamedTuple):
@@ -338,10 +349,19 @@ def evaluate(sol: Solution, s: np.ndarray, component=None) -> np.ndarray:
     t[-1]]): one row per state component and one column per point, or, for
     a given ``component``, that component's row alone.  A step point takes
     the earlier step, as scipy's ``OdeSolution`` does."""
-    seg = np.maximum(np.searchsorted(sol.t, s, side="left") - 1, 0)
+    # the number of step points past t[0] that lie before s: step j holds
+    # (t[j], t[j + 1]], and step 0 also t[0]
+    seg = sol.t[1:].searchsorted(s)
     coef = sol.coef if component is None else sol.coef[:, component]
     c = coef.take(seg, axis=-1)
-    return _horner(c, c[7], (s - sol.t[seg]) / sol.h[seg])
+    x = (s - sol.t[seg]) / sol.h[seg]
+    if component is None:
+        # x in every component's row: operands of one shape take numpy's
+        # fastest loop in each step of Horner's scheme
+        rows = np.empty(c.shape[1:])
+        rows[:] = x
+        x = rows
+    return _horner(c, c[7], x)
 
 
 def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -373,10 +393,12 @@ def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
+        abs_sbis = abs(sbis)
+        if fcur == 0.0 or abs_sbis < delta:
             return xcur
+        abs_spre = abs(spre)
         stry = math.inf  # bisect, unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if abs_spre > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:  # secant
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -386,7 +408,7 @@ def brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             except ZeroDivisionError:
                 pass
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+        if 2.0 * abs(stry) < min(abs_spre, 3.0 * abs_sbis - delta):
             spre, scur = scur, stry
         else:
             spre = scur = sbis
@@ -453,14 +475,15 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
                                                           max_step))
     if not (math.isfinite(first_step) and first_step > 0.0):
         raise ValueError(f"first_step={first_step!r} must be finite and positive")
-    y = np.asarray(y0, dtype=float).tolist()
+    y = list(map(float, y0))
     n = len(y)
-    if len({range(n)[i] for i, _ in stops}) < len(stops):
+    at = [range(n)[i] for i, _ in stops]  # each stop's component, counted from 0
+    if len(set(at)) < len(at):
         raise ValueError(f"stops={stops!r} put two stops on one component")
     # each component's stop level; NaN, which no comparison passes, where it
     # has none
     levels = [math.nan] * n
-    for i, level in stops:
+    for i, (_, level) in zip(at, stops):
         levels[i] = float(level)
     reads = tuple(range(n)) if reads is None else reads
     f = fun(*y)
@@ -468,21 +491,23 @@ def solve_ivp(fun, t_end: float, y0, rtol: float, atol: float, first_step: float
     status, rejected, end = _kernel(n, reads)(fun, t_end, y, f, rtol, atol, first_step,
                                               max_step, out.extend, *levels)
     # after the first step point, one row per accepted step: its length,
-    # dense polynomial and end time
-    record = np.array(out)
-    steps = record[1:].reshape(-1, 8 * n + 2)
-    t, h = record[::8 * n + 2], steps[:, 0]
-    coef = steps[:, 1:-1].reshape(-1, 8, n).transpose(1, 2, 0)
-    t_events = [[] for _ in stops]
+    # dense polynomial (row r of component i at 1 + r n + i) and end time
+    width = 8 * n + 2
+    t_events = [np.empty(0) for _ in stops]
     if status == 1:
-        last, t0 = coef[:, :, -1].T.tolist(), float(t[-2])
-        root, k = min((crossing(last[i][:7], last[i][7], t0, float(h[-1]), levels[i],
-                                float(t[-1]), EVENT_TOL), k)
-                      for k, (i, _) in enumerate(stops) if last[i][7] <= levels[i] <= end[i])
-        t_events[k].append(root)
-        t[-1] = root
-    message = {-1: TOO_SMALL_STEP, 0: "The solver successfully reached the end of the "
-               "integration interval.", 1: "A termination event occurred."}[status]
-    accepted = len(h)
-    return Solution(t, 1 + 12 * (accepted + rejected) + 3 * accepted, status, message,
-                    [np.array(te, dtype=float) for te in t_events], h, coef, rejected)
+        last, t0 = out[-width:], out[-width - 1]
+        root, k = min((crossing(last[1 + i:1 + 7 * n:n], last[1 + 7 * n + i], t0, last[0],
+                                levels[i], last[-1], EVENT_TOL), k)
+                      for k, i in enumerate(at) if last[1 + 7 * n + i] <= levels[i] <= end[i])
+        t_events[k] = np.array([root])
+        out[-1] = root
+    # struct packs the floats as C doubles three times as fast as np.array
+    # converts the list
+    size = len(out)
+    record = np.frombuffer(bytearray(struct.pack(f"{size}d", *out)))
+    steps = record[1:].reshape(-1, width)
+    t, h = record[::width], steps[:, 0]
+    coef = steps[:, 1:-1].reshape(-1, 8, n).transpose(1, 2, 0)
+    accepted = size // width
+    return Solution(t, 1 + 12 * (accepted + rejected) + 3 * accepted, status, _MESSAGES[status],
+                    t_events, h, coef, rejected)

@@ -19,6 +19,7 @@ from .cross_sections import (
 from .errors import IntegrationError, NonOscillationError, QuadratureError
 from .geodesic_flow import (
     Trajectory,
+    _linspace,
     integrate_winding,
     normalized_winding_length,
     reparametrize_tau,
@@ -172,30 +173,32 @@ _GAUSS3 = ((0.5 - math.sqrt(0.15), 5.0 / 18.0), (0.5, 8.0 / 18.0),
 
 def _length_integrand(s: float, wf: WarpingFunction, delta: float, fd: float,
                       near: float) -> float:
-    """2 s f(delta) / (f(r)^2 sqrt(1 - q^2)) at r = delta + s^2, where q =
-    f(delta)/f(r) and ``fd`` = f(delta).  Where d = s^2 is at least
-    ``near``, 1 - q^2 is (1 - q)(1 + q), which does not cancel.  Nearer
-    the end, delta + s^2 keeps too few digits of d, and q itself loses them.
-    There (1 - q^2)/d is formed from D = log f(delta + d) - log f(delta),
-    the integral of (log f)' over [delta, delta + d]: (1 - q^2)/d = (2 D/d)
-    (1 - e^(-2D))/(2D).  At s = 0 that is 2 (log f)'(delta), and the
-    integrand is its limit 2 / (f(delta) sqrt(2 (log f)'(delta)))."""
+    """f(delta) times the length integrand 2 s f(delta) / (f(r)^2 sqrt(1 -
+    q^2)) at r = delta + s^2, where q = f(delta)/f(r) and ``fd`` =
+    f(delta): 2 s q^2 / sqrt(1 - q^2), which depends on f only through q,
+    so f(r)^2 never underflows it.  Where d = s^2 is at least ``near``, 1 -
+    q^2 is (1 - q)(1 + q), which does not cancel.  Nearer the end, delta +
+    s^2 keeps too few digits of d, and q itself loses them.  There (1 -
+    q^2)/d is formed from D = log f(delta + d) - log f(delta), the integral
+    of (log f)' over [delta, delta + d]: (1 - q^2)/d = (2 D/d) (1 -
+    e^(-2D))/(2D), and the integrand is 2 q^2 / sqrt((1 - q^2)/d).  At s =
+    0 that is its limit 2 / sqrt(2 (log f)'(delta))."""
     d = s * s
-    fr = wf.f(delta + d)
+    q = fd / wf.f(delta + d)
     if d >= near:
-        q = fd / fr
-        return 2.0 * s * fd / (fr * fr * math.sqrt((1.0 - q) * (1.0 + q)))
+        return 2.0 * s * q * q / math.sqrt((1.0 - q) * (1.0 + q))
     mean = sum(w * wf.d_log_f(delta + x * d) for x, w in _GAUSS3)
     z = 2.0 * d * mean
     ratio = 2.0 * mean * (-math.expm1(-z) / z if z > 0.0 else 1.0)
-    return 2.0 * fd / (fr * fr * math.sqrt(ratio))
+    return 2.0 * q * q / math.sqrt(ratio)
 
 
 def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     """Independent length oracle for warped products:
     l = 2 * int_delta^R f(delta) / (f^2 sqrt(1 - (f(delta)/f)^2)) dr,
     with the integrable endpoint removed by r = delta + s^2
-    (``_length_integrand``), to a relative 1e-11.  The quadrature breaks at
+    (``_length_integrand``, which is f(delta) times the integrand), to a
+    relative 1e-11, and divided by f(delta) once.  The quadrature breaks at
     the warp's ``knots``, where a profile table's f'' jumps.  Where f(delta)
     underflows, the length is beyond double range: inf, as
     ``winding_length`` reads it for the same launch."""
@@ -213,7 +216,7 @@ def closed_form_winding_length(wf: WarpingFunction, delta: float) -> float:
     val, _ = quad(_length_integrand, 0.0, math.sqrt(R - delta), args=(wf, delta, fd, near),
                   epsabs=0.0, epsrel=1e-11, limit=400 + len(breaks),
                   points=breaks if len(breaks) else None)
-    return 2.0 * val
+    return 2.0 * val / fd
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +330,13 @@ def comparison_test(
 
     lo = integrate_winding(wf, cs, delta, 0.0, 1.0, rtol=rtol, dense_nodes=128)
     hi = integrate_winding(wf, cs, delta_bar, 0.0, 1.0, rtol=rtol, dense_nodes=128)
-    t_span = min(-lo.t[0], lo.t[-1], -hi.t[0], hi.t[-1])
-    ts = np.linspace(-t_span, t_span, n_nodes)
+    t_span = min(-lo.t_min, lo.t_max, -hi.t_min, hi.t_max)
+    ts = _linspace(-t_span, t_span, n_nodes)
     gaps = hi.r_of_t(ts) - lo.r_of_t(ts)
-    i = int(np.argmin(gaps))
+    i = int(gaps.argmin())
     return ComparisonReport(
-        passed=bool(np.all(gaps > 0.0)),
+        # argmin takes the first NaN, which fails the test as np.all would
+        passed=bool(gaps[i] > 0.0),
         min_gap=float(gaps[i]),
         t_worst=float(ts[i]),
     )

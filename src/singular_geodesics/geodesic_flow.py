@@ -38,6 +38,12 @@ only the state, and the run forms only the stage sums that the traced
 slopes read: not that of tau_scaled, a pure quadrature.  Backward time is
 a forward run of the mirrored system (t, theta, eta) -> (-t, -theta,
 -eta); radial lines are straight segments.
+
+A trajectory's samples are the runs at the sorted distinct times of
+``dense_nodes`` uniform nodes (``_linspace``, np.linspace's arithmetic),
+t = 0 and every step point: one evaluation of every state component, one
+decode and one pass of diagnostics.  The dense queries evaluate only what
+they return (``Trajectory``).
 """
 from __future__ import annotations
 
@@ -95,8 +101,8 @@ class GeodesicState:
     direction: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        self.eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
+        self.y = np.array(self.y, dtype=float, ndmin=1)
+        self.eta = np.array(self.eta, dtype=float, ndmin=1)
 
 
 def launch_winding(
@@ -112,8 +118,7 @@ def launch_winding(
     """
     if not 0.0 < delta < wf.domain_radius:
         raise ValueError(f"delta={delta:g} outside (0, R={wf.domain_radius:g})")
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
+    y0, v0 = np.array(y0, dtype=float, ndmin=1), np.array(v0, dtype=float, ndmin=1)
     if not y0.shape == v0.shape == (cs.dim,):
         raise ValueError(f"y0 and v0 need {cs.dim} components each")
     if not all(map(math.isfinite, y0.tolist() + v0.tolist())):
@@ -174,8 +179,11 @@ def _full_decode(k: int, fd: float):
 
 
 def _stop(sol: dop853.Solution) -> Optional[str]:
-    """What ended a run: "exit" at r = R, "tau" the tau stop, None a radial tip."""
-    return next((name for name, t in zip(("exit", "tau"), sol.t_events) if len(t)), None)
+    """What ended a run: "exit" at r = R, "tau" the tau stop, None a radial
+    tip.  A run that a stop ended holds that stop's time alone."""
+    if sol.status != 1:
+        return None
+    return "exit" if len(sol.t_events[0]) else "tau"
 
 
 class Trajectory:
@@ -189,8 +197,19 @@ class Trajectory:
     last state component times ``sign`` is tau_scaled, and the system's
     ``decode(x, sign, tau_scaled)`` maps mirrored states ``x`` (one row per
     component, one column per query) and each query's ``sign`` to
-    ``States``.  ``r_of_t``, ``tau_of_t`` and ``tau_scaled_of_t`` evaluate
-    only the component they return.
+    ``States``.  What each query evaluates:
+
+    - ``r_of_t``: the r row alone, with no signs (r does not change under
+      the mirror);
+    - ``tau_scaled_of_t`` and ``tau_of_t``: the clock's row times each
+      time's sign (and, for tau, over f'(delta));
+    - ``state_at`` and the samples (``_resample``): every row, decoded with
+      the signs, and for the samples the diagnostics (``_diagnostics``);
+    - ``t_of_tau``: no evaluation, the clock's crossings
+      (``dop853.level_times``).
+
+    The span check is one maximum of |t| on the reduced path's shared run,
+    which spans [-t_max, t_max], and the least and largest t elsewhere.
 
     Sample arrays are aligned with ``t`` (sorted, containing the minimum t=0
     for winding launches).  ``tau_scaled`` is f'(delta) * tau, which stays
@@ -211,45 +230,57 @@ class Trajectory:
         self.meta = meta
         self.classification = "radial" if delta is None else "winding"
         self.t_min, self.t_max = -float(runs[1].t[-1]), float(runs[0].t[-1])
-        stops = [_stop(sol) for sol in runs]
+        forward = _stop(runs[0])
+        backward = forward if runs[1] is runs[0] else _stop(runs[1])
         self.exit_events = {
             "t_min": None if delta is None else 0.0,
-            "t_exit_forward": self.t_max if stops[0] == "exit" else None,
-            "t_exit_backward": self.t_min if stops[1] == "exit" else None,
-            "truncated_by_tau": "tau" in stops,
+            "t_exit_forward": self.t_max if forward == "exit" else None,
+            "t_exit_backward": self.t_min if backward == "exit" else None,
+            "truncated_by_tau": "tau" in (forward, backward),
         }
 
     # -- dense evaluation ---------------------------------------------------
 
-    def _mirrored(self, t: np.ndarray, component=None):
+    def _mirrored(self, t: np.ndarray, component=None) -> np.ndarray:
         """The runs at |t|, one column per time (``component``'s row alone
-        if given), and each time's sign: one ``dop853.evaluate`` per run
-        that a time falls in, and one for the reduced path's shared run."""
-        # a NaN fails both tests
-        if not (t.min() >= self.t_min and t.max() <= self.t_max):
+        if given): one ``dop853.evaluate`` per run that a time falls in.
+        The reduced path's shared run spans [-t_max, t_max], so its span
+        check is one maximum of |t|."""
+        s = np.abs(t)
+        shared = self.runs[0] is self.runs[1]
+        # a NaN fails every test
+        if not (np.maximum.reduce(s) <= self.t_max if shared else
+                t.min() >= self.t_min and t.max() <= self.t_max):
             raise ValueError(
                 f"t outside the integrated span [{self.t_min:g}, {self.t_max:g}]")
-        fwd, s = t >= 0, np.abs(t)
-        parts = [(self.runs[0], fwd)] if self.runs[0] is self.runs[1] else [
-            (sol, mask) for sol, mask in zip(self.runs, (fwd, ~fwd)) if mask.any()]
+        if shared:
+            return dop853.evaluate(self.runs[0], s, component)
+        fwd = t >= 0
+        parts = [(sol, mask) for sol, mask in zip(self.runs, (fwd, ~fwd)) if mask.any()]
         if len(parts) == 1:
-            x = dop853.evaluate(parts[0][0], s, component)
-        else:
-            rows = self.runs[0].coef.shape[1:2] if component is None else ()
-            x = np.empty(rows + s.shape)
-            for sol, mask in parts:
-                x[..., mask] = dop853.evaluate(sol, s[mask], component)
-        return x, np.where(fwd, 1.0, -1.0)
+            return dop853.evaluate(parts[0][0], s, component)
+        rows = self.runs[0].coef.shape[1:2] if component is None else ()
+        x = np.empty(rows + s.shape)
+        for sol, mask in parts:
+            x[..., mask] = dop853.evaluate(sol, s[mask], component)
+        return x
 
     def _evaluate(self, t: np.ndarray) -> States:
-        x, sign = self._mirrored(t)
+        sign = np.where(t >= 0, 1.0, -1.0)
+        x = self._mirrored(t)
         return self.decode(x, sign, sign * x[-1])
+
+    def _tau_scaled(self, t: np.ndarray) -> np.ndarray:
+        """The clock's row at |t| times each time's sign."""
+        return self._mirrored(t, -1) * np.where(t >= 0, 1.0, -1.0)
 
     def _query(self, t, values):
         """``values`` of the flat times, in the shape of ``t``."""
         arr = np.asarray(t, dtype=float)
         if arr.size == 0:
             return np.empty(arr.shape)
+        if arr.ndim == 1:
+            return values(arr)
         out = values(arr.reshape(-1))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
@@ -261,14 +292,14 @@ class Trajectory:
         return np.where(tau_scaled != 0.0, np.copysign(math.inf, tau_scaled), 0.0)
 
     def r_of_t(self, t):
-        return self._query(t, lambda ts: self._mirrored(ts, 0)[0])
+        return self._query(t, lambda ts: self._mirrored(ts, 0))
 
     def tau_scaled_of_t(self, t):
-        return self._query(t, lambda ts: np.multiply(*self._mirrored(ts, -1)))
+        return self._query(t, self._tau_scaled)
 
     def tau_of_t(self, t):
         with np.errstate(over="ignore"):
-            return self._query(t, lambda ts: self._tau(np.multiply(*self._mirrored(ts, -1))))
+            return self._query(t, lambda ts: self._tau(self._tau_scaled(ts)))
 
     def t_of_tau(self, tau):
         """Invert the strictly increasing map t -> tau.
@@ -301,7 +332,9 @@ class Trajectory:
         return GeodesicState(t, float(st.r[0]), float(st.theta[0]), st.y[0], st.eta[0])
 
     def _resample(self, t: np.ndarray):
-        """Set every per-sample array from the dense solution at times ``t``."""
+        """Set every per-sample array from the dense solution at times ``t``:
+        one evaluation of every row, one decode and one pass of the
+        diagnostics."""
         st = self._evaluate(t)
         self.t = t
         self.r, self.theta, self.y, self.eta, self.tau_scaled = st
@@ -365,22 +398,31 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
     log f(r), which stays finite far below the double range of f: log|eta|
     is log f(delta) on the reduced path (|eta| is conserved there), half the
     log of ``cometric``'s |eta|^2 on the full path and -inf on a radial line.
+    Only a radial line reaches r = 0, where log f is -inf (``_log_f``), and
+    only the full path's |eta|^2 can underflow to 0; the reduced path's
+    ratio is one subtraction.
     Run it with numpy's overflow, invalid and divide warnings off
     (``Trajectory._resample``)."""
     r, theta, y, eta, _ = st
     n = len(r)
-    log_f_r = _log_f(wf, r)
     qr_q = np.zeros(n)
     if log_fd is None:  # radial: eta = 0 and there is no lowest point
-        log_eta = np.full(n, -math.inf)
-    elif _is_reduced(cs):
-        log_eta = np.full(n, log_fd)
+        log_f_r = _log_f(wf, r)
+        # eta = 0 makes |eta|/f(r) vanish, even at the tip r = 0
+        log_ratio = log_eta = np.full(n, -math.inf)
     else:
-        norm2, qr_q = cs.cometric(r, y.T, eta.T)[1:3]
-        log_eta = 0.5 * np.log(norm2)
-        qr_q = np.full(n, qr_q)  # a float where q is 1 (no perturbation)
-    # eta = 0 makes |eta|/f(r) vanish, even at the tip r = 0
-    log_ratio = np.where(log_eta > -math.inf, log_eta - log_f_r, -math.inf)
+        # a winding trajectory keeps r >= delta > 0
+        log_f_r = wf.log_f(r)
+        if _is_reduced(cs):
+            # |eta| = f(delta), whose log is finite
+            log_eta = np.full(n, log_fd)
+            log_ratio = log_fd - log_f_r
+        else:
+            norm2, qr_q = cs.cometric(r, y.T, eta.T)[1:3]
+            log_eta = 0.5 * np.log(norm2)
+            qr_q = np.full(n, qr_q)  # a float where q is 1 (no perturbation)
+            # |eta|^2 underflows to 0 where f(delta) is tiny
+            log_ratio = np.where(log_eta > -math.inf, log_eta - log_f_r, -math.inf)
     hamiltonian = np.sin(theta) ** 2 + np.exp(2.0 * log_ratio)
     # Clairaut's f(r) cos(theta) = f(delta), relative and in logs: both
     # factors can individually leave double range
@@ -395,6 +437,22 @@ def _diagnostics(wf: WarpingFunction, cs: CrossSection, log_fd: Optional[float],
 
 def _is_reduced(cs: CrossSection) -> bool:
     return cs.amplitude == 0.0
+
+
+def _linspace(a: float, b: float, n: int) -> np.ndarray:
+    """``np.linspace(a, b, n)`` in numpy's own arithmetic: 0, 1, ..., n - 1
+    times the step (b - a)/(n - 1), plus a, with b last.  Without
+    linspace's conversion and dispatch layers it takes half the time at a
+    trajectory's sizes; a step that is zero or undefined (n < 2) goes to
+    np.linspace, whose special cases those are."""
+    step = (b - a) / (n - 1) if n > 1 else 0.0
+    if step == 0.0:
+        return np.linspace(a, b, n)
+    out = np.arange(float(n))
+    out *= step
+    out += a
+    out[-1] = b
+    return out
 
 
 def _first_step(wf: WarpingFunction, r0: float) -> float:
@@ -622,12 +680,12 @@ def integrate(
     traj = Trajectory(wf, cs, runs, decode, delta, log_fd, fpd, meta)
     # the sorted distinct times of the uniform nodes, t = 0 and every step
     # point: np.unique's sort and mask
-    grid = np.concatenate([np.linspace(traj.t_min, traj.t_max, dense_nodes), [0.0],
+    grid = np.concatenate([_linspace(traj.t_min, traj.t_max, dense_nodes), [0.0],
                            runs[0].t, -runs[1].t])
     grid.sort()
     traj._resample(grid[np.concatenate([[True], grid[1:] != grid[:-1]])])
 
-    shell_drift = float(np.max(np.abs(traj.hamiltonian - 1.0)))
+    shell_drift = float(np.maximum.reduce(np.abs(traj.hamiltonian - 1.0)))
     if shell_drift > SHELL_DRIFT_LIMIT:
         raise IntegrationError(
             f"unit-speed shell drift {shell_drift:.3g} exceeds {SHELL_DRIFT_LIMIT:g}"
@@ -660,7 +718,7 @@ def _radial_trajectory(wf, cs, start, dense_nodes):
                                     np.ones(1), coef, 0))
     traj = Trajectory(wf, cs, tuple(runs), _full_decode(len(start.y), 1.0), None, None, 1.0,
                       {"warp": wf.label, "radial": True, "solver": []})
-    traj._resample(np.linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
+    traj._resample(_linspace(traj.t_min, traj.t_max, max(dense_nodes, 2)))
     return traj
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 from types import SimpleNamespace
 
@@ -140,6 +141,43 @@ class TestGridChecks:
         cross_sections.CrossSection._grid_checks(section, nodes)
         assert section.h0_is_standard == expected[1]
         assert abs(section.c_bound - expected[0]) <= 2.0 * np.spacing(expected[0])
+
+
+class TestFixedNumbers:
+    NAMES = ("dim", "circumference", "scale", "amplitude", "shape", "domain_radius", "c_bound",
+             "h0_is_standard")
+
+    @pytest.mark.parametrize("spec", ["circle:6.283185307179586",
+                                      "circle:6.283185307179586:pert=0.05", "sphere",
+                                      "sphere:pert=0.05"])
+    def test_assignment_after_construction_raises(self, spec):
+        # the traced right-hand side and c_bound were built from the old
+        # numbers, so an in-place edit would run with stale constants
+        cs = sg.parse_section_spec(spec)
+        before = dict(vars(cs))
+        for name in self.NAMES:
+            with pytest.raises(AttributeError, match="fixed at construction"):
+                setattr(cs, name, 0.1)
+            with pytest.raises(AttributeError, match="fixed at construction"):
+                delattr(cs, name)
+        assert vars(cs) == before
+
+    @pytest.mark.parametrize("spec, y0, v0", [("circle:6.283185307179586:pert=0.05", [0.3], [1.0]),
+                                              ("sphere:pert=0.05", [1.2, 0.4], [0.3, 0.8])])
+    def test_a_copy_takes_wrapped_methods(self, spec, y0, v0):
+        # as the benchmark's traced pass wraps a copy's methods
+        cs = sg.parse_section_spec(spec)
+        traced, calls = copy.copy(cs), []
+
+        def cometric(r, y, eta):
+            calls.append(type(r))
+            return cs.cometric(r, y, eta)
+        traced.cometric = cometric
+        wf = sg.make_power_warp(2.0)
+        ours = sg.integrate_winding(wf, traced, 0.2, y0, v0, dense_nodes=16)
+        assert calls and traced.amplitude == cs.amplitude
+        assert np.array_equal(ours.r, sg.integrate_winding(wf, cs, 0.2, y0, v0,
+                                                           dense_nodes=16).r)
 
 
 class TestBaseGeodesic:
